@@ -19,7 +19,7 @@ from .domains import (Box, BoxRegion, DistanceRegion, ExhaustionDomain,
                       dist_inf_boundary, exhaustion_gap, expanding_boxes,
                       full_space, grid_points, ring_distance, shrinking_boxes)
 from .errors import (ConfigError, ConstructionError, CoverCertError,
-                     DomainMembershipError, IndexCapError,
+                     DomainMembershipError, IndexCapError, NoRingPointsError,
                      RefinementRequiredError, SmoothnessOrderError,
                      TruncationBoxError)
 from .functions import (TestFunction, coord_gaussian, gaussian, shipped_suite,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bumps import Partition, PartitionFn, derivative_constant
 from .cover import Cover
-from .domains import Box, ExhaustionDomain, grid_points
+from .domains import Box, ExhaustionDomain, grid_points, mesh_points
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
@@ -196,14 +196,8 @@ def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarra
         keep &= mids[:, i] < box.upper[i]
     mids = mids[keep]
     pad = resolution / 2.0
-    reach = float(cover.rho.max()) + pad
-    chosen = []
-    for mid in mids:
-        for k in cover.index.near(mid, reach):
-            if np.abs(mid - cover.centers[k]).max() < cover.rho[k] + pad:
-                chosen.append(mid)
-                break
-    return np.asarray(chosen).reshape(-1, box.dimension)
+    rows, cols, dist = cover.pairs_near(mids, float(cover.rho.max()) + pad)
+    return mids[np.unique(rows[dist < cover.rho[cols] + pad])]
 
 
 def _midpoint_integral(values: np.ndarray, resolution: float,
@@ -237,8 +231,7 @@ def verify_integral_bound(f: TestFunction, partition: Partition, cover: Cover,
         rho = float(cover.rho[k])
         axes = [np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho,
                             points_per_ball) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([v.ravel() for v in mesh], axis=1)
+        pts = mesh_points(axes)
         lhs = 0.0
         for alpha in indices_up_to_order(d, m):
             lhs = max(lhs, float(np.abs(
@@ -305,8 +298,7 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
         rho = float(cover.rho[k])
         axes = [np.linspace(z[i] - 0.95 * rho, z[i] + 0.95 * rho,
                             points_per_ball) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([v.ravel() for v in mesh], axis=1)
+        pts = mesh_points(axes)
         r_j = oracle.value(j, z)
         rhs = D * r_j ** p_exp * float(family.nu_at(target, z[None, :])[0])
         lhs = float(family.nu_at(m, pts).max())
@@ -340,15 +332,13 @@ def verify_disjoint_supports(cover: Cover, partition: Partition | None = None,
     """
     half = cover.core_halfwidths
     overlap = None
-    for k in range(cover.size):
-        for j in range(k + 1, cover.size):
-            gap = float(np.abs(cover.centers[k] - cover.centers[j]).max())
-            if gap < half[k] + half[j] - tol:
-                overlap = {"pair": [int(k), int(j)], "gap": gap,
-                           "required": float(half[k] + half[j])}
-                break
-        if overlap:
-            break
+    rows, cols, gaps = cover.pairs_near(cover.centers,
+                                        max(2.0 * float(half.max()) - tol, 0.0))
+    bad = np.flatnonzero((rows < cols) & (gaps < half[rows] + half[cols] - tol))
+    if len(bad):
+        k, j, gap = int(rows[bad[0]]), int(cols[bad[0]]), float(gaps[bad[0]])
+        overlap = {"pair": [k, j], "gap": gap,
+                   "required": float(half[k] + half[j])}
 
     pullback_bad = None
     for fn in (partition or ()):
@@ -381,8 +371,8 @@ class JFunctional:
     """Pointwise functional summing rescaled top-order partials of h_k f.
 
     At each point at most one summand is nonzero because the rescaled
-    supports are pairwise disjoint; evaluation locates the core box through
-    the cover's spatial index.
+    supports are pairwise disjoint; evaluation locates the core boxes of
+    all points in one batch query on the cover.
     """
 
     f: TestFunction
@@ -420,12 +410,9 @@ class JFunctional:
         if zetas.ndim == 1:
             zetas = zetas[None, :]
         out = np.zeros(len(zetas))
-        groups: dict[int, list[int]] = {}
-        for i, zeta in enumerate(zetas):
-            k = self.cover.locate_core(zeta)
-            if k is not None:
-                groups.setdefault(k, []).append(i)
-        for k, idxs in groups.items():
+        owners = self.cover.core_owners(zetas)
+        for k in np.unique(owners[owners >= 0]).tolist():
+            idxs = np.flatnonzero(owners == k)
             sub = zetas[idxs]
             x = self.maps[k].forward(sub)
             terms = mixed_partial_many(self.partition[k], self.f, x,
@@ -478,7 +465,9 @@ def domination_certificate(f: TestFunction, family: WeightFamily,
     a1_target = family.constant(1, target, cover.level)
     c0 = 16.0 ** (d * m) * D * a1_target
     p = calc.apply(1, target)
-    assert p == calc.quad_weight_index(n, d)
+    if p != calc.quad_weight_index(n, d):
+        raise RuntimeError(f"quadrature weight index {p} disagrees with the "
+                           f"index calculus ({calc.quad_weight_index(n, d)})")
     a2 = family.constant(2, p, cover.level + 1)
 
     func = build_functional(f, partition, cover, family, calc, n, m)
@@ -543,7 +532,10 @@ def domination_certificate(f: TestFunction, family: WeightFamily,
         family, calc, calc.apply(2, p), 3, d * (m + 2), ring=cover.level)
     a1_last = family.constant(1, target1, cover.level)
     q = calc.apply(1, target1)
-    assert q == calc.functional_bound_index(p, d, m)
+    if q != calc.functional_bound_index(p, d, m):
+        raise RuntimeError(
+            f"functional bound index {q} disagrees with the index calculus "
+            f"({calc.functional_bound_index(p, d, m)})")
 
     sem_grid = domain.sample_ring(q + 1, quad_resolution * 4, quad_box)
     high_sem = seminorm(f, family, q + 1, d * (m + 1), sem_grid)

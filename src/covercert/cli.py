@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bumps, certify, cover as cover_mod, domains, radii, weights
-from .errors import ConfigError, CoverCertError
+from .errors import ConfigError, CoverCertError, NoRingPointsError
 from .functions import coord_gaussian, gaussian, spline_bump
 from .indexcalc import IndexCalculus
 from .report import FAIL, INCONCLUSIVE, Certificate, report_to_json, summarize
@@ -54,7 +54,6 @@ class RunConfig:
     test_functions: tuple[str, ...] = ("gaussian",)
     negative_control: str | None = None
     figures: bool = False
-    seed: int | None = None
     psi_box: domains.Box | None = None
     psi_resolution: float | None = None
     raw: dict = field(default_factory=dict, repr=False)
@@ -153,7 +152,7 @@ class RunConfig:
             tolerance=float(data.get("tolerance", 1e-9)),
             suite=suite, test_functions=fns, negative_control=control,
             figures=bool(data.get("figures", False)),
-            seed=data.get("seed"), psi_box=psi_box,
+            psi_box=psi_box,
             psi_resolution=res.get("psi"), raw=data,
         )
 
@@ -235,6 +234,8 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
                                 box=config.truncation)
     check_grid = domain.sample_ring(n, config.check_resolution,
                                     config.truncation)
+    if len(check_grid) == 0:
+        raise NoRingPointsError("the check lattice contains no ring points")
 
     if "omega" in config.suite:
         omega_grid = _subsample(check_grid, 2500)
@@ -378,8 +379,7 @@ def export_figures(config: RunConfig, built_cover, partition,
             half = built_cover.core_halfwidths[k]
             z = built_cover.centers[k]
             axes = [np.linspace(z[i] - half, z[i] + half, 9) for i in range(d)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([v.ravel() for v in mesh], axis=1)
+            pts = domains.mesh_points(axes)
             values = fn.value(maps[k].forward(pts))
             for zeta, value in zip(pts, values):
                 writer.writerow([*zeta.tolist(), k, value])
@@ -402,8 +402,6 @@ def main(argv=None) -> int:
                         help="comma-separated suite subset overriding the config")
     parser.add_argument("--strict", action="store_true",
                         help="treat inconclusive verdicts as failures")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; recorded in the report (no randomness yet)")
     args = parser.parse_args(argv)
 
     try:
@@ -415,9 +413,6 @@ def main(argv=None) -> int:
     if args.suite:
         data = dict(data)
         data["suite"] = args.suite.split(",")
-    if args.seed is not None:
-        data = dict(data)
-        data["seed"] = args.seed
 
     try:
         config = RunConfig.from_dict(data)

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .domains import Box, ExhaustionDomain
-from .errors import RefinementRequiredError
+from .domains import Box, ExhaustionDomain, mesh_points
+from .errors import NoRingPointsError, RefinementRequiredError
 from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
@@ -71,7 +72,7 @@ class BucketIndex:
 
 @dataclass
 class Cover:
-    """Accepted centers with their ball radii and the spatial index."""
+    """Accepted centers with their ball radii and a KD-tree over the centers."""
 
     level: int
     centers: np.ndarray                 # (K, d)
@@ -84,7 +85,7 @@ class Cover:
     oracle: RadiusOracle = field(repr=False)
     tampered: str = ""
     neighbors: list[np.ndarray] | None = field(default=None, repr=False)
-    _index: BucketIndex | None = field(default=None, repr=False)
+    _tree: cKDTree | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -99,35 +100,47 @@ class Cover:
         """Half-widths of the core boxes used for the rescaling argument."""
         return self.r1 / 8.0
 
-    @property
-    def index(self) -> BucketIndex:
-        if self._index is None:
-            cell = float(self.rho.min()) / 2.0
-            idx = BucketIndex(self.box.lower, cell, self.dimension)
-            for z in self.centers:
-                idx.insert(z)
-            self._index = idx
-        return self._index
+    def pairs_near(self, pts, reach: float):
+        """Every pair (i, k) with ``|pts[i] - z_k|_inf <= reach``.
+
+        Returns ``(rows, cols, dist)`` in lexicographic (i, k) order, where
+        ``dist`` is the sup-norm distance of each pair.  Callers decide ball
+        membership with their own strict inequality on ``dist``.
+        """
+        pts = np.asarray(pts, dtype=float).reshape(-1, self.dimension)
+        if self._tree is None:
+            self._tree = cKDTree(self.centers)
+        # The trees only preselect: the radius is widened so that rounding
+        # in their pruning cannot drop a pair, and membership is decided
+        # from the distances, which are exact (the largest coordinate gap).
+        widen = 1e-9 * (reach + float(np.abs(self.centers).max()))
+        found = cKDTree(pts).sparse_distance_matrix(
+            self._tree, reach + widen, p=np.inf, output_type="ndarray")
+        found = found[found["v"] <= reach]
+        found.sort(order=["i", "j"])
+        return found["i"], found["j"], found["v"]
+
+    def core_owners(self, zetas) -> np.ndarray:
+        """Per point, the smallest k whose core box contains it, else -1."""
+        zetas = np.asarray(zetas, dtype=float).reshape(-1, self.dimension)
+        half = self.core_halfwidths
+        rows, cols, dist = self.pairs_near(zetas, float(half.max()))
+        hit = dist < half[cols]
+        owned, first = np.unique(rows[hit], return_index=True)
+        owners = np.full(len(zetas), -1)
+        owners[owned] = cols[hit][first]
+        return owners
 
     def balls_containing(self, x, inner: bool = False) -> list[int]:
         """Indices k with x in the (inner or outer) ball of center k."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        scale = 0.5 if inner else 1.0
-        reach = scale * float(self.rho.max())
-        hits = []
-        for k in sorted(set(self.index.near(x, reach))):
-            if np.abs(x - self.centers[k]).max() < scale * self.rho[k]:
-                hits.append(k)
-        return hits
+        radii = (0.5 if inner else 1.0) * self.rho
+        _, cols, dist = self.pairs_near(x, float(radii.max()))
+        return cols[dist < radii[cols]].tolist()
 
     def locate_core(self, zeta) -> int | None:
         """The unique k whose core box contains zeta, if any."""
-        zeta = np.asarray(zeta, dtype=float).reshape(-1)
-        reach = float(self.r1.max()) / 8.0
-        for k in self.index.near(zeta, reach):
-            if np.abs(zeta - self.centers[k]).max() < self.r1[k] / 8.0:
-                return k
-        return None
+        k = int(self.core_owners(zeta)[0])
+        return None if k < 0 else k
 
     def csv_rows(self):
         """Rows (k, center coords..., rho_k, r1_k) for figure export."""
@@ -167,27 +180,9 @@ def _greedy_bucket(candidates: np.ndarray, r1: np.ndarray, box: Box) -> list[int
     return accepted
 
 
-def _greedy_naive(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
-    accepted: list[int] = []
-    acc_pts = np.empty((0, candidates.shape[1]))
-    acc_r1 = np.empty((0,))
-    for i in range(len(candidates)):
-        p = candidates[i]
-        if len(accepted):
-            dist = np.abs(acc_pts - p).max(axis=1)
-            threshold = np.maximum(acc_r1, r1[i]) / 2.0
-            if bool((dist < threshold).any()):
-                continue
-        accepted.append(i)
-        acc_pts = np.vstack([acc_pts, p[None, :]])
-        acc_r1 = np.append(acc_r1, r1[i])
-    return accepted
-
-
 def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
                 candidate_resolution: float, box: Box | None = None,
-                oracle: RadiusOracle | None = None,
-                use_index: bool = True) -> Cover:
+                oracle: RadiusOracle | None = None) -> Cover:
     """Greedy maximal packing of the ring lattice at the given resolution.
 
     The depth-1 radii come from the shared oracle (sampled upper bounds of
@@ -198,16 +193,10 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
     oracle = oracle or RadiusOracle(family, domain, n, candidate_resolution,
                                     box=box)
     if oracle.strategy == CLOSED_FORM:
-        ring_box = domain.ring(n).bounding_box
-        if box is None:
-            if not ring_box.is_bounded:
-                raise ValueError("a truncation box is required for an unbounded ring")
-            box = ring_box
-        elif ring_box.is_bounded:
-            box = box.intersect(ring_box)
+        box = domain.truncated_ring_box(n, box)
         candidates = domain.sample_ring(n, candidate_resolution, box)
         if len(candidates) == 0:
-            raise ValueError("the candidate lattice contains no ring points")
+            raise NoRingPointsError("the candidate lattice contains no ring points")
         r1 = np.full(len(candidates), oracle.value(1, candidates[0]))
     else:
         box = oracle.box
@@ -222,11 +211,7 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
             f"candidate resolution {candidate_resolution} must be below a "
             f"quarter of the smallest depth-1 radius {min_r1}")
 
-    if use_index:
-        chosen = _greedy_bucket(candidates, r1, box)
-    else:
-        chosen = _greedy_naive(candidates, r1)
-
+    chosen = _greedy_bucket(candidates, r1, box)
     centers = candidates[chosen]
     rho = np.asarray(family.radius(n, centers), dtype=float)
     return Cover(level=n, centers=centers, rho=rho, r1=r1[chosen],
@@ -238,11 +223,11 @@ def verify_covering(cover: Cover, grid: np.ndarray) -> Certificate:
     """Every grid point must lie in some inner ball, and every outer ball
     must sit inside the next ring (checked at its corner points)."""
     grid = cover.domain.require_in_ring(cover.level, grid)
-    uncovered = None
-    for x in grid:
-        if not cover.balls_containing(x, inner=True):
-            uncovered = x.tolist()
-            break
+    inner = cover.rho / 2.0
+    rows, cols, dist = cover.pairs_near(grid, float(inner.max()))
+    covered = np.zeros(len(grid), dtype=bool)
+    covered[rows[dist < inner[cols]]] = True
+    uncovered = None if covered.all() else grid[np.argmin(covered)].tolist()
 
     outer_ring = cover.domain.ring(cover.level + 1)
     escape = None
@@ -283,28 +268,22 @@ def overlap_profile(cover: Cover, grid: np.ndarray,
     oracle = oracle or cover.oracle
     grid = cover.domain.require_in_ring(cover.level, grid)
     d = cover.dimension
-    worst_slack = math.inf
-    worst = None
-    max_count = 0
-    for x in grid:
-        count = len(cover.balls_containing(x, inner=False))
-        max_count = max(max_count, count)
-        bound = (8.0 / oracle.value(2, x)) ** d
-        slack = bound - count
-        if slack < worst_slack:
-            worst_slack = slack
-            worst = (x.tolist(), count, bound)
-    passed = worst_slack >= 0.0
-    x_w, count_w, bound_w = worst
+    rows, cols, dist = cover.pairs_near(grid, float(cover.rho.max()))
+    counts = np.bincount(rows[dist < cover.rho[cols]], minlength=len(grid))
+    bounds = np.array([(8.0 / oracle.value(2, x)) ** d for x in grid])
+    slacks = bounds - counts
+    w = int(np.argmin(slacks))
+    passed = slacks[w] >= 0.0
     return Certificate(
         name=f"overlap[{cover.family.name},n={cover.level}]",
         claim="cover.overlap_bound",
         verdict=PASS if passed else FAIL,
-        measured=float(count_w),
-        bound=float(bound_w),
-        slack=float(worst_slack),
+        measured=float(counts[w]),
+        bound=float(bounds[w]),
+        slack=float(slacks[w]),
         resolutions={"check_points": int(len(grid))},
-        details={"max_count": int(max_count), "tightest_point": x_w,
+        details={"max_count": int(counts.max()),
+                 "tightest_point": grid[w].tolist(),
                  "radius_direction": "sampled upper bound in denominator "
                                      "(conservative)"},
     )
@@ -314,35 +293,25 @@ def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certifica
     """Exact intersection neighborhoods and the depth-3 cardinality bound."""
     oracle = oracle or cover.oracle
     d = cover.dimension
-    rho_max = float(cover.rho.max())
-    neighbors: list[np.ndarray] = []
-    worst_slack = math.inf
-    worst = None
-    for k in range(cover.size):
-        zk = cover.centers[k]
-        hits = []
-        for m in sorted(set(cover.index.near(zk, cover.rho[k] + rho_max))):
-            if np.abs(cover.centers[m] - zk).max() < cover.rho[m] + cover.rho[k]:
-                hits.append(m)
-        hits = np.asarray(hits, dtype=int)
-        neighbors.append(hits)
-        bound = (8.0 / oracle.value(3, zk)) ** d
-        slack = bound - len(hits)
-        if slack < worst_slack:
-            worst_slack = slack
-            worst = (k, len(hits), bound)
-    cover.neighbors = neighbors
-    k_w, size_w, bound_w = worst
-    passed = worst_slack >= 0.0
+    rho = cover.rho
+    rows, cols, dist = cover.pairs_near(cover.centers, 2.0 * float(rho.max()))
+    hit = dist < rho[cols] + rho[rows]
+    rows, cols = rows[hit], cols[hit]
+    starts = np.searchsorted(rows, np.arange(1, cover.size))
+    cover.neighbors = np.split(cols, starts)
+    sizes = np.bincount(rows, minlength=cover.size)
+    bounds = np.array([(8.0 / oracle.value(3, z)) ** d for z in cover.centers])
+    slacks = bounds - sizes
+    k = int(np.argmin(slacks))
+    passed = slacks[k] >= 0.0
     return Certificate(
         name=f"neighbors[{cover.family.name},n={cover.level}]",
         claim="cover.neighbor_bound",
         verdict=PASS if passed else FAIL,
-        measured=float(size_w),
-        bound=float(bound_w),
-        slack=float(worst_slack),
-        details={"tightest_center": int(k_w),
-                 "max_neighbors": int(max(len(h) for h in neighbors))},
+        measured=float(sizes[k]),
+        bound=float(bounds[k]),
+        slack=float(slacks[k]),
+        details={"tightest_center": k, "max_neighbors": int(sizes.max())},
     )
 
 
@@ -380,8 +349,7 @@ def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None,
                     continue
                 axes = [np.linspace(lo[i], hi[i], samples_per_pair + 2)[1:-1]
                         for i in range(cover.dimension)]
-                mesh = np.meshgrid(*axes, indexing="ij")
-                pts = np.stack([v.ravel() for v in mesh], axis=1)
+                pts = mesh_points(axes)
                 if orc.strategy == GRID_ORACLE:
                     # snap to the oracle lattice (exact-index fast path),
                     # keeping only points still inside both balls
@@ -428,13 +396,15 @@ def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None,
 
 
 def separation_holds(cover: Cover) -> tuple[bool, tuple[int, int] | None]:
-    """All-pairs check of the two-sided separation the greedy enforced."""
-    for k in range(cover.size):
-        for j in range(k + 1, cover.size):
-            dist = float(np.abs(cover.centers[k] - cover.centers[j]).max())
-            if dist < max(cover.r1[k], cover.r1[j]) / 2.0:
-                return False, (k, j)
-    return True, None
+    """Exact check of the two-sided separation the greedy enforced; the
+    witness is the first violating pair (k, j), k < j, in lexicographic order."""
+    r1 = cover.r1
+    rows, cols, dist = cover.pairs_near(cover.centers, float(r1.max()) / 2.0)
+    bad = np.flatnonzero((rows < cols)
+                         & (dist < np.maximum(r1[rows], r1[cols]) / 2.0))
+    if len(bad) == 0:
+        return True, None
+    return False, (int(rows[bad[0]]), int(cols[bad[0]]))
 
 
 def without_center(cover: Cover, k: int) -> Cover:

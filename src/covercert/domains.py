@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainMembershipError
+from .errors import DomainMembershipError, NoRingPointsError
 
 __all__ = [
     "Box",
@@ -32,6 +32,8 @@ __all__ = [
     "exhaustion_gap",
     "GapEstimate",
     "grid_points",
+    "lattice_axes",
+    "mesh_points",
 ]
 
 INF = math.inf
@@ -87,12 +89,28 @@ class Box:
         return Box(lo, hi)
 
     def corners(self) -> np.ndarray:
-        axes = [(lo, hi) for lo, hi in zip(self.lower, self.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return mesh_points([(lo, hi) for lo, hi in zip(self.lower, self.upper)])
 
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
+
+
+def mesh_points(axes) -> np.ndarray:
+    """Tensor grid of the given per-axis coordinates, lexicographic, (N, d)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def lattice_axes(box: Box, resolution: float) -> list[np.ndarray]:
+    """Per-axis lattice ``lower + i * resolution`` up to the upper face.
+
+    The upper endpoint is included when it lands on the lattice.
+    """
+    axes = []
+    for lo, hi in zip(box.lower, box.upper):
+        count = int(math.floor((hi - lo) / resolution + 1e-12)) + 1
+        axes.append(lo + resolution * np.arange(count))
+    return axes
 
 
 def grid_points(box: Box, resolution: float) -> np.ndarray:
@@ -105,12 +123,7 @@ def grid_points(box: Box, resolution: float) -> np.ndarray:
         raise ValueError("resolution must be positive")
     if not box.is_bounded:
         raise ValueError("grid_points requires a bounded box (supply a truncation box)")
-    axes = []
-    for lo, hi in zip(box.lower, box.upper):
-        count = int(math.floor((hi - lo) / resolution + 1e-12)) + 1
-        axes.append(lo + resolution * np.arange(count))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return mesh_points(lattice_axes(box, resolution))
 
 
 class Region:
@@ -301,6 +314,27 @@ class ExhaustionDomain:
             raise DomainMembershipError(
                 f"point {bad.tolist()} is not in ring {n}")
         return pts
+
+    def truncated_ring_box(self, n: int, box: Box | None = None) -> Box:
+        """The truncation box clipped to the bounding box of ring n.
+
+        Without a truncation box the ring's own bounding box is used, which
+        must then be bounded.
+        """
+        ring_box = self.ring(n).bounding_box
+        if box is None:
+            if not ring_box.is_bounded:
+                raise ValueError(
+                    "a truncation box is required for an unbounded ring")
+            return ring_box
+        if not ring_box.is_bounded:
+            return box
+        try:
+            return box.intersect(ring_box)
+        except ValueError as exc:
+            raise NoRingPointsError(
+                f"the truncation box {list(box.lower)}..{list(box.upper)} "
+                f"misses ring {n} ({exc})") from None
 
     def sample_ring(self, n: int, resolution: float, box: Box) -> np.ndarray:
         """Lattice points of the truncation box that lie in ring n (lex order)."""

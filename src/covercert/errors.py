@@ -16,6 +16,10 @@ class ConstructionError(CoverCertError):
     """
 
 
+class NoRingPointsError(CoverCertError):
+    """A truncation box or sample lattice holds no point of the ring."""
+
+
 class RefinementRequiredError(CoverCertError):
     """A sampling resolution is too coarse for the requested computation."""
 

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain
-from .errors import RefinementRequiredError
+from .domains import Box, ExhaustionDomain, lattice_axes
+from .errors import NoRingPointsError, RefinementRequiredError
 from .report import FAIL, NOT_CERTIFIED, PASS, Certificate
 from .weights import WeightFamily
 
@@ -47,20 +47,10 @@ class RadiusOracle:
             return
 
         self.strategy = GRID_ORACLE
-        ring_box = domain.ring(n).bounding_box
-        if box is None:
-            if not ring_box.is_bounded:
-                raise ValueError(
-                    "a truncation box is required for an unbounded ring")
-            box = ring_box
-        else:
-            box = box.intersect(ring_box) if ring_box.is_bounded else box
+        box = domain.truncated_ring_box(n, box)
         self.box = box
 
-        axes = []
-        for lo, hi in zip(box.lower, box.upper):
-            count = int(math.floor((hi - lo) / self.resolution + 1e-12)) + 1
-            axes.append(lo + self.resolution * np.arange(count))
+        axes = lattice_axes(box, self.resolution)
         self._axes = axes
         mesh = np.meshgrid(*axes, indexing="ij")
         self._mesh = np.stack(mesh, axis=-1)          # (m1, ..., md, d)
@@ -69,7 +59,7 @@ class RadiusOracle:
         flat = self._mesh.reshape(-1, domain.dimension)
         inside = domain.ring(n).contains(flat).reshape(self._shape)
         if not inside.any():
-            raise ValueError("the truncation box contains no ring points")
+            raise NoRingPointsError("the truncation box contains no ring points")
         self._inside = inside
 
         r0 = np.asarray(family.radius(n, self._mesh), dtype=float)

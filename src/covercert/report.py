@@ -41,14 +41,6 @@ class Certificate:
     resolutions: dict[str, Any] = field(default_factory=dict)
     details: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == FAIL
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .domains import Box, ExhaustionDomain, exhaustion_gap
+from .domains import Box, ExhaustionDomain, exhaustion_gap, mesh_points
 from .errors import ConstructionError, IndexCapError
 from .report import FAIL, PASS, Certificate
 
@@ -658,8 +658,7 @@ def _offset_cube(dimension: int, count: int) -> np.ndarray:
     if count < 2 or count % 2 == 0:
         raise ValueError("offset count must be odd and >= 3 to include 0 and corners")
     axis = np.linspace(-1.0, 1.0, count)
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return mesh_points([axis] * dimension)
 
 
 def check_omega(family: WeightFamily, which: str, n: int, k: int,
@@ -753,8 +752,7 @@ def psi_mass_certificate(family: WeightFamily, n: int, box: Box,
             count = max(1, int(round((hi - lo) / res)))
             axes.append(lo + (hi - lo) * (np.arange(count) + 0.5) / count)
             volume *= (hi - lo) / count
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([v.ravel() for v in mesh], axis=1)
+        pts = mesh_points(axes)
         inside = family.domain.omega.contains(pts)
         vals = np.where(inside, family.psi_at(n, pts), 0.0)
         return float(vals.sum() * volume)

@@ -69,6 +69,24 @@ class TestExitCodes:
         assert code == 2
         assert "suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        # lattice radius oracle: the truncation box misses the bounded ring
+        {"domain": {"kind": "bounded_box", "lower": [0.0], "upper": [1.0]},
+         "family": {"kind": "boundary"}, "suite": ["radii", "cover"]},
+        # closed-form radius: the check lattice has no ring points
+        {"suite": ["omega", "cover"]},
+    ])
+    def test_truncation_outside_ring_exits_two(self, tmp_path, capsys,
+                                               overrides):
+        config = small_config(truncation={"lower": [2.0], "upper": [3.0]},
+                              **overrides)
+        path = write_config(tmp_path, config)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "ring" in err
+
 
 class TestNegativeControls:
     def test_dropped_center_fails_covering(self, tmp_path):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covercert import (Box, BoxRegion, RefinementRequiredError,
-                       boundary_family, build_cover, chain_certificate,
-                       constant_exhaustion, constant_weight_family,
-                       expanding_boxes, neighbor_sets, overlap_profile,
-                       verify_covering, with_extra_center, without_center)
+import oracles
+from covercert import (Box, BoxRegion, Cover, RadiusOracle,
+                       RefinementRequiredError, boundary_family, build_cover,
+                       chain_certificate, constant_exhaustion,
+                       constant_weight_family, expanding_boxes, grid_points,
+                       neighbor_sets, overlap_profile, union_cell_midpoints,
+                       verify_covering, verify_disjoint_supports,
+                       with_extra_center, without_center)
 from covercert.cover import separation_holds
+from oracles import greedy_naive
 
 
 def reference_greedy(candidates, r1):
@@ -56,14 +62,17 @@ class TestGreedy:
         dom = expanding_boxes(2)
         fam = constant_weight_family(dom)
         box = Box((-1.0, -1.0), (1.0, 1.0))
-        a = build_cover(fam, dom, 1, 0.05, box=box, use_index=True)
-        b = build_cover(fam, dom, 1, 0.05, box=box, use_index=False)
-        assert np.array_equal(a.centers, b.centers)
+        cover = build_cover(fam, dom, 1, 0.05, box=box)
+        candidates = dom.sample_ring(1, 0.05, box)
+        r1 = np.full(len(candidates), cover.r1[0])
+        expected = candidates[greedy_naive(candidates, r1)]
+        assert np.array_equal(cover.centers, expected)
 
     def test_bucket_equals_naive_variable_radius(self, boundary_cover):
-        other = build_cover(boundary_cover.family, boundary_cover.domain, 1,
-                            1e-3, box=boundary_cover.box, use_index=False)
-        assert np.array_equal(boundary_cover.centers, other.centers)
+        oracle = boundary_cover.oracle
+        candidates = oracle.lattice_points()
+        chosen = greedy_naive(candidates, oracle.lattice_values(1))
+        assert np.array_equal(boundary_cover.centers, candidates[chosen])
 
     def test_single_ball_region(self):
         dom = expanding_boxes(1)
@@ -212,3 +221,114 @@ class TestCoreBoxes:
         outside = z0 + 1.1 * line_cover.core_halfwidths[0]
         assert line_cover.locate_core(inside) == 0
         assert line_cover.locate_core(outside) is None
+
+
+# Dyadic centers, radii and query points: every distance and threshold is
+# exact, so points on ball and core faces occur often and the strict
+# inequalities must exclude them.
+_DOMAINS = {d: expanding_boxes(d) for d in (1, 2)}
+
+
+def _unit_cube_cover(d, centers, rho, r1):
+    dom = _DOMAINS[d]
+    fam = constant_weight_family(dom)
+    box = Box((-1.0,) * d, (1.0,) * d)
+    return Cover(level=1, centers=centers, rho=rho, r1=r1, resolution=1 / 16,
+                 box=box, family=fam, domain=dom,
+                 oracle=RadiusOracle(fam, dom, 1, 1 / 16, box=box))
+
+
+@st.composite
+def dyadic_covers(draw):
+    d = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 12))
+    ints = st.lists(st.integers(-7, 7), min_size=k * d, max_size=k * d)
+    centers = np.array(draw(ints), dtype=float).reshape(k, d) / 8.0
+    steps = st.lists(st.integers(1, 8), min_size=k, max_size=k)
+    rho = np.array(draw(steps), dtype=float) / 16.0
+    r1 = np.array(draw(steps), dtype=float) / 8.0
+    q = draw(st.integers(1, 20))
+    qints = st.lists(st.integers(-15, 15), min_size=q * d, max_size=q * d)
+    random_pts = np.array(draw(qints), dtype=float).reshape(q, d) / 16.0
+    # points on the inner-ball, ball and core faces (one axis and a corner),
+    # inner faces first so that they lead the covering check's grid
+    axis = np.eye(d)[0]
+    faces = [centers + s * r[:, None] * u for r in (rho / 2, rho, r1 / 8)
+             for s in (1.0, -1.0) for u in (axis, np.ones(d))]
+    pts = np.concatenate([*faces, random_pts])
+    return _unit_cube_cover(d, centers, rho, r1), pts
+
+
+class TestBatchQueries:
+    @settings(max_examples=80, deadline=None)
+    @given(dyadic_covers())
+    def test_point_queries_match_brute_force(self, case):
+        cover, pts = case
+        for reach in (float(cover.rho.max()), float(cover.rho.min()) / 2):
+            rows, cols, dist = cover.pairs_near(pts, reach)
+            assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == \
+                oracles.pairs_near(cover, pts, reach)
+        for x in pts:
+            for inner in (False, True):
+                assert cover.balls_containing(x, inner=inner) == \
+                    oracles.balls_containing(cover, x, inner)
+            assert cover.locate_core(x) == oracles.locate_core(cover, x)
+        expected = [oracles.locate_core(cover, x) for x in pts]
+        assert cover.core_owners(pts).tolist() == \
+            [-1 if k is None else k for k in expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(dyadic_covers())
+    def test_pair_certificates_match_brute_force(self, case):
+        cover, _ = case
+        witness = oracles.separation_witness(cover)
+        assert separation_holds(cover) == (witness is None, witness)
+        cert = verify_disjoint_supports(cover)
+        assert cert.details.get("witness_overlap") == \
+            oracles.core_overlap_witness(cover)
+        neighbor_sets(cover)
+        assert [m.tolist() for m in cover.neighbors] == oracles.neighbors(cover)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_covers())
+    def test_grid_certificates_match_brute_force(self, case):
+        cover, pts = case
+        grid = pts[(np.abs(pts) < 1.0).all(axis=1)]
+        if len(grid) == 0:
+            return
+        inner = [oracles.balls_containing(cover, x, inner=True) for x in grid]
+        uncovered = [x.tolist() for x, hits in zip(grid, inner) if not hits]
+        cert = verify_covering(cover, grid)
+        assert cert.details.get("witness_uncovered_point") == \
+            (uncovered[0] if uncovered else None)
+        counts = [len(oracles.balls_containing(cover, x)) for x in grid]
+        cert = overlap_profile(cover, grid)
+        assert cert.details["max_count"] == max(counts)
+        # the depth-2 radius is constant, so the tightest point has most balls
+        assert cert.details["tightest_point"] == \
+            grid[int(np.argmax(counts))].tolist()
+        res = 1 / 8
+        mids = grid_points(cover.box, res) + res / 2
+        mids = mids[(mids < 1.0).all(axis=1)]
+        assert union_cell_midpoints(cover, cover.box, res).tolist() == \
+            [x.tolist() for x in oracles.near_union(cover, mids, res / 2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 7), st.integers(-8, 8))
+    def test_controls_match_brute_force(self, k, offset):
+        dom = _DOMAINS[1]
+        cover = build_cover(constant_weight_family(dom), dom, 1, 1e-2,
+                            box=Box((-1.0,), (1.0,)))
+        z = np.clip(cover.centers[k] + offset / 32.0, -0.96, 0.96)
+        for tampered in (with_extra_center(cover, z), without_center(cover, k)):
+            witness = oracles.separation_witness(tampered)
+            assert separation_holds(tampered) == (witness is None, witness)
+            cert = verify_disjoint_supports(tampered)
+            assert cert.details.get("witness_overlap") == \
+                oracles.core_overlap_witness(tampered)
+            pts = np.linspace(-0.99, 0.99, 199)[:, None]
+            for x in pts:
+                assert tampered.balls_containing(x, inner=True) == \
+                    oracles.balls_containing(tampered, x, inner=True)
+                assert tampered.locate_core(x) == \
+                    oracles.locate_core(tampered, x)
