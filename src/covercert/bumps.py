@@ -149,6 +149,24 @@ class Cutoff:
             out = out * self.profile.eval(pts[:, i] - c_i, order=a_i)
         return float(out[0]) if scalar else out
 
+    def partials_table(self, pts: np.ndarray, alpha) -> dict:
+        """``partial(pts, beta)`` for every beta <= alpha, on (N, d) points.
+
+        Each (axis, derivative order) factor is evaluated once and shared by
+        every beta that uses it; the products run in the order ``partial``
+        uses, so each value is bitwise the one ``partial`` gives.
+        """
+        factors = [[self.profile.eval(pts[:, i] - c_i, order=j)
+                    for j in range(a_i + 1)]
+                   for i, (c_i, a_i) in enumerate(zip(self.center, alpha))]
+        out = {}
+        for beta in indices_below(alpha):
+            val = np.ones(len(pts))
+            for factor, b_i in zip(factors, beta):
+                val = val * factor[b_i]
+            out[beta] = val
+        return out
+
     def value(self, x):
         return self.partial(x, None)
 
@@ -211,17 +229,15 @@ class PartitionFn:
             return {beta: zeros for beta in betas}
         sub = pts[mask]
 
-        acc = {beta: np.atleast_1d(self.cutoff.partial(sub, beta))
-               for beta in betas}
+        acc = self.cutoff.partials_table(sub, alpha)
         for _, blocker in self.blockers:
             bmask = blocker.contains_support(sub)
             if not bmask.any():
                 continue    # complement is identically 1 there
             pts_b = sub[bmask]
-            t = {}
-            for beta in betas:
-                val = np.atleast_1d(blocker.partial(pts_b, beta))
-                t[beta] = (1.0 if sum(beta) == 0 else 0.0) - val
+            vals = blocker.partials_table(pts_b, alpha)
+            t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
+                 for beta in betas}
             new = {}
             for beta in betas:
                 total = np.zeros(len(pts_b))

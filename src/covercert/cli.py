@@ -8,7 +8,7 @@ no certificate failed; inconclusive verdicts fail the run only under
 ``--strict``.
 
 Exit codes: 0 all certificates pass, 1 at least one failed, 2 the
-configuration was rejected.
+configuration was rejected, 3 the run crashed with an unexpected error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
@@ -420,6 +421,11 @@ def main(argv=None) -> int:
     except (ConfigError, CoverCertError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means a certificate failed; a crash must not read as one.
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     summary = report["summary"]
     print(f"{summary['pass']}/{summary['total']} certificates passed "
           f"({summary['fail']} failed, {summary['inconclusive']} inconclusive)")

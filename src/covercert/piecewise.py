@@ -1,12 +1,19 @@
 """Exact one-dimensional piecewise polynomials under box smoothing.
 
 A ``PiecewisePoly`` stores per-interval coefficients in local coordinates
-``t = x - left_knot`` (ascending powers, Horner evaluation) and is zero
-outside its knot span.  Convolution with a unit-mass box of width ``w``
-maps the antiderivative ``F`` to ``(F(x + w/2) - F(x - w/2)) / w``; since
-the new knot set contains every shifted knot, each new interval meets a
-single polynomial piece of ``F`` on either side and the result is again an
-exact piecewise polynomial, one degree higher and ``C^0`` smoother.
+``t = x - left_knot`` (ascending powers) and is zero outside its knot span;
+a NaN argument evaluates to NaN.  A call locates every point's interval
+with one ``searchsorted``, gathers those coefficient rows and runs one
+Horner pass over the columns for all points at once, in the operation
+order of ``numpy.polynomial.polynomial.polyval``, so each value is bitwise
+the one a per-interval ``polyval`` gives.
+
+Convolution with a unit-mass box of width ``w`` maps the antiderivative
+``F`` to ``(F(x + w/2) - F(x - w/2)) / w``; since the new knot set contains
+every shifted knot, each new interval meets a single polynomial piece of
+``F`` on either side and the result is again an exact piecewise
+polynomial, one degree higher and ``C^0`` smoother.  The Taylor shifts
+that re-centre those pieces run on all interval rows together.
 """
 
 from __future__ import annotations
@@ -21,28 +28,46 @@ __all__ = ["PiecewisePoly", "indicator"]
 _MERGE_TOL = 1e-13
 
 
-def _shift_poly(coeffs: np.ndarray, h: float) -> np.ndarray:
-    """Coefficients of p(t + h) from ascending coefficients of p(s)."""
+def _horner(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``polyval(t[k], c[k])`` for every row k, in ``polyval``'s operation order."""
+    acc = c[:, -1] + t * 0
+    for j in range(c.shape[1] - 2, -1, -1):
+        acc = c[:, j] + acc * t
+    return acc
+
+
+def _shift_rows(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Coefficients of p_k(t + h[k]) from ascending coefficient rows of p_k(s)."""
     c = np.array(coeffs, dtype=float)
-    n = len(c)
+    n = c.shape[1]
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            c[j] += h * c[j + 1]
+            c[:, j] += h * c[:, j + 1]
     return c
 
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    knots: np.ndarray      # (K + 1,) strictly increasing
+    knots: np.ndarray      # (K + 1,) strictly increasing, finite
     coeffs: np.ndarray     # (K, D + 1) ascending powers in t = x - knots[i]
 
     def __post_init__(self):
-        if len(self.knots) < 2:
+        knots = np.asarray(self.knots, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if knots.ndim != 1:
+            raise ValueError("knots must be a 1-D array")
+        if coeffs.ndim != 2 or coeffs.shape[1] == 0:
+            raise ValueError("coeffs must be a 2-D array, one row per interval")
+        if len(knots) < 2:
             raise ValueError("need at least one interval")
-        if not np.all(np.diff(self.knots) > 0):
+        if not np.isfinite(knots).all():
+            raise ValueError("knots must be finite")
+        if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
-        if self.coeffs.shape[0] != len(self.knots) - 1:
+        if coeffs.shape[0] != len(knots) - 1:
             raise ValueError("one coefficient row per interval required")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -55,14 +80,12 @@ class PiecewisePoly:
     def __call__(self, x) -> np.ndarray | float:
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
+        out = np.where(np.isnan(x), np.nan, 0.0)
         inside = (x >= self.knots[0]) & (x <= self.knots[-1])
-        idx = np.searchsorted(self.knots, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.knots) - 2)
-        for piece in np.unique(idx[inside]):
-            mask = inside & (idx == piece)
-            t = x[mask] - self.knots[piece]
-            out[mask] = npoly.polyval(t, self.coeffs[piece])
+        xs = x[inside]
+        idx = np.searchsorted(self.knots, xs, side="right") - 1
+        idx = np.minimum(idx, len(self.knots) - 2)
+        out[inside] = _horner(self.coeffs[idx], xs - self.knots[idx])
         return float(out[0]) if scalar else out
 
     def derivative(self) -> "PiecewisePoly":
@@ -78,11 +101,11 @@ class PiecewisePoly:
         powers = np.arange(1, self.degree + 2)
         c = np.zeros((self.coeffs.shape[0], self.degree + 2))
         c[:, 1:] = self.coeffs / powers[None, :]
-        acc = 0.0
         widths = np.diff(self.knots)
-        for i in range(c.shape[0]):
-            c[i, 0] = acc
-            acc = npoly.polyval(widths[i], c[i])
+        # Horner's last step adds c[i, 0] to this increment, so the running
+        # constants are a left-to-right sum of the increments from zero.
+        increments = _horner(c[:, 1:], widths) * widths
+        c[:, 0] = np.add.accumulate(np.concatenate([[0.0], increments[:-1]]))
         return PiecewisePoly(self.knots, c)
 
     def mass(self) -> float:
@@ -98,41 +121,42 @@ class PiecewisePoly:
         total = float(npoly.polyval(self.knots[-1] - self.knots[-2],
                                     anti.coeffs[-1]))
 
-        raw = np.concatenate([self.knots - half, self.knots + half])
-        raw = np.unique(raw)
-        keep = [raw[0]]
-        for v in raw[1:]:
-            if v - keep[-1] > _MERGE_TOL * max(1.0, abs(v)):
-                keep.append(v)
-        new_knots = np.asarray(keep)
+        # A candidate knot is kept when it lies more than the tolerance above
+        # the last kept one.  Only a candidate within the tolerance of its
+        # predecessor can be dropped, so only those need the ordered scan.
+        raw = np.unique(np.concatenate([self.knots - half, self.knots + half]))
+        thresh = _MERGE_TOL * np.maximum(1.0, np.abs(raw))
+        keep = np.ones(len(raw), dtype=bool)
+        for i in np.flatnonzero(np.diff(raw) <= thresh[1:]) + 1:
+            keep[i] = raw[i] - raw[:i][keep[:i]][-1] > thresh[i]
+        new_knots = raw[keep]
 
-        deg = self.degree + 1
-        new_coeffs = np.zeros((len(new_knots) - 1, deg + 1))
-        for i in range(len(new_knots) - 1):
-            a, b = new_knots[i], new_knots[i + 1]
-            mid = 0.5 * (a + b)
-            upper = self._anti_piece(anti, total, mid + half, a + half)
-            lower = self._anti_piece(anti, total, mid - half, a - half)
-            c = np.zeros(deg + 1)
-            c[:len(upper)] += upper
-            c[:len(lower)] -= lower
-            new_coeffs[i] = c / width
-        return PiecewisePoly(new_knots, new_coeffs)
+        left = new_knots[:-1]
+        mid = 0.5 * (left + new_knots[1:])
+        new_coeffs = np.zeros((len(left), self.degree + 2))
+        new_coeffs += self._anti_rows(anti, total, mid + half, left + half)
+        new_coeffs -= self._anti_rows(anti, total, mid - half, left - half)
+        return PiecewisePoly(new_knots, new_coeffs / width)
 
-    def _anti_piece(self, anti: "PiecewisePoly", total: float,
-                    probe: float, left_value: float) -> np.ndarray:
-        """Coefficients of x -> F(x + shift) on a new interval, in t = x - a.
+    @staticmethod
+    def _anti_rows(anti: "PiecewisePoly", total: float,
+                   probe: np.ndarray, left_value: np.ndarray) -> np.ndarray:
+        """Coefficients of x -> F(x + shift) on each new interval, in t = x - a.
 
         ``probe`` picks the piece of F; ``left_value`` is the argument of F
-        at t = 0, so the local shift is ``left_value - piece_knot``.
+        at t = 0, so the local shift is ``left_value - piece_knot``.  Left
+        of the span F is zero, right of it F is the constant ``total``.
         """
-        if probe <= anti.knots[0]:
-            return np.zeros(1)
-        if probe >= anti.knots[-1]:
-            return np.array([total])
-        piece = int(np.searchsorted(anti.knots, probe, side="right") - 1)
-        piece = min(max(piece, 0), anti.coeffs.shape[0] - 1)
-        return _shift_poly(anti.coeffs[piece], left_value - anti.knots[piece])
+        rows = np.zeros((len(probe), anti.coeffs.shape[1]))
+        below = probe <= anti.knots[0]
+        above = ~below & (probe >= anti.knots[-1])
+        within = ~(below | above)
+        piece = np.searchsorted(anti.knots, probe[within], side="right") - 1
+        piece = np.clip(piece, 0, anti.coeffs.shape[0] - 1)
+        rows[within] = _shift_rows(anti.coeffs[piece],
+                                   left_value[within] - anti.knots[piece])
+        rows[above, 0] = total
+        return rows
 
     def max_abs(self) -> float:
         """Exact maximum of |p| over the span, via endpoints and critical points."""

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from covercert import (Box, SmoothnessOrderError, build_cover,
                        build_partition, build_profile, certify_partition,
                        constant_weight_family, derivative_constant,
                        default_weights, eval_partial, expanding_boxes,
                        partition_sum)
 from covercert.bumps import Cutoff
+from covercert.multiindex import indices_below
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,26 @@ class TestEvalPartial:
         fd = (fn.value(x + [h, h]) - fn.value(x + [h, -h])
               - fn.value(x + [-h, h]) + fn.value(x + [-h, -h])) / (4 * h * h)
         assert fd == pytest.approx(exact, rel=1e-4, abs=1e-7)
+
+    def test_tables_equal_per_beta_evaluation(self):
+        dom = expanding_boxes(2)
+        fam = constant_weight_family(dom)
+        cover = build_cover(fam, dom, 1, 0.05, box=Box((-0.6, -0.6), (0.6, 0.6)))
+        part = build_partition(cover, order=5)
+        pts = dom.sample_ring(1, 0.02, cover.box)
+        alpha = (3, 2)
+        betas = indices_below(alpha)
+        for fn in part:
+            table = fn.cutoff.partials_table(pts, alpha)
+            for beta in betas:
+                assert np.array_equal(table[beta], fn.cutoff.partial(pts, beta))
+            table = fn.partials_table(pts, alpha)
+            expected = oracles.partials_table(fn, pts, alpha)
+            for beta in betas:
+                assert np.array_equal(table[beta], expected[beta])
+                assert np.array_equal(np.signbit(table[beta]),
+                                      np.signbit(expected[beta]))
+        assert max(len(fn.blockers) for fn in part) > 1
 
     def test_order_error(self, line_setup):
         _, _, _, partition = line_setup

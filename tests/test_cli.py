@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from covercert import cli
 from covercert.cli import main, shipped_config_path
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -86,6 +87,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "ring" in err
+
+    def test_unexpected_crash_exits_three(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "run", crash)
+        path = write_config(tmp_path, small_config())
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "internal error: ZeroDivisionError('boom')" in err
 
 
 class TestNegativeControls:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from covercert.bumps import build_profile
 from covercert.piecewise import PiecewisePoly, indicator
 
 
@@ -104,3 +106,113 @@ class TestCalculus:
         assert p.degree == 1
         p = p.convolve_unit_box(0.25)
         assert p.degree == 2
+
+
+def assert_bitwise(actual, expected):
+    """Equal values, NaN in the same places and the same sign on zeros."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def assert_same_poly(p, q):
+    assert_bitwise(p.knots, q.knots)
+    assert_bitwise(p.coeffs, q.coeffs)
+
+
+@st.composite
+def piecewise_polys(draw):
+    pieces = draw(st.integers(1, 8))
+    degree = draw(st.integers(0, 7))
+    start = draw(st.floats(-5.0, 5.0))
+    widths = draw(st.lists(st.floats(1e-3, 2.0), min_size=pieces,
+                           max_size=pieces))
+    knots = start + np.concatenate([[0.0], np.cumsum(widths)])
+    coeffs = draw(st.lists(st.floats(-10.0, 10.0),
+                           min_size=pieces * (degree + 1),
+                           max_size=pieces * (degree + 1)))
+    return PiecewisePoly(knots, np.reshape(coeffs, (pieces, degree + 1)))
+
+
+class TestAgainstPerPieceOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(piecewise_polys(), st.lists(st.floats(-1.0, 1.0), max_size=30))
+    def test_call_bitwise(self, p, fractions):
+        lo, hi = p.support
+        span = hi - lo
+        # random points over and around the span, every knot (interior and
+        # both ends), and points just outside either end
+        pts = np.concatenate([lo + span * (0.5 + 0.75 * np.asarray(fractions)),
+                              p.knots, [lo - 1e-9, hi + 1e-9, lo - 7.0, hi + 7.0]])
+        assert_bitwise(p(pts), oracles.piecewise_call(p, pts))
+        for x in [*p.knots, lo - 1.0, hi + 1.0]:
+            value = p(x)
+            assert isinstance(value, float)
+            assert_bitwise(value, oracles.piecewise_call(p, x))
+
+    def test_empty_input(self):
+        p = indicator(1.0).convolve_unit_box(0.5)
+        out = p(np.empty(0))
+        assert out.shape == (0,)
+        assert_bitwise(out, oracles.piecewise_call(p, np.empty(0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(piecewise_polys(), st.floats(1e-3, 3.0))
+    def test_construction_bitwise(self, p, width):
+        assert_same_poly(p.antiderivative(), oracles.antiderivative(p))
+        assert_same_poly(p.convolve_unit_box(width),
+                         oracles.convolve_unit_box(p, width))
+
+    @pytest.mark.parametrize("knots, width", [
+        # shifted knots that differ from each other by a few ulps
+        (np.cumsum([0.0] + [0.1] * 10), 0.2),
+        (np.cumsum([0.0] + [0.1] * 10), 0.3),
+        # a run of candidates 0.6e-13 apart: the second of each run is
+        # merged, the third lies 1.2e-13 past the kept one and stays
+        ([0.0, 1.0, 1.0 + 0.6e-13, 1.0 + 1.2e-13, 2.0], 0.5),
+    ])
+    def test_merging_near_coincident_knots(self, knots, width):
+        p = PiecewisePoly(knots, np.arange(1.0, len(knots))[:, None])
+        assert_same_poly(p.convolve_unit_box(width),
+                         oracles.convolve_unit_box(p, width))
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(1e-3, 1.0))
+    def test_build_profile_bitwise(self, order, r):
+        profile = build_profile(r, order)
+        expected = oracles.profile_polys(profile)
+        assert len(profile.polys) == len(expected)
+        for p, q in zip(profile.polys, expected):
+            assert_same_poly(p, q)
+
+
+class TestInputs:
+    def test_nan_in_nan_out(self):
+        p = indicator(1.0)
+        assert np.isnan(p(np.nan))
+        out = p(np.array([np.nan, 0.5, 3.0, np.nan]))
+        assert_bitwise(out, [np.nan, 1.0, 0.0, np.nan])
+
+    @pytest.mark.parametrize("knots, coeffs", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),                  # 1-D coefficients
+        ([0.0, 1.0], [[[1.0]]]),                        # 3-D coefficients
+        ([0.0, 1.0], np.empty((1, 0))),                 # no powers at all
+        ([[0.0, 1.0]], [[1.0]]),                        # 2-D knots
+        ([0.0, np.inf], [[1.0]]),                       # infinite knot
+        ([-np.inf, 0.0], [[1.0]]),
+        ([0.0, np.nan], [[1.0]]),
+        ([0.0], np.empty((0, 1))),                      # no interval
+        ([0.0, 0.0], [[1.0]]),                          # not increasing
+        ([0.0, 1.0, 2.0], [[1.0]]),                     # rows != intervals
+    ])
+    def test_malformed_rejected(self, knots, coeffs):
+        with pytest.raises(ValueError):
+            PiecewisePoly(knots, coeffs)
+
+    def test_lists_coerced_to_float_arrays(self):
+        p = PiecewisePoly([0, 1, 2], [[1], [2]])
+        assert p.knots.dtype == float and p.coeffs.dtype == float
+        assert p.degree == 0
+        assert p(1.5) == 2.0
