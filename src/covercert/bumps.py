@@ -308,16 +308,24 @@ def eval_partial(obj, x, alpha) -> float:
     return obj.partial(x, alpha)
 
 
-def partition_sum(partition: Partition, pts) -> np.ndarray:
+def partition_sum(partition: Partition, pts, return_parts: bool = False):
+    """Sum of the partition functions at ``pts``.
+
+    With ``return_parts``, also a list with the values of every function
+    whose cutoff support holds some of the points, taken on those points.
+    """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     out = np.zeros(len(pts))
+    parts = []
     for fn in partition:
         mask = fn.cutoff.contains_support(pts)
         if mask.any():
-            out[mask] += fn.value(pts[mask])
-    return out
+            vals = fn.value(pts[mask])
+            out[mask] += vals
+            parts.append(vals)
+    return (out, parts) if return_parts else out
 
 
 def derivative_constant(alpha: tuple[int, ...], dimension: int,
@@ -351,7 +359,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     certs: list[Certificate] = []
 
     ring_mask = cover.domain.ring(n).contains(grid)
-    sums = partition_sum(partition, grid)
+    sums, parts = partition_sum(partition, grid, return_parts=True)
     worst_sum = float(np.abs(sums[ring_mask] - 1.0).max()) if ring_mask.any() else 0.0
     certs.append(Certificate(
         name=f"partition_sum[{fam},n={n}]",
@@ -364,11 +372,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
 
     above = float(np.max(sums - 1.0))
     below = 0.0
-    for fn in partition:
-        mask = fn.cutoff.contains_support(grid)
-        if not mask.any():
-            continue
-        vals = fn.value(grid[mask])
+    for vals in parts:
         below = min(below, float(vals.min()))
         above = max(above, float(vals.max() - 1.0))
     range_ok = below >= -tol and above <= tol
@@ -409,7 +413,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
 
     worst_ratio = 0.0
     tight = None
-    r3 = np.array([oracle.value(3, z) for z in cover.centers])
+    r3 = oracle.values(3, cover.centers)
     for fn in partition:
         k = fn.index
         lo = cover.centers[k] - fn.cutoff.support_halfwidth
@@ -422,12 +426,12 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
         for alpha in indices_up_to_order(cover.dimension, alpha_max):
             if sum(alpha) == 0:
                 bound = (1.0 / r3[k]) ** cover.dimension
-                measured = float(np.abs(fn.value(local)).max())
             else:
                 bound = derivative_constant(alpha, cover.dimension,
                                             partition.weights) * \
                     (1.0 / r3[k]) ** (cover.dimension + sum(alpha))
-                measured = float(np.abs(tables[alpha]).max())
+            # the order-0 table is the value: the same products in the same order
+            measured = float(np.abs(tables[alpha]).max())
             ratio = measured / bound
             if ratio > worst_ratio:
                 worst_ratio = ratio

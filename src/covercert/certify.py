@@ -293,13 +293,14 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
                                               ring=cover.level)
     worst_ratio = 0.0
     tight = None
+    radii = oracle.values(j, cover.centers).tolist()
     for k in range(cover.size):
         z = cover.centers[k]
         rho = float(cover.rho[k])
         axes = [np.linspace(z[i] - 0.95 * rho, z[i] + 0.95 * rho,
                             points_per_ball) for i in range(d)]
         pts = mesh_points(axes)
-        r_j = oracle.value(j, z)
+        r_j = radii[k]
         rhs = D * r_j ** p_exp * float(family.nu_at(target, z[None, :])[0])
         lhs = float(family.nu_at(m, pts).max())
         ratio = lhs / rhs

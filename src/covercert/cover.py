@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domains import Box, ExhaustionDomain, mesh_points
+from .domains import Box, ExhaustionDomain
 from .errors import NoRingPointsError, RefinementRequiredError
 from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
@@ -270,7 +270,8 @@ def overlap_profile(cover: Cover, grid: np.ndarray,
     d = cover.dimension
     rows, cols, dist = cover.pairs_near(grid, float(cover.rho.max()))
     counts = np.bincount(rows[dist < cover.rho[cols]], minlength=len(grid))
-    bounds = np.array([(8.0 / oracle.value(2, x)) ** d for x in grid])
+    # Python float powers: numpy's vectorized power need not round the same
+    bounds = np.array([(8.0 / r) ** d for r in oracle.values(2, grid).tolist()])
     slacks = bounds - counts
     w = int(np.argmin(slacks))
     passed = slacks[w] >= 0.0
@@ -300,7 +301,8 @@ def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certifica
     starts = np.searchsorted(rows, np.arange(1, cover.size))
     cover.neighbors = np.split(cols, starts)
     sizes = np.bincount(rows, minlength=cover.size)
-    bounds = np.array([(8.0 / oracle.value(3, z)) ** d for z in cover.centers])
+    bounds = np.array([(8.0 / r) ** d
+                       for r in oracle.values(3, cover.centers).tolist()])
     slacks = bounds - sizes
     k = int(np.argmin(slacks))
     passed = slacks[k] >= 0.0
@@ -315,6 +317,71 @@ def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certifica
     )
 
 
+def _interior_samples(lo, hi, t, count: int) -> np.ndarray:
+    """``np.linspace(lo, hi, count + 2)[t]`` elementwise, rounded as
+    ``linspace`` rounds it (``t`` in 1..count)."""
+    delta = hi - lo
+    step = delta / (count + 1)
+    return np.where(step == 0, t / (count + 1) * delta, t * step) + lo
+
+
+def _chain_collect(cover: Cover, orc: RadiusOracle, samples_per_pair: int):
+    """Violations of the radius chain in (k, m, x) order, and the smallest
+    margin, from one batch of sample points per block of pairs."""
+    d = cover.dimension
+    centers, rho = cover.centers, cover.rho
+    r2 = orc.values(2, centers)
+    r3 = orc.values(3, centers)
+    r_center = np.asarray(cover.family.radius(cover.level, centers), dtype=float)
+    worst = float((r2 - r3).min())
+    bad = [(k, 0, {"kind": "depth2_vs_depth3", "center": int(k),
+                   "r2": float(r2[k]), "r3": float(r3[k])})
+           for k in np.flatnonzero(r2 < r3)]
+
+    pk = np.repeat(np.arange(cover.size), [len(nb) for nb in cover.neighbors])
+    pm = np.concatenate(cover.neighbors).astype(np.intp)
+    lo = np.maximum(centers[pm] - rho[pm, None], centers[pk] - rho[pk, None])
+    hi = np.minimum(centers[pm] + rho[pm, None], centers[pk] + rho[pk, None])
+    keep = (pm != pk) & (lo < hi).all(axis=1)
+    pk, pm, lo, hi = pk[keep], pm[keep], lo[keep], hi[keep]
+
+    # sample numbers 1..s per axis, in the lexicographic order of mesh_points
+    t = np.indices((samples_per_pair,) * d).reshape(d, -1).T + 1.0
+    ring = cover.domain.ring(cover.level)
+    block = max(1, (1 << 14) // len(t))   # ~16k sample points at a time
+    for first in range(0, len(pk), block):
+        k, m = pk[first:first + block], pm[first:first + block]
+        pts = _interior_samples(lo[first:first + block, None],
+                                hi[first:first + block, None],
+                                t, samples_per_pair).reshape(-1, d)
+        pair = np.repeat(np.arange(len(k)), len(t))
+        if orc.strategy == GRID_ORACLE:
+            # snap to the oracle lattice, keeping only points still inside
+            # both balls
+            pts, ok = orc.snap_points(pts)
+            mp, kp = m[pair], k[pair]
+            ok &= (np.abs(pts - centers[mp]).max(axis=1) < rho[mp]) \
+                & (np.abs(pts - centers[kp]).max(axis=1) < rho[kp])
+        else:
+            ok = np.ones(len(pts), dtype=bool)
+        if ok.any():
+            ok[ok] = ring.contains(pts[ok])
+        pts, pair = pts[ok], pair[ok]
+        if len(pts) == 0:
+            continue
+        r1x = orc.values(1, pts)
+        rm = r_center[m[pair]]
+        r2k = r2[k[pair]]
+        worst = min(worst, float((rm - r1x).min()), float((r1x - r2k).min()))
+        for i in np.flatnonzero((rm < r1x) | (r1x < r2k)):
+            kk = int(k[pair[i]])
+            bad.append((kk, 1, {"kind": "pair", "m": int(m[pair[i]]), "k": kk,
+                                "x": pts[i].tolist(), "r_m": float(rm[i]),
+                                "r1_x": float(r1x[i]), "r2_zk": float(r2k[i])}))
+    bad.sort(key=lambda item: item[:2])     # stable: pairs keep (m, x) order
+    return [item[2] for item in bad], worst
+
+
 def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None,
                       samples_per_pair: int = 3) -> Certificate:
     """Radius chain on overlapping balls: for sampled x in B_m and B_k,
@@ -327,61 +394,14 @@ def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None,
     oracle = oracle or cover.oracle
     if cover.neighbors is None:
         neighbor_sets(cover, oracle)
-    ring = cover.domain.ring(cover.level)
 
-    def collect(orc: RadiusOracle):
-        bad = []
-        worst = math.inf
-        for k in range(cover.size):
-            zk = cover.centers[k]
-            r2 = orc.value(2, zk)
-            r3 = orc.value(3, zk)
-            worst = min(worst, r2 - r3)
-            if r2 < r3:
-                bad.append({"kind": "depth2_vs_depth3", "center": int(k),
-                            "r2": r2, "r3": r3})
-            for m in cover.neighbors[k]:
-                if m == k:
-                    continue
-                lo = np.maximum(cover.centers[m] - cover.rho[m], zk - cover.rho[k])
-                hi = np.minimum(cover.centers[m] + cover.rho[m], zk + cover.rho[k])
-                if not (lo < hi).all():
-                    continue
-                axes = [np.linspace(lo[i], hi[i], samples_per_pair + 2)[1:-1]
-                        for i in range(cover.dimension)]
-                pts = mesh_points(axes)
-                if orc.strategy == GRID_ORACLE:
-                    # snap to the oracle lattice (exact-index fast path),
-                    # keeping only points still inside both balls
-                    snapped = []
-                    for x in pts:
-                        s = orc.snap(x)
-                        if s is None:
-                            continue
-                        if np.abs(s - cover.centers[m]).max() < cover.rho[m] \
-                                and np.abs(s - zk).max() < cover.rho[k]:
-                            snapped.append(s)
-                    pts = (np.asarray(snapped).reshape(-1, cover.dimension)
-                           if snapped else np.empty((0, cover.dimension)))
-                pts = pts[ring.contains(pts)] if len(pts) else pts
-                rm = float(cover.family.radius(cover.level,
-                                               cover.centers[m][None, :])[0])
-                for x in pts:
-                    r1x = orc.value(1, x)
-                    worst = min(worst, rm - r1x, r1x - r2)
-                    if rm < r1x or r1x < r2:
-                        bad.append({"kind": "pair", "m": int(m), "k": int(k),
-                                    "x": x.tolist(), "r_m": rm, "r1_x": r1x,
-                                    "r2_zk": r2})
-        return bad, worst
-
-    violations, worst = collect(oracle)
+    violations, worst = _chain_collect(cover, oracle, samples_per_pair)
     refined = False
     if violations and oracle.strategy == GRID_ORACLE:
         refined = True
         finer = RadiusOracle(cover.family, cover.domain, cover.level,
                              oracle.resolution / 2.0, box=oracle.box)
-        violations, worst = collect(finer)
+        violations, worst = _chain_collect(cover, finer, samples_per_pair)
 
     return Certificate(
         name=f"radius_chain[{cover.family.name},n={cover.level}]",

@@ -29,7 +29,8 @@ class SmoothnessOrderError(CoverCertError):
 
 
 class IndexCapError(CoverCertError):
-    """A composed weight index exceeded the configured cap."""
+    """A composed weight index exceeded the configured cap, or a constant
+    taken at such an index overflows a float."""
 
 
 class TruncationBoxError(CoverCertError):

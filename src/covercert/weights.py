@@ -129,7 +129,13 @@ class WeightFamily:
         return value
 
     def constant(self, j: int, n: int, k: int | None = None) -> float:
-        return float(self.constants[j](n, n if k is None else k))
+        k = n if k is None else k
+        try:
+            return float(self.constants[j](n, k))
+        except OverflowError:
+            raise IndexCapError(
+                f"constant A{j}({n}, {k}) of {self.name!r} overflows a float; "
+                "the composed indices grow too fast") from None
 
     def claims_condition(self, which: str) -> bool:
         return which in self.claims

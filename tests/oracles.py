@@ -5,9 +5,12 @@ code under test, one pair, piece, interval or multi-index at a time, so
 results must agree exactly.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from covercert.domains import mesh_points
 from covercert.multiindex import indices_below, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
@@ -89,6 +92,143 @@ def near_union(cover, pts, pad):
     return [x for x in pts
             if any(np.abs(x - cover.centers[k]).max() < cover.rho[k] + pad
                    for k in range(cover.size))]
+
+
+def radius_level(oracle, k):
+    """Depth-k lattice level of a grid RadiusOracle, one window scan per cell."""
+    if k == 0:
+        return np.where(oracle._inside, oracle._r0_pred, np.inf)
+    prev = radius_level(oracle, k - 1)
+    out = np.full(oracle._shape, np.inf)
+    cells = int(math.ceil(oracle._reach / oracle.resolution + 1e-12))
+    for flat_idx in np.flatnonzero(oracle._inside.ravel()):
+        idx = np.unravel_index(flat_idx, oracle._shape)
+        slices = tuple(
+            slice(max(i - cells, 0), min(i + cells + 1, m))
+            for i, m in zip(idx, oracle._shape))
+        pts = oracle._mesh[slices]
+        dist = np.abs(pts - oracle._mesh[idx]).max(axis=-1)
+        qualify = (dist <= oracle._r0_pred[slices]) | \
+                  (dist <= oracle._r0_pred[idx])
+        out[idx] = float(prev[slices][qualify].min())
+    return out
+
+
+def exact_index(oracle, z):
+    """Ring lattice index within 1e-9 of a step of z on every axis, or None."""
+    idx = []
+    for axis_vals, coord in zip(oracle._axes, z):
+        pos = (coord - axis_vals[0]) / oracle.resolution
+        rounded = round(pos)
+        if abs(pos - rounded) > 1e-9 or not 0 <= rounded < len(axis_vals):
+            return None
+        idx.append(int(rounded))
+    idx = tuple(idx)
+    return idx if oracle._inside[idx] else None
+
+
+def snap(oracle, z):
+    """Nearest lattice point of z inside the ring, or None off the grid."""
+    if oracle.strategy == "closed_form_constant":
+        return None
+    idx = []
+    for axis_vals, coord in zip(oracle._axes, z):
+        pos = int(round((coord - axis_vals[0]) / oracle.resolution))
+        if not 0 <= pos < len(axis_vals):
+            return None
+        idx.append(pos)
+    idx = tuple(idx)
+    if not oracle._inside[idx]:
+        return None
+    return oracle._mesh[idx]
+
+
+def radius_value(oracle, k, z, levels):
+    """Depth-k radius at z by recursion through every lower depth.
+
+    ``levels[j]`` is the depth-j lattice level (from ``radius_level``).
+    """
+    z = np.asarray(z, dtype=float).reshape(-1)
+    oracle.domain.require_in_ring(oracle.n, z)
+    if oracle.strategy == "closed_form_constant":
+        return float(oracle._constant)
+    r0_z = float(oracle.family.radius(oracle.n, z[None, :])[0])
+    if k == 0:
+        return r0_z
+    idx = exact_index(oracle, z)
+    if idx is not None:
+        return float(levels[k][idx])
+    reach = max(oracle._reach, r0_z)
+    cells = int(math.ceil(reach / oracle.resolution + 1e-12))
+    slices = []
+    for axis_vals, coord in zip(oracle._axes, z):
+        center = int(round((coord - axis_vals[0]) / oracle.resolution))
+        slices.append(slice(max(center - cells, 0),
+                            min(center + cells + 1, len(axis_vals))))
+    window = tuple(slices)
+    dist = np.abs(oracle._mesh[window] - z).max(axis=-1)
+    qualify = (dist <= oracle._r0_pred[window]) | (dist <= r0_z)
+    vals = levels[k - 1][window][qualify]
+    out = radius_value(oracle, k - 1, z, levels)
+    if vals.size:
+        out = min(out, float(vals.min()))
+    return out
+
+
+def chain_collect(cover, orc, samples_per_pair=3, value=None):
+    """The radius chain's violations and smallest margin, pair by pair and
+    point by point, with the scalar reference snap and, unless another
+    ``value(k, x)`` is given, the reference recursion."""
+    if value is None:
+        levels = ([radius_level(orc, j) for j in range(4)]
+                  if orc.strategy == "grid_oracle" else None)
+
+        def value(k, x):
+            return radius_value(orc, k, x, levels)
+
+    ring = cover.domain.ring(cover.level)
+    bad = []
+    worst = math.inf
+    for k in range(cover.size):
+        zk = cover.centers[k]
+        r2 = value(2, zk)
+        r3 = value(3, zk)
+        worst = min(worst, r2 - r3)
+        if r2 < r3:
+            bad.append({"kind": "depth2_vs_depth3", "center": int(k),
+                        "r2": r2, "r3": r3})
+        for m in cover.neighbors[k]:
+            if m == k:
+                continue
+            lo = np.maximum(cover.centers[m] - cover.rho[m], zk - cover.rho[k])
+            hi = np.minimum(cover.centers[m] + cover.rho[m], zk + cover.rho[k])
+            if not (lo < hi).all():
+                continue
+            axes = [np.linspace(lo[i], hi[i], samples_per_pair + 2)[1:-1]
+                    for i in range(cover.dimension)]
+            pts = mesh_points(axes)
+            if orc.strategy == "grid_oracle":
+                snapped = []
+                for x in pts:
+                    s = snap(orc, x)
+                    if s is None:
+                        continue
+                    if np.abs(s - cover.centers[m]).max() < cover.rho[m] \
+                            and np.abs(s - zk).max() < cover.rho[k]:
+                        snapped.append(s)
+                pts = (np.asarray(snapped).reshape(-1, cover.dimension)
+                       if snapped else np.empty((0, cover.dimension)))
+            pts = pts[ring.contains(pts)] if len(pts) else pts
+            rm = float(cover.family.radius(cover.level,
+                                           cover.centers[m][None, :])[0])
+            for x in pts:
+                r1x = value(1, x)
+                worst = min(worst, rm - r1x, r1x - r2)
+                if rm < r1x or r1x < r2:
+                    bad.append({"kind": "pair", "m": int(m), "k": int(k),
+                                "x": x.tolist(), "r_m": rm, "r1_x": r1x,
+                                "r2_zk": r2})
+    return bad, worst
 
 
 def shift_poly(coeffs, h):

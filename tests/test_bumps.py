@@ -185,6 +185,8 @@ class TestEvalPartial:
             for beta in betas:
                 assert np.array_equal(table[beta], fn.cutoff.partial(pts, beta))
             table = fn.partials_table(pts, alpha)
+            # certify_partition reads the order-0 bound's measurement here
+            assert table[(0, 0)].tobytes() == fn.value(pts).tobytes()
             expected = oracles.partials_table(fn, pts, alpha)
             for beta in betas:
                 assert np.array_equal(table[beta], expected[beta])
@@ -211,6 +213,18 @@ class TestCertifyPartition:
         assert by_claim["partition.range"].verdict == "pass"
         assert by_claim["partition.support_in_ball"].verdict == "pass"
         assert by_claim["partition.derivative_bound"].verdict == "pass"
+        # order 0 alone measures the largest value on the support box; the
+        # depth-3 radius 1/2 puts the bound at 2
+        tight = certify_partition(partition, cover, oracle, alpha_max=0,
+                                  grid=grid)[-1].details
+        fn = partition[tight["center"]]
+        lo = cover.centers[fn.index] - fn.cutoff.support_halfwidth
+        hi = cover.centers[fn.index] + fn.cutoff.support_halfwidth
+        local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
+        assert tight["alpha"] == [0]
+        assert tight["measured"] == float(np.abs(fn.value(local)).max())
+        assert tight["measured"] == pytest.approx(1.0, abs=1e-12)
+        assert tight["bound"] == 2.0
 
     def test_derivative_constant_formula(self):
         w = default_weights(4)

@@ -1,11 +1,14 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covercert import cli
-from covercert.cli import main, shipped_config_path
+from covercert.cli import SUITES, main, shipped_config_path
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -88,6 +91,21 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert "ring" in err
 
+    def test_overflowing_constant_exits_two(self, tmp_path, capsys):
+        # the chain composes A1 at index 50 of the constant-radius |x|^2
+        # family, exp(a_1250), which overflows
+        config = small_config(
+            domain={"kind": "full_space", "dimension": 2},
+            family={"kind": "exp", "mu": {"variant": "power_abs", "power": 2},
+                    "constant_radius": True},
+            n=2, truncation={"lower": [-0.5, 0.0], "upper": [0.5, 0.5]},
+            resolutions={"candidate": 0.1, "check": 0.05, "quadrature": 0.05},
+            smoothness_order=6, alpha_max=1, suite=["chain"])
+        path = write_config(tmp_path, config)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "overflows a float" in capsys.readouterr().err
+
     def test_unexpected_crash_exits_three(self, tmp_path, capsys, monkeypatch):
         def crash(*args, **kwargs):
             raise ZeroDivisionError("boom")
@@ -98,6 +116,65 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "internal error: ZeroDivisionError('boom')" in err
+
+
+@st.composite
+def run_configs(draw):
+    """Small run configurations in d = 1, 2 on coarse lattices, valid or not."""
+    d = draw(st.sampled_from([1, 2]))
+    domain = draw(st.sampled_from([
+        {"kind": "full_space", "dimension": d},
+        {"kind": "expanding_boxes", "dimension": d},
+        {"kind": "bounded_box", "lower": [0.0] * d, "upper": [1.0] * d},
+        {"kind": "shrinking_boxes", "lower": [0.0] * d, "upper": [1.0] * d},
+    ]))
+    family = draw(st.sampled_from([
+        {"kind": "schwartz"}, {"kind": "boundary"}, {"kind": "constant"},
+        {"kind": "exp", "mu": {"variant": "power_abs", "power": 1}},
+        {"kind": "exp", "mu": {"variant": "power_abs", "power": 2},
+         "constant_radius": True},
+    ]))
+    lower = [draw(st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.25]))
+             for _ in range(d)]
+    upper = [lo + draw(st.sampled_from([0.25, 0.5, 1.0])) for lo in lower]
+    steps = [0.02, 0.05, 0.1] if d == 1 else [0.05, 0.1]
+    config = {
+        "name": "generated",
+        "domain": domain,
+        "family": family,
+        "n": draw(st.integers(1, 2)),
+        "m": draw(st.integers(0, 2)),
+        "truncation": {"lower": lower, "upper": upper},
+        "resolutions": {"candidate": draw(st.sampled_from(steps)),
+                        "check": draw(st.sampled_from([0.05, 0.1])),
+                        "quadrature": draw(st.sampled_from([0.05, 0.1]))},
+        "smoothness_order": draw(st.integers(3, 6)),
+        "alpha_max": draw(st.integers(0, 3)),
+        "suite": draw(st.lists(st.sampled_from(SUITES), min_size=1,
+                               max_size=3, unique=True)),
+        "figures": draw(st.booleans()),
+    }
+    control = draw(st.sampled_from([None, "drop_center", "shrink_separation",
+                                    "deflate_a1"]))
+    if control is not None:
+        config["negative_control"] = control
+    return config
+
+
+@settings(max_examples=25, deadline=None)
+@given(run_configs())
+def test_exit_codes_keep_their_meaning(config):
+    """Exit 1 always leaves a report; any other failure exits 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), "--out", str(Path(tmp) / "out")])
+        report = Path(tmp) / "out" / "report.json"
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            assert report.exists()
+            summary = json.loads(report.read_text())["summary"]
+            assert (summary["fail"] > 0) == (code == 1)
 
 
 class TestNegativeControls:

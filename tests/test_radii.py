@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from covercert import (Box, BoxRegion, MuSpec, RadiusOracle,
-                       RefinementRequiredError, boundary_family,
-                       constant_exhaustion, constant_weight_family,
-                       expanding_boxes, full_space, make_exp_family,
-                       positivity_certificate, r_iter, schwartz_family)
-import dataclasses
+                       RefinementRequiredError, boundary_family, build_cover,
+                       chain_certificate, constant_exhaustion,
+                       constant_weight_family, expanding_boxes, full_space,
+                       make_exp_family, neighbor_sets, positivity_certificate,
+                       r_iter, schwartz_family)
+from covercert.cover import _chain_collect, _interior_samples
 
 
 def brute_force_depth1(radius_fn, z, lo, hi, step):
@@ -131,3 +137,210 @@ class TestPositivityCertificate:
         cert = positivity_certificate(untagged, fam.domain, 1, 2, 0.1,
                                       box=Box((-2.0,), (2.0,)))
         assert cert.verdict == "not-certified"
+
+
+# Non-dyadic steps make the axis gaps inexact, so a radius that is a whole
+# number of steps ties some gaps from above and others from below.
+STEPS = (0.01, 0.02, 0.025, 0.03, 0.05, 1 / 16)
+MAX_CELLS = {1: 40, 2: 14, 3: 6}
+
+
+def checker_radius(k, x):
+    """1/8 on the even squares of a grid of side 1/8, 1/32 on the odd ones:
+    a radius whose levels are not monotone in the distance to anything."""
+    parity = np.floor(np.asarray(x, dtype=float) * 8.0).sum(axis=-1) % 2
+    return np.where(parity == 0, 0.125, 0.03125)
+
+
+@st.composite
+def grid_oracles(draw):
+    """Grid oracles in d = 1..3: the boundary family of the unit box on
+    lattice-aligned or shifted truncation boxes (r0 = dist/2 ties the gaps
+    on aligned ones), a decaying radius on the whole space, or a
+    checkerboard radius on a dyadic lattice (every distance exact)."""
+    d = draw(st.integers(1, 3))
+    res = draw(st.sampled_from(STEPS))
+    kind = draw(st.sampled_from(["boundary", "decay", "checker"]))
+    if kind == "checker":
+        dom = constant_exhaustion(BoxRegion(Box((0.0,) * d, (1.0,) * d)),
+                                  name="unit")
+        fam = dataclasses.replace(boundary_family(dom), radius=checker_radius)
+        res = draw(st.sampled_from([1 / 32, 1 / 64]))
+        lower = [draw(st.integers(1, 24)) * res for _ in range(d)]
+        upper = [min(lo + draw(st.integers(1, MAX_CELLS[d])) * res,
+                     1.0 - res) for lo in lower]
+    elif kind == "boundary":
+        dom = constant_exhaustion(BoxRegion(Box((0.0,) * d, (1.0,) * d)),
+                                  name="unit")
+        fam = boundary_family(dom)
+        lower, upper = [], []
+        for _ in range(d):
+            # r0 >= res needs a distance of at least 2 res to the boundary
+            lo = (draw(st.integers(4, 8))
+                  + draw(st.sampled_from([0.0, 0.0, 0.3, 0.5]))) * res
+            count = draw(st.integers(1, MAX_CELLS[d]))
+            lower.append(lo)
+            upper.append(min(lo + count * res, 1.0 - 4 * res))
+    else:
+        fam = make_exp_family(MuSpec("power_abs", power=1),
+                              lambda n: float(n), full_space(d))
+        dom = fam.domain
+        res = max(res, 0.05)
+        lower = [draw(st.integers(-12, 0)) * 0.05 + draw(
+            st.sampled_from([0.0, 0.013])) for _ in range(d)]
+        upper = [lo + draw(st.integers(1, MAX_CELLS[d])) * res for lo in lower]
+    return RadiusOracle(fam, dom, 1, res, box=Box(tuple(lower), tuple(upper)))
+
+
+def query_points(oracle, draw):
+    """Points on the lattice, within 1e-9 steps of it (both sides of the
+    tolerance), half a step off it (whose distances tie radii exactly on
+    dyadic lattices), off it, and outside the truncation box but in the
+    ring."""
+    d = oracle.domain.dimension
+    res = oracle.resolution
+    lattice = oracle.lattice_points()
+    picks = draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1,
+                          max_size=6))
+    on = lattice[picks]
+    near = [on + sign * scale * res * np.eye(d)[axis]
+            for sign in (1, -1) for scale in (0.4e-9, 3e-9, 0.5)
+            for axis in range(d)]
+    lo = np.asarray(oracle.box.lower)
+    hi = np.asarray(oracle.box.upper)
+    seeds = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seeds)
+    inside = lo + rng.random((6, d)) * (hi - lo)
+    around = lo - 3 * res + rng.random((6, d)) * (hi - lo + 6 * res)
+    pts = np.vstack([on, *near, inside, around])
+    return pts[oracle.domain.ring(oracle.n).contains(pts)]
+
+
+class TestAgainstWindowScan:
+    @settings(max_examples=40, deadline=None)
+    @given(grid_oracles())
+    def test_levels_equal_per_cell_scan(self, oracle):
+        for k in (1, 2, 3):
+            assert oracle._level(k).tobytes() == \
+                oracles.radius_level(oracle, k).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_oracles(), st.data())
+    def test_values_equal_recursion(self, oracle, data):
+        pts = query_points(oracle, data.draw)
+        levels = [oracles.radius_level(oracle, k) for k in range(4)]
+        for k in range(4):
+            expected = [oracles.radius_value(oracle, k, z, levels) for z in pts]
+            got = oracle.values(k, pts)
+            assert got.tobytes() == np.asarray(expected).tobytes()
+            assert [oracle.value(k, z) for z in pts[:3]] == expected[:3]
+        coords, hit = oracle.snap_points(pts)
+        for z, c, h in zip(pts, coords, hit):
+            ref = oracles.snap(oracle, z)
+            assert h == (ref is not None)
+            if h:
+                assert c.tobytes() == ref.tobytes()
+                assert oracle.snap(z).tobytes() == ref.tobytes()
+            else:
+                assert oracle.snap(z) is None
+
+    @pytest.mark.parametrize("k, radius, expected", [
+        # r0(y) = 15/128 = |y - z| exactly, and only cells from y on reach
+        # the r0 = 1/64 region within their radius
+        (2, lambda x: np.where(x < 0.5, 1 / 32,
+                               np.where(x < 46 / 64, 15 / 128, 1 / 64)),
+         1 / 64),
+        # r0(z) = 15/128 = |y - z| exactly, and y is the first r0 = 1/64 cell
+        (1, lambda x: np.where(x < 39 / 64, 15 / 128, 1 / 64), 1 / 64),
+    ], ids=["neighbour_radius", "own_radius"])
+    def test_distance_tying_a_radius_qualifies_off_the_lattice(
+            self, k, radius, expected):
+        # z sits half a step off the 1/64 lattice; y = z + 15/128 = 39/64
+        dom = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
+        fam = dataclasses.replace(
+            boundary_family(dom),
+            radius=lambda n, x: radius(np.asarray(x, dtype=float)[..., 0]))
+        oracle = RadiusOracle(fam, dom, 1, 1 / 64, box=Box((0.25,), (0.875,)))
+        z = np.array([0.5 - 1 / 128])
+        levels = [oracles.radius_level(oracle, j) for j in range(k + 1)]
+        assert oracle.value(k, z) == oracles.radius_value(oracle, k, z, levels)
+        assert oracle.value(k, z) == expected
+
+    def test_shipped_boundary_d1_lattice_needs_few_groups(self):
+        dom = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
+        oracle = RadiusOracle(boundary_family(dom), dom, 1, 0.001,
+                              box=Box((0.125,), (0.875,)))
+        assert oracle.lattice_values(1).tobytes() == \
+            oracles.radius_level(oracle, 1)[oracle._inside].tobytes()
+        assert len(oracle._window_groups()[1]) <= 4
+
+
+def tampered_covers():
+    """Covers whose radius chain fails at the oracle's resolution."""
+    out = []
+    dom1 = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
+    fam1 = boundary_family(dom1)
+    cover = build_cover(fam1, dom1, 1, 0.005, box=Box((0.05,), (0.95,)))
+    out.append(dataclasses.replace(cover, rho=3.0 * cover.rho, neighbors=None,
+                                   tampered="rho tripled"))
+    dom2 = constant_exhaustion(BoxRegion(Box((0.0, 0.0), (1.0, 1.0))),
+                               name="unit")
+    fam2 = boundary_family(dom2)
+    cover = build_cover(fam2, dom2, 1, 0.02, box=Box((0.2, 0.2), (0.45, 0.45)))
+    halved = dataclasses.replace(
+        fam2, radius=lambda k, x: 0.5 * fam2.radius(k, x))
+    out.append(dataclasses.replace(cover, family=halved, neighbors=None,
+                                   tampered="radius halved"))
+    out.append(cover)
+    return out
+
+
+class TestChainAgainstPairLoop:
+    @pytest.mark.parametrize("cover", tampered_covers(),
+                             ids=["rho_tripled_d1", "radius_halved_d2", "d2"])
+    def test_violations_worst_and_refinement(self, cover):
+        cert = chain_certificate(cover)
+        bad, worst = oracles.chain_collect(cover, cover.oracle)
+        refined = bool(bad)
+        if refined:
+            finer = RadiusOracle(cover.family, cover.domain, cover.level,
+                                 cover.oracle.resolution / 2.0,
+                                 box=cover.oracle.box)
+            bad, worst = oracles.chain_collect(cover, finer)
+        assert cert.resolutions["refined"] == refined
+        assert cert.measured == worst
+        assert cert.details.get("violations", []) == bad[:5]
+        assert (cert.verdict == "fail") == bool(bad)
+        if cover.tampered:
+            assert refined and bad
+
+    def test_violation_order_with_both_kinds(self):
+        class SwappedDepths(RadiusOracle):
+            """Depths 2 and 3 trade places, so depth-2 < depth-3 violations
+            appear among the pair violations."""
+            def values(self, k, pts):
+                return super().values({2: 3, 3: 2}.get(k, k), pts)
+
+        cover = tampered_covers()[0]
+        neighbor_sets(cover)
+        orc = SwappedDepths(cover.family, cover.domain, cover.level,
+                            cover.oracle.resolution, box=cover.oracle.box)
+        bad, worst = _chain_collect(cover, orc, 3)
+        assert (bad, worst) == oracles.chain_collect(cover, orc, value=orc.value)
+        kinds = [item["kind"] for item in bad]
+        first_depth = kinds.index("depth2_vs_depth3")
+        assert "pair" in kinds[:first_depth] and "pair" in kinds[first_depth:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3, allow_subnormal=True),
+       st.floats(1e-320, 1e3, allow_subnormal=True), st.integers(1, 5))
+def test_interior_samples_round_as_linspace(lo, width, count):
+    hi = lo + width
+    if not lo < hi:
+        return
+    t = np.arange(1, count + 1, dtype=float)
+    got = _interior_samples(np.array([lo]), np.array([hi]), t, count)
+    assert got.tobytes() == np.linspace(lo, hi, count + 2)[1:-1].tobytes()
+    tiny = _interior_samples(np.array([0.0]), np.array([5e-324]), t, count)
+    assert tiny.tobytes() == np.linspace(0.0, 5e-324, count + 2)[1:-1].tobytes()
