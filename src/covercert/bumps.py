@@ -308,24 +308,16 @@ def eval_partial(obj, x, alpha) -> float:
     return obj.partial(x, alpha)
 
 
-def partition_sum(partition: Partition, pts, return_parts: bool = False):
-    """Sum of the partition functions at ``pts``.
-
-    With ``return_parts``, also a list with the values of every function
-    whose cutoff support holds some of the points, taken on those points.
-    """
+def partition_sum(partition: Partition, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     out = np.zeros(len(pts))
-    parts = []
     for fn in partition:
         mask = fn.cutoff.contains_support(pts)
         if mask.any():
-            vals = fn.value(pts[mask])
-            out[mask] += vals
-            parts.append(vals)
-    return (out, parts) if return_parts else out
+            out[mask] += fn.value(pts[mask])
+    return out
 
 
 def derivative_constant(alpha: tuple[int, ...], dimension: int,
@@ -358,8 +350,21 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     n = cover.level
     certs: list[Certificate] = []
 
+    # one pass gives both the sums and each function's range; the additions
+    # run in partition_sum's order, so the sums are bitwise its result
+    sums = np.zeros(len(grid))
+    below = 0.0
+    excess = []
+    for fn in partition:
+        mask = fn.cutoff.contains_support(grid)
+        if mask.any():
+            vals = fn.value(grid[mask])
+            sums[mask] += vals
+            below = min(below, float(vals.min()))
+            excess.append(float(vals.max() - 1.0))
+    above = max([float(np.max(sums - 1.0))] + excess)
+
     ring_mask = cover.domain.ring(n).contains(grid)
-    sums, parts = partition_sum(partition, grid, return_parts=True)
     worst_sum = float(np.abs(sums[ring_mask] - 1.0).max()) if ring_mask.any() else 0.0
     certs.append(Certificate(
         name=f"partition_sum[{fam},n={n}]",
@@ -370,11 +375,6 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
                      "grid_points": int(len(grid))},
     ))
 
-    above = float(np.max(sums - 1.0))
-    below = 0.0
-    for vals in parts:
-        below = min(below, float(vals.min()))
-        above = max(above, float(vals.max() - 1.0))
     range_ok = below >= -tol and above <= tol
     certs.append(Certificate(
         name=f"partition_range[{fam},n={n}]",

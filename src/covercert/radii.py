@@ -219,7 +219,11 @@ class RadiusOracle:
         return coords, hit
 
     def snap(self, z) -> np.ndarray | None:
-        """Nearest lattice point inside the ring, or None off the grid."""
+        """Nearest lattice point inside the ring, or None off the grid.
+
+        One row of :meth:`snap_points`; no certificate calls it.  It stays
+        while the benchmark's span tracer wraps ``RadiusOracle.snap``.
+        """
         if self.strategy == CLOSED_FORM:
             return None
         coords, hit = self.snap_points(np.asarray(z, dtype=float).reshape(1, -1))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -164,13 +166,16 @@ def run_configs(draw):
 @settings(max_examples=25, deadline=None)
 @given(run_configs())
 def test_exit_codes_keep_their_meaning(config):
-    """Exit 1 always leaves a report; any other failure exits 2 or 3."""
+    """Exit 1 always leaves a report; any other failure exits 2, never 3."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        code = main(["--config", str(path), "--out", str(Path(tmp) / "out")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(path), "--out", str(Path(tmp) / "out")])
         report = Path(tmp) / "out" / "report.json"
-        assert code in (0, 1, 2, 3)
+        # exit 3 is an internal error: a crash on a generated config is a bug
+        assert code in (0, 1, 2), err.getvalue()
         if code in (0, 1):
             assert report.exists()
             summary = json.loads(report.read_text())["summary"]
