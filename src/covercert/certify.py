@@ -197,7 +197,9 @@ def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarra
     mids = mids[keep]
     pad = resolution / 2.0
     rows, cols, dist = cover.pairs_near(mids, float(cover.rho.max()) + pad)
-    return mids[np.unique(rows[dist < cover.rho[cols] + pad])]
+    near = np.zeros(len(mids), dtype=bool)
+    near[rows[dist < cover.rho[cols] + pad]] = True
+    return mids[near]
 
 
 def _midpoint_integral(values: np.ndarray, resolution: float,
@@ -412,7 +414,8 @@ class JFunctional:
             zetas = zetas[None, :]
         out = np.zeros(len(zetas))
         owners = self.cover.core_owners(zetas)
-        for k in np.unique(owners[owners >= 0]).tolist():
+        # the owning centers in increasing order (owners are -1 or a k)
+        for k in np.flatnonzero(np.bincount(owners + 1)[1:]).tolist():
             idxs = np.flatnonzero(owners == k)
             sub = zetas[idxs]
             x = self.maps[k].forward(sub)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domains import Box, ExhaustionDomain
 from .errors import NoRingPointsError, RefinementRequiredError
@@ -72,7 +71,7 @@ class BucketIndex:
 
 @dataclass
 class Cover:
-    """Accepted centers with their ball radii and a KD-tree over the centers."""
+    """Accepted centers with their ball radii and depth-1 radii."""
 
     level: int
     centers: np.ndarray                 # (K, d)
@@ -85,7 +84,6 @@ class Cover:
     oracle: RadiusOracle = field(repr=False)
     tampered: str = ""
     neighbors: list[np.ndarray] | None = field(default=None, repr=False)
-    _tree: cKDTree | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -107,18 +105,54 @@ class Cover:
         ``dist`` is the sup-norm distance of each pair.  Callers decide ball
         membership with their own strict inequality on ``dist``.
         """
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.dimension)
-        if self._tree is None:
-            self._tree = cKDTree(self.centers)
-        # The trees only preselect: the radius is widened so that rounding
-        # in their pruning cannot drop a pair, and membership is decided
-        # from the distances, which are exact (the largest coordinate gap).
-        widen = 1e-9 * (reach + float(np.abs(self.centers).max()))
-        found = cKDTree(pts).sparse_distance_matrix(
-            self._tree, reach + widen, p=np.inf, output_type="ndarray")
-        found = found[found["v"] <= reach]
-        found.sort(order=["i", "j"])
-        return found["i"], found["j"], found["v"]
+        d = self.dimension
+        pts = np.asarray(pts, dtype=float).reshape(-1, d)
+        # A uniform cell grid over the centers only preselects.  The cells
+        # are a little wider than ``reach``, and the widening outweighs the
+        # rounding of the cell coordinates, so every pair within reach lies
+        # in neighbouring cells; membership is decided from the distances,
+        # which are exact (the largest coordinate gap).
+        origin = self.centers.min(axis=0)
+        cell = reach + 1e-9 * (reach + float(np.abs(self.centers).max())) or 1.0
+        center_cells = np.floor((self.centers - origin) / cell).astype(np.int64)
+        top = center_cells.max(axis=0)
+        # far points are clipped to cells that border no center's cell
+        pt_cells = np.clip(np.floor((pts - origin) / cell), -2, top + 2)
+        pt_cells = pt_cells.astype(np.int64)
+
+        # Linear cell keys, one per point and neighbour offset (-1: no
+        # center there).  A prefix that would overflow int64 is first
+        # replaced by its rank among the centers' distinct prefixes.
+        center_keys = np.zeros(len(center_cells), dtype=np.int64)
+        keys = [np.zeros(len(pts), dtype=np.int64)]
+        bound = 1
+        for a in range(d):
+            size = int(top[a]) + 1
+            if bound * size >= 1 << 62:
+                distinct = np.sort(center_keys)
+                distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
+                center_keys = np.searchsorted(distinct, center_keys)
+                keys = [_rank_in(distinct, k) for k in keys]
+                bound = len(distinct)
+            center_keys = center_keys * size + center_cells[:, a]
+            col = pt_cells[:, a]
+            keys = [np.where((k >= 0) & (v >= 0) & (v < size), k * size + v, -1)
+                    for k in keys for v in (col - 1, col, col + 1)]
+            bound *= size
+
+        order = np.argsort(center_keys)
+        center_keys = center_keys[order]
+        keys = np.concatenate(keys)
+        first = np.searchsorted(center_keys, keys, side="left")
+        count = np.searchsorted(center_keys, keys, side="right") - first
+        rows = np.repeat(np.tile(np.arange(len(pts)), 3 ** d), count)
+        cols = order[np.repeat(first - np.cumsum(count) + count, count)
+                     + np.arange(len(rows))]
+        dist = np.abs(pts[rows] - self.centers[cols]).max(axis=1)
+        near = dist <= reach
+        rows, cols, dist = rows[near], cols[near], dist[near]
+        lex = np.lexsort((cols, rows))
+        return rows[lex], cols[lex], dist[lex]
 
     def core_owners(self, zetas) -> np.ndarray:
         """Per point, the smallest k whose core box contains it, else -1."""
@@ -147,6 +181,12 @@ class Cover:
         for k in range(self.size):
             yield (k, *self.centers[k].tolist(),
                    float(self.rho[k]), float(self.r1[k]))
+
+
+def _rank_in(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of each key in ``distinct`` (sorted), or -1 where it is absent."""
+    at = np.searchsorted(distinct, keys)
+    return np.where(distinct[np.minimum(at, len(distinct) - 1)] == keys, at, -1)
 
 
 def _greedy_bucket(candidates: np.ndarray, r1: np.ndarray, box: Box) -> list[int]:

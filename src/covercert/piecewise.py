@@ -124,7 +124,9 @@ class PiecewisePoly:
         # A candidate knot is kept when it lies more than the tolerance above
         # the last kept one.  Only a candidate within the tolerance of its
         # predecessor can be dropped, so only those need the ordered scan.
-        raw = np.unique(np.concatenate([self.knots - half, self.knots + half]))
+        # sorted distinct candidates (np.unique would import numpy.ma)
+        raw = np.sort(np.concatenate([self.knots - half, self.knots + half]))
+        raw = raw[np.r_[True, raw[1:] != raw[:-1]]]
         thresh = _MERGE_TOL * np.maximum(1.0, np.abs(raw))
         keep = np.ones(len(raw), dtype=bool)
         for i in np.flatnonzero(np.diff(raw) <= thresh[1:]) + 1:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .domains import Box, ExhaustionDomain, exhaustion_gap, mesh_points
 from .errors import ConstructionError, IndexCapError
@@ -159,10 +158,78 @@ def _decay_sup(power: float, delta: float, exponent: float) -> float:
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     best = vals[i]
     if hi > lo:
-        res = minimize_scalar(lambda t: -log_val(t), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-13})
-        best = max(best, -res.fun)
+        best = max(best, -_fminbound(lambda t: -log_val(t), lo, hi, 1e-13))
     return float(math.exp(best))
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(func, a: float, b: float, xatol: float) -> float:
+    """Smallest value of ``func`` found on [a, b] by Brent's bounded method
+    (golden sections with parabolic steps; Brent 1973).
+
+    The operations are those of scipy's ``minimize_scalar(method="bounded")``
+    in the same order, so both return bitwise the same value.
+    """
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = fnfc = ffulc = func(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the best three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:      # scipy's default evaluation budget
+            break
+    return fx
 
 
 def _probe_gaps(domain: ExhaustionDomain) -> list[float]:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.optimize import minimize_scalar
+from scipy.spatial import cKDTree
 
 from covercert.domains import mesh_points
 from covercert.multiindex import indices_below, multi_binom
@@ -67,6 +69,19 @@ def pairs_near(cover, pts, reach):
     return out
 
 
+def pairs_near_kdtree(cover, pts, reach):
+    """``Cover.pairs_near`` from a KD-tree (scipy's cKDTree, p=inf)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, cover.dimension)
+    # the tree only preselects: the radius is widened so that rounding in
+    # its pruning cannot drop a pair, and the exact distances decide
+    widen = 1e-9 * (reach + float(np.abs(cover.centers).max()))
+    found = cKDTree(pts).sparse_distance_matrix(
+        cKDTree(cover.centers), reach + widen, p=np.inf, output_type="ndarray")
+    found = found[found["v"] <= reach]
+    found.sort(order=["i", "j"])
+    return found["i"], found["j"], found["v"]
+
+
 def balls_containing(cover, x, inner=False):
     scale = 0.5 if inner else 1.0
     return [k for k in range(cover.size)
@@ -92,6 +107,23 @@ def near_union(cover, pts, pad):
     return [x for x in pts
             if any(np.abs(x - cover.centers[k]).max() < cover.rho[k] + pad
                    for k in range(cover.size))]
+
+
+def decay_sup(power, delta, exponent):
+    """``weights._decay_sup`` with scipy's bounded minimizer."""
+    def log_val(t):
+        return power * np.log1p(t * t) - delta * np.power(t, exponent)
+
+    grid = np.concatenate([[0.0], np.logspace(-8.0, 8.0, 3201)])
+    vals = log_val(grid)
+    i = int(np.argmax(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    best = vals[i]
+    if hi > lo:
+        res = minimize_scalar(lambda t: -log_val(t), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-13})
+        best = max(best, -res.fun)
+    return float(math.exp(best))
 
 
 def radius_level(oracle, k):

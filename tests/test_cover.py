@@ -259,15 +259,52 @@ def dyadic_covers(draw):
     return _unit_cube_cover(d, centers, rho, r1), pts
 
 
+def _point_cover(centers):
+    """A cover holding only centers: enough for ``pairs_near``."""
+    centers = np.asarray(centers, dtype=float)
+    ones = np.ones(len(centers))
+    return Cover(level=1, centers=centers, rho=ones, r1=ones, resolution=1.0,
+                 box=None, family=None, domain=None, oracle=None)
+
+
+def _assert_pairs(cover, pts, reach, brute_force=True):
+    """``pairs_near`` equals the KD-tree oracle bitwise (values and dtypes)
+    and, optionally, the brute-force pair loop."""
+    found = cover.pairs_near(pts, reach)
+    for got, want in zip(found, oracles.pairs_near_kdtree(cover, pts, reach)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    if brute_force:
+        rows, cols, dist = found
+        assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == \
+            oracles.pairs_near(cover, pts, reach)
+
+
+@st.composite
+def reach_lattices(draw):
+    """Centers and points on the lattice of multiples of a non-dyadic reach,
+    so that many pairs are one reach apart (exactly or up to rounding) and
+    lie on the boundaries of the cells of side about ``reach``."""
+    d = draw(st.integers(1, 3))
+    reach = draw(st.sampled_from([0.1, 1 / 3, 0.7, 3.0]))
+    k = draw(st.integers(1, 10))
+    q = draw(st.integers(0, 16))
+    ints = st.lists(st.integers(-5, 5), min_size=(k + q) * d,
+                    max_size=(k + q) * d)
+    grid = np.array(draw(ints), dtype=float).reshape(k + q, d) * reach
+    centers, pts = grid[:k], grid[k:]
+    faces = [centers + s * reach * u for s in (1.0, -1.0)
+             for u in (np.eye(d)[-1], np.ones(d))]
+    return _point_cover(centers), np.concatenate([pts, *faces]), reach
+
+
 class TestBatchQueries:
     @settings(max_examples=80, deadline=None)
     @given(dyadic_covers())
     def test_point_queries_match_brute_force(self, case):
         cover, pts = case
         for reach in (float(cover.rho.max()), float(cover.rho.min()) / 2):
-            rows, cols, dist = cover.pairs_near(pts, reach)
-            assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == \
-                oracles.pairs_near(cover, pts, reach)
+            _assert_pairs(cover, pts, reach)
         for x in pts:
             for inner in (False, True):
                 assert cover.balls_containing(x, inner=inner) == \
@@ -276,6 +313,53 @@ class TestBatchQueries:
         expected = [oracles.locate_core(cover, x) for x in pts]
         assert cover.core_owners(pts).tolist() == \
             [-1 if k is None else k for k in expected]
+
+    @settings(max_examples=120, deadline=None)
+    @given(reach_lattices())
+    def test_pairs_one_reach_apart(self, case):
+        cover, pts, reach = case
+        _assert_pairs(cover, pts, reach)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_points(self, d):
+        cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
+        rows, cols, dist = cover.pairs_near(np.empty((0, d)), 0.5)
+        assert len(rows) == len(cols) == len(dist) == 0
+        _assert_pairs(cover, np.empty((0, d)), 0.5)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -7.0)])
+    @pytest.mark.parametrize("reach", [0.0, 1 / 3, 2.0])
+    def test_single_center(self, center, reach):
+        cover = _point_cover([center])
+        offsets = np.array([0.0, 1e-300, reach, np.nextafter(reach, 3.0), 5.0,
+                            1e300])
+        pts = np.array(center) + np.stack(np.meshgrid(offsets, -offsets),
+                                          axis=-1).reshape(-1, 2)
+        _assert_pairs(cover, pts, reach)
+
+    def test_large_cover(self):
+        rng = np.random.default_rng(5)
+        centers = (np.indices((64, 64)).reshape(2, -1).T
+                   + rng.uniform(-0.2, 0.2, (4096, 2))) / 32.0 - 1.0
+        cover = _point_cover(centers)
+        pts = rng.uniform(-1.1, 1.1, (20000, 2))
+        for reach in (0.01, 1 / 30, 0.1):
+            _assert_pairs(cover, pts, reach, brute_force=False)
+            _assert_pairs(cover, pts[:40], reach)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_large_coordinates_tiny_reach(self, d):
+        # about 1e9 cells per axis: from d = 3 on the linear cell keys
+        # exceed int64 and are ranked among the centers' keys instead
+        rng = np.random.default_rng(d)
+        centers = rng.uniform(-1e6, 1e6, (50, d))
+        centers[:2] = [[-1e6] * d, [1e6] * d]
+        cover = _point_cover(centers)
+        for reach in (1e-3, 1e-12):
+            near = centers[rng.integers(0, 50, 300)] \
+                + rng.uniform(-2.0, 2.0, (300, d)) * reach
+            pts = np.concatenate([centers, near, -centers])
+            _assert_pairs(cover, pts, reach)
 
     @settings(max_examples=80, deadline=None)
     @given(dyadic_covers())

@@ -1,7 +1,12 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "covercert").glob("*.py"))
+PACKAGE = Path(__file__).parent.parent / "src" / "covercert"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -13,3 +18,34 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from covercert import cli
+codes = []
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["--config", config, "--out", out]))
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def test_run_loads_no_scipy(tmp_path):
+    """A CLI run needs numpy alone: neither scipy nor numpy.ma (which
+    ``np.unique`` imports on first use) is loaded.  ``boundary_d1`` runs
+    the cover and partition suites, ``unit_weights_d1`` adds the chain."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])])
+    names = ["boundary_d1", "unit_weights_d1"]
+    args = [str(a) for name in names
+            for a in (PACKAGE / "configs" / f"{name}.json", tmp_path / name)]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert all((tmp_path / name / "report.json").exists() for name in names)
+    assert [m for m in modules if m.split(".")[0] == "scipy"
+            or m == "numpy.ma" or m.startswith("numpy.ma.")] == []

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+import oracles
 from covercert import (Box, BoxRegion, ConstructionError, MuSpec,
                        boundary_family, check_omega, classify_s,
                        constant_exhaustion, constant_weight_family,
                        expanding_boxes, full_space, make_exp_family,
                        product_family, psi_mass_certificate,
                        schwartz_family)
+from covercert.weights import _decay_sup, _fminbound
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +293,32 @@ class TestClassify:
 
     def test_full_ring_continuous_radius_gives_s3(self, unit_interval):
         assert classify_s(boundary_family(unit_interval)) == "s3"
+
+
+# Decay sups of the exp families: the power is the polynomial degree of the
+# majorizer (1..4 for d <= 3 and |x|^m with m <= 8, the dimension for Hoelder
+# blocks), the exponent is m or a Hoelder gamma in (0, 1], and the decay rate
+# is a_{n+1} - a_n.
+_powers = st.one_of(st.integers(1, 4).map(float), st.floats(0.25, 8.0))
+_exponents = st.one_of(st.integers(1, 8).map(float), st.floats(0.05, 8.0))
+_deltas = st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+class TestBoundedMinimizer:
+    @settings(max_examples=300, deadline=None)
+    @given(_powers, _deltas, _exponents)
+    def test_decay_sup_equals_scipy(self, power, delta, exponent):
+        assert np.float64(_decay_sup(power, delta, exponent)).tobytes() == \
+            np.float64(oracles.decay_sup(power, delta, exponent)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-5.0, 5.0), st.floats(-8.0, 2.0), st.floats(-3.0, 3.0),
+           st.floats(0.0, 3.0), st.sampled_from([1e-13, 1e-5]))
+    def test_fminbound_equals_scipy(self, a, log_width, c, s, xatol):
+        def f(t):
+            return np.sin(3.0 * t) + c * t * t + s * np.abs(t - 0.5)
+        b = a + 10.0 ** log_width
+        ref = minimize_scalar(f, bounds=(a, b), method="bounded",
+                              options={"xatol": xatol}).fun
+        assert np.float64(_fminbound(f, a, b, xatol)).tobytes() == \
+            np.float64(ref).tobytes()
