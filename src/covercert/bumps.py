@@ -10,8 +10,28 @@ a difference quotient by its width, so the j-th derivative is bounded by
 
 Cutoffs are tensor products of one profile per coordinate; a partition
 function multiplies its own cutoff by the complements of the earlier
-overlapping ones.  All partial derivatives are evaluated exactly from the
-piecewise polynomials through the product rule.
+overlapping ones (its blockers).  All partial derivatives are evaluated
+exactly from the piecewise polynomials through the product rule.  A
+partition builds one profile per distinct radius and shares it between
+the cutoffs of that radius.
+
+Every partition reading runs through one incidence engine,
+``Incidence``.  It holds the (point, cutoff) pairs of a point set with
+the point in the cutoff's closed support, and evaluates each cutoff's
+partials once, on all of its points.  Readers that need every pair (the
+partition sum, the partition certificates, the cutoff export) find them
+with one ``sup_pairs`` query; readers that evaluate one function per
+point (the wrappers, the rescaled functional, the pullback export) test
+just that function's cutoff and blockers.  The rows to evaluate are
+(partition function, point) pairs.  Each row starts from its own
+cutoff's entries; then, for p = 0, 1, ..., every row whose function's
+p-th blocker contains the point takes that blocker's complement in one
+vectorized product-rule step.  Each row meets its blockers in the order
+the per-function loop used, with the same multinomial weights, so every
+value is bitwise the loop's.  Points pass through the engine in blocks
+of a bounded number of pairs, which bounds its memory.
+``PartitionFn.value``, ``PartitionFn.partials_table`` and
+``partition_sum`` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -21,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cover import Cover, neighbor_sets
+from .cover import Cover, neighbor_sets, pairs_within, sup_pairs
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
 from .piecewise import PiecewisePoly, indicator
@@ -30,6 +50,7 @@ from .report import FAIL, PASS, Certificate
 __all__ = [
     "default_weights", "BumpProfile", "build_profile",
     "Cutoff", "PartitionFn", "Partition", "build_partition",
+    "Incidence", "incidences", "partition_partials", "function_values",
     "eval_partial", "partition_sum", "certify_partition",
     "derivative_constant", "DERIVATIVE_GROWTH_BASE",
 ]
@@ -37,6 +58,9 @@ __all__ = [
 # Each box smoothing contributes a factor of at most 2/width to one
 # derivative order; tensor products inherit the same base per coordinate.
 DERIVATIVE_GROWTH_BASE = 2.0
+
+# (point, cutoff) pairs per incidence block: bounds the engine's tables
+_BLOCK_PAIRS = 1 << 14
 
 
 def default_weights(order: int) -> np.ndarray:
@@ -193,12 +217,7 @@ class PartitionFn:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
         pts = x[None, :] if scalar else x
-        out = self.cutoff.value(pts)
-        live = out != 0.0
-        for _, blocker in self.blockers:
-            mask = live & blocker.contains_support(pts)
-            if mask.any():
-                out[mask] = out[mask] * (1.0 - blocker.value(pts[mask]))
+        out = function_values([self], pts, np.full(len(pts), self.index))
         return float(out[0]) if scalar else out
 
     def partial(self, x, alpha) -> float:
@@ -210,49 +229,14 @@ class PartitionFn:
     def partials_table(self, pts, alpha) -> dict:
         """All partials with multi-index at most alpha, vectorized over points.
 
-        Returns a dict mapping each beta <= alpha to an array of values.
-        Complements whose cutoff does not reach any of the points contribute
-        the constant factor one and are skipped.
+        Returns a dict mapping each beta <= alpha to an array of values,
+        zero outside the support.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        alpha = tuple(int(a) for a in alpha)
-        budget = self.cutoff.profile.order - 1
-        if any(a > budget for a in alpha):
-            raise SmoothnessOrderError(
-                f"component of {alpha} exceeds per-axis budget {budget}")
-        betas = indices_below(alpha)
-        zeros = np.zeros(len(pts))
-        mask = self.cutoff.contains_support(pts)
-        if not mask.any():
-            return {beta: zeros for beta in betas}
-        sub = pts[mask]
-
-        acc = self.cutoff.partials_table(sub, alpha)
-        for _, blocker in self.blockers:
-            bmask = blocker.contains_support(sub)
-            if not bmask.any():
-                continue    # complement is identically 1 there
-            pts_b = sub[bmask]
-            vals = blocker.partials_table(pts_b, alpha)
-            t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
-                 for beta in betas}
-            new = {}
-            for beta in betas:
-                total = np.zeros(len(pts_b))
-                for gamma in indices_below(beta):
-                    rest = tuple(b - g for b, g in zip(beta, gamma))
-                    total += multi_binom(beta, gamma) * acc[gamma][bmask] * t[rest]
-                new[beta] = total
-            for beta in betas:
-                acc[beta][bmask] = new[beta]
-        out = {}
-        for beta in betas:
-            full = zeros.copy()
-            full[mask] = acc[beta]
-            out[beta] = full
-        return out
+        return partition_partials([self], pts, np.full(len(pts), self.index),
+                                  alpha)
 
 
 @dataclass
@@ -272,6 +256,197 @@ class Partition:
         return self.functions[k]
 
 
+class Incidence:
+    """The (point, cutoff) pairs of a point set, with each cutoff's partials.
+
+    The cutoffs are those of ``functions`` and of their blockers.  A pair
+    is kept when the point lies in the cutoff's closed support (the test
+    of ``Cutoff.contains_support``).  Without ``owners`` every such pair
+    is found, by one ``sup_pairs`` query; with ``owners`` (the partition
+    index of the one function each point is read for) only the pairs of
+    that function's own cutoff and blockers are, by testing them directly,
+    blocker position by blocker position.  Pairs are held in lexicographic
+    (point, cutoff) order, and each cutoff's partials up to ``alpha`` are
+    evaluated once, on all of its points, by ``Cutoff.partials_table``.
+    """
+
+    def __init__(self, functions, pts, alpha, owners=None):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        alpha = tuple(int(a) for a in alpha)
+        cutoffs = {}
+        for fn in functions:
+            cutoffs[fn.index] = fn.cutoff
+            cutoffs.update(fn.blockers)
+        budget = min(c.profile.order for c in cutoffs.values()) - 1
+        if any(a > budget for a in alpha):
+            raise SmoothnessOrderError(
+                f"component of {alpha} exceeds per-axis budget {budget}")
+        index = sorted(cutoffs)
+        size = len(index)
+        self.pts = pts
+        self.betas = indices_below(alpha)
+        self.cutoffs = [cutoffs[m] for m in index]
+        # local position of each partition index among the cutoffs
+        self.local = np.full(index[-1] + 1, -1, dtype=np.int64)
+        self.local[index] = np.arange(size)
+        # the p-th blocker of each function, as a local cutoff position
+        self.blocker_count = np.zeros(size, dtype=np.int64)
+        self.blockers = np.zeros(
+            (size, max(len(fn.blockers) for fn in functions)), dtype=np.int64)
+        for fn in functions:
+            c = self.local[fn.index]
+            self.blocker_count[c] = len(fn.blockers)
+            self.blockers[c, :len(fn.blockers)] = \
+                self.local[[m for m, _ in fn.blockers]]
+        self.terms = {beta: [(gamma, tuple(b - g for b, g in zip(beta, gamma)),
+                              multi_binom(beta, gamma))
+                             for gamma in indices_below(beta)]
+                      for beta in self.betas}
+
+        centers = np.array([c.center for c in self.cutoffs], dtype=float)
+        half = np.array([c.support_halfwidth for c in self.cutoffs])
+        if owners is None:
+            rows, cols, _ = sup_pairs(centers, pts, half)
+            keys = rows * size + cols
+        else:
+            own = self.local[np.asarray(owners, dtype=np.int64)]
+            every = np.arange(len(pts))
+            tests = [(every, own)] + [
+                (rows, self.blockers[own[rows], p])
+                for p, rows in self._positions(every, own)]
+            keys = [rows * size + cols for rows, cols, _ in
+                    (pairs_within(centers, pts, rows, cols, half)
+                     for rows, cols in tests)]
+            keys = np.sort(np.concatenate(keys))
+        self.keys = keys
+        self.rows, cols = np.divmod(keys, size)
+        self.fns = np.asarray(index, dtype=np.int64)[cols]
+
+        self.factors = {beta: np.empty(len(cols)) for beta in self.betas}
+        by_cutoff = np.argsort(cols, kind="stable")
+        ends = np.searchsorted(cols[by_cutoff], np.arange(1, size + 1))
+        for c, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+            if hi > lo:
+                sel = by_cutoff[lo:hi]
+                table = self.cutoffs[c].partials_table(pts[self.rows[sel]], alpha)
+                for beta in self.betas:
+                    self.factors[beta][sel] = table[beta]
+
+    def _positions(self, rows, own):
+        """``(p, the rows whose function has a p-th blocker)`` for p = 0, 1,
+        ...  Rows of functions with more blockers come first, so each
+        position's rows are a prefix."""
+        fewer = -self.blocker_count[own[rows]]
+        order = np.argsort(fewer, kind="stable")
+        rows, fewer = rows[order], fewer[order]
+        for p in range(-int(fewer[0]) if len(rows) else 0):
+            yield p, rows[:np.searchsorted(fewer, -p)]
+
+    def _find(self, idx, c):
+        """Position of each pair (point ``idx``, local cutoff ``c``), and
+        whether that pair exists."""
+        keys = idx * len(self.cutoffs) + c
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), bool)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return at, self.keys[at] == keys
+
+    def partials(self, ks, idx, value=False) -> dict:
+        """Partials beta <= alpha of function ``ks[r]`` at point ``idx[r]``.
+
+        Returns a dict mapping each beta to one value per row, zero where
+        the point is outside the function's own support.  With ``value``
+        only the order-0 entry is formed, in ``PartitionFn.value``'s
+        arithmetic: the cutoff's value at every row, then the complements
+        applied by plain products to the rows where that value is nonzero.
+        """
+        own = self.local[np.asarray(ks, dtype=np.int64)]
+        idx = np.asarray(idx, dtype=np.int64)
+        at, inside = self._find(idx, own)
+        if value:
+            zero = (0,) * self.pts.shape[1]
+            out = np.empty(len(idx))
+            out[inside] = self.factors[zero][at[inside]]
+            outside = np.flatnonzero(~inside)
+            for c in np.flatnonzero(np.bincount(own[outside],
+                                                minlength=len(self.cutoffs))):
+                sel = outside[own[outside] == c]
+                out[sel] = self.cutoffs[c].value(self.pts[idx[sel]])
+            acc = {zero: out}
+            live = np.flatnonzero(out != 0.0)
+        else:
+            acc = {}
+            for beta in self.betas:
+                acc[beta] = np.zeros(len(idx))
+                acc[beta][inside] = self.factors[beta][at[inside]]
+            live = np.flatnonzero(inside)
+
+        # blockers position by position, each row in its function's order
+        for p, rows in self._positions(live, own):
+            at, hit = self._find(idx[rows], self.blockers[own[rows], p])
+            rows, at = rows[hit], at[hit]
+            if value:
+                acc[zero][rows] = acc[zero][rows] * (1.0 - self.factors[zero][at])
+            else:
+                self._complement_step(acc, rows, at)
+        return acc
+
+    def _complement_step(self, acc, rows, at):
+        """Multiply ``acc`` on ``rows`` by the complement of the cutoffs at
+        pairs ``at``, every partial by the product rule."""
+        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - self.factors[beta][at]
+             for beta in self.betas}
+        cur = {beta: acc[beta][rows] for beta in self.betas}
+        for beta in self.betas:
+            total = np.zeros(len(rows))
+            for gamma, rest, weight in self.terms[beta]:
+                total += weight * cur[gamma] * t[rest]
+            acc[beta][rows] = total
+
+
+def incidences(functions, pts, alpha, owners=None):
+    """``(block, Incidence)`` for consecutive blocks of the points.
+
+    Blocks bound the engine's tables: each next block is sized from the
+    pairs per point of the last one to hold about ``_BLOCK_PAIRS`` pairs.
+    Every point's pairs, and so every value, are those of one incidence of
+    all the points.  There is always at least one block, empty for no
+    points.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    start, size = 0, 1024
+    while True:
+        block = slice(start, start + size)
+        inc = Incidence(functions, pts[block], alpha,
+                        None if owners is None else owners[block])
+        yield block, inc
+        start = block.stop
+        if start >= len(pts):
+            return
+        per_point = max(len(inc.rows), 1) / len(inc.pts)
+        size = int(min(4 * size, max(64, _BLOCK_PAIRS / per_point)))
+
+
+def partition_partials(functions, pts, ks, alpha, value=False) -> dict:
+    """Partials beta <= alpha of partition function ``ks[i]`` at ``pts[i]``,
+    for every i (see ``Incidence.partials``)."""
+    ks = np.asarray(ks, dtype=np.int64)
+    parts = [inc.partials(ks[block], np.arange(len(inc.pts)), value=value)
+             for block, inc in incidences(functions, pts, alpha, owners=ks)]
+    return {beta: np.concatenate([part[beta] for part in parts])
+            for beta in parts[0]}
+
+
+def function_values(functions, pts, ks) -> np.ndarray:
+    """Value of partition function ``ks[i]`` at ``pts[i]``, for every i."""
+    zero = (0,) * np.shape(pts)[-1]
+    return partition_partials(functions, pts, ks, zero, value=True)[zero]
+
+
 def build_partition(cover: Cover, order: int, weights=None) -> Partition:
     """Partition functions for an accepted cover.
 
@@ -283,8 +458,12 @@ def build_partition(cover: Cover, order: int, weights=None) -> Partition:
         neighbor_sets(cover)
     if weights is None:
         weights = default_weights(order)
-    cutoffs = [Cutoff(tuple(cover.centers[k]),
-                      build_profile(float(cover.rho[k]), order, weights))
+    # one profile per radius: order and weights are the partition's own
+    profiles = {}
+    for rho in cover.rho.tolist():
+        if rho not in profiles:
+            profiles[rho] = build_profile(rho, order, weights)
+    cutoffs = [Cutoff(tuple(cover.centers[k]), profiles[float(cover.rho[k])])
                for k in range(cover.size)]
     functions = []
     for k in range(cover.size):
@@ -312,11 +491,12 @@ def partition_sum(partition: Partition, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
+    zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
-    for fn in partition:
-        mask = fn.cutoff.contains_support(pts)
-        if mask.any():
-            out[mask] += fn.value(pts[mask])
+    for block, inc in incidences(partition.functions, pts, zero):
+        # bincount adds each point's values in pair order, i.e. function order
+        values = inc.partials(inc.fns, inc.rows, value=True)[zero]
+        out[block] = np.bincount(inc.rows, weights=values, minlength=len(inc.pts))
     return out
 
 
@@ -348,21 +528,47 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     grid = np.asarray(grid, dtype=float)
     fam = cover.family.name
     n = cover.level
+    d = cover.dimension
     certs: list[Certificate] = []
 
-    # one pass gives both the sums and each function's range; the additions
-    # run in partition_sum's order, so the sums are bitwise its result
+    # One table of partials at every (grid point, function) pair serves the
+    # sum, range and derivative passes.  Its order-0 entry is the value up
+    # to the sign of a zero (the product rule adds each product to +0.0),
+    # which neither a sum started at +0.0 nor the range's extremes can see.
+    # The derivative pass keeps each function's grid points in its support
+    # box (lo <= x <= hi) and takes max |partial| over them.
+    alphas = indices_up_to_order(d, alpha_max)
+    half = np.array([fn.cutoff.support_halfwidth for fn in partition])
+    peaks = np.zeros((len(partition), len(alphas)))
+    seen = np.zeros(len(partition), dtype=bool)
     sums = np.zeros(len(grid))
-    below = 0.0
-    excess = []
-    for fn in partition:
-        mask = fn.cutoff.contains_support(grid)
-        if mask.any():
-            vals = fn.value(grid[mask])
-            sums[mask] += vals
+    below, top = 0.0, None
+    for block, inc in incidences(partition.functions, grid, (alpha_max,) * d):
+        tables = inc.partials(inc.fns, inc.rows)
+        vals = tables[(0,) * d]
+        # bincount adds each point's values in function order, as
+        # partition_sum does
+        sums[block] = np.bincount(inc.rows, weights=vals, minlength=len(inc.pts))
+        if len(vals):
             below = min(below, float(vals.min()))
-            excess.append(float(vals.max() - 1.0))
-    above = max([float(np.max(sums - 1.0))] + excess)
+            top = float(vals.max()) if top is None else max(top, float(vals.max()))
+        at = inc.pts[inc.rows]
+        lo = cover.centers[inc.fns] - half[inc.fns][:, None]
+        hi = cover.centers[inc.fns] + half[inc.fns][:, None]
+        in_box = np.flatnonzero(((at >= lo) & (at <= hi)).all(axis=1))
+        del at, lo, hi
+        order = in_box[np.argsort(inc.fns[in_box], kind="stable")]
+        fk = inc.fns[order]
+        if len(fk):
+            starts = np.flatnonzero(np.r_[True, fk[1:] != fk[:-1]])
+            fk = fk[starts]
+            seen[fk] = True
+            for j, alpha in enumerate(alphas):
+                peaks[fk, j] = np.maximum(peaks[fk, j], np.maximum.reduceat(
+                    np.abs(tables[alpha][order]), starts))
+    above = float(np.max(sums - 1.0))
+    if top is not None:
+        above = max(above, top - 1.0)
 
     ring_mask = cover.domain.ring(n).contains(grid)
     worst_sum = float(np.abs(sums[ring_mask] - 1.0).max()) if ring_mask.any() else 0.0
@@ -386,20 +592,24 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
 
     # Support: the profile support must sit strictly inside the ball, and
     # evaluation at sup-norm distance >= rho must give exactly zero.
+    ks = np.array([fn.index for fn in partition])
+    eye = np.eye(d)
+    dirs = np.vstack([eye, -eye, np.ones((1, d))])
+    centers = cover.centers[ks][:, None, :]
+    rho = cover.rho[ks][:, None, None]
+    probes = np.concatenate([centers + rho * dirs, centers + 1.5 * rho * dirs],
+                            axis=1)
+    outside = function_values(partition.functions, probes.reshape(-1, d),
+                              np.repeat(ks, probes.shape[1]))
+    outside = outside.reshape(len(ks), -1)
     support_ok = True
     witness = None
-    eye = np.eye(cover.dimension)
-    dirs = np.vstack([eye, -eye, np.ones((1, cover.dimension))])
-    for fn in partition:
+    for fn, vals in zip(partition, outside):
         k = fn.index
-        rho_k = float(cover.rho[k])
-        if not fn.cutoff.support_halfwidth < rho_k:
+        if not fn.cutoff.support_halfwidth < float(cover.rho[k]):
             support_ok = False
             witness = {"center": k, "support_halfwidth": fn.cutoff.support_halfwidth}
             break
-        pts = np.vstack([cover.centers[k] + rho_k * dirs,
-                         cover.centers[k] + 1.5 * rho_k * dirs])
-        vals = fn.value(pts)
         if (vals != 0.0).any():
             support_ok = False
             witness = {"center": k, "nonzero_outside": float(vals.max())}
@@ -414,24 +624,14 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     worst_ratio = 0.0
     tight = None
     r3 = oracle.values(3, cover.centers)
-    for fn in partition:
-        k = fn.index
-        lo = cover.centers[k] - fn.cutoff.support_halfwidth
-        hi = cover.centers[k] + fn.cutoff.support_halfwidth
-        mask = ((grid >= lo) & (grid <= hi)).all(axis=1)
-        local = grid[mask]
-        if len(local) == 0:
-            continue
-        tables = fn.partials_table(local, (alpha_max,) * cover.dimension)
-        for alpha in indices_up_to_order(cover.dimension, alpha_max):
+    for k in np.flatnonzero(seen).tolist():
+        for j, alpha in enumerate(alphas):
             if sum(alpha) == 0:
-                bound = (1.0 / r3[k]) ** cover.dimension
+                bound = (1.0 / r3[k]) ** d
             else:
-                bound = derivative_constant(alpha, cover.dimension,
-                                            partition.weights) * \
-                    (1.0 / r3[k]) ** (cover.dimension + sum(alpha))
-            # the order-0 table is the value: the same products in the same order
-            measured = float(np.abs(tables[alpha]).max())
+                bound = derivative_constant(alpha, d, partition.weights) * \
+                    (1.0 / r3[k]) ** (d + sum(alpha))
+            measured = float(peaks[k, j])
             ratio = measured / bound
             if ratio > worst_ratio:
                 worst_ratio = ratio

@@ -14,12 +14,14 @@ passes only if it holds at both and the integral moved by at most 1%.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import Partition, PartitionFn, derivative_constant
+from .bumps import (Partition, PartitionFn, derivative_constant,
+                    partition_partials)
 from .cover import Cover
 from .domains import Box, ExhaustionDomain, grid_points, mesh_points
 from .errors import TruncationBoxError
@@ -116,14 +118,20 @@ def mixed_partial_many(h: PartitionFn, f: TestFunction, pts,
     if pts.ndim == 1:
         pts = pts[None, :]
     alpha = tuple(int(a) for a in alpha)
-    table = h.partials_table(pts, alpha)
-    total = np.zeros(len(pts))
+    return _leibniz(h.partials_table(pts, alpha),
+                    lambda rest: f.partial(pts, rest), alpha)
+
+
+def _leibniz(table: dict, f_partial, alpha) -> np.ndarray:
+    """Partial alpha of h*f from h's table of partials up to at least alpha
+    and ``f_partial(rest)``, the partial ``rest`` of f at the same points."""
+    total = np.zeros(len(table[alpha]))
     for gamma in indices_below(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma))
         hvals = table[gamma]
         if not hvals.any():
             continue
-        total += multi_binom(alpha, gamma) * hvals * f.partial(pts, rest)
+        total += multi_binom(alpha, gamma) * hvals * f_partial(rest)
     return total
 
 
@@ -202,6 +210,13 @@ def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarra
     return mids[near]
 
 
+def _split_rows(tables: dict, groups: list) -> list[dict]:
+    """Per group of points, its consecutive rows of a partition table."""
+    ends = np.cumsum([len(g) for g in groups]).tolist()
+    return [{beta: vals[end - len(g):end] for beta, vals in tables.items()}
+            for g, end in zip(groups, ends)]
+
+
 def _midpoint_integral(values: np.ndarray, resolution: float,
                        dimension: int) -> float:
     return float(values.sum() * resolution ** dimension)
@@ -227,27 +242,46 @@ def verify_integral_bound(f: TestFunction, partition: Partition, cover: Cover,
     worst_ratio = 0.0
     tight = None
     unstable = None
-    for fn in partition:
-        k = fn.index
+    ks = [fn.index for fn in partition]
+    samples = []
+    for k in ks:
         z = cover.centers[k]
         rho = float(cover.rho[k])
-        axes = [np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho,
-                            points_per_ball) for i in range(d)]
-        pts = mesh_points(axes)
+        samples.append(mesh_points([
+            np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho, points_per_ball)
+            for i in range(d)]))
+    # One partition table at (m,...,m) for every ball's sample points.  A
+    # beta's entry does not depend on the alpha it is computed under, so
+    # each ball's rows serve every alpha with |alpha| <= m.
+    tables = partition_partials(partition.functions, np.concatenate(samples),
+                                np.repeat(ks, [len(p) for p in samples]), (m,) * d)
+    lhs_values = []
+    for pts, table in zip(samples, _split_rows(tables, samples)):
+        f_partial = functools.cache(lambda rest: f.partial(pts, rest))
         lhs = 0.0
         for alpha in indices_up_to_order(d, m):
-            lhs = max(lhs, float(np.abs(
-                mixed_partial_many(fn, f, pts, alpha)).max()))
+            lhs = max(lhs, float(np.abs(_leibniz(table, f_partial, alpha)).max()))
+        lhs_values.append(lhs)
 
-        ball = Box(tuple(z - rho), tuple(z + rho))
-        integrals = []
-        for res in (quad_resolution, quad_resolution / 2.0):
-            mids = grid_points(ball, res) + res / 2.0
-            keep = (mids < np.asarray(ball.upper)).all(axis=1)
-            mids = mids[keep]
-            vals = np.abs(mixed_partial_many(fn, f, mids, m_tilde))
-            integrals.append(_midpoint_integral(vals, res, d))
-        coarse, fine = integrals
+    # Midpoint sums over each outer ball at both resolutions, one partition
+    # table per resolution.
+    integrals = []
+    for res in (quad_resolution, quad_resolution / 2.0):
+        mids = []
+        for k in ks:
+            z = cover.centers[k]
+            rho = float(cover.rho[k])
+            ball = Box(tuple(z - rho), tuple(z + rho))
+            cells = grid_points(ball, res) + res / 2.0
+            mids.append(cells[(cells < np.asarray(ball.upper)).all(axis=1)])
+        tables = partition_partials(partition.functions, np.concatenate(mids),
+                                    np.repeat(ks, [len(p) for p in mids]), m_tilde)
+        integrals.append([
+            _midpoint_integral(np.abs(_leibniz(
+                table, lambda rest: f.partial(pts, rest), m_tilde)), res, d)
+            for pts, table in zip(mids, _split_rows(tables, mids))])
+
+    for k, lhs, coarse, fine in zip(ks, lhs_values, *integrals):
         if abs(fine - coarse) > STABILITY_RTOL * max(abs(fine), 1e-300):
             unstable = {"center": k, "coarse": coarse, "fine": fine}
             break
@@ -415,13 +449,18 @@ class JFunctional:
         out = np.zeros(len(zetas))
         owners = self.cover.core_owners(zetas)
         # the owning centers in increasing order (owners are -1 or a k)
-        for k in np.flatnonzero(np.bincount(owners + 1)[1:]).tolist():
-            idxs = np.flatnonzero(owners == k)
-            sub = zetas[idxs]
-            x = self.maps[k].forward(sub)
-            terms = mixed_partial_many(self.partition[k], self.f, x,
-                                       self.m_tilde)
-            out[idxs] = terms * self.family.nu_at(self.nu_index, sub)
+        ks = np.flatnonzero(np.bincount(owners + 1)[1:]).tolist()
+        if not ks:
+            return out
+        groups = [np.flatnonzero(owners == k) for k in ks]
+        # one partition table for the rescaled points of every core box
+        xs = [self.maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
+        tables = partition_partials(self.partition.functions, np.concatenate(xs),
+                                    owners[np.concatenate(groups)], self.m_tilde)
+        for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
+            terms = _leibniz(table, lambda rest: self.f.partial(x, rest),
+                             self.m_tilde)
+            out[idxs] = terms * self.family.nu_at(self.nu_index, zetas[idxs])
         return out
 
     def active_terms(self, zeta) -> int:

@@ -363,27 +363,35 @@ def export_figures(config: RunConfig, built_cover, partition,
         built_cover.level, max(config.check_resolution * 8,
                                config.candidate_resolution * 4),
         config.truncation)
+    # each cutoff's values at the grid points of its support, cutoff by cutoff
+    rows, ks, values = [], [], []
+    for block, inc in bumps.incidences(partition.functions, grid, (0,) * d):
+        rows.append(inc.rows + block.start)
+        ks.append(inc.fns)
+        values.append(inc.factors[(0,) * d])
+    rows, ks, values = (np.concatenate(a) for a in (rows, ks, values))
     with (out_dir / "cutoffs.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*xs, "k", "value"])
-        for fn in partition:
-            mask = fn.cutoff.contains_support(grid)
-            for x, value in zip(grid[mask], fn.cutoff.value(grid[mask])):
-                writer.writerow([*x.tolist(), fn.index, value])
+        for e in np.argsort(ks, kind="stable").tolist():
+            writer.writerow([*grid[rows[e]].tolist(), ks[e], values[e]])
 
     maps = certify.rescale_maps(built_cover)
+    ks = [fn.index for fn in partition]
+    zetas = []
+    for k in ks:
+        half = built_cover.core_halfwidths[k]
+        z = built_cover.centers[k]
+        axes = [np.linspace(z[i] - half, z[i] + half, 9) for i in range(d)]
+        zetas.append(domains.mesh_points(axes))
+    probes = np.concatenate([maps[k].forward(pts) for k, pts in zip(ks, zetas)])
+    owners = np.repeat(ks, [len(pts) for pts in zetas])
+    values = bumps.function_values(partition.functions, probes, owners)
     with (out_dir / "pullback.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*[f"zeta{i + 1}" for i in range(d)], "k", "value"])
-        for fn in partition:
-            k = fn.index
-            half = built_cover.core_halfwidths[k]
-            z = built_cover.centers[k]
-            axes = [np.linspace(z[i] - half, z[i] + half, 9) for i in range(d)]
-            pts = domains.mesh_points(axes)
-            values = fn.value(maps[k].forward(pts))
-            for zeta, value in zip(pts, values):
-                writer.writerow([*zeta.tolist(), k, value])
+        for zeta, k, value in zip(np.concatenate(zetas), owners.tolist(), values):
+            writer.writerow([*zeta.tolist(), k, value])
 
 
 def shipped_config_path(name: str) -> Path:

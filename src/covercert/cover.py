@@ -20,9 +20,9 @@ from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
-__all__ = ["BucketIndex", "Cover", "build_cover", "verify_covering",
-           "overlap_profile", "neighbor_sets", "without_center",
-           "with_extra_center"]
+__all__ = ["BucketIndex", "Cover", "sup_pairs", "pairs_within", "build_cover",
+           "verify_covering", "overlap_profile", "neighbor_sets",
+           "without_center", "with_extra_center"]
 
 
 class BucketIndex:
@@ -105,54 +105,7 @@ class Cover:
         ``dist`` is the sup-norm distance of each pair.  Callers decide ball
         membership with their own strict inequality on ``dist``.
         """
-        d = self.dimension
-        pts = np.asarray(pts, dtype=float).reshape(-1, d)
-        # A uniform cell grid over the centers only preselects.  The cells
-        # are a little wider than ``reach``, and the widening outweighs the
-        # rounding of the cell coordinates, so every pair within reach lies
-        # in neighbouring cells; membership is decided from the distances,
-        # which are exact (the largest coordinate gap).
-        origin = self.centers.min(axis=0)
-        cell = reach + 1e-9 * (reach + float(np.abs(self.centers).max())) or 1.0
-        center_cells = np.floor((self.centers - origin) / cell).astype(np.int64)
-        top = center_cells.max(axis=0)
-        # far points are clipped to cells that border no center's cell
-        pt_cells = np.clip(np.floor((pts - origin) / cell), -2, top + 2)
-        pt_cells = pt_cells.astype(np.int64)
-
-        # Linear cell keys, one per point and neighbour offset (-1: no
-        # center there).  A prefix that would overflow int64 is first
-        # replaced by its rank among the centers' distinct prefixes.
-        center_keys = np.zeros(len(center_cells), dtype=np.int64)
-        keys = [np.zeros(len(pts), dtype=np.int64)]
-        bound = 1
-        for a in range(d):
-            size = int(top[a]) + 1
-            if bound * size >= 1 << 62:
-                distinct = np.sort(center_keys)
-                distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
-                center_keys = np.searchsorted(distinct, center_keys)
-                keys = [_rank_in(distinct, k) for k in keys]
-                bound = len(distinct)
-            center_keys = center_keys * size + center_cells[:, a]
-            col = pt_cells[:, a]
-            keys = [np.where((k >= 0) & (v >= 0) & (v < size), k * size + v, -1)
-                    for k in keys for v in (col - 1, col, col + 1)]
-            bound *= size
-
-        order = np.argsort(center_keys)
-        center_keys = center_keys[order]
-        keys = np.concatenate(keys)
-        first = np.searchsorted(center_keys, keys, side="left")
-        count = np.searchsorted(center_keys, keys, side="right") - first
-        rows = np.repeat(np.tile(np.arange(len(pts)), 3 ** d), count)
-        cols = order[np.repeat(first - np.cumsum(count) + count, count)
-                     + np.arange(len(rows))]
-        dist = np.abs(pts[rows] - self.centers[cols]).max(axis=1)
-        near = dist <= reach
-        rows, cols, dist = rows[near], cols[near], dist[near]
-        lex = np.lexsort((cols, rows))
-        return rows[lex], cols[lex], dist[lex]
+        return sup_pairs(self.centers, pts, reach)
 
     def core_owners(self, zetas) -> np.ndarray:
         """Per point, the smallest k whose core box contains it, else -1."""
@@ -181,6 +134,99 @@ class Cover:
         for k in range(self.size):
             yield (k, *self.centers[k].tolist(),
                    float(self.rho[k]), float(self.r1[k]))
+
+
+# the most candidate pairs sup_pairs holds at once
+_BLOCK_PAIRS = 1 << 15
+
+
+def sup_pairs(centers: np.ndarray, pts, reach):
+    """Every pair (i, k) with ``|pts[i] - centers[k]|_inf <= reach``.
+
+    ``reach`` is one number, or an array of one reach per center.  Returns
+    ``(rows, cols, dist)`` in lexicographic (i, k) order, where ``dist`` is
+    the sup-norm distance of each pair.  Callers decide ball membership
+    with their own strict inequality on ``dist``.
+    """
+    d = centers.shape[1]
+    pts = np.asarray(pts, dtype=float).reshape(-1, d)
+    reach = np.asarray(reach, dtype=float)
+    # A uniform cell grid over the centers only preselects.  The cells
+    # are a little wider than the widest reach, and the widening outweighs
+    # the rounding of the cell coordinates, so every pair within reach lies
+    # in neighbouring cells; membership is decided from the distances,
+    # which are exact (the largest coordinate gap).
+    origin = centers.min(axis=0)
+    widest = float(reach.max())
+    cell = widest + 1e-9 * (widest + float(np.abs(centers).max())) or 1.0
+    center_cells = np.floor((centers - origin) / cell).astype(np.int64)
+    top = center_cells.max(axis=0)
+    # far points are clipped to cells that border no center's cell
+    pt_cells = np.clip(np.floor((pts - origin) / cell), -2, top + 2)
+    pt_cells = pt_cells.astype(np.int64)
+
+    # Linear cell keys.  A prefix that would overflow int64 is first
+    # replaced by its rank among the centers' distinct prefixes; the
+    # points' keys repeat the same steps.
+    center_keys = np.zeros(len(center_cells), dtype=np.int64)
+    steps = []
+    bound = 1
+    for a in range(d):
+        size = int(top[a]) + 1
+        distinct = None
+        if bound * size >= 1 << 62:
+            distinct = np.sort(center_keys)
+            distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
+            center_keys = np.searchsorted(distinct, center_keys)
+            bound = len(distinct)
+        center_keys = center_keys * size + center_cells[:, a]
+        steps.append((size, distinct))
+        bound *= size
+    order = np.argsort(center_keys)
+    center_keys = center_keys[order]
+
+    def neighbour_keys(cells):
+        """Keys of each point's 3^d neighbour cells, point-major (-1: no
+        center there)."""
+        keys = [np.zeros(len(cells), dtype=np.int64)]
+        for a, (size, distinct) in enumerate(steps):
+            if distinct is not None:
+                keys = [_rank_in(distinct, k) for k in keys]
+            col = cells[:, a]
+            keys = [np.where((k >= 0) & (v >= 0) & (v < size), k * size + v, -1)
+                    for k in keys for v in (col - 1, col, col + 1)]
+        return np.stack(keys, axis=1).ravel()
+
+    # Points go in blocks small enough that their candidate pairs (at most
+    # 3^d times the fullest cell per point) stay under _BLOCK_PAIRS.
+    edges = np.flatnonzero(np.r_[True, center_keys[1:] != center_keys[:-1], True])
+    block = max(1, _BLOCK_PAIRS // (3 ** d * int(np.diff(edges).max())))
+    parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    for lo in range(0, len(pts), block):
+        keys = neighbour_keys(pt_cells[lo:lo + block])
+        first = np.searchsorted(center_keys, keys, side="left")
+        count = np.searchsorted(center_keys, keys, side="right") - first
+        rows = np.repeat(np.arange(lo, lo + len(keys) // 3 ** d),
+                         count.reshape(-1, 3 ** d).sum(axis=1))
+        cols = order[np.repeat(first - np.cumsum(count) + count, count)
+                     + np.arange(len(rows))]
+        rows, cols, dist = pairs_within(centers, pts, rows, cols, reach)
+        # rows ascend already; order each point's centers
+        lex = np.argsort(rows * len(centers) + cols)
+        parts.append((rows[lex], cols[lex], dist[lex]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def pairs_within(centers, pts, rows, cols, reach):
+    """The candidate pairs (``rows``, ``cols``) with ``|pts[i] - centers[k]|_inf
+    <= reach`` (or ``reach[k]``), and their sup-norm distances (the
+    largest coordinate gap, taken one axis at a time)."""
+    reach = np.asarray(reach, dtype=float)
+    dist = np.abs(pts[rows, 0] - centers[cols, 0])
+    for a in range(1, centers.shape[1]):
+        np.maximum(dist, np.abs(pts[rows, a] - centers[cols, a]), out=dist)
+    near = dist <= (reach[cols] if reach.ndim else reach)
+    return rows[near], cols[near], dist[near]
 
 
 def _rank_in(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:

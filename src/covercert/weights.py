@@ -23,7 +23,7 @@ import numpy as np
 
 from .domains import Box, ExhaustionDomain, exhaustion_gap, mesh_points
 from .errors import ConstructionError, IndexCapError
-from .report import FAIL, PASS, Certificate
+from .report import FAIL, INCONCLUSIVE, PASS, Certificate
 
 __all__ = [
     "OMEGA1", "OMEGA2", "OMEGA3",
@@ -809,9 +809,11 @@ def psi_mass_certificate(family: WeightFamily, n: int, box: Box,
                          analytic_tol: float = 0.02) -> Certificate:
     """Riemann-sum convergence check for the integrable majorizer.
 
-    Midpoint sums at two successive resolutions must agree to ``rel_tol``.
-    In one dimension, inverse-polynomial majorizers are also compared with
-    their closed-form integral over the whole line.
+    Midpoint sums at two successive resolutions must agree to ``rel_tol``;
+    when they do not, the quadrature is too coarse to decide and the
+    verdict is inconclusive, with both sums in the details.  In one
+    dimension, a converged sum of an inverse-polynomial majorizer must
+    also match its closed-form integral over the whole line.
     """
     if family.psi is None:
         raise ValueError(f"family {family.name!r} carries no integrable majorizer")
@@ -833,7 +835,7 @@ def psi_mass_certificate(family: WeightFamily, n: int, box: Box,
     coarse = midpoint_sum(resolution)
     fine = midpoint_sum(resolution / 2.0)
     rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-    passed = rel <= rel_tol
+    verdict = PASS if rel <= rel_tol else INCONCLUSIVE
     details: dict = {"coarse": coarse, "fine": fine, "relative_change": rel}
 
     if family.psi_form and family.psi_form[0] == "inverse_poly" \
@@ -843,12 +845,13 @@ def psi_mass_certificate(family: WeightFamily, n: int, box: Box,
         details["analytic_line_integral"] = exact
         analytic_rel = abs(fine - exact) / exact
         details["analytic_relative_error"] = analytic_rel
-        passed = passed and analytic_rel <= analytic_tol
+        if verdict == PASS and analytic_rel > analytic_tol:
+            verdict = FAIL
 
     return Certificate(
         name=f"psi_mass[{family.name},n={n}]",
         claim="weights.psi_integrable",
-        verdict=PASS if passed else FAIL,
+        verdict=verdict,
         measured=fine,
         resolutions={"resolution": resolution, "refined": resolution / 2.0},
         details=details,

@@ -12,8 +12,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
+from covercert.bumps import derivative_constant
 from covercert.domains import mesh_points
-from covercert.multiindex import indices_below, multi_binom
+from covercert.errors import SmoothnessOrderError
+from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
 
@@ -383,3 +385,102 @@ def partials_table(fn, pts, alpha):
         full[mask] = acc[beta]
         out[beta] = full
     return out
+
+
+def fn_value(fn, x):
+    """PartitionFn.value as the per-function loop computed it."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 1
+    pts = x[None, :] if scalar else x
+    out = fn.cutoff.value(pts)
+    live = out != 0.0
+    for _, blocker in fn.blockers:
+        mask = live & blocker.contains_support(pts)
+        if mask.any():
+            out[mask] = out[mask] * (1.0 - blocker.value(pts[mask]))
+    return float(out[0]) if scalar else out
+
+
+def fn_partials_table(fn, pts, alpha):
+    """PartitionFn.partials_table as the per-function loop computed it."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    alpha = tuple(int(a) for a in alpha)
+    budget = fn.cutoff.profile.order - 1
+    if any(a > budget for a in alpha):
+        raise SmoothnessOrderError(
+            f"component of {alpha} exceeds per-axis budget {budget}")
+    betas = indices_below(alpha)
+    zeros = np.zeros(len(pts))
+    mask = fn.cutoff.contains_support(pts)
+    if not mask.any():
+        return {beta: zeros for beta in betas}
+    sub = pts[mask]
+
+    acc = fn.cutoff.partials_table(sub, alpha)
+    for _, blocker in fn.blockers:
+        bmask = blocker.contains_support(sub)
+        if not bmask.any():
+            continue    # complement is identically 1 there
+        pts_b = sub[bmask]
+        vals = blocker.partials_table(pts_b, alpha)
+        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
+             for beta in betas}
+        new = {}
+        for beta in betas:
+            total = np.zeros(len(pts_b))
+            for gamma in indices_below(beta):
+                rest = tuple(b - g for b, g in zip(beta, gamma))
+                total += multi_binom(beta, gamma) * acc[gamma][bmask] * t[rest]
+            new[beta] = total
+        for beta in betas:
+            acc[beta][bmask] = new[beta]
+    out = {}
+    for beta in betas:
+        full = zeros.copy()
+        full[mask] = acc[beta]
+        out[beta] = full
+    return out
+
+
+def partition_sum(partition, pts):
+    """partition_sum as the per-function loop computed it."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    out = np.zeros(len(pts))
+    for fn in partition:
+        mask = fn.cutoff.contains_support(pts)
+        if mask.any():
+            out[mask] += fn_value(fn, pts[mask])
+    return out
+
+
+def derivative_pass(partition, cover, oracle, alpha_max, grid):
+    """certify_partition's derivative pass as the per-function loop ran it:
+    the worst measured/bound ratio and its witness."""
+    worst_ratio, tight = 0.0, None
+    r3 = oracle.values(3, cover.centers)
+    for fn in partition:
+        k = fn.index
+        lo = cover.centers[k] - fn.cutoff.support_halfwidth
+        hi = cover.centers[k] + fn.cutoff.support_halfwidth
+        local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
+        if len(local) == 0:
+            continue
+        tables = fn_partials_table(fn, local, (alpha_max,) * cover.dimension)
+        for alpha in indices_up_to_order(cover.dimension, alpha_max):
+            if sum(alpha) == 0:
+                bound = (1.0 / r3[k]) ** cover.dimension
+            else:
+                bound = derivative_constant(alpha, cover.dimension,
+                                            partition.weights) * \
+                    (1.0 / r3[k]) ** (cover.dimension + sum(alpha))
+            measured = float(np.abs(tables[alpha]).max())
+            ratio = measured / bound
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                tight = {"center": k, "alpha": list(alpha),
+                         "measured": measured, "bound": bound}
+    return worst_ratio, tight

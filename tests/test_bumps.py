@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from covercert import (Box, SmoothnessOrderError, build_cover,
-                       build_partition, build_profile, certify_partition,
+from covercert import bumps
+from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
+                       build_cover, build_partition, build_profile,
+                       certify_partition, constant_exhaustion,
                        constant_weight_family, derivative_constant,
                        default_weights, eval_partial, expanding_boxes,
                        partition_sum)
-from covercert.bumps import Cutoff
+from covercert.bumps import (BumpProfile, Cutoff, Incidence, Partition,
+                             PartitionFn, function_values)
 from covercert.multiindex import indices_below
+from covercert.piecewise import PiecewisePoly
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +24,183 @@ def line_setup():
     cover = build_cover(fam, dom, 1, 1e-2, box=Box((-1.0,), (1.0,)))
     partition = build_partition(cover, order=6)
     return dom, fam, cover, partition
+
+
+@pytest.fixture(scope="module")
+def square_setup():
+    # boundary weights on the unit square: 25 balls at 5 distinct radii,
+    # up to 24 blockers per partition function
+    dom = constant_exhaustion(BoxRegion(Box((0.0, 0.0), (1.0, 1.0))))
+    fam = boundary_family(dom)
+    cover = build_cover(fam, dom, 1, 0.01, box=Box((0.2, 0.2), (0.45, 0.45)))
+    partition = build_partition(cover, order=5)
+    return dom, fam, cover, partition
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@st.composite
+def partitions_and_points(draw):
+    """Partition functions on a coarse lattice of centers, and points
+    inside, outside and on the faces of their supports."""
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(3, 6))
+    count = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.integers(2, 10), min_size=1, max_size=3))
+    shared = draw(st.booleans())
+    scales = [draw(st.sampled_from(pool) if shared else st.integers(2, 10)) / 16.0
+              for _ in range(count)]
+    centers = [tuple(draw(st.integers(0, 16)) / 16.0 for _ in range(d))
+               for _ in range(count)]
+    profiles = {r: build_profile(r, order) for r in set(scales)}
+    cutoffs = [Cutoff(c, profiles[r]) for c, r in zip(centers, scales)]
+    reverse = draw(st.booleans())
+    functions = []
+    for k, cut in enumerate(cutoffs):
+        earlier = [(m, cutoffs[m]) for m in range(k)
+                   if max(abs(a - b) for a, b in zip(centers[m], cut.center))
+                   < scales[m] + scales[k]]
+        if reverse:     # blocker order is the function's own, not by index
+            earlier.reverse()
+        functions.append(PartitionFn(index=k, cutoff=cut, blockers=tuple(earlier)))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = [rng.uniform(-0.5, 1.5, size=(40, d))]
+    for cut in cutoffs:
+        h = cut.support_halfwidth
+        face = np.asarray(cut.center) + rng.uniform(-h, h, size=(2 * d, d))
+        for a in range(d):
+            face[2 * a, a] = cut.center[a] + h
+            face[2 * a + 1, a] = cut.center[a] - h
+        pts.append(face)
+        pts.append(np.asarray(cut.center)[None, :] + h)     # a corner
+    alpha = tuple(draw(st.integers(0, min(2, order - 1))) for _ in range(d))
+    return functions, np.concatenate(pts), alpha
+
+
+class TestIncidenceEngine:
+    """The engine against the per-function loops it replaced, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(partitions_and_points())
+    def test_wrappers_match_per_function_loops(self, case):
+        functions, pts, alpha = case
+        for fn in functions:
+            assert_bitwise(fn.value(pts), oracles.fn_value(fn, pts))
+            table = fn.partials_table(pts, alpha)
+            expected = oracles.fn_partials_table(fn, pts, alpha)
+            assert list(table) == list(expected)
+            for beta in expected:
+                assert_bitwise(table[beta], expected[beta])
+        partition = Partition(functions, order=functions[0].cutoff.profile.order,
+                              weights=(), cover=None)
+        assert_bitwise(partition_sum(partition, pts),
+                       oracles.partition_sum(partition, pts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(partitions_and_points())
+    def test_shared_incidence_matches_per_function_loops(self, case):
+        functions, pts, alpha = case
+        inc = Incidence(functions, pts, alpha)
+        ks = np.repeat(np.arange(len(functions)), len(pts))
+        idx = np.tile(np.arange(len(pts)), len(functions))
+        table = inc.partials(ks, idx)
+        values = inc.partials(ks, idx, value=True)[(0,) * len(alpha)]
+        for k, fn in enumerate(functions):
+            rows = slice(k * len(pts), (k + 1) * len(pts))
+            expected = oracles.fn_partials_table(fn, pts, alpha)
+            for beta in expected:
+                assert_bitwise(table[beta][rows], expected[beta])
+            assert_bitwise(values[rows], oracles.fn_value(fn, pts))
+        owners = np.arange(len(pts)) % len(functions)
+        assert_bitwise(function_values(functions, pts, owners),
+                       [oracles.fn_value(functions[k], p)
+                        for k, p in zip(owners, pts)])
+
+    def test_real_partition_with_many_blockers(self, square_setup):
+        dom, _, cover, partition = square_setup
+        pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
+        assert max(len(fn.blockers) for fn in partition) >= 2
+        assert_bitwise(partition_sum(partition, pts),
+                       oracles.partition_sum(partition, pts))
+        for fn in partition:
+            assert_bitwise(fn.value(pts), oracles.fn_value(fn, pts))
+            table = fn.partials_table(pts, (2, 2))
+            expected = oracles.fn_partials_table(fn, pts, (2, 2))
+            for beta in expected:
+                assert_bitwise(table[beta], expected[beta])
+
+    def test_value_keeps_the_sign_of_a_zero(self):
+        # A negative cutoff value times the complement of a blocker that is
+        # exactly one there: the value's plain product gives -0.0, the
+        # product rule's sum from +0.0 gives +0.0.
+        def flat(level):
+            poly = PiecewisePoly(np.array([-0.5, 0.5]), np.array([[level]]))
+            return BumpProfile(scale=0.5, order=1, weights=(1.0,), widths=(0.0,),
+                               inner_halfwidth=0.5, polys=(poly,))
+
+        blocker = Cutoff((0.1,), flat(1.0))
+        fn = PartitionFn(index=1, cutoff=Cutoff((0.0,), flat(-1.0)),
+                         blockers=((0, blocker),))
+        x = np.array([[0.2], [0.7]])
+        assert_bitwise(fn.value(x), np.array([-0.0, 0.0]))
+        assert_bitwise(fn.value(x), oracles.fn_value(fn, x))
+        assert_bitwise(fn.partials_table(x, (0,))[(0,)], np.array([0.0, 0.0]))
+        assert_bitwise(fn.partials_table(x, (0,))[(0,)],
+                       oracles.fn_partials_table(fn, x, (0,))[(0,)])
+
+    def test_blocks_do_not_change_values(self, square_setup, monkeypatch):
+        dom, _, cover, partition = square_setup
+        grid = dom.sample_ring(1, 0.004, cover.box)
+        owners = np.arange(len(grid)) % len(partition)
+
+        def readings():
+            certs = certify_partition(partition, cover, cover.oracle, 2, grid)
+            return ([c.as_dict() for c in certs], partition_sum(partition, grid),
+                    function_values(partition.functions, grid, owners))
+
+        whole = readings()
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 16)
+        assert len(list(bumps.incidences(partition.functions, grid, (0, 0)))) > 20
+        blocked = readings()
+        assert blocked[0] == whole[0]
+        assert_bitwise(blocked[1], whole[1])
+        assert_bitwise(blocked[2], whole[2])
+
+    def test_empty_point_sets_give_empty_results(self, square_setup):
+        _, _, _, partition = square_setup
+        empty = np.empty((0, 2))
+        fn = partition[7]
+        assert fn.value(empty).shape == (0,)
+        assert all(v.shape == (0,) for v in fn.partials_table(empty, (2, 1)).values())
+        assert partition_sum(partition, empty).shape == (0,)
+        inc = Incidence(partition.functions, empty, (1, 1))
+        assert len(inc.rows) == 0
+        table = inc.partials([], [])
+        assert list(table) == indices_below((1, 1))
+        assert all(vals.shape == (0,) for vals in table.values())
+
+    def test_points_outside_every_support_give_zeros(self, square_setup):
+        _, _, cover, partition = square_setup
+        far = np.array([[3.0, 3.0], [-2.0, 0.3], [0.3, 5.0]])
+        assert_bitwise(partition_sum(partition, far), np.zeros(3))
+        for fn in partition:
+            assert_bitwise(fn.value(far), np.zeros(3))
+            for vals in fn.partials_table(far, (2, 2)).values():
+                assert_bitwise(vals, np.zeros(3))
+
+    def test_order_beyond_budget_raises(self, square_setup):
+        _, _, _, partition = square_setup
+        for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
+            with pytest.raises(SmoothnessOrderError):
+                Incidence(partition.functions, pts, (5, 0))
+            with pytest.raises(SmoothnessOrderError):
+                partition[3].partials_table(pts, (0, 5))
 
 
 class TestProfile:
@@ -130,6 +313,19 @@ class TestPartition:
         assert sums.max() <= 1.0 + 1e-12
         assert sums.min() >= -1e-12
 
+    def test_one_profile_per_radius(self, square_setup):
+        _, _, cover, partition = square_setup
+        profiles = {id(fn.cutoff.profile): fn.cutoff.profile for fn in partition}
+        assert len(profiles) == len(set(cover.rho.tolist())) < len(partition)
+        for fn in partition:
+            assert fn.cutoff.profile.scale == float(cover.rho[fn.index])
+        for profile in profiles.values():
+            fresh = build_profile(profile.scale, partition.order, partition.weights)
+            assert len(profile.polys) == len(fresh.polys)
+            for shared, own in zip(profile.polys, fresh.polys):
+                assert shared.knots.tobytes() == own.knots.tobytes()
+                assert shared.coeffs.tobytes() == own.coeffs.tobytes()
+
     def test_blockers_only_earlier_neighbors(self, line_setup):
         _, _, cover, partition = line_setup
         for fn in partition:
@@ -225,6 +421,29 @@ class TestCertifyPartition:
         assert tight["measured"] == float(np.abs(fn.value(local)).max())
         assert tight["measured"] == pytest.approx(1.0, abs=1e-12)
         assert tight["bound"] == 2.0
+
+    def test_passes_match_per_function_loops(self, square_setup):
+        dom, _, cover, partition = square_setup
+        grid = dom.sample_ring(1, 0.004, cover.box)
+        certs = {c.claim: c for c in
+                 certify_partition(partition, cover, cover.oracle, 2, grid)}
+        sums = oracles.partition_sum(partition, grid)
+        ring = dom.ring(1).contains(grid)
+        assert certs["partition.sum_to_one"].measured == \
+            float(np.abs(sums[ring] - 1.0).max())
+        below, excess = 0.0, []
+        for fn in partition:
+            vals = oracles.fn_value(fn, grid[fn.cutoff.contains_support(grid)])
+            if len(vals):
+                below = min(below, float(vals.min()))
+                excess.append(float(vals.max() - 1.0))
+        above = max([float(np.max(sums - 1.0))] + excess)
+        assert certs["partition.range"].details == {"min_value": below,
+                                                    "max_excess": above}
+        ratio, tight = oracles.derivative_pass(partition, cover, cover.oracle,
+                                               2, grid)
+        assert certs["partition.derivative_bound"].measured == ratio
+        assert certs["partition.derivative_bound"].details == tight
 
     def test_derivative_constant_formula(self):
         w = default_weights(4)

@@ -1,0 +1,113 @@
+"""Byte identity of whole runs: SHA-256 digests of every file a run writes.
+
+The digests below were recorded from the code before the incidence-driven
+partition engine replaced the per-function partition loops; a refactor
+that keeps every value bitwise equal keeps every digest.  ``report.json``
+is digested without its ``generated_at`` line, the one field that changes
+from run to run.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from covercert.cli import main, shipped_config_path
+
+# boundary_d2 on a small truncation box: a d=2 partition with many blockers
+SMALL_D2 = {
+    "name": "small_d2",
+    "domain": {"kind": "bounded_box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "family": {"kind": "boundary"},
+    "n": 1,
+    "m": 1,
+    "smoothness_order": 6,
+    "alpha_max": 2,
+    "offset_count": 5,
+    "tolerance": 1e-9,
+    "truncation": {"lower": [0.2, 0.2], "upper": [0.45, 0.45]},
+    "resolutions": {"candidate": 0.01, "check": 0.01, "quadrature": 0.01},
+    "suite": ["omega", "psi", "radii", "cover", "partition"],
+    "figures": True,
+}
+
+FILES = ("stdout", "report.json", "cover.csv", "cutoffs.csv", "pullback.csv")
+
+GOLDEN = {
+    "boundary_d1": {
+        "stdout":
+            "ab0a5b19bb3c7ce5972dba3fd876afb2bb19a59f63d2708238f6ff10a6ff4274",
+        "report.json":
+            "3942b78987d52df55539693ff443ecb4a81c2ee2df164b2c9cb380b422fd8f89",
+        "cover.csv":
+            "8257db85055e4b68ddb4adf171035906f9208cee1745d0fd10a3cc860377c50e",
+        "cutoffs.csv":
+            "48370b7b9fbe977588d22db4420abc3c0c0b9c1c8a5ca8b78e402adfbd9f118a",
+        "pullback.csv":
+            "0733bba2b7f66f7a091f53980aabdf40b7b1b56f5aee1e71b25297f80d6a1552",
+    },
+    "schwartz_d1": {
+        "stdout":
+            "f811d990df890e82cc6f19839bafe6329ad5bd1b20f685244533c969154abf1a",
+        "report.json":
+            "8d86f280bf1da7eb7704586c27a9e42f46aa4c7ef1dd78088245d905207ca0f0",
+        "cover.csv":
+            "e9c5bd4dfb539aeb51df43c7a2612922c86ab04ed8c2d7e7d9f266007accf0fe",
+        "cutoffs.csv":
+            "2e80a50db1dd87433c9e887da6b96c8246c91e6321be89491a942f371820a56c",
+        "pullback.csv":
+            "08ec0b8694815d306b0bd510a6e20945e510aad926eba7d7a5e6312b98c3ba6d",
+    },
+    "unit_weights_d1": {
+        "stdout":
+            "9de7a2ce50c25b285c96147ef7c4391fc1091afdd4774733ca7da91bb6ebf9d5",
+        "report.json":
+            "05ebdf9096f1e5371849cd8c0184dbc077fc6680dd46588bce21036e68cc87df",
+        "cover.csv":
+            "492bfece185d23bba23588486000b2e79b81073fd603174189267223923c580f",
+        "cutoffs.csv":
+            "8e5be8bba65ac71f24bcfb12c862bd59c5e8fd5c004bf682b23e08ad63090e61",
+        "pullback.csv":
+            "d497a0dd1860ae37f99406158159ac8593cad64f9dcc09560703c6b96db802a2",
+    },
+    "small_d2": {
+        "stdout":
+            "992d7062b89f12d06e00be34453af0810a1eaeca110832add540f3c885282ff5",
+        "report.json":
+            "577eb173c56f710024918836b27a87895a90362e2c6f6c6dcbc44ac11ff7c166",
+        "cover.csv":
+            "c252ef5150cae1b96cb9c6fdbd53d0dfa38f6e201a5828bf5e0eebc0a3ef0bb1",
+        "cutoffs.csv":
+            "70aba36f0e3711869258073c905323c65d14032e4a582d1ca6fd6da3f4b46912",
+        "pullback.csv":
+            "3a2a9e5c5e026ecb64c648a0d63931662cdf1fab732e22ea49e1239e7f5815b6",
+    },
+}
+
+
+def run_digests(name: str, tmp_path) -> dict:
+    out = tmp_path / name
+    if name == "small_d2":
+        config = tmp_path / "small_d2.json"
+        config.write_text(json.dumps(SMALL_D2))
+    else:
+        config = shipped_config_path(f"{name}.json")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["--config", str(config), "--out", str(out)])
+    assert code == 0
+    report = "".join(line for line in
+                     (out / "report.json").read_text().splitlines(keepends=True)
+                     if '"generated_at"' not in line)
+    blobs = {"stdout": stdout.getvalue().encode(),
+             "report.json": report.encode()}
+    for f in FILES[2:]:
+        blobs[f] = (out / f).read_bytes()
+    return {f: hashlib.sha256(blobs[f]).hexdigest() for f in FILES}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_is_byte_identical(name, tmp_path):
+    assert run_digests(name, tmp_path) == GOLDEN[name]

@@ -280,6 +280,26 @@ class TestPsiMass:
         cert = psi_mass_certificate(fam, 2, Box((0.0,), (1.0,)), 0.01)
         assert cert.verdict == "pass"
 
+    def test_unconverged_sums_are_inconclusive(self, line):
+        # cells of width 10 and 5 cannot resolve 1/(1+x^2): the two sums
+        # differ by far more than 1%, so nothing is decided either way
+        fam = schwartz_family(line)
+        cert = psi_mass_certificate(fam, 1, Box((-200.0,), (200.0,)), 10.0)
+        assert cert.verdict == "inconclusive"
+        coarse, fine = cert.details["coarse"], cert.details["fine"]
+        assert cert.details["relative_change"] == pytest.approx(
+            abs(fine - coarse) / fine)
+        assert cert.details["relative_change"] > 0.01
+        assert cert.measured == fine
+
+    def test_converged_sum_missing_line_integral_fails(self, line):
+        # on [-5, 5] the sum converges, but the tails beyond hold 12% of pi
+        fam = schwartz_family(line)
+        cert = psi_mass_certificate(fam, 1, Box((-5.0,), (5.0,)), 0.05)
+        assert cert.details["relative_change"] <= 0.01
+        assert cert.details["analytic_relative_error"] > 0.02
+        assert cert.verdict == "fail"
+
 
 class TestClassify:
     def test_constant_radii_give_s1(self, line):
