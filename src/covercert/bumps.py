@@ -357,7 +357,10 @@ class Incidence:
         """Partials beta <= alpha of function ``ks[r]`` at point ``idx[r]``.
 
         Returns a dict mapping each beta to one value per row, zero where
-        the point is outside the function's own support.  With ``value``
+        the point is outside the function's own support.  An incidence
+        built with ``owners`` holds only the pairs of the rows
+        ``(owners[i], i)``, so those are the rows it can evaluate.  With
+        ``value``
         only the order-0 entry is formed, in ``PartitionFn.value``'s
         arithmetic: the cutoff's value at every row, then the complements
         applied by plain products to the rows where that value is nonzero.
