@@ -11,9 +11,9 @@ from .certify import (JFunctional, RescaleMap, ball_weight_constant,
                       mixed_partial, seminorm, union_cell_midpoints,
                       verify_ball_weight_bound, verify_disjoint_supports,
                       verify_integral_bound)
-from .cover import (BucketIndex, Cover, build_cover, chain_certificate,
-                    neighbor_sets, overlap_profile, separation_holds,
-                    verify_covering, with_extra_center, without_center)
+from .cover import (Cover, build_cover, chain_certificate, neighbor_sets,
+                    overlap_profile, separation_holds, verify_covering,
+                    with_extra_center, without_center)
 from .domains import (Box, BoxRegion, DistanceRegion, ExhaustionDomain,
                       FullSpace, Region, constant_exhaustion,
                       dist_inf_boundary, exhaustion_gap, expanding_boxes,

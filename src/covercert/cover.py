@@ -4,12 +4,13 @@ Centers are selected greedily from a lattice in lexicographic order; a
 candidate is accepted when it keeps sup-norm distance at least half the
 depth-1 radius of both endpoints to every accepted center.  Maximality is
 relative to the candidate lattice and the lattice resolution is carried on
-the result.
+the result.  Each accepted center blocks its later conflicts in one array
+pass, and every certificate asks its sup-norm questions through one batch
+query on a uniform cell grid (``sup_pairs``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,53 +21,9 @@ from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
-__all__ = ["BucketIndex", "Cover", "sup_pairs", "pairs_within", "build_cover",
-           "verify_covering", "overlap_profile", "neighbor_sets",
+__all__ = ["Cover", "sup_pairs", "pairs_within", "greedy_packing",
+           "build_cover", "verify_covering", "overlap_profile", "neighbor_sets",
            "without_center", "with_extra_center"]
-
-
-class BucketIndex:
-    """Uniform bucket grid over points for fixed-radius sup-norm queries."""
-
-    def __init__(self, origin, cell: float, dimension: int):
-        if cell <= 0:
-            raise ValueError("cell size must be positive")
-        self.origin = tuple(float(v) for v in origin)
-        self.cell = float(cell)
-        self.dimension = dimension
-        self.points: list[tuple[float, ...]] = []
-        self.buckets: dict[tuple[int, ...], list[int]] = {}
-
-    def key(self, p) -> tuple[int, ...]:
-        return tuple(int(math.floor((p[i] - self.origin[i]) / self.cell))
-                     for i in range(self.dimension))
-
-    def insert(self, p) -> int:
-        idx = len(self.points)
-        self.points.append(tuple(float(v) for v in p))
-        self.buckets.setdefault(self.key(p), []).append(idx)
-        return idx
-
-    def near(self, p, radius: float):
-        """Indices of stored points in buckets touching the query box."""
-        reach = int(math.ceil(radius / self.cell + 1e-12))
-        center = self.key(p)
-        if self.dimension == 1:
-            (c0,) = center
-            for i in range(c0 - reach, c0 + reach + 1):
-                yield from self.buckets.get((i,), ())
-        elif self.dimension == 2:
-            c0, c1 = center
-            for i in range(c0 - reach, c0 + reach + 1):
-                for j in range(c1 - reach, c1 + reach + 1):
-                    yield from self.buckets.get((i, j), ())
-        else:
-            ranges = [range(c - reach, c + reach + 1) for c in center]
-            stack = [()]
-            for rng in ranges:
-                stack = [pre + (i,) for pre in stack for i in rng]
-            for cell in stack:
-                yield from self.buckets.get(cell, ())
 
 
 @dataclass
@@ -235,34 +192,43 @@ def _rank_in(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(distinct[np.minimum(at, len(distinct) - 1)] == keys, at, -1)
 
 
-def _greedy_bucket(candidates: np.ndarray, r1: np.ndarray, box: Box) -> list[int]:
-    min_sep = float(r1.min()) / 2.0
-    max_sep = float(r1.max()) / 2.0
-    index = BucketIndex(box.lower, min_sep, candidates.shape[1])
+def greedy_packing(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
+    """Indices of the sequential greedy packing of ``candidates``.
+
+    Candidate i is accepted when no accepted j < i conflicts with it, a
+    conflict being ``dist < max(r1[i], r1[j]) / 2`` with ``dist`` the sup-norm
+    distance (the largest coordinate gap, taken one axis at a time).  Each
+    acceptance blocks every later candidate it conflicts with in one array
+    pass, so the loop runs once per accepted center.
+
+    When the first coordinates ascend, as in lexicographic order, the later
+    conflicts of candidate j lie in the window of first coordinates up to
+    ``candidates[j, 0] + max(r1) / 2`` (widened as ``sup_pairs`` widens its
+    cells); otherwise every later candidate is tested.
+    """
+    n, d = candidates.shape
+    col0 = candidates[:, 0]
+    if np.all(col0[1:] >= col0[:-1]):
+        half = float(r1.max()) / 2.0
+        reach = half + 1e-9 * (half + float(np.abs(col0).max()))
+        # the window ends ascend, so nothing at or past ends[j] is blocked yet
+        ends = np.searchsorted(col0, col0 + reach, side="right")
+    else:
+        ends = np.full(n, n)
+    blocked = np.zeros(n, dtype=bool)
     accepted: list[int] = []
-    acc_r1: list[float] = []
-    pts = [tuple(row) for row in candidates]
-    r1_list = [float(v) for v in r1]
-    dim = candidates.shape[1]
-    for i, p in enumerate(pts):
-        ri = r1_list[i]
-        ok = True
-        for j in index.near(p, max_sep):
-            q = index.points[j]
-            dist = abs(p[0] - q[0])
-            for t in range(1, dim):
-                dt = abs(p[t] - q[t])
-                if dt > dist:
-                    dist = dt
-            rj = acc_r1[j]
-            threshold = (ri if ri > rj else rj) / 2.0
-            if dist < threshold:
-                ok = False
-                break
-        if ok:
-            index.insert(p)
-            accepted.append(i)
-            acc_r1.append(ri)
+    j = 0
+    while j < n:
+        accepted.append(j)
+        lo = j + 1
+        hi = max(lo, int(ends[j]))     # radii <= 0 give empty windows
+        dist = np.abs(candidates[lo:hi, 0] - candidates[j, 0])
+        for a in range(1, d):
+            np.maximum(dist, np.abs(candidates[lo:hi, a] - candidates[j, a]),
+                       out=dist)
+        blocked[lo:hi] |= dist < np.maximum(r1[lo:hi], r1[j]) / 2.0
+        rest = blocked[lo:hi]
+        j = hi if rest.all() else lo + int(np.argmin(rest))
     return accepted
 
 
@@ -297,7 +263,7 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
             f"candidate resolution {candidate_resolution} must be below a "
             f"quarter of the smallest depth-1 radius {min_r1}")
 
-    chosen = _greedy_bucket(candidates, r1, box)
+    chosen = greedy_packing(candidates, r1)
     centers = candidates[chosen]
     rho = np.asarray(family.radius(n, centers), dtype=float)
     return Cover(level=n, centers=centers, rho=rho, r1=r1[chosen],
@@ -315,15 +281,15 @@ def verify_covering(cover: Cover, grid: np.ndarray) -> Certificate:
     covered[rows[dist < inner[cols]]] = True
     uncovered = None if covered.all() else grid[np.argmin(covered)].tolist()
 
-    outer_ring = cover.domain.ring(cover.level + 1)
-    escape = None
-    for k in range(cover.size):
-        lo = cover.centers[k] - cover.rho[k]
-        hi = cover.centers[k] + cover.rho[k]
-        corners = Box(tuple(lo), tuple(hi)).corners()
-        if not outer_ring.contains(corners).all():
-            escape = {"center": int(k), "corner_outside": True}
-            break
+    # the 2^d corners of every outer ball, center by center
+    d = cover.dimension
+    upper = np.indices((2,) * d).reshape(d, -1).T == 1
+    c, rho = cover.centers[:, None, :], cover.rho[:, None, None]
+    corners = np.where(upper, c + rho, c - rho).reshape(-1, d)
+    inside = cover.domain.ring(cover.level + 1).contains(corners)
+    escaped = np.flatnonzero(~inside.reshape(cover.size, 2 ** d).all(axis=1))
+    escape = ({"center": int(escaped[0]), "corner_outside": True}
+              if len(escaped) else None)
 
     passed = uncovered is None and escape is None
     details: dict = {"centers": cover.size, "grid_points": int(len(grid))}

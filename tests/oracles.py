@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from covercert.bumps import derivative_constant
-from covercert.domains import mesh_points
+from covercert.domains import Box, mesh_points
 from covercert.errors import SmoothnessOrderError
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
@@ -37,6 +37,68 @@ def greedy_naive(candidates, r1):
     return accepted
 
 
+class BucketIndex:
+    """Uniform bucket grid over points for fixed-radius sup-norm queries."""
+
+    def __init__(self, origin, cell: float, dimension: int):
+        if cell <= 0:
+            raise ValueError("cell size must be positive")
+        self.origin = tuple(float(v) for v in origin)
+        self.cell = float(cell)
+        self.dimension = dimension
+        self.points: list[tuple[float, ...]] = []
+        self.buckets: dict[tuple[int, ...], list[int]] = {}
+
+    def key(self, p) -> tuple[int, ...]:
+        return tuple(int(math.floor((p[i] - self.origin[i]) / self.cell))
+                     for i in range(self.dimension))
+
+    def insert(self, p) -> int:
+        idx = len(self.points)
+        self.points.append(tuple(float(v) for v in p))
+        self.buckets.setdefault(self.key(p), []).append(idx)
+        return idx
+
+    def near(self, p, radius: float):
+        """Indices of stored points in buckets touching the query box."""
+        reach = int(math.ceil(radius / self.cell + 1e-12))
+        ranges = [range(c - reach, c + reach + 1) for c in self.key(p)]
+        stack = [()]
+        for rng in ranges:
+            stack = [pre + (i,) for pre in stack for i in rng]
+        for cell in stack:
+            yield from self.buckets.get(cell, ())
+
+
+def greedy_bucket(candidates, r1, origin):
+    """Greedy packing, one candidate at a time against a bucket index of
+    the accepted centers (cells of half the smallest radius from ``origin``)."""
+    index = BucketIndex(origin, float(np.min(r1)) / 2.0, candidates.shape[1])
+    max_sep = float(np.max(r1)) / 2.0
+    accepted = []
+    acc_r1 = []
+    for i in range(len(candidates)):
+        p = tuple(float(v) for v in candidates[i])
+        ri = float(r1[i])
+        ok = True
+        for j in index.near(p, max_sep):
+            q = index.points[j]
+            dist = abs(p[0] - q[0])
+            for t in range(1, len(p)):
+                dt = abs(p[t] - q[t])
+                if dt > dist:
+                    dist = dt
+            rj = acc_r1[j]
+            if dist < (ri if ri > rj else rj) / 2.0:
+                ok = False
+                break
+        if ok:
+            index.insert(p)
+            accepted.append(i)
+            acc_r1.append(ri)
+    return accepted
+
+
 def separation_witness(cover):
     """First pair k < j closer than half the larger depth-1 radius, or None."""
     for k in range(cover.size):
@@ -44,6 +106,18 @@ def separation_witness(cover):
             dist = float(np.abs(cover.centers[k] - cover.centers[j]).max())
             if dist < max(cover.r1[k], cover.r1[j]) / 2.0:
                 return (k, j)
+    return None
+
+
+def ball_escape_witness(cover):
+    """First center whose outer ball has a corner outside the next ring, as
+    the covering certificate reports it, or None."""
+    ring = cover.domain.ring(cover.level + 1)
+    for k in range(cover.size):
+        lo = cover.centers[k] - cover.rho[k]
+        hi = cover.centers[k] + cover.rho[k]
+        if not ring.contains(Box(tuple(lo), tuple(hi)).corners()).all():
+            return {"center": k, "corner_outside": True}
     return None
 
 

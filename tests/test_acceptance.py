@@ -361,12 +361,12 @@ def test_criterion_8_determinism_and_performance(tmp_path):
                                    np.full(len(candidates), fast.r1[0]))]
     t_slow = time.perf_counter() - t0
     if not np.array_equal(fast.centers, slow):
-        problems.append("bucket-index greedy deviates from the naive reference")
+        problems.append("greedy packing deviates from the naive reference")
     speedup = t_slow / t_fast
     if speedup < 5.0:
         problems.append(f"speedup {speedup:.1f}x < 5x "
-                        f"(bucket {t_fast:.2f}s, naive {t_slow:.2f}s)")
+                        f"(packing {t_fast:.2f}s, naive {t_slow:.2f}s)")
 
     announce(8, not problems,
-             problems or f"deterministic reports; bucket greedy {speedup:.1f}x "
+             problems or f"deterministic reports; greedy packing {speedup:.1f}x "
                          f"faster on {n_candidates} candidates")

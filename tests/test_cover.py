@@ -11,7 +11,7 @@ from covercert import (Box, BoxRegion, Cover, RadiusOracle,
                        neighbor_sets, overlap_profile, union_cell_midpoints,
                        verify_covering, verify_disjoint_supports,
                        with_extra_center, without_center)
-from covercert.cover import separation_holds
+from covercert.cover import greedy_packing, separation_holds
 from oracles import greedy_naive
 
 
@@ -58,7 +58,7 @@ class TestGreedy:
         expected = candidates[reference_greedy(candidates, r1)]
         assert np.array_equal(line_cover.centers, expected)
 
-    def test_bucket_equals_naive_constant_radius(self):
+    def test_build_cover_equals_naive_constant_radius(self):
         dom = expanding_boxes(2)
         fam = constant_weight_family(dom)
         box = Box((-1.0, -1.0), (1.0, 1.0))
@@ -68,7 +68,7 @@ class TestGreedy:
         expected = candidates[greedy_naive(candidates, r1)]
         assert np.array_equal(cover.centers, expected)
 
-    def test_bucket_equals_naive_variable_radius(self, boundary_cover):
+    def test_build_cover_equals_naive_variable_radius(self, boundary_cover):
         oracle = boundary_cover.oracle
         candidates = oracle.lattice_points()
         chosen = greedy_naive(candidates, oracle.lattice_values(1))
@@ -90,6 +90,96 @@ class TestGreedy:
         fam = constant_weight_family(dom)
         with pytest.raises(RefinementRequiredError):
             build_cover(fam, dom, 1, 0.2, box=Box((-1.0,), (1.0,)))
+
+
+@st.composite
+def packings(draw):
+    """Candidates on the lattice of sixteenths in lexicographic order, with
+    constant, decaying or checkerboard depth-1 radii.  Radii that are
+    multiples of 1/8 put many pairs exactly at half the larger radius, both
+    as their distance and as the gap that ends a window."""
+    d = draw(st.integers(1, 3))
+    ints = st.tuples(*[st.integers(-8, 8)] * d)
+    pts = draw(st.lists(ints, min_size=1, max_size=60, unique=True))
+    candidates = np.array(sorted(pts), dtype=float).reshape(-1, d) / 16.0
+    base = draw(st.integers(1, 8)) / 8.0
+    kind = draw(st.sampled_from(["constant", "decaying", "checkerboard"]))
+    if kind == "constant":
+        r1 = np.full(len(candidates), base)
+    elif kind == "decaying":
+        r1 = base / (1.0 + 3.0 * np.abs(candidates).max(axis=1))
+    else:
+        parity = np.floor(4.0 * candidates).sum(axis=1) % 2
+        r1 = np.where(parity == 0, base, base / 2.0)
+    return candidates, r1
+
+
+def _assert_packing_matches_oracles(candidates, r1):
+    chosen = greedy_packing(candidates, r1)
+    assert chosen == greedy_naive(candidates, r1)
+    assert chosen == oracles.greedy_bucket(candidates, r1,
+                                           candidates.min(axis=0))
+    return chosen
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(packings())
+    def test_matches_oracles(self, case):
+        _assert_packing_matches_oracles(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(packings(), st.randoms(use_true_random=False))
+    def test_unsorted_candidates_match_oracles(self, case, rnd):
+        # the first coordinates need not ascend: every later candidate is
+        # tested instead of a window
+        candidates, r1 = case
+        order = list(range(len(candidates)))
+        rnd.shuffle(order)
+        _assert_packing_matches_oracles(candidates[order], r1[order])
+
+    def test_single_candidate(self):
+        for d in (1, 2, 3):
+            assert _assert_packing_matches_oracles(np.zeros((1, d)),
+                                                   np.ones(1)) == [0]
+
+    def test_nonpositive_radii_accept_everything(self):
+        # no pair can conflict, and an empty window still moves on
+        candidates = np.zeros((3, 2))
+        for r1 in (np.zeros(3), -np.ones(3)):
+            assert greedy_packing(candidates, r1) == [0, 1, 2] == \
+                greedy_naive(candidates, r1)
+
+    def test_clique_keeps_first(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3):
+            candidates = rng.uniform(0.0, 1 / 64, (40, d))
+            candidates = candidates[np.lexsort(candidates.T[::-1])]
+            assert _assert_packing_matches_oracles(candidates,
+                                                   np.ones(40)) == [0]
+
+    def test_window_edges(self):
+        # half the radius is 0.5: a gap of exactly 0.5 keeps both centers,
+        # and the last candidate inside the window is still blocked
+        line = np.array([[0.0], [0.25], [0.5]])
+        assert _assert_packing_matches_oracles(line, np.ones(3)) == [0, 2]
+        line = np.array([[0.0], [0.25], [0.375]])
+        assert _assert_packing_matches_oracles(line, np.ones(3)) == [0]
+        # 0.3 + 0.6 rounds down to 0.8999999999999999, whose computed gap
+        # 0.5999999999999999 conflicts; the gap to 0.9 rounds up to 0.6...01
+        for x, want in ((0.8999999999999999, [0]), (0.9, [0, 1])):
+            for d in (1, 2):
+                candidates = np.array([[0.3] * d, [x] + [0.3] * (d - 1)])
+                assert _assert_packing_matches_oracles(
+                    candidates, np.full(2, 1.2)) == want
+
+    def test_larger_radius_decides(self):
+        # neighbours 0.375 apart conflict under half of 1.0, not of 0.5,
+        # whether the accepted or the later center has the larger radius
+        line = np.array([[0.0], [0.375], [0.75]])
+        for r1, want in (([1.0, 0.5, 0.5], [0, 2]), ([0.5, 0.5, 1.0], [0, 1]),
+                         ([0.5, 0.5, 0.5], [0, 1, 2])):
+            assert _assert_packing_matches_oracles(line, np.array(r1)) == want
 
 
 class TestSeparation:
@@ -226,7 +316,7 @@ class TestCoreBoxes:
 # Dyadic centers, radii and query points: every distance and threshold is
 # exact, so points on ball and core faces occur often and the strict
 # inequalities must exclude them.
-_DOMAINS = {d: expanding_boxes(d) for d in (1, 2)}
+_DOMAINS = {d: expanding_boxes(d) for d in (1, 2, 3)}
 
 
 def _unit_cube_cover(d, centers, rho, r1):
@@ -396,6 +486,22 @@ class TestBatchQueries:
         mids = mids[(mids < 1.0).all(axis=1)]
         assert union_cell_midpoints(cover, cover.box, res).tolist() == \
             [x.tolist() for x in oracles.near_union(cover, mids, res / 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ball_escape_matches_brute_force(self, data):
+        # dyadic corners reach past, and exactly onto, the faces of the
+        # next ring |x_i| < 2
+        d = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 12))
+        ints = st.lists(st.integers(-7, 7), min_size=k * d, max_size=k * d)
+        centers = np.array(data.draw(ints), dtype=float).reshape(k, d) / 8.0
+        steps = st.lists(st.integers(1, 24), min_size=k, max_size=k)
+        rho = np.array(data.draw(steps), dtype=float) / 16.0
+        cover = _unit_cube_cover(d, centers, rho, np.full(k, 1 / 8))
+        cert = verify_covering(cover, centers)
+        assert cert.details.get("witness_ball_escape") == \
+            oracles.ball_escape_witness(cover)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 7), st.integers(-8, 8))
