@@ -221,7 +221,7 @@ def greedy_packing(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
     while j < n:
         accepted.append(j)
         lo = j + 1
-        hi = max(lo, int(ends[j]))     # radii <= 0 give empty windows
+        hi = max(lo, int(ends[j]))     # negative radii end windows early
         dist = np.abs(candidates[lo:hi, 0] - candidates[j, 0])
         for a in range(1, d):
             np.maximum(dist, np.abs(candidates[lo:hi, a] - candidates[j, a]),
