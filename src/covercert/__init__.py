@@ -3,14 +3,12 @@ inequality certificates on exhausted domains."""
 
 from .bumps import (BumpProfile, Cutoff, Partition, PartitionFn,
                     build_partition, build_profile, certify_partition,
-                    derivative_constant, default_weights, eval_partial,
-                    partition_sum)
+                    derivative_constant, default_weights, partition_sum)
 from .certify import (JFunctional, RescaleMap, ball_weight_constant,
                       build_functional, claim4_constant,
                       domination_certificate, membership_certificate,
-                      mixed_partial, seminorm, union_cell_midpoints,
-                      verify_ball_weight_bound, verify_disjoint_supports,
-                      verify_integral_bound)
+                      seminorm, union_cell_midpoints, verify_ball_weight_bound,
+                      verify_disjoint_supports, verify_integral_bound)
 from .cover import (Cover, build_cover, chain_certificate, neighbor_sets,
                     overlap_profile, separation_holds, verify_covering,
                     with_extra_center, without_center)
@@ -26,7 +24,7 @@ from .functions import (TestFunction, coord_gaussian, gaussian, shipped_suite,
                         spline_bump)
 from .indexcalc import IndexCalculus
 from .piecewise import PiecewisePoly, indicator
-from .radii import RadiusOracle, positivity_certificate, r_iter
+from .radii import RadiusOracle, positivity_certificate
 from .report import Certificate, summarize
 from .weights import (MuSpec, WeightFamily, boundary_family, check_omega,
                       classify_s, constant_weight_family, make_exp_family,

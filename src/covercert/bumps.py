@@ -21,8 +21,9 @@ the point in the cutoff's closed support, and evaluates each cutoff's
 partials once, on all of its points.  Readers that need every pair (the
 partition sum, the partition certificates, the cutoff export) find them
 with one ``sup_pairs`` query; readers that evaluate one function per
-point (the wrappers, the rescaled functional, the pullback export) test
-just that function's cutoff and blockers.  The rows to evaluate are
+point (``function_values``, ``partition_partials`` and, through them, the
+rescaled functional and the pullback export) test just that function's
+cutoff and blockers.  The rows to evaluate are
 (partition function, point) pairs.  Each row starts from its own
 cutoff's entries; then, for p = 0, 1, ..., every row whose function's
 p-th blocker contains the point takes that blocker's complement in one
@@ -30,8 +31,6 @@ vectorized product-rule step.  Each row meets its blockers in the order
 the per-function loop used, with the same multinomial weights, so every
 value is bitwise the loop's.  Points pass through the engine in blocks
 of a bounded number of pairs, which bounds its memory.
-``PartitionFn.value``, ``PartitionFn.partials_table`` and
-``partition_sum`` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ __all__ = [
     "default_weights", "BumpProfile", "build_profile",
     "Cutoff", "PartitionFn", "Partition", "build_partition",
     "Incidence", "incidences", "partition_partials", "function_values",
-    "eval_partial", "partition_sum", "certify_partition",
+    "partition_sum", "certify_partition",
     "derivative_constant", "DERIVATIVE_GROWTH_BASE",
 ]
 
@@ -209,35 +208,6 @@ class PartitionFn:
     cutoff: Cutoff
     blockers: tuple[tuple[int, Cutoff], ...]
 
-    @property
-    def dimension(self) -> int:
-        return self.cutoff.dimension
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        pts = x[None, :] if scalar else x
-        out = function_values([self], pts, np.full(len(pts), self.index))
-        return float(out[0]) if scalar else out
-
-    def partial(self, x, alpha) -> float:
-        """Exact partial derivative at one point via the product rule."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        alpha = tuple(int(a) for a in alpha)
-        return float(self.partials_table(x, alpha)[alpha][0])
-
-    def partials_table(self, pts, alpha) -> dict:
-        """All partials with multi-index at most alpha, vectorized over points.
-
-        Returns a dict mapping each beta <= alpha to an array of values,
-        zero outside the support.
-        """
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        return partition_partials([self], pts, np.full(len(pts), self.index),
-                                  alpha)
-
 
 @dataclass
 class Partition:
@@ -360,10 +330,10 @@ class Incidence:
         the point is outside the function's own support.  An incidence
         built with ``owners`` holds only the pairs of the rows
         ``(owners[i], i)``, so those are the rows it can evaluate.  With
-        ``value``
-        only the order-0 entry is formed, in ``PartitionFn.value``'s
-        arithmetic: the cutoff's value at every row, then the complements
-        applied by plain products to the rows where that value is nonzero.
+        ``value`` only the order-0 entry is formed, in the arithmetic of
+        ``function_values`` and of its reference ``oracles.fn_value`` in the
+        tests: the cutoff's value at every row, then the complements applied
+        by plain products to the rows where that value is nonzero.
         """
         own = self.local[np.asarray(ks, dtype=np.int64)]
         idx = np.asarray(idx, dtype=np.int64)
@@ -477,17 +447,6 @@ def build_partition(cover: Cover, order: int, weights=None) -> Partition:
     return Partition(functions=functions, order=order,
                      weights=tuple(float(v) for v in np.asarray(weights)),
                      cover=cover)
-
-
-def eval_partial(obj, x, alpha) -> float:
-    """Exact partial derivative of a cutoff or partition function at a point."""
-    if isinstance(obj, Cutoff):
-        alpha = tuple(int(a) for a in alpha)
-        if any(a > obj.profile.order - 1 for a in alpha):
-            raise SmoothnessOrderError(
-                f"component of {alpha} exceeds per-axis budget {obj.profile.order - 1}")
-        return float(obj.partial(np.asarray(x, dtype=float), alpha))
-    return obj.partial(x, alpha)
 
 
 def partition_sum(partition: Partition, pts) -> np.ndarray:

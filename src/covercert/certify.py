@@ -23,7 +23,7 @@ import numpy as np
 from .bumps import (Partition, PartitionFn, derivative_constant,
                     partition_partials)
 from .cover import Cover
-from .domains import Box, ExhaustionDomain, grid_points, mesh_points
+from .domains import Box, ExhaustionDomain, cell_midpoints, mesh_points
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
@@ -33,7 +33,7 @@ from .report import FAIL, INCONCLUSIVE, PASS, Certificate
 from .weights import WeightFamily
 
 __all__ = [
-    "seminorm", "RescaleMap", "mixed_partial",
+    "seminorm", "RescaleMap",
     "claim4_constant", "ball_weight_constant",
     "verify_integral_bound", "verify_ball_weight_bound",
     "verify_disjoint_supports", "JFunctional", "build_functional",
@@ -97,13 +97,6 @@ class RescaleMap:
         zeta = np.asarray(zeta, dtype=float)
         return self.center + self.lam * (zeta - self.center)
 
-    def inverse(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.center + (x - self.center) / self.lam
-
-    def jacobian(self, dimension: int) -> float:
-        return self.lam ** dimension
-
 
 def rescale_maps(cover: Cover) -> list[RescaleMap]:
     return [RescaleMap(cover.centers[k],
@@ -118,8 +111,8 @@ def mixed_partial_many(h: PartitionFn, f: TestFunction, pts,
     if pts.ndim == 1:
         pts = pts[None, :]
     alpha = tuple(int(a) for a in alpha)
-    return _leibniz(h.partials_table(pts, alpha),
-                    lambda rest: f.partial(pts, rest), alpha)
+    table = partition_partials([h], pts, np.full(len(pts), h.index), alpha)
+    return _leibniz(table, lambda rest: f.partial(pts, rest), alpha)
 
 
 def _leibniz(table: dict, f_partial, alpha) -> np.ndarray:
@@ -133,11 +126,6 @@ def _leibniz(table: dict, f_partial, alpha) -> np.ndarray:
             continue
         total += multi_binom(alpha, gamma) * hvals * f_partial(rest)
     return total
-
-
-def mixed_partial(h: PartitionFn, f: TestFunction, x, alpha) -> float:
-    """Exact partial of the product h*f at one point."""
-    return float(mixed_partial_many(h, f, np.asarray(x, dtype=float), alpha)[0])
 
 
 # -- composed constants ------------------------------------------------------
@@ -197,12 +185,7 @@ def ball_weight_constant(family: WeightFamily, calc: IndexCalculus, m: int,
 
 def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarray:
     """Midpoints of lattice cells that intersect at least one outer ball."""
-    corners = grid_points(box, resolution)
-    mids = corners + resolution / 2.0
-    keep = np.ones(len(mids), dtype=bool)
-    for i in range(box.dimension):
-        keep &= mids[:, i] < box.upper[i]
-    mids = mids[keep]
+    mids = cell_midpoints(box, resolution)
     pad = resolution / 2.0
     rows, cols, dist = cover.pairs_near(mids, float(cover.rho.max()) + pad)
     near = np.zeros(len(mids), dtype=bool)
@@ -271,9 +254,7 @@ def verify_integral_bound(f: TestFunction, partition: Partition, cover: Cover,
         for k in ks:
             z = cover.centers[k]
             rho = float(cover.rho[k])
-            ball = Box(tuple(z - rho), tuple(z + rho))
-            cells = grid_points(ball, res) + res / 2.0
-            mids.append(cells[(cells < np.asarray(ball.upper)).all(axis=1)])
+            mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
         tables = partition_partials(partition.functions, np.concatenate(mids),
                                     np.repeat(ks, [len(p) for p in mids]), m_tilde)
         integrals.append([
@@ -426,21 +407,6 @@ class JFunctional:
     def m_tilde(self) -> tuple[int, ...]:
         return (self.m + 1,) * self.cover.dimension
 
-    def raw_term(self, zeta) -> float:
-        """The rescaled partial alone, without the weight factor."""
-        k = self.cover.locate_core(zeta)
-        if k is None:
-            return 0.0
-        x = self.maps[k].forward(zeta)
-        return mixed_partial(self.partition[k], self.f, x, self.m_tilde)
-
-    def __call__(self, zeta) -> float:
-        term = self.raw_term(zeta)
-        if term == 0.0:
-            return 0.0
-        zeta = np.asarray(zeta, dtype=float).reshape(1, -1)
-        return term * float(self.family.nu_at(self.nu_index, zeta)[0])
-
     def values(self, zetas) -> np.ndarray:
         """Vectorized evaluation: points are grouped by their core box."""
         zetas = np.asarray(zetas, dtype=float)
@@ -462,18 +428,6 @@ class JFunctional:
                              self.m_tilde)
             out[idxs] = terms * self.family.nu_at(self.nu_index, zetas[idxs])
         return out
-
-    def active_terms(self, zeta) -> int:
-        """Number of summands whose rescaled support contains the point."""
-        zeta = np.asarray(zeta, dtype=float).reshape(-1)
-        count = 0
-        for fn in self.partition:
-            k = fn.index
-            x = self.maps[k].forward(zeta)
-            offs = float(np.abs(x - self.cover.centers[k]).max())
-            if offs <= fn.cutoff.support_halfwidth:
-                count += 1
-        return count
 
 
 def build_functional(f: TestFunction, partition: Partition, cover: Cover,

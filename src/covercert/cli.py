@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -82,6 +83,9 @@ class RunConfig:
         trunc = need("truncation", dict) or {}
         order = data.get("smoothness_order", 6)
         alpha_max = data.get("alpha_max", 2)
+        offset_count = data.get("offset_count", 5)
+        tolerance = data.get("tolerance", 1e-9)
+        psi_resolution = res.get("psi")
 
         for key in ("candidate", "check", "quadrature"):
             value = res.get(key)
@@ -93,6 +97,18 @@ class RunConfig:
             problems.append("m must be >= 0")
         if not isinstance(order, int) or order < 1:
             problems.append("smoothness_order must be a positive integer")
+        if not isinstance(alpha_max, int) or alpha_max < 0:
+            problems.append("alpha_max must be an integer >= 0")
+        if not isinstance(offset_count, int) or offset_count < 3 \
+                or offset_count % 2 == 0:
+            problems.append("offset_count must be an odd integer >= 3")
+        if not isinstance(tolerance, (int, float)) or \
+                not math.isfinite(tolerance) or tolerance < 0:
+            problems.append("tolerance must be a finite number >= 0")
+        if psi_resolution is not None and (
+                not isinstance(psi_resolution, (int, float))
+                or psi_resolution <= 0):
+            problems.append("resolutions.psi must be a positive number")
 
         suite = tuple(data.get("suite", list(SUITES)))
         for entry in suite:
@@ -122,7 +138,8 @@ class RunConfig:
                 except (TypeError, ValueError, KeyError) as exc:
                     problems.append(f"bad psi_box: {exc}")
 
-        if isinstance(m, int) and isinstance(order, int):
+        if isinstance(m, int) and isinstance(order, int) and \
+                isinstance(alpha_max, int):
             # partial derivatives exist classically up to order - 1 per axis
             if "partition" in suite and alpha_max > order - 1:
                 problems.append(
@@ -149,33 +166,37 @@ class RunConfig:
             check_resolution=float(res["check"]),
             quadrature_resolution=float(res["quadrature"]),
             smoothness_order=order, alpha_max=alpha_max,
-            offset_count=int(data.get("offset_count", 5)),
-            tolerance=float(data.get("tolerance", 1e-9)),
+            offset_count=offset_count, tolerance=float(tolerance),
             suite=suite, test_functions=fns, negative_control=control,
             figures=bool(data.get("figures", False)),
             psi_box=psi_box,
-            psi_resolution=res.get("psi"), raw=data,
+            psi_resolution=psi_resolution, raw=data,
         )
 
 
 def build_domain(spec: dict) -> domains.ExhaustionDomain:
     kind = spec.get("kind")
-    if kind == "full_space":
-        return domains.full_space(int(spec["dimension"]))
-    if kind == "expanding_boxes":
-        axes = spec.get("axes")
-        return domains.expanding_boxes(
-            int(spec["dimension"]),
-            axes=tuple(axes) if axes is not None else None,
-            closed=bool(spec.get("closed", False)))
-    if kind == "bounded_box":
-        box = domains.Box(tuple(map(float, spec["lower"])),
-                          tuple(map(float, spec["upper"])))
-        return domains.constant_exhaustion(domains.BoxRegion(box),
-                                           name="bounded_box")
-    if kind == "shrinking_boxes":
-        return domains.shrinking_boxes(spec["lower"], spec["upper"],
-                                       closed=bool(spec.get("closed", False)))
+    try:
+        if kind == "full_space":
+            return domains.full_space(int(spec["dimension"]))
+        if kind == "expanding_boxes":
+            axes = spec.get("axes")
+            return domains.expanding_boxes(
+                int(spec["dimension"]),
+                axes=tuple(axes) if axes is not None else None,
+                closed=bool(spec.get("closed", False)))
+        if kind == "bounded_box":
+            box = domains.Box(tuple(map(float, spec["lower"])),
+                              tuple(map(float, spec["upper"])))
+            return domains.constant_exhaustion(domains.BoxRegion(box),
+                                               name="bounded_box")
+        if kind == "shrinking_boxes":
+            return domains.shrinking_boxes(
+                spec["lower"], spec["upper"],
+                closed=bool(spec.get("closed", False)))
+    except KeyError as exc:
+        raise ConfigError(
+            f"domain kind {kind!r} needs the field {exc.args[0]!r}") from None
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
@@ -226,6 +247,11 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
     """Execute the configured suites and write report (and figure) files."""
     out_dir.mkdir(parents=True, exist_ok=True)
     domain = build_domain(config.domain)
+    for key, box in (("truncation", config.truncation),
+                     ("psi_box", config.psi_box)):
+        if box is not None and box.dimension != domain.dimension:
+            raise ConfigError(f"{key} has dimension {box.dimension}, the "
+                              f"domain {domain.dimension}")
     family = build_family(config.family, domain)
     n, m = config.n, config.m
     certificates: list[Certificate] = []

@@ -75,17 +75,6 @@ class Cover:
         owners[owned] = cols[hit][first]
         return owners
 
-    def balls_containing(self, x, inner: bool = False) -> list[int]:
-        """Indices k with x in the (inner or outer) ball of center k."""
-        radii = (0.5 if inner else 1.0) * self.rho
-        _, cols, dist = self.pairs_near(x, float(radii.max()))
-        return cols[dist < radii[cols]].tolist()
-
-    def locate_core(self, zeta) -> int | None:
-        """The unique k whose core box contains zeta, if any."""
-        k = int(self.core_owners(zeta)[0])
-        return None if k < 0 else k
-
     def csv_rows(self):
         """Rows (k, center coords..., rho_k, r1_k) for figure export."""
         for k in range(self.size):

@@ -32,6 +32,7 @@ __all__ = [
     "exhaustion_gap",
     "GapEstimate",
     "grid_points",
+    "cell_midpoints",
     "lattice_axes",
     "mesh_points",
 ]
@@ -124,6 +125,14 @@ def grid_points(box: Box, resolution: float) -> np.ndarray:
     if not box.is_bounded:
         raise ValueError("grid_points requires a bounded box (supply a truncation box)")
     return mesh_points(lattice_axes(box, resolution))
+
+
+def cell_midpoints(box: Box, resolution: float) -> np.ndarray:
+    """Midpoints of the cells of side ``resolution`` cornered at
+    :func:`grid_points`, keeping those strictly below the upper face on
+    every axis, in lexicographic order."""
+    mids = grid_points(box, resolution) + resolution / 2.0
+    return mids[(mids < np.asarray(box.upper)).all(axis=1)]
 
 
 class Region:

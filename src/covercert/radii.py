@@ -54,7 +54,7 @@ from .errors import NoRingPointsError, RefinementRequiredError
 from .report import FAIL, NOT_CERTIFIED, PASS, Certificate
 from .weights import WeightFamily
 
-__all__ = ["RadiusOracle", "r_iter", "positivity_certificate"]
+__all__ = ["RadiusOracle", "positivity_certificate"]
 
 CLOSED_FORM = "closed_form_constant"
 GRID_ORACLE = "grid_oracle"
@@ -218,17 +218,6 @@ class RadiusOracle:
         coords = np.stack([ax[i] for ax, i in zip(self._axes, idx.T)], axis=1)
         return coords, hit
 
-    def snap(self, z) -> np.ndarray | None:
-        """Nearest lattice point inside the ring, or None off the grid.
-
-        One row of :meth:`snap_points`; no certificate calls it.  It stays
-        while the benchmark's span tracer wraps ``RadiusOracle.snap``.
-        """
-        if self.strategy == CLOSED_FORM:
-            return None
-        coords, hit = self.snap_points(np.asarray(z, dtype=float).reshape(1, -1))
-        return coords[0] if hit[0] else None
-
     # -- internals ----------------------------------------------------------
 
     def _lattice_index(self, pts: np.ndarray):
@@ -357,12 +346,6 @@ class RadiusOracle:
         out = out.reshape(self._shape)
         self._levels[k] = out
         return out
-
-
-def r_iter(family: WeightFamily, domain: ExhaustionDomain, n: int, k: int,
-           z, resolution: float, box: Box | None = None) -> float:
-    """One-shot depth-k radius evaluation (builds a throwaway oracle)."""
-    return RadiusOracle(family, domain, n, resolution, box=box).value(k, z)
 
 
 def positivity_certificate(family: WeightFamily, domain: ExhaustionDomain,

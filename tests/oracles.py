@@ -426,7 +426,8 @@ def profile_polys(profile):
 
 
 def partials_table(fn, pts, alpha):
-    """PartitionFn.partials_table with one cutoff evaluation per beta."""
+    """``partition_partials`` of one function, with one cutoff evaluation per
+    beta."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     betas = indices_below(alpha)
     zeros = np.zeros(len(pts))
@@ -462,7 +463,8 @@ def partials_table(fn, pts, alpha):
 
 
 def fn_value(fn, x):
-    """PartitionFn.value as the per-function loop computed it."""
+    """``function_values`` of one function, as the per-function loop computed
+    it."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = x[None, :] if scalar else x
@@ -476,7 +478,8 @@ def fn_value(fn, x):
 
 
 def fn_partials_table(fn, pts, alpha):
-    """PartitionFn.partials_table as the per-function loop computed it."""
+    """``partition_partials`` of one function, as the per-function loop
+    computed it."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]

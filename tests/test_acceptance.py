@@ -20,6 +20,7 @@ from covercert import (Box, BoxRegion, IndexCalculus, MuSpec, RadiusOracle,
                        verify_covering, verify_disjoint_supports,
                        verify_integral_bound, with_extra_center,
                        without_center)
+from covercert.bumps import function_values, partition_partials
 from covercert.cli import main as cli_main
 from covercert.cover import separation_holds
 from oracles import greedy_naive
@@ -146,6 +147,12 @@ def test_criterion_3_derivative_convergence_order(covers, partitions):
     knots = np.concatenate([c.profile.knots + c.center[0] for c in factors])
     hs = (1e-3, 1e-4, 1e-5)
 
+    def value(x):
+        return function_values([fn], np.array([[x]]), [fn.index])[0]
+
+    def slope_at(x):
+        return partition_partials([fn], np.array([[x]]), [fn.index], (1,))[(1,)][0]
+
     rng = np.random.default_rng(2024)
     pts = []
     z = fn.cutoff.center[0]
@@ -153,7 +160,7 @@ def test_criterion_3_derivative_convergence_order(covers, partitions):
         x = rng.uniform(z - 0.95, z + 0.95)
         if np.abs(knots - x).min() < 2e-3:
             continue
-        if abs(fn.partial(np.array([x]), (1,))) < 1e-3:
+        if abs(slope_at(x)) < 1e-3:
             continue    # flat spots carry no information about the order
         pts.append(x)
     pts = np.asarray(pts)
@@ -162,9 +169,8 @@ def test_criterion_3_derivative_convergence_order(covers, partitions):
     for h in hs:
         worst = 0.0
         for x in pts:
-            exact = fn.partial(np.array([x]), (1,))
-            fd = (fn.value(np.array([x + h])) -
-                  fn.value(np.array([x - h]))) / (2 * h)
+            exact = slope_at(x)
+            fd = (value(x + h) - value(x - h)) / (2 * h)
             worst = max(worst, abs(fd - exact))
         errors.append(worst)
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]

@@ -9,10 +9,9 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        build_cover, build_partition, build_profile,
                        certify_partition, constant_exhaustion,
                        constant_weight_family, derivative_constant,
-                       default_weights, eval_partial, expanding_boxes,
-                       partition_sum)
+                       default_weights, expanding_boxes, partition_sum)
 from covercert.bumps import (BumpProfile, Cutoff, Incidence, Partition,
-                             PartitionFn, function_values)
+                             PartitionFn, function_values, partition_partials)
 from covercert.multiindex import indices_below
 from covercert.piecewise import PiecewisePoly
 
@@ -35,6 +34,16 @@ def square_setup():
     cover = build_cover(fam, dom, 1, 0.01, box=Box((0.2, 0.2), (0.45, 0.45)))
     partition = build_partition(cover, order=5)
     return dom, fam, cover, partition
+
+
+def fn_values(fn, pts):
+    """``function_values`` of the one function ``fn`` at every point."""
+    return function_values([fn], pts, np.full(len(pts), fn.index))
+
+
+def fn_table(fn, pts, alpha):
+    """``partition_partials`` of the one function ``fn`` at every point."""
+    return partition_partials([fn], pts, np.full(len(pts), fn.index), alpha)
 
 
 def assert_bitwise(actual, expected):
@@ -91,8 +100,8 @@ class TestIncidenceEngine:
     def test_wrappers_match_per_function_loops(self, case):
         functions, pts, alpha = case
         for fn in functions:
-            assert_bitwise(fn.value(pts), oracles.fn_value(fn, pts))
-            table = fn.partials_table(pts, alpha)
+            assert_bitwise(fn_values(fn, pts), oracles.fn_value(fn, pts))
+            table = fn_table(fn, pts, alpha)
             expected = oracles.fn_partials_table(fn, pts, alpha)
             assert list(table) == list(expected)
             for beta in expected:
@@ -129,8 +138,8 @@ class TestIncidenceEngine:
         assert_bitwise(partition_sum(partition, pts),
                        oracles.partition_sum(partition, pts))
         for fn in partition:
-            assert_bitwise(fn.value(pts), oracles.fn_value(fn, pts))
-            table = fn.partials_table(pts, (2, 2))
+            assert_bitwise(fn_values(fn, pts), oracles.fn_value(fn, pts))
+            table = fn_table(fn, pts, (2, 2))
             expected = oracles.fn_partials_table(fn, pts, (2, 2))
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
@@ -148,10 +157,10 @@ class TestIncidenceEngine:
         fn = PartitionFn(index=1, cutoff=Cutoff((0.0,), flat(-1.0)),
                          blockers=((0, blocker),))
         x = np.array([[0.2], [0.7]])
-        assert_bitwise(fn.value(x), np.array([-0.0, 0.0]))
-        assert_bitwise(fn.value(x), oracles.fn_value(fn, x))
-        assert_bitwise(fn.partials_table(x, (0,))[(0,)], np.array([0.0, 0.0]))
-        assert_bitwise(fn.partials_table(x, (0,))[(0,)],
+        assert_bitwise(fn_values(fn, x), np.array([-0.0, 0.0]))
+        assert_bitwise(fn_values(fn, x), oracles.fn_value(fn, x))
+        assert_bitwise(fn_table(fn, x, (0,))[(0,)], np.array([0.0, 0.0]))
+        assert_bitwise(fn_table(fn, x, (0,))[(0,)],
                        oracles.fn_partials_table(fn, x, (0,))[(0,)])
 
     def test_blocks_do_not_change_values(self, square_setup, monkeypatch):
@@ -176,8 +185,8 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         empty = np.empty((0, 2))
         fn = partition[7]
-        assert fn.value(empty).shape == (0,)
-        assert all(v.shape == (0,) for v in fn.partials_table(empty, (2, 1)).values())
+        assert fn_values(fn, empty).shape == (0,)
+        assert all(v.shape == (0,) for v in fn_table(fn, empty, (2, 1)).values())
         assert partition_sum(partition, empty).shape == (0,)
         inc = Incidence(partition.functions, empty, (1, 1))
         assert len(inc.rows) == 0
@@ -190,8 +199,8 @@ class TestIncidenceEngine:
         far = np.array([[3.0, 3.0], [-2.0, 0.3], [0.3, 5.0]])
         assert_bitwise(partition_sum(partition, far), np.zeros(3))
         for fn in partition:
-            assert_bitwise(fn.value(far), np.zeros(3))
-            for vals in fn.partials_table(far, (2, 2)).values():
+            assert_bitwise(fn_values(fn, far), np.zeros(3))
+            for vals in fn_table(fn, far, (2, 2)).values():
                 assert_bitwise(vals, np.zeros(3))
 
     def test_order_beyond_budget_raises(self, square_setup):
@@ -200,7 +209,7 @@ class TestIncidenceEngine:
             with pytest.raises(SmoothnessOrderError):
                 Incidence(partition.functions, pts, (5, 0))
             with pytest.raises(SmoothnessOrderError):
-                partition[3].partials_table(pts, (0, 5))
+                fn_table(partition[3], pts, (0, 5))
 
 
 class TestProfile:
@@ -273,8 +282,8 @@ class TestCutoff:
         profile = build_profile(0.5, 4)
         cut = Cutoff((0.0,), profile)
         for alpha in [(0,), (1,), (2,)]:
-            assert eval_partial(cut, np.array([0.5]), alpha) == 0.0
-            assert eval_partial(cut, np.array([5.0]), alpha) == 0.0
+            assert cut.partial(np.array([0.5]), alpha) == 0.0
+            assert cut.partial(np.array([5.0]), alpha) == 0.0
 
 
 class TestPartition:
@@ -283,8 +292,7 @@ class TestPartition:
         fam = constant_weight_family(dom)
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.05,), (0.05,)))
         part = build_partition(cover, order=4)
-        x = np.array([0.0])
-        assert part[0].value(x) == pytest.approx(1.0)
+        assert fn_values(part[0], np.array([[0.0]]))[0] == pytest.approx(1.0)
         grid = dom.sample_ring(1, 1e-3, cover.box)
         assert partition_sum(part, grid) == pytest.approx(np.ones(len(grid)))
 
@@ -348,10 +356,11 @@ class TestEvalPartial:
             x = rng.uniform(cover.centers[3, 0] - 0.5, cover.centers[3, 0] + 0.5)
             if np.abs(knots - x).min() < 5 * h:
                 continue
-            exact = fn.partial(np.array([x]), (1,))
+            exact = fn_table(fn, np.array([[x]]), (1,))[(1,)][0]
             if abs(exact) < 2.0:
                 continue    # keep the truncation term well below the value
-            fd = (fn.value(np.array([x + h])) - fn.value(np.array([x - h]))) / (2 * h)
+            v = fn_values(fn, np.array([[x + h], [x - h]]))
+            fd = (v[0] - v[1]) / (2 * h)
             assert fd == pytest.approx(exact, rel=1e-6)
             checked += 1
 
@@ -363,9 +372,9 @@ class TestEvalPartial:
         fn = part[min(2, len(part) - 1)]
         x = cover.centers[fn.index] + np.array([0.21, -0.18])
         h = 1e-5
-        exact = fn.partial(x, (1, 1))
-        fd = (fn.value(x + [h, h]) - fn.value(x + [h, -h])
-              - fn.value(x + [-h, h]) + fn.value(x + [-h, -h])) / (4 * h * h)
+        exact = fn_table(fn, x[None, :], (1, 1))[(1, 1)][0]
+        v = fn_values(fn, x + np.array([[h, h], [h, -h], [-h, h], [-h, -h]]))
+        fd = (v[0] - v[1] - v[2] + v[3]) / (4 * h * h)
         assert fd == pytest.approx(exact, rel=1e-4, abs=1e-7)
 
     def test_tables_equal_per_beta_evaluation(self):
@@ -380,9 +389,9 @@ class TestEvalPartial:
             table = fn.cutoff.partials_table(pts, alpha)
             for beta in betas:
                 assert np.array_equal(table[beta], fn.cutoff.partial(pts, beta))
-            table = fn.partials_table(pts, alpha)
+            table = fn_table(fn, pts, alpha)
             # certify_partition reads the order-0 bound's measurement here
-            assert table[(0, 0)].tobytes() == fn.value(pts).tobytes()
+            assert table[(0, 0)].tobytes() == fn_values(fn, pts).tobytes()
             expected = oracles.partials_table(fn, pts, alpha)
             for beta in betas:
                 assert np.array_equal(table[beta], expected[beta])
@@ -393,7 +402,7 @@ class TestEvalPartial:
     def test_order_error(self, line_setup):
         _, _, _, partition = line_setup
         with pytest.raises(SmoothnessOrderError):
-            partition[0].partial(np.array([0.0]), (6,))
+            fn_table(partition[0], np.array([[0.0]]), (6,))
 
 
 class TestCertifyPartition:
@@ -418,7 +427,7 @@ class TestCertifyPartition:
         hi = cover.centers[fn.index] + fn.cutoff.support_halfwidth
         local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
         assert tight["alpha"] == [0]
-        assert tight["measured"] == float(np.abs(fn.value(local)).max())
+        assert tight["measured"] == float(np.abs(fn_values(fn, local)).max())
         assert tight["measured"] == pytest.approx(1.0, abs=1e-12)
         assert tight["bound"] == 2.0
 

@@ -36,6 +36,17 @@ def small_config(**overrides):
     return config
 
 
+# a small boundary_d1 whose suites read every field the malformed-config
+# cases change (offset_count in omega, psi and psi_box in psi)
+_BOUNDARY_RES = {"candidate": 0.01, "check": 0.01, "quadrature": 0.01}
+_BOUNDARY_D1 = small_config(
+    domain={"kind": "bounded_box", "lower": [0.0], "upper": [1.0]},
+    family={"kind": "boundary"},
+    truncation={"lower": [0.125], "upper": [0.875]},
+    resolutions=_BOUNDARY_RES, alpha_max=3, offset_count=9,
+    suite=["omega", "psi", "radii", "cover", "partition"], figures=False)
+
+
 def write_config(tmp_path, config, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -92,6 +103,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "ring" in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"alpha_max": "2"},
+        {"alpha_max": -1},
+        {"offset_count": "x"},
+        {"offset_count": 4},
+        {"tolerance": "x"},
+        {"resolutions": {**_BOUNDARY_RES, "psi": "0.05"}},
+        {"resolutions": {**_BOUNDARY_RES, "psi": -0.05}},
+        {"domain": {"kind": "full_space"}},
+        {"truncation": {"lower": [0.125, 0.125], "upper": [0.875, 0.875]}},
+        {"psi_box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+    ], ids=["alpha_max_string", "alpha_max_negative", "offset_count_string",
+            "offset_count_even", "tolerance_string", "psi_string",
+            "psi_negative", "full_space_without_dimension",
+            "truncation_2d_on_1d", "psi_box_2d_on_1d"])
+    def test_malformed_field_exits_two(self, tmp_path, capsys, overrides):
+        config = {**_BOUNDARY_D1, **overrides}
+        path = write_config(tmp_path, config)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_overflowing_constant_exits_two(self, tmp_path, capsys):
         # the chain composes A1 at index 50 of the constant-radius |x|^2

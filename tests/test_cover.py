@@ -309,8 +309,8 @@ class TestCoreBoxes:
         z0 = line_cover.centers[0]
         inside = z0 + 0.9 * line_cover.core_halfwidths[0]
         outside = z0 + 1.1 * line_cover.core_halfwidths[0]
-        assert line_cover.locate_core(inside) == 0
-        assert line_cover.locate_core(outside) is None
+        assert line_cover.core_owners(np.stack([inside, outside])).tolist() \
+            == [0, -1]
 
 
 # Dyadic centers, radii and query points: every distance and threshold is
@@ -370,6 +370,15 @@ def _assert_pairs(cover, pts, reach, brute_force=True):
             oracles.pairs_near(cover, pts, reach)
 
 
+def _balls_containing(cover, pts, inner):
+    """Per point, the centers whose outer (or inner, half-radius) ball holds
+    it: the ``pairs_near`` pairs with ``dist`` strictly below the radius."""
+    radii = (0.5 if inner else 1.0) * cover.rho
+    rows, cols, dist = cover.pairs_near(pts, float(radii.max()))
+    hit = dist < radii[cols]
+    return [cols[hit & (rows == i)].tolist() for i in range(len(pts))]
+
+
 @st.composite
 def reach_lattices(draw):
     """Centers and points on the lattice of multiples of a non-dyadic reach,
@@ -395,11 +404,9 @@ class TestBatchQueries:
         cover, pts = case
         for reach in (float(cover.rho.max()), float(cover.rho.min()) / 2):
             _assert_pairs(cover, pts, reach)
-        for x in pts:
-            for inner in (False, True):
-                assert cover.balls_containing(x, inner=inner) == \
-                    oracles.balls_containing(cover, x, inner)
-            assert cover.locate_core(x) == oracles.locate_core(cover, x)
+        for inner in (False, True):
+            assert _balls_containing(cover, pts, inner) == \
+                [oracles.balls_containing(cover, x, inner) for x in pts]
         expected = [oracles.locate_core(cover, x) for x in pts]
         assert cover.core_owners(pts).tolist() == \
             [-1 if k is None else k for k in expected]
@@ -517,8 +524,9 @@ class TestBatchQueries:
             assert cert.details.get("witness_overlap") == \
                 oracles.core_overlap_witness(tampered)
             pts = np.linspace(-0.99, 0.99, 199)[:, None]
-            for x in pts:
-                assert tampered.balls_containing(x, inner=True) == \
-                    oracles.balls_containing(tampered, x, inner=True)
-                assert tampered.locate_core(x) == \
-                    oracles.locate_core(tampered, x)
+            assert _balls_containing(tampered, pts, inner=True) == \
+                [oracles.balls_containing(tampered, x, inner=True)
+                 for x in pts]
+            expected = [oracles.locate_core(tampered, x) for x in pts]
+            assert tampered.core_owners(pts).tolist() == \
+                [-1 if k is None else k for k in expected]

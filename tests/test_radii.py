@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from covercert import (Box, BoxRegion, MuSpec, RadiusOracle,
                        RefinementRequiredError, boundary_family, build_cover,
-                       chain_certificate, constant_exhaustion,
-                       constant_weight_family, expanding_boxes, full_space,
+                       chain_certificate, constant_exhaustion, full_space,
                        make_exp_family, neighbor_sets, positivity_certificate,
-                       r_iter, schwartz_family)
+                       schwartz_family)
 from covercert.cover import _chain_collect, _interior_samples
 
 
@@ -40,12 +39,6 @@ class TestClosedForm:
         assert oracle.strategy == "closed_form_constant"
         for k in range(4):
             assert oracle.value(k, np.array([0.3, -1.1])) == 1.0
-
-    def test_r_iter_shortcut(self):
-        dom = expanding_boxes(1)
-        fam = constant_weight_family(dom)
-        assert r_iter(fam, dom, 1, 3, np.array([0.2]), 0.01,
-                      box=Box((-1.0,), (1.0,))) == 0.5
 
 
 class TestGridOracle:
@@ -240,9 +233,6 @@ class TestAgainstWindowScan:
             assert h == (ref is not None)
             if h:
                 assert c.tobytes() == ref.tobytes()
-                assert oracle.snap(z).tobytes() == ref.tobytes()
-            else:
-                assert oracle.snap(z) is None
 
     @pytest.mark.parametrize("k, radius, expected", [
         # r0(y) = 15/128 = |y - z| exactly, and only cells from y on reach

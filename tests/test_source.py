@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -18,6 +19,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_all_names_resolve():
+    """Every name in a covercert module's ``__all__`` exists on it, so no
+    export outlives the code it named."""
+    modules = [importlib.import_module(
+        "covercert" if path.stem == "__init__" else f"covercert.{path.stem}")
+        for path in SOURCES]
+    exported = [(module, name) for module in modules
+                for name in getattr(module, "__all__", [])]
+    assert exported
+    assert [f"{module.__name__}.{name}" for module, name in exported
+            if not hasattr(module, name)] == []
 
 
 _LOADED_MODULES = """
