@@ -10,6 +10,14 @@ integral domination itself, and the uniform bound on the functional.
 All integrals are midpoint sums over the lattice cells meeting the union
 of outer balls, evaluated at two resolutions differing by 2x; a check
 passes only if it holds at both and the integral moved by at most 1%.
+
+The two chain certificates take a list of test functions and certify each
+of them.  Their sample points, quadrature points, partition tables and
+weight arrays depend on the cover, the partition, the order and the
+resolution but not on the test function, so they are built once and
+shared; only the Leibniz sums, the integrals, the seminorms and the
+verdicts are evaluated per function, in the same operations as for a
+single function.
 """
 
 from __future__ import annotations
@@ -208,23 +216,20 @@ def _midpoint_integral(values: np.ndarray, resolution: float,
 # -- chain certificates -------------------------------------------------------
 
 
-def verify_integral_bound(f: TestFunction, partition: Partition, cover: Cover,
-                          m: int, quad_resolution: float,
+def verify_integral_bound(fs: list[TestFunction], partition: Partition,
+                          cover: Cover, m: int, quad_resolution: float,
                           points_per_ball: int = 5,
-                          tol: float = 1e-9) -> Certificate:
+                          tol: float = 1e-9) -> list[Certificate]:
     """Per-ball bound of low-order partials by the mixed top-order integral.
 
     For sampled points of each inner ball and orders up to m, checks
     |partial (h_k f)| <= 2^(d m) * integral over the outer ball of the
     all-axes order-(m+1) partial, with the integral evaluated at two
-    resolutions.
+    resolutions.  Returns one certificate per test function in ``fs``.
     """
     d = cover.dimension
     m_tilde = (m + 1,) * d
     factor = 2.0 ** (d * m)
-    worst_ratio = 0.0
-    tight = None
-    unstable = None
     ks = [fn.index for fn in partition]
     samples = []
     for k in ks:
@@ -238,60 +243,72 @@ def verify_integral_bound(f: TestFunction, partition: Partition, cover: Cover,
     # each ball's rows serve every alpha with |alpha| <= m.
     tables = partition_partials(partition.functions, np.concatenate(samples),
                                 np.repeat(ks, [len(p) for p in samples]), (m,) * d)
-    lhs_values = []
+    # lhs_values[i][b]: test function i, ball b
+    lhs_values = [[] for _ in fs]
     for pts, table in zip(samples, _split_rows(tables, samples)):
-        f_partial = functools.cache(lambda rest: f.partial(pts, rest))
-        lhs = 0.0
-        for alpha in indices_up_to_order(d, m):
-            lhs = max(lhs, float(np.abs(_leibniz(table, f_partial, alpha)).max()))
-        lhs_values.append(lhs)
+        for f, lhs_f in zip(fs, lhs_values):
+            f_partial = functools.cache(lambda rest: f.partial(pts, rest))
+            lhs = 0.0
+            for alpha in indices_up_to_order(d, m):
+                lhs = max(lhs, float(np.abs(_leibniz(table, f_partial, alpha)).max()))
+            lhs_f.append(lhs)
 
     # Midpoint sums over each outer ball at both resolutions, one partition
-    # table per resolution.
-    integrals = []
+    # table per resolution; integrals[i][r][b]: function i, resolution r.
+    integrals = [[] for _ in fs]
     for res in (quad_resolution, quad_resolution / 2.0):
         mids = []
         for k in ks:
             z = cover.centers[k]
             rho = float(cover.rho[k])
             mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
-        tables = partition_partials(partition.functions, np.concatenate(mids),
-                                    np.repeat(ks, [len(p) for p in mids]), m_tilde)
-        integrals.append([
-            _midpoint_integral(np.abs(_leibniz(
-                table, lambda rest: f.partial(pts, rest), m_tilde)), res, d)
-            for pts, table in zip(mids, _split_rows(tables, mids))])
+        tables = _split_rows(
+            partition_partials(partition.functions, np.concatenate(mids),
+                               np.repeat(ks, [len(p) for p in mids]), m_tilde),
+            mids)
+        for f, integrals_f in zip(fs, integrals):
+            integrals_f.append([
+                _midpoint_integral(np.abs(_leibniz(
+                    table, lambda rest: f.partial(pts, rest), m_tilde)), res, d)
+                for pts, table in zip(mids, tables)])
 
-    for k, lhs, coarse, fine in zip(ks, lhs_values, *integrals):
-        if abs(fine - coarse) > STABILITY_RTOL * max(abs(fine), 1e-300):
-            unstable = {"center": k, "coarse": coarse, "fine": fine}
-            break
-        rhs = factor * min(coarse, fine)
-        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            tight = {"center": k, "lhs": lhs, "rhs": rhs}
+    certs = []
+    for f, lhs_f, (coarse_f, fine_f) in zip(fs, lhs_values, integrals):
+        worst_ratio = 0.0
+        tight = None
+        unstable = None
+        for k, lhs, coarse, fine in zip(ks, lhs_f, coarse_f, fine_f):
+            if abs(fine - coarse) > STABILITY_RTOL * max(abs(fine), 1e-300):
+                unstable = {"center": k, "coarse": coarse, "fine": fine}
+                break
+            rhs = factor * min(coarse, fine)
+            ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.inf)
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                tight = {"center": k, "lhs": lhs, "rhs": rhs}
 
-    if unstable is not None:
-        return Certificate(
+        if unstable is not None:
+            certs.append(Certificate(
+                name=f"integral_bound[{f.name},m={m}]",
+                claim="chain.per_ball_integral_bound",
+                verdict=INCONCLUSIVE,
+                resolutions={"quadrature": quad_resolution},
+                details={"unstable_integral": unstable},
+            ))
+            continue
+        passed = worst_ratio <= 1.0 + tol
+        certs.append(Certificate(
             name=f"integral_bound[{f.name},m={m}]",
             claim="chain.per_ball_integral_bound",
-            verdict=INCONCLUSIVE,
-            resolutions={"quadrature": quad_resolution},
-            details={"unstable_integral": unstable},
-        )
-    passed = worst_ratio <= 1.0 + tol
-    return Certificate(
-        name=f"integral_bound[{f.name},m={m}]",
-        claim="chain.per_ball_integral_bound",
-        verdict=PASS if passed else FAIL,
-        measured=worst_ratio, bound=1.0, slack=1.0 - worst_ratio,
-        constants={"factor": factor},
-        resolutions={"quadrature": quad_resolution,
-                     "refined": quad_resolution / 2.0,
-                     "points_per_ball": points_per_ball ** d},
-        details=tight or {},
-    )
+            verdict=PASS if passed else FAIL,
+            measured=worst_ratio, bound=1.0, slack=1.0 - worst_ratio,
+            constants={"factor": factor},
+            resolutions={"quadrature": quad_resolution,
+                         "refined": quad_resolution / 2.0,
+                         "points_per_ball": points_per_ball ** d},
+            details=tight or {},
+        ))
+    return certs
 
 
 def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
@@ -390,10 +407,11 @@ class JFunctional:
 
     At each point at most one summand is nonzero because the rescaled
     supports are pairwise disjoint; evaluation locates the core boxes of
-    all points in one batch query on the cover.
+    all points in one batch query on the cover.  The functional is taken
+    for every test function at once: the partition table and the weights
+    it is built from do not depend on f.
     """
 
-    f: TestFunction
     partition: Partition
     cover: Cover
     family: WeightFamily
@@ -407,12 +425,15 @@ class JFunctional:
     def m_tilde(self) -> tuple[int, ...]:
         return (self.m + 1,) * self.cover.dimension
 
-    def values(self, zetas) -> np.ndarray:
-        """Vectorized evaluation: points are grouped by their core box."""
+    def values(self, zetas, fs: list[TestFunction]) -> np.ndarray:
+        """Vectorized evaluation: points are grouped by their core box.
+
+        Returns one row per test function in ``fs``, one column per point.
+        """
         zetas = np.asarray(zetas, dtype=float)
         if zetas.ndim == 1:
             zetas = zetas[None, :]
-        out = np.zeros(len(zetas))
+        out = np.zeros((len(fs), len(zetas)))
         owners = self.cover.core_owners(zetas)
         # the owning centers in increasing order (owners are -1 or a k)
         ks = np.flatnonzero(np.bincount(owners + 1)[1:]).tolist()
@@ -424,22 +445,24 @@ class JFunctional:
         tables = partition_partials(self.partition.functions, np.concatenate(xs),
                                     owners[np.concatenate(groups)], self.m_tilde)
         for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
-            terms = _leibniz(table, lambda rest: self.f.partial(x, rest),
-                             self.m_tilde)
-            out[idxs] = terms * self.family.nu_at(self.nu_index, zetas[idxs])
+            nu = self.family.nu_at(self.nu_index, zetas[idxs])
+            for row, f in zip(out, fs):
+                terms = _leibniz(table, lambda rest: f.partial(x, rest),
+                                 self.m_tilde)
+                row[idxs] = terms * nu
         return out
 
 
-def build_functional(f: TestFunction, partition: Partition, cover: Cover,
+def build_functional(partition: Partition, cover: Cover,
                      family: WeightFamily, calc: IndexCalculus,
                      n: int, m: int) -> JFunctional:
     p = calc.quad_weight_index(n, cover.dimension)
-    return JFunctional(f=f, partition=partition, cover=cover, family=family,
+    return JFunctional(partition=partition, cover=cover, family=family,
                        level=n, m=m, p=p, nu_index=calc.apply(2, p),
                        maps=rescale_maps(cover))
 
 
-def domination_certificate(f: TestFunction, family: WeightFamily,
+def domination_certificate(fs: list[TestFunction], family: WeightFamily,
                            domain: ExhaustionDomain, n: int, m: int,
                            cover: Cover, partition: Partition,
                            oracle: RadiusOracle, calc: IndexCalculus,
@@ -447,11 +470,11 @@ def domination_certificate(f: TestFunction, family: WeightFamily,
                            tol: float = 1e-9) -> list[Certificate]:
     """End-to-end domination of the seminorm, plus the functional's bound.
 
-    First certificate: the (n, m) seminorm is at most the assembled
-    constant times the weighted integral of the functional over the union
-    of outer balls.  Second: the functional is uniformly bounded by the
-    composed higher seminorm of f.  Both are evaluated at two quadrature
-    resolutions.
+    Per test function in ``fs``, two certificates in this order.  First:
+    the (n, m) seminorm is at most the assembled constant times the
+    weighted integral of the functional over the union of outer balls.
+    Second: the functional is uniformly bounded by the composed higher
+    seminorm of f.  Both are evaluated at two quadrature resolutions.
     """
     if m < 1:
         raise ValueError("the domination chain is assembled for m >= 1")
@@ -467,57 +490,22 @@ def domination_certificate(f: TestFunction, family: WeightFamily,
                            f"index calculus ({calc.quad_weight_index(n, d)})")
     a2 = family.constant(2, p, cover.level + 1)
 
-    func = build_functional(f, partition, cover, family, calc, n, m)
+    func = build_functional(partition, cover, family, calc, n, m)
 
     expand = float(cover.rho.max())
     quad_box = Box(tuple(lo - expand for lo in cover.box.lower),
                    tuple(hi + expand for hi in cover.box.upper))
 
-    lhs = seminorm(f, family, n, m, check_grid)
-
-    integrals = []
-    sup_j = 0.0
+    # integrals[i][r] and sup_j[i]: test function i, resolution r
+    integrals = [[] for _ in fs]
+    sup_j = [0.0] * len(fs)
     for res in (quad_resolution, quad_resolution / 2.0):
         mids = union_cell_midpoints(cover, quad_box, res)
-        jvals = np.abs(func.values(mids))
-        sup_j = max(sup_j, float(jvals.max()))
-        vals = jvals * family.psi_at(p, mids)
-        integrals.append(_midpoint_integral(vals, res, d))
-    coarse, fine = integrals
-
-    stable = abs(fine - coarse) <= STABILITY_RTOL * max(abs(fine), 1e-300)
-    rhs_values = [c0 * a2 * v for v in integrals]
-    constants = {
-        "C0": c0, "A2_at_p": a2, "p": p, "nu_index_in_functional": func.nu_index,
-        "D": D, "D_factors": [list(fct) for fct in d_factors],
-        "A1_closing": a1_target,
-    }
-    if not stable:
-        cert10 = Certificate(
-            name=f"domination[{family.name},{f.name},n={n},m={m}]",
-            claim="chain.seminorm_domination",
-            verdict=INCONCLUSIVE,
-            measured=lhs,
-            constants=constants,
-            resolutions={"quadrature": quad_resolution},
-            details={"integrals": integrals,
-                     "note": "integral moved more than 1% under refinement"},
-        )
-    else:
-        ok = all(lhs <= rhs * (1.0 + tol) for rhs in rhs_values)
-        cert10 = Certificate(
-            name=f"domination[{family.name},{f.name},n={n},m={m}]",
-            claim="chain.seminorm_domination",
-            verdict=PASS if ok else FAIL,
-            measured=lhs,
-            bound=min(rhs_values),
-            slack=min(rhs_values) - lhs,
-            constants=constants,
-            resolutions={"quadrature": quad_resolution,
-                         "refined": quad_resolution / 2.0,
-                         "seminorm_points": int(len(check_grid))},
-            details={"integrals": integrals},
-        )
+        jvals_all = np.abs(func.values(mids, fs))
+        psi = family.psi_at(p, mids)
+        for i, jvals in enumerate(jvals_all):
+            sup_j[i] = max(sup_j[i], float(jvals.max()))
+            integrals[i].append(_midpoint_integral(jvals * psi, res, d))
 
     # Uniform bound on the functional by a composed seminorm of f.
     m_tilde = func.m_tilde
@@ -533,24 +521,63 @@ def domination_certificate(f: TestFunction, family: WeightFamily,
         raise RuntimeError(
             f"functional bound index {q} disagrees with the index calculus "
             f"({calc.functional_bound_index(p, d, m)})")
-
     sem_grid = domain.sample_ring(q + 1, quad_resolution * 4, quad_box)
-    high_sem = seminorm(f, family, q + 1, d * (m + 1), sem_grid)
-    bound11 = c1 * d1 * a1_last * high_sem
-    ok11 = sup_j <= bound11 * (1.0 + tol)
-    cert11 = Certificate(
-        name=f"functional_bound[{family.name},{f.name},n={n},m={m}]",
-        claim="chain.functional_uniform_bound",
-        verdict=PASS if ok11 else FAIL,
-        measured=sup_j,
-        bound=bound11,
-        slack=bound11 - sup_j,
-        constants={"C1": c1, "D1": d1, "A1_closing": a1_last, "q": q,
-                   "seminorm_order": d * (m + 1),
-                   "D1_factors": [list(fct) for fct in d1_factors]},
-        resolutions={"functional_points": "union cell midpoints at both "
-                                          "quadrature resolutions",
-                     "seminorm_points": int(len(sem_grid))},
-        details={"high_seminorm": high_sem},
-    )
-    return [cert10, cert11]
+
+    certs = []
+    for f, (coarse, fine), sup_f in zip(fs, integrals, sup_j):
+        lhs = seminorm(f, family, n, m, check_grid)
+        constants = {
+            "C0": c0, "A2_at_p": a2, "p": p,
+            "nu_index_in_functional": func.nu_index,
+            "D": D, "D_factors": [list(fct) for fct in d_factors],
+            "A1_closing": a1_target,
+        }
+        stable = abs(fine - coarse) <= STABILITY_RTOL * max(abs(fine), 1e-300)
+        rhs_values = [c0 * a2 * v for v in (coarse, fine)]
+        if not stable:
+            cert10 = Certificate(
+                name=f"domination[{family.name},{f.name},n={n},m={m}]",
+                claim="chain.seminorm_domination",
+                verdict=INCONCLUSIVE,
+                measured=lhs,
+                constants=constants,
+                resolutions={"quadrature": quad_resolution},
+                details={"integrals": [coarse, fine],
+                         "note": "integral moved more than 1% under refinement"},
+            )
+        else:
+            ok = all(lhs <= rhs * (1.0 + tol) for rhs in rhs_values)
+            cert10 = Certificate(
+                name=f"domination[{family.name},{f.name},n={n},m={m}]",
+                claim="chain.seminorm_domination",
+                verdict=PASS if ok else FAIL,
+                measured=lhs,
+                bound=min(rhs_values),
+                slack=min(rhs_values) - lhs,
+                constants=constants,
+                resolutions={"quadrature": quad_resolution,
+                             "refined": quad_resolution / 2.0,
+                             "seminorm_points": int(len(check_grid))},
+                details={"integrals": [coarse, fine]},
+            )
+
+        high_sem = seminorm(f, family, q + 1, d * (m + 1), sem_grid)
+        bound11 = c1 * d1 * a1_last * high_sem
+        ok11 = sup_f <= bound11 * (1.0 + tol)
+        cert11 = Certificate(
+            name=f"functional_bound[{family.name},{f.name},n={n},m={m}]",
+            claim="chain.functional_uniform_bound",
+            verdict=PASS if ok11 else FAIL,
+            measured=sup_f,
+            bound=bound11,
+            slack=bound11 - sup_f,
+            constants={"C1": c1, "D1": d1, "A1_closing": a1_last, "q": q,
+                       "seminorm_order": d * (m + 1),
+                       "D1_factors": [list(fct) for fct in d1_factors]},
+            resolutions={"functional_points": "union cell midpoints at both "
+                                              "quadrature resolutions",
+                         "seminorm_points": int(len(sem_grid))},
+            details={"high_seminorm": high_sem},
+        )
+        certs += [cert10, cert11]
+    return certs

@@ -110,11 +110,19 @@ class RunConfig:
                 or psi_resolution <= 0):
             problems.append("resolutions.psi must be a positive number")
 
-        suite = tuple(data.get("suite", list(SUITES)))
+        suite = data.get("suite", list(SUITES))
+        if not isinstance(suite, list):
+            problems.append("field 'suite' must be a list")
+            suite = []
+        suite = tuple(suite)
         for entry in suite:
             if entry not in SUITES:
                 problems.append(f"unknown suite entry {entry!r}")
-        fns = tuple(data.get("test_functions", ["gaussian"]))
+        fns = data.get("test_functions", ["gaussian"])
+        if not isinstance(fns, list):
+            problems.append("field 'test_functions' must be a list")
+            fns = []
+        fns = tuple(fns)
         for entry in fns:
             if entry not in TEST_FUNCTIONS:
                 problems.append(f"unknown test function {entry!r}")
@@ -153,7 +161,7 @@ class RunConfig:
                         f"m {m} exceeds the smoothness budget: need "
                         f"m + 1 <= {order - 1} (order error)")
                 dim = (dom or {}).get("dimension") or len(trunc.get("lower", ()))
-                if dim and dim * (m + 1) > order:
+                if isinstance(dim, int) and dim * (m + 1) > order:
                     problems.append(
                         f"chain needs smoothness_order >= d(m+1) = {dim * (m + 1)} "
                         "(order error)")
@@ -197,33 +205,38 @@ def build_domain(spec: dict) -> domains.ExhaustionDomain:
     except KeyError as exc:
         raise ConfigError(
             f"domain kind {kind!r} needs the field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad domain of kind {kind!r}: {exc}") from None
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def build_family(spec: dict, domain: domains.ExhaustionDomain) -> weights.WeightFamily:
     kind = spec.get("kind")
-    if kind == "schwartz":
-        return weights.schwartz_family(domain)
-    if kind == "boundary":
-        return weights.boundary_family(domain)
-    if kind == "constant":
-        return weights.constant_weight_family(domain, spec.get("radius"))
-    if kind == "exp":
-        mu_spec = spec.get("mu", {})
-        mu = weights.MuSpec(
-            variant=mu_spec.get("variant", "zero"),
-            delta=mu_spec.get("delta"),
-            power=mu_spec.get("power"),
-            gamma=mu_spec.get("gamma"),
-            block=tuple(mu_spec["block"]) if "block" in mu_spec else None)
-        a_spec = spec.get("a", {"kind": "linear", "scale": 1.0})
-        if isinstance(a_spec, list):
-            a = a_spec
-        else:
-            scale = float(a_spec.get("scale", 1.0))
-            a = lambda i: scale * i
-        return weights.make_exp_family(
-            mu, a, domain, constant_radius=bool(spec.get("constant_radius")))
+    try:
+        if kind == "schwartz":
+            return weights.schwartz_family(domain)
+        if kind == "boundary":
+            return weights.boundary_family(domain)
+        if kind == "constant":
+            return weights.constant_weight_family(domain, spec.get("radius"))
+        if kind == "exp":
+            mu_spec = spec.get("mu", {})
+            mu = weights.MuSpec(
+                variant=mu_spec.get("variant", "zero"),
+                delta=mu_spec.get("delta"),
+                power=mu_spec.get("power"),
+                gamma=mu_spec.get("gamma"),
+                block=tuple(mu_spec["block"]) if "block" in mu_spec else None)
+            a_spec = spec.get("a", {"kind": "linear", "scale": 1.0})
+            if isinstance(a_spec, list):
+                a = a_spec
+            else:
+                scale = float(a_spec.get("scale", 1.0))
+                a = lambda i: scale * i
+            return weights.make_exp_family(
+                mu, a, domain, constant_radius=bool(spec.get("constant_radius")))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad family of kind {kind!r}: {exc}") from None
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -335,17 +348,23 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
         certificates.append(certify.verify_ball_weight_bound(
             family, built_cover, oracle, calc, m=n, j=1,
             p_exp=built_cover.dimension, tol=config.tolerance))
-        for fn_name in config.test_functions:
-            f = make_test_function(fn_name, domain.dimension)
-            certificates.append(certify.membership_certificate(
-                f, family, n, m, _subsample(check_grid, 2500)))
-            certificates.append(certify.verify_integral_bound(
-                f, partition, built_cover, m, config.quadrature_resolution,
-                tol=config.tolerance))
-            certificates.extend(certify.domination_certificate(
-                f, family, domain, n, m, built_cover, partition, oracle,
+        fs = [make_test_function(fn_name, domain.dimension)
+              for fn_name in config.test_functions]
+        if fs:
+            members = [certify.membership_certificate(
+                f, family, n, m, _subsample(check_grid, 2500)) for f in fs]
+            bounds = certify.verify_integral_bound(
+                fs, partition, built_cover, m, config.quadrature_resolution,
+                tol=config.tolerance)
+            dominations = certify.domination_certificate(
+                fs, family, domain, n, m, built_cover, partition, oracle,
                 calc, check_grid, config.quadrature_resolution,
-                tol=config.tolerance))
+                tol=config.tolerance)
+            # per test function: membership, integral bound, domination and
+            # the functional's bound
+            for i in range(len(fs)):
+                certificates += [members[i], bounds[i],
+                                 *dominations[2 * i:2 * i + 2]]
 
     for cert in certificates:
         echo(cert.one_line())

@@ -241,34 +241,34 @@ class RadiusOracle:
     def _off_lattice(self, k: int, pts: np.ndarray, r0: np.ndarray) -> np.ndarray:
         """``min(r0(z), level k over the lattice points that qualify for z)``.
 
-        The window spans ``ceil(max(reach, r0(z)) / resolution)`` cells
-        around the nearest index on each axis, clipped to the lattice.
+        A point's own window spans ``ceil(max(reach, r0(z)) / resolution)``
+        cells around its nearest index on each axis.  Every point scans a
+        window of the widest such size, cut to the lattice's shape on each
+        axis and moved inside the lattice so that it holds every lattice cell
+        of the point's own window; cells past the own window get distance
+        inf.
         """
         d = len(self._shape)
         shape = np.array(self._shape)
         near = np.rint((pts - self._origin) / self.resolution)
         cells = np.ceil(np.maximum(self._reach, r0) / self.resolution + 1e-12)
         pad = int(cells.max())
-        width = 2 * pad + 1
-        # Windows of the widest size around the nearest index, moved inside
-        # the lattice; offsets past a point's own window get distance inf.
-        first = np.clip(near, 0, shape - 1).astype(np.intp)
-        pred = np.pad(self._r0_pred, pad, constant_values=-np.inf)
-        level = np.pad(self._level(k), pad, constant_values=np.inf)
-        pred_win = np.lib.stride_tricks.sliding_window_view(pred, (width,) * d)
-        level_win = np.lib.stride_tricks.sliding_window_view(level, (width,) * d)
-        steps = np.arange(width)
-        axes = self._padded_axes(pad)
-        chunk = max(1, _QUERY_CELLS // width ** d)
+        widths = np.minimum(2 * pad + 1, shape)
+        first = np.clip(near - pad, 0, shape - widths).astype(np.intp)
+        pred_win = np.lib.stride_tricks.sliding_window_view(
+            self._r0_pred, tuple(widths))
+        level_win = np.lib.stride_tricks.sliding_window_view(
+            self._level(k), tuple(widths))
+        axes = self._padded_axes(0)
+        chunk = max(1, _QUERY_CELLS // int(np.prod(widths)))
         out = np.empty(len(pts))
         for lo in range(0, len(pts), chunk):
             rows = slice(lo, lo + chunk)
             dist = np.zeros((len(pts[rows]),) + (1,) * d)
-            for a, axis in enumerate(axes):
-                at = first[rows, a, None] + steps                 # padded index
+            for a, (axis, width) in enumerate(zip(axes, widths.tolist())):
+                at = first[rows, a, None] + np.arange(width)      # lattice index
                 gap = np.abs(axis[at] - pts[rows, a, None])
-                gap[np.abs(at - pad - near[rows, a, None])
-                    > cells[rows, None]] = np.inf
+                gap[np.abs(at - near[rows, a, None]) > cells[rows, None]] = np.inf
                 dist = np.maximum(dist, gap.reshape(
                     (len(gap),) + (1,) * a + (width,) + (1,) * (d - a - 1)))
             corner = tuple(first[rows].T)

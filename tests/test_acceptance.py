@@ -267,11 +267,11 @@ def test_criterion_6_inequality_chain():
         cert = verify_disjoint_supports(cover, partition)
         if cert.verdict != "pass":
             problems.append(f"{label}: disjoint supports {cert.verdict}")
-        for f in shipped_suite(dom.dimension):
-            c5 = verify_integral_bound(f, partition, cover, 1, quad_res)
-            c10, c11 = domination_certificate(
-                f, fam, dom, 1, 1, cover, partition, oracle, calc, grid,
-                quad_res)
+        fs = shipped_suite(dom.dimension)
+        c5s = verify_integral_bound(fs, partition, cover, 1, quad_res)
+        c10s = domination_certificate(fs, fam, dom, 1, 1, cover, partition,
+                                      oracle, calc, grid, quad_res)
+        for f, c5, c10, c11 in zip(fs, c5s, c10s[::2], c10s[1::2]):
             for tag, cert in (("integral", c5), ("domination", c10),
                               ("functional", c11)):
                 if cert.verdict != "pass":

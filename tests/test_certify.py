@@ -8,9 +8,11 @@ from covercert import (Box, BoxRegion, IndexCalculus, IndexCapError,
                        constant_weight_family, coord_gaussian,
                        domination_certificate, expanding_boxes, full_space,
                        gaussian, membership_certificate, schwartz_family,
-                       seminorm, spline_bump, union_cell_midpoints,
+                       seminorm, shipped_suite, spline_bump,
+                       union_cell_midpoints,
                        verify_ball_weight_bound, verify_disjoint_supports,
                        verify_integral_bound, with_extra_center)
+from covercert import bumps
 from covercert.bumps import function_values
 from covercert.certify import mixed_partial_many, rescale_maps
 
@@ -246,11 +248,12 @@ class TestDisjointSupports:
 class TestFunctional:
     def test_zero_outside_cores(self, constant_setup):
         dom, fam, cover, partition, calc = constant_setup
-        func = build_functional(gaussian(1), partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, fam, calc, 1, 1)
         # midpoint between adjacent centers is outside every core box
         zeta = 0.5 * (cover.centers[0] + cover.centers[1])
         inside = cover.centers[2] + 0.2 * cover.core_halfwidths[2]
-        outside_value, inside_value = func.values(np.stack([zeta, inside]))
+        outside_value, inside_value = func.values(np.stack([zeta, inside]),
+                                                  [gaussian(1)])[0]
         assert outside_value == 0.0
         assert inside_value != 0.0
 
@@ -258,8 +261,7 @@ class TestFunctional:
         dom, fam, cover, partition, calc = constant_setup
         f = gaussian(1)
         g = coord_gaussian(1)
-        fa = build_functional(f, partition, cover, fam, calc, 1, 1)
-        fb = build_functional(g, partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, fam, calc, 1, 1)
 
         class Comb:
             name = "comb"
@@ -268,15 +270,14 @@ class TestFunctional:
             def partial(self, x, alpha):
                 return 2.0 * f.partial(x, alpha) - 0.5 * g.partial(x, alpha)
 
-        fc = build_functional(Comb(), partition, cover, fam, calc, 1, 1)
         zetas = np.stack([cover.centers[1] + 0.01, cover.centers[5] - 0.02,
                           np.array([0.4])])
-        assert fc.values(zetas) == pytest.approx(
-            2 * fa.values(zetas) - 0.5 * fb.values(zetas), abs=1e-12)
+        fa, fb, fc = func.values(zetas, [f, g, Comb()])
+        assert fc == pytest.approx(2 * fa - 0.5 * fb, abs=1e-12)
 
     def test_at_most_one_active_term(self, schwartz_setup):
         fam, cover, partition, calc = schwartz_setup
-        func = build_functional(gaussian(1), partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, fam, calc, 1, 1)
         rng = np.random.default_rng(3)
         pts = rng.uniform(-4, 4, size=(200, 1))
         # per point, the summands whose rescaled support contains it
@@ -294,7 +295,7 @@ class TestFunctional:
         partition = build_partition(cover, order=6)
         calc = IndexCalculus(fam)
         f = gaussian(1)
-        func = build_functional(f, partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, fam, calc, 1, 1)
         zeta = cover.centers[0] + 0.3 * cover.core_halfwidths[0]
         x = func.maps[0].forward(zeta)
 
@@ -305,14 +306,14 @@ class TestFunctional:
         h = 1e-4
         fd = (hf(x[0] + h) - 2 * hf(x[0]) + hf(x[0] - h)) / h ** 2
         nu = fam.nu_at(func.nu_index, zeta[None, :])[0]
-        assert func.values(zeta)[0] == pytest.approx(fd * nu, rel=1e-5)
+        assert func.values(zeta, [f])[0][0] == pytest.approx(fd * nu, rel=1e-5)
 
 
 class TestIntegralBound:
     def test_zero_function(self, constant_setup):
         _, fam, cover, partition, _ = constant_setup
         zero = gaussian(1).scaled(0.0)
-        cert = verify_integral_bound(zero, partition, cover, 1, 1e-3)
+        cert, = verify_integral_bound([zero], partition, cover, 1, 1e-3)
         assert cert.verdict == "pass"
         assert cert.measured == 0.0
 
@@ -321,13 +322,13 @@ class TestIntegralBound:
         fam = constant_weight_family(dom)
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.05,), (0.05,)))
         partition = build_partition(cover, order=6)
-        cert = verify_integral_bound(spline_bump(1), partition, cover,
-                                     m=0, quad_resolution=2e-4)
+        cert, = verify_integral_bound([spline_bump(1)], partition, cover,
+                                      m=0, quad_resolution=2e-4)
         assert cert.verdict == "pass"
 
     def test_schwartz_with_gaussian(self, schwartz_setup):
         _, cover, partition, _ = schwartz_setup
-        cert = verify_integral_bound(gaussian(1), partition, cover, 1, 5e-4)
+        cert, = verify_integral_bound([gaussian(1)], partition, cover, 1, 5e-4)
         assert cert.verdict == "pass"
 
 
@@ -336,7 +337,7 @@ class TestDomination:
         dom, fam, cover, partition, calc = constant_setup
         grid = dom.sample_ring(1, 2e-3, cover.box)
         zero = gaussian(1).scaled(0.0)
-        c10, c11 = domination_certificate(zero, fam, dom, 1, 1, cover,
+        c10, c11 = domination_certificate([zero], fam, dom, 1, 1, cover,
                                           partition, cover.oracle, calc, grid,
                                           5e-4)
         assert c10.verdict == "pass" and c10.measured == 0.0
@@ -347,10 +348,10 @@ class TestDomination:
         grid = dom.sample_ring(1, 2e-3, cover.box)
         f = gaussian(1)
         base10, base11 = domination_certificate(
-            f, fam, dom, 1, 1, cover, partition, cover.oracle, calc, grid, 1e-3)
+            [f], fam, dom, 1, 1, cover, partition, cover.oracle, calc, grid, 1e-3)
         lam = 4.0
         scaled10, scaled11 = domination_certificate(
-            f.scaled(lam), fam, dom, 1, 1, cover, partition, cover.oracle,
+            [f.scaled(lam)], fam, dom, 1, 1, cover, partition, cover.oracle,
             calc, grid, 1e-3)
         assert scaled10.measured == pytest.approx(lam * base10.measured, rel=1e-12)
         assert scaled10.bound == pytest.approx(lam * base10.bound, rel=1e-12)
@@ -361,8 +362,84 @@ class TestDomination:
         dom, fam, cover, partition, calc = constant_setup
         grid = dom.sample_ring(1, 2e-3, cover.box)
         with pytest.raises(ValueError):
-            domination_certificate(gaussian(1), fam, dom, 1, 0, cover,
+            domination_certificate([gaussian(1)], fam, dom, 1, 0, cover,
                                    partition, cover.oracle, calc, grid, 1e-3)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["d1", "d2"])
+def chain_setup(request):
+    """A constant-weight cover, its partition and a check grid in d = 1, 2,
+    with the quadrature resolution of each (coarse in d = 2)."""
+    d = request.param
+    dom = expanding_boxes(d)
+    fam = constant_weight_family(dom)
+    box = Box((-0.5,) * d, (0.5,) * d)
+    cover = build_cover(fam, dom, 1, 5e-3 if d == 1 else 0.05, box=box)
+    partition = build_partition(cover, order=6)
+    grid = dom.sample_ring(1, 0.01 if d == 1 else 0.05, box)
+    quad = 1e-3 if d == 1 else 0.05
+    return dom, fam, cover, partition, IndexCalculus(fam), grid, quad
+
+
+class TestBatchedChain:
+    """One call over several test functions certifies each of them exactly
+    as a call over that function alone."""
+
+    def test_integral_bound_equals_per_function_calls(self, chain_setup):
+        _, _, cover, partition, _, _, quad = chain_setup
+        fs = shipped_suite(cover.dimension)
+        batched = verify_integral_bound(fs, partition, cover, 1, quad)
+        single = [verify_integral_bound([f], partition, cover, 1, quad)[0]
+                  for f in fs]
+        assert [c.as_dict() for c in batched] == [c.as_dict() for c in single]
+
+    def test_domination_equals_per_function_calls(self, chain_setup):
+        dom, fam, cover, partition, calc, grid, quad = chain_setup
+        fs = shipped_suite(cover.dimension)
+        batched = domination_certificate(fs, fam, dom, 1, 1, cover, partition,
+                                         cover.oracle, calc, grid, quad)
+        single = [cert for f in fs
+                  for cert in domination_certificate(
+                      [f], fam, dom, 1, 1, cover, partition, cover.oracle,
+                      calc, grid, quad)]
+        assert [c.as_dict() for c in batched] == [c.as_dict() for c in single]
+
+    def test_functional_rows_equal_single_rows(self, chain_setup):
+        _, fam, cover, partition, calc, _, _ = chain_setup
+        func = build_functional(partition, cover, fam, calc, 1, 1)
+        d = cover.dimension
+        rng = np.random.default_rng(5)
+        zetas = rng.uniform(-0.6, 0.6, size=(300, d))
+        fs = shipped_suite(d)
+        rows = func.values(zetas, fs)
+        assert rows.shape == (len(fs), len(zetas))
+        assert rows.any()
+        for row, f in zip(rows, fs):
+            assert row.tobytes() == func.values(zetas, [f])[0].tobytes()
+
+    def test_incidence_builds_do_not_grow_with_test_functions(
+            self, chain_setup, monkeypatch):
+        dom, fam, cover, partition, calc, grid, quad = chain_setup
+        builds = []
+        init = bumps.Incidence.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bumps.Incidence, "__init__", counting_init)
+
+        def chain_builds(fs):
+            builds.clear()
+            verify_integral_bound(fs, partition, cover, 1, quad)
+            domination_certificate(fs, fam, dom, 1, 1, cover, partition,
+                                   cover.oracle, calc, grid, quad)
+            return len(builds)
+
+        fs = shipped_suite(cover.dimension)
+        one = chain_builds(fs[:1])
+        assert one > 0
+        assert chain_builds(fs) == one
 
 
 class TestUnionCells:

@@ -127,6 +127,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"domain": {"kind": "expanding_boxes", "dimension": "x"}},
+        {"domain": {"kind": "expanding_boxes", "dimension": "x"},
+         "suite": ["chain"]},
+        {"domain": {"kind": "bounded_box", "lower": ["a"], "upper": [1.0]}},
+        {"family": {"kind": "constant", "radius": "x"}},
+        {"family": {"kind": "exp", "a": {"scale": "x"}}},
+        {"family": {"kind": "exp", "mu": {"variant": "power"}}},
+        {"test_functions": 3},
+        {"suite": 3},
+    ], ids=["dimension_string", "dimension_string_chain",
+            "bounded_box_lower_string", "constant_radius_string",
+            "exp_scale_string", "exp_unknown_mu_variant",
+            "test_functions_not_a_list", "suite_not_a_list"])
+    def test_wrong_typed_field_exits_two(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, small_config(**overrides))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_overflowing_constant_exits_two(self, tmp_path, capsys):
         # the chain composes A1 at index 50 of the constant-radius |x|^2
         # family, exp(a_1250), which overflows

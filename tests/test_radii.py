@@ -256,6 +256,25 @@ class TestAgainstWindowScan:
         assert oracle.value(k, z) == oracles.radius_value(oracle, k, z, levels)
         assert oracle.value(k, z) == expected
 
+    def test_off_lattice_window_wider_than_the_lattice(self):
+        # r0 is half the distance to the unit square's boundary, about 0.2,
+        # so each window would span some 45 cells on a lattice of 11 x 11
+        dom = constant_exhaustion(BoxRegion(Box((0.0, 0.0), (1.0, 1.0))),
+                                  name="unit")
+        oracle = RadiusOracle(boundary_family(dom), dom, 1, 0.01,
+                              box=Box((0.4, 0.42), (0.5, 0.52)))
+        pts = np.array([[0.3037, 0.5561], [0.6102, 0.3449], [0.4533, 0.6291],
+                        [0.2518, 0.2765], [0.7219, 0.4783], [0.4451, 0.4617]])
+        r0 = oracle.family.radius(1, pts)
+        pad = np.ceil(np.maximum(oracle._reach, r0) / 0.01 + 1e-12).max()
+        assert (2 * pad + 1 > np.array(oracle._shape)).all()
+        assert not oracle._lattice_index(pts)[2].any()
+        levels = [oracles.radius_level(oracle, k) for k in range(4)]
+        for k in (1, 2, 3):
+            expected = [oracles.radius_value(oracle, k, z, levels) for z in pts]
+            assert oracle.values(k, pts).tobytes() == \
+                np.asarray(expected).tobytes()
+
     def test_shipped_boundary_d1_lattice_needs_few_groups(self):
         dom = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
         oracle = RadiusOracle(boundary_family(dom), dom, 1, 0.001,
