@@ -17,9 +17,12 @@ the cutoffs of that radius.
 
 Every partition reading runs through one incidence engine,
 ``Incidence``.  It holds the (point, cutoff) pairs of a point set with
-the point in the cutoff's closed support, and evaluates each cutoff's
-partials once, on all of its points.  Readers that need every pair (the
-partition sum, the partition certificates, the cutoff export) find them
+the point in the cutoff's closed support, and evaluates the factors of
+all pairs of one profile together: per axis, one shared-knot evaluation
+gives every derivative order the pairs need, so the interval searches
+scale with the distinct radii, not with the cutoffs.  Readers that need
+every pair (the partition sum, the partition certificates, the cutoff
+export) find them
 with one ``sup_pairs`` query; readers that evaluate one function per
 point (``function_values``, ``partition_partials`` and, through them, the
 rescaled functional and the pullback export) test just that function's
@@ -43,7 +46,7 @@ import numpy as np
 from .cover import Cover, neighbor_sets, pairs_within, sup_pairs
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
-from .piecewise import PiecewisePoly, indicator
+from .piecewise import PiecewisePoly, evaluate_shared, indicator
 from .report import FAIL, PASS, Certificate
 
 __all__ = [
@@ -172,24 +175,6 @@ class Cutoff:
             out = out * self.profile.eval(pts[:, i] - c_i, order=a_i)
         return float(out[0]) if scalar else out
 
-    def partials_table(self, pts: np.ndarray, alpha) -> dict:
-        """``partial(pts, beta)`` for every beta <= alpha, on (N, d) points.
-
-        Each (axis, derivative order) factor is evaluated once and shared by
-        every beta that uses it; the products run in the order ``partial``
-        uses, so each value is bitwise the one ``partial`` gives.
-        """
-        factors = [[self.profile.eval(pts[:, i] - c_i, order=j)
-                    for j in range(a_i + 1)]
-                   for i, (c_i, a_i) in enumerate(zip(self.center, alpha))]
-        out = {}
-        for beta in indices_below(alpha):
-            val = np.ones(len(pts))
-            for factor, b_i in zip(factors, beta):
-                val = val * factor[b_i]
-            out[beta] = val
-        return out
-
     def value(self, x):
         return self.partial(x, None)
 
@@ -236,8 +221,12 @@ class Incidence:
     index of the one function each point is read for) only the pairs of
     that function's own cutoff and blockers are, by testing them directly,
     blocker position by blocker position.  Pairs are held in lexicographic
-    (point, cutoff) order, and each cutoff's partials up to ``alpha`` are
-    evaluated once, on all of its points, by ``Cutoff.partials_table``.
+    (point, cutoff) order.  Each pair's partials up to ``alpha`` are formed
+    from its offsets to the cutoff's center: for every distinct profile and
+    axis, one shared-knot evaluation gives orders ``0..alpha_i`` at all of
+    that profile's pairs, and each beta multiplies its axis factors from
+    ones, in the order of ``Cutoff.partial``, so each value is bitwise that
+    cutoff's ``partial``.
     """
 
     def __init__(self, functions, pts, alpha, owners=None):
@@ -294,15 +283,27 @@ class Incidence:
         self.rows, cols = np.divmod(keys, size)
         self.fns = np.asarray(index, dtype=np.int64)[cols]
 
+        # the pairs of each distinct profile, evaluated together
+        profiles, profile_of = {}, np.empty(size, dtype=np.int64)
+        for c, cut in enumerate(self.cutoffs):
+            profile_of[c] = profiles.setdefault(id(cut.profile),
+                                                (len(profiles), cut.profile))[0]
+        offsets = pts[self.rows] - centers[cols]
+        pair_profile = profile_of[cols]
+        by_profile = np.argsort(pair_profile, kind="stable")
+        ends = np.searchsorted(pair_profile[by_profile],
+                               np.arange(1, len(profiles) + 1))
         self.factors = {beta: np.empty(len(cols)) for beta in self.betas}
-        by_cutoff = np.argsort(cols, kind="stable")
-        ends = np.searchsorted(cols[by_cutoff], np.arange(1, size + 1))
-        for c, (lo, hi) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+        for (_, profile), lo, hi in zip(profiles.values(), np.r_[0, ends[:-1]], ends):
             if hi > lo:
-                sel = by_cutoff[lo:hi]
-                table = self.cutoffs[c].partials_table(pts[self.rows[sel]], alpha)
+                sel = by_profile[lo:hi]
+                axes = [evaluate_shared(profile.polys[:a_i + 1], offsets[sel, i])
+                        for i, a_i in enumerate(alpha)]
                 for beta in self.betas:
-                    self.factors[beta][sel] = table[beta]
+                    val = np.ones(len(sel))
+                    for orders, b_i in zip(axes, beta):
+                        val = val * orders[b_i]
+                    self.factors[beta][sel] = val
 
     def _positions(self, rows, own):
         """``(p, the rows whose function has a p-th blocker)`` for p = 0, 1,

@@ -16,8 +16,12 @@ of them.  Their sample points, quadrature points, partition tables and
 weight arrays depend on the cover, the partition, the order and the
 resolution but not on the test function, so they are built once and
 shared; only the Leibniz sums, the integrals, the seminorms and the
-verdicts are evaluated per function, in the same operations as for a
-single function.
+verdicts are evaluated per function.  Each Leibniz sum runs once per test
+function over the points of all balls (or core boxes) together, and the
+per-ball maxima and midpoint sums are then read from each ball's
+contiguous slice, so every number is bitwise the one a per-ball
+evaluation gives (wherever the partials of f are finite: a ball whose
+h-partial is identically zero no longer skips that term, it adds zeros).
 """
 
 from __future__ import annotations
@@ -201,19 +205,74 @@ def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarra
     return mids[near]
 
 
-def _split_rows(tables: dict, groups: list) -> list[dict]:
-    """Per group of points, its consecutive rows of a partition table."""
-    ends = np.cumsum([len(g) for g in groups]).tolist()
-    return [{beta: vals[end - len(g):end] for beta, vals in tables.items()}
-            for g, end in zip(groups, ends)]
-
-
 def _midpoint_integral(values: np.ndarray, resolution: float,
                        dimension: int) -> float:
     return float(values.sum() * resolution ** dimension)
 
 
 # -- chain certificates -------------------------------------------------------
+
+
+def _ball_slices(groups: list) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each group's rows in the concatenated points."""
+    sizes = [len(g) for g in groups]
+    ends = np.cumsum(sizes, dtype=np.int64)
+    return ends - sizes, ends
+
+
+def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
+                          cover: Cover, m: int, quad_resolution: float,
+                          points_per_ball: int):
+    """The partition indices ``ks`` and, per test function, the per-ball
+    left sides (``lhs[i][b]``) and midpoint integrals at both resolutions
+    (``integrals[i][r][b]``) of ``verify_integral_bound``."""
+    d = cover.dimension
+    m_tilde = (m + 1,) * d
+    ks = [fn.index for fn in partition]
+    samples = []
+    for k in ks:
+        z = cover.centers[k]
+        rho = float(cover.rho[k])
+        samples.append(mesh_points([
+            np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho, points_per_ball)
+            for i in range(d)]))
+    # One partition table at (m,...,m) for every ball's sample points.  A
+    # beta's entry does not depend on the alpha it is computed under, so
+    # it serves every alpha with |alpha| <= m.
+    starts, ends = _ball_slices(samples)
+    pts = np.concatenate(samples)
+    tables = partition_partials(partition.functions, pts,
+                                np.repeat(ks, ends - starts), (m,) * d)
+    lhs_values = []
+    for f in fs:
+        f_partial = functools.cache(lambda rest: f.partial(pts, rest))
+        lhs = np.zeros(len(ks))
+        for alpha in indices_up_to_order(d, m):
+            peaks = np.maximum.reduceat(
+                np.abs(_leibniz(tables, f_partial, alpha)), starts)
+            lhs = np.where(peaks > lhs, peaks, lhs)     # max(lhs, peak)
+        lhs_values.append(lhs.tolist())
+
+    # Midpoint sums over each outer ball at both resolutions, one partition
+    # table per resolution.  Each ball's sum runs over its contiguous slice,
+    # so its pairwise summation is that of the ball's own array.
+    integrals = [[] for _ in fs]
+    for res in (quad_resolution, quad_resolution / 2.0):
+        mids = []
+        for k in ks:
+            z = cover.centers[k]
+            rho = float(cover.rho[k])
+            mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
+        starts, ends = _ball_slices(mids)
+        cells = np.concatenate(mids)
+        tables = partition_partials(partition.functions, cells,
+                                    np.repeat(ks, ends - starts), m_tilde)
+        for f, integrals_f in zip(fs, integrals):
+            vals = np.abs(_leibniz(tables, lambda rest: f.partial(cells, rest),
+                                   m_tilde))
+            integrals_f.append([_midpoint_integral(vals[lo:hi], res, d)
+                                for lo, hi in zip(starts, ends)])
+    return ks, lhs_values, integrals
 
 
 def verify_integral_bound(fs: list[TestFunction], partition: Partition,
@@ -228,49 +287,9 @@ def verify_integral_bound(fs: list[TestFunction], partition: Partition,
     resolutions.  Returns one certificate per test function in ``fs``.
     """
     d = cover.dimension
-    m_tilde = (m + 1,) * d
     factor = 2.0 ** (d * m)
-    ks = [fn.index for fn in partition]
-    samples = []
-    for k in ks:
-        z = cover.centers[k]
-        rho = float(cover.rho[k])
-        samples.append(mesh_points([
-            np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho, points_per_ball)
-            for i in range(d)]))
-    # One partition table at (m,...,m) for every ball's sample points.  A
-    # beta's entry does not depend on the alpha it is computed under, so
-    # each ball's rows serve every alpha with |alpha| <= m.
-    tables = partition_partials(partition.functions, np.concatenate(samples),
-                                np.repeat(ks, [len(p) for p in samples]), (m,) * d)
-    # lhs_values[i][b]: test function i, ball b
-    lhs_values = [[] for _ in fs]
-    for pts, table in zip(samples, _split_rows(tables, samples)):
-        for f, lhs_f in zip(fs, lhs_values):
-            f_partial = functools.cache(lambda rest: f.partial(pts, rest))
-            lhs = 0.0
-            for alpha in indices_up_to_order(d, m):
-                lhs = max(lhs, float(np.abs(_leibniz(table, f_partial, alpha)).max()))
-            lhs_f.append(lhs)
-
-    # Midpoint sums over each outer ball at both resolutions, one partition
-    # table per resolution; integrals[i][r][b]: function i, resolution r.
-    integrals = [[] for _ in fs]
-    for res in (quad_resolution, quad_resolution / 2.0):
-        mids = []
-        for k in ks:
-            z = cover.centers[k]
-            rho = float(cover.rho[k])
-            mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
-        tables = _split_rows(
-            partition_partials(partition.functions, np.concatenate(mids),
-                               np.repeat(ks, [len(p) for p in mids]), m_tilde),
-            mids)
-        for f, integrals_f in zip(fs, integrals):
-            integrals_f.append([
-                _midpoint_integral(np.abs(_leibniz(
-                    table, lambda rest: f.partial(pts, rest), m_tilde)), res, d)
-                for pts, table in zip(mids, tables)])
+    ks, lhs_values, integrals = _integral_bound_terms(
+        fs, partition, cover, m, quad_resolution, points_per_ball)
 
     certs = []
     for f, lhs_f, (coarse_f, fine_f) in zip(fs, lhs_values, integrals):
@@ -440,16 +459,17 @@ class JFunctional:
         if not ks:
             return out
         groups = [np.flatnonzero(owners == k) for k in ks]
-        # one partition table for the rescaled points of every core box
-        xs = [self.maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
-        tables = partition_partials(self.partition.functions, np.concatenate(xs),
-                                    owners[np.concatenate(groups)], self.m_tilde)
-        for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
-            nu = self.family.nu_at(self.nu_index, zetas[idxs])
-            for row, f in zip(out, fs):
-                terms = _leibniz(table, lambda rest: f.partial(x, rest),
-                                 self.m_tilde)
-                row[idxs] = terms * nu
+        # one partition table and one Leibniz sum per f for the rescaled
+        # points of every core box
+        x = np.concatenate([self.maps[k].forward(zetas[idxs])
+                            for k, idxs in zip(ks, groups)])
+        idxs = np.concatenate(groups)
+        tables = partition_partials(self.partition.functions, x, owners[idxs],
+                                    self.m_tilde)
+        nu = self.family.nu_at(self.nu_index, zetas[idxs])
+        for row, f in zip(out, fs):
+            row[idxs] = _leibniz(tables, lambda rest: f.partial(x, rest),
+                                 self.m_tilde) * nu
         return out
 
 

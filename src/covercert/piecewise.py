@@ -2,11 +2,14 @@
 
 A ``PiecewisePoly`` stores per-interval coefficients in local coordinates
 ``t = x - left_knot`` (ascending powers) and is zero outside its knot span;
-a NaN argument evaluates to NaN.  A call locates every point's interval
-with one ``searchsorted``, gathers those coefficient rows and runs one
-Horner pass over the columns for all points at once, in the operation
+a NaN argument evaluates to NaN.  ``evaluate_shared`` evaluates several
+polynomials on one knot vector (a profile and its derivatives) at the
+same points: one span mask, one ``searchsorted`` and one local coordinate
+serve them all, as in de Boor's ``bsplvd``, and each polynomial then takes
+one Horner pass over the columns for all points at once, in the operation
 order of ``numpy.polynomial.polynomial.polyval``, so each value is bitwise
-the one a per-interval ``polyval`` gives.
+the one a per-interval ``polyval`` gives.  A call is that evaluation of a
+single polynomial.
 
 Convolution with a unit-mass box of width ``w`` maps the antiderivative
 ``F`` to ``(F(x + w/2) - F(x - w/2)) / w``; since the new knot set contains
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-__all__ = ["PiecewisePoly", "indicator"]
+__all__ = ["PiecewisePoly", "evaluate_shared", "indicator"]
 
 _MERGE_TOL = 1e-13
 
@@ -78,15 +81,8 @@ class PiecewisePoly:
         return float(self.knots[0]), float(self.knots[-1])
 
     def __call__(self, x) -> np.ndarray | float:
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.where(np.isnan(x), np.nan, 0.0)
-        inside = (x >= self.knots[0]) & (x <= self.knots[-1])
-        xs = x[inside]
-        idx = np.searchsorted(self.knots, xs, side="right") - 1
-        idx = np.minimum(idx, len(self.knots) - 2)
-        out[inside] = _horner(self.coeffs[idx], xs - self.knots[idx])
-        return float(out[0]) if scalar else out
+        out = evaluate_shared((self,), x)[0]
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def derivative(self) -> "PiecewisePoly":
         if self.degree == 0:
@@ -178,6 +174,38 @@ class PiecewisePoly:
             vals = npoly.polyval(np.asarray(candidates), c)
             best = max(best, float(np.abs(vals).max()))
         return best
+
+
+def _locate(knots: np.ndarray, x: np.ndarray):
+    """The points of ``x`` in the closed span of ``knots``, each one's
+    interval (the last interval holds the right end) and its local
+    coordinate ``t = x - left_knot``."""
+    inside = (x >= knots[0]) & (x <= knots[-1])
+    xs = x[inside]
+    idx = np.searchsorted(knots, xs, side="right") - 1
+    idx = np.minimum(idx, len(knots) - 2)
+    return inside, idx, xs - knots[idx]
+
+
+def evaluate_shared(polys, x) -> list[np.ndarray]:
+    """Every poly of ``polys`` at the points ``x``, one 1-D array each.
+
+    The polys share one knot vector, so a single interval search serves
+    them all; each value is bitwise the poly's own call.
+    """
+    knots = polys[0].knots
+    for p in polys[1:]:
+        if p.knots is not knots and not np.array_equal(p.knots, knots):
+            raise ValueError("polys must share one knot vector")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inside, idx, t = _locate(knots, x)
+    outside = np.where(np.isnan(x), np.nan, 0.0)
+    out = []
+    for p in polys:
+        vals = outside.copy()
+        vals[inside] = _horner(p.coeffs[idx], t)
+        out.append(vals)
+    return out
 
 
 def indicator(half_width: float) -> PiecewisePoly:

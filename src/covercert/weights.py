@@ -426,12 +426,11 @@ def make_exp_family(mu: MuSpec, a, domain: ExhaustionDomain,
     growth index is found by linear search capped at ``search_cap``.
     """
     d = domain.dimension
+    a_fn = _normalize_a(a)
+    sign = _validate_a(a_fn)
 
     if mu.variant == "zero":
         return constant_weight_family(domain)
-
-    a_fn = _normalize_a(a)
-    sign = _validate_a(a_fn)
 
     if mu.variant == "log_one_plus_sq":
         for n in range(1, 9):

@@ -5,6 +5,7 @@ code under test, one pair, piece, interval or multi-index at a time, so
 results must agree exactly.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from covercert.bumps import derivative_constant
-from covercert.domains import Box, mesh_points
+from covercert.bumps import derivative_constant, partition_partials
+from covercert.domains import Box, cell_midpoints, mesh_points
 from covercert.errors import SmoothnessOrderError
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
@@ -477,6 +478,22 @@ def fn_value(fn, x):
     return float(out[0]) if scalar else out
 
 
+def cutoff_partials_table(cutoff, pts, alpha):
+    """``cutoff.partial(pts, beta)`` for every beta <= alpha, as the
+    per-cutoff table computed it: each (axis, derivative order) factor is
+    evaluated once and each beta multiplies its factors from ones."""
+    factors = [[cutoff.profile.eval(pts[:, i] - c_i, order=j)
+                for j in range(a_i + 1)]
+               for i, (c_i, a_i) in enumerate(zip(cutoff.center, alpha))]
+    out = {}
+    for beta in indices_below(alpha):
+        val = np.ones(len(pts))
+        for factor, b_i in zip(factors, beta):
+            val = val * factor[b_i]
+        out[beta] = val
+    return out
+
+
 def fn_partials_table(fn, pts, alpha):
     """``partition_partials`` of one function, as the per-function loop
     computed it."""
@@ -495,13 +512,13 @@ def fn_partials_table(fn, pts, alpha):
         return {beta: zeros for beta in betas}
     sub = pts[mask]
 
-    acc = fn.cutoff.partials_table(sub, alpha)
+    acc = cutoff_partials_table(fn.cutoff, sub, alpha)
     for _, blocker in fn.blockers:
         bmask = blocker.contains_support(sub)
         if not bmask.any():
             continue    # complement is identically 1 there
         pts_b = sub[bmask]
-        vals = blocker.partials_table(pts_b, alpha)
+        vals = cutoff_partials_table(blocker, pts_b, alpha)
         t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
              for beta in betas}
         new = {}
@@ -561,3 +578,94 @@ def derivative_pass(partition, cover, oracle, alpha_max, grid):
                 tight = {"center": k, "alpha": list(alpha),
                          "measured": measured, "bound": bound}
     return worst_ratio, tight
+
+
+def leibniz(table, f_partial, alpha):
+    """Partial alpha of h*f from h's table, skipping a gamma whose h-partial
+    is zero at every point of the table."""
+    total = np.zeros(len(table[alpha]))
+    for gamma in indices_below(alpha):
+        rest = tuple(a - g for a, g in zip(alpha, gamma))
+        hvals = table[gamma]
+        if not hvals.any():
+            continue
+        total += multi_binom(alpha, gamma) * hvals * f_partial(rest)
+    return total
+
+
+def _split_rows(tables, groups):
+    """Per group of points, its consecutive rows of a partition table."""
+    ends = np.cumsum([len(g) for g in groups]).tolist()
+    return [{beta: vals[end - len(g):end] for beta, vals in tables.items()}
+            for g, end in zip(groups, ends)]
+
+
+def ball_samples(cover, ks, points_per_ball):
+    """``verify_integral_bound``'s sample points of each inner ball."""
+    samples = []
+    for k in ks:
+        z = cover.centers[k]
+        rho = float(cover.rho[k])
+        samples.append(mesh_points([
+            np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho, points_per_ball)
+            for i in range(cover.dimension)]))
+    return samples
+
+
+def integral_bound_terms(fs, partition, cover, m, quad_resolution,
+                         points_per_ball=5):
+    """``certify._integral_bound_terms`` as the per-ball loops computed it:
+    one Leibniz sum per (ball, test function)."""
+    d = cover.dimension
+    m_tilde = (m + 1,) * d
+    ks = [fn.index for fn in partition]
+    samples = ball_samples(cover, ks, points_per_ball)
+    tables = partition_partials(partition.functions, np.concatenate(samples),
+                                np.repeat(ks, [len(p) for p in samples]), (m,) * d)
+    lhs_values = [[] for _ in fs]
+    for pts, table in zip(samples, _split_rows(tables, samples)):
+        for f, lhs_f in zip(fs, lhs_values):
+            f_partial = functools.cache(lambda rest: f.partial(pts, rest))
+            lhs = 0.0
+            for alpha in indices_up_to_order(d, m):
+                lhs = max(lhs, float(np.abs(leibniz(table, f_partial, alpha)).max()))
+            lhs_f.append(lhs)
+
+    integrals = [[] for _ in fs]
+    for res in (quad_resolution, quad_resolution / 2.0):
+        mids = []
+        for k in ks:
+            z = cover.centers[k]
+            rho = float(cover.rho[k])
+            mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
+        tables = _split_rows(
+            partition_partials(partition.functions, np.concatenate(mids),
+                               np.repeat(ks, [len(p) for p in mids]), m_tilde),
+            mids)
+        for f, integrals_f in zip(fs, integrals):
+            integrals_f.append([
+                float(np.abs(leibniz(table, lambda rest: f.partial(pts, rest),
+                                     m_tilde)).sum() * res ** d)
+                for pts, table in zip(mids, tables)])
+    return ks, lhs_values, integrals
+
+
+def functional_values(func, zetas, fs):
+    """``JFunctional.values`` as the per-core-box loop computed it: one
+    Leibniz sum and one weight evaluation per (core box, test function)."""
+    zetas = np.atleast_2d(np.asarray(zetas, dtype=float))
+    out = np.zeros((len(fs), len(zetas)))
+    owners = func.cover.core_owners(zetas)
+    ks = np.flatnonzero(np.bincount(owners + 1)[1:]).tolist()
+    if not ks:
+        return out
+    groups = [np.flatnonzero(owners == k) for k in ks]
+    xs = [func.maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
+    tables = partition_partials(func.partition.functions, np.concatenate(xs),
+                                owners[np.concatenate(groups)], func.m_tilde)
+    for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
+        nu = func.family.nu_at(func.nu_index, zetas[idxs])
+        for row, f in zip(out, fs):
+            terms = leibniz(table, lambda rest: f.partial(x, rest), func.m_tilde)
+            row[idxs] = terms * nu
+    return out

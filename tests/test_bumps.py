@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from covercert import bumps
+from covercert import bumps, piecewise
 from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        build_cover, build_partition, build_profile,
                        certify_partition, constant_exhaustion,
@@ -203,6 +203,32 @@ class TestIncidenceEngine:
             for vals in fn_table(fn, far, (2, 2)).values():
                 assert_bitwise(vals, np.zeros(3))
 
+    @pytest.mark.parametrize("alpha", [(0, 0), (2, 1)])
+    def test_one_interval_search_per_profile_and_axis(
+            self, square_setup, monkeypatch, alpha):
+        dom, _, cover, partition = square_setup
+        pts = dom.sample_ring(1, 0.01, Box((0.1, 0.1), (0.55, 0.55)))
+        searches = []
+        locate = piecewise._locate
+
+        def counting_locate(knots, x):
+            searches.append(len(x))
+            return locate(knots, x)
+
+        monkeypatch.setattr(piecewise, "_locate", counting_locate)
+        counts = []
+        for functions in (partition.functions, partition.functions[:9]):
+            searches.clear()
+            inc = Incidence(functions, pts, alpha)
+            used = set((inc.keys % len(inc.cutoffs)).tolist())
+            profiles = {id(inc.cutoffs[c].profile) for c in used}
+            assert len(searches) == len(profiles) * pts.shape[1]
+            assert sum(searches) == len(inc.rows) * pts.shape[1]
+            counts.append((len(used), len(profiles)))
+        # the square's 25 cutoffs share 5 profiles
+        assert counts[0] == (25, 5)
+        assert counts[1][0] < 25
+
     def test_order_beyond_budget_raises(self, square_setup):
         _, _, _, partition = square_setup
         for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
@@ -386,7 +412,7 @@ class TestEvalPartial:
         alpha = (3, 2)
         betas = indices_below(alpha)
         for fn in part:
-            table = fn.cutoff.partials_table(pts, alpha)
+            table = oracles.cutoff_partials_table(fn.cutoff, pts, alpha)
             for beta in betas:
                 assert np.array_equal(table[beta], fn.cutoff.partial(pts, beta))
             table = fn_table(fn, pts, alpha)

@@ -12,9 +12,12 @@ from covercert import (Box, BoxRegion, IndexCalculus, IndexCapError,
                        union_cell_midpoints,
                        verify_ball_weight_bound, verify_disjoint_supports,
                        verify_integral_bound, with_extra_center)
+import oracles
 from covercert import bumps
-from covercert.bumps import function_values
-from covercert.certify import mixed_partial_many, rescale_maps
+from covercert.bumps import function_values, partition_partials
+from covercert.certify import (_integral_bound_terms, mixed_partial_many,
+                               rescale_maps)
+from covercert.multiindex import indices_below
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +443,63 @@ class TestBatchedChain:
         one = chain_builds(fs[:1])
         assert one > 0
         assert chain_builds(fs) == one
+
+
+def zero_somewhere_only(tables, groups, betas):
+    """Whether some beta's entries vanish on every row of one group but not
+    on every row of another: the case where the per-group loop skipped a
+    Leibniz term for one group only."""
+    return any(len({not tables[beta][g].any() for g in groups}) == 2
+               for beta in betas)
+
+
+class TestChainAgainstPerBallLoops:
+    """The chain's Leibniz sums over all balls at once against the per-ball
+    loops they replaced, bit for bit."""
+
+    def test_integral_bound_terms(self, chain_setup):
+        _, _, cover, partition, _, _, quad = chain_setup
+        d = cover.dimension
+        fs = shipped_suite(d)
+        ks, lhs, integrals = _integral_bound_terms(fs, partition, cover, 1,
+                                                   quad, 5)
+        expected = oracles.integral_bound_terms(fs, partition, cover, 1, quad, 5)
+        assert ks == expected[0]
+        assert np.array(lhs).shape == (len(fs), len(ks))
+        assert np.array(lhs).tobytes() == np.array(expected[1]).tobytes()
+        assert np.array(integrals).shape == (len(fs), 2, len(ks))
+        assert np.array(integrals).tobytes() == np.array(expected[2]).tobytes()
+        samples = oracles.ball_samples(cover, ks, 5)
+        tables = partition_partials(partition.functions, np.concatenate(samples),
+                                    np.repeat(ks, [len(s) for s in samples]),
+                                    (1,) * d)
+        groups = np.split(np.arange(sum(len(s) for s in samples)),
+                          np.cumsum([len(s) for s in samples])[:-1])
+        assert zero_somewhere_only(tables, groups, indices_below((1,) * d))
+
+    def test_functional_values(self, chain_setup):
+        _, fam, cover, partition, calc, _, _ = chain_setup
+        d = cover.dimension
+        func = build_functional(partition, cover, fam, calc, 1, 1)
+        rng = np.random.default_rng(5)
+        zetas = rng.uniform(-0.6, 0.6, size=(300, d))
+        # core 0 holds only its center, which maps to the plateau of the
+        # first cutoff, where no blocker acts: every h-partial but the
+        # value vanishes there
+        zetas = np.vstack([cover.centers[:1],
+                           zetas[cover.core_owners(zetas) != 0]])
+        fs = shipped_suite(d)
+        rows = func.values(zetas, fs)
+        assert rows.any()
+        assert rows.tobytes() == oracles.functional_values(func, zetas, fs).tobytes()
+        owners = cover.core_owners(zetas)
+        ks = sorted(set(owners.tolist()) - {-1})
+        x = np.concatenate([func.maps[k].forward(zetas[owners == k]) for k in ks])
+        sizes = [int((owners == k).sum()) for k in ks]
+        tables = partition_partials(partition.functions, x, np.repeat(ks, sizes),
+                                    func.m_tilde)
+        groups = np.split(np.arange(len(x)), np.cumsum(sizes)[:-1])
+        assert zero_somewhere_only(tables, groups, indices_below(func.m_tilde))
 
 
 class TestUnionCells:

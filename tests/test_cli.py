@@ -135,11 +135,13 @@ class TestExitCodes:
         {"family": {"kind": "constant", "radius": "x"}},
         {"family": {"kind": "exp", "a": {"scale": "x"}}},
         {"family": {"kind": "exp", "mu": {"variant": "power"}}},
+        {"family": {"kind": "exp", "a": ["x"]}},
         {"test_functions": 3},
         {"suite": 3},
     ], ids=["dimension_string", "dimension_string_chain",
             "bounded_box_lower_string", "constant_radius_string",
             "exp_scale_string", "exp_unknown_mu_variant",
+            "exp_zero_mu_sequence_string",
             "test_functions_not_a_list", "suite_not_a_list"])
     def test_wrong_typed_field_exits_two(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path, small_config(**overrides))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from covercert.bumps import build_profile
-from covercert.piecewise import PiecewisePoly, indicator
+from covercert.piecewise import PiecewisePoly, evaluate_shared, indicator
 
 
 def numeric_box_convolution(fn, width, x, steps=4001):
@@ -186,6 +186,56 @@ class TestAgainstPerPieceOracles:
         assert len(profile.polys) == len(expected)
         for p, q in zip(profile.polys, expected):
             assert_same_poly(p, q)
+
+
+class TestSharedKnots:
+    """One interval search for several polys on one knot vector gives each
+    poly's own call, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(piecewise_polys(), st.integers(0, 3),
+           st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=24),
+           st.lists(st.floats(-1.0, 1.0), max_size=30))
+    def test_equals_separate_calls(self, p, derivatives, coeffs, fractions):
+        polys = [p]
+        for _ in range(derivatives):
+            polys.append(polys[-1].derivative())
+        rows = len(p.knots) - 1
+        width = max(len(coeffs) // rows, 1)
+        other = np.resize(np.asarray(coeffs), rows * width).reshape(rows, width)
+        polys.append(PiecewisePoly(p.knots.copy(), other))
+        lo, hi = p.support
+        span = hi - lo
+        x = np.concatenate([
+            lo + span * (0.5 + 0.75 * np.asarray(fractions)),
+            p.knots,                                    # every knot, both ends
+            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)],
+            [lo - 1e-9, hi + 1e-9, lo - 7.0, hi + 7.0, np.nan, np.nan]])
+        shared = evaluate_shared(polys, x)
+        assert len(shared) == len(polys)
+        finite = ~np.isnan(x)
+        for q, vals in zip(polys, shared):
+            assert vals.tobytes() == q(x).tobytes()
+            assert np.isnan(vals[~finite]).all()
+            assert vals[finite].tobytes() == \
+                oracles.piecewise_call(q, x[finite]).tobytes()
+        # a scalar point gives one-element arrays
+        for q, vals in zip(polys, evaluate_shared(polys, lo)):
+            assert vals.shape == (1,) and vals.tobytes() == q(np.array([lo])).tobytes()
+
+    def test_empty_input(self):
+        p = indicator(1.0).convolve_unit_box(0.5)
+        out = evaluate_shared([p, p.derivative()], np.empty(0))
+        assert [v.shape for v in out] == [(0,), (0,)]
+
+    def test_knots_must_be_shared(self):
+        with pytest.raises(ValueError):
+            evaluate_shared([indicator(1.0), indicator(2.0)], np.zeros(3))
+        # equal knots held in distinct arrays are shared knots
+        p = PiecewisePoly([0.0, 1.0, 2.0], [[1.0], [2.0]])
+        q = PiecewisePoly([0.0, 1.0, 2.0], [[3.0], [4.0]])
+        assert [v.tolist() for v in evaluate_shared([p, q], [0.5, 1.5])] == \
+            [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestInputs:
