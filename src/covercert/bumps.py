@@ -22,18 +22,21 @@ all pairs of one profile together: per axis, one shared-knot evaluation
 gives every derivative order the pairs need, so the interval searches
 scale with the distinct radii, not with the cutoffs.  Readers that need
 every pair (the partition sum, the partition certificates, the cutoff
-export) find them
-with one ``sup_pairs`` query; readers that evaluate one function per
-point (``function_values``, ``partition_partials`` and, through them, the
-rescaled functional and the pullback export) test just that function's
-cutoff and blockers.  The rows to evaluate are
-(partition function, point) pairs.  Each row starts from its own
-cutoff's entries; then, for p = 0, 1, ..., every row whose function's
-p-th blocker contains the point takes that blocker's complement in one
-vectorized product-rule step.  Each row meets its blockers in the order
-the per-function loop used, with the same multinomial weights, so every
-value is bitwise the loop's.  Points pass through the engine in blocks
-of a bounded number of pairs, which bounds its memory.
+export) find them with one ``sup_pairs`` query; readers that evaluate one
+function per point (``function_values``, ``partition_partials`` and,
+through them, the rescaled functional and the pullback export) test just
+that function's cutoff and blockers.  The rows to evaluate are
+(partition function, point) pairs.  A point in the closed supports of
+cutoffs m < k lies in both outer balls, so k's blockers at a point are
+among the point's earlier pairs in its run (its pairs by ascending
+cutoff).  Each row starts from its own cutoff's entries; then, for
+s = 0, 1, ..., every row with more than s earlier pairs takes its point's
+s-th pair and, if a key lookup finds that cutoff among its function's
+blockers, the complement in one vectorized product-rule step.  So each
+row meets its blockers in ascending order, as ``PartitionFn`` requires,
+with the same multinomial weights, and every value is bitwise the
+per-function loop's.  Points pass through the engine in blocks of a
+bounded number of pairs, which bounds its memory.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ class BumpProfile:
         return sum(self.widths) / 2.0
 
     @property
-    def plateau_halfwidth(self) -> float:
-        return self.inner_halfwidth - self.smoothing_halfwidth
-
-    @property
     def support_halfwidth(self) -> float:
         return self.inner_halfwidth + self.smoothing_halfwidth
 
@@ -109,14 +108,6 @@ class BumpProfile:
         if j >= self.order:
             raise SmoothnessOrderError(f"order {j} outside budget")
         return DERIVATIVE_GROWTH_BASE ** j / math.prod(self.widths[:j])
-
-    def max_derivative(self, j: int) -> float:
-        """Exact sup |d^j profile| from the piecewise polynomial."""
-        if j == 0:
-            return self.polys[0].max_abs()
-        if j >= self.order:
-            raise SmoothnessOrderError(f"order {j} outside budget")
-        return self.polys[j].max_abs()
 
 
 def build_profile(r: float, order: int, weights=None) -> BumpProfile:
@@ -187,11 +178,18 @@ class Cutoff:
 
 @dataclass(frozen=True)
 class PartitionFn:
-    """One partition function: its cutoff times earlier overlapping complements."""
+    """One partition function: its cutoff times earlier overlapping
+    complements, applied in the order of the ascending blocker indices."""
 
     index: int
     cutoff: Cutoff
     blockers: tuple[tuple[int, Cutoff], ...]
+
+    def __post_init__(self):
+        chain = [m for m, _ in self.blockers] + [self.index]
+        if any(a >= b for a, b in zip(chain, chain[1:])):
+            raise ValueError(f"blockers of function {self.index} must ascend "
+                             f"strictly below it, got {chain[:-1]}")
 
 
 @dataclass
@@ -216,17 +214,20 @@ class Incidence:
 
     The cutoffs are those of ``functions`` and of their blockers.  A pair
     is kept when the point lies in the cutoff's closed support (the test
-    of ``Cutoff.contains_support``).  Without ``owners`` every such pair
-    is found, by one ``sup_pairs`` query; with ``owners`` (the partition
-    index of the one function each point is read for) only the pairs of
-    that function's own cutoff and blockers are, by testing them directly,
-    blocker position by blocker position.  Pairs are held in lexicographic
-    (point, cutoff) order.  Each pair's partials up to ``alpha`` are formed
-    from its offsets to the cutoff's center: for every distinct profile and
-    axis, one shared-knot evaluation gives orders ``0..alpha_i`` at all of
-    that profile's pairs, and each beta multiplies its axis factors from
-    ones, in the order of ``Cutoff.partial``, so each value is bitwise that
-    cutoff's ``partial``.
+    of ``Cutoff.contains_support``).  Pairs are held in lexicographic
+    (point, cutoff) order, so each point's pairs are one run from
+    ``run_start``; ``partials`` steps along the runs and keeps a pair only
+    if ``links``, the sorted (function, cutoff) keys of each function's
+    own cutoff and blockers, holds it.  Without ``owners`` every pair is
+    found, by one ``sup_pairs`` query; with ``owners`` (the partition
+    index of the one function each point is read for) one ``pairs_within``
+    call tests each point's slice of ``links``.
+    Each pair's partials up to ``alpha`` are formed from its offsets to the
+    cutoff's center: for every distinct profile and axis, one shared-knot
+    evaluation gives orders ``0..alpha_i`` at all of that profile's pairs,
+    and each beta multiplies its axis factors from ones, in the order of
+    ``Cutoff.partial``, so each value is bitwise that cutoff's
+    ``partial``.
     """
 
     def __init__(self, functions, pts, alpha, owners=None):
@@ -250,15 +251,11 @@ class Incidence:
         # local position of each partition index among the cutoffs
         self.local = np.full(index[-1] + 1, -1, dtype=np.int64)
         self.local[index] = np.arange(size)
-        # the p-th blocker of each function, as a local cutoff position
-        self.blocker_count = np.zeros(size, dtype=np.int64)
-        self.blockers = np.zeros(
-            (size, max(len(fn.blockers) for fn in functions)), dtype=np.int64)
-        for fn in functions:
-            c = self.local[fn.index]
-            self.blocker_count[c] = len(fn.blockers)
-            self.blockers[c, :len(fn.blockers)] = \
-                self.local[[m for m, _ in fn.blockers]]
+        # (function, cutoff) keys of every function's own cutoff and blockers
+        self.links = np.sort(np.concatenate([
+            self.local[fn.index] * size
+            + self.local[[m for m, _ in fn.blockers] + [fn.index]]
+            for fn in functions]))
         self.terms = {beta: [(gamma, tuple(b - g for b, g in zip(beta, gamma)),
                               multi_binom(beta, gamma))
                              for gamma in indices_below(beta)]
@@ -268,27 +265,27 @@ class Incidence:
         half = np.array([c.support_halfwidth for c in self.cutoffs])
         if owners is None:
             rows, cols, _ = sup_pairs(centers, pts, half)
-            keys = rows * size + cols
         else:
+            # each point's slice of links ascends: pairs come out in order
             own = self.local[np.asarray(owners, dtype=np.int64)]
-            every = np.arange(len(pts))
-            tests = [(every, own)] + [
-                (rows, self.blockers[own[rows], p])
-                for p, rows in self._positions(every, own)]
-            keys = [rows * size + cols for rows, cols, _ in
-                    (pairs_within(centers, pts, rows, cols, half)
-                     for rows, cols in tests)]
-            keys = np.sort(np.concatenate(keys))
-        self.keys = keys
-        self.rows, cols = np.divmod(keys, size)
+            lo = np.searchsorted(self.links, own * size)
+            count = np.searchsorted(self.links, (own + 1) * size) - lo
+            rows = np.repeat(np.arange(len(pts)), count)
+            at = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
+                                                  count)
+            rows, cols, _ = pairs_within(centers, pts, rows,
+                                         self.links[at] % size, half)
+        self.keys = rows * size + cols
+        self.rows, self.cols = rows, cols
         self.fns = np.asarray(index, dtype=np.int64)[cols]
+        self.run_start = np.searchsorted(rows, np.arange(len(pts)))
 
         # the pairs of each distinct profile, evaluated together
         profiles, profile_of = {}, np.empty(size, dtype=np.int64)
         for c, cut in enumerate(self.cutoffs):
             profile_of[c] = profiles.setdefault(id(cut.profile),
                                                 (len(profiles), cut.profile))[0]
-        offsets = pts[self.rows] - centers[cols]
+        offsets = pts[rows] - centers[cols]
         pair_profile = profile_of[cols]
         by_profile = np.argsort(pair_profile, kind="stable")
         ends = np.searchsorted(pair_profile[by_profile],
@@ -305,25 +302,6 @@ class Incidence:
                         val = val * orders[b_i]
                     self.factors[beta][sel] = val
 
-    def _positions(self, rows, own):
-        """``(p, the rows whose function has a p-th blocker)`` for p = 0, 1,
-        ...  Rows of functions with more blockers come first, so each
-        position's rows are a prefix."""
-        fewer = -self.blocker_count[own[rows]]
-        order = np.argsort(fewer, kind="stable")
-        rows, fewer = rows[order], fewer[order]
-        for p in range(-int(fewer[0]) if len(rows) else 0):
-            yield p, rows[:np.searchsorted(fewer, -p)]
-
-    def _find(self, idx, c):
-        """Position of each pair (point ``idx``, local cutoff ``c``), and
-        whether that pair exists."""
-        keys = idx * len(self.cutoffs) + c
-        if not len(self.keys):
-            return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), bool)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return at, self.keys[at] == keys
-
     def partials(self, ks, idx, value=False) -> dict:
         """Partials beta <= alpha of function ``ks[r]`` at point ``idx[r]``.
 
@@ -338,14 +316,14 @@ class Incidence:
         """
         own = self.local[np.asarray(ks, dtype=np.int64)]
         idx = np.asarray(idx, dtype=np.int64)
-        at, inside = self._find(idx, own)
+        size = len(self.cutoffs)
+        at, inside = _search(self.keys, idx * size + own)
         if value:
             zero = (0,) * self.pts.shape[1]
             out = np.empty(len(idx))
             out[inside] = self.factors[zero][at[inside]]
             outside = np.flatnonzero(~inside)
-            for c in np.flatnonzero(np.bincount(own[outside],
-                                                minlength=len(self.cutoffs))):
+            for c in np.flatnonzero(np.bincount(own[outside], minlength=size)):
                 sel = outside[own[outside] == c]
                 out[sel] = self.cutoffs[c].value(self.pts[idx[sel]])
             acc = {zero: out}
@@ -357,14 +335,20 @@ class Incidence:
                 acc[beta][inside] = self.factors[beta][at[inside]]
             live = np.flatnonzero(inside)
 
-        # blockers position by position, each row in its function's order
-        for p, rows in self._positions(live, own):
-            at, hit = self._find(idx[rows], self.blockers[own[rows], p])
-            rows, at = rows[hit], at[hit]
+        # a row's depth: its point's pairs before its own (or before where
+        # its own would be), the cutoffs that can block it, in index order
+        start = self.run_start[idx]
+        deep, depth = live, at[live] - start[live]
+        for s in range(int(depth.max(initial=0))):
+            keep = depth > s
+            deep, depth = deep[keep], depth[keep]
+            pair = start[deep] + s
+            hit = _search(self.links, own[deep] * size + self.cols[pair])[1]
+            rows, pair = deep[hit], pair[hit]
             if value:
-                acc[zero][rows] = acc[zero][rows] * (1.0 - self.factors[zero][at])
+                acc[zero][rows] = acc[zero][rows] * (1.0 - self.factors[zero][pair])
             else:
-                self._complement_step(acc, rows, at)
+                self._complement_step(acc, rows, pair)
         return acc
 
     def _complement_step(self, acc, rows, at):
@@ -378,6 +362,15 @@ class Incidence:
             for gamma, rest, weight in self.terms[beta]:
                 total += weight * cur[gamma] * t[rest]
             acc[beta][rows] = total
+
+
+def _search(sorted_keys, keys):
+    """Insertion point of each key in ``sorted_keys``, and whether the key
+    is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    if not len(sorted_keys):
+        return at, np.zeros(len(keys), dtype=bool)
+    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
 
 
 def incidences(functions, pts, alpha, owners=None):

@@ -36,6 +36,16 @@ def square_setup():
     return dom, fam, cover, partition
 
 
+@pytest.fixture(scope="module")
+def cube_setup():
+    # boundary weights on the unit cube: 27 balls, up to 26 blockers
+    dom = constant_exhaustion(BoxRegion(Box((0.0,) * 3, (1.0,) * 3)))
+    fam = boundary_family(dom)
+    cover = build_cover(fam, dom, 1, 0.01, box=Box((0.25,) * 3, (0.4,) * 3))
+    partition = build_partition(cover, order=5)
+    return dom, fam, cover, partition
+
+
 def fn_values(fn, pts):
     """``function_values`` of the one function ``fn`` at every point."""
     return function_values([fn], pts, np.full(len(pts), fn.index))
@@ -74,8 +84,11 @@ def partitions_and_points(draw):
         earlier = [(m, cutoffs[m]) for m in range(k)
                    if max(abs(a - b) for a, b in zip(centers[m], cut.center))
                    < scales[m] + scales[k]]
-        if reverse:     # blocker order is the function's own, not by index
-            earlier.reverse()
+        if reverse and len(earlier) > 1:
+            # the engine applies blockers in index order, so no other
+            # order is accepted
+            with pytest.raises(ValueError):
+                PartitionFn(index=k, cutoff=cut, blockers=tuple(earlier[::-1]))
         functions.append(PartitionFn(index=k, cutoff=cut, blockers=tuple(earlier)))
 
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -131,18 +144,43 @@ class TestIncidenceEngine:
                        [oracles.fn_value(functions[k], p)
                         for k, p in zip(owners, pts)])
 
-    def test_real_partition_with_many_blockers(self, square_setup):
-        dom, _, cover, partition = square_setup
-        pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
+    @pytest.mark.parametrize("setup, spacing", [("square_setup", 0.004),
+                                                 ("cube_setup", 0.04)],
+                             ids=["d2", "d3"])
+    def test_real_partition_with_many_blockers(self, request, setup, spacing):
+        dom, _, cover, partition = request.getfixturevalue(setup)
+        box = Box(tuple(a - 0.1 for a in cover.box.lower),
+                  tuple(b + 0.1 for b in cover.box.upper))
+        pts = dom.sample_ring(1, spacing, box)
+        alpha = (2,) * cover.dimension
         assert max(len(fn.blockers) for fn in partition) >= 2
         assert_bitwise(partition_sum(partition, pts),
                        oracles.partition_sum(partition, pts))
         for fn in partition:
             assert_bitwise(fn_values(fn, pts), oracles.fn_value(fn, pts))
-            table = fn_table(fn, pts, (2, 2))
-            expected = oracles.fn_partials_table(fn, pts, (2, 2))
+            table = fn_table(fn, pts, alpha)
+            expected = oracles.fn_partials_table(fn, pts, alpha)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
+
+    def test_one_step_per_earlier_pair_of_the_longest_run(
+            self, square_setup, monkeypatch):
+        dom, _, cover, partition = square_setup
+        pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
+        inc = Incidence(partition.functions, pts, (2, 2))
+        longest = int(np.bincount(inc.rows).max())
+        assert len(partition) == 25 == max(len(fn.blockers) for fn in partition) + 1
+        assert longest == 19
+        steps = []
+        step = Incidence._complement_step
+
+        def counting_step(self, acc, rows, at):
+            steps.append(len(rows))
+            return step(self, acc, rows, at)
+
+        monkeypatch.setattr(Incidence, "_complement_step", counting_step)
+        inc.partials(inc.fns, inc.rows)
+        assert len(steps) == longest - 1
 
     def test_value_keeps_the_sign_of_a_zero(self):
         # A negative cutoff value times the complement of a blocker that is
@@ -243,7 +281,8 @@ class TestProfile:
         p = build_profile(1.0, 1)
         assert p.eval(0.0) == pytest.approx(1.0)
         # one box of width r/3 smooths the indicator of [-3r/4, 3r/4]
-        assert p.plateau_halfwidth == pytest.approx(0.75 - 1.0 / 6.0)
+        plateau = p.inner_halfwidth - p.smoothing_halfwidth
+        assert plateau == pytest.approx(0.75 - 1.0 / 6.0)
         assert p.support_halfwidth == pytest.approx(0.75 + 1.0 / 6.0)
 
     def test_mass_is_plateau_width(self):
@@ -254,8 +293,9 @@ class TestProfile:
     def test_plateau_covers_half_radius(self):
         for r in (1.0, 0.44, 0.125):
             p = build_profile(r, 5)
-            assert p.plateau_halfwidth == pytest.approx(7 * r / 12)
-            assert p.plateau_halfwidth > r / 2
+            plateau = p.inner_halfwidth - p.smoothing_halfwidth
+            assert plateau == pytest.approx(7 * r / 12)
+            assert plateau > r / 2
             assert p.support_halfwidth == pytest.approx(11 * r / 12)
             assert p.support_halfwidth < r
             assert p.eval(r / 2) == pytest.approx(1.0, abs=1e-12)
@@ -270,7 +310,7 @@ class TestProfile:
     def test_exact_derivative_bound(self):
         # sup |second derivative| <= 4 / (d1 d2), measured on the exact spline
         p = build_profile(0.5, 3)
-        measured = p.max_derivative(2)
+        measured = p.polys[2].max_abs()
         bound = p.derivative_bound(2)
         assert bound == pytest.approx(4.0 / (p.widths[0] * p.widths[1]))
         assert measured <= bound * (1 + 1e-12)
@@ -279,7 +319,7 @@ class TestProfile:
     def test_all_orders_bounded(self):
         p = build_profile(0.7, 6)
         for j in range(6):
-            assert p.max_derivative(j) <= p.derivative_bound(j) * (1 + 1e-12)
+            assert p.polys[j].max_abs() <= p.derivative_bound(j) * (1 + 1e-12)
 
     def test_order_budget_enforced(self):
         p = build_profile(0.5, 3)
