@@ -20,29 +20,36 @@ Every partition reading runs through one incidence engine,
 the point in the cutoff's closed support, and evaluates the factors of
 all pairs of one profile together: per axis, one shared-knot evaluation
 gives every derivative order the pairs need, so the interval searches
-scale with the distinct radii, not with the cutoffs.  Readers that need
-every pair (the partition sum, the partition certificates, the cutoff
-export) find them with one ``sup_pairs`` query; readers that evaluate one
-function per point (``function_values``, ``partition_partials`` and,
-through them, the rescaled functional and the pullback export) test just
-that function's cutoff and blockers.  The rows to evaluate are
-(partition function, point) pairs.  A point in the closed supports of
-cutoffs m < k lies in both outer balls, so k's blockers at a point are
-among the point's earlier pairs in its run (its pairs by ascending
-cutoff).  Each row starts from its own cutoff's entries; then, for
-s = 0, 1, ..., every row with more than s earlier pairs takes its point's
-s-th pair and, if a key lookup finds that cutoff among its function's
-blockers, the complement in one vectorized product-rule step.  So each
-row meets its blockers in ascending order, as ``PartitionFn`` requires,
-with the same multinomial weights, and every value is bitwise the
-per-function loop's.  Points pass through the engine in blocks of a
-bounded number of pairs, which bounds its memory.
+scale with the distinct radii, not with the cutoffs.  A point's pairs by
+ascending cutoff are its run, and one prefix-product recurrence walks
+each run: with P the product of the complements of the earlier pairs,
+the function at pair s is psi = phi_s * P, and P steps to
+P * (1 - phi_s), both by the product rule over every partial, with the
+cross terms the two share formed once.  A run of L pairs costs L steps,
+where multiplying in each function's complements on its own costs
+Theta(L^2); the products associate differently, so values agree with
+that order to rounding, not bitwise.
+
+Readers that need every pair (the partition sum, the partition
+certificates, the cutoff export) find them with one ``sup_pairs`` query
+and read psi at every pair.  That is exact because a point in the closed
+supports of cutoffs m < k lies in both outer balls, so every earlier
+pair of a run is a blocker of the later one; ``CutoffSet.check_runs``
+checks this once per reading.  Readers that evaluate one function per
+point (``function_values``, ``partition_partials`` and, through them,
+the rescaled functional and the pullback export) build each point's run
+from just that function's blockers and own cutoff, and form psi once, at
+its end.  The function-level tables (``CutoffSet``) are built once per
+reading, and points pass through the engine in blocks of a bounded
+number of pairs, which bounds its memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +62,8 @@ from .report import FAIL, PASS, Certificate
 __all__ = [
     "default_weights", "BumpProfile", "build_profile",
     "Cutoff", "PartitionFn", "Partition", "build_partition",
-    "Incidence", "incidences", "partition_partials", "function_values",
+    "CutoffSet", "Incidence", "incidences", "partition_partials",
+    "function_values",
     "partition_sum", "certify_partition",
     "derivative_constant", "DERIVATIVE_GROWTH_BASE",
 ]
@@ -209,186 +217,283 @@ class Partition:
         return self.functions[k]
 
 
-class Incidence:
-    """The (point, cutoff) pairs of a point set, with each cutoff's partials.
+class CutoffSet:
+    """The cutoffs that a list of partition functions reads.
 
-    The cutoffs are those of ``functions`` and of their blockers.  A pair
-    is kept when the point lies in the cutoff's closed support (the test
-    of ``Cutoff.contains_support``).  Pairs are held in lexicographic
-    (point, cutoff) order, so each point's pairs are one run from
-    ``run_start``; ``partials`` steps along the runs and keeps a pair only
-    if ``links``, the sorted (function, cutoff) keys of each function's
-    own cutoff and blockers, holds it.  Without ``owners`` every pair is
-    found, by one ``sup_pairs`` query; with ``owners`` (the partition
-    index of the one function each point is read for) one ``pairs_within``
-    call tests each point's slice of ``links``.
-    Each pair's partials up to ``alpha`` are formed from its offsets to the
-    cutoff's center: for every distinct profile and axis, one shared-knot
-    evaluation gives orders ``0..alpha_i`` at all of that profile's pairs,
-    and each beta multiplies its axis factors from ones, in the order of
-    ``Cutoff.partial``, so each value is bitwise that cutoff's
-    ``partial``.
+    These are the functions' own cutoffs and their blockers', in ascending
+    partition index.  ``local`` maps a partition index to its position
+    here, ``links`` holds the sorted (function, cutoff) keys of every
+    function's own cutoff and blockers in those positions, and
+    ``profile_of`` groups the cutoffs by their shared profile.  ``incidences``
+    builds these tables once for all its blocks.
     """
 
-    def __init__(self, functions, pts, alpha, owners=None):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        alpha = tuple(int(a) for a in alpha)
+    def __init__(self, functions):
         cutoffs = {}
         for fn in functions:
             cutoffs[fn.index] = fn.cutoff
             cutoffs.update(fn.blockers)
-        budget = min(c.profile.order for c in cutoffs.values()) - 1
-        if any(a > budget for a in alpha):
-            raise SmoothnessOrderError(
-                f"component of {alpha} exceeds per-axis budget {budget}")
         index = sorted(cutoffs)
         size = len(index)
-        self.pts = pts
-        self.betas = indices_below(alpha)
+        self.index = np.asarray(index, dtype=np.int64)
         self.cutoffs = [cutoffs[m] for m in index]
-        # local position of each partition index among the cutoffs
         self.local = np.full(index[-1] + 1, -1, dtype=np.int64)
         self.local[index] = np.arange(size)
-        # (function, cutoff) keys of every function's own cutoff and blockers
         self.links = np.sort(np.concatenate([
             self.local[fn.index] * size
             + self.local[[m for m, _ in fn.blockers] + [fn.index]]
             for fn in functions]))
-        self.terms = {beta: [(gamma, tuple(b - g for b, g in zip(beta, gamma)),
-                              multi_binom(beta, gamma))
-                             for gamma in indices_below(beta)]
-                      for beta in self.betas}
+        self.centers = np.array([c.center for c in self.cutoffs], dtype=float)
+        self.half = np.array([c.support_halfwidth for c in self.cutoffs])
+        self.budget = min(c.profile.order for c in self.cutoffs) - 1
+        profiles, self.profile_of = {}, np.empty(size, dtype=np.int64)
+        for c, cut in enumerate(self.cutoffs):
+            self.profile_of[c] = profiles.setdefault(id(cut.profile),
+                                                     (len(profiles), cut.profile))[0]
+        self.profiles = [profile for _, profile in profiles.values()]
 
-        centers = np.array([c.center for c in self.cutoffs], dtype=float)
-        half = np.array([c.support_halfwidth for c in self.cutoffs])
+    def pairs(self, pts, owners=None):
+        """The (point, cutoff) pairs with the point in the cutoff's closed
+        support, as ``(rows, cols)`` in lexicographic order, ``cols`` being
+        positions in ``cutoffs``.
+
+        Without ``owners`` these are all such pairs, from one ``sup_pairs``
+        query.  With ``owners`` (the partition index of the one function
+        each point is read for) one ``pairs_within`` call tests each
+        point's slice of ``links``, that function's blockers and own cutoff,
+        and a point outside its own cutoff's support keeps no pairs.
+        """
         if owners is None:
-            rows, cols, _ = sup_pairs(centers, pts, half)
-        else:
-            # each point's slice of links ascends: pairs come out in order
-            own = self.local[np.asarray(owners, dtype=np.int64)]
-            lo = np.searchsorted(self.links, own * size)
-            count = np.searchsorted(self.links, (own + 1) * size) - lo
-            rows = np.repeat(np.arange(len(pts)), count)
-            at = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
-                                                  count)
-            rows, cols, _ = pairs_within(centers, pts, rows,
-                                         self.links[at] % size, half)
-        self.keys = rows * size + cols
-        self.rows, self.cols = rows, cols
-        self.fns = np.asarray(index, dtype=np.int64)[cols]
-        self.run_start = np.searchsorted(rows, np.arange(len(pts)))
+            rows, cols, _ = sup_pairs(self.centers, pts, self.half)
+            return rows, cols
+        # each point's slice of links ascends: pairs come out in order
+        size = len(self.cutoffs)
+        own = self.local[np.asarray(owners, dtype=np.int64)]
+        lo = np.searchsorted(self.links, own * size)
+        count = np.searchsorted(self.links, (own + 1) * size) - lo
+        rows = np.repeat(np.arange(len(pts)), count)
+        at = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
+                                              count)
+        rows, cols, _ = pairs_within(self.centers, pts, rows,
+                                     self.links[at] % size, self.half)
+        inside = np.zeros(len(pts), dtype=bool)
+        inside[rows[cols == own[rows]]] = True
+        return rows[inside[rows]], cols[inside[rows]]
+
+    def check_runs(self):
+        """Raise ``ValueError`` unless every earlier cutoff whose closed
+        support box meets a cutoff's is among that cutoff's blockers.
+
+        The all-pairs recurrence multiplies every earlier pair of a point's
+        run into each later one, so this is what makes it exact.  The boxes
+        are widened by 1e-9 relative, as ``sup_pairs`` widens its cells, so a
+        point that float rounding puts in both supports is covered.
+        """
+        size = len(self.cutoffs)
+        slack = 1e-9 * float(np.abs(self.centers).max())
+        widest = 2.0 * float(self.half.max())
+        rows, cols, dist = sup_pairs(self.centers, self.centers,
+                                     widest * (1.0 + 1e-9) + slack)
+        reach = self.half[rows] + self.half[cols]
+        meet = (cols < rows) & (dist <= reach * (1.0 + 1e-9) + slack)
+        keys = rows[meet] * size + cols[meet]
+        at = np.searchsorted(self.links, keys)
+        missing = np.flatnonzero(self.links[np.minimum(at, len(self.links) - 1)]
+                                 != keys)
+        if len(missing):
+            k, m = divmod(int(keys[missing[0]]), size)
+            raise ValueError(
+                f"cutoff {self.index[m]} meets the support of cutoff "
+                f"{self.index[k]}, which does not list it as a blocker")
+
+
+class Incidence:
+    """The (point, cutoff) pairs of a point set, with each cutoff's partials.
+
+    ``cuts`` is the ``CutoffSet`` of the partition functions read, and the
+    pairs are ``cuts.pairs(pts, owners)``: a pair is kept when the point
+    lies in the cutoff's closed support (the test of
+    ``Cutoff.contains_support``).  A point's pairs by ascending cutoff are
+    its run.  The pairs are held step-major (``_step_major``): step s holds
+    the s-th pair of every point whose run is longer than s (``active[s]``
+    of them, from ``start[s]``), with the points ranked by descending run
+    length (``order``), so each step's points are a prefix of the last
+    step's.
+    Each pair's partials up to ``alpha`` are formed from its offsets to the
+    cutoff's center: for every distinct profile and axis, one shared-knot
+    evaluation gives orders ``0..alpha_i`` at all of that profile's pairs,
+    and each beta multiplies its axis factors from ones, in the order of
+    ``Cutoff.partial``, so each row of ``factors`` (one per entry of
+    ``betas``, the order-0 row first) is bitwise that cutoff's ``partial``.
+    """
+
+    def __init__(self, cuts, pts, alpha, owners=None):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        alpha = tuple(int(a) for a in alpha)
+        if any(a > cuts.budget for a in alpha):
+            raise SmoothnessOrderError(
+                f"component of {alpha} exceeds per-axis budget {cuts.budget}")
+        self.pts, self.cuts, self.owned = pts, cuts, owners is not None
+        self.rule = _product_rule(alpha)
+        self.betas = self.rule.betas
+        rows, cols = cuts.pairs(pts, owners)
+        self.order, self.active, self.start, rows, cols = _step_major(
+            rows, cols, len(pts))
+        self.rows, self.cols, self.fns = rows, cols, cuts.index[cols]
 
         # the pairs of each distinct profile, evaluated together
-        profiles, profile_of = {}, np.empty(size, dtype=np.int64)
-        for c, cut in enumerate(self.cutoffs):
-            profile_of[c] = profiles.setdefault(id(cut.profile),
-                                                (len(profiles), cut.profile))[0]
-        offsets = pts[rows] - centers[cols]
-        pair_profile = profile_of[cols]
+        offsets = pts[self.rows] - cuts.centers[self.cols]
+        pair_profile = cuts.profile_of[self.cols]
         by_profile = np.argsort(pair_profile, kind="stable")
         ends = np.searchsorted(pair_profile[by_profile],
-                               np.arange(1, len(profiles) + 1))
-        self.factors = {beta: np.empty(len(cols)) for beta in self.betas}
-        for (_, profile), lo, hi in zip(profiles.values(), np.r_[0, ends[:-1]], ends):
+                               np.arange(1, len(cuts.profiles) + 1))
+        self.factors = np.empty((len(self.betas), len(self.cols)))
+        for profile, lo, hi in zip(cuts.profiles, np.r_[0, ends[:-1]], ends):
             if hi > lo:
                 sel = by_profile[lo:hi]
                 axes = [evaluate_shared(profile.polys[:a_i + 1], offsets[sel, i])
                         for i, a_i in enumerate(alpha)]
-                for beta in self.betas:
+                for j, beta in enumerate(self.betas):
                     val = np.ones(len(sel))
                     for orders, b_i in zip(axes, beta):
                         val = val * orders[b_i]
-                    self.factors[beta][sel] = val
+                    self.factors[j, sel] = val
 
-    def partials(self, ks, idx, value=False) -> dict:
-        """Partials beta <= alpha of function ``ks[r]`` at point ``idx[r]``.
+    def partials(self) -> dict:
+        """Partials beta <= alpha of the partition functions, as a dict from
+        each beta to its values.
 
-        Returns a dict mapping each beta to one value per row, zero where
-        the point is outside the function's own support.  An incidence
-        built with ``owners`` holds only the pairs of the rows
-        ``(owners[i], i)``, so those are the rows it can evaluate.  With
-        ``value`` only the order-0 entry is formed, in the arithmetic of
-        ``function_values`` and of its reference ``oracles.fn_value`` in the
-        tests: the cutoff's value at every row, then the complements applied
-        by plain products to the rows where that value is nonzero.
+        Without ``owners`` there is one value per pair: function ``fns[p]``
+        at point ``rows[p]``.  With ``owners`` there is one per point: its
+        owner's function, zero outside the owner's support.
+
+        Along a run, with P the running product of the complements of the
+        earlier pairs (one at the start), the function of pair s is
+        psi = phi_s * P and the product steps to P * (1 - phi_s), both by
+        the product rule over ``betas``.  Their cross terms, the sums over
+        gamma < beta of binom(beta, gamma) * P^gamma * phi_s^(beta - gamma),
+        are shared: psi^beta = P^beta * phi_s + cross^beta and the next
+        P^beta = P^beta * (1 - phi_s) - cross^beta.  The first pair of a run
+        gives psi = phi and P = 1 - phi as they are.  Owner mode forms psi
+        only at each run's last pair, the owner's own.
         """
-        own = self.local[np.asarray(ks, dtype=np.int64)]
-        idx = np.asarray(idx, dtype=np.int64)
-        size = len(self.cutoffs)
-        at, inside = _search(self.keys, idx * size + own)
-        if value:
-            zero = (0,) * self.pts.shape[1]
-            out = np.empty(len(idx))
-            out[inside] = self.factors[zero][at[inside]]
-            outside = np.flatnonzero(~inside)
-            for c in np.flatnonzero(np.bincount(own[outside], minlength=size)):
-                sel = outside[own[outside] == c]
-                out[sel] = self.cutoffs[c].value(self.pts[idx[sel]])
-            acc = {zero: out}
-            live = np.flatnonzero(out != 0.0)
-        else:
-            acc = {}
-            for beta in self.betas:
-                acc[beta] = np.zeros(len(idx))
-                acc[beta][inside] = self.factors[beta][at[inside]]
-            live = np.flatnonzero(inside)
+        out = np.empty((len(self.betas),
+                        self.active[0] if self.owned else len(self.rows)))
+        prod = None
+        for s in range(len(self.active) - 1):
+            n, m, at = self.active[s], self.active[s + 1], self.start[s]
+            psi = out[:, m:n] if self.owned else out[:, at:at + n]
+            prod = self._step(prod, self.factors[:, at:at + n], psi, m)
+        if self.owned:
+            owned, out = out, np.zeros((len(self.betas), len(self.pts)))
+            out[:, self.order[:owned.shape[1]]] = owned
+        return dict(sorted(zip(self.betas, out), key=lambda item: item[0]))
 
-        # a row's depth: its point's pairs before its own (or before where
-        # its own would be), the cutoffs that can block it, in index order
-        start = self.run_start[idx]
-        deep, depth = live, at[live] - start[live]
-        for s in range(int(depth.max(initial=0))):
-            keep = depth > s
-            deep, depth = deep[keep], depth[keep]
-            pair = start[deep] + s
-            hit = _search(self.links, own[deep] * size + self.cols[pair])[1]
-            rows, pair = deep[hit], pair[hit]
-            if value:
-                acc[zero][rows] = acc[zero][rows] * (1.0 - self.factors[zero][pair])
-            else:
-                self._complement_step(acc, rows, pair)
-        return acc
-
-    def _complement_step(self, acc, rows, at):
-        """Multiply ``acc`` on ``rows`` by the complement of the cutoffs at
-        pairs ``at``, every partial by the product rule."""
-        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - self.factors[beta][at]
-             for beta in self.betas}
-        cur = {beta: acc[beta][rows] for beta in self.betas}
-        for beta in self.betas:
-            total = np.zeros(len(rows))
-            for gamma, rest, weight in self.terms[beta]:
-                total += weight * cur[gamma] * t[rest]
-            acc[beta][rows] = total
+    def _step(self, prod, f, psi, m):
+        """One step of the recurrence at the pairs ``f``, one column per
+        active point: write psi at the last ``psi.shape[1]`` of them and
+        return the next running product, at the first ``m``."""
+        lo = f.shape[1] - psi.shape[1]
+        if prod is None:
+            psi[:] = f[:, lo:]
+            prod = -f[:, :m]
+            prod[0] = 1.0 - f[0, :m]
+            return prod
+        psi[:] = prod[:, lo:] * f[0, lo:]
+        nxt = prod[:, :m] * (1.0 - f[0, :m])
+        rule = self.rule
+        if rule.levels:
+            terms = prod[rule.gamma] * f[rule.rest] * rule.weight
+            cross = terms[:rule.levels[0]]
+            at = rule.levels[0]
+            for count in rule.levels[1:]:
+                cross[:count] += terms[at:at + count]
+                at += count
+            psi[1:] += cross[:, lo:]
+            nxt[1:] -= cross[:, :m]
+        return nxt
 
 
-def _search(sorted_keys, keys):
-    """Insertion point of each key in ``sorted_keys``, and whether the key
-    is there."""
-    at = np.searchsorted(sorted_keys, keys)
-    if not len(sorted_keys):
-        return at, np.zeros(len(keys), dtype=bool)
-    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+def _step_major(rows, cols, count):
+    """Reorder lexicographic (point, cutoff) pairs of ``count`` points step
+    by step.
+
+    Step s holds the s-th pair of every point whose run is longer than s,
+    with the points ranked by descending run length, so each step's points
+    are a prefix of the last step's.  Returns the points by rank, the
+    number of points at each step (ending with 0), where each step starts,
+    and the reordered ``rows`` and ``cols``.
+    """
+    length = np.bincount(rows, minlength=count)
+    order = np.argsort(-length, kind="stable")
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    active = count - np.cumsum(np.bincount(length, minlength=1))
+    start = np.r_[0, np.cumsum(active)]
+    step = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    pos = np.empty(len(rows), dtype=np.int64)
+    pos[start[step] + rank[rows]] = np.arange(len(rows))
+    return order, active, start, rows[pos], cols[pos]
+
+
+class _Rule(NamedTuple):
+    betas: list
+    gamma: np.ndarray
+    rest: np.ndarray
+    weight: np.ndarray
+    levels: list
+
+
+@functools.cache
+def _product_rule(alpha) -> _Rule:
+    """The engine's betas and the product rule's cross terms for ``alpha``.
+
+    The betas, the rows of the engine's tables, are zero first and then
+    the others by descending count of gammas < beta, so that the betas
+    with more than j such gammas come first.  The cross terms are stored
+    level by level: level j holds, for each beta with more than j gammas,
+    its j-th gamma in ``indices_below`` order, as the rows of gamma and of
+    beta - gamma and the weight binom(beta, gamma).  ``levels`` counts the
+    terms of each level, so every cross sum adds its terms in that order.
+    """
+    below = {beta: indices_below(beta)[:-1] for beta in indices_below(alpha)}
+    betas = [next(iter(below))] + sorted(list(below)[1:],
+                                         key=lambda beta: -len(below[beta]))
+    row = {beta: j for j, beta in enumerate(betas)}
+    terms = [(j, row[gamma], row[tuple(b - g for b, g in zip(beta, gamma))],
+              float(multi_binom(beta, gamma)))
+             for beta in betas for j, gamma in enumerate(below[beta])]
+    terms.sort(key=lambda term: term[0])
+    _, gamma, rest, weight = zip(*terms) if terms else ((),) * 4
+    levels = np.bincount([term[0] for term in terms]).tolist()
+    return _Rule(betas, np.array(gamma, dtype=np.int64),
+                 np.array(rest, dtype=np.int64), np.array(weight)[:, None],
+                 levels)
 
 
 def incidences(functions, pts, alpha, owners=None):
     """``(block, Incidence)`` for consecutive blocks of the points.
 
-    Blocks bound the engine's tables: each next block is sized from the
-    pairs per point of the last one to hold about ``_BLOCK_PAIRS`` pairs.
-    Every point's pairs, and so every value, are those of one incidence of
-    all the points.  There is always at least one block, empty for no
-    points.
+    The function-level tables (``CutoffSet``) are built once for all
+    blocks; without ``owners`` they are first checked with
+    ``CutoffSet.check_runs``.  Blocks bound the engine's tables: each next
+    block is sized from the pairs per point of the last one to hold about
+    ``_BLOCK_PAIRS`` pairs.  Every point's pairs, and so every value, are
+    those of one incidence of all the points.  There is always at least
+    one block, empty for no points.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
+    cuts = CutoffSet(functions)
+    if owners is None:
+        cuts.check_runs()
     start, size = 0, 1024
     while True:
         block = slice(start, start + size)
-        inc = Incidence(functions, pts[block], alpha,
+        inc = Incidence(cuts, pts[block], alpha,
                         None if owners is None else owners[block])
         yield block, inc
         start = block.stop
@@ -398,12 +503,12 @@ def incidences(functions, pts, alpha, owners=None):
         size = int(min(4 * size, max(64, _BLOCK_PAIRS / per_point)))
 
 
-def partition_partials(functions, pts, ks, alpha, value=False) -> dict:
+def partition_partials(functions, pts, ks, alpha) -> dict:
     """Partials beta <= alpha of partition function ``ks[i]`` at ``pts[i]``,
     for every i (see ``Incidence.partials``)."""
     ks = np.asarray(ks, dtype=np.int64)
-    parts = [inc.partials(ks[block], np.arange(len(inc.pts)), value=value)
-             for block, inc in incidences(functions, pts, alpha, owners=ks)]
+    parts = [inc.partials()
+             for _, inc in incidences(functions, pts, alpha, owners=ks)]
     return {beta: np.concatenate([part[beta] for part in parts])
             for beta in parts[0]}
 
@@ -411,7 +516,7 @@ def partition_partials(functions, pts, ks, alpha, value=False) -> dict:
 def function_values(functions, pts, ks) -> np.ndarray:
     """Value of partition function ``ks[i]`` at ``pts[i]``, for every i."""
     zero = (0,) * np.shape(pts)[-1]
-    return partition_partials(functions, pts, ks, zero, value=True)[zero]
+    return partition_partials(functions, pts, ks, zero)[zero]
 
 
 def build_partition(cover: Cover, order: int, weights=None) -> Partition:
@@ -450,8 +555,8 @@ def partition_sum(partition: Partition, pts) -> np.ndarray:
     zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
     for block, inc in incidences(partition.functions, pts, zero):
-        # bincount adds each point's values in pair order, i.e. function order
-        values = inc.partials(inc.fns, inc.rows, value=True)[zero]
+        # bincount adds each point's values in step order, i.e. function order
+        values = inc.partials()[zero]
         out[block] = np.bincount(inc.rows, weights=values, minlength=len(inc.pts))
     return out
 
@@ -488,9 +593,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     certs: list[Certificate] = []
 
     # One table of partials at every (grid point, function) pair serves the
-    # sum, range and derivative passes.  Its order-0 entry is the value up
-    # to the sign of a zero (the product rule adds each product to +0.0),
-    # which neither a sum started at +0.0 nor the range's extremes can see.
+    # sum, range and derivative passes; its order-0 entry is the value.
     # The derivative pass keeps each function's grid points in its support
     # box (lo <= x <= hi) and takes max |partial| over them.
     alphas = indices_up_to_order(d, alpha_max)
@@ -500,10 +603,10 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     sums = np.zeros(len(grid))
     below, top = 0.0, None
     for block, inc in incidences(partition.functions, grid, (alpha_max,) * d):
-        tables = inc.partials(inc.fns, inc.rows)
+        tables = inc.partials()
         vals = tables[(0,) * d]
-        # bincount adds each point's values in function order, as
-        # partition_sum does
+        # bincount adds each point's values in step order, i.e. function
+        # order, as partition_sum does
         sums[block] = np.bincount(inc.rows, weights=vals, minlength=len(inc.pts))
         if len(vals):
             below = min(below, float(vals.min()))

@@ -413,13 +413,14 @@ def export_figures(config: RunConfig, built_cover, partition,
     for block, inc in bumps.incidences(partition.functions, grid, (0,) * d):
         rows.append(inc.rows + block.start)
         ks.append(inc.fns)
-        values.append(inc.factors[(0,) * d])
+        values.append(inc.factors[0])     # the order-0 row
     rows, ks, values = (np.concatenate(a) for a in (rows, ks, values))
     with (out_dir / "cutoffs.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*xs, "k", "value"])
-        for e in np.argsort(ks, kind="stable").tolist():
-            writer.writerow([*grid[rows[e]].tolist(), ks[e], values[e]])
+        order = np.lexsort((rows, ks))      # by cutoff, then by grid point
+        writer.writerows(zip(*grid[rows[order]].T.tolist(), ks[order].tolist(),
+                             values[order].tolist()))
 
     maps = certify.rescale_maps(built_cover)
     ks = [fn.index for fn in partition]
@@ -435,8 +436,8 @@ def export_figures(config: RunConfig, built_cover, partition,
     with (out_dir / "pullback.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*[f"zeta{i + 1}" for i in range(d)], "k", "value"])
-        for zeta, k, value in zip(np.concatenate(zetas), owners.tolist(), values):
-            writer.writerow([*zeta.tolist(), k, value])
+        writer.writerows(zip(*np.concatenate(zetas).T.tolist(), owners.tolist(),
+                             values.tolist()))
 
 
 def shipped_config_path(name: str) -> Path:

@@ -13,9 +13,9 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from covercert.bumps import derivative_constant, partition_partials
+from covercert.bumps import (CutoffSet, Incidence, derivative_constant,
+                             partition_partials)
 from covercert.domains import Box, cell_midpoints, mesh_points
-from covercert.errors import SmoothnessOrderError
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
@@ -426,58 +426,6 @@ def profile_polys(profile):
     return polys
 
 
-def partials_table(fn, pts, alpha):
-    """``partition_partials`` of one function, with one cutoff evaluation per
-    beta."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    betas = indices_below(alpha)
-    zeros = np.zeros(len(pts))
-    mask = fn.cutoff.contains_support(pts)
-    if not mask.any():
-        return {beta: zeros for beta in betas}
-    sub = pts[mask]
-    acc = {beta: np.atleast_1d(fn.cutoff.partial(sub, beta)) for beta in betas}
-    for _, blocker in fn.blockers:
-        bmask = blocker.contains_support(sub)
-        if not bmask.any():
-            continue
-        pts_b = sub[bmask]
-        t = {}
-        for beta in betas:
-            val = np.atleast_1d(blocker.partial(pts_b, beta))
-            t[beta] = (1.0 if sum(beta) == 0 else 0.0) - val
-        new = {}
-        for beta in betas:
-            total = np.zeros(len(pts_b))
-            for gamma in indices_below(beta):
-                rest = tuple(b - g for b, g in zip(beta, gamma))
-                total += multi_binom(beta, gamma) * acc[gamma][bmask] * t[rest]
-            new[beta] = total
-        for beta in betas:
-            acc[beta][bmask] = new[beta]
-    out = {}
-    for beta in betas:
-        full = zeros.copy()
-        full[mask] = acc[beta]
-        out[beta] = full
-    return out
-
-
-def fn_value(fn, x):
-    """``function_values`` of one function, as the per-function loop computed
-    it."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = x[None, :] if scalar else x
-    out = fn.cutoff.value(pts)
-    live = out != 0.0
-    for _, blocker in fn.blockers:
-        mask = live & blocker.contains_support(pts)
-        if mask.any():
-            out[mask] = out[mask] * (1.0 - blocker.value(pts[mask]))
-    return float(out[0]) if scalar else out
-
-
 def cutoff_partials_table(cutoff, pts, alpha):
     """``cutoff.partial(pts, beta)`` for every beta <= alpha, as the
     per-cutoff table computed it: each (axis, derivative order) factor is
@@ -494,65 +442,178 @@ def cutoff_partials_table(cutoff, pts, alpha):
     return out
 
 
-def fn_partials_table(fn, pts, alpha):
-    """``partition_partials`` of one function, as the per-function loop
-    computed it."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    alpha = tuple(int(a) for a in alpha)
-    budget = fn.cutoff.profile.order - 1
-    if any(a > budget for a in alpha):
-        raise SmoothnessOrderError(
-            f"component of {alpha} exceeds per-axis budget {budget}")
-    betas = indices_below(alpha)
-    zeros = np.zeros(len(pts))
-    mask = fn.cutoff.contains_support(pts)
-    if not mask.any():
-        return {beta: zeros for beta in betas}
-    sub = pts[mask]
+def recurrence_table(fn, pts, alpha, absolute=False,
+                     factors=cutoff_partials_table):
+    """``partition_partials`` of one function by the prefix-product
+    recurrence, one blocker at a time over all points.
 
-    acc = cutoff_partials_table(fn.cutoff, sub, alpha)
+    Per point, P runs over the complements of the blockers whose support
+    holds it, in index order: the first sets P = 1 - phi, each later one
+    steps P <- P * (1 - phi) by the product rule, and the function is
+    phi * P at its own cutoff (phi itself with no blocker).  Every sum and
+    product comes in the engine's order: for beta > 0 the cross terms
+    (P^gamma * phi^(beta - gamma)) * binom(beta, gamma) over gamma < beta
+    are summed first, then psi^beta = P^beta * phi + cross and the next
+    P^beta = P^beta * (1 - phi) - cross.  With ``absolute`` the same
+    recurrence runs on |phi| and |1 - phi|, with every difference a sum.
+    ``factors(cutoff, pts, alpha)`` gives a cutoff's partials.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    alpha = tuple(int(a) for a in alpha)
+    betas = indices_below(alpha)
+    zero = betas[0]
+
+    def table(cutoff, at):
+        vals = factors(cutoff, at, alpha)
+        return {beta: np.abs(vals[beta]) if absolute else vals[beta]
+                for beta in betas}
+
+    def cross(prod, phi, beta):
+        total = None
+        for gamma in indices_below(beta)[:-1]:
+            rest = tuple(b - g for b, g in zip(beta, gamma))
+            term = prod[gamma] * phi[rest] * float(multi_binom(beta, gamma))
+            total = term if total is None else total + term
+        return total
+
+    mask = fn.cutoff.contains_support(pts)
+    sub = pts[mask]
+    prod = {beta: np.zeros(len(sub)) for beta in betas}
+    started = np.zeros(len(sub), dtype=bool)
     for _, blocker in fn.blockers:
-        bmask = blocker.contains_support(sub)
-        if not bmask.any():
-            continue    # complement is identically 1 there
-        pts_b = sub[bmask]
-        vals = cutoff_partials_table(blocker, pts_b, alpha)
-        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
-             for beta in betas}
-        new = {}
+        hit = blocker.contains_support(sub)
+        phi = table(blocker, sub[hit])
+        comp = 1.0 - phi[zero]
+        comp = np.abs(comp) if absolute else comp
+        cur = {beta: prod[beta][hit] for beta in betas}
+        first = ~started[hit]
         for beta in betas:
-            total = np.zeros(len(pts_b))
-            for gamma in indices_below(beta):
-                rest = tuple(b - g for b, g in zip(beta, gamma))
-                total += multi_binom(beta, gamma) * acc[gamma][bmask] * t[rest]
-            new[beta] = total
-        for beta in betas:
-            acc[beta][bmask] = new[beta]
+            new = cur[beta] * comp
+            if beta != zero:
+                c = cross(cur, phi, beta)
+                new = new + c if absolute else new - c
+                new[first] = phi[beta][first] if absolute else -phi[beta][first]
+            else:
+                new[first] = comp[first]
+            prod[beta][hit] = new
+        started[hit] = True
+
+    own = table(fn.cutoff, sub)
     out = {}
     for beta in betas:
-        full = zeros.copy()
-        full[mask] = acc[beta]
-        out[beta] = full
+        val = prod[beta] * own[zero]
+        if beta != zero:
+            val = val + cross(prod, own, beta)
+        val[~started] = own[beta][~started]
+        out[beta] = np.zeros(len(pts))
+        out[beta][mask] = val
     return out
 
 
-def partition_sum(partition, pts):
-    """partition_sum as the per-function loop computed it."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+def recurrence_sum(partition, pts):
+    """partition_sum by ``recurrence_table``, one function at a time."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
     for fn in partition:
         mask = fn.cutoff.contains_support(pts)
         if mask.any():
-            out[mask] += fn_value(fn, pts[mask])
+            out[mask] += recurrence_table(fn, pts[mask], zero)[zero]
     return out
 
 
+def _search(sorted_keys, keys):
+    """Insertion point of each key in ``sorted_keys``, and whether the key
+    is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    if not len(sorted_keys):
+        return at, np.zeros(len(keys), dtype=bool)
+    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
+def pair_run_table(functions, pts, ks, alpha):
+    """Partials beta <= alpha of partition function ``ks[i]`` at ``pts[i]``
+    by the pair-run engine that the prefix-product engine replaced.
+
+    A point's run is its (point, cutoff) pairs by ascending cutoff.  Each
+    row starts from its own cutoff's factors; then, for s = 0, 1, ..., every
+    row with more than s pairs before its own takes its point's s-th pair
+    and, if that cutoff is among its function's blockers, multiplies in
+    the complement by the product rule, every product added to +0.0.
+    """
+    cuts = CutoffSet(functions)
+    inc = Incidence(cuts, pts, alpha)
+    lex = np.lexsort((inc.cols, inc.rows))
+    rows, cols = inc.rows[lex], inc.cols[lex]
+    factors = {beta: inc.factors[j][lex] for j, beta in enumerate(inc.betas)}
+    size = len(cuts.cutoffs)
+    own = cuts.local[np.asarray(ks, dtype=np.int64)]
+    idx = np.arange(len(inc.pts))
+    at, inside = _search(rows * size + cols, idx * size + own)
+    acc = {}
+    for beta in inc.betas:
+        acc[beta] = np.zeros(len(idx))
+        acc[beta][inside] = factors[beta][at[inside]]
+    start = np.searchsorted(rows, idx)
+    deep = np.flatnonzero(inside)
+    depth = at[deep] - start[deep]
+    for s in range(int(depth.max(initial=0))):
+        keep = depth > s
+        deep, depth = deep[keep], depth[keep]
+        pair = start[deep] + s
+        hit = _search(cuts.links, own[deep] * size + cols[pair])[1]
+        live, pair = deep[hit], pair[hit]
+        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - factors[beta][pair]
+             for beta in inc.betas}
+        cur = {beta: acc[beta][live] for beta in inc.betas}
+        for beta in inc.betas:
+            total = np.zeros(len(live))
+            for gamma in indices_below(beta):
+                rest = tuple(b - g for b, g in zip(beta, gamma))
+                total += multi_binom(beta, gamma) * cur[gamma] * t[rest]
+            acc[beta][live] = total
+    return acc
+
+
+def pair_run_sum(partition, pts):
+    """partition_sum by ``pair_run_table``: each point's values added in
+    function order."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    zero = (0,) * pts.shape[1]
+    out = np.zeros(len(pts))
+    for fn in partition:
+        mask = fn.cutoff.contains_support(pts)
+        if mask.any():
+            out[mask] += pair_run_table(partition.functions, pts[mask],
+                                        np.full(mask.sum(), fn.index), zero)[zero]
+    return out
+
+
+def recurrence_error_bound(fn, pts, alpha):
+    """Per beta, a bound on |partition_partials - pair_run_table| for one
+    function at every point.
+
+    Both engines evaluate the same exact partial from the same factors.
+    Treat 1 - phi^0 as one more input.  Along any path from an input to a
+    result, a step of either engine rounds at most T + 2 times, T the
+    number of betas: 1 - phi^0, the weight and the factor products, and
+    the sum of at most T terms.  With L blockers, N = (L + 1) * (T + 3)
+    roundings bound every path (one spare per step covers this bound's own
+    arithmetic).  So each engine is within gamma_N = N u / (1 - N u) of
+    the exact partial times the same expansion summed in absolute value,
+    which the absolute ``recurrence_table`` gives up to a factor
+    1 / (1 - N u) (every rounding there shrinks a sum of nonnegative
+    terms by at most (1 - u)).  Two such errors make the bound.
+    """
+    u = 2.0 ** -53
+    n = (len(fn.blockers) + 1) * (math.prod(a + 1 for a in alpha) + 3)
+    scale = 2.0 * (n * u / (1.0 - n * u)) / (1.0 - n * u)
+    return {beta: scale * vals for beta, vals in
+            recurrence_table(fn, pts, alpha, absolute=True).items()}
+
+
 def derivative_pass(partition, cover, oracle, alpha_max, grid):
-    """certify_partition's derivative pass as the per-function loop ran it:
+    """certify_partition's derivative pass one function at a time:
     the worst measured/bound ratio and its witness."""
     worst_ratio, tight = 0.0, None
     r3 = oracle.values(3, cover.centers)
@@ -563,7 +624,7 @@ def derivative_pass(partition, cover, oracle, alpha_max, grid):
         local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
         if len(local) == 0:
             continue
-        tables = fn_partials_table(fn, local, (alpha_max,) * cover.dimension)
+        tables = recurrence_table(fn, local, (alpha_max,) * cover.dimension)
         for alpha in indices_up_to_order(cover.dimension, alpha_max):
             if sum(alpha) == 0:
                 bound = (1.0 / r3[k]) ** cover.dimension

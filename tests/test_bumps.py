@@ -10,8 +10,9 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        certify_partition, constant_exhaustion,
                        constant_weight_family, derivative_constant,
                        default_weights, expanding_boxes, partition_sum)
-from covercert.bumps import (BumpProfile, Cutoff, Incidence, Partition,
-                             PartitionFn, function_values, partition_partials)
+from covercert.bumps import (BumpProfile, Cutoff, CutoffSet, Incidence,
+                             Partition, PartitionFn, function_values,
+                             partition_partials)
 from covercert.multiindex import indices_below
 from covercert.piecewise import PiecewisePoly
 
@@ -54,6 +55,13 @@ def fn_values(fn, pts):
 def fn_table(fn, pts, alpha):
     """``partition_partials`` of the one function ``fn`` at every point."""
     return partition_partials([fn], pts, np.full(len(pts), fn.index), alpha)
+
+
+def flat(level):
+    """A one-axis profile equal to ``level`` on [-0.5, 0.5], zero outside."""
+    poly = PiecewisePoly(np.array([-0.5, 0.5]), np.array([[level]]))
+    return BumpProfile(scale=0.5, order=1, weights=(1.0,), widths=(0.0,),
+                       inner_halfwidth=0.5, polys=(poly,))
 
 
 def assert_bitwise(actual, expected):
@@ -105,43 +113,70 @@ def partitions_and_points(draw):
     return functions, np.concatenate(pts), alpha
 
 
+def assert_near_pair_run(partition, pts, alpha):
+    """Every function's partials, and the partition sum, within the derived
+    rounding bounds of the pair-run engine's values (``oracles``)."""
+    zero = (0,) * pts.shape[1]
+    sums, old_sums, slack = (np.zeros(len(pts)) for _ in range(3))
+    for fn in partition:
+        ks = np.full(len(pts), fn.index)
+        table = fn_table(fn, pts, alpha)
+        old = oracles.pair_run_table(partition.functions, pts, ks, alpha)
+        bound = oracles.recurrence_error_bound(fn, pts, alpha)
+        for beta in table:
+            assert (np.abs(table[beta] - old[beta]) <= bound[beta]).all()
+        # the sums add the same terms in the same order: each sum of K
+        # terms rounds K - 1 times (gamma_K), on top of the terms' own error
+        sums += np.abs(table[zero])
+        old_sums += np.abs(old[zero])
+        slack += bound[zero]
+    n = len(partition) * 2.0 ** -53
+    slack += n / (1.0 - n) * (sums + old_sums)
+    assert (np.abs(partition_sum(partition, pts)
+                   - oracles.pair_run_sum(partition, pts)) <= slack).all()
+
+
 class TestIncidenceEngine:
-    """The engine against the per-function loops it replaced, bit for bit."""
+    """The engine against a one-function-at-a-time loop of the same
+    recurrence, bit for bit, and against the pair-run engine it replaced
+    within derived rounding bounds."""
 
     @settings(max_examples=40, deadline=None)
     @given(partitions_and_points())
     def test_wrappers_match_per_function_loops(self, case):
         functions, pts, alpha = case
+        zero = (0,) * len(alpha)
         for fn in functions:
-            assert_bitwise(fn_values(fn, pts), oracles.fn_value(fn, pts))
+            values = oracles.recurrence_table(fn, pts, zero)[zero]
+            assert_bitwise(fn_values(fn, pts), values)
             table = fn_table(fn, pts, alpha)
-            expected = oracles.fn_partials_table(fn, pts, alpha)
+            expected = oracles.recurrence_table(fn, pts, alpha)
             assert list(table) == list(expected)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
         partition = Partition(functions, order=functions[0].cutoff.profile.order,
                               weights=(), cover=None)
         assert_bitwise(partition_sum(partition, pts),
-                       oracles.partition_sum(partition, pts))
+                       oracles.recurrence_sum(partition, pts))
+        assert_near_pair_run(partition, pts, alpha)
 
     @settings(max_examples=40, deadline=None)
     @given(partitions_and_points())
     def test_shared_incidence_matches_per_function_loops(self, case):
         functions, pts, alpha = case
-        inc = Incidence(functions, pts, alpha)
-        ks = np.repeat(np.arange(len(functions)), len(pts))
-        idx = np.tile(np.arange(len(pts)), len(functions))
-        table = inc.partials(ks, idx)
-        values = inc.partials(ks, idx, value=True)[(0,) * len(alpha)]
+        inc = Incidence(CutoffSet(functions), pts, alpha)
+        table = inc.partials()
         for k, fn in enumerate(functions):
-            rows = slice(k * len(pts), (k + 1) * len(pts))
-            expected = oracles.fn_partials_table(fn, pts, alpha)
+            pairs = np.flatnonzero(inc.fns == k)
+            inside = np.flatnonzero(fn.cutoff.contains_support(pts))
+            assert_bitwise(np.sort(inc.rows[pairs]), inside)
+            expected = oracles.recurrence_table(fn, pts, alpha)
             for beta in expected:
-                assert_bitwise(table[beta][rows], expected[beta])
-            assert_bitwise(values[rows], oracles.fn_value(fn, pts))
+                assert_bitwise(table[beta][pairs], expected[beta][inc.rows[pairs]])
         owners = np.arange(len(pts)) % len(functions)
+        zero = (0,) * len(alpha)
         assert_bitwise(function_values(functions, pts, owners),
-                       [oracles.fn_value(functions[k], p)
+                       [oracles.recurrence_table(functions[k], p, zero)[zero][0]
                         for k, p in zip(owners, pts)])
 
     @pytest.mark.parametrize("setup, spacing", [("square_setup", 0.004),
@@ -153,53 +188,87 @@ class TestIncidenceEngine:
                   tuple(b + 0.1 for b in cover.box.upper))
         pts = dom.sample_ring(1, spacing, box)
         alpha = (2,) * cover.dimension
+        zero = (0,) * cover.dimension
         assert max(len(fn.blockers) for fn in partition) >= 2
         assert_bitwise(partition_sum(partition, pts),
-                       oracles.partition_sum(partition, pts))
+                       oracles.recurrence_sum(partition, pts))
         for fn in partition:
-            assert_bitwise(fn_values(fn, pts), oracles.fn_value(fn, pts))
+            assert_bitwise(fn_values(fn, pts),
+                           oracles.recurrence_table(fn, pts, zero)[zero])
             table = fn_table(fn, pts, alpha)
-            expected = oracles.fn_partials_table(fn, pts, alpha)
+            expected = oracles.recurrence_table(fn, pts, alpha)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
+        assert_near_pair_run(partition, pts, alpha)
 
     def test_one_step_per_earlier_pair_of_the_longest_run(
             self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
         pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
-        inc = Incidence(partition.functions, pts, (2, 2))
+        inc = Incidence(CutoffSet(partition.functions), pts, (2, 2))
         longest = int(np.bincount(inc.rows).max())
         assert len(partition) == 25 == max(len(fn.blockers) for fn in partition) + 1
         assert longest == 19
         steps = []
-        step = Incidence._complement_step
+        step = Incidence._step
 
-        def counting_step(self, acc, rows, at):
-            steps.append(len(rows))
-            return step(self, acc, rows, at)
+        def counting_step(self, prod, f, psi, m):
+            steps.append((prod is not None, f.shape[1]))
+            return step(self, prod, f, psi, m)
 
-        monkeypatch.setattr(Incidence, "_complement_step", counting_step)
-        inc.partials(inc.fns, inc.rows)
-        assert len(steps) == longest - 1
+        monkeypatch.setattr(Incidence, "_step", counting_step)
+        inc.partials()
+        # one step per position of the longest run, each over the points
+        # whose run reaches it, so every pair is visited once; the first
+        # step copies, every later one applies the product rule once
+        assert [rule for rule, _ in steps] == [False] + [True] * (longest - 1)
+        assert sum(width for _, width in steps) == len(inc.rows)
+
+    def test_all_pairs_readers_reject_a_missing_blocker(self, square_setup):
+        dom, _, cover, partition = square_setup
+        grid = dom.sample_ring(1, 0.01, cover.box)
+        k, m = next((fn.index, m) for fn in partition for m, cut in fn.blockers
+                    if np.abs(np.subtract(fn.cutoff.center, cut.center)).max()
+                    <= fn.cutoff.support_halfwidth + cut.support_halfwidth)
+        functions = [PartitionFn(fn.index, fn.cutoff,
+                                 tuple(b for b in fn.blockers if b[0] != m))
+                     if fn.index == k else fn for fn in partition]
+        bad = Partition(functions, order=partition.order,
+                        weights=partition.weights, cover=cover)
+        with pytest.raises(ValueError, match="blocker"):
+            partition_sum(bad, grid)
+        with pytest.raises(ValueError, match="blocker"):
+            certify_partition(bad, cover, cover.oracle, 1, grid)
+        # a function read for its owner multiplies just its listed blockers
+        assert_bitwise(function_values(functions, grid, np.full(len(grid), k)),
+                       oracles.recurrence_table(functions[k], grid, (0, 0))[(0, 0)])
+
+    def test_supports_that_touch_count_as_meeting(self):
+        # closed supports [-0.5, 0.5] and [0.5, 1.5] share the point 0.5
+        first = PartitionFn(index=0, cutoff=Cutoff((0.0,), flat(1.0)), blockers=())
+        second = Cutoff((1.0,), flat(1.0))
+        x = np.array([[0.5], [0.2]])
+        alone = Partition([first, PartitionFn(index=1, cutoff=second, blockers=())],
+                          order=1, weights=(), cover=None)
+        with pytest.raises(ValueError, match="blocker"):
+            partition_sum(alone, x)
+        linked = Partition([first, PartitionFn(index=1, cutoff=second,
+                                               blockers=((0, first.cutoff),))],
+                           order=1, weights=(), cover=None)
+        assert_bitwise(partition_sum(linked, x), np.array([1.0, 1.0]))
 
     def test_value_keeps_the_sign_of_a_zero(self):
         # A negative cutoff value times the complement of a blocker that is
-        # exactly one there: the value's plain product gives -0.0, the
-        # product rule's sum from +0.0 gives +0.0.
-        def flat(level):
-            poly = PiecewisePoly(np.array([-0.5, 0.5]), np.array([[level]]))
-            return BumpProfile(scale=0.5, order=1, weights=(1.0,), widths=(0.0,),
-                               inner_halfwidth=0.5, polys=(poly,))
-
+        # exactly one there: psi = phi * P is a plain product, -0.0, in the
+        # values and in the tables' order-0 entry alike.
         blocker = Cutoff((0.1,), flat(1.0))
         fn = PartitionFn(index=1, cutoff=Cutoff((0.0,), flat(-1.0)),
                          blockers=((0, blocker),))
         x = np.array([[0.2], [0.7]])
         assert_bitwise(fn_values(fn, x), np.array([-0.0, 0.0]))
-        assert_bitwise(fn_values(fn, x), oracles.fn_value(fn, x))
-        assert_bitwise(fn_table(fn, x, (0,))[(0,)], np.array([0.0, 0.0]))
-        assert_bitwise(fn_table(fn, x, (0,))[(0,)],
-                       oracles.fn_partials_table(fn, x, (0,))[(0,)])
+        assert_bitwise(fn_table(fn, x, (0,))[(0,)], np.array([-0.0, 0.0]))
+        assert_bitwise(fn_values(fn, x),
+                       oracles.recurrence_table(fn, x, (0,))[(0,)])
 
     def test_blocks_do_not_change_values(self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
@@ -226,9 +295,9 @@ class TestIncidenceEngine:
         assert fn_values(fn, empty).shape == (0,)
         assert all(v.shape == (0,) for v in fn_table(fn, empty, (2, 1)).values())
         assert partition_sum(partition, empty).shape == (0,)
-        inc = Incidence(partition.functions, empty, (1, 1))
+        inc = Incidence(CutoffSet(partition.functions), empty, (1, 1))
         assert len(inc.rows) == 0
-        table = inc.partials([], [])
+        table = inc.partials()
         assert list(table) == indices_below((1, 1))
         assert all(vals.shape == (0,) for vals in table.values())
 
@@ -257,9 +326,9 @@ class TestIncidenceEngine:
         counts = []
         for functions in (partition.functions, partition.functions[:9]):
             searches.clear()
-            inc = Incidence(functions, pts, alpha)
-            used = set((inc.keys % len(inc.cutoffs)).tolist())
-            profiles = {id(inc.cutoffs[c].profile) for c in used}
+            inc = Incidence(CutoffSet(functions), pts, alpha)
+            used = set(inc.cols.tolist())
+            profiles = {id(inc.cuts.cutoffs[c].profile) for c in used}
             assert len(searches) == len(profiles) * pts.shape[1]
             assert sum(searches) == len(inc.rows) * pts.shape[1]
             counts.append((len(used), len(profiles)))
@@ -271,7 +340,7 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
             with pytest.raises(SmoothnessOrderError):
-                Incidence(partition.functions, pts, (5, 0))
+                Incidence(CutoffSet(partition.functions), pts, (5, 0))
             with pytest.raises(SmoothnessOrderError):
                 fn_table(partition[3], pts, (0, 5))
 
@@ -458,7 +527,9 @@ class TestEvalPartial:
             table = fn_table(fn, pts, alpha)
             # certify_partition reads the order-0 bound's measurement here
             assert table[(0, 0)].tobytes() == fn_values(fn, pts).tobytes()
-            expected = oracles.partials_table(fn, pts, alpha)
+            expected = oracles.recurrence_table(
+                fn, pts, alpha, factors=lambda cut, at, alpha: {
+                    beta: cut.partial(at, beta) for beta in betas})
             for beta in betas:
                 assert np.array_equal(table[beta], expected[beta])
                 assert np.array_equal(np.signbit(table[beta]),
@@ -502,13 +573,14 @@ class TestCertifyPartition:
         grid = dom.sample_ring(1, 0.004, cover.box)
         certs = {c.claim: c for c in
                  certify_partition(partition, cover, cover.oracle, 2, grid)}
-        sums = oracles.partition_sum(partition, grid)
+        sums = oracles.recurrence_sum(partition, grid)
         ring = dom.ring(1).contains(grid)
         assert certs["partition.sum_to_one"].measured == \
             float(np.abs(sums[ring] - 1.0).max())
         below, excess = 0.0, []
         for fn in partition:
-            vals = oracles.fn_value(fn, grid[fn.cutoff.contains_support(grid)])
+            vals = oracles.recurrence_table(
+                fn, grid[fn.cutoff.contains_support(grid)], (0, 0))[(0, 0)]
             if len(vals):
                 below = min(below, float(vals.min()))
                 excess.append(float(vals.max() - 1.0))

@@ -1,10 +1,11 @@
 """Byte identity of whole runs: SHA-256 digests of every file a run writes.
 
-The digests below were recorded from the code before the incidence-driven
-partition engine replaced the per-function partition loops; a refactor
-that keeps every value bitwise equal keeps every digest.  ``report.json``
-is digested without its ``generated_at`` line, the one field that changes
-from run to run.
+The digests below were recorded from the prefix-product partition
+engine, which moved partition values in their last digits (every
+``pullback.csv``, and ``small_d2``'s ``partition_sum`` and
+``partition_range`` numbers); a refactor that keeps every value bitwise
+equal keeps every digest.  ``report.json`` is digested without its
+``generated_at`` line, the one field that changes from run to run.
 """
 
 import contextlib
@@ -46,7 +47,7 @@ GOLDEN = {
         "cutoffs.csv":
             "48370b7b9fbe977588d22db4420abc3c0c0b9c1c8a5ca8b78e402adfbd9f118a",
         "pullback.csv":
-            "0733bba2b7f66f7a091f53980aabdf40b7b1b56f5aee1e71b25297f80d6a1552",
+            "5151a90fb38a6d9897a405a4925b2f1b033ba630ec4c24aac8eba733001404d0",
     },
     "schwartz_d1": {
         "stdout":
@@ -58,7 +59,7 @@ GOLDEN = {
         "cutoffs.csv":
             "2e80a50db1dd87433c9e887da6b96c8246c91e6321be89491a942f371820a56c",
         "pullback.csv":
-            "08ec0b8694815d306b0bd510a6e20945e510aad926eba7d7a5e6312b98c3ba6d",
+            "76792b586b0340874e1e0ca61443fcbecd37d1326d5f5379780eba0f4ea8775d",
     },
     "unit_weights_d1": {
         "stdout":
@@ -70,19 +71,19 @@ GOLDEN = {
         "cutoffs.csv":
             "8e5be8bba65ac71f24bcfb12c862bd59c5e8fd5c004bf682b23e08ad63090e61",
         "pullback.csv":
-            "d497a0dd1860ae37f99406158159ac8593cad64f9dcc09560703c6b96db802a2",
+            "68d8452ad2abf50f515f5a03564c04ac7cef619bd01a8dab3689a6577dc40760",
     },
     "small_d2": {
         "stdout":
-            "992d7062b89f12d06e00be34453af0810a1eaeca110832add540f3c885282ff5",
+            "9787ec7c4407ffaa8a07cd97d9f85f15e66951c783c24b27c530821ef4d7ed36",
         "report.json":
-            "577eb173c56f710024918836b27a87895a90362e2c6f6c6dcbc44ac11ff7c166",
+            "0adc40e5fa48bdc397d9c463bbb7ddba435da56b14c017fe36f86fc0f5b1dbec",
         "cover.csv":
             "c252ef5150cae1b96cb9c6fdbd53d0dfa38f6e201a5828bf5e0eebc0a3ef0bb1",
         "cutoffs.csv":
             "70aba36f0e3711869258073c905323c65d14032e4a582d1ca6fd6da3f4b46912",
         "pullback.csv":
-            "3a2a9e5c5e026ecb64c648a0d63931662cdf1fab732e22ea49e1239e7f5815b6",
+            "4c916d1e8bb5fe87c37edc1fec0869b10c85ea2292cbf2f985e4b2a0a111a5a4",
     },
 }
 
