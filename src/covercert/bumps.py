@@ -514,7 +514,11 @@ def partition_partials(functions, pts, ks, alpha) -> dict:
 
 
 def function_values(functions, pts, ks) -> np.ndarray:
-    """Value of partition function ``ks[i]`` at ``pts[i]``, for every i."""
+    """Value of partition function ``ks[i]`` at ``pts[i]``, for every i.
+
+    A point outside the function's own closed support box (a NaN point
+    too) has no pairs there and reads zero without an evaluation; the
+    support certificate evaluates the cutoffs themselves."""
     zero = (0,) * np.shape(pts)[-1]
     return partition_partials(functions, pts, ks, zero)[zero]
 
@@ -650,7 +654,10 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     ))
 
     # Support: the profile support must sit strictly inside the ball, and
-    # evaluation at sup-norm distance >= rho must give exactly zero.
+    # evaluation at sup-norm distance >= rho must give exactly zero.  The
+    # engine reads a function only inside its own cutoff's support, so the
+    # probes evaluate the cutoff itself: psi = phi * P vanishes where phi
+    # does.
     ks = np.array([fn.index for fn in partition])
     eye = np.eye(d)
     dirs = np.vstack([eye, -eye, np.ones((1, d))])
@@ -658,17 +665,15 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     rho = cover.rho[ks][:, None, None]
     probes = np.concatenate([centers + rho * dirs, centers + 1.5 * rho * dirs],
                             axis=1)
-    outside = function_values(partition.functions, probes.reshape(-1, d),
-                              np.repeat(ks, probes.shape[1]))
-    outside = outside.reshape(len(ks), -1)
     support_ok = True
     witness = None
-    for fn, vals in zip(partition, outside):
+    for fn, pts in zip(partition, probes):
         k = fn.index
         if not fn.cutoff.support_halfwidth < float(cover.rho[k]):
             support_ok = False
             witness = {"center": k, "support_halfwidth": fn.cutoff.support_halfwidth}
             break
+        vals = fn.cutoff.value(pts)
         if (vals != 0.0).any():
             support_ok = False
             witness = {"center": k, "nonzero_outside": float(vals.max())}

@@ -13,8 +13,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from covercert.bumps import (CutoffSet, Incidence, derivative_constant,
-                             partition_partials)
+from covercert.bumps import derivative_constant, partition_partials
 from covercert.domains import Box, cell_midpoints, mesh_points
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
@@ -522,57 +521,38 @@ def recurrence_sum(partition, pts):
     return out
 
 
-def _search(sorted_keys, keys):
-    """Insertion point of each key in ``sorted_keys``, and whether the key
-    is there."""
-    at = np.searchsorted(sorted_keys, keys)
-    if not len(sorted_keys):
-        return at, np.zeros(len(keys), dtype=bool)
-    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+def pair_run_table(fn, pts, alpha):
+    """``partition_partials`` of one function by the pair-run engine that
+    the prefix-product engine replaced, one blocker at a time over all
+    points.
 
-
-def pair_run_table(functions, pts, ks, alpha):
-    """Partials beta <= alpha of partition function ``ks[i]`` at ``pts[i]``
-    by the pair-run engine that the prefix-product engine replaced.
-
-    A point's run is its (point, cutoff) pairs by ascending cutoff.  Each
-    row starts from its own cutoff's factors; then, for s = 0, 1, ..., every
-    row with more than s pairs before its own takes its point's s-th pair
-    and, if that cutoff is among its function's blockers, multiplies in
-    the complement by the product rule, every product added to +0.0.
+    Each point in the function's own support starts from its cutoff's
+    partials; then every blocker whose support holds the point, in index
+    order, multiplies in its complement by the product rule, every
+    product added to +0.0.
     """
-    cuts = CutoffSet(functions)
-    inc = Incidence(cuts, pts, alpha)
-    lex = np.lexsort((inc.cols, inc.rows))
-    rows, cols = inc.rows[lex], inc.cols[lex]
-    factors = {beta: inc.factors[j][lex] for j, beta in enumerate(inc.betas)}
-    size = len(cuts.cutoffs)
-    own = cuts.local[np.asarray(ks, dtype=np.int64)]
-    idx = np.arange(len(inc.pts))
-    at, inside = _search(rows * size + cols, idx * size + own)
-    acc = {}
-    for beta in inc.betas:
-        acc[beta] = np.zeros(len(idx))
-        acc[beta][inside] = factors[beta][at[inside]]
-    start = np.searchsorted(rows, idx)
-    deep = np.flatnonzero(inside)
-    depth = at[deep] - start[deep]
-    for s in range(int(depth.max(initial=0))):
-        keep = depth > s
-        deep, depth = deep[keep], depth[keep]
-        pair = start[deep] + s
-        hit = _search(cuts.links, own[deep] * size + cols[pair])[1]
-        live, pair = deep[hit], pair[hit]
-        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - factors[beta][pair]
-             for beta in inc.betas}
-        cur = {beta: acc[beta][live] for beta in inc.betas}
-        for beta in inc.betas:
-            total = np.zeros(len(live))
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    betas = indices_below(alpha)
+    mask = fn.cutoff.contains_support(pts)
+    sub = pts[mask]
+    acc = cutoff_partials_table(fn.cutoff, sub, alpha)
+    for _, blocker in fn.blockers:
+        hit = blocker.contains_support(sub)
+        vals = cutoff_partials_table(blocker, sub[hit], alpha)
+        t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
+             for beta in betas}
+        cur = {beta: acc[beta][hit] for beta in betas}
+        for beta in betas:
+            total = np.zeros(int(hit.sum()))
             for gamma in indices_below(beta):
                 rest = tuple(b - g for b, g in zip(beta, gamma))
                 total += multi_binom(beta, gamma) * cur[gamma] * t[rest]
-            acc[beta][live] = total
-    return acc
+            acc[beta][hit] = total
+    out = {}
+    for beta in betas:
+        out[beta] = np.zeros(len(pts))
+        out[beta][mask] = acc[beta]
+    return out
 
 
 def pair_run_sum(partition, pts):
@@ -584,8 +564,7 @@ def pair_run_sum(partition, pts):
     for fn in partition:
         mask = fn.cutoff.contains_support(pts)
         if mask.any():
-            out[mask] += pair_run_table(partition.functions, pts[mask],
-                                        np.full(mask.sum(), fn.index), zero)[zero]
+            out[mask] += pair_run_table(fn, pts[mask], zero)[zero]
     return out
 
 

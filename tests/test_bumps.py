@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,9 +121,8 @@ def assert_near_pair_run(partition, pts, alpha):
     zero = (0,) * pts.shape[1]
     sums, old_sums, slack = (np.zeros(len(pts)) for _ in range(3))
     for fn in partition:
-        ks = np.full(len(pts), fn.index)
         table = fn_table(fn, pts, alpha)
-        old = oracles.pair_run_table(partition.functions, pts, ks, alpha)
+        old = oracles.pair_run_table(fn, pts, alpha)
         bound = oracles.recurrence_error_bound(fn, pts, alpha)
         for beta in table:
             assert (np.abs(table[beta] - old[beta]) <= bound[beta]).all()
@@ -591,6 +592,30 @@ class TestCertifyPartition:
                                                2, grid)
         assert certs["partition.derivative_bound"].measured == ratio
         assert certs["partition.derivative_bound"].details == tight
+
+    def test_polys_past_the_claimed_support_fail_the_support_pass(
+            self, square_setup):
+        # the last function's profile keeps its claimed support but takes
+        # the polys of a profile a quarter wider, which reach past its ball
+        dom, _, cover, partition = square_setup
+        grid = dom.sample_ring(1, 0.02, cover.box)
+        claim = "partition.support_in_ball"
+        fn = partition[len(partition) - 1]
+        profile = fn.cutoff.profile
+        wide = build_profile(1.25 * profile.scale, profile.order, profile.weights)
+        assert wide.support_halfwidth > cover.rho[fn.index] > profile.support_halfwidth
+        cutoff = Cutoff(fn.cutoff.center,
+                        dataclasses.replace(profile, polys=wide.polys))
+        bad = Partition(partition.functions[:-1]
+                        + [PartitionFn(fn.index, cutoff, fn.blockers)],
+                        order=partition.order, weights=partition.weights,
+                        cover=cover)
+        for part, verdict in ((partition, "pass"), (bad, "fail")):
+            certs = {c.claim: c for c in
+                     certify_partition(part, cover, cover.oracle, 1, grid)}
+            assert certs[claim].verdict == verdict
+        assert certs[claim].details["center"] == fn.index
+        assert certs[claim].details["nonzero_outside"] > 0.0
 
     def test_derivative_constant_formula(self):
         w = default_weights(4)
