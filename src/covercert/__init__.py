@@ -13,9 +13,8 @@ from .cover import (Cover, build_cover, chain_certificate, neighbor_sets,
                     overlap_profile, separation_holds, verify_covering,
                     with_extra_center, without_center)
 from .domains import (Box, BoxRegion, DistanceRegion, ExhaustionDomain,
-                      FullSpace, Region, constant_exhaustion,
-                      dist_inf_boundary, exhaustion_gap, expanding_boxes,
-                      full_space, grid_points, ring_distance, shrinking_boxes)
+                      FullSpace, Region, constant_exhaustion, exhaustion_gap,
+                      expanding_boxes, full_space, grid_points, shrinking_boxes)
 from .errors import (ConfigError, ConstructionError, CoverCertError,
                      DomainMembershipError, IndexCapError, NoRingPointsError,
                      RefinementRequiredError, SmoothnessOrderError,

@@ -12,15 +12,16 @@ Cutoffs are tensor products of one profile per coordinate; a partition
 function multiplies its own cutoff by the complements of the earlier
 overlapping ones (its blockers).  All partial derivatives are evaluated
 exactly from the piecewise polynomials through the product rule.  A
-partition builds one profile per distinct radius and shares it between
-the cutoffs of that radius.
+partition builds one profile, at r = 1, and each cutoff moves it to its
+center z and rescales it by its own radius rho: on each axis its partial
+of order a is ``P^(a)((x - z) / rho) * rho^-a``.
 
 Every partition reading runs through one incidence engine,
 ``Incidence``.  It holds the (point, cutoff) pairs of a point set with
 the point in the cutoff's closed support, and evaluates the factors of
-all pairs of one profile together: per axis, one shared-knot evaluation
+all pairs together: per axis, one shared-knot evaluation of the profile
 gives every derivative order the pairs need, so the interval searches
-scale with the distinct radii, not with the cutoffs.  A point's pairs by
+do not grow with the cutoffs or their radii.  A point's pairs by
 ascending cutoff are its run, and one prefix-product recurrence walks
 each run: with P the product of the complements of the earlier pairs,
 the function at pair s is psi = phi_s * P, and P steps to
@@ -31,17 +32,19 @@ Theta(L^2); the products associate differently, so values agree with
 that order to rounding, not bitwise.
 
 Readers that need every pair (the partition sum, the partition
-certificates, the cutoff export) find them with one ``sup_pairs`` query
-and read psi at every pair.  That is exact because a point in the closed
-supports of cutoffs m < k lies in both outer balls, so every earlier
-pair of a run is a blocker of the later one; ``CutoffSet.check_runs``
-checks this once per reading.  Readers that evaluate one function per
-point (``function_values``, ``partition_partials`` and, through them,
-the rescaled functional and the pullback export) build each point's run
-from just that function's blockers and own cutoff, and form psi once, at
-its end.  The function-level tables (``CutoffSet``) are built once per
-reading, and points pass through the engine in blocks of a bounded
-number of pairs, which bounds its memory.
+certificates, the cutoff export) find them with one ``sup_pairs`` query.
+The first two read psi at every pair.  That is exact because a point in
+the closed supports of cutoffs m < k lies in both outer balls, so every
+earlier pair of a run is a blocker of the later one;
+``CutoffSet.check_runs`` checks this once per reading, when psi is first
+formed.  The cutoff export reads only the cutoffs' own values.  Readers
+that evaluate one function per point (``function_values``,
+``partition_partials`` and, through them, the rescaled functional and the
+pullback export) build each point's run from just that function's
+blockers and own cutoff, and form psi once, at its end.  The
+function-level tables (``CutoffSet``) are built once per reading, and
+points pass through the engine in blocks of a bounded number of pairs,
+which bounds its memory.
 """
 
 from __future__ import annotations
@@ -150,10 +153,12 @@ def build_profile(r: float, order: int, weights=None) -> BumpProfile:
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Tensor-product plateau cutoff centered at one cover center."""
+    """Tensor-product plateau cutoff: the profile moved to one cover center
+    and rescaled by that ball's radius ``scale``."""
 
     center: tuple[float, ...]
     profile: BumpProfile
+    scale: float
 
     @property
     def dimension(self) -> int:
@@ -161,7 +166,7 @@ class Cutoff:
 
     @property
     def support_halfwidth(self) -> float:
-        return self.profile.support_halfwidth
+        return self.scale * self.profile.support_halfwidth
 
     def partial(self, x, alpha=None):
         x = np.asarray(x, dtype=float)
@@ -171,7 +176,8 @@ class Cutoff:
             alpha = (0,) * self.dimension
         out = np.ones(len(pts))
         for i, (c_i, a_i) in enumerate(zip(self.center, alpha)):
-            out = out * self.profile.eval(pts[:, i] - c_i, order=a_i)
+            out = out * (self.profile.eval((pts[:, i] - c_i) / self.scale,
+                                           order=a_i) * self.scale ** -a_i)
         return float(out[0]) if scalar else out
 
     def value(self, x):
@@ -221,11 +227,12 @@ class CutoffSet:
     """The cutoffs that a list of partition functions reads.
 
     These are the functions' own cutoffs and their blockers', in ascending
-    partition index.  ``local`` maps a partition index to its position
-    here, ``links`` holds the sorted (function, cutoff) keys of every
-    function's own cutoff and blockers in those positions, and
-    ``profile_of`` groups the cutoffs by their shared profile.  ``incidences``
-    builds these tables once for all its blocks.
+    partition index, and they must share one profile (``ValueError``
+    otherwise).  ``local`` maps a partition index to its position here,
+    ``links`` holds the sorted (function, cutoff) keys of every function's
+    own cutoff and blockers in those positions, and ``powers[c, b]`` is
+    cutoff c's ``scale ** -b``.  ``incidences`` builds these tables once
+    for all its blocks.
     """
 
     def __init__(self, functions):
@@ -237,6 +244,9 @@ class CutoffSet:
         size = len(index)
         self.index = np.asarray(index, dtype=np.int64)
         self.cutoffs = [cutoffs[m] for m in index]
+        self.profile = self.cutoffs[0].profile
+        if any(c.profile is not self.profile for c in self.cutoffs):
+            raise ValueError("the cutoffs of a partition must share one profile")
         self.local = np.full(index[-1] + 1, -1, dtype=np.int64)
         self.local[index] = np.arange(size)
         self.links = np.sort(np.concatenate([
@@ -245,12 +255,11 @@ class CutoffSet:
             for fn in functions]))
         self.centers = np.array([c.center for c in self.cutoffs], dtype=float)
         self.half = np.array([c.support_halfwidth for c in self.cutoffs])
-        self.budget = min(c.profile.order for c in self.cutoffs) - 1
-        profiles, self.profile_of = {}, np.empty(size, dtype=np.int64)
-        for c, cut in enumerate(self.cutoffs):
-            self.profile_of[c] = profiles.setdefault(id(cut.profile),
-                                                     (len(profiles), cut.profile))[0]
-        self.profiles = [profile for _, profile in profiles.values()]
+        self.scales = np.array([c.scale for c in self.cutoffs], dtype=float)
+        # the float powers of Cutoff.partial, so that factors match it bitwise
+        self.powers = np.array([[c.scale ** -b for b in range(self.profile.order)]
+                                for c in self.cutoffs])
+        self.runs_checked = False
 
     def pairs(self, pts, owners=None):
         """The (point, cutoff) pairs with the point in the cutoff's closed
@@ -287,8 +296,11 @@ class CutoffSet:
         The all-pairs recurrence multiplies every earlier pair of a point's
         run into each later one, so this is what makes it exact.  The boxes
         are widened by 1e-9 relative, as ``sup_pairs`` widens its cells, so a
-        point that float rounding puts in both supports is covered.
+        point that float rounding puts in both supports is covered.  A set
+        is checked once; later calls return at once.
         """
+        if self.runs_checked:
+            return
         size = len(self.cutoffs)
         slack = 1e-9 * float(np.abs(self.centers).max())
         widest = 2.0 * float(self.half.max())
@@ -305,6 +317,7 @@ class CutoffSet:
             raise ValueError(
                 f"cutoff {self.index[m]} meets the support of cutoff "
                 f"{self.index[k]}, which does not list it as a blocker")
+        self.runs_checked = True
 
 
 class Incidence:
@@ -320,8 +333,9 @@ class Incidence:
     length (``order``), so each step's points are a prefix of the last
     step's.
     Each pair's partials up to ``alpha`` are formed from its offsets to the
-    cutoff's center: for every distinct profile and axis, one shared-knot
-    evaluation gives orders ``0..alpha_i`` at all of that profile's pairs,
+    cutoff's center, divided by the cutoff's scale: per axis, one
+    shared-knot evaluation of the profile gives orders ``0..alpha_i`` at
+    every pair, each order b is multiplied by the pairs' ``scale ** -b``,
     and each beta multiplies its axis factors from ones, in the order of
     ``Cutoff.partial``, so each row of ``factors`` (one per entry of
     ``betas``, the order-0 row first) is bitwise that cutoff's ``partial``.
@@ -332,9 +346,9 @@ class Incidence:
         if pts.ndim == 1:
             pts = pts[None, :]
         alpha = tuple(int(a) for a in alpha)
-        if any(a > cuts.budget for a in alpha):
-            raise SmoothnessOrderError(
-                f"component of {alpha} exceeds per-axis budget {cuts.budget}")
+        if any(a >= cuts.profile.order for a in alpha):
+            raise SmoothnessOrderError(f"component of {alpha} exceeds per-axis "
+                                       f"budget {cuts.profile.order - 1}")
         self.pts, self.cuts, self.owned = pts, cuts, owners is not None
         self.rule = _product_rule(alpha)
         self.betas = self.rule.betas
@@ -343,23 +357,17 @@ class Incidence:
             rows, cols, len(pts))
         self.rows, self.cols, self.fns = rows, cols, cuts.index[cols]
 
-        # the pairs of each distinct profile, evaluated together
-        offsets = pts[self.rows] - cuts.centers[self.cols]
-        pair_profile = cuts.profile_of[self.cols]
-        by_profile = np.argsort(pair_profile, kind="stable")
-        ends = np.searchsorted(pair_profile[by_profile],
-                               np.arange(1, len(cuts.profiles) + 1))
-        self.factors = np.empty((len(self.betas), len(self.cols)))
-        for profile, lo, hi in zip(cuts.profiles, np.r_[0, ends[:-1]], ends):
-            if hi > lo:
-                sel = by_profile[lo:hi]
-                axes = [evaluate_shared(profile.polys[:a_i + 1], offsets[sel, i])
-                        for i, a_i in enumerate(alpha)]
-                for j, beta in enumerate(self.betas):
-                    val = np.ones(len(sel))
-                    for orders, b_i in zip(axes, beta):
-                        val = val * orders[b_i]
-                    self.factors[j, sel] = val
+        offsets = (pts[rows] - cuts.centers[cols]) / cuts.scales[cols, None]
+        powers = cuts.powers[cols, :max(alpha) + 1].T
+        axes = [[vals * powers[b] for b, vals in enumerate(
+                    evaluate_shared(cuts.profile.polys[:a_i + 1], offsets[:, i]))]
+                for i, a_i in enumerate(alpha)]
+        self.factors = np.empty((len(self.betas), len(cols)))
+        for row, beta in zip(self.factors, self.betas):
+            val = np.ones(len(cols))
+            for orders, b_i in zip(axes, beta):
+                val = val * orders[b_i]
+            row[:] = val
 
     def partials(self) -> dict:
         """Partials beta <= alpha of the partition functions, as a dict from
@@ -377,8 +385,11 @@ class Incidence:
         are shared: psi^beta = P^beta * phi_s + cross^beta and the next
         P^beta = P^beta * (1 - phi_s) - cross^beta.  The first pair of a run
         gives psi = phi and P = 1 - phi as they are.  Owner mode forms psi
-        only at each run's last pair, the owner's own.
+        only at each run's last pair, the owner's own.  Without ``owners``
+        the cutoff set is first checked with ``CutoffSet.check_runs``.
         """
+        if not self.owned:
+            self.cuts.check_runs()
         out = np.empty((len(self.betas),
                         self.active[0] if self.owned else len(self.rows)))
         prod = None
@@ -477,8 +488,7 @@ def incidences(functions, pts, alpha, owners=None):
     """``(block, Incidence)`` for consecutive blocks of the points.
 
     The function-level tables (``CutoffSet``) are built once for all
-    blocks; without ``owners`` they are first checked with
-    ``CutoffSet.check_runs``.  Blocks bound the engine's tables: each next
+    blocks.  Blocks bound the engine's tables: each next
     block is sized from the pairs per point of the last one to hold about
     ``_BLOCK_PAIRS`` pairs.  Every point's pairs, and so every value, are
     those of one incidence of all the points.  There is always at least
@@ -488,8 +498,6 @@ def incidences(functions, pts, alpha, owners=None):
     if pts.ndim == 1:
         pts = pts[None, :]
     cuts = CutoffSet(functions)
-    if owners is None:
-        cuts.check_runs()
     start, size = 0, 1024
     while True:
         block = slice(start, start + size)
@@ -534,13 +542,10 @@ def build_partition(cover: Cover, order: int, weights=None) -> Partition:
         neighbor_sets(cover)
     if weights is None:
         weights = default_weights(order)
-    # one profile per radius: order and weights are the partition's own
-    profiles = {}
-    for rho in cover.rho.tolist():
-        if rho not in profiles:
-            profiles[rho] = build_profile(rho, order, weights)
-    cutoffs = [Cutoff(tuple(cover.centers[k]), profiles[float(cover.rho[k])])
-               for k in range(cover.size)]
+    # one profile, rescaled by each ball's radius
+    profile = build_profile(1.0, order, weights)
+    cutoffs = [Cutoff(tuple(cover.centers[k]), profile, rho)
+               for k, rho in enumerate(cover.rho.tolist())]
     functions = []
     for k in range(cover.size):
         earlier = tuple((int(m), cutoffs[m]) for m in cover.neighbors[k]

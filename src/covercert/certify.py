@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import (Partition, PartitionFn, derivative_constant,
-                    partition_partials)
+from .bumps import Partition, derivative_constant, partition_partials
 from .cover import Cover
 from .domains import Box, ExhaustionDomain, cell_midpoints, mesh_points
 from .errors import TruncationBoxError
@@ -114,17 +113,6 @@ def rescale_maps(cover: Cover) -> list[RescaleMap]:
     return [RescaleMap(cover.centers[k],
                        8.0 * float(cover.rho[k]) / float(cover.r1[k]))
             for k in range(cover.size)]
-
-
-def mixed_partial_many(h: PartitionFn, f: TestFunction, pts,
-                       alpha) -> np.ndarray:
-    """Exact partials of the product h*f at many points (product rule)."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    alpha = tuple(int(a) for a in alpha)
-    table = partition_partials([h], pts, np.full(len(pts), h.index), alpha)
-    return _leibniz(table, lambda rest: f.partial(pts, rest), alpha)
 
 
 def _leibniz(table: dict, f_partial, alpha) -> np.ndarray:

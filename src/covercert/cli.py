@@ -89,8 +89,9 @@ class RunConfig:
 
         for key in ("candidate", "check", "quadrature"):
             value = res.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                problems.append(f"resolutions.{key} must be a positive number")
+            if not isinstance(value, (int, float)) or \
+                    not math.isfinite(value) or value <= 0:
+                problems.append(f"resolutions.{key} must be a finite number > 0")
         if isinstance(n, int) and n < 1:
             problems.append("n must be >= 1")
         if isinstance(m, int) and m < 0:
@@ -107,8 +108,8 @@ class RunConfig:
             problems.append("tolerance must be a finite number >= 0")
         if psi_resolution is not None and (
                 not isinstance(psi_resolution, (int, float))
-                or psi_resolution <= 0):
-            problems.append("resolutions.psi must be a positive number")
+                or not math.isfinite(psi_resolution) or psi_resolution <= 0):
+            problems.append("resolutions.psi must be a finite number > 0")
 
         suite = data.get("suite", list(SUITES))
         if not isinstance(suite, list):
@@ -136,6 +137,8 @@ class RunConfig:
             try:
                 box = domains.Box(tuple(map(float, trunc.get("lower", ()))),
                                   tuple(map(float, trunc.get("upper", ()))))
+                if not box.is_bounded:
+                    problems.append("the truncation box must be finite")
             except (TypeError, ValueError) as exc:
                 problems.append(f"bad truncation box: {exc}")
             if "psi_box" in data:
@@ -143,6 +146,8 @@ class RunConfig:
                 try:
                     psi_box = domains.Box(tuple(map(float, spec["lower"])),
                                           tuple(map(float, spec["upper"])))
+                    if not psi_box.is_bounded:
+                        problems.append("psi_box must be finite")
                 except (TypeError, ValueError, KeyError) as exc:
                     problems.append(f"bad psi_box: {exc}")
 

@@ -27,8 +27,6 @@ __all__ = [
     "expanding_boxes",
     "shrinking_boxes",
     "constant_exhaustion",
-    "dist_inf_boundary",
-    "ring_distance",
     "exhaustion_gap",
     "GapEstimate",
     "grid_points",
@@ -88,9 +86,6 @@ class Box:
         lo = tuple(max(a, b) for a, b in zip(self.lower, other.lower))
         hi = tuple(min(a, b) for a, b in zip(self.upper, other.upper))
         return Box(lo, hi)
-
-    def corners(self) -> np.ndarray:
-        return mesh_points([(lo, hi) for lo, hi in zip(self.lower, self.upper)])
 
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
@@ -413,20 +408,6 @@ def constant_exhaustion(region: Region, name: str = "") -> ExhaustionDomain:
     return ExhaustionDomain(region, lambda n: region,
                             kind="bounded_open_set_with_distance_fn",
                             name=name or "constant_exhaustion")
-
-
-def dist_inf_boundary(domain: ExhaustionDomain, x, norm: str = "inf") -> np.ndarray | float:
-    """Sup-norm distance from a domain point to the domain boundary."""
-    pts = domain.require_in_omega(x)
-    out = domain.omega.boundary_distance(pts, norm=norm)
-    return float(out[0]) if np.ndim(x) == 1 else out
-
-
-def ring_distance(domain: ExhaustionDomain, n: int, x) -> np.ndarray | float:
-    """Distance from a point of ring n to the boundary of ring n + 1."""
-    pts = domain.require_in_ring(n, x)
-    out = domain.ring(n + 1).boundary_distance(pts)
-    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 class GapEstimate(NamedTuple):

@@ -7,13 +7,14 @@ results must agree exactly.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from covercert.bumps import derivative_constant, partition_partials
+from covercert.bumps import build_profile, derivative_constant, partition_partials
 from covercert.domains import Box, cell_midpoints, mesh_points
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
@@ -116,7 +117,7 @@ def ball_escape_witness(cover):
     for k in range(cover.size):
         lo = cover.centers[k] - cover.rho[k]
         hi = cover.centers[k] + cover.rho[k]
-        if not ring.contains(Box(tuple(lo), tuple(hi)).corners()).all():
+        if not ring.contains(mesh_points(list(zip(lo, hi)))).all():
             return {"center": k, "corner_outside": True}
     return None
 
@@ -428,8 +429,10 @@ def profile_polys(profile):
 def cutoff_partials_table(cutoff, pts, alpha):
     """``cutoff.partial(pts, beta)`` for every beta <= alpha, as the
     per-cutoff table computed it: each (axis, derivative order) factor is
-    evaluated once and each beta multiplies its factors from ones."""
-    factors = [[cutoff.profile.eval(pts[:, i] - c_i, order=j)
+    the profile at the offset over the scale, times ``scale ** -j``,
+    evaluated once, and each beta multiplies its factors from ones."""
+    s = cutoff.scale
+    factors = [[cutoff.profile.eval((pts[:, i] - c_i) / s, order=j) * s ** -j
                 for j in range(a_i + 1)]
                for i, (c_i, a_i) in enumerate(zip(cutoff.center, alpha))]
     out = {}
@@ -439,6 +442,63 @@ def cutoff_partials_table(cutoff, pts, alpha):
             val = val * factor[b_i]
         out[beta] = val
     return out
+
+
+@functools.cache
+def _radius_profile(rho, order, weights):
+    return build_profile(rho, order, weights)
+
+
+def per_radius_partial(cutoff, pts, alpha):
+    """``cutoff.partial(pts, alpha)`` as partitions computed it when they
+    built one profile per radius: a profile of scale ``cutoff.scale``,
+    evaluated at the unscaled offsets."""
+    profile = cutoff.profile
+    own = _radius_profile(cutoff.scale, profile.order, profile.weights)
+    out = np.ones(len(pts))
+    for i, (c_i, a_i) in enumerate(zip(cutoff.center, alpha)):
+        out = out * own.eval(pts[:, i] - c_i, order=a_i)
+    return out
+
+
+@functools.cache
+def _box_shifts(weights, rho):
+    """a, the product of the box widths, and (S_s, prod(s)) for every sign
+    vector s, exactly, for the profile of radius ``rho`` (see
+    ``exact_profile``)."""
+    rho = Fraction(rho)
+    widths = [Fraction(w) * rho / 3 for w in weights]
+    shifts = [(Fraction(0), 1)]
+    for h in widths:
+        shifts = [(shift + s * h / 2, sign * s)
+                  for shift, sign in shifts for s in (1, -1)]
+    return Fraction(3, 4) * rho, math.prod(widths), shifts
+
+
+def exact_profile(weights, rho, t, order=0):
+    """Derivative ``order`` of the profile of radius ``rho`` at offset
+    ``t``, in exact rational arithmetic (``fractions.Fraction``).
+
+    The profile is the indicator of [-a, a], a = 3 rho / 4, smoothed by
+    unit-mass boxes of widths h_j = w_j rho / 3.  Each box maps an
+    antiderivative G to (G(t + h/2) - G(t - h/2)) / h, and the n-fold
+    antiderivative of the indicator is ((t + a)_+^n - (t - a)_+^n) / n!,
+    so with n boxes the profile's derivative of order q < n is the
+    truncated-power sum
+    sum over signs s of prod(s) * ((t + a + S_s)_+^p - (t - a + S_s)_+^p)
+    / (p! prod(h)), with p = n - q and S_s = sum_j s_j h_j / 2.  ``rho``,
+    ``t`` and the weights are taken as the exact values of their floats.
+    """
+    a, volume, shifts = _box_shifts(tuple(weights), rho)
+    t = Fraction(t)
+    power = len(weights) - order
+    total = Fraction(0)
+    for shift, sign in shifts:
+        left, right = t + shift - a, t + shift + a
+        if right > 0:
+            term = right ** power - (left ** power if left > 0 else 0)
+            total += term if sign > 0 else -term
+    return total / (math.factorial(power) * volume)
 
 
 def recurrence_table(fn, pts, alpha, absolute=False,

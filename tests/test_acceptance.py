@@ -144,7 +144,7 @@ def test_criterion_3_derivative_convergence_order(covers, partitions):
     partition = partitions["schwartz_d1"]
     fn = partition[len(partition) // 2]
     factors = [fn.cutoff] + [b for _, b in fn.blockers]
-    knots = np.concatenate([c.profile.knots + c.center[0] for c in factors])
+    knots = np.concatenate([c.profile.knots * c.scale + c.center[0] for c in factors])
     hs = (1e-3, 1e-4, 1e-5)
 
     def value(x):

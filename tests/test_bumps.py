@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,9 +60,10 @@ def fn_table(fn, pts, alpha):
     return partition_partials([fn], pts, np.full(len(pts), fn.index), alpha)
 
 
-def flat(level):
-    """A one-axis profile equal to ``level`` on [-0.5, 0.5], zero outside."""
-    poly = PiecewisePoly(np.array([-0.5, 0.5]), np.array([[level]]))
+def flat():
+    """A one-axis profile equal to 1 on [-0.5, 0.25), to -1 on
+    [0.25, 0.5], and zero outside."""
+    poly = PiecewisePoly(np.array([-0.5, 0.25, 0.5]), np.array([[1.0], [-1.0]]))
     return BumpProfile(scale=0.5, order=1, weights=(1.0,), widths=(0.0,),
                        inner_halfwidth=0.5, polys=(poly,))
 
@@ -86,8 +88,8 @@ def partitions_and_points(draw):
               for _ in range(count)]
     centers = [tuple(draw(st.integers(0, 16)) / 16.0 for _ in range(d))
                for _ in range(count)]
-    profiles = {r: build_profile(r, order) for r in set(scales)}
-    cutoffs = [Cutoff(c, profiles[r]) for c, r in zip(centers, scales)]
+    profile = build_profile(1.0, order)
+    cutoffs = [Cutoff(c, profile, r) for c, r in zip(centers, scales)]
     reverse = draw(st.booleans())
     functions = []
     for k, cut in enumerate(cutoffs):
@@ -245,9 +247,12 @@ class TestIncidenceEngine:
                        oracles.recurrence_table(functions[k], grid, (0, 0))[(0, 0)])
 
     def test_supports_that_touch_count_as_meeting(self):
-        # closed supports [-0.5, 0.5] and [0.5, 1.5] share the point 0.5
-        first = PartitionFn(index=0, cutoff=Cutoff((0.0,), flat(1.0)), blockers=())
-        second = Cutoff((1.0,), flat(1.0))
+        # closed supports [-0.5, 0.5] and [0.5, 1.5] share the point 0.5,
+        # where the first cutoff is -1 and the second 1
+        profile = flat()
+        first = PartitionFn(index=0, cutoff=Cutoff((0.0,), profile, 1.0),
+                            blockers=())
+        second = Cutoff((1.0,), profile, 1.0)
         x = np.array([[0.5], [0.2]])
         alone = Partition([first, PartitionFn(index=1, cutoff=second, blockers=())],
                           order=1, weights=(), cover=None)
@@ -262,8 +267,9 @@ class TestIncidenceEngine:
         # A negative cutoff value times the complement of a blocker that is
         # exactly one there: psi = phi * P is a plain product, -0.0, in the
         # values and in the tables' order-0 entry alike.
-        blocker = Cutoff((0.1,), flat(1.0))
-        fn = PartitionFn(index=1, cutoff=Cutoff((0.0,), flat(-1.0)),
+        profile = flat()
+        blocker = Cutoff((0.1,), profile, 1.0)
+        fn = PartitionFn(index=1, cutoff=Cutoff((-0.1,), profile, 1.0),
                          blockers=((0, blocker),))
         x = np.array([[0.2], [0.7]])
         assert_bitwise(fn_values(fn, x), np.array([-0.0, 0.0]))
@@ -314,8 +320,11 @@ class TestIncidenceEngine:
     @pytest.mark.parametrize("alpha", [(0, 0), (2, 1)])
     def test_one_interval_search_per_profile_and_axis(
             self, square_setup, monkeypatch, alpha):
+        # the square's 25 cutoffs come at 5 radii and share one profile, so
+        # every block makes one search per axis over all of its pairs
         dom, _, cover, partition = square_setup
         pts = dom.sample_ring(1, 0.01, Box((0.1, 0.1), (0.55, 0.55)))
+        assert len(set(cover.rho.tolist())) == 5
         searches = []
         locate = piecewise._locate
 
@@ -324,18 +333,19 @@ class TestIncidenceEngine:
             return locate(knots, x)
 
         monkeypatch.setattr(piecewise, "_locate", counting_locate)
-        counts = []
-        for functions in (partition.functions, partition.functions[:9]):
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 1024)
+        for functions, owners in ((partition.functions, None),
+                                  (partition.functions[:9], None),
+                                  (partition.functions,
+                                   np.arange(len(pts)) % len(partition))):
+            blocks = 0
             searches.clear()
-            inc = Incidence(CutoffSet(functions), pts, alpha)
-            used = set(inc.cols.tolist())
-            profiles = {id(inc.cuts.cutoffs[c].profile) for c in used}
-            assert len(searches) == len(profiles) * pts.shape[1]
-            assert sum(searches) == len(inc.rows) * pts.shape[1]
-            counts.append((len(used), len(profiles)))
-        # the square's 25 cutoffs share 5 profiles
-        assert counts[0] == (25, 5)
-        assert counts[1][0] < 25
+            for _, inc in bumps.incidences(functions, pts, alpha, owners):
+                assert len(searches) == pts.shape[1]
+                assert sum(searches) == len(inc.rows) * pts.shape[1]
+                blocks += 1
+                searches.clear()
+            assert blocks > 1
 
     def test_order_beyond_budget_raises(self, square_setup):
         _, _, _, partition = square_setup
@@ -404,22 +414,62 @@ class TestProfile:
         build_profile(0.5, 3, weights=[1 / 3] * 3)  # constant is allowed
 
 
+# sup-norm distance of either evaluation path from the exact profile, as a
+# share of the sup of the exact partial of the same order, for orders <= 6
+EXACT_BOUND = 1e-11
+
+
 class TestCutoff:
     def test_tensor_factorization(self):
-        profile = build_profile(0.5, 4)
-        cut = Cutoff((0.2, -0.1), profile)
+        profile = build_profile(1.0, 4)
+        cut = Cutoff((0.2, -0.1), profile, 0.5)
         x = np.array([0.3, 0.05])
-        expected = profile.eval(0.1) * profile.eval(0.15)
+        expected = profile.eval(0.2) * profile.eval(0.3)
         assert cut.value(x) == pytest.approx(expected, rel=1e-12)
-        d1 = profile.eval(0.1, order=1) * profile.eval(0.15)
+        d1 = profile.eval(0.2, order=1) / 0.5 * profile.eval(0.3)
         assert cut.partial(x, (1, 0)) == pytest.approx(d1, rel=1e-12)
+        assert cut.support_halfwidth == 0.5 * profile.support_halfwidth
 
     def test_outside_support_exactly_zero(self):
-        profile = build_profile(0.5, 4)
-        cut = Cutoff((0.0,), profile)
+        cut = Cutoff((0.0,), build_profile(1.0, 4), 0.5)
         for alpha in [(0,), (1,), (2,)]:
             assert cut.partial(np.array([0.5]), alpha) == 0.0
             assert cut.partial(np.array([5.0]), alpha) == 0.0
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 0.25, 0.125, 0.0625])
+    def test_power_of_two_scale_is_bitwise_the_per_radius_profile(self, rho):
+        # scaling by a power of two is exact, in the profile's construction
+        # and in its evaluation
+        rng = np.random.default_rng(7)
+        for order in (3, 4, 5, 6):
+            profile = build_profile(1.0, order)
+            cut = Cutoff((0.3, -0.2), profile, rho)
+            h = cut.support_halfwidth
+            x = np.asarray(cut.center) + rng.uniform(-1.1 * h, 1.1 * h, (300, 2))
+            x[:len(profile.knots), 0] = cut.center[0] + rho * profile.knots
+            for alpha in indices_below((order - 1,) * 2):
+                assert_bitwise(cut.partial(x, alpha),
+                               oracles.per_radius_partial(cut, x, alpha))
+
+    @pytest.mark.parametrize("rho", [0.37, 0.123456, 1.0 / 3.0])
+    def test_both_paths_near_the_exact_profile(self, rho):
+        # the scaled profile and the per-radius one, against the profile's
+        # exact rational value at the exact offset
+        rng = np.random.default_rng(11)
+        for order in (4, 6):
+            profile = build_profile(1.0, order)
+            cut = Cutoff((0.3,), profile, rho)
+            h = cut.support_halfwidth
+            x = 0.3 + np.concatenate([rng.uniform(-1.05 * h, 1.05 * h, 24),
+                                      rho * rng.choice(profile.knots, 16)])
+            for j in range(order):
+                exact = np.array([float(oracles.exact_profile(
+                    profile.weights, rho, Fraction(v) - Fraction(0.3), j))
+                    for v in x])
+                bound = EXACT_BOUND * profile.polys[j].max_abs() * rho ** -j
+                for path in (cut.partial(x[:, None], (j,)),
+                             oracles.per_radius_partial(cut, x[:, None], (j,))):
+                    assert np.abs(path - exact).max() <= bound
 
 
 class TestPartition:
@@ -457,18 +507,34 @@ class TestPartition:
         assert sums.max() <= 1.0 + 1e-12
         assert sums.min() >= -1e-12
 
-    def test_one_profile_per_radius(self, square_setup):
+    def test_one_profile_for_all_cutoffs(self, square_setup):
         _, _, cover, partition = square_setup
-        profiles = {id(fn.cutoff.profile): fn.cutoff.profile for fn in partition}
-        assert len(profiles) == len(set(cover.rho.tolist())) < len(partition)
+        profile = partition[0].cutoff.profile
+        assert len(set(cover.rho.tolist())) == 5
         for fn in partition:
-            assert fn.cutoff.profile.scale == float(cover.rho[fn.index])
-        for profile in profiles.values():
-            fresh = build_profile(profile.scale, partition.order, partition.weights)
-            assert len(profile.polys) == len(fresh.polys)
-            for shared, own in zip(profile.polys, fresh.polys):
-                assert shared.knots.tobytes() == own.knots.tobytes()
-                assert shared.coeffs.tobytes() == own.coeffs.tobytes()
+            assert fn.cutoff.profile is profile
+            assert fn.cutoff.scale == cover.rho[fn.index]
+            assert fn.cutoff.support_halfwidth == \
+                cover.rho[fn.index] * profile.support_halfwidth
+            for _, blocker in fn.blockers:
+                assert blocker.profile is profile
+        fresh = build_profile(1.0, partition.order, partition.weights)
+        assert (profile.scale, profile.widths) == (fresh.scale, fresh.widths)
+        assert len(profile.polys) == len(fresh.polys)
+        for shared, own in zip(profile.polys, fresh.polys):
+            assert shared.knots.tobytes() == own.knots.tobytes()
+            assert shared.coeffs.tobytes() == own.coeffs.tobytes()
+
+    def test_cutoff_set_rejects_mixed_profiles(self, square_setup):
+        _, _, cover, partition = square_setup
+        fn = partition[3]
+        other = Cutoff(fn.cutoff.center, build_profile(1.0, partition.order),
+                       fn.cutoff.scale)
+        functions = [PartitionFn(fn.index, other, fn.blockers)]
+        with pytest.raises(ValueError, match="one profile"):
+            CutoffSet(functions)
+        with pytest.raises(ValueError, match="one profile"):
+            function_values(functions, cover.centers[3:4], [fn.index])
 
     def test_blockers_only_earlier_neighbors(self, line_setup):
         _, _, cover, partition = line_setup
@@ -486,7 +552,7 @@ class TestEvalPartial:
         h = 1e-5
         checked = 0
         knots = np.concatenate([
-            c.profile.knots + c.center[0]
+            c.profile.knots * c.scale + c.center[0]
             for c in [fn.cutoff] + [b for _, b in fn.blockers]])
         while checked < 20:
             x = rng.uniform(cover.centers[3, 0] - 0.5, cover.centers[3, 0] + 0.5)
@@ -595,26 +661,31 @@ class TestCertifyPartition:
 
     def test_polys_past_the_claimed_support_fail_the_support_pass(
             self, square_setup):
-        # the last function's profile keeps its claimed support but takes
-        # the polys of a profile a quarter wider, which reach past its ball
+        # every cutoff shares a profile that claims the support of radius
+        # 0.8 but takes the polys of radius 1, and is scaled by 1.25 rho:
+        # its claimed support stays inside the ball, its polys reach past
         dom, _, cover, partition = square_setup
         grid = dom.sample_ring(1, 0.02, cover.box)
         claim = "partition.support_in_ball"
-        fn = partition[len(partition) - 1]
-        profile = fn.cutoff.profile
-        wide = build_profile(1.25 * profile.scale, profile.order, profile.weights)
-        assert wide.support_halfwidth > cover.rho[fn.index] > profile.support_halfwidth
-        cutoff = Cutoff(fn.cutoff.center,
-                        dataclasses.replace(profile, polys=wide.polys))
-        bad = Partition(partition.functions[:-1]
-                        + [PartitionFn(fn.index, cutoff, fn.blockers)],
+        profile = partition[0].cutoff.profile
+        bad_profile = dataclasses.replace(
+            build_profile(0.8, profile.order, profile.weights),
+            polys=profile.polys)
+        cutoffs = [Cutoff(fn.cutoff.center, bad_profile, 1.25 * fn.cutoff.scale)
+                   for fn in partition]
+        for fn, cut in zip(partition, cutoffs):
+            assert cut.support_halfwidth < cover.rho[fn.index] < \
+                cut.scale * profile.support_halfwidth
+        bad = Partition([PartitionFn(fn.index, cutoffs[fn.index],
+                                     tuple((m, cutoffs[m]) for m, _ in fn.blockers))
+                         for fn in partition],
                         order=partition.order, weights=partition.weights,
                         cover=cover)
         for part, verdict in ((partition, "pass"), (bad, "fail")):
             certs = {c.claim: c for c in
                      certify_partition(part, cover, cover.oracle, 1, grid)}
             assert certs[claim].verdict == verdict
-        assert certs[claim].details["center"] == fn.index
+        assert certs[claim].details["center"] == partition[0].index
         assert certs[claim].details["nonzero_outside"] > 0.0
 
     def test_derivative_constant_formula(self):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -115,10 +116,22 @@ class TestExitCodes:
         {"domain": {"kind": "full_space"}},
         {"truncation": {"lower": [0.125, 0.125], "upper": [0.875, 0.875]}},
         {"psi_box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+        {"resolutions": {**_BOUNDARY_RES, "candidate": math.nan}},
+        {"resolutions": {**_BOUNDARY_RES, "check": math.nan}},
+        {"resolutions": {**_BOUNDARY_RES, "quadrature": math.nan}},
+        {"resolutions": {**_BOUNDARY_RES, "psi": math.nan}},
+        # the closed-form radius of an expanding box reads no lattice, so
+        # the first grid is the check grid on the truncation box
+        {"domain": {"kind": "expanding_boxes", "dimension": 1},
+         "family": {"kind": "constant"},
+         "truncation": {"lower": [0.125], "upper": [math.inf]}},
+        {"psi_box": {"lower": [0.125], "upper": [math.inf]}},
     ], ids=["alpha_max_string", "alpha_max_negative", "offset_count_string",
             "offset_count_even", "tolerance_string", "psi_string",
             "psi_negative", "full_space_without_dimension",
-            "truncation_2d_on_1d", "psi_box_2d_on_1d"])
+            "truncation_2d_on_1d", "psi_box_2d_on_1d", "candidate_nan",
+            "check_nan", "quadrature_nan", "psi_nan",
+            "truncation_upper_infinite", "psi_box_upper_infinite"])
     def test_malformed_field_exits_two(self, tmp_path, capsys, overrides):
         config = {**_BOUNDARY_D1, **overrides}
         path = write_config(tmp_path, config)

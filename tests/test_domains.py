@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
-                       ExhaustionDomain, constant_exhaustion,
-                       dist_inf_boundary, exhaustion_gap, expanding_boxes,
-                       full_space, grid_points, ring_distance, shrinking_boxes)
+                       ExhaustionDomain, constant_exhaustion, exhaustion_gap,
+                       expanding_boxes, full_space, grid_points, shrinking_boxes)
 
 
 def unit_interval():
@@ -20,20 +19,33 @@ def unit_square():
                                name="unit_square")
 
 
+def omega_distance(dom, x):
+    """Sup-norm distance from domain points to the domain boundary."""
+    return dom.omega.boundary_distance(dom.require_in_omega(x))
+
+
+def ring_distance(dom, n, x):
+    """Distance from points of ring n to the boundary of ring n + 1."""
+    return dom.ring(n + 1).boundary_distance(dom.require_in_ring(n, x))
+
+
 class TestBoundaryDistance:
     def test_interval(self):
-        assert dist_inf_boundary(unit_interval(), np.array([0.25])) == 0.25
+        assert omega_distance(unit_interval(), np.array([0.25])) == [0.25]
 
     def test_square_min_coordinate(self):
-        assert dist_inf_boundary(unit_square(), np.array([0.5, 0.1])) == pytest.approx(0.1)
+        assert omega_distance(unit_square(), np.array([0.5, 0.1])) == \
+            pytest.approx([0.1])
 
     def test_full_space_is_infinite(self):
         dom = full_space(2)
-        assert dist_inf_boundary(dom, np.array([3.0, -7.0])) == math.inf
+        assert omega_distance(dom, np.array([3.0, -7.0])) == [math.inf]
 
     def test_outside_point_rejected(self):
         with pytest.raises(DomainMembershipError):
-            dist_inf_boundary(unit_interval(), np.array([1.5]))
+            omega_distance(unit_interval(), np.array([1.5]))
+        with pytest.raises(DomainMembershipError):
+            omega_distance(unit_interval(), np.array([[0.5], [1.5]]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
@@ -42,23 +54,22 @@ class TestBoundaryDistance:
         dom = unit_square()
         x = np.array([x1, x2])
         y = np.array([y1, y2])
-        dx = dist_inf_boundary(dom, x)
-        dy = dist_inf_boundary(dom, y)
+        dx, dy = omega_distance(dom, np.stack([x, y]))
         assert abs(dx - dy) <= np.abs(x - y).max() + 1e-12
 
 
 class TestRingDistance:
     def test_nested_intervals(self):
         dom = expanding_boxes(1)
-        assert ring_distance(dom, 1, np.array([0.5])) == pytest.approx(1.5)
+        assert ring_distance(dom, 1, np.array([0.5])) == pytest.approx([1.5])
 
     def test_slab(self):
         dom = expanding_boxes(2, axes=(0,))
-        assert ring_distance(dom, 1, np.array([0.2, 7.0])) == pytest.approx(1.8)
+        assert ring_distance(dom, 1, np.array([0.2, 7.0])) == pytest.approx([1.8])
 
     def test_full_space(self):
         dom = full_space(3)
-        assert ring_distance(dom, 4, np.zeros(3)) == math.inf
+        assert ring_distance(dom, 4, np.zeros(3)) == [math.inf]
 
     def test_membership_precondition(self):
         dom = expanding_boxes(1)
@@ -135,7 +146,7 @@ class TestExhaustionStructure:
         pts = pts[dom.omega.contains(pts)]
         # margin(n) = 1/(n+2), so a ring with margin below the smallest
         # boundary distance of the sample set covers all of it
-        min_dist = float(dist_inf_boundary(dom, pts).min())
+        min_dist = float(omega_distance(dom, pts).min())
         n_needed = math.ceil(1.0 / min_dist)
         assert dom.ring(n_needed).contains(pts).all()
         assert not dom.ring(1).contains(np.array([[0.001]]))[0]

@@ -1,10 +1,14 @@
 """Byte identity of whole runs: SHA-256 digests of every file a run writes.
 
-The digests below were recorded from the prefix-product partition
-engine, which moved partition values in their last digits (every
-``pullback.csv``, and ``small_d2``'s ``partition_sum`` and
-``partition_range`` numbers); a refactor that keeps every value bitwise
-equal keeps every digest.  ``report.json`` is digested without its
+The digests below were recorded with one bump profile per partition,
+each cutoff evaluating it at its offset over its own radius.  Against
+one profile per radius that moved values in their last digits wherever
+a radius is not a power of two: ``boundary_d1``'s ``partition_range``
+and its two CSVs of cutoff and partition values, and ``small_d2``'s
+``partition_sum``, ``partition_range`` and ``partition_derivative_bound``
+numbers and CSVs.  ``schwartz_d1`` and ``unit_weights_d1``, whose
+radii are powers of two, kept every digest.  A refactor that keeps every value bitwise equal keeps
+every digest.  ``report.json`` is digested without its
 ``generated_at`` line, the one field that changes from run to run.
 """
 
@@ -41,13 +45,13 @@ GOLDEN = {
         "stdout":
             "ab0a5b19bb3c7ce5972dba3fd876afb2bb19a59f63d2708238f6ff10a6ff4274",
         "report.json":
-            "3942b78987d52df55539693ff443ecb4a81c2ee2df164b2c9cb380b422fd8f89",
+            "547a6363edfc50037a97bb55e9df68d01e9e8b6cc9b197a4ddba46203566da9b",
         "cover.csv":
             "8257db85055e4b68ddb4adf171035906f9208cee1745d0fd10a3cc860377c50e",
         "cutoffs.csv":
-            "48370b7b9fbe977588d22db4420abc3c0c0b9c1c8a5ca8b78e402adfbd9f118a",
+            "e184c719e661939b2691ba113db7a2c49f5e454a667d083202ea5e51ba521ed0",
         "pullback.csv":
-            "5151a90fb38a6d9897a405a4925b2f1b033ba630ec4c24aac8eba733001404d0",
+            "a509ba565659263051c0a140332dd2220612b5b1fc6c274a73b9512ca06ab5d0",
     },
     "schwartz_d1": {
         "stdout":
@@ -75,15 +79,15 @@ GOLDEN = {
     },
     "small_d2": {
         "stdout":
-            "9787ec7c4407ffaa8a07cd97d9f85f15e66951c783c24b27c530821ef4d7ed36",
+            "fffea37d29a5ba79179e77fdadbf2216c6b0a9ffb7b3da0b42e3c4ef444eddb2",
         "report.json":
-            "0adc40e5fa48bdc397d9c463bbb7ddba435da56b14c017fe36f86fc0f5b1dbec",
+            "92a931066aedcc4b49e7cf481a3915dd91f10194c70b0b66c8bfd29e5a7c1e35",
         "cover.csv":
             "c252ef5150cae1b96cb9c6fdbd53d0dfa38f6e201a5828bf5e0eebc0a3ef0bb1",
         "cutoffs.csv":
-            "70aba36f0e3711869258073c905323c65d14032e4a582d1ca6fd6da3f4b46912",
+            "790402b63f4dd86676d027017a9f5ac28d6d93ed24d0290e7ab18f604b9a963d",
         "pullback.csv":
-            "4c916d1e8bb5fe87c37edc1fec0869b10c85ea2292cbf2f985e4b2a0a111a5a4",
+            "4d8d29d02937877171722182a8785996ec4c673a4307eb43c118c88248760761",
     },
 }
 
