@@ -168,6 +168,11 @@ class TestIncidenceEngine:
     def test_shared_incidence_matches_per_function_loops(self, case):
         functions, pts, alpha = case
         inc = Incidence(CutoffSet(functions), pts, alpha)
+        # each pair's factors are bitwise its cutoff's own partials
+        for c, cut in enumerate(inc.cuts.cutoffs):
+            at = np.flatnonzero(inc.cols == c)
+            for row, beta in zip(inc.factors, inc.betas):
+                assert_bitwise(row[at], cut.partial(pts[inc.rows[at]], beta))
         table = inc.partials()
         for k, fn in enumerate(functions):
             pairs = np.flatnonzero(inc.fns == k)
