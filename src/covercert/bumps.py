@@ -524,9 +524,10 @@ def partition_partials(functions, pts, ks, alpha) -> dict:
 def function_values(functions, pts, ks) -> np.ndarray:
     """Value of partition function ``ks[i]`` at ``pts[i]``, for every i.
 
-    A point outside the function's own closed support box (a NaN point
-    too) has no pairs there and reads zero without an evaluation; the
-    support certificate evaluates the cutoffs themselves."""
+    A point outside the function's own closed support box has no pairs
+    there and reads zero without an evaluation (a NaN coordinate raises
+    ``ValueError``); the support certificate evaluates the cutoffs
+    themselves."""
     zero = (0,) * np.shape(pts)[-1]
     return partition_partials(functions, pts, ks, zero)[zero]
 
@@ -589,6 +590,27 @@ def derivative_constant(alpha: tuple[int, ...], dimension: int,
     count_term = sum(dimension ** a for a in alpha)
     return (8.0 ** dimension * count_term * multi_factorial(alpha)
             * (3.0 * c) ** total / float(np.prod(w[:total])))
+
+
+def _probe_values(cutoffs, probes: np.ndarray) -> np.ndarray:
+    """``cutoffs[i].value(probes[i])`` for every i, bitwise, with one
+    profile evaluation per group of cutoffs that share a profile."""
+    out = np.empty(probes.shape[:2])
+    groups: dict[int, list[int]] = {}
+    for i, cut in enumerate(cutoffs):
+        groups.setdefault(id(cut.profile), []).append(i)
+    for members in groups.values():
+        centers = np.array([cutoffs[i].center for i in members])
+        scales = np.array([cutoffs[i].scale for i in members])
+        u = (probes[members] - centers[:, None, :]) / scales[:, None, None]
+        profile = cutoffs[members[0]].profile
+        phi = evaluate_shared(profile.polys[:1], u.ravel())[0].reshape(u.shape)
+        # the axis order of Cutoff.partial, whose order-0 factors are exact
+        vals = phi[..., 0]
+        for i in range(1, u.shape[2]):
+            vals = vals * phi[..., i]
+        out[members] = vals
+    return out
 
 
 def certify_partition(partition: Partition, cover: Cover, oracle,
@@ -662,7 +684,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     # evaluation at sup-norm distance >= rho must give exactly zero.  The
     # engine reads a function only inside its own cutoff's support, so the
     # probes evaluate the cutoff itself: psi = phi * P vanishes where phi
-    # does.
+    # does.  The first function that fails either test is the witness.
     ks = np.array([fn.index for fn in partition])
     eye = np.eye(d)
     dirs = np.vstack([eye, -eye, np.ones((1, d))])
@@ -670,36 +692,39 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     rho = cover.rho[ks][:, None, None]
     probes = np.concatenate([centers + rho * dirs, centers + 1.5 * rho * dirs],
                             axis=1)
-    support_ok = True
+    vals = _probe_values([fn.cutoff for fn in partition], probes)
+    wide = np.array([not fn.cutoff.support_halfwidth < float(cover.rho[fn.index])
+                     for fn in partition], dtype=bool)
+    bad = np.flatnonzero(wide | (vals != 0.0).any(axis=1))
     witness = None
-    for fn, pts in zip(partition, probes):
-        k = fn.index
-        if not fn.cutoff.support_halfwidth < float(cover.rho[k]):
-            support_ok = False
-            witness = {"center": k, "support_halfwidth": fn.cutoff.support_halfwidth}
-            break
-        vals = fn.cutoff.value(pts)
-        if (vals != 0.0).any():
-            support_ok = False
-            witness = {"center": k, "nonzero_outside": float(vals.max())}
-            break
+    if len(bad):
+        j = int(bad[0])
+        fn = partition[j]
+        if wide[j]:
+            witness = {"center": fn.index,
+                       "support_halfwidth": fn.cutoff.support_halfwidth}
+        else:
+            witness = {"center": fn.index,
+                       "nonzero_outside": float(vals[j].max())}
     certs.append(Certificate(
         name=f"partition_support[{fam},n={n}]",
         claim="partition.support_in_ball",
-        verdict=PASS if support_ok else FAIL,
+        verdict=PASS if witness is None else FAIL,
         details=witness or {"note": "support strictly inside every ball"},
     ))
 
     worst_ratio = 0.0
     tight = None
     r3 = oracle.values(3, cover.centers)
-    for k in np.flatnonzero(seen).tolist():
+    read = np.flatnonzero(seen).tolist()
+    consts = [derivative_constant(alpha, d, partition.weights)
+              for alpha in alphas] if read else []
+    for k in read:
         for j, alpha in enumerate(alphas):
             if sum(alpha) == 0:
                 bound = (1.0 / r3[k]) ** d
             else:
-                bound = derivative_constant(alpha, d, partition.weights) * \
-                    (1.0 / r3[k]) ** (d + sum(alpha))
+                bound = consts[j] * (1.0 / r3[k]) ** (d + sum(alpha))
             measured = float(peaks[k, j])
             ratio = measured / bound
             if ratio > worst_ratio:

@@ -92,10 +92,13 @@ def sup_pairs(centers: np.ndarray, pts, reach):
     ``reach`` is one number, or an array of one reach per center.  Returns
     ``(rows, cols, dist)`` in lexicographic (i, k) order, where ``dist`` is
     the sup-norm distance of each pair.  Callers decide ball membership
-    with their own strict inequality on ``dist``.
+    with their own strict inequality on ``dist``.  A NaN coordinate raises
+    ``ValueError``; an infinite one is far from every center.
     """
     d = centers.shape[1]
     pts = np.asarray(pts, dtype=float).reshape(-1, d)
+    if np.isnan(pts).any():
+        raise ValueError("query points must not have NaN coordinates")
     reach = np.asarray(reach, dtype=float)
     # A uniform cell grid over the centers only preselects.  The cells
     # are a little wider than the widest reach, and the widening outweighs
@@ -166,11 +169,14 @@ def sup_pairs(centers: np.ndarray, pts, reach):
 def pairs_within(centers, pts, rows, cols, reach):
     """The candidate pairs (``rows``, ``cols``) with ``|pts[i] - centers[k]|_inf
     <= reach`` (or ``reach[k]``), and their sup-norm distances (the
-    largest coordinate gap, taken one axis at a time)."""
+    largest coordinate gap, taken one axis at a time).  A candidate point
+    with a NaN coordinate raises ``ValueError``."""
     reach = np.asarray(reach, dtype=float)
     dist = np.abs(pts[rows, 0] - centers[cols, 0])
     for a in range(1, centers.shape[1]):
         np.maximum(dist, np.abs(pts[rows, a] - centers[cols, a]), out=dist)
+    if np.isnan(dist).any():
+        raise ValueError("query points must not have NaN coordinates")
     near = dist <= (reach[cols] if reach.ndim else reach)
     return rows[near], cols[near], dist[near]
 

@@ -36,11 +36,24 @@ per cell:
 
 A minimum rounds nothing, so every level is bitwise the direct scan's.
 
-A point off the lattice takes the minimum of ``r0(z)`` and the previous
+A point z off the lattice takes the minimum of ``r0(z)`` and the previous
 level over the cells that qualify for it (the same window, clipped to the
 lattice).  Every ring cell qualifies for itself, so levels fall pointwise
 with depth, and this one minimum equals the depth-by-depth recursion
-through all lower depths.
+through all lower depths.  The two conditions are searched apart, and
+neither scans the window:
+
+* Own radius: on each axis the window cells within r0(z) of z form one
+  interval, found by bisection on the same float gaps ``|a[t] - z|`` that
+  decide qualification.  Its minimum is read at 2^d corners of the
+  previous level's power-of-two box minima, built once per group of
+  points with equal (w_1, ..., w_d), as the levels are; an empty interval
+  on any axis reads ``+inf``.
+* Neighbour's radius: only a ring cell whose previous value lies below
+  the own-radius minimum can lower it.  Sorted by that value once per
+  query, such cells are a prefix of the ring for each point, and only
+  those (point, cell) pairs are tested, with the window and both distance
+  conditions.
 """
 
 from __future__ import annotations
@@ -59,28 +72,56 @@ __all__ = ["RadiusOracle", "positivity_certificate"]
 CLOSED_FORM = "closed_form_constant"
 GRID_ORACLE = "grid_oracle"
 
-# Lattice cells examined at once by an off-lattice query: 256 KB per
-# temporary array.  2 MB chunks raised the peak memory of the radii-d2
-# benchmark workload from 82 MB to 100 MB.
-_QUERY_CELLS = 1 << 15
+# (point, cell) candidate pairs tested at once by an off-lattice query:
+# 256 KB per temporary array.
+_QUERY_PAIRS = 1 << 15
 
 
-def _cells_within(axis: np.ndarray, at: np.ndarray, r: np.ndarray,
-                  most: int, sign: int) -> np.ndarray:
-    """Per cell, the largest t <= most with ``|axis[at + sign*t] - axis[at]|
-    <= r``, the distance computed as ``|y - x|`` is.
+def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray):
+    """Per point, the first and the last index t with ``|axis[t] - z| <= r``
+    (first > last where there is none).
 
-    The gaps grow with t, so the bits of t are found from the top down.
+    Float subtraction is monotone, so ``axis[t] - z`` ascends with t, and
+    ``-r <= axis[t] - z <= r``, which is exactly ``|axis[t] - z| <= r``,
+    holds on one interval.  Both of its ends are found by bisection.
     """
-    t = np.zeros(len(at), dtype=np.intp)
-    step = 1 << (most.bit_length() - 1)
+    below = np.zeros(len(z), dtype=np.intp)    # t with axis[t] - z < -r
+    upto = np.zeros(len(z), dtype=np.intp)     # t with axis[t] - z <= r
+    step = 1 << (len(axis).bit_length() - 1)
     while step:
-        nxt = t + step
-        ok = nxt <= most
-        ok[ok] = sign * (axis[at[ok] + sign * nxt[ok]] - axis[at[ok]]) <= r[ok]
-        t = np.where(ok, nxt, t)
+        for count, strict in ((below, True), (upto, False)):
+            nxt = count + step
+            ok = nxt <= len(axis)
+            gap = axis[nxt[ok] - 1] - z[ok]
+            ok[ok] = gap < -r[ok] if strict else gap <= r[ok]
+            count[ok] = nxt[ok]
         step >>= 1
-    return t
+    return below, upto - 1
+
+
+def _box_groups(lo: np.ndarray, hi: np.ndarray):
+    """The boxes ``lo[a] <= t_a <= hi[a]`` (arrays of shape (d, n), none
+    empty) grouped by their power-of-two widths.
+
+    Yields ``(widths, members, corners)``: per axis the power of two w
+    with ``w <= hi - lo + 1 < 2w``, the indices of the group's boxes, and
+    per choice of 2^d corners a tuple of per-axis start indices.  A box is
+    the union of the w-boxes that start at its corners.
+    """
+    log_widths = np.frexp(hi - lo + 1)[1] - 1
+    # one integer per tuple of log2 widths, each below 64
+    log_shape = (64,) * len(lo)
+    keys, group_of = np.unique(
+        np.ravel_multi_index(tuple(log_widths), log_shape),
+        return_inverse=True)
+    for g, key in enumerate(keys):
+        members = np.flatnonzero(group_of == g)
+        widths = tuple(1 << int(v) for v in np.unravel_index(key, log_shape))
+        starts = [(first[members], last[members] - w + 1)
+                  for first, last, w in zip(lo, hi, widths)]
+        corners = [tuple(s[choice] for s, choice in zip(starts, choices))
+                   for choices in np.ndindex(*(2,) * len(widths))]
+        yield widths, members, corners
 
 
 def _box_min(a: np.ndarray, widths, trailing: bool = False) -> np.ndarray:
@@ -88,18 +129,20 @@ def _box_min(a: np.ndarray, widths, trailing: bool = False) -> np.ndarray:
     at each cell, or ends there when ``trailing``, reading ``+inf`` past the
     edges.
 
-    Per axis, each step takes the minimum of two adjacent windows, doubling
-    their width.
+    Per axis, each step takes the minimum of two adjacent windows in place,
+    doubling their width; a cell whose second window would start past the
+    edge keeps its value.
     """
+    a = np.array(a, dtype=float)
     for axis, w in enumerate(widths):
-        pads = [(0, 0)] * a.ndim
-        pads[axis] = (w - 1, 0) if trailing else (0, w - 1)
-        b = np.moveaxis(np.pad(a, pads, constant_values=np.inf), axis, 0)
+        b = np.moveaxis(a, axis, 0)
         step = 1
-        while step < w:
-            b = np.minimum(b[:-step], b[step:])
+        while step < min(w, len(b)):
+            if trailing:
+                np.minimum(b[step:], b[:-step], out=b[step:])
+            else:
+                np.minimum(b[:-step], b[step:], out=b[:-step])
             step *= 2
-        a = np.moveaxis(b, 0, axis)
     return a
 
 
@@ -108,8 +151,8 @@ class RadiusOracle:
 
     Constant radii take an exact closed-form path.  Otherwise values are
     taken on a lattice of the given resolution over the truncation box, one
-    level per depth, built on first use; queries off the lattice take one
-    masked minimum over the level below.
+    level per depth, built on first use; queries off the lattice take the
+    minimum over the qualifying cells of the level below.
     """
 
     def __init__(self, family: WeightFamily, domain: ExhaustionDomain,
@@ -239,43 +282,55 @@ class RadiusOracle:
                 for lower, m in zip(self.box.lower, self._shape)]
 
     def _off_lattice(self, k: int, pts: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        """``min(r0(z), level k over the lattice points that qualify for z)``.
+        """``min(r0(z), level k over the lattice cells that qualify for z)``.
 
-        A point's own window spans ``ceil(max(reach, r0(z)) / resolution)``
-        cells around its nearest index on each axis.  Every point scans a
-        window of the widest such size, cut to the lattice's shape on each
-        axis and moved inside the lattice so that it holds every lattice cell
-        of the point's own window; cells past the own window get distance
-        inf.
+        A cell qualifies when it lies within ``ceil(max(reach, r0(z)) /
+        resolution)`` cells of z's nearest index on every axis (its window)
+        and ``|y - z|_inf <= r0(z)`` or ``<= r0(y)``; see the module
+        docstring for how each condition is searched.
         """
-        d = len(self._shape)
-        shape = np.array(self._shape)
+        level = self._level(k)
         near = np.rint((pts - self._origin) / self.resolution)
         cells = np.ceil(np.maximum(self._reach, r0) / self.resolution + 1e-12)
-        pad = int(cells.max())
-        widths = np.minimum(2 * pad + 1, shape)
-        first = np.clip(near - pad, 0, shape - widths).astype(np.intp)
-        pred_win = np.lib.stride_tricks.sliding_window_view(
-            self._r0_pred, tuple(widths))
-        level_win = np.lib.stride_tricks.sliding_window_view(
-            self._level(k), tuple(widths))
-        axes = self._padded_axes(0)
-        chunk = max(1, _QUERY_CELLS // int(np.prod(widths)))
-        out = np.empty(len(pts))
-        for lo in range(0, len(pts), chunk):
-            rows = slice(lo, lo + chunk)
-            dist = np.zeros((len(pts[rows]),) + (1,) * d)
-            for a, (axis, width) in enumerate(zip(axes, widths.tolist())):
-                at = first[rows, a, None] + np.arange(width)      # lattice index
-                gap = np.abs(axis[at] - pts[rows, a, None])
-                gap[np.abs(at - near[rows, a, None]) > cells[rows, None]] = np.inf
-                dist = np.maximum(dist, gap.reshape(
-                    (len(gap),) + (1,) * a + (width,) + (1,) * (d - a - 1)))
-            corner = tuple(first[rows].T)
-            qualify = (dist <= pred_win[corner]) | \
-                (dist <= r0[rows].reshape((-1,) + (1,) * d))
-            best = np.where(qualify, level_win[corner], np.inf)
-            out[rows] = np.minimum(r0[rows], best.reshape(len(best), -1).min(axis=1))
+        # own radius: per axis, one interval of the window, read as a box
+        # minimum of the level
+        lo, hi = [], []
+        for axis, m, c, at in zip(self._axes, self._shape, near.T, pts.T):
+            first, last = _interval_within(axis, at, r0)
+            lo.append(np.clip(np.maximum(first, c - cells), 0, m).astype(np.intp))
+            hi.append(np.clip(np.minimum(last, c + cells), -1, m - 1)
+                      .astype(np.intp))
+        lo, hi = np.array(lo), np.array(hi)
+        own = np.full(len(pts), np.inf)
+        hit = np.flatnonzero((lo <= hi).all(axis=0))
+        for widths, members, corners in _box_groups(lo[:, hit], hi[:, hit]):
+            boxes = _box_min(level, widths)
+            members = hit[members]
+            for corner in corners:
+                own[members] = np.minimum(own[members], boxes[corner])
+        out = np.minimum(r0, own)
+        # neighbour's radius: only ring cells below the current value can
+        # lower it, and those are a prefix of the cells in level order
+        ring = np.flatnonzero(self._inside)
+        order = np.argsort(level.ravel()[ring], kind="stable")
+        ring = ring[order]
+        ring_levels = level.ravel()[ring]
+        ring_r0 = self._r0_pred.ravel()[ring]
+        count = np.searchsorted(ring_levels, out)
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if len(ends) else 0
+        for lo_pair in range(0, total, _QUERY_PAIRS):
+            pair = np.arange(lo_pair, min(lo_pair + _QUERY_PAIRS, total))
+            row = np.searchsorted(ends, pair, side="right")
+            rank = pair - ends[row] + count[row]
+            idx = np.unravel_index(ring[rank], self._shape)
+            dist = np.zeros(len(pair))
+            inside = np.ones(len(pair), dtype=bool)
+            for axis, t, c, at in zip(self._axes, idx, near.T, pts.T):
+                inside &= np.abs(t - c[row]) <= cells[row]
+                np.maximum(dist, np.abs(axis[t] - at[row]), out=dist)
+            qualify = inside & ((dist <= ring_r0[rank]) | (dist <= r0[row]))
+            np.minimum.at(out, row[qualify], ring_levels[rank[qualify]])
         return out
 
     def _window_groups(self):
@@ -293,29 +348,17 @@ class RadiusOracle:
         cells = np.flatnonzero(self._inside)
         pos = np.unravel_index(cells, self._shape)
         r = self._levels[0].ravel()[cells]
-        log_widths, starts = [], []
+        lo, hi = [], []
         for axis, p in zip(self._padded_axes(pad), pos):
-            hi = _cells_within(axis, pad + p, r, pad, 1)
-            lo = _cells_within(axis, pad + p, r, pad, -1)
-            log_w = np.frexp(lo + hi + 1)[1] - 1
-            w = np.left_shift(1, log_w)
-            log_widths.append(log_w)
-            starts.append((pad + p - lo, pad + p + hi - w + 1))
+            at = pad + p
+            first, last = _interval_within(axis, axis[at], r)
+            lo.append(np.maximum(first, at - pad))
+            hi.append(np.minimum(last, at + pad))
         padded_shape = tuple(m + 2 * pad for m in self._shape)
-        # one integer per tuple of log2 widths, each below 64
-        log_shape = (64,) * len(log_widths)
-        keys, group_of = np.unique(
-            np.ravel_multi_index(tuple(log_widths), log_shape),
-            return_inverse=True)
         groups = []
-        for g, key in enumerate(keys):
-            members = np.flatnonzero(group_of == g)
-            corners = [np.ravel_multi_index(
-                tuple(s[choice][members] for s, choice in zip(starts, choices)),
-                padded_shape)
-                for choices in np.ndindex(*(2,) * len(starts))]
-            widths = tuple(1 << int(v) for v in np.unravel_index(key, log_shape))
-            groups.append((widths, cells[members], corners))
+        for widths, members, corners in _box_groups(np.array(lo), np.array(hi)):
+            groups.append((widths, cells[members],
+                           [np.ravel_multi_index(c, padded_shape) for c in corners]))
         self._groups = (padded_shape, groups)
         return self._groups
 

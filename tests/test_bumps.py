@@ -322,6 +322,14 @@ class TestIncidenceEngine:
             for vals in fn_table(fn, far, (2, 2)).values():
                 assert_bitwise(vals, np.zeros(3))
 
+    def test_nan_coordinate_raises(self, square_setup):
+        _, _, _, partition = square_setup
+        nan = np.array([[np.nan, 0.3]])
+        with pytest.raises(ValueError, match="NaN"):
+            function_values(partition.functions, nan, [3])
+        with pytest.raises(ValueError, match="NaN"):
+            partition_sum(partition, nan)
+
     @pytest.mark.parametrize("alpha", [(0, 0), (2, 1)])
     def test_one_interval_search_per_profile_and_axis(
             self, square_setup, monkeypatch, alpha):
@@ -692,6 +700,24 @@ class TestCertifyPartition:
             assert certs[claim].verdict == verdict
         assert certs[claim].details["center"] == partition[0].index
         assert certs[claim].details["nonzero_outside"] > 0.0
+
+    def test_probe_values_equal_each_cutoff_bitwise(self, square_setup):
+        # two profiles among the cutoffs: each group takes its own polys
+        _, _, cover, partition = square_setup
+        wide = dataclasses.replace(
+            build_profile(0.8, partition.order, partition.weights),
+            polys=partition[0].cutoff.profile.polys)
+        cutoffs = [fn.cutoff if fn.index % 3 else
+                   Cutoff(fn.cutoff.center, wide, 1.25 * fn.cutoff.scale)
+                   for fn in partition]
+        rng = np.random.default_rng(3)
+        probes = (cover.centers[:, None, :]
+                  + rng.uniform(-1.6, 1.6, (len(cutoffs), 7, 2))
+                  * cover.rho[:, None, None])
+        got = bumps._probe_values(cutoffs, probes)
+        assert (got != 0.0).any() and (got == 0.0).any()
+        for cut, pts, vals in zip(cutoffs, probes, got):
+            assert_bitwise(vals, cut.value(pts))
 
     def test_derivative_constant_formula(self):
         w = default_weights(4)

@@ -434,6 +434,18 @@ class TestBatchQueries:
                                           axis=-1).reshape(-1, 2)
         _assert_pairs(cover, pts, reach)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_coordinate_raises_and_infinite_is_far(self, d):
+        cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
+        pts = np.zeros((3, d))
+        pts[1, -1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            cover.pairs_near(pts, 0.5)
+        pts[1, -1] = np.inf
+        pts[2, 0] = -np.inf
+        rows, cols, dist = cover.pairs_near(pts, 1e300)
+        assert rows.tolist() == [0, 0, 0] and cols.tolist() == [0, 1, 2]
+
     def test_large_cover(self):
         rng = np.random.default_rng(5)
         centers = (np.indices((64, 64)).reshape(2, -1).T

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from covercert import radii
 from covercert import (Box, BoxRegion, MuSpec, RadiusOracle,
                        RefinementRequiredError, boundary_family, build_cover,
                        chain_certificate, constant_exhaustion, full_space,
@@ -282,6 +283,54 @@ class TestAgainstWindowScan:
         assert oracle.lattice_values(1).tobytes() == \
             oracles.radius_level(oracle, 1)[oracle._inside].tobytes()
         assert len(oracle._window_groups()[1]) <= 4
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7])
+def test_neighbour_pairs_in_chunks(monkeypatch, budget):
+    # the mirror image of the neighbour_radius case above: the cells up to
+    # y = 25/64 hold level 1/64, and of those only y reaches z = 0.5 + 1/128
+    # (r0(y) = 15/128 = z - y), so the pair that decides z comes last among
+    # its candidates
+    dom = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
+    radius = lambda x: np.where(x <= 18 / 64, 1 / 64,
+                                np.where(x <= 0.5, 15 / 128, 1 / 32))
+    fam = dataclasses.replace(
+        boundary_family(dom),
+        radius=lambda n, x: radius(np.asarray(x, dtype=float)[..., 0]))
+    oracle = RadiusOracle(fam, dom, 1, 1 / 64, box=Box((0.125,), (0.75,)))
+    pts = np.array([[0.5 + 1 / 128], [0.5 + 3 / 128], [0.3 + 1e-3],
+                    [0.45 + 1 / 128]])
+    levels = [oracles.radius_level(oracle, k) for k in range(3)]
+    expected = [oracles.radius_value(oracle, 2, z, levels) for z in pts]
+    assert expected[0] == 1 / 64
+    monkeypatch.setattr(radii, "_QUERY_PAIRS", budget)
+    assert oracle.values(2, pts).tobytes() == np.asarray(expected).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_box_min_equals_per_cell_minimum(data):
+    d = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=d,
+                                     max_size=d)))
+    widths = tuple(1 << data.draw(st.integers(0, 5)) for _ in range(d))
+    trailing = data.draw(st.booleans())
+    cells = int(np.prod(shape))
+    # the minimum of 0.0 and -0.0 may be either, so zeros come unsigned
+    values = data.draw(st.lists(
+        st.one_of(st.floats(-4.0, 4.0, width=16).map(lambda v: v + 0.0),
+                  st.just(np.inf)),
+        min_size=cells, max_size=cells))
+    a = np.array(values, dtype=float).reshape(shape)
+    before = a.tobytes()
+    got = radii._box_min(a, widths, trailing)
+    assert a.tobytes() == before
+    expected = np.empty(shape)
+    for cell in np.ndindex(*shape):
+        box = tuple(slice(max(c - w + 1, 0), c + 1) if trailing else
+                    slice(c, c + w) for c, w in zip(cell, widths))
+        expected[cell] = a[box].min()
+    assert got.tobytes() == expected.tobytes()
 
 
 def tampered_covers():

@@ -36,30 +36,47 @@ def test_all_names_resolve():
 
 _LOADED_MODULES = """
 import contextlib, io, json, sys
-from covercert import cli
+from covercert import cli, radii
+off_lattice = []
+query = radii.RadiusOracle._off_lattice
+def counted(self, k, pts, r0):
+    off_lattice.append(len(pts))
+    return query(self, k, pts, r0)
+radii.RadiusOracle._off_lattice = counted
 codes = []
 for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(["--config", config, "--out", out]))
-print(json.dumps([codes, sorted(sys.modules)]))
+print(json.dumps([codes, sum(off_lattice), sorted(sys.modules)]))
 """
 
 
 def test_run_loads_no_scipy(tmp_path):
     """A CLI run needs numpy alone: neither scipy nor numpy.ma (which
     ``np.unique`` imports on first use) is loaded.  ``boundary_d1`` runs
-    the cover and partition suites, ``unit_weights_d1`` adds the chain."""
+    the cover and partition suites, ``unit_weights_d1`` adds the chain,
+    and ``off_lattice_d1`` checks the cover on a lattice off the radius
+    oracle's, so the overlap certificate queries the oracle off its
+    lattice."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])])
-    names = ["boundary_d1", "unit_weights_d1"]
-    args = [str(a) for name in names
-            for a in (PACKAGE / "configs" / f"{name}.json", tmp_path / name)]
+    off = json.loads((PACKAGE / "configs" / "boundary_d1.json").read_text())
+    off.update(name="off_lattice_d1", suite=["radii", "cover"], figures=False,
+               resolutions={"candidate": 0.004, "check": 0.003,
+                            "quadrature": 0.004})
+    (tmp_path / "off_lattice_d1.json").write_text(json.dumps(off))
+    configs = [PACKAGE / "configs" / "boundary_d1.json",
+               PACKAGE / "configs" / "unit_weights_d1.json",
+               tmp_path / "off_lattice_d1.json"]
+    outs = [tmp_path / path.stem for path in configs]
+    args = [str(a) for pair in zip(configs, outs) for a in pair]
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, modules = json.loads(proc.stdout)
-    assert codes == [0, 0]
-    assert all((tmp_path / name / "report.json").exists() for name in names)
+    codes, off_lattice, modules = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert off_lattice > 0
+    assert all((out / "report.json").exists() for out in outs)
     assert [m for m in modules if m.split(".")[0] == "scipy"
             or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
