@@ -1,7 +1,7 @@
 """Certified covers, smooth partitions of unity, and weighted-seminorm
 inequality certificates on exhausted domains."""
 
-from .bumps import (BumpProfile, Cutoff, Partition, PartitionFn,
+from .bumps import (BumpProfile, Partition, PartitionFn,
                     build_partition, build_profile, certify_partition,
                     derivative_constant, default_weights, partition_sum)
 from .certify import (JFunctional, RescaleMap, ball_weight_constant,

@@ -12,9 +12,9 @@ Cutoffs are tensor products of one profile per coordinate; a partition
 function multiplies its own cutoff by the complements of the earlier
 overlapping ones (its blockers).  All partial derivatives are evaluated
 exactly from the piecewise polynomials through the product rule.  A
-partition builds one profile, at r = 1, and each cutoff moves it to its
-center z and rescales it by its own radius rho: on each axis its partial
-of order a is ``P^(a)((x - z) / rho) * rho^-a``.
+``Partition`` is one profile, built at r = 1, plus each ball's center z
+and radius rho: on each axis the partial of order a of the ball's cutoff
+is ``P^(a)((x - z) / rho) * rho^-a``.
 
 Every partition reading runs through one incidence engine,
 ``Incidence``.  It holds the (point, cutoff) pairs of a point set with
@@ -36,15 +36,14 @@ certificates, the cutoff export) find them with one ``sup_pairs`` query.
 The first two read psi at every pair.  That is exact because a point in
 the closed supports of cutoffs m < k lies in both outer balls, so every
 earlier pair of a run is a blocker of the later one;
-``CutoffSet.check_runs`` checks this once per reading, when psi is first
-formed.  The cutoff export reads only the cutoffs' own values.  Readers
-that evaluate one function per point (``function_values``,
+``Partition.check_runs`` checks this once per partition, when psi is
+first formed.  The cutoff export reads only the cutoffs' own values.
+Readers that evaluate one function per point (``function_values``,
 ``partition_partials`` and, through them, the rescaled functional and the
 pullback export) build each point's run from just that function's
-blockers and own cutoff, and form psi once, at its end.  The
-function-level tables (``CutoffSet``) are built once per reading, and
-points pass through the engine in blocks of a bounded number of pairs,
-which bounds its memory.
+blockers and own cutoff, and form psi once, at its end.  Points pass
+through the engine in blocks of a bounded number of pairs, which bounds
+its memory.
 """
 
 from __future__ import annotations
@@ -64,9 +63,8 @@ from .report import FAIL, PASS, Certificate
 
 __all__ = [
     "default_weights", "BumpProfile", "build_profile",
-    "Cutoff", "PartitionFn", "Partition", "build_partition",
-    "CutoffSet", "Incidence", "incidences", "partition_partials",
-    "function_values",
+    "PartitionFn", "Partition", "build_partition",
+    "Incidence", "incidences", "partition_partials", "function_values",
     "partition_sum", "certify_partition",
     "derivative_constant", "DERIVATIVE_GROWTH_BASE",
 ]
@@ -152,66 +150,54 @@ def build_profile(r: float, order: int, weights=None) -> BumpProfile:
 
 
 @dataclass(frozen=True)
-class Cutoff:
-    """Tensor-product plateau cutoff: the profile moved to one cover center
-    and rescaled by that ball's radius ``scale``."""
-
-    center: tuple[float, ...]
-    profile: BumpProfile
-    scale: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
-    @property
-    def support_halfwidth(self) -> float:
-        return self.scale * self.profile.support_halfwidth
-
-    def partial(self, x, alpha=None):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        pts = x[None, :] if scalar else x
-        if alpha is None:
-            alpha = (0,) * self.dimension
-        out = np.ones(len(pts))
-        for i, (c_i, a_i) in enumerate(zip(self.center, alpha)):
-            out = out * (self.profile.eval((pts[:, i] - c_i) / self.scale,
-                                           order=a_i) * self.scale ** -a_i)
-        return float(out[0]) if scalar else out
-
-    def value(self, x):
-        return self.partial(x, None)
-
-    def contains_support(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pts = x[None, :] if x.ndim == 1 else x
-        offs = np.abs(pts - np.asarray(self.center)).max(axis=1)
-        return offs <= self.support_halfwidth
-
-
-@dataclass(frozen=True)
 class PartitionFn:
-    """One partition function: its cutoff times earlier overlapping
-    complements, applied in the order of the ascending blocker indices."""
+    """One partition function: its own cutoff times the complements of the
+    earlier overlapping cutoffs ``blockers``, applied in ascending order."""
 
     index: int
-    cutoff: Cutoff
-    blockers: tuple[tuple[int, Cutoff], ...]
+    blockers: tuple[int, ...]
 
     def __post_init__(self):
-        chain = [m for m, _ in self.blockers] + [self.index]
+        chain = [*self.blockers, self.index]
         if any(a >= b for a, b in zip(chain, chain[1:])):
             raise ValueError(f"blockers of function {self.index} must ascend "
                              f"strictly below it, got {chain[:-1]}")
 
 
-@dataclass
 class Partition:
-    functions: list[PartitionFn]
-    order: int
-    weights: tuple[float, ...]
-    cover: Cover = field(repr=False)
+    """A partition of unity: one profile, and one cutoff and one function
+    per ball, with the tables every reading shares, built once.
+
+    Cutoff k is ``profile`` moved to ``centers[k]`` and rescaled by
+    ``scales[k]``; its closed support is the box of half-width ``half[k]``
+    about that center.  Function k is cutoff k times the complements of
+    the cutoffs ``blockers[k]``.  ``links`` holds the sorted keys
+    ``k * K + m`` of each function's blockers m and own cutoff k, and
+    ``powers[k, b]`` is ``scales[k] ** -b`` as a Python float.
+    """
+
+    def __init__(self, profile: BumpProfile, centers, scales, blockers):
+        self.profile = profile
+        self.centers = np.array(centers, dtype=float)
+        self.scales = np.array(scales, dtype=float)
+        self.functions = [PartitionFn(k, tuple(int(m) for m in ms))
+                          for k, ms in enumerate(blockers)]
+        size = len(self.functions)
+        # each function's keys ascend below its own, so links come sorted
+        self.links = np.array([fn.index * size + m for fn in self.functions
+                               for m in (*fn.blockers, fn.index)], dtype=np.int64)
+        self.half = self.scales * profile.support_halfwidth
+        self.powers = np.array([[s ** -b for b in range(profile.order)]
+                                for s in self.scales.tolist()])
+        self._runs_checked = False
+
+    @property
+    def order(self) -> int:
+        return self.profile.order
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return self.profile.weights
 
     def __iter__(self):
         return iter(self.functions)
@@ -222,62 +208,22 @@ class Partition:
     def __getitem__(self, k):
         return self.functions[k]
 
-
-class CutoffSet:
-    """The cutoffs that a list of partition functions reads.
-
-    These are the functions' own cutoffs and their blockers', in ascending
-    partition index, and they must share one profile (``ValueError``
-    otherwise).  ``local`` maps a partition index to its position here,
-    ``links`` holds the sorted (function, cutoff) keys of every function's
-    own cutoff and blockers in those positions, and ``powers[c, b]`` is
-    cutoff c's ``scale ** -b``.  ``incidences`` builds these tables once
-    for all its blocks.
-    """
-
-    def __init__(self, functions):
-        cutoffs = {}
-        for fn in functions:
-            cutoffs[fn.index] = fn.cutoff
-            cutoffs.update(fn.blockers)
-        index = sorted(cutoffs)
-        size = len(index)
-        self.index = np.asarray(index, dtype=np.int64)
-        self.cutoffs = [cutoffs[m] for m in index]
-        self.profile = self.cutoffs[0].profile
-        if any(c.profile is not self.profile for c in self.cutoffs):
-            raise ValueError("the cutoffs of a partition must share one profile")
-        self.local = np.full(index[-1] + 1, -1, dtype=np.int64)
-        self.local[index] = np.arange(size)
-        self.links = np.sort(np.concatenate([
-            self.local[fn.index] * size
-            + self.local[[m for m, _ in fn.blockers] + [fn.index]]
-            for fn in functions]))
-        self.centers = np.array([c.center for c in self.cutoffs], dtype=float)
-        self.half = np.array([c.support_halfwidth for c in self.cutoffs])
-        self.scales = np.array([c.scale for c in self.cutoffs], dtype=float)
-        # the float powers of Cutoff.partial, so that factors match it bitwise
-        self.powers = np.array([[c.scale ** -b for b in range(self.profile.order)]
-                                for c in self.cutoffs])
-        self.runs_checked = False
-
     def pairs(self, pts, owners=None):
         """The (point, cutoff) pairs with the point in the cutoff's closed
-        support, as ``(rows, cols)`` in lexicographic order, ``cols`` being
-        positions in ``cutoffs``.
+        support, as ``(rows, cols)`` in lexicographic order.
 
         Without ``owners`` these are all such pairs, from one ``sup_pairs``
-        query.  With ``owners`` (the partition index of the one function
-        each point is read for) one ``pairs_within`` call tests each
-        point's slice of ``links``, that function's blockers and own cutoff,
-        and a point outside its own cutoff's support keeps no pairs.
+        query.  With ``owners`` (the function each point is read for) one
+        ``pairs_within`` call tests each point's slice of ``links``, that
+        function's blockers and own cutoff, and a point outside its own
+        cutoff's support keeps no pairs.
         """
         if owners is None:
             rows, cols, _ = sup_pairs(self.centers, pts, self.half)
             return rows, cols
         # each point's slice of links ascends: pairs come out in order
-        size = len(self.cutoffs)
-        own = self.local[np.asarray(owners, dtype=np.int64)]
+        size = len(self)
+        own = np.asarray(owners, dtype=np.int64)
         lo = np.searchsorted(self.links, own * size)
         count = np.searchsorted(self.links, (own + 1) * size) - lo
         rows = np.repeat(np.arange(len(pts)), count)
@@ -291,17 +237,17 @@ class CutoffSet:
 
     def check_runs(self):
         """Raise ``ValueError`` unless every earlier cutoff whose closed
-        support box meets a cutoff's is among that cutoff's blockers.
+        support box meets a cutoff's is among that function's blockers.
 
         The all-pairs recurrence multiplies every earlier pair of a point's
         run into each later one, so this is what makes it exact.  The boxes
         are widened by 1e-9 relative, as ``sup_pairs`` widens its cells, so a
-        point that float rounding puts in both supports is covered.  A set
-        is checked once; later calls return at once.
+        point that float rounding puts in both supports is covered.  A
+        partition is checked once; later calls return at once.
         """
-        if self.runs_checked:
+        if self._runs_checked:
             return
-        size = len(self.cutoffs)
+        size = len(self)
         slack = 1e-9 * float(np.abs(self.centers).max())
         widest = 2.0 * float(self.half.max())
         rows, cols, dist = sup_pairs(self.centers, self.centers,
@@ -314,57 +260,54 @@ class CutoffSet:
                                  != keys)
         if len(missing):
             k, m = divmod(int(keys[missing[0]]), size)
-            raise ValueError(
-                f"cutoff {self.index[m]} meets the support of cutoff "
-                f"{self.index[k]}, which does not list it as a blocker")
-        self.runs_checked = True
+            raise ValueError(f"cutoff {m} meets the support of cutoff {k}, "
+                             "which does not list it as a blocker")
+        self._runs_checked = True
 
 
 class Incidence:
     """The (point, cutoff) pairs of a point set, with each cutoff's partials.
 
-    ``cuts`` is the ``CutoffSet`` of the partition functions read, and the
-    pairs are ``cuts.pairs(pts, owners)``: a pair is kept when the point
-    lies in the cutoff's closed support (the test of
-    ``Cutoff.contains_support``).  A point's pairs by ascending cutoff are
-    its run.  The pairs are held step-major (``_step_major``): step s holds
-    the s-th pair of every point whose run is longer than s (``active[s]``
-    of them, from ``start[s]``), with the points ranked by descending run
-    length (``order``), so each step's points are a prefix of the last
-    step's.
+    The pairs (point ``rows``, cutoff ``fns``) are
+    ``partition.pairs(pts, owners)``.  A point's pairs by ascending cutoff
+    are its run.  The pairs are held step-major (``_step_major``): step s
+    holds the s-th pair of every point whose run is longer than s
+    (``active[s]`` of them, from ``start[s]``), with the points ranked by
+    descending run length (``order``), so each step's points are a prefix
+    of the last step's.
     Each pair's partials up to ``alpha`` are formed from its offsets to the
     cutoff's center, divided by the cutoff's scale: per axis, one
     shared-knot evaluation of the profile gives orders ``0..alpha_i`` at
-    every pair, each order b is multiplied by the pairs' ``scale ** -b``,
-    and each beta multiplies its axis factors from ones, in the order of
-    ``Cutoff.partial``, so each row of ``factors`` (one per entry of
-    ``betas``, the order-0 row first) is bitwise that cutoff's ``partial``.
+    every pair, each order b is multiplied by the pair's ``powers`` entry,
+    and each beta multiplies its axis factors from ones, in axis order, so
+    each row of ``factors`` (one per entry of ``betas``, the order-0 row
+    first) is bitwise the cutoff's partial evaluated on its own.
     """
 
-    def __init__(self, cuts, pts, alpha, owners=None):
+    def __init__(self, partition: Partition, pts, alpha, owners=None):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
         alpha = tuple(int(a) for a in alpha)
-        if any(a >= cuts.profile.order for a in alpha):
+        profile = partition.profile
+        if any(a >= profile.order for a in alpha):
             raise SmoothnessOrderError(f"component of {alpha} exceeds per-axis "
-                                       f"budget {cuts.profile.order - 1}")
-        self.pts, self.cuts, self.owned = pts, cuts, owners is not None
+                                       f"budget {profile.order - 1}")
+        self.pts, self.partition, self.owned = pts, partition, owners is not None
         self.rule = _product_rule(alpha)
         self.betas = self.rule.betas
-        rows, cols = cuts.pairs(pts, owners)
-        self.order, self.active, self.start, rows, cols = _step_major(
-            rows, cols, len(pts))
-        self.rows, self.cols, self.fns = rows, cols, cuts.index[cols]
+        self.order, self.active, self.start, self.rows, self.fns = _step_major(
+            *partition.pairs(pts, owners), len(pts))
+        rows, fns = self.rows, self.fns
 
-        offsets = (pts[rows] - cuts.centers[cols]) / cuts.scales[cols, None]
-        powers = cuts.powers[cols, :max(alpha) + 1].T
+        offsets = (pts[rows] - partition.centers[fns]) / partition.scales[fns, None]
+        powers = partition.powers[fns, :max(alpha) + 1].T
         axes = [[vals * powers[b] for b, vals in enumerate(
-                    evaluate_shared(cuts.profile.polys[:a_i + 1], offsets[:, i]))]
+                    evaluate_shared(profile.polys[:a_i + 1], offsets[:, i]))]
                 for i, a_i in enumerate(alpha)]
-        self.factors = np.empty((len(self.betas), len(cols)))
+        self.factors = np.empty((len(self.betas), len(fns)))
         for row, beta in zip(self.factors, self.betas):
-            val = np.ones(len(cols))
+            val = np.ones(len(fns))
             for orders, b_i in zip(axes, beta):
                 val = val * orders[b_i]
             row[:] = val
@@ -386,10 +329,10 @@ class Incidence:
         P^beta = P^beta * (1 - phi_s) - cross^beta.  The first pair of a run
         gives psi = phi and P = 1 - phi as they are.  Owner mode forms psi
         only at each run's last pair, the owner's own.  Without ``owners``
-        the cutoff set is first checked with ``CutoffSet.check_runs``.
+        the partition is first checked with ``Partition.check_runs``.
         """
         if not self.owned:
-            self.cuts.check_runs()
+            self.partition.check_runs()
         out = np.empty((len(self.betas),
                         self.active[0] if self.owned else len(self.rows)))
         prod = None
@@ -484,24 +427,22 @@ def _product_rule(alpha) -> _Rule:
                  levels)
 
 
-def incidences(functions, pts, alpha, owners=None):
+def incidences(partition: Partition, pts, alpha, owners=None):
     """``(block, Incidence)`` for consecutive blocks of the points.
 
-    The function-level tables (``CutoffSet``) are built once for all
-    blocks.  Blocks bound the engine's tables: each next
-    block is sized from the pairs per point of the last one to hold about
-    ``_BLOCK_PAIRS`` pairs.  Every point's pairs, and so every value, are
-    those of one incidence of all the points.  There is always at least
-    one block, empty for no points.
+    Blocks bound the engine's tables: each next block is sized from the
+    pairs per point of the last one to hold about ``_BLOCK_PAIRS`` pairs.
+    Every point's pairs, and so every value, are those of one incidence of
+    all the points.  There is always at least one block, empty for no
+    points.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    cuts = CutoffSet(functions)
     start, size = 0, 1024
     while True:
         block = slice(start, start + size)
-        inc = Incidence(cuts, pts[block], alpha,
+        inc = Incidence(partition, pts[block], alpha,
                         None if owners is None else owners[block])
         yield block, inc
         start = block.stop
@@ -511,17 +452,17 @@ def incidences(functions, pts, alpha, owners=None):
         size = int(min(4 * size, max(64, _BLOCK_PAIRS / per_point)))
 
 
-def partition_partials(functions, pts, ks, alpha) -> dict:
+def partition_partials(partition: Partition, pts, ks, alpha) -> dict:
     """Partials beta <= alpha of partition function ``ks[i]`` at ``pts[i]``,
     for every i (see ``Incidence.partials``)."""
     ks = np.asarray(ks, dtype=np.int64)
     parts = [inc.partials()
-             for _, inc in incidences(functions, pts, alpha, owners=ks)]
+             for _, inc in incidences(partition, pts, alpha, owners=ks)]
     return {beta: np.concatenate([part[beta] for part in parts])
             for beta in parts[0]}
 
 
-def function_values(functions, pts, ks) -> np.ndarray:
+def function_values(partition: Partition, pts, ks) -> np.ndarray:
     """Value of partition function ``ks[i]`` at ``pts[i]``, for every i.
 
     A point outside the function's own closed support box has no pairs
@@ -529,33 +470,21 @@ def function_values(functions, pts, ks) -> np.ndarray:
     ``ValueError``); the support certificate evaluates the cutoffs
     themselves."""
     zero = (0,) * np.shape(pts)[-1]
-    return partition_partials(functions, pts, ks, zero)[zero]
+    return partition_partials(partition, pts, ks, zero)[zero]
 
 
 def build_partition(cover: Cover, order: int, weights=None) -> Partition:
     """Partition functions for an accepted cover.
 
-    Complements are restricted to earlier centers whose outer balls meet the
-    current one; the omitted factors are identically one on the support, so
-    the restriction changes nothing pointwise.
+    One profile is built, at radius 1, and each ball rescales it by its own
+    radius.  Complements are restricted to earlier centers whose outer
+    balls meet the current one; the omitted factors are identically one on
+    the support, so the restriction changes nothing pointwise.
     """
     if cover.neighbors is None:
         neighbor_sets(cover)
-    if weights is None:
-        weights = default_weights(order)
-    # one profile, rescaled by each ball's radius
-    profile = build_profile(1.0, order, weights)
-    cutoffs = [Cutoff(tuple(cover.centers[k]), profile, rho)
-               for k, rho in enumerate(cover.rho.tolist())]
-    functions = []
-    for k in range(cover.size):
-        earlier = tuple((int(m), cutoffs[m]) for m in cover.neighbors[k]
-                        if m < k)
-        functions.append(PartitionFn(index=k, cutoff=cutoffs[k],
-                                     blockers=earlier))
-    return Partition(functions=functions, order=order,
-                     weights=tuple(float(v) for v in np.asarray(weights)),
-                     cover=cover)
+    return Partition(build_profile(1.0, order, weights), cover.centers,
+                     cover.rho, [nb[nb < k] for k, nb in enumerate(cover.neighbors)])
 
 
 def partition_sum(partition: Partition, pts) -> np.ndarray:
@@ -564,7 +493,7 @@ def partition_sum(partition: Partition, pts) -> np.ndarray:
         pts = pts[None, :]
     zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
-    for block, inc in incidences(partition.functions, pts, zero):
+    for block, inc in incidences(partition, pts, zero):
         # bincount adds each point's values in step order, i.e. function order
         values = inc.partials()[zero]
         out[block] = np.bincount(inc.rows, weights=values, minlength=len(inc.pts))
@@ -592,25 +521,17 @@ def derivative_constant(alpha: tuple[int, ...], dimension: int,
             * (3.0 * c) ** total / float(np.prod(w[:total])))
 
 
-def _probe_values(cutoffs, probes: np.ndarray) -> np.ndarray:
-    """``cutoffs[i].value(probes[i])`` for every i, bitwise, with one
-    profile evaluation per group of cutoffs that share a profile."""
-    out = np.empty(probes.shape[:2])
-    groups: dict[int, list[int]] = {}
-    for i, cut in enumerate(cutoffs):
-        groups.setdefault(id(cut.profile), []).append(i)
-    for members in groups.values():
-        centers = np.array([cutoffs[i].center for i in members])
-        scales = np.array([cutoffs[i].scale for i in members])
-        u = (probes[members] - centers[:, None, :]) / scales[:, None, None]
-        profile = cutoffs[members[0]].profile
-        phi = evaluate_shared(profile.polys[:1], u.ravel())[0].reshape(u.shape)
-        # the axis order of Cutoff.partial, whose order-0 factors are exact
-        vals = phi[..., 0]
-        for i in range(1, u.shape[2]):
-            vals = vals * phi[..., i]
-        out[members] = vals
-    return out
+def _probe_values(partition: Partition, probes: np.ndarray) -> np.ndarray:
+    """Cutoff i's value at each of ``probes[i]``, for every i, with one
+    profile evaluation, bitwise a per-cutoff product of its axis factors."""
+    u = ((probes - partition.centers[:, None, :])
+         / partition.scales[:, None, None])
+    phi = evaluate_shared(partition.profile.polys[:1],
+                          u.ravel())[0].reshape(u.shape)
+    vals = phi[..., 0]
+    for i in range(1, u.shape[2]):
+        vals = vals * phi[..., i]
+    return vals
 
 
 def certify_partition(partition: Partition, cover: Cover, oracle,
@@ -628,12 +549,12 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     # The derivative pass keeps each function's grid points in its support
     # box (lo <= x <= hi) and takes max |partial| over them.
     alphas = indices_up_to_order(d, alpha_max)
-    half = np.array([fn.cutoff.support_halfwidth for fn in partition])
+    half = partition.half
     peaks = np.zeros((len(partition), len(alphas)))
     seen = np.zeros(len(partition), dtype=bool)
     sums = np.zeros(len(grid))
     below, top = 0.0, None
-    for block, inc in incidences(partition.functions, grid, (alpha_max,) * d):
+    for block, inc in incidences(partition, grid, (alpha_max,) * d):
         tables = inc.partials()
         vals = tables[(0,) * d]
         # bincount adds each point's values in step order, i.e. function
@@ -685,27 +606,22 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     # engine reads a function only inside its own cutoff's support, so the
     # probes evaluate the cutoff itself: psi = phi * P vanishes where phi
     # does.  The first function that fails either test is the witness.
-    ks = np.array([fn.index for fn in partition])
     eye = np.eye(d)
     dirs = np.vstack([eye, -eye, np.ones((1, d))])
-    centers = cover.centers[ks][:, None, :]
-    rho = cover.rho[ks][:, None, None]
+    centers = cover.centers[:, None, :]
+    rho = cover.rho[:, None, None]
     probes = np.concatenate([centers + rho * dirs, centers + 1.5 * rho * dirs],
                             axis=1)
-    vals = _probe_values([fn.cutoff for fn in partition], probes)
-    wide = np.array([not fn.cutoff.support_halfwidth < float(cover.rho[fn.index])
-                     for fn in partition], dtype=bool)
+    vals = _probe_values(partition, probes)
+    wide = ~(half < cover.rho)
     bad = np.flatnonzero(wide | (vals != 0.0).any(axis=1))
     witness = None
     if len(bad):
         j = int(bad[0])
-        fn = partition[j]
         if wide[j]:
-            witness = {"center": fn.index,
-                       "support_halfwidth": fn.cutoff.support_halfwidth}
+            witness = {"center": j, "support_halfwidth": float(half[j])}
         else:
-            witness = {"center": fn.index,
-                       "nonzero_outside": float(vals[j].max())}
+            witness = {"center": j, "nonzero_outside": float(vals[j].max())}
     certs.append(Certificate(
         name=f"partition_support[{fam},n={n}]",
         claim="partition.support_in_ball",

@@ -216,7 +216,7 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     (``integrals[i][r][b]``) of ``verify_integral_bound``."""
     d = cover.dimension
     m_tilde = (m + 1,) * d
-    ks = [fn.index for fn in partition]
+    ks = list(range(len(partition)))
     samples = []
     for k in ks:
         z = cover.centers[k]
@@ -229,8 +229,8 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     # it serves every alpha with |alpha| <= m.
     starts, ends = _ball_slices(samples)
     pts = np.concatenate(samples)
-    tables = partition_partials(partition.functions, pts,
-                                np.repeat(ks, ends - starts), (m,) * d)
+    tables = partition_partials(partition, pts, np.repeat(ks, ends - starts),
+                                (m,) * d)
     lhs_values = []
     for f in fs:
         f_partial = functools.cache(lambda rest: f.partial(pts, rest))
@@ -253,7 +253,7 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
             mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
         starts, ends = _ball_slices(mids)
         cells = np.concatenate(mids)
-        tables = partition_partials(partition.functions, cells,
+        tables = partition_partials(partition, cells,
                                     np.repeat(ks, ends - starts), m_tilde)
         for f, integrals_f in zip(fs, integrals):
             vals = np.abs(_leibniz(tables, lambda rest: f.partial(cells, rest),
@@ -383,14 +383,13 @@ def verify_disjoint_supports(cover: Cover, partition: Partition | None = None,
                    "required": float(half[k] + half[j])}
 
     pullback_bad = None
-    for fn in (partition or ()):
-        k = fn.index
-        lam = 8.0 * float(cover.rho[k]) / float(cover.r1[k])
-        pulled = fn.cutoff.support_halfwidth / lam
-        if not pulled < half[k]:
-            pullback_bad = {"center": int(k), "pulled_halfwidth": pulled,
+    if partition is not None:
+        pulled = partition.half / (8.0 * cover.rho / cover.r1)
+        bad = np.flatnonzero(~(pulled < half))
+        if len(bad):
+            k = int(bad[0])
+            pullback_bad = {"center": k, "pulled_halfwidth": float(pulled[k]),
                             "core_halfwidth": float(half[k])}
-            break
 
     passed = overlap is None and pullback_bad is None
     details: dict = {}
@@ -452,7 +451,7 @@ class JFunctional:
         x = np.concatenate([self.maps[k].forward(zetas[idxs])
                             for k, idxs in zip(ks, groups)])
         idxs = np.concatenate(groups)
-        tables = partition_partials(self.partition.functions, x, owners[idxs],
+        tables = partition_partials(self.partition, x, owners[idxs],
                                     self.m_tilde)
         nu = self.family.nu_at(self.nu_index, zetas[idxs])
         for row, f in zip(out, fs):

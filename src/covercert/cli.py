@@ -37,6 +37,12 @@ TEST_FUNCTIONS = ("gaussian", "coord_gaussian", "spline_bump")
 NEGATIVE_CONTROLS = ("drop_center", "shrink_separation", "deflate_a1")
 
 
+def _is_a(value, typ) -> bool:
+    """``isinstance(value, typ)``, except that a JSON boolean, which Python
+    counts as an int, is no number."""
+    return isinstance(value, typ) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     name: str
@@ -69,7 +75,7 @@ class RunConfig:
                 problems.append(f"missing field {key!r}")
                 return None
             value = data[key]
-            if typ is not None and not isinstance(value, typ):
+            if typ is not None and not _is_a(value, typ):
                 problems.append(f"field {key!r} must be {typ}")
                 return None
             return value
@@ -89,25 +95,25 @@ class RunConfig:
 
         for key in ("candidate", "check", "quadrature"):
             value = res.get(key)
-            if not isinstance(value, (int, float)) or \
+            if not _is_a(value, (int, float)) or \
                     not math.isfinite(value) or value <= 0:
                 problems.append(f"resolutions.{key} must be a finite number > 0")
         if isinstance(n, int) and n < 1:
             problems.append("n must be >= 1")
         if isinstance(m, int) and m < 0:
             problems.append("m must be >= 0")
-        if not isinstance(order, int) or order < 1:
+        if not _is_a(order, int) or order < 1:
             problems.append("smoothness_order must be a positive integer")
-        if not isinstance(alpha_max, int) or alpha_max < 0:
+        if not _is_a(alpha_max, int) or alpha_max < 0:
             problems.append("alpha_max must be an integer >= 0")
-        if not isinstance(offset_count, int) or offset_count < 3 \
+        if not _is_a(offset_count, int) or offset_count < 3 \
                 or offset_count % 2 == 0:
             problems.append("offset_count must be an odd integer >= 3")
-        if not isinstance(tolerance, (int, float)) or \
+        if not _is_a(tolerance, (int, float)) or \
                 not math.isfinite(tolerance) or tolerance < 0:
             problems.append("tolerance must be a finite number >= 0")
         if psi_resolution is not None and (
-                not isinstance(psi_resolution, (int, float))
+                not _is_a(psi_resolution, (int, float))
                 or not math.isfinite(psi_resolution) or psi_resolution <= 0):
             problems.append("resolutions.psi must be a finite number > 0")
 
@@ -151,8 +157,7 @@ class RunConfig:
                 except (TypeError, ValueError, KeyError) as exc:
                     problems.append(f"bad psi_box: {exc}")
 
-        if isinstance(m, int) and isinstance(order, int) and \
-                isinstance(alpha_max, int):
+        if _is_a(m, int) and _is_a(order, int) and _is_a(alpha_max, int):
             # partial derivatives exist classically up to order - 1 per axis
             if "partition" in suite and alpha_max > order - 1:
                 problems.append(
@@ -415,7 +420,7 @@ def export_figures(config: RunConfig, built_cover, partition,
         config.truncation)
     # each cutoff's values at the grid points of its support, cutoff by cutoff
     rows, ks, values = [], [], []
-    for block, inc in bumps.incidences(partition.functions, grid, (0,) * d):
+    for block, inc in bumps.incidences(partition, grid, (0,) * d):
         rows.append(inc.rows + block.start)
         ks.append(inc.fns)
         values.append(inc.factors[0])     # the order-0 row
@@ -428,7 +433,7 @@ def export_figures(config: RunConfig, built_cover, partition,
                              values[order].tolist()))
 
     maps = certify.rescale_maps(built_cover)
-    ks = [fn.index for fn in partition]
+    ks = range(len(partition))
     zetas = []
     for k in ks:
         half = built_cover.core_halfwidths[k]
@@ -437,7 +442,7 @@ def export_figures(config: RunConfig, built_cover, partition,
         zetas.append(domains.mesh_points(axes))
     probes = np.concatenate([maps[k].forward(pts) for k, pts in zip(ks, zetas)])
     owners = np.repeat(ks, [len(pts) for pts in zetas])
-    values = bumps.function_values(partition.functions, probes, owners)
+    values = bumps.function_values(partition, probes, owners)
     with (out_dir / "pullback.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*[f"zeta{i + 1}" for i in range(d)], "k", "value"])

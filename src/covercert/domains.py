@@ -87,9 +87,6 @@ class Box:
         hi = tuple(min(a, b) for a, b in zip(self.upper, other.upper))
         return Box(lo, hi)
 
-    def widths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
-
 
 def mesh_points(axes) -> np.ndarray:
     """Tensor grid of the given per-axis coordinates, lexicographic, (N, d)."""
@@ -154,7 +151,7 @@ class Region:
     def is_bounded(self) -> bool:
         return self.bounding_box.is_bounded
 
-    def boundary_distance(self, x, norm: str = "inf") -> np.ndarray:
+    def boundary_distance(self, x) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -183,7 +180,7 @@ class FullSpace(Region):
     def is_closed(self) -> bool:
         return True
 
-    def boundary_distance(self, x, norm: str = "inf") -> np.ndarray:
+    def boundary_distance(self, x) -> np.ndarray:
         pts = _as_points(x, self.dimension)
         return np.full(len(pts), INF)
 
@@ -218,15 +215,10 @@ class BoxRegion(Region):
     def closure(self) -> "BoxRegion":
         return BoxRegion(self.box, closed=True)
 
-    def boundary_distance(self, x, norm: str = "inf") -> np.ndarray:
+    def boundary_distance(self, x) -> np.ndarray:
         # Sup-norm distance from an interior point to the boundary of an axis
         # box is the smallest per-axis distance to a finite face; from an
         # exterior point it is the largest per-axis excursion beyond the box.
-        # The Euclidean variant differs only for exterior points, which do not
-        # occur under the membership preconditions, so both norms share this
-        # formula on the inside.
-        if norm not in ("inf", "euclidean"):
-            raise ValueError(f"unsupported norm {norm!r}")
         pts = _as_points(x, self.dimension)
         lo = np.asarray(self.box.lower)
         hi = np.asarray(self.box.upper)
@@ -235,10 +227,7 @@ class BoxRegion(Region):
         outside = np.maximum(np.maximum(below, above), 0.0)
         if not self.has_boundary:
             return np.full(len(pts), INF)
-        if norm == "inf":
-            out_dist = outside.max(axis=1)
-        else:
-            out_dist = np.sqrt((outside ** 2).sum(axis=1))
+        out_dist = outside.max(axis=1)
         per_axis = np.minimum(pts - lo, hi - pts)
         in_dist = per_axis.min(axis=1)
         is_outside = (outside > 0).any(axis=1)
@@ -275,7 +264,7 @@ class DistanceRegion(Region):
     def has_boundary(self) -> bool:
         return True
 
-    def boundary_distance(self, x, norm: str = "inf") -> np.ndarray:
+    def boundary_distance(self, x) -> np.ndarray:
         pts = _as_points(x, self.dimension)
         return np.asarray(self._distance(pts), dtype=float)
 

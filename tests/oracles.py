@@ -426,6 +426,51 @@ def profile_polys(profile):
     return polys
 
 
+class Cutoff:
+    """One cutoff of a partition, evaluated on its own: the partition's
+    profile moved to ``center`` and rescaled by the ball's radius ``scale``.
+    Each partial multiplies its axis factors from ones, in axis order."""
+
+    def __init__(self, center, profile, scale):
+        self.center = tuple(float(c) for c in center)
+        self.profile = profile
+        self.scale = float(scale)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.center)
+
+    @property
+    def support_halfwidth(self) -> float:
+        return self.scale * self.profile.support_halfwidth
+
+    def partial(self, x, alpha=None):
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 1
+        pts = x[None, :] if scalar else x
+        if alpha is None:
+            alpha = (0,) * self.dimension
+        out = np.ones(len(pts))
+        for i, (c_i, a_i) in enumerate(zip(self.center, alpha)):
+            out = out * (self.profile.eval((pts[:, i] - c_i) / self.scale,
+                                           order=a_i) * self.scale ** -a_i)
+        return float(out[0]) if scalar else out
+
+    def value(self, x):
+        return self.partial(x, None)
+
+    def contains_support(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        pts = x[None, :] if x.ndim == 1 else x
+        offs = np.abs(pts - np.asarray(self.center)).max(axis=1)
+        return offs <= self.support_halfwidth
+
+
+def cutoff(partition, k):
+    """Cutoff ``k`` of ``partition``, read from its center and scale."""
+    return Cutoff(partition.centers[k], partition.profile, partition.scales[k])
+
+
 def cutoff_partials_table(cutoff, pts, alpha):
     """``cutoff.partial(pts, beta)`` for every beta <= alpha, as the
     per-cutoff table computed it: each (axis, derivative order) factor is
@@ -501,9 +546,9 @@ def exact_profile(weights, rho, t, order=0):
     return total / (math.factorial(power) * volume)
 
 
-def recurrence_table(fn, pts, alpha, absolute=False,
+def recurrence_table(partition, k, pts, alpha, absolute=False,
                      factors=cutoff_partials_table):
-    """``partition_partials`` of one function by the prefix-product
+    """``partition_partials`` of function ``k`` by the prefix-product
     recurrence, one blocker at a time over all points.
 
     Per point, P runs over the complements of the blockers whose support
@@ -535,11 +580,13 @@ def recurrence_table(fn, pts, alpha, absolute=False,
             total = term if total is None else total + term
         return total
 
-    mask = fn.cutoff.contains_support(pts)
+    own_cut = cutoff(partition, k)
+    mask = own_cut.contains_support(pts)
     sub = pts[mask]
     prod = {beta: np.zeros(len(sub)) for beta in betas}
     started = np.zeros(len(sub), dtype=bool)
-    for _, blocker in fn.blockers:
+    for m in partition[k].blockers:
+        blocker = cutoff(partition, m)
         hit = blocker.contains_support(sub)
         phi = table(blocker, sub[hit])
         comp = 1.0 - phi[zero]
@@ -557,7 +604,7 @@ def recurrence_table(fn, pts, alpha, absolute=False,
             prod[beta][hit] = new
         started[hit] = True
 
-    own = table(fn.cutoff, sub)
+    own = table(own_cut, sub)
     out = {}
     for beta in betas:
         val = prod[beta] * own[zero]
@@ -574,15 +621,15 @@ def recurrence_sum(partition, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
-    for fn in partition:
-        mask = fn.cutoff.contains_support(pts)
+    for k in range(len(partition)):
+        mask = cutoff(partition, k).contains_support(pts)
         if mask.any():
-            out[mask] += recurrence_table(fn, pts[mask], zero)[zero]
+            out[mask] += recurrence_table(partition, k, pts[mask], zero)[zero]
     return out
 
 
-def pair_run_table(fn, pts, alpha):
-    """``partition_partials`` of one function by the pair-run engine that
+def pair_run_table(partition, k, pts, alpha):
+    """``partition_partials`` of function ``k`` by the pair-run engine that
     the prefix-product engine replaced, one blocker at a time over all
     points.
 
@@ -593,10 +640,12 @@ def pair_run_table(fn, pts, alpha):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     betas = indices_below(alpha)
-    mask = fn.cutoff.contains_support(pts)
+    own = cutoff(partition, k)
+    mask = own.contains_support(pts)
     sub = pts[mask]
-    acc = cutoff_partials_table(fn.cutoff, sub, alpha)
-    for _, blocker in fn.blockers:
+    acc = cutoff_partials_table(own, sub, alpha)
+    for m in partition[k].blockers:
+        blocker = cutoff(partition, m)
         hit = blocker.contains_support(sub)
         vals = cutoff_partials_table(blocker, sub[hit], alpha)
         t = {beta: (1.0 if sum(beta) == 0 else 0.0) - vals[beta]
@@ -621,16 +670,16 @@ def pair_run_sum(partition, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
-    for fn in partition:
-        mask = fn.cutoff.contains_support(pts)
+    for k in range(len(partition)):
+        mask = cutoff(partition, k).contains_support(pts)
         if mask.any():
-            out[mask] += pair_run_table(fn, pts[mask], zero)[zero]
+            out[mask] += pair_run_table(partition, k, pts[mask], zero)[zero]
     return out
 
 
-def recurrence_error_bound(fn, pts, alpha):
-    """Per beta, a bound on |partition_partials - pair_run_table| for one
-    function at every point.
+def recurrence_error_bound(partition, k, pts, alpha):
+    """Per beta, a bound on |partition_partials - pair_run_table| for
+    function ``k`` at every point.
 
     Both engines evaluate the same exact partial from the same factors.
     Treat 1 - phi^0 as one more input.  Along any path from an input to a
@@ -645,10 +694,10 @@ def recurrence_error_bound(fn, pts, alpha):
     terms by at most (1 - u)).  Two such errors make the bound.
     """
     u = 2.0 ** -53
-    n = (len(fn.blockers) + 1) * (math.prod(a + 1 for a in alpha) + 3)
+    n = (len(partition[k].blockers) + 1) * (math.prod(a + 1 for a in alpha) + 3)
     scale = 2.0 * (n * u / (1.0 - n * u)) / (1.0 - n * u)
     return {beta: scale * vals for beta, vals in
-            recurrence_table(fn, pts, alpha, absolute=True).items()}
+            recurrence_table(partition, k, pts, alpha, absolute=True).items()}
 
 
 def derivative_pass(partition, cover, oracle, alpha_max, grid):
@@ -656,14 +705,15 @@ def derivative_pass(partition, cover, oracle, alpha_max, grid):
     the worst measured/bound ratio and its witness."""
     worst_ratio, tight = 0.0, None
     r3 = oracle.values(3, cover.centers)
-    for fn in partition:
-        k = fn.index
-        lo = cover.centers[k] - fn.cutoff.support_halfwidth
-        hi = cover.centers[k] + fn.cutoff.support_halfwidth
+    for k in range(len(partition)):
+        half = cutoff(partition, k).support_halfwidth
+        lo = cover.centers[k] - half
+        hi = cover.centers[k] + half
         local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
         if len(local) == 0:
             continue
-        tables = recurrence_table(fn, local, (alpha_max,) * cover.dimension)
+        tables = recurrence_table(partition, k, local,
+                                  (alpha_max,) * cover.dimension)
         for alpha in indices_up_to_order(cover.dimension, alpha_max):
             if sum(alpha) == 0:
                 bound = (1.0 / r3[k]) ** cover.dimension
@@ -718,9 +768,9 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
     one Leibniz sum per (ball, test function)."""
     d = cover.dimension
     m_tilde = (m + 1,) * d
-    ks = [fn.index for fn in partition]
+    ks = list(range(len(partition)))
     samples = ball_samples(cover, ks, points_per_ball)
-    tables = partition_partials(partition.functions, np.concatenate(samples),
+    tables = partition_partials(partition, np.concatenate(samples),
                                 np.repeat(ks, [len(p) for p in samples]), (m,) * d)
     lhs_values = [[] for _ in fs]
     for pts, table in zip(samples, _split_rows(tables, samples)):
@@ -739,7 +789,7 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
             rho = float(cover.rho[k])
             mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
         tables = _split_rows(
-            partition_partials(partition.functions, np.concatenate(mids),
+            partition_partials(partition, np.concatenate(mids),
                                np.repeat(ks, [len(p) for p in mids]), m_tilde),
             mids)
         for f, integrals_f in zip(fs, integrals):
@@ -761,7 +811,7 @@ def functional_values(func, zetas, fs):
         return out
     groups = [np.flatnonzero(owners == k) for k in ks]
     xs = [func.maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
-    tables = partition_partials(func.partition.functions, np.concatenate(xs),
+    tables = partition_partials(func.partition, np.concatenate(xs),
                                 owners[np.concatenate(groups)], func.m_tilde)
     for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
         nu = func.family.nu_at(func.nu_index, zetas[idxs])

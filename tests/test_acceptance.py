@@ -142,20 +142,21 @@ def test_criterion_2_partition_certificates(covers, partitions):
 def test_criterion_3_derivative_convergence_order(covers, partitions):
     state = covers["schwartz_d1"]
     partition = partitions["schwartz_d1"]
-    fn = partition[len(partition) // 2]
-    factors = [fn.cutoff] + [b for _, b in fn.blockers]
-    knots = np.concatenate([c.profile.knots * c.scale + c.center[0] for c in factors])
+    k = len(partition) // 2
+    cuts = [k, *partition[k].blockers]
+    knots = np.concatenate([partition.profile.knots * partition.scales[c]
+                            + partition.centers[c, 0] for c in cuts])
     hs = (1e-3, 1e-4, 1e-5)
 
     def value(x):
-        return function_values([fn], np.array([[x]]), [fn.index])[0]
+        return function_values(partition, np.array([[x]]), [k])[0]
 
     def slope_at(x):
-        return partition_partials([fn], np.array([[x]]), [fn.index], (1,))[(1,)][0]
+        return partition_partials(partition, np.array([[x]]), [k], (1,))[(1,)][0]
 
     rng = np.random.default_rng(2024)
     pts = []
-    z = fn.cutoff.center[0]
+    z = partition.centers[k, 0]
     while len(pts) < 50:
         x = rng.uniform(z - 0.95, z + 0.95)
         if np.abs(knots - x).min() < 2e-3:

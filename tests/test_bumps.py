@@ -13,9 +13,8 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        certify_partition, constant_exhaustion,
                        constant_weight_family, derivative_constant,
                        default_weights, expanding_boxes, partition_sum)
-from covercert.bumps import (BumpProfile, Cutoff, CutoffSet, Incidence,
-                             Partition, PartitionFn, function_values,
-                             partition_partials)
+from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
+                             function_values, partition_partials)
 from covercert.multiindex import indices_below
 from covercert.piecewise import PiecewisePoly
 
@@ -50,14 +49,14 @@ def cube_setup():
     return dom, fam, cover, partition
 
 
-def fn_values(fn, pts):
-    """``function_values`` of the one function ``fn`` at every point."""
-    return function_values([fn], pts, np.full(len(pts), fn.index))
+def fn_values(partition, k, pts):
+    """``function_values`` of function ``k`` at every point."""
+    return function_values(partition, pts, np.full(len(pts), k))
 
 
-def fn_table(fn, pts, alpha):
-    """``partition_partials`` of the one function ``fn`` at every point."""
-    return partition_partials([fn], pts, np.full(len(pts), fn.index), alpha)
+def fn_table(partition, k, pts, alpha):
+    """``partition_partials`` of function ``k`` at every point."""
+    return partition_partials(partition, pts, np.full(len(pts), k), alpha)
 
 
 def flat():
@@ -77,8 +76,8 @@ def assert_bitwise(actual, expected):
 
 @st.composite
 def partitions_and_points(draw):
-    """Partition functions on a coarse lattice of centers, and points
-    inside, outside and on the faces of their supports."""
+    """A partition with centers on a coarse lattice, and points inside,
+    outside and on the faces of its cutoffs' supports."""
     d = draw(st.integers(1, 3))
     order = draw(st.integers(3, 6))
     count = draw(st.integers(1, 7))
@@ -89,32 +88,34 @@ def partitions_and_points(draw):
     centers = [tuple(draw(st.integers(0, 16)) / 16.0 for _ in range(d))
                for _ in range(count)]
     profile = build_profile(1.0, order)
-    cutoffs = [Cutoff(c, profile, r) for c, r in zip(centers, scales)]
     reverse = draw(st.booleans())
-    functions = []
-    for k, cut in enumerate(cutoffs):
-        earlier = [(m, cutoffs[m]) for m in range(k)
-                   if max(abs(a - b) for a, b in zip(centers[m], cut.center))
+    blockers = []
+    for k in range(count):
+        earlier = [m for m in range(k)
+                   if max(abs(a - b) for a, b in zip(centers[m], centers[k]))
                    < scales[m] + scales[k]]
         if reverse and len(earlier) > 1:
             # the engine applies blockers in index order, so no other
             # order is accepted
             with pytest.raises(ValueError):
-                PartitionFn(index=k, cutoff=cut, blockers=tuple(earlier[::-1]))
-        functions.append(PartitionFn(index=k, cutoff=cut, blockers=tuple(earlier)))
+                PartitionFn(index=k, blockers=tuple(earlier[::-1]))
+            with pytest.raises(ValueError):
+                Partition(profile, centers[:k + 1], scales[:k + 1],
+                          [*blockers, earlier[::-1]])
+        blockers.append(earlier)
+    partition = Partition(profile, centers, scales, blockers)
 
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pts = [rng.uniform(-0.5, 1.5, size=(40, d))]
-    for cut in cutoffs:
-        h = cut.support_halfwidth
-        face = np.asarray(cut.center) + rng.uniform(-h, h, size=(2 * d, d))
+    for center, h in zip(partition.centers, partition.half):
+        face = center + rng.uniform(-h, h, size=(2 * d, d))
         for a in range(d):
-            face[2 * a, a] = cut.center[a] + h
-            face[2 * a + 1, a] = cut.center[a] - h
+            face[2 * a, a] = center[a] + h
+            face[2 * a + 1, a] = center[a] - h
         pts.append(face)
-        pts.append(np.asarray(cut.center)[None, :] + h)     # a corner
+        pts.append(center[None, :] + h)     # a corner
     alpha = tuple(draw(st.integers(0, min(2, order - 1))) for _ in range(d))
-    return functions, np.concatenate(pts), alpha
+    return partition, np.concatenate(pts), alpha
 
 
 def assert_near_pair_run(partition, pts, alpha):
@@ -122,10 +123,10 @@ def assert_near_pair_run(partition, pts, alpha):
     rounding bounds of the pair-run engine's values (``oracles``)."""
     zero = (0,) * pts.shape[1]
     sums, old_sums, slack = (np.zeros(len(pts)) for _ in range(3))
-    for fn in partition:
-        table = fn_table(fn, pts, alpha)
-        old = oracles.pair_run_table(fn, pts, alpha)
-        bound = oracles.recurrence_error_bound(fn, pts, alpha)
+    for k in range(len(partition)):
+        table = fn_table(partition, k, pts, alpha)
+        old = oracles.pair_run_table(partition, k, pts, alpha)
+        bound = oracles.recurrence_error_bound(partition, k, pts, alpha)
         for beta in table:
             assert (np.abs(table[beta] - old[beta]) <= bound[beta]).all()
         # the sums add the same terms in the same order: each sum of K
@@ -147,18 +148,16 @@ class TestIncidenceEngine:
     @settings(max_examples=40, deadline=None)
     @given(partitions_and_points())
     def test_wrappers_match_per_function_loops(self, case):
-        functions, pts, alpha = case
+        partition, pts, alpha = case
         zero = (0,) * len(alpha)
-        for fn in functions:
-            values = oracles.recurrence_table(fn, pts, zero)[zero]
-            assert_bitwise(fn_values(fn, pts), values)
-            table = fn_table(fn, pts, alpha)
-            expected = oracles.recurrence_table(fn, pts, alpha)
+        for k in range(len(partition)):
+            values = oracles.recurrence_table(partition, k, pts, zero)[zero]
+            assert_bitwise(fn_values(partition, k, pts), values)
+            table = fn_table(partition, k, pts, alpha)
+            expected = oracles.recurrence_table(partition, k, pts, alpha)
             assert list(table) == list(expected)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
-        partition = Partition(functions, order=functions[0].cutoff.profile.order,
-                              weights=(), cover=None)
         assert_bitwise(partition_sum(partition, pts),
                        oracles.recurrence_sum(partition, pts))
         assert_near_pair_run(partition, pts, alpha)
@@ -166,25 +165,24 @@ class TestIncidenceEngine:
     @settings(max_examples=40, deadline=None)
     @given(partitions_and_points())
     def test_shared_incidence_matches_per_function_loops(self, case):
-        functions, pts, alpha = case
-        inc = Incidence(CutoffSet(functions), pts, alpha)
-        # each pair's factors are bitwise its cutoff's own partials
-        for c, cut in enumerate(inc.cuts.cutoffs):
-            at = np.flatnonzero(inc.cols == c)
-            for row, beta in zip(inc.factors, inc.betas):
-                assert_bitwise(row[at], cut.partial(pts[inc.rows[at]], beta))
+        partition, pts, alpha = case
+        inc = Incidence(partition, pts, alpha)
         table = inc.partials()
-        for k, fn in enumerate(functions):
+        for k in range(len(partition)):
+            cut = oracles.cutoff(partition, k)
             pairs = np.flatnonzero(inc.fns == k)
-            inside = np.flatnonzero(fn.cutoff.contains_support(pts))
+            # each pair's factors are bitwise its cutoff's own partials
+            for row, beta in zip(inc.factors, inc.betas):
+                assert_bitwise(row[pairs], cut.partial(pts[inc.rows[pairs]], beta))
+            inside = np.flatnonzero(cut.contains_support(pts))
             assert_bitwise(np.sort(inc.rows[pairs]), inside)
-            expected = oracles.recurrence_table(fn, pts, alpha)
+            expected = oracles.recurrence_table(partition, k, pts, alpha)
             for beta in expected:
                 assert_bitwise(table[beta][pairs], expected[beta][inc.rows[pairs]])
-        owners = np.arange(len(pts)) % len(functions)
+        owners = np.arange(len(pts)) % len(partition)
         zero = (0,) * len(alpha)
-        assert_bitwise(function_values(functions, pts, owners),
-                       [oracles.recurrence_table(functions[k], p, zero)[zero][0]
+        assert_bitwise(function_values(partition, pts, owners),
+                       [oracles.recurrence_table(partition, k, p, zero)[zero][0]
                         for k, p in zip(owners, pts)])
 
     @pytest.mark.parametrize("setup, spacing", [("square_setup", 0.004),
@@ -200,11 +198,11 @@ class TestIncidenceEngine:
         assert max(len(fn.blockers) for fn in partition) >= 2
         assert_bitwise(partition_sum(partition, pts),
                        oracles.recurrence_sum(partition, pts))
-        for fn in partition:
-            assert_bitwise(fn_values(fn, pts),
-                           oracles.recurrence_table(fn, pts, zero)[zero])
-            table = fn_table(fn, pts, alpha)
-            expected = oracles.recurrence_table(fn, pts, alpha)
+        for k in range(len(partition)):
+            assert_bitwise(fn_values(partition, k, pts),
+                           oracles.recurrence_table(partition, k, pts, zero)[zero])
+            table = fn_table(partition, k, pts, alpha)
+            expected = oracles.recurrence_table(partition, k, pts, alpha)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
         assert_near_pair_run(partition, pts, alpha)
@@ -213,7 +211,7 @@ class TestIncidenceEngine:
             self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
         pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
-        inc = Incidence(CutoffSet(partition.functions), pts, (2, 2))
+        inc = Incidence(partition, pts, (2, 2))
         longest = int(np.bincount(inc.rows).max())
         assert len(partition) == 25 == max(len(fn.blockers) for fn in partition) + 1
         assert longest == 19
@@ -235,52 +233,61 @@ class TestIncidenceEngine:
     def test_all_pairs_readers_reject_a_missing_blocker(self, square_setup):
         dom, _, cover, partition = square_setup
         grid = dom.sample_ring(1, 0.01, cover.box)
-        k, m = next((fn.index, m) for fn in partition for m, cut in fn.blockers
-                    if np.abs(np.subtract(fn.cutoff.center, cut.center)).max()
-                    <= fn.cutoff.support_halfwidth + cut.support_halfwidth)
-        functions = [PartitionFn(fn.index, fn.cutoff,
-                                 tuple(b for b in fn.blockers if b[0] != m))
-                     if fn.index == k else fn for fn in partition]
-        bad = Partition(functions, order=partition.order,
-                        weights=partition.weights, cover=cover)
+        centers, half = partition.centers, partition.half
+        k, m = next((fn.index, m) for fn in partition for m in fn.blockers
+                    if np.abs(centers[fn.index] - centers[m]).max()
+                    <= half[fn.index] + half[m])
+        blockers = [[b for b in fn.blockers if b != m] if fn.index == k
+                    else fn.blockers for fn in partition]
+        bad = Partition(partition.profile, centers, partition.scales, blockers)
         with pytest.raises(ValueError, match="blocker"):
             partition_sum(bad, grid)
         with pytest.raises(ValueError, match="blocker"):
             certify_partition(bad, cover, cover.oracle, 1, grid)
         # a function read for its owner multiplies just its listed blockers
-        assert_bitwise(function_values(functions, grid, np.full(len(grid), k)),
-                       oracles.recurrence_table(functions[k], grid, (0, 0))[(0, 0)])
+        assert_bitwise(fn_values(bad, k, grid),
+                       oracles.recurrence_table(bad, k, grid, (0, 0))[(0, 0)])
 
     def test_supports_that_touch_count_as_meeting(self):
         # closed supports [-0.5, 0.5] and [0.5, 1.5] share the point 0.5,
         # where the first cutoff is -1 and the second 1
-        profile = flat()
-        first = PartitionFn(index=0, cutoff=Cutoff((0.0,), profile, 1.0),
-                            blockers=())
-        second = Cutoff((1.0,), profile, 1.0)
         x = np.array([[0.5], [0.2]])
-        alone = Partition([first, PartitionFn(index=1, cutoff=second, blockers=())],
-                          order=1, weights=(), cover=None)
+        alone = Partition(flat(), [[0.0], [1.0]], [1.0, 1.0], [(), ()])
         with pytest.raises(ValueError, match="blocker"):
             partition_sum(alone, x)
-        linked = Partition([first, PartitionFn(index=1, cutoff=second,
-                                               blockers=((0, first.cutoff),))],
-                           order=1, weights=(), cover=None)
+        linked = Partition(flat(), [[0.0], [1.0]], [1.0, 1.0], [(), (0,)])
         assert_bitwise(partition_sum(linked, x), np.array([1.0, 1.0]))
 
     def test_value_keeps_the_sign_of_a_zero(self):
         # A negative cutoff value times the complement of a blocker that is
         # exactly one there: psi = phi * P is a plain product, -0.0, in the
         # values and in the tables' order-0 entry alike.
-        profile = flat()
-        blocker = Cutoff((0.1,), profile, 1.0)
-        fn = PartitionFn(index=1, cutoff=Cutoff((-0.1,), profile, 1.0),
-                         blockers=((0, blocker),))
+        partition = Partition(flat(), [[0.1], [-0.1]], [1.0, 1.0], [(), (0,)])
         x = np.array([[0.2], [0.7]])
-        assert_bitwise(fn_values(fn, x), np.array([-0.0, 0.0]))
-        assert_bitwise(fn_table(fn, x, (0,))[(0,)], np.array([-0.0, 0.0]))
-        assert_bitwise(fn_values(fn, x),
-                       oracles.recurrence_table(fn, x, (0,))[(0,)])
+        assert_bitwise(fn_values(partition, 1, x), np.array([-0.0, 0.0]))
+        assert_bitwise(fn_table(partition, 1, x, (0,))[(0,)], np.array([-0.0, 0.0]))
+        assert_bitwise(fn_values(partition, 1, x),
+                       oracles.recurrence_table(partition, 1, x, (0,))[(0,)])
+
+    def test_runs_are_checked_once_per_partition(self, square_setup, monkeypatch):
+        # the run check's pair query is the one sup_pairs call of centers
+        # against centers
+        dom, _, cover, _ = square_setup
+        partition = build_partition(cover, order=5)
+        grid = dom.sample_ring(1, 0.02, cover.box)
+        queries = []
+        query = bumps.sup_pairs
+
+        def counting_sup_pairs(centers, pts, *args):
+            if pts is centers:
+                queries.append(len(centers))
+            return query(centers, pts, *args)
+
+        monkeypatch.setattr(bumps, "sup_pairs", counting_sup_pairs)
+        first = partition_sum(partition, grid)
+        assert_bitwise(partition_sum(partition, grid), first)
+        certify_partition(partition, cover, cover.oracle, 1, grid)
+        assert queries == [len(partition)]
 
     def test_blocks_do_not_change_values(self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
@@ -290,11 +297,11 @@ class TestIncidenceEngine:
         def readings():
             certs = certify_partition(partition, cover, cover.oracle, 2, grid)
             return ([c.as_dict() for c in certs], partition_sum(partition, grid),
-                    function_values(partition.functions, grid, owners))
+                    function_values(partition, grid, owners))
 
         whole = readings()
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 16)
-        assert len(list(bumps.incidences(partition.functions, grid, (0, 0)))) > 20
+        assert len(list(bumps.incidences(partition, grid, (0, 0)))) > 20
         blocked = readings()
         assert blocked[0] == whole[0]
         assert_bitwise(blocked[1], whole[1])
@@ -303,11 +310,11 @@ class TestIncidenceEngine:
     def test_empty_point_sets_give_empty_results(self, square_setup):
         _, _, _, partition = square_setup
         empty = np.empty((0, 2))
-        fn = partition[7]
-        assert fn_values(fn, empty).shape == (0,)
-        assert all(v.shape == (0,) for v in fn_table(fn, empty, (2, 1)).values())
+        assert fn_values(partition, 7, empty).shape == (0,)
+        assert all(v.shape == (0,)
+                   for v in fn_table(partition, 7, empty, (2, 1)).values())
         assert partition_sum(partition, empty).shape == (0,)
-        inc = Incidence(CutoffSet(partition.functions), empty, (1, 1))
+        inc = Incidence(partition, empty, (1, 1))
         assert len(inc.rows) == 0
         table = inc.partials()
         assert list(table) == indices_below((1, 1))
@@ -317,16 +324,16 @@ class TestIncidenceEngine:
         _, _, cover, partition = square_setup
         far = np.array([[3.0, 3.0], [-2.0, 0.3], [0.3, 5.0]])
         assert_bitwise(partition_sum(partition, far), np.zeros(3))
-        for fn in partition:
-            assert_bitwise(fn_values(fn, far), np.zeros(3))
-            for vals in fn_table(fn, far, (2, 2)).values():
+        for k in range(len(partition)):
+            assert_bitwise(fn_values(partition, k, far), np.zeros(3))
+            for vals in fn_table(partition, k, far, (2, 2)).values():
                 assert_bitwise(vals, np.zeros(3))
 
     def test_nan_coordinate_raises(self, square_setup):
         _, _, _, partition = square_setup
         nan = np.array([[np.nan, 0.3]])
         with pytest.raises(ValueError, match="NaN"):
-            function_values(partition.functions, nan, [3])
+            function_values(partition, nan, [3])
         with pytest.raises(ValueError, match="NaN"):
             partition_sum(partition, nan)
 
@@ -347,13 +354,10 @@ class TestIncidenceEngine:
 
         monkeypatch.setattr(piecewise, "_locate", counting_locate)
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 1024)
-        for functions, owners in ((partition.functions, None),
-                                  (partition.functions[:9], None),
-                                  (partition.functions,
-                                   np.arange(len(pts)) % len(partition))):
+        for owners in (None, np.arange(len(pts)) % len(partition)):
             blocks = 0
             searches.clear()
-            for _, inc in bumps.incidences(functions, pts, alpha, owners):
+            for _, inc in bumps.incidences(partition, pts, alpha, owners):
                 assert len(searches) == pts.shape[1]
                 assert sum(searches) == len(inc.rows) * pts.shape[1]
                 blocks += 1
@@ -364,9 +368,9 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
             with pytest.raises(SmoothnessOrderError):
-                Incidence(CutoffSet(partition.functions), pts, (5, 0))
+                Incidence(partition, pts, (5, 0))
             with pytest.raises(SmoothnessOrderError):
-                fn_table(partition[3], pts, (0, 5))
+                fn_table(partition, 3, pts, (0, 5))
 
 
 class TestProfile:
@@ -433,9 +437,12 @@ EXACT_BOUND = 1e-11
 
 
 class TestCutoff:
+    """The per-cutoff evaluation the engine's factors are held to
+    (``oracles.Cutoff``), against the profile itself."""
+
     def test_tensor_factorization(self):
         profile = build_profile(1.0, 4)
-        cut = Cutoff((0.2, -0.1), profile, 0.5)
+        cut = oracles.Cutoff((0.2, -0.1), profile, 0.5)
         x = np.array([0.3, 0.05])
         expected = profile.eval(0.2) * profile.eval(0.3)
         assert cut.value(x) == pytest.approx(expected, rel=1e-12)
@@ -444,7 +451,7 @@ class TestCutoff:
         assert cut.support_halfwidth == 0.5 * profile.support_halfwidth
 
     def test_outside_support_exactly_zero(self):
-        cut = Cutoff((0.0,), build_profile(1.0, 4), 0.5)
+        cut = oracles.Cutoff((0.0,), build_profile(1.0, 4), 0.5)
         for alpha in [(0,), (1,), (2,)]:
             assert cut.partial(np.array([0.5]), alpha) == 0.0
             assert cut.partial(np.array([5.0]), alpha) == 0.0
@@ -456,13 +463,18 @@ class TestCutoff:
         rng = np.random.default_rng(7)
         for order in (3, 4, 5, 6):
             profile = build_profile(1.0, order)
-            cut = Cutoff((0.3, -0.2), profile, rho)
+            cut = oracles.Cutoff((0.3, -0.2), profile, rho)
             h = cut.support_halfwidth
             x = np.asarray(cut.center) + rng.uniform(-1.1 * h, 1.1 * h, (300, 2))
             x[:len(profile.knots), 0] = cut.center[0] + rho * profile.knots
-            for alpha in indices_below((order - 1,) * 2):
-                assert_bitwise(cut.partial(x, alpha),
-                               oracles.per_radius_partial(cut, x, alpha))
+            top = (order - 1,) * 2
+            inc = Incidence(Partition(profile, [cut.center], [rho], [()]), x, top)
+            for alpha in indices_below(top):
+                expected = oracles.per_radius_partial(cut, x, alpha)
+                assert_bitwise(cut.partial(x, alpha), expected)
+                # and the engine's factors at the pairs in the support
+                assert_bitwise(inc.factors[inc.betas.index(alpha)],
+                               expected[inc.rows])
 
     @pytest.mark.parametrize("rho", [0.37, 0.123456, 1.0 / 3.0])
     def test_both_paths_near_the_exact_profile(self, rho):
@@ -471,7 +483,7 @@ class TestCutoff:
         rng = np.random.default_rng(11)
         for order in (4, 6):
             profile = build_profile(1.0, order)
-            cut = Cutoff((0.3,), profile, rho)
+            cut = oracles.Cutoff((0.3,), profile, rho)
             h = cut.support_halfwidth
             x = 0.3 + np.concatenate([rng.uniform(-1.05 * h, 1.05 * h, 24),
                                       rho * rng.choice(profile.knots, 16)])
@@ -491,7 +503,7 @@ class TestPartition:
         fam = constant_weight_family(dom)
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.05,), (0.05,)))
         part = build_partition(cover, order=4)
-        assert fn_values(part[0], np.array([[0.0]]))[0] == pytest.approx(1.0)
+        assert fn_values(part, 0, np.array([[0.0]]))[0] == pytest.approx(1.0)
         grid = dom.sample_ring(1, 1e-3, cover.box)
         assert partition_sum(part, grid) == pytest.approx(np.ones(len(grid)))
 
@@ -502,8 +514,8 @@ class TestPartition:
         assert cover.size == 2
         part = build_partition(cover, order=4)
         xs = np.linspace(-0.6, 0.6, 241)[:, None]
-        phi1 = part[0].cutoff.value(xs)
-        phi2 = part[1].cutoff.value(xs)
+        phi1 = oracles.cutoff(part, 0).value(xs)
+        phi2 = oracles.cutoff(part, 1).value(xs)
         total = partition_sum(part, xs)
         assert total == pytest.approx(1.0 - (1 - phi1) * (1 - phi2), abs=1e-14)
 
@@ -522,15 +534,15 @@ class TestPartition:
 
     def test_one_profile_for_all_cutoffs(self, square_setup):
         _, _, cover, partition = square_setup
-        profile = partition[0].cutoff.profile
+        profile = partition.profile
         assert len(set(cover.rho.tolist())) == 5
-        for fn in partition:
-            assert fn.cutoff.profile is profile
-            assert fn.cutoff.scale == cover.rho[fn.index]
-            assert fn.cutoff.support_halfwidth == \
-                cover.rho[fn.index] * profile.support_halfwidth
-            for _, blocker in fn.blockers:
-                assert blocker.profile is profile
+        assert_bitwise(partition.centers, cover.centers)
+        assert_bitwise(partition.scales, cover.rho)
+        for k, rho in enumerate(cover.rho.tolist()):
+            assert partition.half[k] == rho * profile.support_halfwidth
+            assert partition.powers[k].tolist() == \
+                [rho ** -b for b in range(profile.order)]
+        assert (partition.order, partition.weights) == (5, profile.weights)
         fresh = build_profile(1.0, partition.order, partition.weights)
         assert (profile.scale, profile.widths) == (fresh.scale, fresh.widths)
         assert len(profile.polys) == len(fresh.polys)
@@ -538,21 +550,10 @@ class TestPartition:
             assert shared.knots.tobytes() == own.knots.tobytes()
             assert shared.coeffs.tobytes() == own.coeffs.tobytes()
 
-    def test_cutoff_set_rejects_mixed_profiles(self, square_setup):
-        _, _, cover, partition = square_setup
-        fn = partition[3]
-        other = Cutoff(fn.cutoff.center, build_profile(1.0, partition.order),
-                       fn.cutoff.scale)
-        functions = [PartitionFn(fn.index, other, fn.blockers)]
-        with pytest.raises(ValueError, match="one profile"):
-            CutoffSet(functions)
-        with pytest.raises(ValueError, match="one profile"):
-            function_values(functions, cover.centers[3:4], [fn.index])
-
     def test_blockers_only_earlier_neighbors(self, line_setup):
         _, _, cover, partition = line_setup
         for fn in partition:
-            for m, _ in fn.blockers:
+            for m in fn.blockers:
                 assert m < fn.index
                 assert m in cover.neighbors[fn.index].tolist()
 
@@ -560,21 +561,21 @@ class TestPartition:
 class TestEvalPartial:
     def test_first_partial_matches_finite_differences(self, line_setup):
         _, _, cover, partition = line_setup
-        fn = partition[3]
+        cuts = [3, *partition[3].blockers]
         rng = np.random.default_rng(42)
         h = 1e-5
         checked = 0
         knots = np.concatenate([
-            c.profile.knots * c.scale + c.center[0]
-            for c in [fn.cutoff] + [b for _, b in fn.blockers]])
+            partition.profile.knots * partition.scales[c] + partition.centers[c, 0]
+            for c in cuts])
         while checked < 20:
             x = rng.uniform(cover.centers[3, 0] - 0.5, cover.centers[3, 0] + 0.5)
             if np.abs(knots - x).min() < 5 * h:
                 continue
-            exact = fn_table(fn, np.array([[x]]), (1,))[(1,)][0]
+            exact = fn_table(partition, 3, np.array([[x]]), (1,))[(1,)][0]
             if abs(exact) < 2.0:
                 continue    # keep the truncation term well below the value
-            v = fn_values(fn, np.array([[x + h], [x - h]]))
+            v = fn_values(partition, 3, np.array([[x + h], [x - h]]))
             fd = (v[0] - v[1]) / (2 * h)
             assert fd == pytest.approx(exact, rel=1e-6)
             checked += 1
@@ -584,11 +585,11 @@ class TestEvalPartial:
         fam = constant_weight_family(dom)
         cover = build_cover(fam, dom, 1, 0.05, box=Box((-0.6, -0.6), (0.6, 0.6)))
         part = build_partition(cover, order=5)
-        fn = part[min(2, len(part) - 1)]
-        x = cover.centers[fn.index] + np.array([0.21, -0.18])
+        k = min(2, len(part) - 1)
+        x = cover.centers[k] + np.array([0.21, -0.18])
         h = 1e-5
-        exact = fn_table(fn, x[None, :], (1, 1))[(1, 1)][0]
-        v = fn_values(fn, x + np.array([[h, h], [h, -h], [-h, h], [-h, -h]]))
+        exact = fn_table(part, k, x[None, :], (1, 1))[(1, 1)][0]
+        v = fn_values(part, k, x + np.array([[h, h], [h, -h], [-h, h], [-h, -h]]))
         fd = (v[0] - v[1] - v[2] + v[3]) / (4 * h * h)
         assert fd == pytest.approx(exact, rel=1e-4, abs=1e-7)
 
@@ -600,15 +601,16 @@ class TestEvalPartial:
         pts = dom.sample_ring(1, 0.02, cover.box)
         alpha = (3, 2)
         betas = indices_below(alpha)
-        for fn in part:
-            table = oracles.cutoff_partials_table(fn.cutoff, pts, alpha)
+        for k in range(len(part)):
+            cut = oracles.cutoff(part, k)
+            table = oracles.cutoff_partials_table(cut, pts, alpha)
             for beta in betas:
-                assert np.array_equal(table[beta], fn.cutoff.partial(pts, beta))
-            table = fn_table(fn, pts, alpha)
+                assert np.array_equal(table[beta], cut.partial(pts, beta))
+            table = fn_table(part, k, pts, alpha)
             # certify_partition reads the order-0 bound's measurement here
-            assert table[(0, 0)].tobytes() == fn_values(fn, pts).tobytes()
+            assert table[(0, 0)].tobytes() == fn_values(part, k, pts).tobytes()
             expected = oracles.recurrence_table(
-                fn, pts, alpha, factors=lambda cut, at, alpha: {
+                part, k, pts, alpha, factors=lambda cut, at, alpha: {
                     beta: cut.partial(at, beta) for beta in betas})
             for beta in betas:
                 assert np.array_equal(table[beta], expected[beta])
@@ -619,7 +621,18 @@ class TestEvalPartial:
     def test_order_error(self, line_setup):
         _, _, _, partition = line_setup
         with pytest.raises(SmoothnessOrderError):
-            fn_table(partition[0], np.array([[0.0]]), (6,))
+            fn_table(partition, 0, np.array([[0.0]]), (6,))
+
+
+def wide_partition(partition):
+    """``partition`` with a profile that claims the support of radius 0.8
+    but takes the polys of radius 1, each cutoff scaled by 1.25 rho: its
+    claimed support stays inside the ball, its polys reach past."""
+    profile = partition.profile
+    bad_profile = dataclasses.replace(
+        build_profile(0.8, profile.order, profile.weights), polys=profile.polys)
+    return Partition(bad_profile, partition.centers, 1.25 * partition.scales,
+                     [fn.blockers for fn in partition])
 
 
 class TestCertifyPartition:
@@ -639,12 +652,12 @@ class TestCertifyPartition:
         # depth-3 radius 1/2 puts the bound at 2
         tight = certify_partition(partition, cover, oracle, alpha_max=0,
                                   grid=grid)[-1].details
-        fn = partition[tight["center"]]
-        lo = cover.centers[fn.index] - fn.cutoff.support_halfwidth
-        hi = cover.centers[fn.index] + fn.cutoff.support_halfwidth
+        k = tight["center"]
+        lo = cover.centers[k] - partition.half[k]
+        hi = cover.centers[k] + partition.half[k]
         local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
         assert tight["alpha"] == [0]
-        assert tight["measured"] == float(np.abs(fn_values(fn, local)).max())
+        assert tight["measured"] == float(np.abs(fn_values(partition, k, local)).max())
         assert tight["measured"] == pytest.approx(1.0, abs=1e-12)
         assert tight["bound"] == 2.0
 
@@ -658,9 +671,10 @@ class TestCertifyPartition:
         assert certs["partition.sum_to_one"].measured == \
             float(np.abs(sums[ring] - 1.0).max())
         below, excess = 0.0, []
-        for fn in partition:
-            vals = oracles.recurrence_table(
-                fn, grid[fn.cutoff.contains_support(grid)], (0, 0))[(0, 0)]
+        for k in range(len(partition)):
+            inside = oracles.cutoff(partition, k).contains_support(grid)
+            vals = oracles.recurrence_table(partition, k, grid[inside],
+                                            (0, 0))[(0, 0)]
             if len(vals):
                 below = min(below, float(vals.min()))
                 excess.append(float(vals.max() - 1.0))
@@ -674,26 +688,14 @@ class TestCertifyPartition:
 
     def test_polys_past_the_claimed_support_fail_the_support_pass(
             self, square_setup):
-        # every cutoff shares a profile that claims the support of radius
-        # 0.8 but takes the polys of radius 1, and is scaled by 1.25 rho:
-        # its claimed support stays inside the ball, its polys reach past
+        # the wide partition's claimed supports stay inside the balls, and
+        # its polys reach past them
         dom, _, cover, partition = square_setup
         grid = dom.sample_ring(1, 0.02, cover.box)
         claim = "partition.support_in_ball"
-        profile = partition[0].cutoff.profile
-        bad_profile = dataclasses.replace(
-            build_profile(0.8, profile.order, profile.weights),
-            polys=profile.polys)
-        cutoffs = [Cutoff(fn.cutoff.center, bad_profile, 1.25 * fn.cutoff.scale)
-                   for fn in partition]
-        for fn, cut in zip(partition, cutoffs):
-            assert cut.support_halfwidth < cover.rho[fn.index] < \
-                cut.scale * profile.support_halfwidth
-        bad = Partition([PartitionFn(fn.index, cutoffs[fn.index],
-                                     tuple((m, cutoffs[m]) for m, _ in fn.blockers))
-                         for fn in partition],
-                        order=partition.order, weights=partition.weights,
-                        cover=cover)
+        bad = wide_partition(partition)
+        assert (bad.half < cover.rho).all()
+        assert (cover.rho < bad.scales * partition.profile.support_halfwidth).all()
         for part, verdict in ((partition, "pass"), (bad, "fail")):
             certs = {c.claim: c for c in
                      certify_partition(part, cover, cover.oracle, 1, grid)}
@@ -702,22 +704,16 @@ class TestCertifyPartition:
         assert certs[claim].details["nonzero_outside"] > 0.0
 
     def test_probe_values_equal_each_cutoff_bitwise(self, square_setup):
-        # two profiles among the cutoffs: each group takes its own polys
         _, _, cover, partition = square_setup
-        wide = dataclasses.replace(
-            build_profile(0.8, partition.order, partition.weights),
-            polys=partition[0].cutoff.profile.polys)
-        cutoffs = [fn.cutoff if fn.index % 3 else
-                   Cutoff(fn.cutoff.center, wide, 1.25 * fn.cutoff.scale)
-                   for fn in partition]
         rng = np.random.default_rng(3)
         probes = (cover.centers[:, None, :]
-                  + rng.uniform(-1.6, 1.6, (len(cutoffs), 7, 2))
+                  + rng.uniform(-1.6, 1.6, (len(partition), 7, 2))
                   * cover.rho[:, None, None])
-        got = bumps._probe_values(cutoffs, probes)
-        assert (got != 0.0).any() and (got == 0.0).any()
-        for cut, pts, vals in zip(cutoffs, probes, got):
-            assert_bitwise(vals, cut.value(pts))
+        for part in (partition, wide_partition(partition)):
+            got = bumps._probe_values(part, probes)
+            assert (got != 0.0).any() and (got == 0.0).any()
+            for k, (pts, vals) in enumerate(zip(probes, got)):
+                assert_bitwise(vals, oracles.cutoff(part, k).value(pts))
 
     def test_derivative_constant_formula(self):
         w = default_weights(4)

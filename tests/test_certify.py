@@ -169,13 +169,12 @@ class TestMixedPartial:
     def test_against_finite_differences(self, constant_setup):
         dom, fam, cover, partition, _ = constant_setup
         f = gaussian(1)
-        fn = partition[4]
         x = cover.centers[4] + 0.18
-        table = partition_partials([fn], x[None, :], [fn.index], (2,))
+        table = partition_partials(partition, x[None, :], [4], (2,))
         exact = _leibniz(table, lambda rest: f.partial(x[None, :], rest), (2,))[0]
 
         def hf(t):
-            h_t = function_values([fn], np.array([[t]]), [fn.index])[0]
+            h_t = function_values(partition, np.array([[t]]), [4])[0]
             return h_t * f.value(np.array([t]))
 
         h = 1e-4
@@ -285,10 +284,9 @@ class TestFunctional:
         pts = rng.uniform(-4, 4, size=(200, 1))
         # per point, the summands whose rescaled support contains it
         active = np.zeros(len(pts), dtype=int)
-        for fn in partition:
-            k = fn.index
+        for k in range(len(partition)):
             offs = np.abs(func.maps[k].forward(pts) - cover.centers[k]).max(axis=1)
-            active += offs <= fn.cutoff.support_halfwidth
+            active += offs <= partition.half[k]
         assert active.max() <= 1
 
     def test_single_ball_value_vs_fd_oracle(self):
@@ -303,7 +301,7 @@ class TestFunctional:
         x = func.maps[0].forward(zeta)
 
         def hf(t):
-            h_t = function_values([partition[0]], np.array([[t]]), [0])[0]
+            h_t = function_values(partition, np.array([[t]]), [0])[0]
             return h_t * f.value(np.array([t]))
 
         h = 1e-4
@@ -470,7 +468,7 @@ class TestChainAgainstPerBallLoops:
         assert np.array(integrals).shape == (len(fs), 2, len(ks))
         assert np.array(integrals).tobytes() == np.array(expected[2]).tobytes()
         samples = oracles.ball_samples(cover, ks, 5)
-        tables = partition_partials(partition.functions, np.concatenate(samples),
+        tables = partition_partials(partition, np.concatenate(samples),
                                     np.repeat(ks, [len(s) for s in samples]),
                                     (1,) * d)
         groups = np.split(np.arange(sum(len(s) for s in samples)),
@@ -496,7 +494,7 @@ class TestChainAgainstPerBallLoops:
         ks = sorted(set(owners.tolist()) - {-1})
         x = np.concatenate([func.maps[k].forward(zetas[owners == k]) for k in ks])
         sizes = [int((owners == k).sum()) for k in ks]
-        tables = partition_partials(partition.functions, x, np.repeat(ks, sizes),
+        tables = partition_partials(partition, x, np.repeat(ks, sizes),
                                     func.m_tilde)
         groups = np.split(np.arange(len(x)), np.cumsum(sizes)[:-1])
         assert zero_somewhere_only(tables, groups, indices_below(func.m_tilde))

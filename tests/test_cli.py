@@ -126,12 +126,23 @@ class TestExitCodes:
          "family": {"kind": "constant"},
          "truncation": {"lower": [0.125], "upper": [math.inf]}},
         {"psi_box": {"lower": [0.125], "upper": [math.inf]}},
+        # JSON booleans are no numbers, though Python counts them as ints
+        {"n": True},
+        {"m": True},
+        {"smoothness_order": True, "alpha_max": 0},
+        {"alpha_max": True},
+        {"tolerance": True},
+        {"resolutions": {**_BOUNDARY_RES, "check": True}},
+        {"resolutions": {**_BOUNDARY_RES, "quadrature": True}},
+        {"resolutions": {**_BOUNDARY_RES, "psi": True}},
     ], ids=["alpha_max_string", "alpha_max_negative", "offset_count_string",
             "offset_count_even", "tolerance_string", "psi_string",
             "psi_negative", "full_space_without_dimension",
             "truncation_2d_on_1d", "psi_box_2d_on_1d", "candidate_nan",
             "check_nan", "quadrature_nan", "psi_nan",
-            "truncation_upper_infinite", "psi_box_upper_infinite"])
+            "truncation_upper_infinite", "psi_box_upper_infinite",
+            "n_bool", "m_bool", "smoothness_order_bool", "alpha_max_bool",
+            "tolerance_bool", "check_bool", "quadrature_bool", "psi_bool"])
     def test_malformed_field_exits_two(self, tmp_path, capsys, overrides):
         config = {**_BOUNDARY_D1, **overrides}
         path = write_config(tmp_path, config)

@@ -36,6 +36,7 @@ def test_all_names_resolve():
 
 _LOADED_MODULES = """
 import contextlib, io, json, sys
+from pathlib import Path
 from covercert import cli, radii
 off_lattice = []
 query = radii.RadiusOracle._off_lattice
@@ -80,3 +81,46 @@ def test_run_loads_no_scipy(tmp_path):
     assert all((out / "report.json").exists() for out in outs)
     assert [m for m in modules if m.split(".")[0] == "scipy"
             or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+_TRACED_RUN = """
+import contextlib, io, json, sys
+from pathlib import Path
+from covercert import bumps, cli
+from spans import Tracer
+from test_golden import SMALL_D2
+built = []
+build = bumps.build_partition
+def recording(cover, *args, **kwargs):
+    partition = build(cover, *args, **kwargs)
+    built.append((cover.size, max(len(fn.blockers) for fn in partition)))
+    return partition
+bumps.build_partition = recording
+tracer = Tracer()
+tracer.install()
+config = cli.RunConfig.from_dict(SMALL_D2)
+with contextlib.redirect_stdout(io.StringIO()):
+    code, _ = cli.run(config, Path(sys.argv[1]))
+counts = tracer.layer_metrics()
+print(json.dumps([code, built, counts["bumps.max_blockers"],
+                  counts["cover.centers"]]))
+"""
+
+
+def test_tracer_hooks_read_the_built_partition(tmp_path):
+    """The benchmark's span tracer, installed as a traced run installs it,
+    counts the blockers and centers of the partition and cover the run
+    builds: its hooks read ``build_partition``'s result."""
+    root = PACKAGE.parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent), str(root / "perfbench"), str(root / "tests"),
+         *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, built, max_blockers, centers = json.loads(proc.stdout)
+    assert code == 0
+    assert len(built) == 1
+    assert [centers, max_blockers] == built[0]
+    assert max_blockers > 0
