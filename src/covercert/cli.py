@@ -83,6 +83,11 @@ class RunConfig:
         name = data.get("name", "run")
         dom = need("domain", dict)
         fam = need("family", dict)
+        if "dimension" in (dom or {}) and not _is_a(dom["dimension"], int):
+            problems.append("domain.dimension must be an integer")
+        figures = data.get("figures", False)
+        if not isinstance(figures, bool):
+            problems.append("field 'figures' must be true or false")
         n = need("n", int)
         m = need("m", int)
         res = need("resolutions", dict) or {}
@@ -186,7 +191,7 @@ class RunConfig:
             smoothness_order=order, alpha_max=alpha_max,
             offset_count=offset_count, tolerance=float(tolerance),
             suite=suite, test_functions=fns, negative_control=control,
-            figures=bool(data.get("figures", False)),
+            figures=figures,
             psi_box=psi_box,
             psi_resolution=psi_resolution, raw=data,
         )

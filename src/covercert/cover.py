@@ -5,8 +5,9 @@ candidate is accepted when it keeps sup-norm distance at least half the
 depth-1 radius of both endpoints to every accepted center.  Maximality is
 relative to the candidate lattice and the lattice resolution is carried on
 the result.  Each accepted center blocks its later conflicts in one array
-pass, and every certificate asks its sup-norm questions through one batch
-query on a uniform cell grid (``sup_pairs``).
+pass.  The point certificates ask their sup-norm questions through one
+batch query on a uniform cell grid (``sup_pairs``); the radius chain
+paints the balls on the radius lattice instead.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain
+from .domains import Box, ExhaustionDomain, lattice_axes
 from .errors import NoRingPointsError, RefinementRequiredError
-from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
+from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle, _interval_within
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
@@ -364,91 +365,98 @@ def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certifica
     )
 
 
-def _interior_samples(lo, hi, t, count: int) -> np.ndarray:
-    """``np.linspace(lo, hi, count + 2)[t]`` elementwise, rounded as
-    ``linspace`` rounds it (``t`` in 1..count)."""
-    delta = hi - lo
-    step = delta / (count + 1)
-    return np.where(step == 0, t / (count + 1) * delta, t * step) + lo
+# the violations a radius chain certificate lists
+_WITNESSES = 5
 
 
-def _chain_collect(cover: Cover, orc: RadiusOracle, samples_per_pair: int):
-    """Violations of the radius chain in (k, m, x) order, and the smallest
-    margin, from one batch of sample points per block of pairs."""
-    d = cover.dimension
+def _chain_collect(cover: Cover, orc: RadiusOracle):
+    """The first ``_WITNESSES`` violations of the radius chain in (k, m, x)
+    order, the smallest margin, and the number of lattice cells checked.
+
+    The open outer balls are painted on the lattice of ``orc.resolution``
+    over the cover's box, one slice per ball: per cell, how many balls hold
+    it, the least r(z_m) and the largest r2(z_k) among them.  Each ball of
+    a cell that two balls hold pairs with another one, so at such a ring
+    cell the chain holds for every pair exactly when
+    ``min r(z_m) >= r1(x) >= max r2(z_k)``.  Pairs are listed only at the
+    cells where it fails, ball by ball until enough are found.
+    """
     centers, rho = cover.centers, cover.rho
     r2 = orc.values(2, centers)
     r3 = orc.values(3, centers)
     r_center = np.asarray(cover.family.radius(cover.level, centers), dtype=float)
     worst = float((r2 - r3).min())
-    bad = [(k, 0, {"kind": "depth2_vs_depth3", "center": int(k),
-                   "r2": float(r2[k]), "r3": float(r3[k])})
-           for k in np.flatnonzero(r2 < r3)]
 
-    pk = np.repeat(np.arange(cover.size), [len(nb) for nb in cover.neighbors])
-    pm = np.concatenate(cover.neighbors).astype(np.intp)
-    lo = np.maximum(centers[pm] - rho[pm, None], centers[pk] - rho[pk, None])
-    hi = np.minimum(centers[pm] + rho[pm, None], centers[pk] + rho[pk, None])
-    keep = (pm != pk) & (lo < hi).all(axis=1)
-    pk, pm, lo, hi = pk[keep], pm[keep], lo[keep], hi[keep]
+    axes = lattice_axes(cover.box, orc.resolution)
+    shape = tuple(len(axis) for axis in axes)
+    count = np.zeros(shape, dtype=np.intp)
+    least = np.full(shape, np.inf)
+    most = np.full(shape, -np.inf)
+    spans = [_interval_within(axis, z, rho, strict=True)
+             for axis, z in zip(axes, centers.T)]
+    for k in range(cover.size):
+        box = tuple(slice(first[k], last[k] + 1) for first, last in spans)
+        count[box] += 1
+        np.minimum(least[box], r_center[k], out=least[box])
+        np.maximum(most[box], r2[k], out=most[box])
 
-    # sample numbers 1..s per axis, in the lexicographic order of mesh_points
-    t = np.indices((samples_per_pair,) * d).reshape(d, -1).T + 1.0
-    ring = cover.domain.ring(cover.level)
-    block = max(1, (1 << 14) // len(t))   # ~16k sample points at a time
-    for first in range(0, len(pk), block):
-        k, m = pk[first:first + block], pm[first:first + block]
-        pts = _interior_samples(lo[first:first + block, None],
-                                hi[first:first + block, None],
-                                t, samples_per_pair).reshape(-1, d)
-        pair = np.repeat(np.arange(len(k)), len(t))
-        if orc.strategy == GRID_ORACLE:
-            # snap to the oracle lattice, keeping only points still inside
-            # both balls
-            pts, ok = orc.snap_points(pts)
-            mp, kp = m[pair], k[pair]
-            ok &= (np.abs(pts - centers[mp]).max(axis=1) < rho[mp]) \
-                & (np.abs(pts - centers[kp]).max(axis=1) < rho[kp])
-        else:
-            ok = np.ones(len(pts), dtype=bool)
-        if ok.any():
-            ok[ok] = ring.contains(pts[ok])
-        pts, pair = pts[ok], pair[ok]
-        if len(pts) == 0:
-            continue
-        r1x = orc.values(1, pts)
-        rm = r_center[m[pair]]
-        r2k = r2[k[pair]]
-        worst = min(worst, float((rm - r1x).min()), float((r1x - r2k).min()))
-        for i in np.flatnonzero((rm < r1x) | (r1x < r2k)):
-            kk = int(k[pair[i]])
-            bad.append((kk, 1, {"kind": "pair", "m": int(m[pair[i]]), "k": kk,
-                                "x": pts[i].tolist(), "r_m": float(rm[i]),
-                                "r1_x": float(r1x[i]), "r2_zk": float(r2k[i])}))
-    bad.sort(key=lambda item: item[:2])     # stable: pairs keep (m, x) order
-    return [item[2] for item in bad], worst
+    cells = np.flatnonzero(count >= 2)
+    pts = np.stack([axis[i] for axis, i in
+                    zip(axes, np.unravel_index(cells, shape))], axis=1)
+    ring = cover.domain.ring(cover.level).contains(pts)
+    cells, pts = cells[ring], pts[ring]
+    rm, r2k = least.flat[cells], most.flat[cells]
+    del count, least, most
+    r1 = orc.values(1, pts)
+    if len(cells):
+        worst = min(worst, float((rm - r1).min()), float((r1 - r2k).min()))
+
+    # the balls that hold each violating cell, cell by cell
+    at = np.flatnonzero((rm < r1) | (r1 < r2k))
+    rows, cols, dist = sup_pairs(centers, pts[at], float(rho.max()))
+    rows, cols = rows[dist < rho[cols]], cols[dist < rho[cols]]
+    starts = np.searchsorted(rows, np.arange(len(at) + 1))
+    bad = []
+    for k in np.flatnonzero((r2 < r3)
+                            | (np.bincount(cols, minlength=cover.size) > 0)):
+        if r2[k] < r3[k]:
+            bad.append({"kind": "depth2_vs_depth3", "center": int(k),
+                        "r2": float(r2[k]), "r3": float(r3[k])})
+        # every ball m at each violating cell that k holds
+        own = rows[cols == k]
+        size = starts[own + 1] - starts[own]
+        m = cols[np.repeat(starts[own] - np.cumsum(size) + size, size)
+                 + np.arange(size.sum())]
+        c = at[np.repeat(own, size)]
+        hit = (m != k) & ((r_center[m] < r1[c]) | (r1[c] < r2[k]))
+        c, m = c[hit], m[hit]
+        for i in np.lexsort((c, m))[:_WITNESSES - len(bad)]:
+            bad.append({"kind": "pair", "m": int(m[i]), "k": int(k),
+                        "x": pts[c[i]].tolist(), "r_m": float(r_center[m[i]]),
+                        "r1_x": float(r1[c[i]]), "r2_zk": float(r2[k])})
+        if len(bad) >= _WITNESSES:
+            break
+    return bad, worst, len(cells)
 
 
-def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None,
-                      samples_per_pair: int = 3) -> Certificate:
-    """Radius chain on overlapping balls: for sampled x in B_m and B_k,
-    r(z_m) >= depth1(x) >= depth2(z_k) >= depth3(z_k).
+def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None) -> Certificate:
+    """Radius chain on overlapping balls: for every ring lattice cell x in
+    two balls B_m and B_k, r(z_m) >= depth1(x) >= depth2(z_k) >= depth3(z_k).
 
+    The lattice is the oracle's resolution over the cover's box: a grid
+    oracle's own cells, or a closed-form oracle's candidate lattice.
     Sampled depth values are upper bounds of the true infima, so an apparent
     violation may be a sampling artifact; the check refines the resolution
-    once and re-examines the violating triples before failing.
+    once and checks again before failing.
     """
     oracle = oracle or cover.oracle
-    if cover.neighbors is None:
-        neighbor_sets(cover, oracle)
-
-    violations, worst = _chain_collect(cover, oracle, samples_per_pair)
+    violations, worst, cells = _chain_collect(cover, oracle)
     refined = False
     if violations and oracle.strategy == GRID_ORACLE:
         refined = True
         finer = RadiusOracle(cover.family, cover.domain, cover.level,
                              oracle.resolution / 2.0, box=oracle.box)
-        violations, worst = _chain_collect(cover, finer, samples_per_pair)
+        violations, worst, cells = _chain_collect(cover, finer)
 
     return Certificate(
         name=f"radius_chain[{cover.family.name},n={cover.level}]",
@@ -457,8 +465,8 @@ def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None,
         measured=worst,
         bound=0.0,
         resolutions={"resolution": oracle.resolution, "refined": refined,
-                     "samples_per_pair": samples_per_pair ** cover.dimension},
-        details={"violations": violations[:5]} if violations else {},
+                     "lattice_cells": cells},
+        details={"violations": violations} if violations else {},
     )
 
 

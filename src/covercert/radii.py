@@ -77,23 +77,25 @@ GRID_ORACLE = "grid_oracle"
 _QUERY_PAIRS = 1 << 15
 
 
-def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray):
-    """Per point, the first and the last index t with ``|axis[t] - z| <= r``
-    (first > last where there is none).
+def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
+                     strict: bool = False):
+    """Per point, the first and the last index t with ``|axis[t] - z| <= r``,
+    or ``< r`` when ``strict`` (first > last where there is none).
 
     Float subtraction is monotone, so ``axis[t] - z`` ascends with t, and
     ``-r <= axis[t] - z <= r``, which is exactly ``|axis[t] - z| <= r``,
-    holds on one interval.  Both of its ends are found by bisection.
+    holds on one interval (and so do the strict inequalities).  Both of its
+    ends are found by bisection.
     """
-    below = np.zeros(len(z), dtype=np.intp)    # t with axis[t] - z < -r
-    upto = np.zeros(len(z), dtype=np.intp)     # t with axis[t] - z <= r
+    below = np.zeros(len(z), dtype=np.intp)    # t before the interval
+    upto = np.zeros(len(z), dtype=np.intp)     # t up to its end
+    tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
     step = 1 << (len(axis).bit_length() - 1)
     while step:
-        for count, strict in ((below, True), (upto, False)):
+        for count, test, bound in zip((below, upto), tests, (-r, r)):
             nxt = count + step
             ok = nxt <= len(axis)
-            gap = axis[nxt[ok] - 1] - z[ok]
-            ok[ok] = gap < -r[ok] if strict else gap <= r[ok]
+            ok[ok] = test(axis[nxt[ok] - 1] - z[ok], bound[ok])
             count[ok] = nxt[ok]
         step >>= 1
     return below, upto - 1
@@ -237,7 +239,12 @@ class RadiusOracle:
         if k == 0:
             return np.asarray(self.family.radius(self.n, pts), dtype=float)
 
-        idx, _, on_lattice = self._lattice_index(pts)
+        pos = (pts - self._origin) / self.resolution
+        near = np.rint(pos)
+        on_lattice = ((near >= 0) & (near < self._shape)).all(axis=1)
+        idx = np.where(on_lattice[:, None], near, 0).astype(np.intp)
+        on_lattice &= self._inside[tuple(idx.T)]
+        on_lattice &= (np.abs(pos - near) <= 1e-9).all(axis=1)
         out = np.empty(len(pts))
         out[on_lattice] = self._level(k)[tuple(idx[on_lattice].T)]
         off = ~on_lattice
@@ -251,29 +258,7 @@ class RadiusOracle:
         """Depth-k radius at one ring point; see :meth:`values`."""
         return float(self.values(k, np.asarray(z, dtype=float).reshape(-1))[0])
 
-    def snap_points(self, pts) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest lattice point of each row of ``pts``, and whether that
-        point is a ring lattice point (rows where it is not are meaningless)."""
-        if self.strategy == CLOSED_FORM:
-            raise ValueError("closed-form oracle has no lattice")
-        pts = np.asarray(pts, dtype=float)
-        idx, hit, _ = self._lattice_index(pts)
-        coords = np.stack([ax[i] for ax, i in zip(self._axes, idx.T)], axis=1)
-        return coords, hit
-
     # -- internals ----------------------------------------------------------
-
-    def _lattice_index(self, pts: np.ndarray):
-        """Nearest lattice index of each point (rounding half to even), whether
-        it is a ring cell, and whether the point lies on it, within 1e-9 of a
-        step on every axis."""
-        pos = (pts - self._origin) / self.resolution
-        near = np.rint(pos)
-        hit = ((near >= 0) & (near < self._shape)).all(axis=1)
-        idx = np.where(hit[:, None], near, 0).astype(np.intp)
-        hit &= self._inside[tuple(idx.T)]
-        exact = hit & (np.abs(pos - near) <= 1e-9).all(axis=1)
-        return idx, hit, exact
 
     def _padded_axes(self, pad: int) -> list[np.ndarray]:
         """The lattice axes continued ``pad`` cells past both ends by the

@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from covercert.bumps import build_profile, derivative_constant, partition_partials
-from covercert.domains import Box, cell_midpoints, mesh_points
+from covercert.domains import Box, cell_midpoints, lattice_axes, mesh_points
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
@@ -284,10 +284,11 @@ def radius_value(oracle, k, z, levels):
     return out
 
 
-def chain_collect(cover, orc, samples_per_pair=3, value=None):
-    """The radius chain's violations and smallest margin, pair by pair and
-    point by point, with the scalar reference snap and, unless another
-    ``value(k, x)`` is given, the reference recursion."""
+def _chain_pairs(cover, orc, value, pair_points):
+    """The radius chain's violations, smallest margin and number of
+    distinct points checked, pair by pair and point by point over the ring
+    points of ``pair_points(k, m)``, with, unless another ``value(k, x)``
+    is given, the reference recursion."""
     if value is None:
         levels = ([radius_level(orc, j) for j in range(4)]
                   if orc.strategy == "grid_oracle" else None)
@@ -296,48 +297,71 @@ def chain_collect(cover, orc, samples_per_pair=3, value=None):
             return radius_value(orc, k, x, levels)
 
     ring = cover.domain.ring(cover.level)
+    r1_at = {}
     bad = []
     worst = math.inf
     for k in range(cover.size):
-        zk = cover.centers[k]
-        r2 = value(2, zk)
-        r3 = value(3, zk)
+        r2 = value(2, cover.centers[k])
+        r3 = value(3, cover.centers[k])
         worst = min(worst, r2 - r3)
         if r2 < r3:
             bad.append({"kind": "depth2_vs_depth3", "center": int(k),
                         "r2": r2, "r3": r3})
-        for m in cover.neighbors[k]:
+        for m in range(cover.size):
             if m == k:
                 continue
-            lo = np.maximum(cover.centers[m] - cover.rho[m], zk - cover.rho[k])
-            hi = np.minimum(cover.centers[m] + cover.rho[m], zk + cover.rho[k])
-            if not (lo < hi).all():
-                continue
-            axes = [np.linspace(lo[i], hi[i], samples_per_pair + 2)[1:-1]
-                    for i in range(cover.dimension)]
-            pts = mesh_points(axes)
-            if orc.strategy == "grid_oracle":
-                snapped = []
-                for x in pts:
-                    s = snap(orc, x)
-                    if s is None:
-                        continue
-                    if np.abs(s - cover.centers[m]).max() < cover.rho[m] \
-                            and np.abs(s - zk).max() < cover.rho[k]:
-                        snapped.append(s)
-                pts = (np.asarray(snapped).reshape(-1, cover.dimension)
-                       if snapped else np.empty((0, cover.dimension)))
+            pts = pair_points(k, m)
             pts = pts[ring.contains(pts)] if len(pts) else pts
             rm = float(cover.family.radius(cover.level,
                                            cover.centers[m][None, :])[0])
             for x in pts:
-                r1x = value(1, x)
+                if x.tobytes() not in r1_at:
+                    r1_at[x.tobytes()] = value(1, x)
+                r1x = r1_at[x.tobytes()]
                 worst = min(worst, rm - r1x, r1x - r2)
                 if rm < r1x or r1x < r2:
                     bad.append({"kind": "pair", "m": int(m), "k": int(k),
                                 "x": x.tolist(), "r_m": rm, "r1_x": r1x,
                                 "r2_zk": r2})
-    return bad, worst
+    return bad, worst, len(r1_at)
+
+
+def chain_cells(cover, orc, value=None):
+    """The radius chain checked, for every two balls, at each ring cell of
+    the lattice of ``orc.resolution`` over the cover's box that lies inside
+    both open balls; see ``_chain_pairs``."""
+    axes = lattice_axes(cover.box, orc.resolution)
+
+    def pair_points(k, m):
+        inside = [axis[(np.abs(axis - cover.centers[k][a]) < cover.rho[k])
+                       & (np.abs(axis - cover.centers[m][a]) < cover.rho[m])]
+                  for a, axis in enumerate(axes)]
+        return mesh_points(inside)
+
+    return _chain_pairs(cover, orc, value, pair_points)
+
+
+def chain_collect(cover, orc, samples_per_pair=3, value=None):
+    """The radius chain checked at ``samples_per_pair`` interior samples per
+    axis of each pair's overlap, snapped to a grid oracle's lattice with
+    the scalar reference snap and kept where still inside both balls; see
+    ``_chain_pairs``.  Returns the violations and the smallest margin."""
+    def pair_points(k, m):
+        zk, zm = cover.centers[k], cover.centers[m]
+        lo = np.maximum(zm - cover.rho[m], zk - cover.rho[k])
+        hi = np.minimum(zm + cover.rho[m], zk + cover.rho[k])
+        if not (lo < hi).all():
+            return np.empty((0, cover.dimension))
+        pts = mesh_points([np.linspace(lo[i], hi[i], samples_per_pair + 2)[1:-1]
+                           for i in range(cover.dimension)])
+        if orc.strategy != "grid_oracle":
+            return pts
+        snapped = [s for s in (snap(orc, x) for x in pts) if s is not None
+                   and np.abs(s - zm).max() < cover.rho[m]
+                   and np.abs(s - zk).max() < cover.rho[k]]
+        return np.asarray(snapped).reshape(-1, cover.dimension)
+
+    return _chain_pairs(cover, orc, value, pair_points)[:2]
 
 
 def shift_poly(coeffs, h):

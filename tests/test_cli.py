@@ -135,6 +135,10 @@ class TestExitCodes:
         {"resolutions": {**_BOUNDARY_RES, "check": True}},
         {"resolutions": {**_BOUNDARY_RES, "quadrature": True}},
         {"resolutions": {**_BOUNDARY_RES, "psi": True}},
+        {"domain": {"kind": "expanding_boxes", "dimension": True},
+         "family": {"kind": "constant"},
+         "truncation": {"lower": [-1.0], "upper": [1.0]}},
+        {"figures": "no"},
     ], ids=["alpha_max_string", "alpha_max_negative", "offset_count_string",
             "offset_count_even", "tolerance_string", "psi_string",
             "psi_negative", "full_space_without_dimension",
@@ -142,7 +146,8 @@ class TestExitCodes:
             "check_nan", "quadrature_nan", "psi_nan",
             "truncation_upper_infinite", "psi_box_upper_infinite",
             "n_bool", "m_bool", "smoothness_order_bool", "alpha_max_bool",
-            "tolerance_bool", "check_bool", "quadrature_bool", "psi_bool"])
+            "tolerance_bool", "check_bool", "quadrature_bool", "psi_bool",
+            "dimension_bool", "figures_string"])
     def test_malformed_field_exits_two(self, tmp_path, capsys, overrides):
         config = {**_BOUNDARY_D1, **overrides}
         path = write_config(tmp_path, config)

@@ -10,6 +10,12 @@ numbers and CSVs.  ``schwartz_d1`` and ``unit_weights_d1``, whose
 radii are powers of two, kept every digest.  A refactor that keeps every value bitwise equal keeps
 every digest.  ``report.json`` is digested without its
 ``generated_at`` line, the one field that changes from run to run.
+
+The ``report.json`` digests were re-recorded when the radius chain moved
+from samples per pair of balls to every lattice cell that two balls hold:
+its ``resolutions`` lost ``samples_per_pair`` and gained
+``lattice_cells``, the number of cells checked.  Every other byte of
+every file, the chain's verdict and margin included, stayed the same.
 """
 
 import contextlib
@@ -45,7 +51,7 @@ GOLDEN = {
         "stdout":
             "ab0a5b19bb3c7ce5972dba3fd876afb2bb19a59f63d2708238f6ff10a6ff4274",
         "report.json":
-            "547a6363edfc50037a97bb55e9df68d01e9e8b6cc9b197a4ddba46203566da9b",
+            "1ff7d9e566be6f31835ba3baa946cf564b2422c98e3d02b91d03bf4ad523c37a",
         "cover.csv":
             "8257db85055e4b68ddb4adf171035906f9208cee1745d0fd10a3cc860377c50e",
         "cutoffs.csv":
@@ -57,7 +63,7 @@ GOLDEN = {
         "stdout":
             "f811d990df890e82cc6f19839bafe6329ad5bd1b20f685244533c969154abf1a",
         "report.json":
-            "8d86f280bf1da7eb7704586c27a9e42f46aa4c7ef1dd78088245d905207ca0f0",
+            "7558a42f20be5105585cdb34364c9024fe9fdbf9ee64688025b8f6d714e55eb3",
         "cover.csv":
             "e9c5bd4dfb539aeb51df43c7a2612922c86ab04ed8c2d7e7d9f266007accf0fe",
         "cutoffs.csv":
@@ -69,7 +75,7 @@ GOLDEN = {
         "stdout":
             "9de7a2ce50c25b285c96147ef7c4391fc1091afdd4774733ca7da91bb6ebf9d5",
         "report.json":
-            "05ebdf9096f1e5371849cd8c0184dbc077fc6680dd46588bce21036e68cc87df",
+            "326011ec94adde648d85cde0054b7b8ec10b6949b683a05f4da3c8813239a994",
         "cover.csv":
             "492bfece185d23bba23588486000b2e79b81073fd603174189267223923c580f",
         "cutoffs.csv":
@@ -81,7 +87,7 @@ GOLDEN = {
         "stdout":
             "fffea37d29a5ba79179e77fdadbf2216c6b0a9ffb7b3da0b42e3c4ef444eddb2",
         "report.json":
-            "92a931066aedcc4b49e7cf481a3915dd91f10194c70b0b66c8bfd29e5a7c1e35",
+            "0c103085555fb1c1db5daf749a75dda0928e23cf65606b0d5a7fbd60208ea5c9",
         "cover.csv":
             "c252ef5150cae1b96cb9c6fdbd53d0dfa38f6e201a5828bf5e0eebc0a3ef0bb1",
         "cutoffs.csv":

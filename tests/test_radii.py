@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from covercert import cover as cover_mod
 from covercert import radii
 from covercert import (Box, BoxRegion, MuSpec, RadiusOracle,
                        RefinementRequiredError, boundary_family, build_cover,
                        chain_certificate, constant_exhaustion, full_space,
-                       make_exp_family, neighbor_sets, positivity_certificate,
+                       make_exp_family, positivity_certificate,
                        schwartz_family)
-from covercert.cover import _chain_collect, _interior_samples
+from covercert.cover import Cover, _chain_collect
 
 
 def brute_force_depth1(radius_fn, z, lo, hi, step):
@@ -228,12 +230,6 @@ class TestAgainstWindowScan:
             got = oracle.values(k, pts)
             assert got.tobytes() == np.asarray(expected).tobytes()
             assert [oracle.value(k, z) for z in pts[:3]] == expected[:3]
-        coords, hit = oracle.snap_points(pts)
-        for z, c, h in zip(pts, coords, hit):
-            ref = oracles.snap(oracle, z)
-            assert h == (ref is not None)
-            if h:
-                assert c.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("k, radius, expected", [
         # r0(y) = 15/128 = |y - z| exactly, and only cells from y on reach
@@ -269,7 +265,7 @@ class TestAgainstWindowScan:
         r0 = oracle.family.radius(1, pts)
         pad = np.ceil(np.maximum(oracle._reach, r0) / 0.01 + 1e-12).max()
         assert (2 * pad + 1 > np.array(oracle._shape)).all()
-        assert not oracle._lattice_index(pts)[2].any()
+        assert all(oracles.exact_index(oracle, z) is None for z in pts)
         levels = [oracles.radius_level(oracle, k) for k in range(4)]
         for k in (1, 2, 3):
             expected = [oracles.radius_value(oracle, k, z, levels) for z in pts]
@@ -334,43 +330,77 @@ def test_box_min_equals_per_cell_minimum(data):
 
 
 def tampered_covers():
-    """Covers whose radius chain fails at the oracle's resolution."""
+    """Covers whose radius chain fails at the oracle's resolution, and two
+    whose chain holds."""
     out = []
     dom1 = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
     fam1 = boundary_family(dom1)
     cover = build_cover(fam1, dom1, 1, 0.005, box=Box((0.05,), (0.95,)))
     out.append(dataclasses.replace(cover, rho=3.0 * cover.rho, neighbors=None,
                                    tampered="rho tripled"))
-    dom2 = constant_exhaustion(BoxRegion(Box((0.0, 0.0), (1.0, 1.0))),
-                               name="unit")
-    fam2 = boundary_family(dom2)
-    cover = build_cover(fam2, dom2, 1, 0.02, box=Box((0.2, 0.2), (0.45, 0.45)))
-    halved = dataclasses.replace(
-        fam2, radius=lambda k, x: 0.5 * fam2.radius(k, x))
-    out.append(dataclasses.replace(cover, family=halved, neighbors=None,
-                                   tampered="radius halved"))
-    out.append(cover)
-    return out
+    untampered = []
+    for d, box, res in ((2, Box((0.2, 0.2), (0.45, 0.45)), 0.02),
+                        (3, Box((0.3,) * 3, (0.4,) * 3), 0.025)):
+        dom = constant_exhaustion(BoxRegion(Box((0.0,) * d, (1.0,) * d)),
+                                  name="unit")
+        fam = boundary_family(dom)
+        cover = build_cover(fam, dom, 1, res, box=box)
+        halved = dataclasses.replace(
+            fam, radius=lambda k, x, fam=fam: 0.5 * fam.radius(k, x))
+        out.append(dataclasses.replace(cover, family=halved, neighbors=None,
+                                       tampered="radius halved"))
+        untampered.append(cover)
+    return out + untampered
+
+
+def closed_form_cover():
+    fam = schwartz_family(full_space(2))
+    return build_cover(fam, fam.domain, 1, 0.125,
+                       box=Box((-1.5, -1.5), (1.5, 1.5)))
+
+
+def expected_chain(cover):
+    """chain_certificate's verdict, margin, first violations, refinement
+    and cell count, from the pair-by-pair reference on the lattice."""
+    bad, worst, cells = oracles.chain_cells(cover, cover.oracle)
+    refined = bool(bad) and cover.oracle.strategy == "grid_oracle"
+    if refined:
+        finer = RadiusOracle(cover.family, cover.domain, cover.level,
+                             cover.oracle.resolution / 2.0,
+                             box=cover.oracle.box)
+        bad, worst, cells = oracles.chain_cells(cover, finer)
+    return ("fail" if bad else "pass"), worst, bad[:5], refined, cells
 
 
 class TestChainAgainstPairLoop:
-    @pytest.mark.parametrize("cover", tampered_covers(),
-                             ids=["rho_tripled_d1", "radius_halved_d2", "d2"])
+    @pytest.mark.parametrize("cover", tampered_covers() + [
+        closed_form_cover()], ids=["rho_tripled_d1", "radius_halved_d2",
+                                   "radius_halved_d3", "d2", "d3",
+                                   "closed_form_d2"])
     def test_violations_worst_and_refinement(self, cover):
         cert = chain_certificate(cover)
-        bad, worst = oracles.chain_collect(cover, cover.oracle)
-        refined = bool(bad)
-        if refined:
-            finer = RadiusOracle(cover.family, cover.domain, cover.level,
-                                 cover.oracle.resolution / 2.0,
-                                 box=cover.oracle.box)
-            bad, worst = oracles.chain_collect(cover, finer)
-        assert cert.resolutions["refined"] == refined
-        assert cert.measured == worst
-        assert cert.details.get("violations", []) == bad[:5]
-        assert (cert.verdict == "fail") == bool(bad)
+        got = (cert.verdict, cert.measured, cert.details.get("violations", []),
+               cert.resolutions["refined"], cert.resolutions["lattice_cells"])
+        assert got == expected_chain(cover)
         if cover.tampered:
-            assert refined and bad
+            assert cert.resolutions["refined"] and cert.verdict == "fail"
+
+    @pytest.mark.parametrize("cover", tampered_covers()[:2] + [
+        closed_form_cover()],
+        ids=["rho_tripled_d1", "radius_halved_d2", "closed_form_d2"])
+    def test_no_weaker_than_sampling(self, cover):
+        # the sampled chain's points are lattice cells in both balls (or,
+        # with a closed-form radius, points where every radius is the same)
+        orcs = [cover.oracle]
+        if cover.oracle.strategy == "grid_oracle":
+            orcs.append(RadiusOracle(cover.family, cover.domain, cover.level,
+                                     cover.oracle.resolution / 2.0,
+                                     box=cover.oracle.box))
+        for orc in orcs:
+            bad, worst, _ = _chain_collect(cover, orc)
+            sampled_bad, sampled_worst = oracles.chain_collect(cover, orc)
+            assert worst <= sampled_worst
+            assert bad or not sampled_bad
 
     def test_violation_order_with_both_kinds(self):
         class SwappedDepths(RadiusOracle):
@@ -380,25 +410,58 @@ class TestChainAgainstPairLoop:
                 return super().values({2: 3, 3: 2}.get(k, k), pts)
 
         cover = tampered_covers()[0]
-        neighbor_sets(cover)
         orc = SwappedDepths(cover.family, cover.domain, cover.level,
                             cover.oracle.resolution, box=cover.oracle.box)
-        bad, worst = _chain_collect(cover, orc, 3)
-        assert (bad, worst) == oracles.chain_collect(cover, orc, value=orc.value)
+        expected = oracles.chain_cells(cover, orc, value=orc.value)
+        assert _chain_collect(cover, orc) == (expected[0][:5], *expected[1:])
+        with mock.patch.object(cover_mod, "_WITNESSES", len(expected[0]) + 1):
+            bad, worst, cells = _chain_collect(cover, orc)
+        assert (bad, worst, cells) == expected
         kinds = [item["kind"] for item in bad]
         first_depth = kinds.index("depth2_vs_depth3")
         assert "pair" in kinds[:first_depth] and "pair" in kinds[first_depth:]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-1e3, 1e3, allow_subnormal=True),
-       st.floats(1e-320, 1e3, allow_subnormal=True), st.integers(1, 5))
-def test_interior_samples_round_as_linspace(lo, width, count):
-    hi = lo + width
-    if not lo < hi:
-        return
-    t = np.arange(1, count + 1, dtype=float)
-    got = _interior_samples(np.array([lo]), np.array([hi]), t, count)
-    assert got.tobytes() == np.linspace(lo, hi, count + 2)[1:-1].tobytes()
-    tiny = _interior_samples(np.array([0.0]), np.array([5e-324]), t, count)
-    assert tiny.tobytes() == np.linspace(0.0, 5e-324, count + 2)[1:-1].tobytes()
+@st.composite
+def dyadic_covers(draw):
+    """Two to six balls in d = 1..3 whose centers sit on the lattice or
+    half a step off it, each with a radius that puts its faces exactly on
+    lattice cells, under a radius function that steps across the first
+    axis.  The cover's own family may scale that radius down, so that
+    r(z_m) >= r1(x) fails at some cells."""
+    d = draw(st.integers(1, 3))
+    res = 1 / 16
+    dom = constant_exhaustion(BoxRegion(Box((0.0,) * d, (1.0,) * d)),
+                              name="unit")
+    table = np.array(draw(st.lists(st.integers(1, 4), min_size=4,
+                                   max_size=4))) * res
+    fam = dataclasses.replace(
+        boundary_family(dom),
+        radius=lambda k, x: table[np.floor(8 * np.asarray(x, dtype=float)[..., 0])
+                                  .astype(int) % 4])
+    cells = draw(st.lists(st.integers(3, 6), min_size=d, max_size=d))
+    box = Box((0.25,) * d, tuple(0.25 + res * c for c in cells))
+    oracle = RadiusOracle(fam, dom, 1, res, box=box)
+    half = []
+    for _ in range(draw(st.integers(2, 6))):
+        half.append([draw(st.integers(0, 2 * c)) for c in cells])
+    half = np.array(half)
+    # faces at z +- (res / 2) * j, on the lattice when j and the center's
+    # half steps have the same parity
+    j = 2 * np.array(draw(st.lists(st.integers(1, 4), min_size=len(half),
+                                   max_size=len(half)))) - half[:, 0] % 2
+    centers = 0.25 + res / 2 * half
+    rho = res / 2 * j
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    scaled = dataclasses.replace(fam, radius=lambda k, x: scale * fam.radius(k, x))
+    return Cover(level=1, centers=centers, rho=rho, r1=rho, resolution=res,
+                 box=box, family=scaled, domain=dom, oracle=oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyadic_covers())
+def test_chain_on_dyadic_covers_equals_pair_loop(cover):
+    bad, worst, cells = oracles.chain_cells(cover, cover.oracle)
+    assert _chain_collect(cover, cover.oracle) == (bad[:5], worst, cells)
+    with mock.patch.object(cover_mod, "_WITNESSES", len(bad) + 1):
+        assert _chain_collect(cover, cover.oracle)[0] == bad
