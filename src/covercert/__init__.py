@@ -14,7 +14,7 @@ from .cover import (Cover, build_cover, chain_certificate, neighbor_sets,
                     with_extra_center, without_center)
 from .domains import (Box, BoxRegion, DistanceRegion, ExhaustionDomain,
                       FullSpace, Region, constant_exhaustion, exhaustion_gap,
-                      expanding_boxes, full_space, grid_points, shrinking_boxes)
+                      expanding_boxes, full_space, shrinking_boxes)
 from .errors import (ConfigError, ConstructionError, CoverCertError,
                      DomainMembershipError, IndexCapError, NoRingPointsError,
                      RefinementRequiredError, SmoothnessOrderError,

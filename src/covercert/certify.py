@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Partition, derivative_constant, partition_partials
-from .cover import Cover
-from .domains import Box, ExhaustionDomain, cell_midpoints, mesh_points
+from .cover import Cover, sup_pairs
+from .domains import Box, ExhaustionDomain, cell_lattice, mesh_points
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
@@ -184,13 +184,10 @@ def ball_weight_constant(family: WeightFamily, calc: IndexCalculus, m: int,
 
 
 def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarray:
-    """Midpoints of lattice cells that intersect at least one outer ball."""
-    mids = cell_midpoints(box, resolution)
-    pad = resolution / 2.0
-    rows, cols, dist = cover.pairs_near(mids, float(cover.rho.max()) + pad)
-    near = np.zeros(len(mids), dtype=bool)
-    near[rows[dist < cover.rho[cols] + pad]] = True
-    return mids[near]
+    """Midpoints of lattice cells that intersect at least one outer ball:
+    those with ``|x - z_k|_inf < rho_k + resolution / 2`` for some k."""
+    cells = cell_lattice(box, resolution)
+    return cells.points[cells.count(cover.centers, cover.rho + resolution / 2) > 0]
 
 
 def _midpoint_integral(values: np.ndarray, resolution: float,
@@ -246,11 +243,8 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     # so its pairwise summation is that of the ball's own array.
     integrals = [[] for _ in fs]
     for res in (quad_resolution, quad_resolution / 2.0):
-        mids = []
-        for k in ks:
-            z = cover.centers[k]
-            rho = float(cover.rho[k])
-            mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
+        mids = [cell_lattice(Box(tuple(z - rho), tuple(z + rho)), res).points
+                for z, rho in zip(cover.centers[ks], cover.rho[ks].tolist())]
         starts, ends = _ball_slices(mids)
         cells = np.concatenate(mids)
         tables = partition_partials(partition, cells,
@@ -374,8 +368,8 @@ def verify_disjoint_supports(cover: Cover, partition: Partition | None = None,
     """
     half = cover.core_halfwidths
     overlap = None
-    rows, cols, gaps = cover.pairs_near(cover.centers,
-                                        max(2.0 * float(half.max()) - tol, 0.0))
+    rows, cols, gaps = sup_pairs(cover.centers, cover.centers,
+                                 max(2.0 * float(half.max()) - tol, 0.0))
     bad = np.flatnonzero((rows < cols) & (gaps < half[rows] + half[cols] - tol))
     if len(bad):
         k, j, gap = int(rows[bad[0]]), int(cols[bad[0]]), float(gaps[bad[0]])

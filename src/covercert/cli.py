@@ -287,13 +287,12 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
     oracle = radii.RadiusOracle(family, domain, n,
                                 config.candidate_resolution,
                                 box=config.truncation)
-    check_grid = domain.sample_ring(n, config.check_resolution,
-                                    config.truncation)
-    if len(check_grid) == 0:
+    check = domain.ring_lattice(n, config.check_resolution, config.truncation)
+    if len(check.points) == 0:
         raise NoRingPointsError("the check lattice contains no ring points")
 
     if "omega" in config.suite:
-        omega_grid = _subsample(check_grid, 2500)
+        omega_grid = _subsample(check.points, 2500)
         for which in (weights.OMEGA1, weights.OMEGA2, weights.OMEGA3):
             if not family.claims_condition(which):
                 continue
@@ -342,9 +341,8 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
             verdict="pass" if ok else FAIL,
             details={} if ok else {"witness_pair": list(pair)},
         ))
-        certificates.append(cover_mod.verify_covering(built_cover, check_grid))
-        certificates.append(cover_mod.overlap_profile(
-            built_cover, _subsample(check_grid, 4000), oracle))
+        certificates.append(cover_mod.verify_covering(built_cover, check))
+        certificates.append(cover_mod.overlap_profile(built_cover, check, oracle))
         certificates.append(cover_mod.neighbor_sets(built_cover, oracle))
         certificates.append(cover_mod.chain_certificate(built_cover, oracle))
 
@@ -354,7 +352,7 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
     if "partition" in config.suite:
         certificates.extend(bumps.certify_partition(
             partition, built_cover, oracle, config.alpha_max,
-            _subsample(check_grid, 12000), tol=config.tolerance))
+            _subsample(check.points, 12000), tol=config.tolerance))
 
     if "chain" in config.suite:
         calc = IndexCalculus(family)
@@ -367,13 +365,13 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
               for fn_name in config.test_functions]
         if fs:
             members = [certify.membership_certificate(
-                f, family, n, m, _subsample(check_grid, 2500)) for f in fs]
+                f, family, n, m, _subsample(check.points, 2500)) for f in fs]
             bounds = certify.verify_integral_bound(
                 fs, partition, built_cover, m, config.quadrature_resolution,
                 tol=config.tolerance)
             dominations = certify.domination_certificate(
                 fs, family, domain, n, m, built_cover, partition, oracle,
-                calc, check_grid, config.quadrature_resolution,
+                calc, check.points, config.quadrature_resolution,
                 tol=config.tolerance)
             # per test function: membership, integral bound, domination and
             # the functional's bound

@@ -5,9 +5,9 @@ candidate is accepted when it keeps sup-norm distance at least half the
 depth-1 radius of both endpoints to every accepted center.  Maximality is
 relative to the candidate lattice and the lattice resolution is carried on
 the result.  Each accepted center blocks its later conflicts in one array
-pass.  The point certificates ask their sup-norm questions through one
-batch query on a uniform cell grid (``sup_pairs``); the radius chain
-paints the balls on the radius lattice instead.
+pass.  The pair certificates ask their sup-norm questions through one
+batch query on a uniform cell grid (``sup_pairs``); covering, multiplicity
+and the radius chain count the open balls per cell of a ``Lattice``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain, lattice_axes
+from .domains import Box, ExhaustionDomain, Lattice
 from .errors import NoRingPointsError, RefinementRequiredError
-from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle, _interval_within
+from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
@@ -56,20 +56,11 @@ class Cover:
         """Half-widths of the core boxes used for the rescaling argument."""
         return self.r1 / 8.0
 
-    def pairs_near(self, pts, reach: float):
-        """Every pair (i, k) with ``|pts[i] - z_k|_inf <= reach``.
-
-        Returns ``(rows, cols, dist)`` in lexicographic (i, k) order, where
-        ``dist`` is the sup-norm distance of each pair.  Callers decide ball
-        membership with their own strict inequality on ``dist``.
-        """
-        return sup_pairs(self.centers, pts, reach)
-
     def core_owners(self, zetas) -> np.ndarray:
         """Per point, the smallest k whose core box contains it, else -1."""
         zetas = np.asarray(zetas, dtype=float).reshape(-1, self.dimension)
         half = self.core_halfwidths
-        rows, cols, dist = self.pairs_near(zetas, float(half.max()))
+        rows, cols, dist = sup_pairs(self.centers, zetas, float(half.max()))
         hit = dist < half[cols]
         owned, first = np.unique(rows[hit], return_index=True)
         owners = np.full(len(zetas), -1)
@@ -267,14 +258,11 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
                  family=family, domain=domain, oracle=oracle)
 
 
-def verify_covering(cover: Cover, grid: np.ndarray) -> Certificate:
-    """Every grid point must lie in some inner ball, and every outer ball
+def verify_covering(cover: Cover, lattice: Lattice) -> Certificate:
+    """Every lattice point must lie in some inner ball, and every outer ball
     must sit inside the next ring (checked at its corner points)."""
-    grid = cover.domain.require_in_ring(cover.level, grid)
-    inner = cover.rho / 2.0
-    rows, cols, dist = cover.pairs_near(grid, float(inner.max()))
-    covered = np.zeros(len(grid), dtype=bool)
-    covered[rows[dist < inner[cols]]] = True
+    grid = cover.domain.require_in_ring(cover.level, lattice.points)
+    covered = lattice.count(cover.centers, cover.rho / 2.0) > 0
     uncovered = None if covered.all() else grid[np.argmin(covered)].tolist()
 
     # the 2^d corners of every outer ball, center by center
@@ -306,7 +294,7 @@ def verify_covering(cover: Cover, grid: np.ndarray) -> Certificate:
     )
 
 
-def overlap_profile(cover: Cover, grid: np.ndarray,
+def overlap_profile(cover: Cover, lattice: Lattice,
                     oracle: RadiusOracle | None = None) -> Certificate:
     """Measured outer-ball multiplicity against the depth-2 radius bound.
 
@@ -314,12 +302,13 @@ def overlap_profile(cover: Cover, grid: np.ndarray,
     only tighten the claim relative to the true infimum.
     """
     oracle = oracle or cover.oracle
-    grid = cover.domain.require_in_ring(cover.level, grid)
+    grid = cover.domain.require_in_ring(cover.level, lattice.points)
     d = cover.dimension
-    rows, cols, dist = cover.pairs_near(grid, float(cover.rho.max()))
-    counts = np.bincount(rows[dist < cover.rho[cols]], minlength=len(grid))
-    # Python float powers: numpy's vectorized power need not round the same
-    bounds = np.array([(8.0 / r) ** d for r in oracle.values(2, grid).tolist()])
+    counts = lattice.count(cover.centers, cover.rho)
+    # Python float powers, once per distinct radius: numpy's vectorized
+    # power need not round the same
+    radii, at = np.unique(oracle.values(2, grid), return_inverse=True)
+    bounds = np.array([(8.0 / r) ** d for r in radii.tolist()])[at]
     slacks = bounds - counts
     w = int(np.argmin(slacks))
     passed = slacks[w] >= 0.0
@@ -343,7 +332,8 @@ def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certifica
     oracle = oracle or cover.oracle
     d = cover.dimension
     rho = cover.rho
-    rows, cols, dist = cover.pairs_near(cover.centers, 2.0 * float(rho.max()))
+    rows, cols, dist = sup_pairs(cover.centers, cover.centers,
+                                 2.0 * float(rho.max()))
     hit = dist < rho[cols] + rho[rows]
     rows, cols = rows[hit], cols[hit]
     starts = np.searchsorted(rows, np.arange(1, cover.size))
@@ -373,13 +363,13 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     """The first ``_WITNESSES`` violations of the radius chain in (k, m, x)
     order, the smallest margin, and the number of lattice cells checked.
 
-    The open outer balls are painted on the lattice of ``orc.resolution``
-    over the cover's box, one slice per ball: per cell, how many balls hold
-    it, the least r(z_m) and the largest r2(z_k) among them.  Each ball of
-    a cell that two balls hold pairs with another one, so at such a ring
-    cell the chain holds for every pair exactly when
-    ``min r(z_m) >= r1(x) >= max r2(z_k)``.  Pairs are listed only at the
-    cells where it fails, ball by ball until enough are found.
+    The open outer balls are counted on the ring lattice of
+    ``orc.resolution`` over the cover's box, and painted one slice per ball
+    for the least r(z_m) and the largest r2(z_k) at each cell.  Each ball
+    of a cell that two balls hold pairs with another one, so at such a cell
+    the chain holds for every pair exactly when ``min r(z_m) >= r1(x) >=
+    max r2(z_k)``.  Pairs are listed only at the cells where it fails, ball
+    by ball until enough are found.
     """
     centers, rho = cover.centers, cover.rho
     r2 = orc.values(2, centers)
@@ -387,28 +377,20 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     r_center = np.asarray(cover.family.radius(cover.level, centers), dtype=float)
     worst = float((r2 - r3).min())
 
-    axes = lattice_axes(cover.box, orc.resolution)
-    shape = tuple(len(axis) for axis in axes)
-    count = np.zeros(shape, dtype=np.intp)
-    least = np.full(shape, np.inf)
-    most = np.full(shape, -np.inf)
-    spans = [_interval_within(axis, z, rho, strict=True)
-             for axis, z in zip(axes, centers.T)]
+    lattice = cover.domain.ring_lattice(cover.level, orc.resolution, cover.box)
+    held = lattice.count(centers, rho) >= 2
+    least = np.full(lattice.inside.shape, np.inf)
+    most = np.full(lattice.inside.shape, -np.inf)
+    first, stop = lattice.boxes(centers, rho)
     for k in range(cover.size):
-        box = tuple(slice(first[k], last[k] + 1) for first, last in spans)
-        count[box] += 1
+        box = tuple(slice(f, s) for f, s in zip(first[:, k], stop[:, k]))
         np.minimum(least[box], r_center[k], out=least[box])
         np.maximum(most[box], r2[k], out=most[box])
-
-    cells = np.flatnonzero(count >= 2)
-    pts = np.stack([axis[i] for axis, i in
-                    zip(axes, np.unravel_index(cells, shape))], axis=1)
-    ring = cover.domain.ring(cover.level).contains(pts)
-    cells, pts = cells[ring], pts[ring]
-    rm, r2k = least.flat[cells], most.flat[cells]
-    del count, least, most
+    rm, r2k = least[lattice.inside][held], most[lattice.inside][held]
+    del least, most
+    pts = lattice.points[held]
     r1 = orc.values(1, pts)
-    if len(cells):
+    if len(pts):
         worst = min(worst, float((rm - r1).min()), float((r1 - r2k).min()))
 
     # the balls that hold each violating cell, cell by cell
@@ -436,7 +418,7 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
                         "r1_x": float(r1[c[i]]), "r2_zk": float(r2[k])})
         if len(bad) >= _WITNESSES:
             break
-    return bad, worst, len(cells)
+    return bad, worst, len(pts)
 
 
 def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None) -> Certificate:
@@ -474,7 +456,8 @@ def separation_holds(cover: Cover) -> tuple[bool, tuple[int, int] | None]:
     """Exact check of the two-sided separation the greedy enforced; the
     witness is the first violating pair (k, j), k < j, in lexicographic order."""
     r1 = cover.r1
-    rows, cols, dist = cover.pairs_near(cover.centers, float(r1.max()) / 2.0)
+    rows, cols, dist = sup_pairs(cover.centers, cover.centers,
+                                 float(r1.max()) / 2.0)
     bad = np.flatnonzero((rows < cols)
                          & (dist < np.maximum(r1[rows], r1[cols]) / 2.0))
     if len(bad) == 0:

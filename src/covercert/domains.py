@@ -29,10 +29,10 @@ __all__ = [
     "constant_exhaustion",
     "exhaustion_gap",
     "GapEstimate",
-    "grid_points",
-    "cell_midpoints",
+    "cell_lattice",
     "lattice_axes",
     "mesh_points",
+    "Lattice",
 ]
 
 INF = math.inf
@@ -99,6 +99,10 @@ def lattice_axes(box: Box, resolution: float) -> list[np.ndarray]:
 
     The upper endpoint is included when it lands on the lattice.
     """
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    if not box.is_bounded:
+        raise ValueError("a lattice requires a bounded box (supply a truncation box)")
     axes = []
     for lo, hi in zip(box.lower, box.upper):
         count = int(math.floor((hi - lo) / resolution + 1e-12)) + 1
@@ -106,25 +110,75 @@ def lattice_axes(box: Box, resolution: float) -> list[np.ndarray]:
     return axes
 
 
-def grid_points(box: Box, resolution: float) -> np.ndarray:
-    """Lattice ``lower + i * resolution`` per axis, in lexicographic order.
+def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
+                     strict: bool = False):
+    """Per point, the first and the last index t with ``|axis[t] - z| <= r``,
+    or ``< r`` when ``strict`` (first > last where there is none).
 
-    Endpoints are included when they land on the lattice; membership in an
-    open region is filtered by the caller.
+    Float subtraction is monotone, so ``axis[t] - z`` ascends with t, and
+    ``-r <= axis[t] - z <= r``, which is exactly ``|axis[t] - z| <= r``,
+    holds on one interval (and so do the strict inequalities).  Both of its
+    ends are found by bisection.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    if not box.is_bounded:
-        raise ValueError("grid_points requires a bounded box (supply a truncation box)")
-    return mesh_points(lattice_axes(box, resolution))
+    below = np.zeros(len(z), dtype=np.intp)    # t before the interval
+    upto = np.zeros(len(z), dtype=np.intp)     # t up to its end
+    tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
+    step = (1 << len(axis).bit_length()) >> 1
+    while step:
+        for count, test, bound in zip((below, upto), tests, (-r, r)):
+            nxt = count + step
+            ok = nxt <= len(axis)
+            ok[ok] = test(axis[nxt[ok] - 1] - z[ok], bound[ok])
+            count[ok] = nxt[ok]
+        step >>= 1
+    return below, upto - 1
 
 
-def cell_midpoints(box: Box, resolution: float) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """A tensor lattice of sorted axes, masked to the cells ``inside`` a
+    region; ``points`` and :meth:`count` list those in lexicographic order."""
+
+    axes: tuple[np.ndarray, ...]
+    inside: np.ndarray
+    points: np.ndarray
+
+    @classmethod
+    def of(cls, axes, region: Region | None = None) -> Lattice:
+        """The lattice of ``axes``, masked to ``region`` if one is given."""
+        flat = mesh_points(axes)
+        keep = np.ones(len(flat), bool) if region is None else region.contains(flat)
+        return cls(tuple(axes), keep.reshape([len(a) for a in axes]), flat[keep])
+
+    def boxes(self, centers: np.ndarray, reach: np.ndarray):
+        """Per axis (rows) and center (columns), the index interval ``first
+        <= t < stop`` (maybe empty) of the cells with ``|axis[t] - z_k| <
+        reach[k]``: the open sup-norm balls, decided on the float gaps."""
+        spans = [_interval_within(axis, z, np.asarray(reach, float), strict=True)
+                 for axis, z in zip(self.axes, np.asarray(centers).T)]
+        return (np.stack([f for f, _ in spans]),
+                np.stack([np.maximum(f, t + 1) for f, t in spans]))
+
+    def count(self, centers: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """Per cell inside, how many open balls ``|x - z_k|_inf < reach[k]``
+        hold it: +-1 at each ball's 2^d corners of a difference array, then
+        one cumulative sum per axis (Crow, "Summed-area tables for texture
+        mapping", SIGGRAPH 1984)."""
+        first, stop = self.boxes(centers, reach)
+        diff = np.zeros([len(axis) + 1 for axis in self.axes], dtype=np.intp)
+        for corner in np.ndindex(*(2,) * len(self.axes)):
+            at = tuple((stop if up else first)[a] for a, up in enumerate(corner))
+            np.add.at(diff, at, (-1) ** sum(corner))
+        for a in range(diff.ndim):
+            np.cumsum(diff, axis=a, out=diff)
+        return diff[tuple(slice(-1) for _ in self.axes)][self.inside]
+
+
+def cell_lattice(box: Box, resolution: float) -> Lattice:
     """Midpoints of the cells of side ``resolution`` cornered at
-    :func:`grid_points`, keeping those strictly below the upper face on
-    every axis, in lexicographic order."""
-    mids = grid_points(box, resolution) + resolution / 2.0
-    return mids[(mids < np.asarray(box.upper)).all(axis=1)]
+    :func:`lattice_axes`, strictly below the upper face on every axis."""
+    axes = [axis + resolution / 2.0 for axis in lattice_axes(box, resolution)]
+    return Lattice.of([axis[axis < hi] for axis, hi in zip(axes, box.upper)])
 
 
 class Region:
@@ -329,10 +383,13 @@ class ExhaustionDomain:
                 f"the truncation box {list(box.lower)}..{list(box.upper)} "
                 f"misses ring {n} ({exc})") from None
 
+    def ring_lattice(self, n: int, resolution: float, box: Box) -> Lattice:
+        """The lattice of the truncation box masked to ring n."""
+        return Lattice.of(lattice_axes(box, resolution), self.ring(n))
+
     def sample_ring(self, n: int, resolution: float, box: Box) -> np.ndarray:
         """Lattice points of the truncation box that lie in ring n (lex order)."""
-        pts = grid_points(box, resolution)
-        return pts[self.ring(n).contains(pts)]
+        return self.ring_lattice(n, resolution, box).points
 
 
 def full_space(dimension: int) -> ExhaustionDomain:

@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain, lattice_axes
+from .domains import Box, ExhaustionDomain, _interval_within
 from .errors import NoRingPointsError, RefinementRequiredError
 from .report import FAIL, NOT_CERTIFIED, PASS, Certificate
 from .weights import WeightFamily
@@ -75,30 +75,6 @@ GRID_ORACLE = "grid_oracle"
 # (point, cell) candidate pairs tested at once by an off-lattice query:
 # 256 KB per temporary array.
 _QUERY_PAIRS = 1 << 15
-
-
-def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
-                     strict: bool = False):
-    """Per point, the first and the last index t with ``|axis[t] - z| <= r``,
-    or ``< r`` when ``strict`` (first > last where there is none).
-
-    Float subtraction is monotone, so ``axis[t] - z`` ascends with t, and
-    ``-r <= axis[t] - z <= r``, which is exactly ``|axis[t] - z| <= r``,
-    holds on one interval (and so do the strict inequalities).  Both of its
-    ends are found by bisection.
-    """
-    below = np.zeros(len(z), dtype=np.intp)    # t before the interval
-    upto = np.zeros(len(z), dtype=np.intp)     # t up to its end
-    tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
-    step = 1 << (len(axis).bit_length() - 1)
-    while step:
-        for count, test, bound in zip((below, upto), tests, (-r, r)):
-            nxt = count + step
-            ok = nxt <= len(axis)
-            ok[ok] = test(axis[nxt[ok] - 1] - z[ok], bound[ok])
-            count[ok] = nxt[ok]
-        step >>= 1
-    return below, upto - 1
 
 
 def _box_groups(lo: np.ndarray, hi: np.ndarray):
@@ -174,30 +150,23 @@ class RadiusOracle:
         box = domain.truncated_ring_box(n, box)
         self.box = box
 
-        axes = lattice_axes(box, self.resolution)
-        self._axes = axes
-        self._origin = np.array([ax[0] for ax in axes])
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self._mesh = np.stack(mesh, axis=-1)          # (m1, ..., md, d)
-        self._shape = self._mesh.shape[:-1]
-
-        flat = self._mesh.reshape(-1, domain.dimension)
-        inside = domain.ring(n).contains(flat).reshape(self._shape)
-        if not inside.any():
+        self._lattice = lattice = domain.ring_lattice(n, self.resolution, box)
+        if len(lattice.points) == 0:
             raise NoRingPointsError("the truncation box contains no ring points")
-        self._inside = inside
+        self._axes, self._inside = lattice.axes, lattice.inside
+        self._shape = self._inside.shape
 
-        r0 = np.asarray(family.radius(n, self._mesh), dtype=float)
-        self._r0_pred = np.where(inside, r0, -np.inf)
-        min_r0 = float(r0[inside].min())
+        r0 = np.full(self._shape, np.inf)
+        r0[self._inside] = family.radius(n, lattice.points)
+        self._r0_pred = np.where(self._inside, r0, -np.inf)
+        min_r0 = float(r0[self._inside].min())
         if self.resolution > min_r0:
             raise RefinementRequiredError(
                 f"resolution {self.resolution} exceeds the smallest sampled "
                 f"radius {min_r0}; the qualification predicate is undersampled")
-        self._reach = float(r0[inside].max())
+        self._reach = float(r0[self._inside].max())
         self._cells = int(math.ceil(self._reach / self.resolution + 1e-12))
-        self._levels: dict[int, np.ndarray] = {
-            0: np.where(inside, r0, np.inf)}
+        self._levels: dict[int, np.ndarray] = {0: r0}
         self._groups = None
 
     # -- lattice access -----------------------------------------------------
@@ -206,8 +175,7 @@ class RadiusOracle:
         """Ring lattice points in lexicographic order."""
         if self.strategy == CLOSED_FORM:
             raise ValueError("closed-form oracle has no lattice; sample the ring")
-        flat = self._mesh.reshape(-1, self.domain.dimension)
-        return flat[self._inside.ravel()]
+        return self._lattice.points
 
     def lattice_values(self, k: int) -> np.ndarray:
         """Depth-k values matching :meth:`lattice_points` order."""
@@ -239,7 +207,7 @@ class RadiusOracle:
         if k == 0:
             return np.asarray(self.family.radius(self.n, pts), dtype=float)
 
-        pos = (pts - self._origin) / self.resolution
+        pos = (pts - self.box.lower) / self.resolution
         near = np.rint(pos)
         on_lattice = ((near >= 0) & (near < self._shape)).all(axis=1)
         idx = np.where(on_lattice[:, None], near, 0).astype(np.intp)
@@ -275,7 +243,7 @@ class RadiusOracle:
         docstring for how each condition is searched.
         """
         level = self._level(k)
-        near = np.rint((pts - self._origin) / self.resolution)
+        near = np.rint((pts - self.box.lower) / self.resolution)
         cells = np.ceil(np.maximum(self._reach, r0) / self.resolution + 1e-12)
         # own radius: per axis, one interval of the window, read as a box
         # minimum of the level

@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from covercert.bumps import build_profile, derivative_constant, partition_partials
-from covercert.domains import Box, cell_midpoints, lattice_axes, mesh_points
+from covercert.domains import Box, cell_lattice, lattice_axes, mesh_points
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
@@ -147,7 +147,8 @@ def pairs_near(cover, pts, reach):
 
 
 def pairs_near_kdtree(cover, pts, reach):
-    """``Cover.pairs_near`` from a KD-tree (scipy's cKDTree, p=inf)."""
+    """``sup_pairs`` of the cover's centers from a KD-tree (scipy's cKDTree,
+    p=inf)."""
     pts = np.asarray(pts, dtype=float).reshape(-1, cover.dimension)
     # the tree only preselects: the radius is widened so that rounding in
     # its pruning cannot drop a pair, and the exact distances decide
@@ -157,6 +158,12 @@ def pairs_near_kdtree(cover, pts, reach):
     found = found[found["v"] <= reach]
     found.sort(order=["i", "j"])
     return found["i"], found["j"], found["v"]
+
+
+def lattice_count(pts, centers, reach):
+    """Per point, how many open boxes ``|x - z_k|_inf < reach[k]`` hold it."""
+    return [sum(bool(np.abs(x - z).max() < r) for z, r in zip(centers, reach))
+            for x in pts]
 
 
 def balls_containing(cover, x, inner=False):
@@ -203,6 +210,12 @@ def decay_sup(power, delta, exponent):
     return float(math.exp(best))
 
 
+def _mesh(oracle):
+    """The coordinates of every cell of a grid oracle's lattice, shape
+    (m1, ..., md, d)."""
+    return mesh_points(oracle._axes).reshape(*oracle._shape, -1)
+
+
 def radius_level(oracle, k):
     """Depth-k lattice level of a grid RadiusOracle, one window scan per cell."""
     if k == 0:
@@ -210,13 +223,14 @@ def radius_level(oracle, k):
     prev = radius_level(oracle, k - 1)
     out = np.full(oracle._shape, np.inf)
     cells = int(math.ceil(oracle._reach / oracle.resolution + 1e-12))
+    mesh = _mesh(oracle)
     for flat_idx in np.flatnonzero(oracle._inside.ravel()):
         idx = np.unravel_index(flat_idx, oracle._shape)
         slices = tuple(
             slice(max(i - cells, 0), min(i + cells + 1, m))
             for i, m in zip(idx, oracle._shape))
-        pts = oracle._mesh[slices]
-        dist = np.abs(pts - oracle._mesh[idx]).max(axis=-1)
+        pts = mesh[slices]
+        dist = np.abs(pts - mesh[idx]).max(axis=-1)
         qualify = (dist <= oracle._r0_pred[slices]) | \
                   (dist <= oracle._r0_pred[idx])
         out[idx] = float(prev[slices][qualify].min())
@@ -249,7 +263,7 @@ def snap(oracle, z):
     idx = tuple(idx)
     if not oracle._inside[idx]:
         return None
-    return oracle._mesh[idx]
+    return _mesh(oracle)[idx]
 
 
 def radius_value(oracle, k, z, levels):
@@ -275,7 +289,7 @@ def radius_value(oracle, k, z, levels):
         slices.append(slice(max(center - cells, 0),
                             min(center + cells + 1, len(axis_vals))))
     window = tuple(slices)
-    dist = np.abs(oracle._mesh[window] - z).max(axis=-1)
+    dist = np.abs(_mesh(oracle)[window] - z).max(axis=-1)
     qualify = (dist <= oracle._r0_pred[window]) | (dist <= r0_z)
     vals = levels[k - 1][window][qualify]
     out = radius_value(oracle, k - 1, z, levels)
@@ -811,7 +825,7 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
         for k in ks:
             z = cover.centers[k]
             rho = float(cover.rho[k])
-            mids.append(cell_midpoints(Box(tuple(z - rho), tuple(z + rho)), res))
+            mids.append(cell_lattice(Box(tuple(z - rho), tuple(z + rho)), res).points)
         tables = _split_rows(
             partition_partials(partition, np.concatenate(mids),
                                np.repeat(ks, [len(p) for p in mids]), m_tilde),

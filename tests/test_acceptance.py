@@ -62,20 +62,21 @@ CONFIG_NAMES = ["schwartz_d1", "schwartz_d2", "boundary_d1", "boundary_d2"]
 
 @pytest.fixture(scope="module")
 def covers():
-    """Cover + verification grid for each configuration, with build+check time."""
+    """Cover + verification lattice for each configuration, with build+check
+    time."""
     out = {}
     for name in CONFIG_NAMES:
         dom, fam, box, res = build_configuration(name)
         t0 = time.perf_counter()
         cover = build_cover(fam, dom, 1, res, box=box)
-        grid = dom.sample_ring(1, res, box)
-        cov_cert = verify_covering(cover, grid)
+        lattice = dom.ring_lattice(1, res, box)
+        cov_cert = verify_covering(cover, lattice)
         sep_ok, _ = separation_holds(cover)
-        over_cert = overlap_profile(cover, grid)
+        over_cert = overlap_profile(cover, lattice)
         nb_cert = neighbor_sets(cover)
         elapsed = time.perf_counter() - t0
         out[name] = dict(domain=dom, family=fam, box=box, res=res,
-                         cover=cover, grid=grid, covering=cov_cert,
+                         cover=cover, lattice=lattice, covering=cov_cert,
                          separation=sep_ok, overlap=over_cert,
                          neighbors=nb_cert, seconds=elapsed)
     return out
@@ -298,10 +299,11 @@ def test_criterion_7_negative_controls():
     dom = expanding_boxes(1)
     fam = constant_weight_family(dom)
     cover = build_cover(fam, dom, 1, 5e-3, box=Box((-1.0,), (1.0,)))
-    grid = dom.sample_ring(1, 1e-3, cover.box)
+    lattice = dom.ring_lattice(1, 1e-3, cover.box)
+    grid = lattice.points
 
     broken = without_center(cover, cover.size // 2)
-    cert = verify_covering(broken, grid)
+    cert = verify_covering(broken, lattice)
     if cert.verdict != "fail" or "witness_uncovered_point" not in cert.details:
         problems.append("dropped center did not fail covering with a witness")
 

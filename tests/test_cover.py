@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from covercert import (Box, BoxRegion, Cover, RadiusOracle,
-                       RefinementRequiredError, boundary_family, build_cover,
-                       chain_certificate, constant_exhaustion,
-                       constant_weight_family, expanding_boxes, grid_points,
+from covercert import (Box, BoxRegion, Cover, DomainMembershipError,
+                       RadiusOracle, RefinementRequiredError, boundary_family,
+                       build_cover, chain_certificate, constant_exhaustion,
+                       constant_weight_family, expanding_boxes,
                        neighbor_sets, overlap_profile, union_cell_midpoints,
                        verify_covering, verify_disjoint_supports,
                        with_extra_center, without_center)
-from covercert.cover import greedy_packing, separation_holds
+from covercert.cover import greedy_packing, separation_holds, sup_pairs
+from covercert.domains import Lattice, lattice_axes, mesh_points
 from oracles import greedy_naive
 
 
@@ -196,12 +197,12 @@ class TestSeparation:
 
 class TestCovering:
     def test_line_cover_full_grid(self, line_cover):
-        grid = line_cover.domain.sample_ring(1, 1e-3, line_cover.box)
+        grid = line_cover.domain.ring_lattice(1, 1e-3, line_cover.box)
         cert = verify_covering(line_cover, grid)
         assert cert.verdict == "pass"
 
     def test_boundary_cover_full_grid(self, boundary_cover):
-        grid = boundary_cover.domain.sample_ring(1, 1e-3, boundary_cover.box)
+        grid = boundary_cover.domain.ring_lattice(1, 1e-3, boundary_cover.box)
         cert = verify_covering(boundary_cover, grid)
         assert cert.verdict == "pass"
 
@@ -209,15 +210,23 @@ class TestCovering:
         dom = expanding_boxes(1)
         fam = constant_weight_family(dom)
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.05,), (0.05,)))
-        grid = dom.sample_ring(1, 1e-3, cover.box)
+        grid = dom.ring_lattice(1, 1e-3, cover.box)
         assert verify_covering(cover, grid).verdict == "pass"
 
     def test_deleted_center_fails_with_witness(self, line_cover):
         broken = without_center(line_cover, 3)
-        grid = line_cover.domain.sample_ring(1, 1e-3, line_cover.box)
+        grid = line_cover.domain.ring_lattice(1, 1e-3, line_cover.box)
         cert = verify_covering(broken, grid)
         assert cert.verdict == "fail"
         assert "witness_uncovered_point" in cert.details
+
+    def test_lattice_outside_the_ring_is_refused(self, line_cover):
+        # ring 2 of the expanding boxes reaches past ring 1, |x| < 1
+        grid = line_cover.domain.ring_lattice(2, 1e-2, Box((-1.5,), (1.5,)))
+        with pytest.raises(DomainMembershipError):
+            verify_covering(line_cover, grid)
+        with pytest.raises(DomainMembershipError):
+            overlap_profile(line_cover, grid)
 
     def test_outer_balls_inside_next_ring(self, boundary_cover):
         # corners of every outer ball are strictly inside the domain
@@ -229,7 +238,7 @@ class TestCovering:
 
 class TestOverlap:
     def test_line_constant_radius_profile(self, line_cover):
-        grid = line_cover.domain.sample_ring(1, 1e-3, line_cover.box)
+        grid = line_cover.domain.ring_lattice(1, 1e-3, line_cover.box)
         cert = overlap_profile(line_cover, grid)
         assert cert.verdict == "pass"
         assert cert.details["max_count"] <= 9
@@ -240,7 +249,7 @@ class TestOverlap:
         dom = expanding_boxes(1)
         fam = constant_weight_family(dom)
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.05,), (0.05,)))
-        grid = dom.sample_ring(1, 1e-3, cover.box)
+        grid = dom.ring_lattice(1, 1e-3, cover.box)
         cert = overlap_profile(cover, grid)
         assert cert.verdict == "pass"
         assert cert.details["max_count"] == 1
@@ -250,7 +259,7 @@ class TestOverlap:
         fam = constant_weight_family(dom)
         box = Box((-1.0, -1.0), (1.0, 1.0))
         cover = build_cover(fam, dom, 1, 0.02, box=box)
-        grid = dom.sample_ring(1, 0.05, box)
+        grid = dom.ring_lattice(1, 0.05, box)
         cert = overlap_profile(cover, grid)
         assert cert.verdict == "pass"
         assert cert.details["max_count"] <= (8 / 0.5) ** 2
@@ -350,7 +359,7 @@ def dyadic_covers(draw):
 
 
 def _point_cover(centers):
-    """A cover holding only centers: enough for ``pairs_near``."""
+    """A cover holding only centers: enough for ``sup_pairs``."""
     centers = np.asarray(centers, dtype=float)
     ones = np.ones(len(centers))
     return Cover(level=1, centers=centers, rho=ones, r1=ones, resolution=1.0,
@@ -358,9 +367,9 @@ def _point_cover(centers):
 
 
 def _assert_pairs(cover, pts, reach, brute_force=True):
-    """``pairs_near`` equals the KD-tree oracle bitwise (values and dtypes)
-    and, optionally, the brute-force pair loop."""
-    found = cover.pairs_near(pts, reach)
+    """``sup_pairs`` of the centers equals the KD-tree oracle bitwise (values
+    and dtypes) and, optionally, the brute-force pair loop."""
+    found = sup_pairs(cover.centers, pts, reach)
     for got, want in zip(found, oracles.pairs_near_kdtree(cover, pts, reach)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -372,9 +381,9 @@ def _assert_pairs(cover, pts, reach, brute_force=True):
 
 def _balls_containing(cover, pts, inner):
     """Per point, the centers whose outer (or inner, half-radius) ball holds
-    it: the ``pairs_near`` pairs with ``dist`` strictly below the radius."""
+    it: the ``sup_pairs`` pairs with ``dist`` strictly below the radius."""
     radii = (0.5 if inner else 1.0) * cover.rho
-    rows, cols, dist = cover.pairs_near(pts, float(radii.max()))
+    rows, cols, dist = sup_pairs(cover.centers, pts, float(radii.max()))
     hit = dist < radii[cols]
     return [cols[hit & (rows == i)].tolist() for i in range(len(pts))]
 
@@ -395,6 +404,56 @@ def reach_lattices(draw):
     faces = [centers + s * reach * u for s in (1.0, -1.0)
              for u in (np.eye(d)[-1], np.ones(d))]
     return _point_cover(centers), np.concatenate([pts, *faces]), reach
+
+
+@st.composite
+def dyadic_lattices(draw):
+    """A lattice of 1/8 masked to an open box, with centers and reaches on
+    the lattice or half a step off it, so that box faces often land exactly
+    on cells."""
+    d = draw(st.integers(1, 3))
+    res = 1 / 8
+    sizes = draw(st.lists(st.integers(1, 9 if d < 3 else 5), min_size=d,
+                          max_size=d))
+    lower = draw(st.lists(st.integers(-8, 0), min_size=d, max_size=d))
+    axes = [res * (lo + np.arange(n)) for lo, n in zip(lower, sizes)]
+    mask_lo = draw(st.lists(st.integers(-9, 1), min_size=d, max_size=d))
+    mask = BoxRegion(Box(tuple(res * v for v in mask_lo),
+                         tuple(res * (v + 9) for v in mask_lo)))
+    k = draw(st.integers(0, 8))
+    ints = st.lists(st.integers(-20, 12), min_size=k * d, max_size=k * d)
+    centers = np.array(draw(ints), dtype=float).reshape(k, d) * res / 2
+    # a reach of zero holds no cell, even with the center on one
+    steps = st.lists(st.integers(0, 12), min_size=k, max_size=k)
+    reach = np.array(draw(steps), dtype=float) * res / 2
+    return Lattice.of(axes, mask), centers, reach
+
+
+class TestLatticeCount:
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_lattices())
+    def test_count_matches_brute_force(self, case):
+        lattice, centers, reach = case
+        got = lattice.count(centers, reach)
+        assert got.dtype == np.intp
+        assert got.tolist() == oracles.lattice_count(lattice.points, centers,
+                                                     reach)
+
+    def test_count_is_the_pair_bincount_in_d3(self):
+        # boundary weights in d=3: 64 balls of non-dyadic radius on a check
+        # lattice of 29,791 cells
+        dom = constant_exhaustion(BoxRegion(Box((0.0,) * 3, (1.0,) * 3)),
+                                  name="unit")
+        cover = build_cover(boundary_family(dom), dom, 1, 0.02,
+                            box=Box((0.35,) * 3, (0.65,) * 3))
+        lattice = dom.ring_lattice(1, 0.01, cover.box)
+        for reach in (cover.rho / 2.0, cover.rho):
+            rows, cols, dist = sup_pairs(cover.centers, lattice.points,
+                                         float(reach.max()))
+            want = np.bincount(rows[dist < reach[cols]],
+                               minlength=len(lattice.points))
+            assert lattice.count(cover.centers, reach).tobytes() == \
+                want.tobytes()
 
 
 class TestBatchQueries:
@@ -420,7 +479,7 @@ class TestBatchQueries:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_points(self, d):
         cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
-        rows, cols, dist = cover.pairs_near(np.empty((0, d)), 0.5)
+        rows, cols, dist = sup_pairs(cover.centers, np.empty((0, d)), 0.5)
         assert len(rows) == len(cols) == len(dist) == 0
         _assert_pairs(cover, np.empty((0, d)), 0.5)
 
@@ -440,10 +499,10 @@ class TestBatchQueries:
         pts = np.zeros((3, d))
         pts[1, -1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            cover.pairs_near(pts, 0.5)
+            sup_pairs(cover.centers, pts, 0.5)
         pts[1, -1] = np.inf
         pts[2, 0] = -np.inf
-        rows, cols, dist = cover.pairs_near(pts, 1e300)
+        rows, cols, dist = sup_pairs(cover.centers, pts, 1e300)
         assert rows.tolist() == [0, 0, 0] and cols.tolist() == [0, 1, 2]
 
     def test_large_cover(self):
@@ -483,25 +542,31 @@ class TestBatchQueries:
         assert [m.tolist() for m in cover.neighbors] == oracles.neighbors(cover)
 
     @settings(max_examples=40, deadline=None)
-    @given(dyadic_covers())
-    def test_grid_certificates_match_brute_force(self, case):
-        cover, pts = case
-        grid = pts[(np.abs(pts) < 1.0).all(axis=1)]
-        if len(grid) == 0:
-            return
+    @given(dyadic_covers(), st.data())
+    def test_grid_certificates_match_brute_force(self, case, data):
+        cover, _ = case
+        # a window of the lattice of 1/32 over the ring |x_i| < 1: every
+        # inner and outer ball face lies on its cells
+        d = cover.dimension
+        res = 1 / 32
+        sizes = data.draw(st.lists(st.integers(1, 16), min_size=d, max_size=d))
+        lower = [data.draw(st.integers(-32, 32 - n)) * res for n in sizes]
+        box = Box(tuple(lower), tuple(lo + n * res for lo, n in zip(lower, sizes)))
+        lattice = cover.domain.ring_lattice(1, res, box)
+        grid = lattice.points
         inner = [oracles.balls_containing(cover, x, inner=True) for x in grid]
         uncovered = [x.tolist() for x, hits in zip(grid, inner) if not hits]
-        cert = verify_covering(cover, grid)
+        cert = verify_covering(cover, lattice)
         assert cert.details.get("witness_uncovered_point") == \
             (uncovered[0] if uncovered else None)
         counts = [len(oracles.balls_containing(cover, x)) for x in grid]
-        cert = overlap_profile(cover, grid)
+        cert = overlap_profile(cover, lattice)
         assert cert.details["max_count"] == max(counts)
         # the depth-2 radius is constant, so the tightest point has most balls
         assert cert.details["tightest_point"] == \
             grid[int(np.argmax(counts))].tolist()
         res = 1 / 8
-        mids = grid_points(cover.box, res) + res / 2
+        mids = mesh_points(lattice_axes(cover.box, res)) + res / 2
         mids = mids[(mids < 1.0).all(axis=1)]
         assert union_cell_midpoints(cover, cover.box, res).tolist() == \
             [x.tolist() for x in oracles.near_union(cover, mids, res / 2)]
@@ -518,7 +583,8 @@ class TestBatchQueries:
         steps = st.lists(st.integers(1, 24), min_size=k, max_size=k)
         rho = np.array(data.draw(steps), dtype=float) / 16.0
         cover = _unit_cube_cover(d, centers, rho, np.full(k, 1 / 8))
-        cert = verify_covering(cover, centers)
+        cert = verify_covering(cover, cover.domain.ring_lattice(1, 1 / 8,
+                                                                cover.box))
         assert cert.details.get("witness_ball_escape") == \
             oracles.ball_escape_witness(cover)
 

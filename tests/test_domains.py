@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
                        ExhaustionDomain, constant_exhaustion, exhaustion_gap,
-                       expanding_boxes, full_space, grid_points, shrinking_boxes)
+                       expanding_boxes, full_space, shrinking_boxes)
+from covercert.domains import Lattice, lattice_axes
 
 
 def unit_interval():
@@ -134,7 +135,7 @@ class TestExhaustionStructure:
         box = dom.ring(3).bounding_box
         if not box.is_bounded:
             box = Box((-3.0,) * dom.dimension, (3.0,) * dom.dimension)
-        pts = grid_points(box, 0.05)
+        pts = Lattice.of(lattice_axes(box, 0.05)).points
         for n in (1, 2, 3):
             inside = dom.ring(n).contains(pts)
             outside_next = ~dom.ring(n + 1).contains(pts)
@@ -142,7 +143,7 @@ class TestExhaustionStructure:
 
     def test_rings_nonempty_and_exhaust(self):
         dom = shrinking_boxes((0.0,), (1.0,))
-        pts = grid_points(Box((0.001,), (0.999,)), 0.001)
+        pts = Lattice.of(lattice_axes(Box((0.001,), (0.999,)), 0.001)).points
         pts = pts[dom.omega.contains(pts)]
         # margin(n) = 1/(n+2), so a ring with margin below the smallest
         # boundary distance of the sample set covers all of it
@@ -159,7 +160,7 @@ class TestExhaustionStructure:
 
 class TestGrids:
     def test_lexicographic_order(self):
-        pts = grid_points(Box((0.0, 0.0), (0.2, 0.2)), 0.1)
+        pts = Lattice.of(lattice_axes(Box((0.0, 0.0), (0.2, 0.2)), 0.1)).points
         assert pts.tolist() == [[0.0, 0.0], [0.0, 0.1], [0.0, 0.2],
                                 [0.1, 0.0], [0.1, 0.1], [0.1, 0.2],
                                 [0.2, 0.0], [0.2, 0.1], [0.2, 0.2]]
