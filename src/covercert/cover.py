@@ -377,15 +377,19 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     r_center = np.asarray(cover.family.radius(cover.level, centers), dtype=float)
     worst = float((r2 - r3).min())
 
-    lattice = cover.domain.ring_lattice(cover.level, orc.resolution, cover.box)
-    held = lattice.count(centers, rho) >= 2
+    on_oracle = (orc.strategy == GRID_ORACLE and (orc.n, orc.box, orc.domain)
+                 == (cover.level, cover.box, cover.domain))
+    lattice = (orc._lattice if on_oracle else
+               cover.domain.ring_lattice(cover.level, orc.resolution, cover.box))
+    first, stop = lattice.boxes(centers, rho)
+    held = lattice.count_boxes(first, stop) >= 2
     least = np.full(lattice.inside.shape, np.inf)
     most = np.full(lattice.inside.shape, -np.inf)
-    first, stop = lattice.boxes(centers, rho)
-    for k in range(cover.size):
-        box = tuple(slice(f, s) for f, s in zip(first[:, k], stop[:, k]))
-        np.minimum(least[box], r_center[k], out=least[box])
-        np.maximum(most[box], r2[k], out=most[box])
+    for lo, hi, r, r2_k in zip(first.T.tolist(), stop.T.tolist(),
+                               r_center.tolist(), r2.tolist()):
+        box = tuple(map(slice, lo, hi))
+        np.minimum(least[box], r, out=least[box])
+        np.maximum(most[box], r2_k, out=most[box])
     rm, r2k = least[lattice.inside][held], most[lattice.inside][held]
     del least, most
     pts = lattice.points[held]
@@ -395,6 +399,8 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
 
     # the balls that hold each violating cell, cell by cell
     at = np.flatnonzero((rm < r1) | (r1 < r2k))
+    if len(at) == 0 and not (r2 < r3).any():
+        return [], worst, len(pts)
     rows, cols, dist = sup_pairs(centers, pts[at], float(rho.max()))
     rows, cols = rows[dist < rho[cols]], cols[dist < rho[cols]]
     starts = np.searchsorted(rows, np.arange(len(at) + 1))

@@ -117,21 +117,32 @@ def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
 
     Float subtraction is monotone, so ``axis[t] - z`` ascends with t, and
     ``-r <= axis[t] - z <= r``, which is exactly ``|axis[t] - z| <= r``,
-    holds on one interval (and so do the strict inequalities).  Both of its
-    ends are found by bisection.
+    holds on one interval (and so do the strict inequalities).  Each end
+    starts where ``z -+ r`` sorts into the axis and steps until the test on
+    the gap flips; where ``z -+ r`` is NaN, the test at t = 0 decides all t.
     """
-    below = np.zeros(len(z), dtype=np.intp)    # t before the interval
-    upto = np.zeros(len(z), dtype=np.intp)     # t up to its end
     tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
-    step = (1 << len(axis).bit_length()) >> 1
-    while step:
-        for count, test, bound in zip((below, upto), tests, (-r, r)):
-            nxt = count + step
-            ok = nxt <= len(axis)
-            ok[ok] = test(axis[nxt[ok] - 1] - z[ok], bound[ok])
-            count[ok] = nxt[ok]
-        step >>= 1
-    return below, upto - 1
+    m, ends = len(axis), []
+    for test, bound in zip(tests, (-r, r)):
+        # count the leading t with test(axis[t] - z, bound)
+        with np.errstate(invalid="ignore"):     # inf - inf
+            key = z + bound
+        count = np.searchsorted(axis, key)
+        nan = np.flatnonzero(np.isnan(key))
+        if len(nan) and m:
+            count[nan] = m * test(axis[0] - z[nan], bound[nan])
+        at = np.flatnonzero(count < m)
+        while len(at):
+            at = at[test(axis[count[at]] - z[at], bound[at])]
+            count[at] += 1
+            at = at[count[at] < m]
+        at = np.flatnonzero(count > 0)
+        while len(at):
+            at = at[~test(axis[count[at] - 1] - z[at], bound[at])]
+            count[at] -= 1
+            at = at[count[at] > 0]
+        ends.append(count)
+    return ends[0], ends[1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +172,14 @@ class Lattice:
 
     def count(self, centers: np.ndarray, reach: np.ndarray) -> np.ndarray:
         """Per cell inside, how many open balls ``|x - z_k|_inf < reach[k]``
-        hold it: +-1 at each ball's 2^d corners of a difference array, then
-        one cumulative sum per axis (Crow, "Summed-area tables for texture
-        mapping", SIGGRAPH 1984)."""
-        first, stop = self.boxes(centers, reach)
+        hold it."""
+        return self.count_boxes(*self.boxes(centers, reach))
+
+    def count_boxes(self, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Per cell inside, how many of the boxes ``first <= t < stop`` (as
+        :meth:`boxes` gives them) hold it: +-1 at each box's 2^d corners of
+        a difference array, then one cumulative sum per axis (Crow,
+        "Summed-area tables for texture mapping", SIGGRAPH 1984)."""
         diff = np.zeros([len(axis) + 1 for axis in self.axes], dtype=np.intp)
         for corner in np.ndindex(*(2,) * len(self.axes)):
             at = tuple((stop if up else first)[a] for a, up in enumerate(corner))

@@ -12,27 +12,24 @@ cells of x on every axis.  Both conditions are products of per-axis ones,
 so a level is built from separable box minima rather than a window scan
 per cell:
 
-* On one axis the indices within r of index i form an interval
-  ``[i - lo, i + hi]``.  lo and hi are counted from the floating-point gaps
-  ``a[i + t] - a[i]`` of the axis ``a[t] = lower + resolution * t``, the
-  rule of :func:`~covercert.domains.lattice_axes` continued past both ends.
-  A radius that ties a gap therefore resolves exactly as the direct
-  comparison ``|y - x| <= r`` does, and a cell near the edge has the
-  extents of any other cell; cells past the edge hold ``+inf``.
+* On one axis the lattice indices within r of a coordinate form one
+  interval.  Each end starts where the coordinate -+ r sorts into the axis
+  (``searchsorted``) and steps until the test on the float gap flips, so
+  a radius that ties a gap resolves exactly as the direct comparison
+  ``|y - x| <= r`` does.  A cell's box is that interval per axis, cut to
+  the window and to the lattice; past the edge nothing is read.
 * An interval of n cells is the union of its first and its last w cells,
-  for the power of two with ``w <= n < 2w``.  A cell's box is thus the
-  union of 2^d boxes of ``w_1 x ... x w_d`` cells at known corners, and the
-  ring cells fall into a few groups of equal (w_1, ..., w_d).
-* Own radius: the running minimum of the previous level over the group's
-  box size, read at each group cell's 2^d corners.  A power-of-two window
-  is built in log2(w) doubling steps of one vectorized minimum each.  At
-  the window widths of the shipped lattices (16 to 256 cells), on a 2-core
-  x86 host, that ran about twice as fast as the linear-time blocked pass
-  (van Herk 1992, Gil and Werman 1993) on 2-d lattices and within 25% of
-  it on 1-d ones.
-* Neighbour's radius: each group cell writes its previous value at its 2^d
-  corners; the trailing running minimum of that array is what every cell
-  receives from the group.
+  for the power of two with ``w <= n < 2w``.  A box is thus the union of
+  2^d boxes of ``w_1 x ... x w_d`` cells at known corners, and each axis
+  uses only a few widths.
+* Own radius: one stacked table of the previous level's box minima at
+  every width in use (a sparse table, Bender and Farach-Colton, LATIN
+  2000), built axis by axis in one pass of doubling steps, and read at
+  each cell's 2^d corners.
+* Neighbour's radius: each cell writes its previous value at its 2^d
+  corners of one stacked array, indexed by width rank per axis.  Folding
+  each axis from its widest width down (the trailing window doubles, then
+  the next width's slice merges in) gives what every cell receives.
 
 A minimum rounds nothing, so every level is bitwise the direct scan's.
 
@@ -43,12 +40,10 @@ with depth, and this one minimum equals the depth-by-depth recursion
 through all lower depths.  The two conditions are searched apart, and
 neither scans the window:
 
-* Own radius: on each axis the window cells within r0(z) of z form one
-  interval, found by bisection on the same float gaps ``|a[t] - z|`` that
-  decide qualification.  Its minimum is read at 2^d corners of the
-  previous level's power-of-two box minima, built once per group of
-  points with equal (w_1, ..., w_d), as the levels are; an empty interval
-  on any axis reads ``+inf``.
+* Own radius: per axis the window cells within r0(z) of z form one
+  interval, found as above, and the boxes are read from a table of the
+  previous level as the levels are; an empty interval on any axis reads
+  ``+inf``.
 * Neighbour's radius: only a ring cell whose previous value lies below
   the own-radius minimum can lower it.  Sorted by that value once per
   query, such cells are a prefix of the ring for each point, and only
@@ -58,6 +53,7 @@ neither scans the window:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -77,51 +73,66 @@ GRID_ORACLE = "grid_oracle"
 _QUERY_PAIRS = 1 << 15
 
 
-def _box_groups(lo: np.ndarray, hi: np.ndarray):
-    """The boxes ``lo[a] <= t_a <= hi[a]`` (arrays of shape (d, n), none
-    empty) grouped by their power-of-two widths.
-
-    Yields ``(widths, members, corners)``: per axis the power of two w
-    with ``w <= hi - lo + 1 < 2w``, the indices of the group's boxes, and
-    per choice of 2^d corners a tuple of per-axis start indices.  A box is
-    the union of the w-boxes that start at its corners.
-    """
+def _plan_boxes(lo: np.ndarray, hi: np.ndarray, shape):
+    """For the boxes ``lo[a] <= t_a <= hi[a]`` (arrays of shape (d, n), none
+    empty, on a lattice of ``shape``): per axis the ascending powers of two
+    w in use, ``w <= hi - lo + 1 < 2w``, and per choice of 2^d corners the
+    flat index into a table of shape (widths per axis..., *shape) of each
+    box's width ranks and that corner's start cells."""
     log_widths = np.frexp(hi - lo + 1)[1] - 1
-    # one integer per tuple of log2 widths, each below 64
-    log_shape = (64,) * len(lo)
-    keys, group_of = np.unique(
-        np.ravel_multi_index(tuple(log_widths), log_shape),
-        return_inverse=True)
-    for g, key in enumerate(keys):
-        members = np.flatnonzero(group_of == g)
-        widths = tuple(1 << int(v) for v in np.unravel_index(key, log_shape))
-        starts = [(first[members], last[members] - w + 1)
-                  for first, last, w in zip(lo, hi, widths)]
-        corners = [tuple(s[choice] for s, choice in zip(starts, choices))
-                   for choices in np.ndindex(*(2,) * len(widths))]
-        yield widths, members, corners
+    widths, ranks, starts = [], [], []
+    for first, last, logs in zip(lo, hi, log_widths):
+        used, rank = np.unique(logs, return_inverse=True)
+        widths.append([1 << int(v) for v in used])
+        ranks.append(rank)
+        starts.append((first, last + 1 - (1 << used)[rank]))
+    table_shape = tuple(map(len, widths)) + tuple(shape)
+    return widths, [np.ravel_multi_index(
+        (*ranks, *(s[c] for s, c in zip(starts, choice))), table_shape)
+        for choice in np.ndindex(*(2,) * len(widths))]
 
 
-def _box_min(a: np.ndarray, widths, trailing: bool = False) -> np.ndarray:
-    """Minimum over the box of ``widths`` cells (powers of two) that starts
-    at each cell, or ends there when ``trailing``, reading ``+inf`` past the
-    edges.
+def _least_in_boxes(a: np.ndarray, widths, corners) -> np.ndarray:
+    """Per box of a plan from :func:`_plan_boxes`, the minimum of ``a`` over
+    it.  Per axis, one pass of doubling steps over the table so far copies
+    it into a preallocated slot at each width in use; a window that would
+    run past the far edge keeps its value, and no box reads one."""
+    table = a
+    for axis, used in enumerate(widths):
+        out = np.empty(table.shape[:axis] + (len(used),) + table.shape[axis:])
+        src, width = table, 1
+        for slot, w in zip(np.moveaxis(out, axis, 0), used):
+            slot[...] = src
+            run = np.moveaxis(slot, 2 * axis, 0)
+            while width < w:
+                np.minimum(run[:-width], run[width:], out=run[:-width])
+                width *= 2
+            src = slot
+        table = out
+    flat = table.reshape(-1)
+    return functools.reduce(np.minimum, (flat[corner] for corner in corners))
 
-    Per axis, each step takes the minimum of two adjacent windows in place,
-    doubling their width; a cell whose second window would start past the
-    edge keeps its value.
-    """
-    a = np.array(a, dtype=float)
-    for axis, w in enumerate(widths):
-        b = np.moveaxis(a, axis, 0)
-        step = 1
-        while step < min(w, len(b)):
-            if trailing:
-                np.minimum(b[step:], b[:-step], out=b[step:])
-            else:
-                np.minimum(b[:-step], b[step:], out=b[:-step])
-            step *= 2
-    return a
+
+def _spread_least(values: np.ndarray, widths, corners, shape) -> np.ndarray:
+    """Per cell of ``shape``, the least of ``values`` over the boxes of a
+    plan from :func:`_plan_boxes` that hold it (``+inf`` where none does):
+    a scatter at the corners, then one fold per axis."""
+    sent = np.full(tuple(map(len, widths)) + tuple(shape), np.inf)
+    flat = sent.reshape(-1)
+    for corner in corners:
+        np.minimum.at(flat, corner, values)
+    for axis, used in reversed(list(enumerate(widths))):
+        stack = np.moveaxis(sent, axis, 0)
+        sent = stack[-1]
+        run = np.moveaxis(sent, 2 * axis, 0)
+        step = used[-1]
+        for rank in reversed(range(len(used))):
+            if rank < len(used) - 1:
+                np.minimum(sent, stack[rank], out=sent)
+            while step > (used[rank - 1] if rank else 1):
+                step //= 2
+                np.minimum(run[step:], run[:-step], out=run[step:])
+    return sent.copy()      # not a view that keeps the whole stack alive
 
 
 class RadiusOracle:
@@ -167,7 +178,7 @@ class RadiusOracle:
         self._reach = float(r0[self._inside].max())
         self._cells = int(math.ceil(self._reach / self.resolution + 1e-12))
         self._levels: dict[int, np.ndarray] = {0: r0}
-        self._groups = None
+        self._plan = None
 
     # -- lattice access -----------------------------------------------------
 
@@ -228,12 +239,6 @@ class RadiusOracle:
 
     # -- internals ----------------------------------------------------------
 
-    def _padded_axes(self, pad: int) -> list[np.ndarray]:
-        """The lattice axes continued ``pad`` cells past both ends by the
-        rule ``lower + resolution * t`` of :func:`lattice_axes`."""
-        return [lower + self.resolution * np.arange(-pad, m + pad)
-                for lower, m in zip(self.box.lower, self._shape)]
-
     def _off_lattice(self, k: int, pts: np.ndarray, r0: np.ndarray) -> np.ndarray:
         """``min(r0(z), level k over the lattice cells that qualify for z)``.
 
@@ -256,11 +261,8 @@ class RadiusOracle:
         lo, hi = np.array(lo), np.array(hi)
         own = np.full(len(pts), np.inf)
         hit = np.flatnonzero((lo <= hi).all(axis=0))
-        for widths, members, corners in _box_groups(lo[:, hit], hi[:, hit]):
-            boxes = _box_min(level, widths)
-            members = hit[members]
-            for corner in corners:
-                own[members] = np.minimum(own[members], boxes[corner])
+        own[hit] = _least_in_boxes(
+            level, *_plan_boxes(lo[:, hit], hi[:, hit], self._shape))
         out = np.minimum(r0, own)
         # neighbour's radius: only ring cells below the current value can
         # lower it, and those are a prefix of the cells in level order
@@ -286,58 +288,33 @@ class RadiusOracle:
             np.minimum.at(out, row[qualify], ring_levels[rank[qualify]])
         return out
 
-    def _window_groups(self):
-        """Ring cells grouped by the window sizes of their boxes.
-
-        Returns ``(padded_shape, groups)``: the lattice shape with
-        ``self._cells`` cells of padding on every side, and per group
-        ``(widths, cells, corners)`` with the per-axis window sizes, the flat
-        lattice indices of the group's ring cells, and one array per corner
-        choice of the flat padded indices where those cells' windows start.
-        """
-        if self._groups is not None:
-            return self._groups
-        pad = self._cells
-        cells = np.flatnonzero(self._inside)
-        pos = np.unravel_index(cells, self._shape)
-        r = self._levels[0].ravel()[cells]
-        lo, hi = [], []
-        for axis, p in zip(self._padded_axes(pad), pos):
-            at = pad + p
-            first, last = _interval_within(axis, axis[at], r)
-            lo.append(np.maximum(first, at - pad))
-            hi.append(np.minimum(last, at + pad))
-        padded_shape = tuple(m + 2 * pad for m in self._shape)
-        groups = []
-        for widths, members, corners in _box_groups(np.array(lo), np.array(hi)):
-            groups.append((widths, cells[members],
-                           [np.ravel_multi_index(c, padded_shape) for c in corners]))
-        self._groups = (padded_shape, groups)
-        return self._groups
+    def _window_plan(self):
+        """``(cells, widths, corners)``: the flat indices of the ring cells
+        and the :func:`_plan_boxes` plan of their boxes, per axis the cells
+        within the cell's own radius, cut to ``self._cells`` cells of it."""
+        if self._plan is None:
+            cells = np.flatnonzero(self._inside)
+            r = self._levels[0].ravel()[cells]
+            lo, hi = [], []
+            for axis, at in zip(self._axes, np.unravel_index(cells, self._shape)):
+                first, last = _interval_within(axis, axis[at], r)
+                lo.append(np.maximum(first, at - self._cells))
+                hi.append(np.minimum(last, at + self._cells))
+            self._plan = (cells, *_plan_boxes(np.array(lo), np.array(hi),
+                                              self._shape))
+        return self._plan
 
     def _level(self, k: int) -> np.ndarray:
         if k in self._levels:
             return self._levels[k]
         prev = self._level(k - 1)
-        padded_shape, groups = self._window_groups()
-        pad = self._cells
-        padded = np.pad(prev, pad, constant_values=np.inf)
-        inner = tuple(slice(pad, pad + m) for m in self._shape)
-        flat_prev = prev.ravel()
-        out = np.full(prev.size, np.inf)
-        for widths, cells, corners in groups:
-            # own radius: the minimum over each cell's box
-            boxes = _box_min(padded, widths).ravel()
-            own = boxes[corners[0]]
-            for corner in corners[1:]:
-                own = np.minimum(own, boxes[corner])
-            out[cells] = np.minimum(out[cells], own)
-            # neighbour's radius: every cell whose box holds this group cell
-            sent = np.full(padded.size, np.inf)
-            for corner in corners:
-                np.minimum.at(sent, corner, flat_prev[cells])
-            got = _box_min(sent.reshape(padded_shape), widths, trailing=True)
-            out = np.minimum(out, got[inner].ravel())
+        cells, widths, corners = self._window_plan()
+        # own radius: the minimum over each cell's box
+        own = _least_in_boxes(prev, widths, corners)
+        # neighbour's radius: every cell whose box holds this one
+        out = _spread_least(prev.ravel()[cells], widths, corners,
+                            self._shape).ravel()
+        out[cells] = np.minimum(out[cells], own)
         out[~self._inside.ravel()] = np.inf
         out = out.reshape(self._shape)
         self._levels[k] = out

@@ -768,8 +768,10 @@ def check_omega(family: WeightFamily, which: str, n: int, k: int,
         offsets = _offset_cube(d, offset_count)
         r = family.radius_at(k, grid)
         shifted = grid[:, None, :] + r[:, None, None] * offsets[None, :, :]
-        sup_side = family.nu_at(n, shifted).max(axis=1)
-        inf_side = family.nu_at(family.index(1, n), shifted).min(axis=1)
+        nu, target = family.nu_at(n, shifted), family.index(1, n)
+        sup_side = nu.max(axis=1)
+        inf_side = (nu if target == n
+                    else family.nu_at(target, shifted)).min(axis=1)
         ratios = sup_side / inf_side
         resolutions["offsets_per_point"] = int(len(offsets))
         resolutions["sample_pairs"] = int(len(grid) * len(offsets))

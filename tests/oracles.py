@@ -160,6 +160,24 @@ def pairs_near_kdtree(cover, pts, reach):
     return found["i"], found["j"], found["v"]
 
 
+def interval_within(axis, z, r, strict=False):
+    """Per point, the first and the last index t with ``|axis[t] - z| <= r``
+    (``< r`` when ``strict``), both ends found by bisection on the gaps
+    ``axis[t] - z``."""
+    below = np.zeros(len(z), dtype=np.intp)    # t before the interval
+    upto = np.zeros(len(z), dtype=np.intp)     # t up to its end
+    tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
+    step = (1 << len(axis).bit_length()) >> 1
+    while step:
+        for count, test, bound in zip((below, upto), tests, (-r, r)):
+            nxt = count + step
+            ok = nxt <= len(axis)
+            ok[ok] = test(axis[nxt[ok] - 1] - z[ok], bound[ok])
+            count[ok] = nxt[ok]
+        step >>= 1
+    return below, upto - 1
+
+
 def lattice_count(pts, centers, reach):
     """Per point, how many open boxes ``|x - z_k|_inf < reach[k]`` hold it."""
     return [sum(bool(np.abs(x - z).max() < r) for z, r in zip(centers, reach))

@@ -208,8 +208,8 @@ class TestExitCodes:
 
 @st.composite
 def run_configs(draw):
-    """Small run configurations in d = 1, 2 on coarse lattices, valid or not."""
-    d = draw(st.sampled_from([1, 2]))
+    """Small run configurations in d = 1..3 on coarse lattices, valid or not."""
+    d = draw(st.sampled_from([1, 2, 3]))
     domain = draw(st.sampled_from([
         {"kind": "full_space", "dimension": d},
         {"kind": "expanding_boxes", "dimension": d},
@@ -225,7 +225,8 @@ def run_configs(draw):
     lower = [draw(st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.25]))
              for _ in range(d)]
     upper = [lo + draw(st.sampled_from([0.25, 0.5, 1.0])) for lo in lower]
-    steps = [0.02, 0.05, 0.1] if d == 1 else [0.05, 0.1]
+    steps = {1: [0.02, 0.05, 0.1], 2: [0.05, 0.1], 3: [0.1, 0.25]}[d]
+    coarse = [0.05, 0.1] if d < 3 else [0.1, 0.25]
     config = {
         "name": "generated",
         "domain": domain,
@@ -234,8 +235,8 @@ def run_configs(draw):
         "m": draw(st.integers(0, 2)),
         "truncation": {"lower": lower, "upper": upper},
         "resolutions": {"candidate": draw(st.sampled_from(steps)),
-                        "check": draw(st.sampled_from([0.05, 0.1])),
-                        "quadrature": draw(st.sampled_from([0.05, 0.1]))},
+                        "check": draw(st.sampled_from(coarse)),
+                        "quadrature": draw(st.sampled_from(coarse))},
         "smoothness_order": draw(st.integers(3, 6)),
         "alpha_max": draw(st.integers(0, 3)),
         "suite": draw(st.lists(st.sampled_from(SUITES), min_size=1,

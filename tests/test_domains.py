@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
                        ExhaustionDomain, constant_exhaustion, exhaustion_gap,
                        expanding_boxes, full_space, shrinking_boxes)
-from covercert.domains import Lattice, lattice_axes
+from covercert.domains import Lattice, _interval_within, lattice_axes
 
 
 def unit_interval():
@@ -170,3 +171,57 @@ class TestGrids:
         pts = dom.sample_ring(1, 0.01, Box((-1.0,), (1.0,)))
         assert pts.min() == pytest.approx(-0.99)
         assert pts.max() == pytest.approx(0.99)
+
+
+@st.composite
+def axis_queries(draw):
+    """An axis (dyadic, so that half steps tie radii exactly, or the float
+    lattice of a decimal step) with centers on it, between its points, off
+    both ends and non-finite, and radii among 0, multiples of half a step,
+    the float gap from the center to an axis point (a tie that ``z -+ r``
+    may round past), inf and NaN."""
+    m = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        step = 2.0 ** -draw(st.integers(0, 6))
+        axis = draw(st.integers(-16, 16)) / 8 + step * np.arange(m)
+    else:
+        step = draw(st.sampled_from([0.1, 0.03, 0.0125]))
+        axis = lattice_axes(Box((0.13,), (0.13 + step * (m - 0.5),)), step)[0]
+    index = st.integers(0, m - 1)
+    half_steps = st.integers(-4, 2 * m + 4).map(lambda t: t * step / 2)
+    z, r = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        z.append(draw(index.map(lambda i: axis[i])
+                      | half_steps.map(lambda h: axis[0] + h)
+                      | st.sampled_from([np.nan, np.inf, -np.inf])))
+        r.append(draw(index.map(lambda j: abs(axis[j] - z[-1]))
+                      | half_steps.map(abs)
+                      | st.sampled_from([0.0, np.inf, np.nan])))
+    return axis, np.array(z), np.array(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis_queries(), st.booleans())
+def test_interval_within_equals_bisection(query, strict):
+    axis, z, r = query
+    got = _interval_within(axis, z, r, strict)
+    want = oracles.interval_within(axis, z, r, strict)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    # a NaN center or radius holds no index
+    nan = np.isnan(z) | np.isnan(r)
+    assert (got[0][nan] == 0).all() and (got[1][nan] == -1).all()
+
+
+@pytest.mark.parametrize("step", [0.1, 0.03, 0.0125])
+@pytest.mark.parametrize("strict", [False, True])
+def test_interval_within_every_gap_of_a_lattice(step, strict):
+    # every center on the axis with every float gap to an axis point as its
+    # radius: z + r often rounds past the tying point, and the ends must
+    # step back to where the gap test flips
+    axis = lattice_axes(Box((0.13,), (0.13 + step * 40.5,)), step)[0]
+    z = np.repeat(axis, len(axis))
+    r = np.abs(np.tile(axis, len(axis)) - z)
+    got = _interval_within(axis, z, r, strict)
+    want = oracles.interval_within(axis, z, r, strict)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -272,13 +272,15 @@ class TestAgainstWindowScan:
             assert oracle.values(k, pts).tobytes() == \
                 np.asarray(expected).tobytes()
 
-    def test_shipped_boundary_d1_lattice_needs_few_groups(self):
+    def test_shipped_boundary_d1_lattice_needs_few_widths(self):
         dom = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
         oracle = RadiusOracle(boundary_family(dom), dom, 1, 0.001,
                               box=Box((0.125,), (0.875,)))
         assert oracle.lattice_values(1).tobytes() == \
             oracles.radius_level(oracle, 1)[oracle._inside].tobytes()
-        assert len(oracle._window_groups()[1]) <= 4
+        # the stacked table holds one copy of the lattice per width in use
+        _, widths, _ = oracle._window_plan()
+        assert widths == [[32, 64, 128, 256]]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 7])
@@ -303,30 +305,45 @@ def test_neighbour_pairs_in_chunks(monkeypatch, budget):
     assert oracle.values(2, pts).tobytes() == np.asarray(expected).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_box_min_equals_per_cell_minimum(data):
-    d = data.draw(st.integers(1, 3))
-    shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=d,
-                                     max_size=d)))
-    widths = tuple(1 << data.draw(st.integers(0, 5)) for _ in range(d))
-    trailing = data.draw(st.booleans())
-    cells = int(np.prod(shape))
+@st.composite
+def lattice_boxes(draw):
+    """Values on a lattice in d = 1..3 (some ``+inf``), and boxes cut to the
+    lattice (some one cell wide) with a value each."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=d, max_size=d)))
     # the minimum of 0.0 and -0.0 may be either, so zeros come unsigned
-    values = data.draw(st.lists(
-        st.one_of(st.floats(-4.0, 4.0, width=16).map(lambda v: v + 0.0),
-                  st.just(np.inf)),
-        min_size=cells, max_size=cells))
-    a = np.array(values, dtype=float).reshape(shape)
+    value = (st.floats(-4.0, 4.0, width=16).map(lambda v: v + 0.0)
+             | st.just(np.inf))
+    cells = int(np.prod(shape))
+    a = np.array(draw(st.lists(value, min_size=cells, max_size=cells)))
+    n = draw(st.integers(1, 12))
+    lo, hi = np.empty((d, n), np.intp), np.empty((d, n), np.intp)
+    for axis, m in enumerate(shape):
+        for k in range(n):
+            lo[axis, k] = draw(st.integers(0, m - 1))
+            hi[axis, k] = draw(st.sampled_from([lo[axis, k], m - 1])
+                               | st.integers(lo[axis, k], m - 1))
+    sent = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return a.reshape(shape), lo, hi, sent
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_boxes())
+def test_box_minima_equal_per_cell_minimum(case):
+    a, lo, hi, sent = case
     before = a.tobytes()
-    got = radii._box_min(a, widths, trailing)
+    widths, corners = radii._plan_boxes(lo, hi, a.shape)
+    got = radii._least_in_boxes(a, widths, corners)
     assert a.tobytes() == before
-    expected = np.empty(shape)
-    for cell in np.ndindex(*shape):
-        box = tuple(slice(max(c - w + 1, 0), c + 1) if trailing else
-                    slice(c, c + w) for c, w in zip(cell, widths))
-        expected[cell] = a[box].min()
-    assert got.tobytes() == expected.tobytes()
+    boxes = [tuple(slice(f, t + 1) for f, t in zip(lo[:, k], hi[:, k]))
+             for k in range(lo.shape[1])]
+    assert got.tobytes() == np.array([a[box].min() for box in boxes]).tobytes()
+    # every cell receives the least value of the boxes that hold it
+    spread = radii._spread_least(sent, widths, corners, a.shape)
+    expected = np.full(a.shape, np.inf)
+    for box, value in zip(boxes, sent):
+        expected[box] = np.minimum(expected[box], value)
+    assert spread.tobytes() == expected.tobytes()
 
 
 def tampered_covers():
