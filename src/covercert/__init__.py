@@ -4,7 +4,7 @@ inequality certificates on exhausted domains."""
 from .bumps import (BumpProfile, Partition, PartitionFn,
                     build_partition, build_profile, certify_partition,
                     derivative_constant, default_weights, partition_sum)
-from .certify import (JFunctional, RescaleMap, ball_weight_constant,
+from .certify import (JFunctional, ball_weight_constant,
                       build_functional, claim4_constant,
                       domination_certificate, membership_certificate,
                       seminorm, union_cell_midpoints, verify_ball_weight_bound,

@@ -44,7 +44,7 @@ from .report import FAIL, INCONCLUSIVE, PASS, Certificate
 from .weights import WeightFamily
 
 __all__ = [
-    "seminorm", "RescaleMap",
+    "seminorm",
     "claim4_constant", "ball_weight_constant",
     "verify_integral_bound", "verify_ball_weight_bound",
     "verify_disjoint_supports", "JFunctional", "build_functional",
@@ -95,24 +95,6 @@ def seminorm(f: TestFunction, family: WeightFamily, n: int, m: int,
                     "weighted derivative overflow on the sample grid")
             best = max(best, float(vals.max()))
     return best
-
-
-@dataclass(frozen=True)
-class RescaleMap:
-    """Affine expansion by ``lam`` fixing the center."""
-
-    center: np.ndarray
-    lam: float
-
-    def forward(self, zeta):
-        zeta = np.asarray(zeta, dtype=float)
-        return self.center + self.lam * (zeta - self.center)
-
-
-def rescale_maps(cover: Cover) -> list[RescaleMap]:
-    return [RescaleMap(cover.centers[k],
-                       8.0 * float(cover.rho[k]) / float(cover.r1[k]))
-            for k in range(cover.size)]
 
 
 def _leibniz(table: dict, f_partial, alpha) -> np.ndarray:
@@ -419,14 +401,14 @@ class JFunctional:
     m: int
     p: int
     nu_index: int
-    maps: list[RescaleMap]
 
     @property
     def m_tilde(self) -> tuple[int, ...]:
         return (self.m + 1,) * self.cover.dimension
 
     def values(self, zetas, fs: list[TestFunction]) -> np.ndarray:
-        """Vectorized evaluation: points are grouped by their core box.
+        """Vectorized evaluation: each point is rescaled about the center
+        of its core box, and a point in no core box reads zero.
 
         Returns one row per test function in ``fs``, one column per point.
         """
@@ -435,16 +417,12 @@ class JFunctional:
             zetas = zetas[None, :]
         out = np.zeros((len(fs), len(zetas)))
         owners = self.cover.core_owners(zetas)
-        # the owning centers in increasing order (owners are -1 or a k)
-        ks = np.flatnonzero(np.bincount(owners + 1)[1:]).tolist()
-        if not ks:
+        idxs = np.flatnonzero(owners >= 0)
+        if not len(idxs):
             return out
-        groups = [np.flatnonzero(owners == k) for k in ks]
-        # one partition table and one Leibniz sum per f for the rescaled
-        # points of every core box
-        x = np.concatenate([self.maps[k].forward(zetas[idxs])
-                            for k, idxs in zip(ks, groups)])
-        idxs = np.concatenate(groups)
+        # one partition table and one Leibniz sum per f for the points of
+        # every core box, each rescaled about its own center
+        x = self.cover.rescale(zetas[idxs], owners[idxs])
         tables = partition_partials(self.partition, x, owners[idxs],
                                     self.m_tilde)
         nu = self.family.nu_at(self.nu_index, zetas[idxs])
@@ -459,8 +437,7 @@ def build_functional(partition: Partition, cover: Cover,
                      n: int, m: int) -> JFunctional:
     p = calc.quad_weight_index(n, cover.dimension)
     return JFunctional(partition=partition, cover=cover, family=family,
-                       level=n, m=m, p=p, nu_index=calc.apply(2, p),
-                       maps=rescale_maps(cover))
+                       level=n, m=m, p=p, nu_index=calc.apply(2, p))
 
 
 def domination_certificate(fs: list[TestFunction], family: WeightFamily,

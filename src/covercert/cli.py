@@ -14,7 +14,6 @@ configuration was rejected, 3 the run crashed with an unexpected error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -30,6 +29,7 @@ from . import bumps, certify, cover as cover_mod, domains, radii, weights
 from .errors import ConfigError, CoverCertError, NoRingPointsError
 from .functions import coord_gaussian, gaussian, spline_bump
 from .indexcalc import IndexCalculus
+from .piecewise import _distinct
 from .report import FAIL, INCONCLUSIVE, Certificate, report_to_json, summarize
 
 SUITES = ("omega", "psi", "radii", "cover", "partition", "chain")
@@ -405,18 +405,14 @@ def export_figures(config: RunConfig, built_cover, partition,
                    out_dir: Path) -> None:
     """CSV data behind the cover, cutoff-support, and pullback figures."""
     d = built_cover.dimension
-    coords = [f"z{i + 1}" for i in range(d)]
-
-    with (out_dir / "cover.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", *coords, "rho", "r1"])
-        for row in built_cover.csv_rows():
-            writer.writerow(row)
+    _write_csv(out_dir / "cover.csv",
+               ["k", *(f"z{i + 1}" for i in range(d)), "rho", "r1"],
+               [np.arange(built_cover.size), *built_cover.centers.T,
+                built_cover.rho, built_cover.r1])
 
     if partition is None:
         return
 
-    xs = [f"x{i + 1}" for i in range(d)]
     grid = built_cover.domain.sample_ring(
         built_cover.level, max(config.check_resolution * 8,
                                config.candidate_resolution * 4),
@@ -428,29 +424,51 @@ def export_figures(config: RunConfig, built_cover, partition,
         ks.append(inc.fns)
         values.append(inc.factors[0])     # the order-0 row
     rows, ks, values = (np.concatenate(a) for a in (rows, ks, values))
-    with (out_dir / "cutoffs.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*xs, "k", "value"])
-        order = np.lexsort((rows, ks))      # by cutoff, then by grid point
-        writer.writerows(zip(*grid[rows[order]].T.tolist(), ks[order].tolist(),
-                             values[order].tolist()))
+    order = np.lexsort((rows, ks))          # by cutoff, then by grid point
+    _write_csv(out_dir / "cutoffs.csv",
+               [*(f"x{i + 1}" for i in range(d)), "k", "value"],
+               [*grid[rows[order]].T, ks[order], values[order]])
 
-    maps = certify.rescale_maps(built_cover)
-    ks = range(len(partition))
-    zetas = []
-    for k in ks:
-        half = built_cover.core_halfwidths[k]
-        z = built_cover.centers[k]
-        axes = [np.linspace(z[i] - half, z[i] + half, 9) for i in range(d)]
-        zetas.append(domains.mesh_points(axes))
-    probes = np.concatenate([maps[k].forward(pts) for k, pts in zip(ks, zetas)])
-    owners = np.repeat(ks, [len(pts) for pts in zetas])
-    values = bumps.function_values(partition, probes, owners)
-    with (out_dir / "pullback.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*[f"zeta{i + 1}" for i in range(d)], "k", "value"])
-        writer.writerows(zip(*np.concatenate(zetas).T.tolist(), owners.tolist(),
-                             values.tolist()))
+    # 9 points per axis across each core box, in lexicographic order, and
+    # each partition function at their images in its outer ball
+    half = built_cover.core_halfwidths[:, None]
+    axes = np.linspace(built_cover.centers - half, built_cover.centers + half,
+                       9, axis=-1)
+    mesh = np.indices((9,) * d).reshape(d, -1)
+    zetas = axes[:, np.arange(d)[:, None], mesh].transpose(0, 2, 1).reshape(-1, d)
+    owners = np.repeat(np.arange(len(partition)), 9 ** d)
+    values = bumps.function_values(
+        partition, built_cover.rescale(zetas, owners), owners)
+    _write_csv(out_dir / "pullback.csv",
+               [*(f"zeta{i + 1}" for i in range(d)), "k", "value"],
+               [*zetas.T, owners, values])
+
+
+# rows per write of a figure file
+_CSV_ROWS = 4096
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """The columns (64-bit floats or ints) under ``header``, as the
+    ``csv`` module's excel dialect writes them: ``repr`` of each float,
+    ``str`` of each int, comma-separated, each line ended by CRLF.
+
+    Each column formats each of its distinct values once.  The rows are
+    joined and written in blocks, so memory does not grow with the file.
+    """
+    fields = []
+    for column in columns:
+        first, inverse = _distinct(column)
+        fmt = repr if column.dtype.kind == "f" else str
+        text = np.array([fmt(v) for v in column[first].tolist()], dtype=object)
+        fields.append((text, inverse))
+    rows = len(columns[0])
+    with path.open("w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for lo in range(0, rows, _CSV_ROWS):
+            cells = [text[inverse[lo:lo + _CSV_ROWS]].tolist()
+                     for text, inverse in fields]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def shipped_config_path(name: str) -> Path:

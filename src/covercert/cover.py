@@ -42,6 +42,9 @@ class Cover:
     oracle: RadiusOracle = field(repr=False)
     tampered: str = ""
     neighbors: list[np.ndarray] | None = field(default=None, repr=False)
+    # the ring lattice the candidates came from, and its resolution
+    lattice: Lattice | None = field(default=None, repr=False)
+    lattice_resolution: float | None = None
 
     @property
     def size(self) -> int:
@@ -67,11 +70,12 @@ class Cover:
         owners[owned] = cols[hit][first]
         return owners
 
-    def csv_rows(self):
-        """Rows (k, center coords..., rho_k, r1_k) for figure export."""
-        for k in range(self.size):
-            yield (k, *self.centers[k].tolist(),
-                   float(self.rho[k]), float(self.r1[k]))
+    def rescale(self, zetas, ks) -> np.ndarray:
+        """Each point ``zetas[i]`` expanded about center ``ks[i]`` by
+        ``lam = 8 rho / r1``, which maps its core box onto its outer ball."""
+        z = self.centers[ks]
+        lam = 8.0 * self.rho[ks] / self.r1[ks]
+        return z + lam[:, None] * (zetas - z)
 
 
 # the most candidate pairs sup_pairs holds at once
@@ -233,12 +237,14 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
                                     box=box)
     if oracle.strategy == CLOSED_FORM:
         box = domain.truncated_ring_box(n, box)
-        candidates = domain.sample_ring(n, candidate_resolution, box)
+        resolution = candidate_resolution
+        lattice = domain.ring_lattice(n, resolution, box)
+        candidates = lattice.points
         if len(candidates) == 0:
             raise NoRingPointsError("the candidate lattice contains no ring points")
         r1 = np.full(len(candidates), oracle.value(1, candidates[0]))
     else:
-        box = oracle.box
+        box, resolution, lattice = oracle.box, oracle.resolution, oracle._lattice
         candidates = oracle.lattice_points()
         r1 = oracle.lattice_values(1)
 
@@ -255,7 +261,8 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
     rho = np.asarray(family.radius(n, centers), dtype=float)
     return Cover(level=n, centers=centers, rho=rho, r1=r1[chosen],
                  resolution=candidate_resolution, box=box,
-                 family=family, domain=domain, oracle=oracle)
+                 family=family, domain=domain, oracle=oracle,
+                 lattice=lattice, lattice_resolution=resolution)
 
 
 def verify_covering(cover: Cover, lattice: Lattice) -> Certificate:
@@ -364,7 +371,8 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     order, the smallest margin, and the number of lattice cells checked.
 
     The open outer balls are counted on the ring lattice of
-    ``orc.resolution`` over the cover's box, and painted one slice per ball
+    ``orc.resolution`` over the cover's box (the cover's own candidate
+    lattice when that has the same resolution), and painted one slice per ball
     for the least r(z_m) and the largest r2(z_k) at each cell.  Each ball
     of a cell that two balls hold pairs with another one, so at such a cell
     the chain holds for every pair exactly when ``min r(z_m) >= r1(x) >=
@@ -377,9 +385,7 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     r_center = np.asarray(cover.family.radius(cover.level, centers), dtype=float)
     worst = float((r2 - r3).min())
 
-    on_oracle = (orc.strategy == GRID_ORACLE and (orc.n, orc.box, orc.domain)
-                 == (cover.level, cover.box, cover.domain))
-    lattice = (orc._lattice if on_oracle else
+    lattice = (cover.lattice if orc.resolution == cover.lattice_resolution else
                cover.domain.ring_lattice(cover.level, orc.resolution, cover.box))
     first, stop = lattice.boxes(centers, rho)
     held = lattice.count_boxes(first, stop) >= 2

@@ -9,7 +9,11 @@ serve them all, as in de Boor's ``bsplvd``, and each polynomial then takes
 one Horner pass over the columns for all points at once, in the operation
 order of ``numpy.polynomial.polynomial.polyval``, so each value is bitwise
 the one a per-interval ``polyval`` gives.  A call is that evaluation of a
-single polynomial.
+single polynomial.  The points the engine passes are offsets of lattice
+points from lattice centers, so most of them repeat: each distinct float
+(by bit pattern, so ``-0.0`` stays apart from ``0.0``) is searched and
+evaluated once, and the values are gathered back to every point.  Every
+step is elementwise, so a value does not depend on the other points.
 
 Convolution with a unit-mass box of width ``w`` maps the antiderivative
 ``F`` to ``(F(x + w/2) - F(x - w/2)) / w``; since the new knot set contains
@@ -187,18 +191,51 @@ def _locate(knots: np.ndarray, x: np.ndarray):
     return inside, idx, xs - knots[idx]
 
 
+def _distinct(a: np.ndarray):
+    """``(first, inverse)`` for the 1-D 64-bit array ``a``: the index of
+    the first occurrence of each distinct value, in ascending order of its
+    bit pattern, and per entry the position of its value in ``first``, so
+    that ``a[first][inverse]`` is ``a``.
+
+    Values are keyed by their bits, never compared as floats: ``-0.0`` and
+    ``0.0`` stay apart, and a NaN meets only NaNs of its own bit pattern.
+    """
+    keys = a.view(np.uint64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    # the sort is not stable: each run of equal keys takes its least index
+    return np.minimum.reduceat(order, np.flatnonzero(new)), inverse
+
+
 def evaluate_shared(polys, x) -> list[np.ndarray]:
-    """Every poly of ``polys`` at the points ``x``, one 1-D array each.
+    """Every poly of ``polys`` at the points ``x``, one array of ``x``'s
+    shape (at least 1-D) each.
 
     The polys share one knot vector, so a single interval search serves
-    them all; each value is bitwise the poly's own call.
+    them all; it runs on the distinct points only, and each value is
+    bitwise the poly's own call at that point alone.
     """
     knots = polys[0].knots
     for p in polys[1:]:
         if p.knots is not knots and not np.array_equal(p.knots, knots):
             raise ValueError("polys must share one knot vector")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside, idx, t = _locate(knots, x)
+    flat = x.ravel()
+    first, inverse = _distinct(flat)
+    if len(first) == len(flat):
+        return _evaluate(polys, x)
+    return [vals[inverse].reshape(x.shape)
+            for vals in _evaluate(polys, flat[first])]
+
+
+def _evaluate(polys, x: np.ndarray) -> list[np.ndarray]:
+    """Every poly at every point of ``x``, after one interval search."""
+    inside, idx, t = _locate(polys[0].knots, x)
     outside = np.where(np.isnan(x), np.nan, 0.0)
     out = []
     for p in polys:

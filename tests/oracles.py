@@ -5,8 +5,10 @@ code under test, one pair, piece, interval or multi-index at a time, so
 results must agree exactly.
 """
 
+import csv
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
+from covercert import bumps
 from covercert.bumps import build_profile, derivative_constant, partition_partials
 from covercert.domains import Box, cell_lattice, lattice_axes, mesh_points
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
@@ -866,7 +869,8 @@ def functional_values(func, zetas, fs):
     if not ks:
         return out
     groups = [np.flatnonzero(owners == k) for k in ks]
-    xs = [func.maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
+    maps = rescale_maps(func.cover)
+    xs = [maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
     tables = partition_partials(func.partition, np.concatenate(xs),
                                 owners[np.concatenate(groups)], func.m_tilde)
     for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
@@ -875,3 +879,74 @@ def functional_values(func, zetas, fs):
             terms = leibniz(table, lambda rest: f.partial(x, rest), func.m_tilde)
             row[idxs] = terms * nu
     return out
+
+
+@dataclass(frozen=True)
+class RescaleMap:
+    """Affine expansion by ``lam`` fixing the center."""
+
+    center: np.ndarray
+    lam: float
+
+    def forward(self, zeta):
+        zeta = np.asarray(zeta, dtype=float)
+        return self.center + self.lam * (zeta - self.center)
+
+
+def rescale_maps(cover):
+    """One map per center, from its core box onto its outer ball."""
+    return [RescaleMap(cover.centers[k],
+                       8.0 * float(cover.rho[k]) / float(cover.r1[k]))
+            for k in range(cover.size)]
+
+
+def export_figures(config, built_cover, partition, out_dir):
+    """The three figure CSVs through ``csv.writer``, row by row from Python
+    numbers, with the pullback probes built one core box at a time."""
+    d = built_cover.dimension
+    coords = [f"z{i + 1}" for i in range(d)]
+
+    with (out_dir / "cover.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["k", *coords, "rho", "r1"])
+        for k in range(built_cover.size):
+            writer.writerow((k, *built_cover.centers[k].tolist(),
+                             float(built_cover.rho[k]), float(built_cover.r1[k])))
+
+    if partition is None:
+        return
+
+    xs = [f"x{i + 1}" for i in range(d)]
+    grid = built_cover.domain.sample_ring(
+        built_cover.level, max(config.check_resolution * 8,
+                               config.candidate_resolution * 4),
+        config.truncation)
+    rows, ks, values = [], [], []
+    for block, inc in bumps.incidences(partition, grid, (0,) * d):
+        rows.append(inc.rows + block.start)
+        ks.append(inc.fns)
+        values.append(inc.factors[0])
+    rows, ks, values = (np.concatenate(a) for a in (rows, ks, values))
+    with (out_dir / "cutoffs.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*xs, "k", "value"])
+        order = np.lexsort((rows, ks))
+        writer.writerows(zip(*grid[rows[order]].T.tolist(), ks[order].tolist(),
+                             values[order].tolist()))
+
+    maps = rescale_maps(built_cover)
+    ks = range(len(partition))
+    zetas = []
+    for k in ks:
+        half = built_cover.core_halfwidths[k]
+        z = built_cover.centers[k]
+        axes = [np.linspace(z[i] - half, z[i] + half, 9) for i in range(d)]
+        zetas.append(mesh_points(axes))
+    probes = np.concatenate([maps[k].forward(pts) for k, pts in zip(ks, zetas)])
+    owners = np.repeat(ks, [len(pts) for pts in zetas])
+    values = bumps.function_values(partition, probes, owners)
+    with (out_dir / "pullback.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*[f"zeta{i + 1}" for i in range(d)], "k", "value"])
+        writer.writerows(zip(*np.concatenate(zetas).T.tolist(), owners.tolist(),
+                             values.tolist()))

@@ -341,7 +341,8 @@ class TestIncidenceEngine:
     def test_one_interval_search_per_profile_and_axis(
             self, square_setup, monkeypatch, alpha):
         # the square's 25 cutoffs come at 5 radii and share one profile, so
-        # every block makes one search per axis over all of its pairs
+        # every block makes one search per axis, over the distinct offsets
+        # of its pairs (by bit pattern), which repeat on the lattice
         dom, _, cover, partition = square_setup
         pts = dom.sample_ring(1, 0.01, Box((0.1, 0.1), (0.55, 0.55)))
         assert len(set(cover.rho.tolist())) == 5
@@ -355,14 +356,21 @@ class TestIncidenceEngine:
         monkeypatch.setattr(piecewise, "_locate", counting_locate)
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 1024)
         for owners in (None, np.arange(len(pts)) % len(partition)):
-            blocks = 0
+            blocks = searched = pairs = 0
             searches.clear()
             for _, inc in bumps.incidences(partition, pts, alpha, owners):
-                assert len(searches) == pts.shape[1]
-                assert sum(searches) == len(inc.rows) * pts.shape[1]
+                offsets = ((inc.pts[inc.rows] - partition.centers[inc.fns])
+                           / partition.scales[inc.fns, None])
+                distinct = [len(set(axis.view(np.uint64).tolist()))
+                            for axis in offsets.T]
+                assert searches == distinct
+                assert max(distinct) <= len(inc.rows)
                 blocks += 1
+                searched += sum(searches)
+                pairs += len(inc.rows) * pts.shape[1]
                 searches.clear()
             assert blocks > 1
+            assert searched < pairs
 
     def test_order_beyond_budget_raises(self, square_setup):
         _, _, _, partition = square_setup

@@ -15,7 +15,7 @@ from covercert import (Box, BoxRegion, IndexCalculus, IndexCapError,
 import oracles
 from covercert import bumps
 from covercert.bumps import function_values, partition_partials
-from covercert.certify import _integral_bound_terms, _leibniz, rescale_maps
+from covercert.certify import _integral_bound_terms, _leibniz
 from covercert.multiindex import indices_below
 
 
@@ -152,17 +152,31 @@ class TestMembership:
 
 
 class TestRescaleMap:
+    def test_equals_per_center_maps_bitwise(self, schwartz_setup, chain_setup):
+        # Cover.rescale maps all points in one array expression; the
+        # per-center affine maps are its reference
+        rng = np.random.default_rng(11)
+        for cover in (schwartz_setup[1], chain_setup[2]):
+            maps = oracles.rescale_maps(cover)
+            d = cover.dimension
+            ks = rng.integers(0, cover.size, 200)
+            zetas = cover.centers[ks] + rng.uniform(-1.0, 1.0, (200, d)) \
+                * cover.core_halfwidths[ks, None]
+            got = cover.rescale(zetas, ks)
+            want = np.array([maps[k].forward(z) for k, z in zip(ks, zetas)])
+            assert got.shape == zetas.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_roundtrip_and_corners(self, schwartz_setup):
         _, cover, _, _ = schwartz_setup
-        maps = rescale_maps(cover)
         k = 3
-        lam = 8.0 * cover.rho[k] / cover.r1[k]
-        assert maps[k].lam == pytest.approx(lam)
-        # the core box corner maps to the outer ball corner, exactly
+        # the core box corner maps to the outer ball corner, and the
+        # center stays put, exactly
         corner = cover.centers[k] + cover.r1[k] / 8.0
-        image = maps[k].forward(corner)
+        image, center = cover.rescale(np.stack([corner, cover.centers[k]]),
+                                      [k, k])
         assert image == pytest.approx(cover.centers[k] + cover.rho[k], rel=1e-14)
-        assert maps[k].forward(cover.centers[k]) == pytest.approx(cover.centers[k])
+        assert center.tobytes() == cover.centers[k].tobytes()
 
 
 class TestMixedPartial:
@@ -285,7 +299,8 @@ class TestFunctional:
         # per point, the summands whose rescaled support contains it
         active = np.zeros(len(pts), dtype=int)
         for k in range(len(partition)):
-            offs = np.abs(func.maps[k].forward(pts) - cover.centers[k]).max(axis=1)
+            x = cover.rescale(pts, np.full(len(pts), k))
+            offs = np.abs(x - cover.centers[k]).max(axis=1)
             active += offs <= partition.half[k]
         assert active.max() <= 1
 
@@ -298,7 +313,7 @@ class TestFunctional:
         f = gaussian(1)
         func = build_functional(partition, cover, fam, calc, 1, 1)
         zeta = cover.centers[0] + 0.3 * cover.core_halfwidths[0]
-        x = func.maps[0].forward(zeta)
+        x = cover.rescale(zeta[None, :], [0])[0]
 
         def hf(t):
             h_t = function_values(partition, np.array([[t]]), [0])[0]
@@ -492,8 +507,9 @@ class TestChainAgainstPerBallLoops:
         assert rows.tobytes() == oracles.functional_values(func, zetas, fs).tobytes()
         owners = cover.core_owners(zetas)
         ks = sorted(set(owners.tolist()) - {-1})
-        x = np.concatenate([func.maps[k].forward(zetas[owners == k]) for k in ks])
         sizes = [int((owners == k).sum()) for k in ks]
+        x = cover.rescale(np.concatenate([zetas[owners == k] for k in ks]),
+                          np.repeat(ks, sizes))
         tables = partition_partials(partition, x, np.repeat(ks, sizes),
                                     func.m_tilde)
         groups = np.split(np.arange(len(x)), np.cumsum(sizes)[:-1])

@@ -5,11 +5,14 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from covercert import cli
 from covercert.cli import SUITES, main, shipped_config_path
 
@@ -267,6 +270,80 @@ def test_exit_codes_keep_their_meaning(config):
             assert report.exists()
             summary = json.loads(report.read_text())["summary"]
             assert (summary["fail"] > 0) == (code == 1)
+
+
+_FIGURE_FILES = ("cover.csv", "cutoffs.csv", "pullback.csv")
+
+
+@settings(max_examples=25, deadline=None)
+@given(run_configs().map(lambda config: {
+    **config, "figures": True,
+    "suite": sorted({*config["suite"], "partition"})}))
+def test_figures_equal_the_csv_module_export(config):
+    """The figure files are byte for byte those that ``csv.writer`` writes
+    from Python numbers, with the pullback probes built one core box at a
+    time."""
+    export = cli.export_figures
+    written = []
+
+    def both(run_config, built_cover, partition, out_dir):
+        export(run_config, built_cover, partition, out_dir)
+        (out_dir / "reference").mkdir()
+        oracles.export_figures(run_config, built_cover, partition,
+                               out_dir / "reference")
+        written.append(out_dir)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with mock.patch.object(cli, "export_figures", both), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        assert bool(written) == (code != 2)
+        for out in written:
+            for name in _FIGURE_FILES:
+                assert (out / name).read_bytes() == \
+                    (out / "reference" / name).read_bytes(), name
+
+
+_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+           0.1 + 0.2]
+_INTS = [0, -1, -(2 ** 63), 2 ** 53 + 1, 2 ** 63 - 1]
+
+
+@st.composite
+def csv_columns(draw):
+    """Float and int columns of one length (maybe zero) that mix signed
+    zeros, NaN, infinities, subnormals and ints past 2^53."""
+    rows = draw(st.integers(0, 30))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("fi"), min_size=1, max_size=4)):
+        if kind == "f":
+            values, dtype = st.one_of(st.sampled_from(_FLOATS), st.floats()), float
+        else:
+            values, dtype = st.one_of(st.sampled_from(_INTS), st.integers(
+                -(2 ** 63), 2 ** 63 - 1)), np.int64
+        columns.append(np.array(draw(st.lists(values, min_size=rows,
+                                              max_size=rows)), dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_columns(), st.integers(1, 8))
+def test_csv_writer_equals_the_csv_module(columns, block):
+    # small row blocks, so that values repeat across blocks
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(cli, "_CSV_ROWS", block):
+            cli._write_csv(got, header, columns)
+        with want.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(zip(*[column.tolist() for column in columns]))
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestNegativeControls:

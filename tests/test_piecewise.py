@@ -223,6 +223,37 @@ class TestSharedKnots:
         for q, vals in zip(polys, evaluate_shared(polys, lo)):
             assert vals.shape == (1,) and vals.tobytes() == q(np.array([lo])).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(piecewise_polys(), st.integers(0, 2), st.data())
+    def test_each_point_on_its_own(self, p, derivatives, data):
+        # the distinct points are evaluated once and gathered back, so the
+        # values must be bitwise those of each point evaluated alone
+        polys = [p]
+        for _ in range(derivatives):
+            polys.append(polys[-1].derivative())
+        lo, hi = p.support
+        pool = [*p.knots, 0.0, -0.0, np.nan, np.inf, -np.inf,
+                np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                *data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0), max_size=6))]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+        x = np.array([pool[i] for i in picks], dtype=float)
+        alone = [np.concatenate([np.empty(0)] + [
+                     evaluate_shared(polys, x[i:i + 1])[j]
+                     for i in range(len(x))]) for j in range(len(polys))]
+        for shape in ((len(x),), (1, len(x)) if len(x) % 2 else (2, -1)):
+            got = evaluate_shared(polys, x.reshape(shape))
+            assert len(got) == len(polys)
+            for vals, want in zip(got, alone):
+                assert vals.shape == x.reshape(shape).shape
+                assert vals.ravel().tobytes() == want.tobytes()
+
+    def test_signed_zeros_stay_apart(self):
+        # at a knot at zero, -0.0 and 0.0 evaluate to zeros of their own
+        # sign, so the repeated points must not merge them
+        p = PiecewisePoly([0.0, 1.0], [[-0.0]])
+        out = evaluate_shared([p], [0.0, -0.0, 0.0, -0.0])[0]
+        assert np.signbit(out).tolist() == [False, True, False, True]
+
     def test_empty_input(self):
         p = indicator(1.0).convolve_unit_box(0.5)
         out = evaluate_shared([p, p.derivative()], np.empty(0))
