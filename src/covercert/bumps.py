@@ -21,10 +21,12 @@ Every partition reading runs through one incidence engine,
 the point in the cutoff's closed support, and evaluates the factors of
 all pairs together: per axis, one shared-knot evaluation of the profile
 gives every derivative order the pairs need, so the interval searches
-do not grow with the cutoffs or their radii.  A point's pairs by
-ascending cutoff are its run, and one prefix-product recurrence walks
-each run: with P the product of the complements of the earlier pairs,
-the function at pair s is psi = phi_s * P, and P steps to
+do not grow with the cutoffs or their radii.  Its tables cover only the
+partials a reader asks for, a down-closed set of multi-indices, so a
+reader of the orders |beta| <= k pays for no cross term above them.  A
+point's pairs by ascending cutoff are its run, and one prefix-product
+recurrence walks each run: with P the product of the complements of the
+earlier pairs, the function at pair s is psi = phi_s * P, and P steps to
 P * (1 - phi_s), both by the product rule over every partial, with the
 cross terms the two share formed once.  A run of L pairs costs L steps,
 where multiplying in each function's complements on its own costs
@@ -32,18 +34,20 @@ Theta(L^2); the products associate differently, so values agree with
 that order to rounding, not bitwise.
 
 Readers that need every pair (the partition sum, the partition
-certificates, the cutoff export) find them with one ``sup_pairs`` query.
-The first two read psi at every pair.  That is exact because a point in
-the closed supports of cutoffs m < k lies in both outer balls, so every
-earlier pair of a run is a blocker of the later one;
+certificates, the cutoff export) find them in one query: on a
+``Lattice`` (the check lattice and the export grid) each support box is
+one index interval per axis, and other point sets take a ``sup_pairs``
+query.  The first two read psi at every pair.  That is exact because a
+point in the closed supports of cutoffs m < k lies in both outer balls,
+so every earlier pair of a run is a blocker of the later one;
 ``Partition.check_runs`` checks this once per partition, when psi is
 first formed.  The cutoff export reads only the cutoffs' own values.
 Readers that evaluate one function per point (``function_values``,
 ``partition_partials`` and, through them, the rescaled functional and the
 pullback export) build each point's run from just that function's
 blockers and own cutoff, and form psi once, at its end.  Points pass
-through the engine in blocks of a bounded number of pairs, which bounds
-its memory.
+through the engine in blocks of a bounded number of pairs (slabs of the
+first axis, on a lattice), which bounds its memory.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cover import Cover, neighbor_sets, pairs_within, sup_pairs
+from .domains import Lattice
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
 from .piecewise import PiecewisePoly, evaluate_shared, indicator
@@ -212,13 +217,16 @@ class Partition:
         """The (point, cutoff) pairs with the point in the cutoff's closed
         support, as ``(rows, cols)`` in lexicographic order.
 
-        Without ``owners`` these are all such pairs, from one ``sup_pairs``
-        query.  With ``owners`` (the function each point is read for) one
-        ``pairs_within`` call tests each point's slice of ``links``, that
-        function's blockers and own cutoff, and a point outside its own
-        cutoff's support keeps no pairs.
+        Without ``owners`` these are all such pairs: from the lattice's
+        per-axis intervals when ``pts`` is a ``Lattice`` (rows index its
+        points), else from one ``sup_pairs`` query.  With ``owners`` (the
+        function each point is read for) one ``pairs_within`` call tests
+        each point's slice of ``links``, that function's blockers and own
+        cutoff, and a point outside its own cutoff's support keeps no pairs.
         """
         if owners is None:
+            if isinstance(pts, Lattice):
+                return pts.pairs(self.centers, self.half)
             rows, cols, _ = sup_pairs(self.centers, pts, self.half)
             return rows, cols
         # each point's slice of links ascends: pairs come out in order
@@ -268,43 +276,50 @@ class Partition:
 class Incidence:
     """The (point, cutoff) pairs of a point set, with each cutoff's partials.
 
-    The pairs (point ``rows``, cutoff ``fns``) are
+    The points are an array or a ``Lattice`` (held as its ``points``), and
+    the pairs (point ``rows``, cutoff ``fns``) are
     ``partition.pairs(pts, owners)``.  A point's pairs by ascending cutoff
     are its run.  The pairs are held step-major (``_step_major``): step s
     holds the s-th pair of every point whose run is longer than s
     (``active[s]`` of them, from ``start[s]``), with the points ranked by
     descending run length (``order``), so each step's points are a prefix
     of the last step's.
-    Each pair's partials up to ``alpha`` are formed from its offsets to the
-    cutoff's center, divided by the cutoff's scale: per axis, one
-    shared-knot evaluation of the profile gives orders ``0..alpha_i`` at
-    every pair, each order b is multiplied by the pair's ``powers`` entry,
-    and each beta multiplies its axis factors from ones, in axis order, so
-    each row of ``factors`` (one per entry of ``betas``, the order-0 row
-    first) is bitwise the cutoff's partial evaluated on its own.
+    The tables cover ``betas``, a down-closed set of multi-indices (with
+    every beta, each gamma <= beta; ``ValueError`` otherwise), and the
+    recurrence is exact on such a set.  Each pair's partials are formed
+    from its offsets to the cutoff's center, divided by the cutoff's
+    scale: per axis, one shared-knot evaluation of the profile gives every
+    order up to the largest of the betas on that axis at every pair, each
+    order b is multiplied by the pair's ``powers`` entry, and each beta
+    multiplies its axis factors from ones, in axis order, so each row of
+    ``factors`` (one per entry of ``betas``, the order-0 row first) is
+    bitwise the cutoff's partial evaluated on its own.
     """
 
-    def __init__(self, partition: Partition, pts, alpha, owners=None):
-        pts = np.asarray(pts, dtype=float)
+    def __init__(self, partition: Partition, pts, betas, owners=None):
+        lattice = pts if isinstance(pts, Lattice) else None
+        pts = np.asarray(pts.points if lattice else pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        alpha = tuple(int(a) for a in alpha)
         profile = partition.profile
-        if any(a >= profile.order for a in alpha):
-            raise SmoothnessOrderError(f"component of {alpha} exceeds per-axis "
-                                       f"budget {profile.order - 1}")
         self.pts, self.partition, self.owned = pts, partition, owners is not None
-        self.rule = _product_rule(alpha)
+        self.rule = _product_rule(_down_set(betas, partition.centers.shape[1]))
         self.betas = self.rule.betas
+        top = np.max(self.betas, axis=0).tolist()
+        if max(top) >= profile.order:
+            raise SmoothnessOrderError(f"component of {tuple(top)} exceeds "
+                                       f"per-axis budget {profile.order - 1}")
         self.order, self.active, self.start, self.rows, self.fns = _step_major(
-            *partition.pairs(pts, owners), len(pts))
+            *partition.pairs(lattice or pts, owners), len(pts))
         rows, fns = self.rows, self.fns
 
         offsets = (pts[rows] - partition.centers[fns]) / partition.scales[fns, None]
-        powers = partition.powers[fns, :max(alpha) + 1].T
-        axes = [[vals * powers[b] for b, vals in enumerate(
-                    evaluate_shared(profile.polys[:a_i + 1], offsets[:, i]))]
-                for i, a_i in enumerate(alpha)]
+        axes = [evaluate_shared(profile.polys[:a_i + 1], offsets[:, i])
+                for i, a_i in enumerate(top)]
+        del offsets
+        for orders in axes:
+            for b, vals in enumerate(orders):
+                vals *= partition.powers[fns, b]
         self.factors = np.empty((len(self.betas), len(fns)))
         for row, beta in zip(self.factors, self.betas):
             val = np.ones(len(fns))
@@ -313,8 +328,8 @@ class Incidence:
             row[:] = val
 
     def partials(self) -> dict:
-        """Partials beta <= alpha of the partition functions, as a dict from
-        each beta to its values.
+        """Partials ``betas`` of the partition functions, as a dict from
+        each beta to its values, by ascending beta.
 
         Without ``owners`` there is one value per pair: function ``fns[p]``
         at point ``rows[p]``.  With ``owners`` there is one per point: its
@@ -355,11 +370,13 @@ class Incidence:
             prod = -f[:, :m]
             prod[0] = 1.0 - f[0, :m]
             return prod
-        psi[:] = prod[:, lo:] * f[0, lo:]
+        np.multiply(prod[:, lo:], f[0, lo:], out=psi)
         nxt = prod[:, :m] * (1.0 - f[0, :m])
         rule = self.rule
         if rule.levels:
-            terms = prod[rule.gamma] * f[rule.rest] * rule.weight
+            terms = prod[rule.gamma]
+            terms *= f[rule.rest]
+            terms *= rule.weight
             cross = terms[:rule.levels[0]]
             at = rule.levels[0]
             for count in rule.levels[1:]:
@@ -400,9 +417,20 @@ class _Rule(NamedTuple):
     levels: list
 
 
+def _down_set(betas, dimension: int) -> tuple:
+    """``betas`` as a sorted tuple of distinct multi-indices of the given
+    dimension; ``ValueError`` for an empty set or a malformed index."""
+    out = tuple(sorted({tuple(int(b) for b in beta) for beta in betas}))
+    if not out or any(len(beta) != dimension or min(beta) < 0 for beta in out):
+        raise ValueError(f"need a nonempty set of {dimension}-dimensional "
+                         f"multi-indices, got {list(out)}")
+    return out
+
+
 @functools.cache
-def _product_rule(alpha) -> _Rule:
-    """The engine's betas and the product rule's cross terms for ``alpha``.
+def _product_rule(betas) -> _Rule:
+    """The engine's betas and the product rule's cross terms for the
+    down-closed set ``betas`` (as ``_down_set`` gives it).
 
     The betas, the rows of the engine's tables, are zero first and then
     the others by descending count of gammas < beta, so that the betas
@@ -410,9 +438,16 @@ def _product_rule(alpha) -> _Rule:
     level by level: level j holds, for each beta with more than j gammas,
     its j-th gamma in ``indices_below`` order, as the rows of gamma and of
     beta - gamma and the weight binom(beta, gamma).  ``levels`` counts the
-    terms of each level, so every cross sum adds its terms in that order.
+    terms of each level, so every cross sum adds its terms in that order,
+    whatever other betas the set holds.  A set that is not down-closed
+    raises ``ValueError``.
     """
-    below = {beta: indices_below(beta)[:-1] for beta in indices_below(alpha)}
+    below = {beta: indices_below(beta)[:-1] for beta in betas}
+    missing = [(beta, gamma) for beta in betas for gamma in below[beta]
+               if gamma not in below]
+    if missing:
+        raise ValueError("the set of multi-indices is not down-closed: it "
+                         "holds {} but not {}".format(*missing[0]))
     betas = [next(iter(below))] + sorted(list(below)[1:],
                                          key=lambda beta: -len(below[beta]))
     row = {beta: j for j, beta in enumerate(betas)}
@@ -427,22 +462,31 @@ def _product_rule(alpha) -> _Rule:
                  levels)
 
 
-def incidences(partition: Partition, pts, alpha, owners=None):
-    """``(block, Incidence)`` for consecutive blocks of the points.
+def incidences(partition: Partition, pts, betas, owners=None):
+    """``(block, Incidence)`` for consecutive blocks of the points, with
+    tables over the down-closed set ``betas``.
 
-    Blocks bound the engine's tables: each next block is sized from the
-    pairs per point of the last one to hold about ``_BLOCK_PAIRS`` pairs.
-    Every point's pairs, and so every value, are those of one incidence of
-    all the points.  There is always at least one block, empty for no
-    points.
+    Blocks bound the engine's tables.  On a ``Lattice`` (all pairs) each
+    block is a slab of first-axis cells whose support boxes hold at most
+    about ``_BLOCK_PAIRS`` cells (``Lattice.slabs``), and its points are a
+    contiguous slice of the lattice's.  Otherwise each next block is sized
+    from the pairs per point of the last one to hold about ``_BLOCK_PAIRS``
+    pairs.  Every point's pairs, and so every value, are those of one
+    incidence of all the points.  There is always at least one block,
+    empty for no points.
     """
+    if isinstance(pts, Lattice) and owners is None:
+        for block, slab in pts.slabs(partition.centers, partition.half,
+                                     _BLOCK_PAIRS):
+            yield block, Incidence(partition, slab, betas)
+        return
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     start, size = 0, 1024
     while True:
         block = slice(start, start + size)
-        inc = Incidence(partition, pts[block], alpha,
+        inc = Incidence(partition, pts[block], betas,
                         None if owners is None else owners[block])
         yield block, inc
         start = block.stop
@@ -452,12 +496,12 @@ def incidences(partition: Partition, pts, alpha, owners=None):
         size = int(min(4 * size, max(64, _BLOCK_PAIRS / per_point)))
 
 
-def partition_partials(partition: Partition, pts, ks, alpha) -> dict:
-    """Partials beta <= alpha of partition function ``ks[i]`` at ``pts[i]``,
-    for every i (see ``Incidence.partials``)."""
+def partition_partials(partition: Partition, pts, ks, betas) -> dict:
+    """Partials ``betas`` (a down-closed set) of partition function
+    ``ks[i]`` at ``pts[i]``, for every i (see ``Incidence.partials``)."""
     ks = np.asarray(ks, dtype=np.int64)
     parts = [inc.partials()
-             for _, inc in incidences(partition, pts, alpha, owners=ks)]
+             for _, inc in incidences(partition, pts, betas, owners=ks)]
     return {beta: np.concatenate([part[beta] for part in parts])
             for beta in parts[0]}
 
@@ -470,7 +514,7 @@ def function_values(partition: Partition, pts, ks) -> np.ndarray:
     ``ValueError``); the support certificate evaluates the cutoffs
     themselves."""
     zero = (0,) * np.shape(pts)[-1]
-    return partition_partials(partition, pts, ks, zero)[zero]
+    return partition_partials(partition, pts, ks, [zero])[zero]
 
 
 def build_partition(cover: Cover, order: int, weights=None) -> Partition:
@@ -493,7 +537,7 @@ def partition_sum(partition: Partition, pts) -> np.ndarray:
         pts = pts[None, :]
     zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
-    for block, inc in incidences(partition, pts, zero):
+    for block, inc in incidences(partition, pts, [zero]):
         # bincount adds each point's values in step order, i.e. function order
         values = inc.partials()[zero]
         out[block] = np.bincount(inc.rows, weights=values, minlength=len(inc.pts))
@@ -535,17 +579,21 @@ def _probe_values(partition: Partition, probes: np.ndarray) -> np.ndarray:
 
 
 def certify_partition(partition: Partition, cover: Cover, oracle,
-                      alpha_max: int, grid: np.ndarray,
+                      alpha_max: int, grid,
                       sum_tol: float = 1e-9, tol: float = 1e-9) -> list[Certificate]:
-    """Sum-to-one, range, support, and derivative-bound certificates."""
-    grid = np.asarray(grid, dtype=float)
+    """Sum-to-one, range, support, and derivative-bound certificates, on
+    the points of ``grid`` (an array, or a ``Lattice``, whose pairs come
+    from its per-axis intervals)."""
+    lattice = grid if isinstance(grid, Lattice) else None
+    grid = np.asarray(lattice.points if lattice else grid, dtype=float)
     fam = cover.family.name
     n = cover.level
     d = cover.dimension
     certs: list[Certificate] = []
 
-    # One table of partials at every (grid point, function) pair serves the
-    # sum, range and derivative passes; its order-0 entry is the value.
+    # One table of the partials |alpha| <= alpha_max at every (grid point,
+    # function) pair serves the sum, range and derivative passes; its
+    # order-0 entry is the value.
     # The derivative pass keeps each function's grid points in its support
     # box (lo <= x <= hi) and takes max |partial| over them.
     alphas = indices_up_to_order(d, alpha_max)
@@ -554,7 +602,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     seen = np.zeros(len(partition), dtype=bool)
     sums = np.zeros(len(grid))
     below, top = 0.0, None
-    for block, inc in incidences(partition, grid, (alpha_max,) * d):
+    for block, inc in incidences(partition, lattice or grid, alphas):
         tables = inc.partials()
         vals = tables[(0,) * d]
         # bincount adds each point's values in step order, i.e. function
@@ -563,11 +611,13 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
         if len(vals):
             below = min(below, float(vals.min()))
             top = float(vals.max()) if top is None else max(top, float(vals.max()))
-        at = inc.pts[inc.rows]
-        lo = cover.centers[inc.fns] - half[inc.fns][:, None]
-        hi = cover.centers[inc.fns] + half[inc.fns][:, None]
-        in_box = np.flatnonzero(((at >= lo) & (at <= hi)).all(axis=1))
-        del at, lo, hi
+        ok = np.ones(len(inc.rows), dtype=bool)
+        reach = half[inc.fns]
+        for a in range(d):
+            at, center = inc.pts[inc.rows, a], cover.centers[inc.fns, a]
+            ok &= (at >= center - reach) & (at <= center + reach)
+        del at, center, reach
+        in_box = np.flatnonzero(ok)
         order = in_box[np.argsort(inc.fns[in_box], kind="stable")]
         fk = inc.fns[order]
         if len(fk):
@@ -614,7 +664,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
                             axis=1)
     vals = _probe_values(partition, probes)
     wide = ~(half < cover.rho)
-    bad = np.flatnonzero(wide | (vals != 0.0).any(axis=1))
+    bad = np.flatnonzero(functools.reduce(np.logical_or, (vals != 0.0).T, wide))
     witness = None
     if len(bad):
         j = int(bad[0])

@@ -203,13 +203,13 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
         samples.append(mesh_points([
             np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho, points_per_ball)
             for i in range(d)]))
-    # One partition table at (m,...,m) for every ball's sample points.  A
-    # beta's entry does not depend on the alpha it is computed under, so
-    # it serves every alpha with |alpha| <= m.
+    # One partition table of the partials |beta| <= m, which are all the
+    # Leibniz sums of the orders |alpha| <= m read, for every ball's
+    # sample points.
     starts, ends = _ball_slices(samples)
     pts = np.concatenate(samples)
     tables = partition_partials(partition, pts, np.repeat(ks, ends - starts),
-                                (m,) * d)
+                                indices_up_to_order(d, m))
     lhs_values = []
     for f in fs:
         f_partial = functools.cache(lambda rest: f.partial(pts, rest))
@@ -230,7 +230,8 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
         starts, ends = _ball_slices(mids)
         cells = np.concatenate(mids)
         tables = partition_partials(partition, cells,
-                                    np.repeat(ks, ends - starts), m_tilde)
+                                    np.repeat(ks, ends - starts),
+                                    indices_below(m_tilde))
         for f, integrals_f in zip(fs, integrals):
             vals = np.abs(_leibniz(tables, lambda rest: f.partial(cells, rest),
                                    m_tilde))
@@ -424,7 +425,7 @@ class JFunctional:
         # every core box, each rescaled about its own center
         x = self.cover.rescale(zetas[idxs], owners[idxs])
         tables = partition_partials(self.partition, x, owners[idxs],
-                                    self.m_tilde)
+                                    indices_below(self.m_tilde))
         nu = self.family.nu_at(self.nu_index, zetas[idxs])
         for row, f in zip(out, fs):
             row[idxs] = _leibniz(tables, lambda rest: f.partial(x, rest),

@@ -350,9 +350,12 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
         partition = bumps.build_partition(built_cover, config.smoothness_order)
 
     if "partition" in config.suite:
+        # below the cap the engine reads the check lattice itself
+        grid = (check if len(check.points) <= 12000
+                else _subsample(check.points, 12000))
         certificates.extend(bumps.certify_partition(
-            partition, built_cover, oracle, config.alpha_max,
-            _subsample(check.points, 12000), tol=config.tolerance))
+            partition, built_cover, oracle, config.alpha_max, grid,
+            tol=config.tolerance))
 
     if "chain" in config.suite:
         calc = IndexCalculus(family)
@@ -413,13 +416,13 @@ def export_figures(config: RunConfig, built_cover, partition,
     if partition is None:
         return
 
-    grid = built_cover.domain.sample_ring(
+    grid = built_cover.domain.ring_lattice(
         built_cover.level, max(config.check_resolution * 8,
                                config.candidate_resolution * 4),
         config.truncation)
     # each cutoff's values at the grid points of its support, cutoff by cutoff
     rows, ks, values = [], [], []
-    for block, inc in bumps.incidences(partition, grid, (0,) * d):
+    for block, inc in bumps.incidences(partition, grid, [(0,) * d]):
         rows.append(inc.rows + block.start)
         ks.append(inc.fns)
         values.append(inc.factors[0])     # the order-0 row
@@ -427,7 +430,7 @@ def export_figures(config: RunConfig, built_cover, partition,
     order = np.lexsort((rows, ks))          # by cutoff, then by grid point
     _write_csv(out_dir / "cutoffs.csv",
                [*(f"x{i + 1}" for i in range(d)), "k", "value"],
-               [*grid[rows[order]].T, ks[order], values[order]])
+               [*grid.points[rows[order]].T, ks[order], values[order]])
 
     # 9 points per axis across each core box, in lexicographic order, and
     # each partition function at their images in its outer ball
@@ -444,8 +447,8 @@ def export_figures(config: RunConfig, built_cover, partition,
                [*zetas.T, owners, values])
 
 
-# rows per write of a figure file
-_CSV_ROWS = 4096
+# rows per block of a figure file: bounds the formatted strings held at once
+_CSV_ROWS = 1024
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -453,21 +456,19 @@ def _write_csv(path: Path, header, columns) -> None:
     ``csv`` module's excel dialect writes them: ``repr`` of each float,
     ``str`` of each int, comma-separated, each line ended by CRLF.
 
-    Each column formats each of its distinct values once.  The rows are
-    joined and written in blocks, so memory does not grow with the file.
+    The rows are formatted, joined and written in blocks, each column of a
+    block formatting each of its distinct values once, so memory does not
+    grow with the file.
     """
-    fields = []
-    for column in columns:
-        first, inverse = _distinct(column)
-        fmt = repr if column.dtype.kind == "f" else str
-        text = np.array([fmt(v) for v in column[first].tolist()], dtype=object)
-        fields.append((text, inverse))
-    rows = len(columns[0])
+    fmts = [repr if column.dtype.kind == "f" else str for column in columns]
     with path.open("w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        for lo in range(0, rows, _CSV_ROWS):
-            cells = [text[inverse[lo:lo + _CSV_ROWS]].tolist()
-                     for text, inverse in fields]
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            cells = []
+            for column, fmt in zip(columns, fmts):
+                first, inverse = _distinct(column[lo:lo + _CSV_ROWS])
+                text = [fmt(v) for v in column[lo + first].tolist()]
+                cells.append(np.array(text, dtype=object)[inverse].tolist())
             handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

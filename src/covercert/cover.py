@@ -12,6 +12,7 @@ and the radius chain count the open balls per cell of a ``Lattice``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,7 +279,8 @@ def verify_covering(cover: Cover, lattice: Lattice) -> Certificate:
     c, rho = cover.centers[:, None, :], cover.rho[:, None, None]
     corners = np.where(upper, c + rho, c - rho).reshape(-1, d)
     inside = cover.domain.ring(cover.level + 1).contains(corners)
-    escaped = np.flatnonzero(~inside.reshape(cover.size, 2 ** d).all(axis=1))
+    held = functools.reduce(np.logical_and, inside.reshape(cover.size, 2 ** d).T)
+    escaped = np.flatnonzero(~held)
     escape = ({"center": int(escaped[0]), "corner_outside": True}
               if len(escaped) else None)
 

@@ -8,6 +8,7 @@ empty boundary is infinite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -74,13 +75,9 @@ class Box:
 
     def contains(self, x, closed: bool = False) -> np.ndarray:
         pts = _as_points(x, self.dimension)
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        if closed:
-            ok = (pts >= lo) & (pts <= hi)
-        else:
-            ok = (pts > lo) & (pts < hi)
-        return ok.all(axis=1)
+        return functools.reduce(np.logical_and, [
+            (at >= lo) & (at <= hi) if closed else (at > lo) & (at < hi)
+            for at, lo, hi in zip(pts.T, self.lower, self.upper)])
 
     def intersect(self, other: "Box") -> "Box":
         lo = tuple(max(a, b) for a, b in zip(self.lower, other.lower))
@@ -161,14 +158,76 @@ class Lattice:
         keep = np.ones(len(flat), bool) if region is None else region.contains(flat)
         return cls(tuple(axes), keep.reshape([len(a) for a in axes]), flat[keep])
 
-    def boxes(self, centers: np.ndarray, reach: np.ndarray):
+    def boxes(self, centers: np.ndarray, reach: np.ndarray, strict=True):
         """Per axis (rows) and center (columns), the index interval ``first
         <= t < stop`` (maybe empty) of the cells with ``|axis[t] - z_k| <
-        reach[k]``: the open sup-norm balls, decided on the float gaps."""
-        spans = [_interval_within(axis, z, np.asarray(reach, float), strict=True)
-                 for axis, z in zip(self.axes, np.asarray(centers).T)]
+        reach[k]`` (``<=`` unless ``strict``): the open (closed) sup-norm
+        balls, decided on the float gaps."""
+        reach = np.broadcast_to(np.asarray(reach, float), len(centers))
+        spans = [_interval_within(axis, z, reach, strict)
+                 for axis, z in zip(self.axes, np.asarray(centers, float).T)]
         return (np.stack([f for f, _ in spans]),
                 np.stack([np.maximum(f, t + 1) for f, t in spans]))
+
+    def pairs(self, centers: np.ndarray, reach: np.ndarray):
+        """Every pair (i, k) with ``|points[i] - centers[k]|_inf <= reach[k]``,
+        as ``(rows, cols)`` in lexicographic (i, k) order: the closed
+        sup-norm balls, decided on the float gaps of each axis, which are
+        the pairs ``cover.sup_pairs`` finds.
+
+        Each ball's cells are one box of per-axis index intervals; the
+        cells inside are mapped to their point indices and the pairs
+        sorted once.
+        """
+        first, stop = self.boxes(centers, reach, strict=False)
+        # each ball's box, one axis at a time: every cell of the axes so far
+        # is followed by the ball's interval on the next axis, in C order
+        cols = np.arange(len(first[0]))
+        cell = np.zeros(len(cols), dtype=np.int64)
+        for axis, lo, hi in zip(self.axes, first, stop):
+            width = (hi - lo)[cols]
+            skip = np.cumsum(width) - width
+            cell = (np.repeat(cell * len(axis) + lo[cols] - skip, width)
+                    + np.arange(width.sum()))
+            cols = np.repeat(cols, width)
+        index = np.full(self.inside.size, -1, dtype=np.int64)
+        index[self.inside.ravel()] = np.arange(len(self.points))
+        rows = index[cell]
+        held = rows >= 0
+        rows, cols = rows[held], cols[held]
+        # ball by ball, each ball's rows ascend: a stable sort by row keeps
+        # every row's balls ascending too
+        order = np.argsort(rows, kind="stable")
+        return rows[order], cols[order]
+
+    def slabs(self, centers: np.ndarray, reach: np.ndarray, budget: int):
+        """``(block, slab)`` for consecutive slabs of first-axis cells: each
+        slab is the sub-lattice of those cells, and ``block`` the slice of
+        ``points`` it holds.  A slab is cut so that the boxes of the closed
+        balls ``|x - z_k|_inf <= reach[k]``, a bound on its pairs, hold at
+        most ``budget`` cells, or is one first-axis cell.  There is always at
+        least one slab."""
+        first, stop = self.boxes(centers, reach, strict=False)
+        size = stop - first
+        cells = len(self.axes[0])
+        # the box cells and the points before each first-axis index
+        per_cell = np.zeros(cells + 1, dtype=np.int64)
+        volume = np.prod(size[1:], axis=0)
+        np.add.at(per_cell, first[0], volume)
+        np.add.at(per_cell, first[0] + size[0], -volume)
+        total = np.r_[0, np.cumsum(np.cumsum(per_cell[:-1]))]
+        held = np.r_[0, np.cumsum(np.count_nonzero(
+            self.inside, axis=tuple(range(1, len(self.axes)))))]
+        start = 0
+        while True:
+            stop = int(np.searchsorted(total, total[start] + budget, "right")) - 1
+            stop = min(max(stop, start + 1), cells)
+            block = slice(int(held[start]), int(held[stop]))
+            yield block, Lattice((self.axes[0][start:stop], *self.axes[1:]),
+                                 self.inside[start:stop], self.points[block])
+            start = stop
+            if start >= cells:
+                return
 
     def count(self, centers: np.ndarray, reach: np.ndarray) -> np.ndarray:
         """Per cell inside, how many open balls ``|x - z_k|_inf < reach[k]``
@@ -288,19 +347,17 @@ class BoxRegion(Region):
         # Sup-norm distance from an interior point to the boundary of an axis
         # box is the smallest per-axis distance to a finite face; from an
         # exterior point it is the largest per-axis excursion beyond the box.
+        # Both are folded one axis at a time.
         pts = _as_points(x, self.dimension)
-        lo = np.asarray(self.box.lower)
-        hi = np.asarray(self.box.upper)
-        below = lo - pts
-        above = pts - hi
-        outside = np.maximum(np.maximum(below, above), 0.0)
         if not self.has_boundary:
             return np.full(len(pts), INF)
-        out_dist = outside.max(axis=1)
-        per_axis = np.minimum(pts - lo, hi - pts)
-        in_dist = per_axis.min(axis=1)
-        is_outside = (outside > 0).any(axis=1)
-        return np.where(is_outside, out_dist, in_dist)
+        axes = list(zip(pts.T, self.box.lower, self.box.upper))
+        outside = [np.maximum(np.maximum(lo - at, at - hi), 0.0)
+                   for at, lo, hi in axes]
+        inside = [np.minimum(at - lo, hi - at) for at, lo, hi in axes]
+        is_outside = functools.reduce(np.logical_or, [o > 0 for o in outside])
+        return np.where(is_outside, functools.reduce(np.maximum, outside),
+                        functools.reduce(np.minimum, inside))
 
     def __repr__(self):
         kind = "closed" if self.closed else "open"

@@ -220,10 +220,12 @@ class RadiusOracle:
 
         pos = (pts - self.box.lower) / self.resolution
         near = np.rint(pos)
-        on_lattice = ((near >= 0) & (near < self._shape)).all(axis=1)
+        on_lattice = functools.reduce(np.logical_and, [
+            (at >= 0) & (at < m) for at, m in zip(near.T, self._shape)])
         idx = np.where(on_lattice[:, None], near, 0).astype(np.intp)
         on_lattice &= self._inside[tuple(idx.T)]
-        on_lattice &= (np.abs(pos - near) <= 1e-9).all(axis=1)
+        for at, step in zip(near.T, pos.T):
+            on_lattice &= np.abs(step - at) <= 1e-9
         out = np.empty(len(pts))
         out[on_lattice] = self._level(k)[tuple(idx[on_lattice].T)]
         off = ~on_lattice

@@ -15,6 +15,7 @@ ring simply ignore ``k``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -769,9 +770,10 @@ def check_omega(family: WeightFamily, which: str, n: int, k: int,
         r = family.radius_at(k, grid)
         shifted = grid[:, None, :] + r[:, None, None] * offsets[None, :, :]
         nu, target = family.nu_at(n, shifted), family.index(1, n)
-        sup_side = nu.max(axis=1)
-        inf_side = (nu if target == n
-                    else family.nu_at(target, shifted)).min(axis=1)
+        # the extremes over the offsets, folded one offset at a time
+        sup_side = functools.reduce(np.maximum, nu.T)
+        inf_side = functools.reduce(
+            np.minimum, (nu if target == n else family.nu_at(target, shifted)).T)
         ratios = sup_side / inf_side
         resolutions["offsets_per_point"] = int(len(offsets))
         resolutions["sample_pairs"] = int(len(grid) * len(offsets))

@@ -181,6 +181,37 @@ def interval_within(axis, z, r, strict=False):
     return below, upto - 1
 
 
+def box_contains(box, x, closed=False):
+    """``Box.contains`` as a reduction of the (N, d) comparisons along d."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    lo = np.asarray(box.lower)
+    hi = np.asarray(box.upper)
+    if closed:
+        ok = (pts >= lo) & (pts <= hi)
+    else:
+        ok = (pts > lo) & (pts < hi)
+    return ok.all(axis=1)
+
+
+def boundary_distance(region, x):
+    """``BoxRegion.boundary_distance`` as reductions of (N, d) arrays along
+    d: the largest excursion outside the box, else the least distance to
+    a face."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    lo = np.asarray(region.box.lower)
+    hi = np.asarray(region.box.upper)
+    below = lo - pts
+    above = pts - hi
+    outside = np.maximum(np.maximum(below, above), 0.0)
+    if not region.has_boundary:
+        return np.full(len(pts), np.inf)
+    out_dist = outside.max(axis=1)
+    per_axis = np.minimum(pts - lo, hi - pts)
+    in_dist = per_axis.min(axis=1)
+    is_outside = (outside > 0).any(axis=1)
+    return np.where(is_outside, out_dist, in_dist)
+
+
 def lattice_count(pts, centers, reach):
     """Per point, how many open boxes ``|x - z_k|_inf < reach[k]`` hold it."""
     return [sum(bool(np.abs(x - z).max() < r) for z, r in zip(centers, reach))
@@ -830,7 +861,8 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
     ks = list(range(len(partition)))
     samples = ball_samples(cover, ks, points_per_ball)
     tables = partition_partials(partition, np.concatenate(samples),
-                                np.repeat(ks, [len(p) for p in samples]), (m,) * d)
+                                np.repeat(ks, [len(p) for p in samples]),
+                                indices_below((m,) * d))
     lhs_values = [[] for _ in fs]
     for pts, table in zip(samples, _split_rows(tables, samples)):
         for f, lhs_f in zip(fs, lhs_values):
@@ -849,7 +881,8 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
             mids.append(cell_lattice(Box(tuple(z - rho), tuple(z + rho)), res).points)
         tables = _split_rows(
             partition_partials(partition, np.concatenate(mids),
-                               np.repeat(ks, [len(p) for p in mids]), m_tilde),
+                               np.repeat(ks, [len(p) for p in mids]),
+                               indices_below(m_tilde)),
             mids)
         for f, integrals_f in zip(fs, integrals):
             integrals_f.append([
@@ -872,7 +905,8 @@ def functional_values(func, zetas, fs):
     maps = rescale_maps(func.cover)
     xs = [maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
     tables = partition_partials(func.partition, np.concatenate(xs),
-                                owners[np.concatenate(groups)], func.m_tilde)
+                                owners[np.concatenate(groups)],
+                                indices_below(func.m_tilde))
     for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
         nu = func.family.nu_at(func.nu_index, zetas[idxs])
         for row, f in zip(out, fs):
@@ -922,7 +956,7 @@ def export_figures(config, built_cover, partition, out_dir):
                                config.candidate_resolution * 4),
         config.truncation)
     rows, ks, values = [], [], []
-    for block, inc in bumps.incidences(partition, grid, (0,) * d):
+    for block, inc in bumps.incidences(partition, grid, [(0,) * d]):
         rows.append(inc.rows + block.start)
         ks.append(inc.fns)
         values.append(inc.factors[0])

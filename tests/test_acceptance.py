@@ -153,7 +153,8 @@ def test_criterion_3_derivative_convergence_order(covers, partitions):
         return function_values(partition, np.array([[x]]), [k])[0]
 
     def slope_at(x):
-        return partition_partials(partition, np.array([[x]]), [k], (1,))[(1,)][0]
+        return partition_partials(partition, np.array([[x]]), [k],
+                                  [(0,), (1,)])[(1,)][0]
 
     rng = np.random.default_rng(2024)
     pts = []

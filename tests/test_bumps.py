@@ -15,7 +15,7 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        default_weights, expanding_boxes, partition_sum)
 from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
                              function_values, partition_partials)
-from covercert.multiindex import indices_below
+from covercert.multiindex import indices_below, indices_up_to_order
 from covercert.piecewise import PiecewisePoly
 
 
@@ -55,8 +55,10 @@ def fn_values(partition, k, pts):
 
 
 def fn_table(partition, k, pts, alpha):
-    """``partition_partials`` of function ``k`` at every point."""
-    return partition_partials(partition, pts, np.full(len(pts), k), alpha)
+    """``partition_partials`` of function ``k`` at every point, for every
+    beta <= alpha."""
+    return partition_partials(partition, pts, np.full(len(pts), k),
+                              indices_below(alpha))
 
 
 def flat():
@@ -166,7 +168,7 @@ class TestIncidenceEngine:
     @given(partitions_and_points())
     def test_shared_incidence_matches_per_function_loops(self, case):
         partition, pts, alpha = case
-        inc = Incidence(partition, pts, alpha)
+        inc = Incidence(partition, pts, indices_below(alpha))
         table = inc.partials()
         for k in range(len(partition)):
             cut = oracles.cutoff(partition, k)
@@ -211,7 +213,7 @@ class TestIncidenceEngine:
             self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
         pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
-        inc = Incidence(partition, pts, (2, 2))
+        inc = Incidence(partition, pts, indices_below((2, 2)))
         longest = int(np.bincount(inc.rows).max())
         assert len(partition) == 25 == max(len(fn.blockers) for fn in partition) + 1
         assert longest == 19
@@ -301,11 +303,55 @@ class TestIncidenceEngine:
 
         whole = readings()
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 16)
-        assert len(list(bumps.incidences(partition, grid, (0, 0)))) > 20
+        assert len(list(bumps.incidences(partition, grid, [(0, 0)]))) > 20
         blocked = readings()
         assert blocked[0] == whole[0]
         assert_bitwise(blocked[1], whole[1])
         assert_bitwise(blocked[2], whole[2])
+
+    @pytest.mark.parametrize("setup, spacing", [("square_setup", 0.005),
+                                                 ("cube_setup", 0.02)],
+                             ids=["d2", "d3"])
+    def test_lattice_readings_equal_point_readings(self, request, monkeypatch,
+                                                   setup, spacing):
+        # a lattice's pairs come from its per-axis intervals, slab by slab
+        dom, _, cover, partition = request.getfixturevalue(setup)
+        d = cover.dimension
+        lattice = dom.ring_lattice(1, spacing, Box(
+            tuple(a - 0.1 for a in cover.box.lower),
+            tuple(b + 0.1 for b in cover.box.upper)))
+        points = certify_partition(partition, cover, cover.oracle, 2,
+                                   lattice.points)
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 256)
+        slabs = list(bumps.incidences(partition, lattice, [(0,) * d]))
+        assert len(slabs) > 10
+        assert [block.start for block, _ in slabs[1:]] == \
+            [block.stop for block, _ in slabs[:-1]]
+        assert repr([c.as_dict() for c in certify_partition(
+            partition, cover, cover.oracle, 2, lattice)]) == \
+            repr([c.as_dict() for c in points])
+
+    def test_betas_must_be_down_closed(self, square_setup):
+        _, _, _, partition = square_setup
+        pts = np.array([[0.3, 0.3]])
+        for betas in ([(1, 0)], [(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 3)], []):
+            with pytest.raises(ValueError):
+                Incidence(partition, pts, betas)
+        with pytest.raises(ValueError):
+            Incidence(partition, pts, [(0, 0, 0)])
+
+    def test_down_set_tables_equal_box_tables(self, square_setup):
+        # every beta keeps its gamma order, so a table over |beta| <= 2 is
+        # bitwise the entries of the table over beta <= (2, 2)
+        dom, _, cover, partition = square_setup
+        pts = dom.sample_ring(1, 0.004, cover.box)
+        down = Incidence(partition, pts, indices_up_to_order(2, 2))
+        box = Incidence(partition, pts, indices_below((2, 2)))
+        assert len(down.betas) == 6 and len(box.betas) == 9
+        assert len(down.rule.gamma) == 9 and len(box.rule.gamma) == 27
+        box_table = box.partials()
+        for beta, values in down.partials().items():
+            assert_bitwise(values, box_table[beta])
 
     def test_empty_point_sets_give_empty_results(self, square_setup):
         _, _, _, partition = square_setup
@@ -314,7 +360,7 @@ class TestIncidenceEngine:
         assert all(v.shape == (0,)
                    for v in fn_table(partition, 7, empty, (2, 1)).values())
         assert partition_sum(partition, empty).shape == (0,)
-        inc = Incidence(partition, empty, (1, 1))
+        inc = Incidence(partition, empty, indices_below((1, 1)))
         assert len(inc.rows) == 0
         table = inc.partials()
         assert list(table) == indices_below((1, 1))
@@ -358,7 +404,8 @@ class TestIncidenceEngine:
         for owners in (None, np.arange(len(pts)) % len(partition)):
             blocks = searched = pairs = 0
             searches.clear()
-            for _, inc in bumps.incidences(partition, pts, alpha, owners):
+            for _, inc in bumps.incidences(partition, pts, indices_below(alpha),
+                                            owners):
                 offsets = ((inc.pts[inc.rows] - partition.centers[inc.fns])
                            / partition.scales[inc.fns, None])
                 distinct = [len(set(axis.view(np.uint64).tolist()))
@@ -376,7 +423,7 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
             with pytest.raises(SmoothnessOrderError):
-                Incidence(partition, pts, (5, 0))
+                Incidence(partition, pts, indices_below((5, 0)))
             with pytest.raises(SmoothnessOrderError):
                 fn_table(partition, 3, pts, (0, 5))
 
@@ -476,7 +523,8 @@ class TestCutoff:
             x = np.asarray(cut.center) + rng.uniform(-1.1 * h, 1.1 * h, (300, 2))
             x[:len(profile.knots), 0] = cut.center[0] + rho * profile.knots
             top = (order - 1,) * 2
-            inc = Incidence(Partition(profile, [cut.center], [rho], [()]), x, top)
+            inc = Incidence(Partition(profile, [cut.center], [rho], [()]), x,
+                            indices_below(top))
             for alpha in indices_below(top):
                 expected = oracles.per_radius_partial(cut, x, alpha)
                 assert_bitwise(cut.partial(x, alpha), expected)

@@ -184,7 +184,7 @@ class TestMixedPartial:
         dom, fam, cover, partition, _ = constant_setup
         f = gaussian(1)
         x = cover.centers[4] + 0.18
-        table = partition_partials(partition, x[None, :], [4], (2,))
+        table = partition_partials(partition, x[None, :], [4], indices_below((2,)))
         exact = _leibniz(table, lambda rest: f.partial(x[None, :], rest), (2,))[0]
 
         def hf(t):
@@ -485,7 +485,7 @@ class TestChainAgainstPerBallLoops:
         samples = oracles.ball_samples(cover, ks, 5)
         tables = partition_partials(partition, np.concatenate(samples),
                                     np.repeat(ks, [len(s) for s in samples]),
-                                    (1,) * d)
+                                    indices_below((1,) * d))
         groups = np.split(np.arange(sum(len(s) for s in samples)),
                           np.cumsum([len(s) for s in samples])[:-1])
         assert zero_somewhere_only(tables, groups, indices_below((1,) * d))
@@ -511,7 +511,7 @@ class TestChainAgainstPerBallLoops:
         x = cover.rescale(np.concatenate([zetas[owners == k] for k in ks]),
                           np.repeat(ks, sizes))
         tables = partition_partials(partition, x, np.repeat(ks, sizes),
-                                    func.m_tilde)
+                                    indices_below(func.m_tilde))
         groups = np.split(np.arange(len(x)), np.cumsum(sizes)[:-1])
         assert zero_somewhere_only(tables, groups, indices_below(func.m_tilde))
 

@@ -8,9 +8,10 @@ from covercert import (Box, BoxRegion, Cover, DomainMembershipError,
                        RadiusOracle, RefinementRequiredError, boundary_family,
                        build_cover, chain_certificate, constant_exhaustion,
                        constant_weight_family, expanding_boxes,
-                       neighbor_sets, overlap_profile, union_cell_midpoints,
-                       verify_covering, verify_disjoint_supports,
-                       with_extra_center, without_center)
+                       neighbor_sets, overlap_profile, shrinking_boxes,
+                       union_cell_midpoints, verify_covering,
+                       verify_disjoint_supports, with_extra_center,
+                       without_center)
 from covercert.cover import greedy_packing, separation_holds, sup_pairs
 from covercert.domains import Lattice, lattice_axes, mesh_points
 from oracles import greedy_naive
@@ -454,6 +455,87 @@ class TestLatticeCount:
                                minlength=len(lattice.points))
             assert lattice.count(cover.centers, reach).tobytes() == \
                 want.tobytes()
+
+
+@st.composite
+def ring_lattices(draw):
+    """A check lattice of d = 1..3 axes (a decimal or a dyadic step) masked
+    to a ring of a boundary (shrinking boxes) or an expanding-box
+    exhaustion, possibly to no cell at all, with centers on lattice values,
+    half a step off them or outside the lattice, and reaches that tie the
+    float gap to a lattice value, are multiples of half a step, are zero or
+    hold every cell."""
+    d = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.1, 0.03, 0.0125, 0.125]))
+    sizes = draw(st.lists(st.integers(1, 12 if d < 3 else 6), min_size=d,
+                          max_size=d))
+    lower = draw(st.lists(st.sampled_from([-1.3, -0.6, 0.0, 0.13, 2.0]),
+                          min_size=d, max_size=d))
+    box = Box(tuple(lower), tuple(lo + step * (m - 0.5)
+                                  for lo, m in zip(lower, sizes)))
+    closed = draw(st.booleans())
+    if draw(st.booleans()):
+        domain = shrinking_boxes((0.0,) * d, (1.0,) * d, closed=closed)
+    else:
+        domain = expanding_boxes(d, closed=closed)
+    lattice = domain.ring_lattice(draw(st.integers(1, 3)), step, box)
+    axes = lattice.axes
+    k = draw(st.integers(1, 6))
+    coord = [st.sampled_from(axis.tolist())
+             | st.integers(-4, 2 * len(axis) + 4).map(
+                 lambda t, a=axis: a[0] + t * step / 2)
+             for axis in axes]
+    centers = np.array([draw(st.tuples(*coord)) for _ in range(k)],
+                       dtype=float).reshape(k, d)
+    reach = []
+    for z in centers:
+        a = draw(st.integers(0, d - 1))
+        reach.append(draw(st.sampled_from(np.abs(axes[a] - z[a]).tolist())
+                          | st.integers(0, 8).map(lambda t: t * step / 2)
+                          | st.just(1e3)))
+    return lattice, centers, np.array(reach)
+
+
+class TestLatticePairs:
+    @settings(max_examples=200, deadline=None)
+    @given(ring_lattices())
+    def test_pairs_equal_sup_pairs(self, case):
+        lattice, centers, reach = case
+        want = sup_pairs(centers, lattice.points, reach)[:2]
+        for got, expected in zip(lattice.pairs(centers, reach), want):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ring_lattices(), st.integers(1, 60))
+    def test_slabs_partition_the_pairs(self, case, budget):
+        lattice, centers, reach = case
+        rows, cols = lattice.pairs(centers, reach)
+        parts, stop = [], 0
+        for block, slab in lattice.slabs(centers, reach, budget):
+            # consecutive slices of the points, each the slab's own points
+            assert block.start == stop
+            stop = block.stop
+            assert slab.points.tobytes() == lattice.points[block].tobytes()
+            slab_rows, slab_cols = slab.pairs(centers, reach)
+            assert len(slab.axes[0]) == 1 or len(slab_rows) <= budget
+            parts.append((slab_rows + block.start, slab_cols))
+        assert stop == len(lattice.points)
+        assert np.concatenate([r for r, _ in parts]).tolist() == rows.tolist()
+        assert np.concatenate([c for _, c in parts]).tolist() == cols.tolist()
+
+    def test_empty_mask_and_no_reach(self):
+        dom = expanding_boxes(2)
+        empty = dom.ring_lattice(1, 0.1, Box((2.0, 2.0), (3.0, 3.0)))
+        centers = np.array([[2.5, 2.5]])
+        assert len(empty.points) == 0
+        rows, cols = empty.pairs(centers, [10.0])
+        assert len(rows) == len(cols) == 0
+        assert rows.dtype == cols.dtype == np.int64
+        assert [b for b, _ in empty.slabs(centers, [10.0], 4)] == \
+            [slice(0, 0)] * len(empty.axes[0])
+        full = dom.ring_lattice(1, 0.1, Box((-1.0, -1.0), (1.0, 1.0)))
+        assert len(full.pairs(centers, [0.0])[0]) == 0
 
 
 class TestBatchQueries:

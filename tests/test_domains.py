@@ -60,6 +60,71 @@ class TestBoundaryDistance:
         assert abs(dx - dy) <= np.abs(x - y).max() + 1e-12
 
 
+_FACES = [-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf]
+
+
+@st.composite
+def boxes_and_points(draw):
+    """An open or closed box of d = 1..3 axes with finite and infinite
+    faces, and points on its faces, inside and outside it, at +-0.0, +-inf
+    and NaN."""
+    d = draw(st.integers(1, 3))
+    faces = [sorted(draw(st.lists(st.sampled_from(_FACES), min_size=2,
+                                  max_size=2, unique=True)))
+             for _ in range(d)]
+    box = Box(tuple(lo for lo, _ in faces), tuple(hi for _, hi in faces))
+    coords = [st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi])
+              | st.integers(-8, 8).map(lambda t: t / 4)
+              | st.floats(-2.0, 2.0)
+              for lo, hi in faces]
+    pts = draw(st.lists(st.tuples(*coords), max_size=30))
+    return box, draw(st.booleans()), np.array(pts, dtype=float).reshape(-1, d)
+
+
+def assert_same_distances(actual, expected):
+    """Equal bits, except that a NaN need only meet a NaN: which of several
+    NaNs a numpy reduction passes on, and so its sign bit, is the loop's
+    own choice."""
+    nan = np.isnan(expected)
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.where(nan, 0.0, actual).tobytes() == \
+        np.where(nan, 0.0, expected).tobytes()
+
+
+class TestColumnPasses:
+    """The per-axis loops of ``Box.contains`` and
+    ``BoxRegion.boundary_distance`` against the reductions along d that
+    they replaced, bit for bit (signed zeros and infinities included; NaN
+    in the same places)."""
+
+    @staticmethod
+    def check(box, closed, pts):
+        region = BoxRegion(box, closed)
+        assert_same_distances(region.boundary_distance(pts),
+                              oracles.boundary_distance(region, pts))
+        got, want = box.contains(pts, closed), oracles.box_contains(box, pts, closed)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes_and_points())
+    def test_equal_to_axis_reductions(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_long_arrays(self, d):
+        # long enough for numpy's vectorised reduction loops
+        rng = np.random.default_rng(d)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, 1.0])
+        pts = np.where(rng.random((5000, d)) < 0.3,
+                       rng.choice(special, (5000, d)),
+                       rng.uniform(-2.0, 2.0, (5000, d)))
+        for box in (Box((-0.0,) * d, (1.0,) * d),
+                    Box((-np.inf,) * d, (0.25,) * d)):
+            for closed in (False, True):
+                self.check(box, closed, pts)
+
+
 class TestRingDistance:
     def test_nested_intervals(self):
         dom = expanding_boxes(1)

@@ -21,6 +21,34 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _axis(call):
+    """The literal ``axis`` of a reduction call: by keyword, or as the first
+    argument of a method call such as ``x.max(1)``; None if there is none."""
+    node = next((kw.value for kw in call.keywords if kw.arg == "axis"), None)
+    receiver = call.func.value
+    if node is None and call.args and not (isinstance(receiver, ast.Name)
+                                           and receiver.id == "np"):
+        node = call.args[0]
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_no_reductions_along_the_last_axis():
+    """Point tests loop over the few columns of an (N, d) array with
+    ``np.maximum``/``np.minimum``/``&``/``|``: a ``max``, ``min``, ``any`` or
+    ``all`` along axis 1 (or -1) runs numpy's inner loop once per row."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("max", "min", "any", "all", "amax", "amin")
+             and _axis(node) in (1, -1)]
+    assert found == []
+
+
 def test_all_names_resolve():
     """Every name in a covercert module's ``__all__`` exists on it, so no
     export outlives the code it named."""
