@@ -41,7 +41,9 @@ query.  The first two read psi at every pair.  That is exact because a
 point in the closed supports of cutoffs m < k lies in both outer balls,
 so every earlier pair of a run is a blocker of the later one;
 ``Partition.check_runs`` checks this once per partition, when psi is
-first formed.  The cutoff export reads only the cutoffs' own values.
+first formed, from one ``box_pairs`` sweep of the support boxes, each
+widened by 1e-9 relative as the sweep widens its window.  The cutoff
+export reads only the cutoffs' own values.
 Readers that evaluate one function per point (``function_values``,
 ``partition_partials`` and, through them, the rescaled functional and the
 pullback export) build each point's run from just that function's
@@ -59,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cover import Cover, neighbor_sets, pairs_within, sup_pairs
+from .cover import Cover, ball_overlaps, box_pairs, pairs_within, sup_pairs
 from .domains import Lattice
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
@@ -249,7 +251,7 @@ class Partition:
 
         The all-pairs recurrence multiplies every earlier pair of a point's
         run into each later one, so this is what makes it exact.  The boxes
-        are widened by 1e-9 relative, as ``sup_pairs`` widens its cells, so a
+        are widened by 1e-9 relative, as ``box_pairs`` widens its sweep, so a
         point that float rounding puts in both supports is covered.  A
         partition is checked once; later calls return at once.
         """
@@ -257,12 +259,11 @@ class Partition:
             return
         size = len(self)
         slack = 1e-9 * float(np.abs(self.centers).max())
-        widest = 2.0 * float(self.half.max())
-        rows, cols, dist = sup_pairs(self.centers, self.centers,
-                                     widest * (1.0 + 1e-9) + slack)
-        reach = self.half[rows] + self.half[cols]
-        meet = (cols < rows) & (dist <= reach * (1.0 + 1e-9) + slack)
-        keys = rows[meet] * size + cols[meet]
+        earlier, later, dist = box_pairs(
+            self.centers, self.half * (1.0 + 1e-9) + slack / 2.0)
+        reach = self.half[later] + self.half[earlier]
+        meet = dist <= reach * (1.0 + 1e-9) + slack
+        keys = np.sort(later[meet] * size + earlier[meet])
         at = np.searchsorted(self.links, keys)
         missing = np.flatnonzero(self.links[np.minimum(at, len(self.links) - 1)]
                                  != keys)
@@ -522,13 +523,16 @@ def build_partition(cover: Cover, order: int, weights=None) -> Partition:
 
     One profile is built, at radius 1, and each ball rescales it by its own
     radius.  Complements are restricted to earlier centers whose outer
-    balls meet the current one; the omitted factors are identically one on
-    the support, so the restriction changes nothing pointwise.
+    balls meet the current one (``ball_overlaps``); the omitted factors
+    are identically one on the support, so the restriction changes nothing
+    pointwise.
     """
-    if cover.neighbors is None:
-        neighbor_sets(cover)
+    earlier, later = ball_overlaps(cover)
+    by_later = np.lexsort((earlier, later))
+    earlier = earlier[by_later].tolist()
+    ends = np.searchsorted(later[by_later], np.arange(cover.size + 1)).tolist()
     return Partition(build_profile(1.0, order, weights), cover.centers,
-                     cover.rho, [nb[nb < k] for k, nb in enumerate(cover.neighbors)])
+                     cover.rho, [earlier[lo:hi] for lo, hi in zip(ends, ends[1:])])
 
 
 def partition_sum(partition: Partition, pts) -> np.ndarray:

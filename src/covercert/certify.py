@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Partition, derivative_constant, partition_partials
-from .cover import Cover, sup_pairs
+from .cover import Cover, box_pairs
 from .domains import Box, ExhaustionDomain, cell_lattice, mesh_points
 from .errors import TruncationBoxError
 from .functions import TestFunction
@@ -340,8 +340,8 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
     )
 
 
-def verify_disjoint_supports(cover: Cover, partition: Partition | None = None,
-                             tol: float = 0.0) -> Certificate:
+def verify_disjoint_supports(cover: Cover,
+                             partition: Partition | None = None) -> Certificate:
     """Core boxes are pairwise disjoint and pulled-back supports fit inside.
 
     Exact box arithmetic: the sup-norm gap between centers must reach the
@@ -351,9 +351,8 @@ def verify_disjoint_supports(cover: Cover, partition: Partition | None = None,
     """
     half = cover.core_halfwidths
     overlap = None
-    rows, cols, gaps = sup_pairs(cover.centers, cover.centers,
-                                 max(2.0 * float(half.max()) - tol, 0.0))
-    bad = np.flatnonzero((rows < cols) & (gaps < half[rows] + half[cols] - tol))
+    rows, cols, gaps = box_pairs(cover.centers, half)
+    bad = np.flatnonzero(gaps < half[rows] + half[cols])
     if len(bad):
         k, j, gap = int(rows[bad[0]]), int(cols[bad[0]]), float(gaps[bad[0]])
         overlap = {"pair": [k, j], "gap": gap,

@@ -5,9 +5,13 @@ candidate is accepted when it keeps sup-norm distance at least half the
 depth-1 radius of both endpoints to every accepted center.  Maximality is
 relative to the candidate lattice and the lattice resolution is carried on
 the result.  Each accepted center blocks its later conflicts in one array
-pass.  The pair certificates ask their sup-norm questions through one
-batch query on a uniform cell grid (``sup_pairs``); covering, multiplicity
-and the radius chain count the open balls per cell of a ``Lattice``.
+pass.  Every question about pairs of centers (separation, neighbours,
+disjoint cores, the partition's blockers and its run check) goes through
+one sweep of box intervals on the first axis (``box_pairs``), each with
+its own half-widths and its own exact inequality; the batch query on a
+uniform cell grid (``sup_pairs``) answers which balls hold given points.
+Covering, multiplicity and the radius chain count the open balls per cell
+of a ``Lattice``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
-__all__ = ["Cover", "sup_pairs", "pairs_within", "greedy_packing",
-           "build_cover", "verify_covering", "overlap_profile", "neighbor_sets",
-           "without_center", "with_extra_center"]
+__all__ = ["Cover", "box_pairs", "ball_overlaps", "sup_pairs", "pairs_within",
+           "greedy_packing", "build_cover", "verify_covering", "overlap_profile",
+           "neighbor_sets", "without_center", "with_extra_center"]
 
 
 @dataclass
@@ -42,7 +46,6 @@ class Cover:
     domain: ExhaustionDomain = field(repr=False)
     oracle: RadiusOracle = field(repr=False)
     tampered: str = ""
-    neighbors: list[np.ndarray] | None = field(default=None, repr=False)
     # the ring lattice the candidates came from, and its resolution
     lattice: Lattice | None = field(default=None, repr=False)
     lattice_resolution: float | None = None
@@ -77,6 +80,48 @@ class Cover:
         z = self.centers[ks]
         lam = 8.0 * self.rho[ks] / self.r1[ks]
         return z + lam[:, None] * (zetas - z)
+
+
+def box_pairs(centers: np.ndarray, half: np.ndarray):
+    """Every pair j < k of centers whose closed sup-norm boxes of
+    half-widths ``half`` (one per center) meet, as ``(rows, cols, dist)``
+    in lexicographic (j, k) order, where ``dist`` is the sup-norm distance
+    of each pair (the largest coordinate gap, taken one axis at a time).
+
+    A sweep on the first axis only preselects: with the boxes ordered by
+    their lower ends, each box's partners are the later boxes whose lower
+    ends fall in its own interval, widened by 1e-9 relative as
+    ``sup_pairs`` widens its cells, and a pair is kept when ``dist`` is
+    within the sum of the two half-widths, widened alike.  Callers decide
+    with their own inequality on ``dist``.
+    """
+    size, d = centers.shape
+    widen = 1e-9 * (float(np.abs(half).max()) + float(np.abs(centers).max()))
+    lower = centers[:, 0] - half
+    order = np.argsort(lower)
+    ends = np.searchsorted(lower[order], (centers[:, 0] + half)[order] + widen,
+                           side="right")
+    after = np.arange(1, size + 1)
+    count = np.maximum(ends - after, 0)
+    rows = order[np.repeat(after - 1, count)]
+    cols = order[np.arange(count.sum())
+                 + np.repeat(after - np.cumsum(count) + count, count)]
+    dist = np.abs(centers[rows, 0] - centers[cols, 0])
+    for a in range(1, d):
+        np.maximum(dist, np.abs(centers[rows, a] - centers[cols, a]), out=dist)
+    near = dist <= half[rows] + half[cols] + widen
+    rows, cols = np.minimum(rows, cols)[near], np.maximum(rows, cols)[near]
+    lex = np.lexsort((cols, rows))
+    return rows[lex], cols[lex], dist[near][lex]
+
+
+def ball_overlaps(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair j < k of centers whose open outer balls meet, as
+    ``(rows, cols)`` in lexicographic order."""
+    rho = cover.rho
+    rows, cols, dist = box_pairs(cover.centers, rho)
+    hit = dist < rho[cols] + rho[rows]
+    return rows[hit], cols[hit]
 
 
 # the most candidate pairs sup_pairs holds at once
@@ -340,14 +385,10 @@ def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certifica
     """Exact intersection neighborhoods and the depth-3 cardinality bound."""
     oracle = oracle or cover.oracle
     d = cover.dimension
-    rho = cover.rho
-    rows, cols, dist = sup_pairs(cover.centers, cover.centers,
-                                 2.0 * float(rho.max()))
-    hit = dist < rho[cols] + rho[rows]
-    rows, cols = rows[hit], cols[hit]
-    starts = np.searchsorted(rows, np.arange(1, cover.size))
-    cover.neighbors = np.split(cols, starts)
-    sizes = np.bincount(rows, minlength=cover.size)
+    rows, cols = ball_overlaps(cover)
+    # each ball meets itself unless it is empty
+    sizes = (np.bincount(rows, minlength=cover.size)
+             + np.bincount(cols, minlength=cover.size) + (cover.rho > 0.0))
     bounds = np.array([(8.0 / r) ** d
                        for r in oracle.values(3, cover.centers).tolist()])
     slacks = bounds - sizes
@@ -470,10 +511,8 @@ def separation_holds(cover: Cover) -> tuple[bool, tuple[int, int] | None]:
     """Exact check of the two-sided separation the greedy enforced; the
     witness is the first violating pair (k, j), k < j, in lexicographic order."""
     r1 = cover.r1
-    rows, cols, dist = sup_pairs(cover.centers, cover.centers,
-                                 float(r1.max()) / 2.0)
-    bad = np.flatnonzero((rows < cols)
-                         & (dist < np.maximum(r1[rows], r1[cols]) / 2.0))
+    rows, cols, dist = box_pairs(cover.centers, r1 / 2.0)
+    bad = np.flatnonzero(dist < np.maximum(r1[rows], r1[cols]) / 2.0)
     if len(bad) == 0:
         return True, None
     return False, (int(rows[bad[0]]), int(cols[bad[0]]))

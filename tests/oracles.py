@@ -125,17 +125,29 @@ def ball_escape_witness(cover):
     return None
 
 
-def core_overlap_witness(cover, tol=0.0):
+def core_overlap_witness(cover):
     """First pair k < j of overlapping core boxes, as the disjointness
     certificate reports it, or None."""
     half = cover.core_halfwidths
     for k in range(cover.size):
         for j in range(k + 1, cover.size):
             gap = float(np.abs(cover.centers[k] - cover.centers[j]).max())
-            if gap < half[k] + half[j] - tol:
+            if gap < half[k] + half[j]:
                 return {"pair": [k, j], "gap": gap,
                         "required": float(half[k] + half[j])}
     return None
+
+
+def box_pairs(centers, half):
+    """(j, k, distance) for every pair j < k of centers whose closed boxes
+    of half-widths ``half`` meet."""
+    out = []
+    for j in range(len(centers)):
+        for k in range(j + 1, len(centers)):
+            dist = float(np.abs(centers[j] - centers[k]).max())
+            if dist <= half[j] + half[k]:
+                out.append((j, k, dist))
+    return out
 
 
 def pairs_near(cover, pts, reach):

@@ -12,7 +12,8 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        build_cover, build_partition, build_profile,
                        certify_partition, constant_exhaustion,
                        constant_weight_family, derivative_constant,
-                       default_weights, expanding_boxes, partition_sum)
+                       default_weights, expanding_boxes, neighbor_sets,
+                       partition_sum)
 from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
                              function_values, partition_partials)
 from covercert.multiindex import indices_below, indices_up_to_order
@@ -272,20 +273,19 @@ class TestIncidenceEngine:
                        oracles.recurrence_table(partition, 1, x, (0,))[(0,)])
 
     def test_runs_are_checked_once_per_partition(self, square_setup, monkeypatch):
-        # the run check's pair query is the one sup_pairs call of centers
-        # against centers
+        # the run check's pair query is the one box_pairs sweep of the
+        # centers
         dom, _, cover, _ = square_setup
         partition = build_partition(cover, order=5)
         grid = dom.sample_ring(1, 0.02, cover.box)
         queries = []
-        query = bumps.sup_pairs
+        query = bumps.box_pairs
 
-        def counting_sup_pairs(centers, pts, *args):
-            if pts is centers:
-                queries.append(len(centers))
-            return query(centers, pts, *args)
+        def counting_box_pairs(centers, half):
+            queries.append(len(centers))
+            return query(centers, half)
 
-        monkeypatch.setattr(bumps, "sup_pairs", counting_sup_pairs)
+        monkeypatch.setattr(bumps, "box_pairs", counting_box_pairs)
         first = partition_sum(partition, grid)
         assert_bitwise(partition_sum(partition, grid), first)
         certify_partition(partition, cover, cover.oracle, 1, grid)
@@ -608,10 +608,24 @@ class TestPartition:
 
     def test_blockers_only_earlier_neighbors(self, line_setup):
         _, _, cover, partition = line_setup
+        neighbors = oracles.neighbors(cover)
         for fn in partition:
             for m in fn.blockers:
                 assert m < fn.index
-                assert m in cover.neighbors[fn.index].tolist()
+                assert m in neighbors[fn.index]
+
+    def test_blockers_follow_the_radii_of_a_replaced_cover(self, square_setup):
+        # the neighbour certificate leaves nothing on the cover that a copy
+        # with other radii could carry over
+        _, _, cover, _ = square_setup
+        neighbor_sets(cover)
+        grown = dataclasses.replace(cover, rho=3.0 * cover.rho)
+        want = [[m for m in members if m < k]
+                for k, members in enumerate(oracles.neighbors(grown))]
+        assert [list(fn.blockers) for fn in build_partition(grown, order=5)] \
+            == want
+        assert want != [list(fn.blockers)
+                        for fn in build_partition(cover, order=5)]
 
 
 class TestEvalPartial:

@@ -12,7 +12,8 @@ from covercert import (Box, BoxRegion, Cover, DomainMembershipError,
                        union_cell_midpoints, verify_covering,
                        verify_disjoint_supports, with_extra_center,
                        without_center)
-from covercert.cover import greedy_packing, separation_holds, sup_pairs
+from covercert.cover import (ball_overlaps, box_pairs, greedy_packing,
+                             separation_holds, sup_pairs)
 from covercert.domains import Lattice, lattice_axes, mesh_points
 from oracles import greedy_naive
 
@@ -266,21 +267,33 @@ class TestOverlap:
         assert cert.details["max_count"] <= (8 / 0.5) ** 2
 
 
+def neighbor_lists(cover):
+    """Each center's neighbours, itself included, from the pairs of
+    overlapping balls (``ball_overlaps``)."""
+    members = [[k] for k in range(cover.size)]
+    for j, k in zip(*(a.tolist() for a in ball_overlaps(cover))):
+        members[j].append(k)
+        members[k].append(j)
+    return [sorted(m) for m in members]
+
+
 class TestNeighborSets:
     def test_line_counts(self, line_cover):
         cert = neighbor_sets(line_cover)
         assert cert.verdict == "pass"
-        sizes = [len(m) for m in line_cover.neighbors]
+        sizes = [len(m) for m in neighbor_lists(line_cover)]
         assert max(sizes) <= 7
+        assert cert.details["max_neighbors"] == max(sizes)
         assert cert.bound == pytest.approx(16.0)
 
     def test_symmetry_and_reflexivity(self, boundary_cover):
-        neighbor_sets(boundary_cover)
-        sets = [set(m.tolist()) for m in boundary_cover.neighbors]
+        sets = [set(m) for m in neighbor_lists(boundary_cover)]
         for k, members in enumerate(sets):
             assert k in members
             for m in members:
                 assert k in sets[m]
+        cert = neighbor_sets(boundary_cover)
+        assert cert.measured == len(sets[cert.details["tightest_center"]])
 
     def test_far_apart_balls_are_isolated(self):
         dom = expanding_boxes(1)
@@ -291,8 +304,8 @@ class TestNeighborSets:
         two.tampered = ""  # legitimate: far apart, separation still holds
         ok, _ = separation_holds(two)
         assert ok
-        neighbor_sets(two)
-        assert [m.tolist() for m in two.neighbors] == [[0], [1]]
+        assert neighbor_lists(two) == [[0], [1]]
+        assert neighbor_sets(two).details["max_neighbors"] == 1
 
 
 class TestRadiusChain:
@@ -340,7 +353,7 @@ def _unit_cube_cover(d, centers, rho, r1):
 
 @st.composite
 def dyadic_covers(draw):
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
     k = draw(st.integers(1, 12))
     ints = st.lists(st.integers(-7, 7), min_size=k * d, max_size=k * d)
     centers = np.array(draw(ints), dtype=float).reshape(k, d) / 8.0
@@ -611,6 +624,30 @@ class TestBatchQueries:
             pts = np.concatenate([centers, near, -centers])
             _assert_pairs(cover, pts, reach)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_box_pairs_match_all_pairs_loop(self, data):
+        # dyadic boxes, some of zero half-width, in no particular order:
+        # many meet exactly on a face or a corner
+        d = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 12))
+        ints = st.lists(st.integers(-7, 7), min_size=k * d, max_size=k * d)
+        centers = np.array(data.draw(ints), dtype=float).reshape(k, d) / 8.0
+        steps = st.lists(st.integers(0, 8), min_size=k, max_size=k)
+        half = np.array(data.draw(steps), dtype=float) / 16.0
+        if data.draw(st.booleans()):
+            # a box appended last that touches the first on a face, as an
+            # injected center is appended
+            h = data.draw(st.integers(0, 8)) / 16.0
+            axis = np.eye(d)[data.draw(st.integers(0, d - 1))]
+            sign = data.draw(st.sampled_from([1.0, -1.0]))
+            centers = np.vstack([centers, centers[0] + sign * (half[0] + h) * axis])
+            half = np.append(half, h)
+        rows, cols, dist = box_pairs(centers, half)
+        assert rows.dtype == cols.dtype == np.int64
+        assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == \
+            oracles.box_pairs(centers, half)
+
     @settings(max_examples=80, deadline=None)
     @given(dyadic_covers())
     def test_pair_certificates_match_brute_force(self, case):
@@ -620,8 +657,10 @@ class TestBatchQueries:
         cert = verify_disjoint_supports(cover)
         assert cert.details.get("witness_overlap") == \
             oracles.core_overlap_witness(cover)
-        neighbor_sets(cover)
-        assert [m.tolist() for m in cover.neighbors] == oracles.neighbors(cover)
+        want = oracles.neighbors(cover)
+        assert neighbor_lists(cover) == want
+        cert = neighbor_sets(cover)
+        assert cert.details["max_neighbors"] == max(map(len, want))
 
     @settings(max_examples=40, deadline=None)
     @given(dyadic_covers(), st.data())

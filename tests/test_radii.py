@@ -353,7 +353,7 @@ def tampered_covers():
     dom1 = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
     fam1 = boundary_family(dom1)
     cover = build_cover(fam1, dom1, 1, 0.005, box=Box((0.05,), (0.95,)))
-    out.append(dataclasses.replace(cover, rho=3.0 * cover.rho, neighbors=None,
+    out.append(dataclasses.replace(cover, rho=3.0 * cover.rho,
                                    tampered="rho tripled"))
     untampered = []
     for d, box, res in ((2, Box((0.2, 0.2), (0.45, 0.45)), 0.02),
@@ -364,7 +364,7 @@ def tampered_covers():
         cover = build_cover(fam, dom, 1, res, box=box)
         halved = dataclasses.replace(
             fam, radius=lambda k, x, fam=fam: 0.5 * fam.radius(k, x))
-        out.append(dataclasses.replace(cover, family=halved, neighbors=None,
+        out.append(dataclasses.replace(cover, family=halved,
                                        tampered="radius halved"))
         untampered.append(cover)
     return out + untampered

@@ -49,6 +49,20 @@ def test_no_reductions_along_the_last_axis():
     assert found == []
 
 
+def test_center_pairs_come_from_the_sweep():
+    """Pairs of centers come from ``box_pairs`` alone: no ``sup_pairs``
+    call queries a point set against itself."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "sup_pairs"
+             and len(node.args) >= 2
+             and ast.dump(node.args[0]) == ast.dump(node.args[1])]
+    assert found == []
+
+
 def test_all_names_resolve():
     """Every name in a covercert module's ``__all__`` exists on it, so no
     export outlives the code it named."""
