@@ -3,7 +3,7 @@ inequality certificates on exhausted domains."""
 
 from .bumps import (BumpProfile, Partition, PartitionFn,
                     build_partition, build_profile, certify_partition,
-                    derivative_constant, default_weights, partition_sum)
+                    derivative_constant, default_weights)
 from .certify import (JFunctional, ball_weight_constant,
                       build_functional, claim4_constant,
                       domination_certificate, membership_certificate,

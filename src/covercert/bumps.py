@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cover import Cover, ball_overlaps, box_pairs, pairs_within, sup_pairs
-from .domains import Lattice
+from .domains import Lattice, _ranges
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
 from .piecewise import PiecewisePoly, evaluate_shared, indicator
@@ -72,7 +72,7 @@ __all__ = [
     "default_weights", "BumpProfile", "build_profile",
     "PartitionFn", "Partition", "build_partition",
     "Incidence", "incidences", "partition_partials", "function_values",
-    "partition_sum", "certify_partition",
+    "certify_partition",
     "derivative_constant", "DERIVATIVE_GROWTH_BASE",
 ]
 
@@ -237,10 +237,9 @@ class Partition:
         lo = np.searchsorted(self.links, own * size)
         count = np.searchsorted(self.links, (own + 1) * size) - lo
         rows = np.repeat(np.arange(len(pts)), count)
-        at = np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count,
-                                              count)
         rows, cols, _ = pairs_within(self.centers, pts, rows,
-                                     self.links[at] % size, self.half)
+                                     self.links[_ranges(lo, count)] % size,
+                                     self.half)
         inside = np.zeros(len(pts), dtype=bool)
         inside[rows[cols == own[rows]]] = True
         return rows[inside[rows]], cols[inside[rows]]
@@ -535,19 +534,6 @@ def build_partition(cover: Cover, order: int, weights=None) -> Partition:
                      cover.rho, [earlier[lo:hi] for lo, hi in zip(ends, ends[1:])])
 
 
-def partition_sum(partition: Partition, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    zero = (0,) * pts.shape[1]
-    out = np.zeros(len(pts))
-    for block, inc in incidences(partition, pts, [zero]):
-        # bincount adds each point's values in step order, i.e. function order
-        values = inc.partials()[zero]
-        out[block] = np.bincount(inc.rows, weights=values, minlength=len(inc.pts))
-    return out
-
-
 def derivative_constant(alpha: tuple[int, ...], dimension: int,
                         weights, c: float = DERIVATIVE_GROWTH_BASE) -> float:
     """Constant in the partition derivative bound for multi-index alpha.
@@ -610,7 +596,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
         tables = inc.partials()
         vals = tables[(0,) * d]
         # bincount adds each point's values in step order, i.e. function
-        # order, as partition_sum does
+        # order
         sums[block] = np.bincount(inc.rows, weights=vals, minlength=len(inc.pts))
         if len(vals):
             below = min(below, float(vals.min()))

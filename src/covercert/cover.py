@@ -8,8 +8,9 @@ the result.  Each accepted center blocks its later conflicts in one array
 pass.  Every question about pairs of centers (separation, neighbours,
 disjoint cores, the partition's blockers and its run check) goes through
 one sweep of box intervals on the first axis (``box_pairs``), each with
-its own half-widths and its own exact inequality; the batch query on a
-uniform cell grid (``sup_pairs``) answers which balls hold given points.
+its own half-widths and its own exact inequality; a sweep of each point
+against the centers' first coordinates (``sup_pairs``) answers which balls
+hold given points.
 Covering, multiplicity and the radius chain count the open balls per cell
 of a ``Lattice``.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain, Lattice
+from .domains import Box, ExhaustionDomain, Lattice, _ranges
 from .errors import NoRingPointsError, RefinementRequiredError
 from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
@@ -91,7 +92,7 @@ def box_pairs(centers: np.ndarray, half: np.ndarray):
     A sweep on the first axis only preselects: with the boxes ordered by
     their lower ends, each box's partners are the later boxes whose lower
     ends fall in its own interval, widened by 1e-9 relative as
-    ``sup_pairs`` widens its cells, and a pair is kept when ``dist`` is
+    ``sup_pairs`` widens its windows, and a pair is kept when ``dist`` is
     within the sum of the two half-widths, widened alike.  Callers decide
     with their own inequality on ``dist``.
     """
@@ -104,8 +105,7 @@ def box_pairs(centers: np.ndarray, half: np.ndarray):
     after = np.arange(1, size + 1)
     count = np.maximum(ends - after, 0)
     rows = order[np.repeat(after - 1, count)]
-    cols = order[np.arange(count.sum())
-                 + np.repeat(after - np.cumsum(count) + count, count)]
+    cols = order[_ranges(after, count)]
     dist = np.abs(centers[rows, 0] - centers[cols, 0])
     for a in range(1, d):
         np.maximum(dist, np.abs(centers[rows, a] - centers[cols, a]), out=dist)
@@ -124,7 +124,8 @@ def ball_overlaps(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
     return rows[hit], cols[hit]
 
 
-# the most candidate pairs sup_pairs holds at once
+# the most candidate pairs sup_pairs holds at once, unless one point's
+# window alone holds more
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -136,75 +137,38 @@ def sup_pairs(centers: np.ndarray, pts, reach):
     the sup-norm distance of each pair.  Callers decide ball membership
     with their own strict inequality on ``dist``.  A NaN coordinate raises
     ``ValueError``; an infinite one is far from every center.
+
+    A sweep on the first axis only preselects: with the centers ordered by
+    their first coordinates, each point's candidates are the window of
+    centers within the widest reach on that axis, widened by 1e-9 relative
+    so that it outweighs the rounding of the window ends, and membership
+    is decided from the distances, which are exact.
     """
     d = centers.shape[1]
     pts = np.asarray(pts, dtype=float).reshape(-1, d)
     if np.isnan(pts).any():
         raise ValueError("query points must not have NaN coordinates")
     reach = np.asarray(reach, dtype=float)
-    # A uniform cell grid over the centers only preselects.  The cells
-    # are a little wider than the widest reach, and the widening outweighs
-    # the rounding of the cell coordinates, so every pair within reach lies
-    # in neighbouring cells; membership is decided from the distances,
-    # which are exact (the largest coordinate gap).
-    origin = centers.min(axis=0)
     widest = float(reach.max())
-    cell = widest + 1e-9 * (widest + float(np.abs(centers).max())) or 1.0
-    center_cells = np.floor((centers - origin) / cell).astype(np.int64)
-    top = center_cells.max(axis=0)
-    # far points are clipped to cells that border no center's cell
-    pt_cells = np.clip(np.floor((pts - origin) / cell), -2, top + 2)
-    pt_cells = pt_cells.astype(np.int64)
-
-    # Linear cell keys.  A prefix that would overflow int64 is first
-    # replaced by its rank among the centers' distinct prefixes; the
-    # points' keys repeat the same steps.
-    center_keys = np.zeros(len(center_cells), dtype=np.int64)
-    steps = []
-    bound = 1
-    for a in range(d):
-        size = int(top[a]) + 1
-        distinct = None
-        if bound * size >= 1 << 62:
-            distinct = np.sort(center_keys)
-            distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
-            center_keys = np.searchsorted(distinct, center_keys)
-            bound = len(distinct)
-        center_keys = center_keys * size + center_cells[:, a]
-        steps.append((size, distinct))
-        bound *= size
-    order = np.argsort(center_keys)
-    center_keys = center_keys[order]
-
-    def neighbour_keys(cells):
-        """Keys of each point's 3^d neighbour cells, point-major (-1: no
-        center there)."""
-        keys = [np.zeros(len(cells), dtype=np.int64)]
-        for a, (size, distinct) in enumerate(steps):
-            if distinct is not None:
-                keys = [_rank_in(distinct, k) for k in keys]
-            col = cells[:, a]
-            keys = [np.where((k >= 0) & (v >= 0) & (v < size), k * size + v, -1)
-                    for k in keys for v in (col - 1, col, col + 1)]
-        return np.stack(keys, axis=1).ravel()
-
-    # Points go in blocks small enough that their candidate pairs (at most
-    # 3^d times the fullest cell per point) stay under _BLOCK_PAIRS.
-    edges = np.flatnonzero(np.r_[True, center_keys[1:] != center_keys[:-1], True])
-    block = max(1, _BLOCK_PAIRS // (3 ** d * int(np.diff(edges).max())))
+    widest += 1e-9 * (widest + float(np.abs(centers).max()))
+    order = np.argsort(centers[:, 0])
+    col0 = centers[order, 0]
+    first = np.searchsorted(col0, pts[:, 0] - widest, side="left")
+    count = np.searchsorted(col0, pts[:, 0] + widest, side="right") - first
+    # blocks of consecutive points whose windows hold at most _BLOCK_PAIRS
+    # candidates, or one point
+    total = np.r_[0, np.cumsum(count)]
     parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
-    for lo in range(0, len(pts), block):
-        keys = neighbour_keys(pt_cells[lo:lo + block])
-        first = np.searchsorted(center_keys, keys, side="left")
-        count = np.searchsorted(center_keys, keys, side="right") - first
-        rows = np.repeat(np.arange(lo, lo + len(keys) // 3 ** d),
-                         count.reshape(-1, 3 ** d).sum(axis=1))
-        cols = order[np.repeat(first - np.cumsum(count) + count, count)
-                     + np.arange(len(rows))]
+    lo = 0
+    while lo < len(pts):
+        hi = int(np.searchsorted(total, total[lo] + _BLOCK_PAIRS, side="right"))
+        hi = max(hi - 1, lo + 1)
+        rows = np.repeat(np.arange(lo, hi), count[lo:hi])
+        cols = order[_ranges(first[lo:hi], count[lo:hi])]
         rows, cols, dist = pairs_within(centers, pts, rows, cols, reach)
-        # rows ascend already; order each point's centers
-        lex = np.argsort(rows * len(centers) + cols)
+        lex = np.lexsort((cols, rows))
         parts.append((rows[lex], cols[lex], dist[lex]))
+        lo = hi
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -223,12 +187,6 @@ def pairs_within(centers, pts, rows, cols, reach):
     return rows[near], cols[near], dist[near]
 
 
-def _rank_in(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Index of each key in ``distinct`` (sorted), or -1 where it is absent."""
-    at = np.searchsorted(distinct, keys)
-    return np.where(distinct[np.minimum(at, len(distinct) - 1)] == keys, at, -1)
-
-
 def greedy_packing(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
     """Indices of the sequential greedy packing of ``candidates``.
 
@@ -241,7 +199,7 @@ def greedy_packing(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
     When the first coordinates ascend, as in lexicographic order, the later
     conflicts of candidate j lie in the window of first coordinates up to
     ``candidates[j, 0] + max(r1) / 2`` (widened as ``sup_pairs`` widens its
-    cells); otherwise every later candidate is tested.
+    windows); otherwise every later candidate is tested.
     """
     n, d = candidates.shape
     col0 = candidates[:, 0]
@@ -462,8 +420,7 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
         # every ball m at each violating cell that k holds
         own = rows[cols == k]
         size = starts[own + 1] - starts[own]
-        m = cols[np.repeat(starts[own] - np.cumsum(size) + size, size)
-                 + np.arange(size.sum())]
+        m = cols[_ranges(starts[own], size)]
         c = at[np.repeat(own, size)]
         hit = (m != k) & ((r_center[m] < r1[c]) | (r1[c] < r2[k]))
         c, m = c[hit], m[hit]

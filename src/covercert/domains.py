@@ -107,6 +107,13 @@ def lattice_axes(box: Box, resolution: float) -> list[np.ndarray]:
     return axes
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + c)`` over ``starts`` and
+    ``counts``."""
+    return (np.repeat(starts - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+
+
 def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
                      strict: bool = False):
     """Per point, the first and the last index t with ``|axis[t] - z| <= r``,
@@ -186,9 +193,7 @@ class Lattice:
         cell = np.zeros(len(cols), dtype=np.int64)
         for axis, lo, hi in zip(self.axes, first, stop):
             width = (hi - lo)[cols]
-            skip = np.cumsum(width) - width
-            cell = (np.repeat(cell * len(axis) + lo[cols] - skip, width)
-                    + np.arange(width.sum()))
+            cell = _ranges(cell * len(axis) + lo[cols], width)
             cols = np.repeat(cols, width)
         index = np.full(self.inside.size, -1, dtype=np.int64)
         index[self.inside.ravel()] = np.arange(len(self.points))

@@ -151,26 +151,30 @@ def box_pairs(centers, half):
 
 
 def pairs_near(cover, pts, reach):
-    """(i, k, distance) for every point-center pair within reach."""
+    """(i, k, distance) for every point-center pair within reach (one
+    number, or one per center)."""
+    reach = np.broadcast_to(np.asarray(reach, dtype=float), cover.size)
     out = []
     for i, x in enumerate(pts):
         for k in range(cover.size):
             dist = float(np.abs(x - cover.centers[k]).max())
-            if dist <= reach:
+            if dist <= reach[k]:
                 out.append((i, k, dist))
     return out
 
 
 def pairs_near_kdtree(cover, pts, reach):
     """``sup_pairs`` of the cover's centers from a KD-tree (scipy's cKDTree,
-    p=inf)."""
+    p=inf), for one reach or one per center."""
     pts = np.asarray(pts, dtype=float).reshape(-1, cover.dimension)
+    reach = np.asarray(reach, dtype=float)
+    widest = float(reach.max())
     # the tree only preselects: the radius is widened so that rounding in
     # its pruning cannot drop a pair, and the exact distances decide
-    widen = 1e-9 * (reach + float(np.abs(cover.centers).max()))
+    widen = 1e-9 * (widest + float(np.abs(cover.centers).max()))
     found = cKDTree(pts).sparse_distance_matrix(
-        cKDTree(cover.centers), reach + widen, p=np.inf, output_type="ndarray")
-    found = found[found["v"] <= reach]
+        cKDTree(cover.centers), widest + widen, p=np.inf, output_type="ndarray")
+    found = found[found["v"] <= (reach[found["j"]] if reach.ndim else reach)]
     found.sort(order=["i", "j"])
     return found["i"], found["j"], found["v"]
 
@@ -719,7 +723,7 @@ def recurrence_table(partition, k, pts, alpha, absolute=False,
 
 
 def recurrence_sum(partition, pts):
-    """partition_sum by ``recurrence_table``, one function at a time."""
+    """The partition sum by ``recurrence_table``, one function at a time."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     zero = (0,) * pts.shape[1]
     out = np.zeros(len(pts))
@@ -767,7 +771,7 @@ def pair_run_table(partition, k, pts, alpha):
 
 
 def pair_run_sum(partition, pts):
-    """partition_sum by ``pair_run_table``: each point's values added in
+    """The partition sum by ``pair_run_table``: each point's values added in
     function order."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     zero = (0,) * pts.shape[1]

@@ -12,8 +12,7 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        build_cover, build_partition, build_profile,
                        certify_partition, constant_exhaustion,
                        constant_weight_family, derivative_constant,
-                       default_weights, expanding_boxes, neighbor_sets,
-                       partition_sum)
+                       default_weights, expanding_boxes, neighbor_sets)
 from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
                              function_values, partition_partials)
 from covercert.multiindex import indices_below, indices_up_to_order
@@ -60,6 +59,18 @@ def fn_table(partition, k, pts, alpha):
     beta <= alpha."""
     return partition_partials(partition, pts, np.full(len(pts), k),
                               indices_below(alpha))
+
+
+def partition_sums(partition, pts):
+    """Each point's partition sum from ``bumps.incidences``, its values
+    added by the ``bincount`` that ``certify_partition`` adds them with."""
+    pts = np.asarray(pts, dtype=float)
+    zero = (0,) * pts.shape[1]
+    sums = np.zeros(len(pts))
+    for block, inc in bumps.incidences(partition, pts, [zero]):
+        sums[block] = np.bincount(inc.rows, weights=inc.partials()[zero],
+                                  minlength=len(inc.pts))
+    return sums
 
 
 def flat():
@@ -139,7 +150,7 @@ def assert_near_pair_run(partition, pts, alpha):
         slack += bound[zero]
     n = len(partition) * 2.0 ** -53
     slack += n / (1.0 - n) * (sums + old_sums)
-    assert (np.abs(partition_sum(partition, pts)
+    assert (np.abs(partition_sums(partition, pts)
                    - oracles.pair_run_sum(partition, pts)) <= slack).all()
 
 
@@ -161,7 +172,7 @@ class TestIncidenceEngine:
             assert list(table) == list(expected)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
-        assert_bitwise(partition_sum(partition, pts),
+        assert_bitwise(partition_sums(partition, pts),
                        oracles.recurrence_sum(partition, pts))
         assert_near_pair_run(partition, pts, alpha)
 
@@ -199,7 +210,7 @@ class TestIncidenceEngine:
         alpha = (2,) * cover.dimension
         zero = (0,) * cover.dimension
         assert max(len(fn.blockers) for fn in partition) >= 2
-        assert_bitwise(partition_sum(partition, pts),
+        assert_bitwise(partition_sums(partition, pts),
                        oracles.recurrence_sum(partition, pts))
         for k in range(len(partition)):
             assert_bitwise(fn_values(partition, k, pts),
@@ -244,7 +255,7 @@ class TestIncidenceEngine:
                     else fn.blockers for fn in partition]
         bad = Partition(partition.profile, centers, partition.scales, blockers)
         with pytest.raises(ValueError, match="blocker"):
-            partition_sum(bad, grid)
+            partition_sums(bad, grid)
         with pytest.raises(ValueError, match="blocker"):
             certify_partition(bad, cover, cover.oracle, 1, grid)
         # a function read for its owner multiplies just its listed blockers
@@ -257,9 +268,9 @@ class TestIncidenceEngine:
         x = np.array([[0.5], [0.2]])
         alone = Partition(flat(), [[0.0], [1.0]], [1.0, 1.0], [(), ()])
         with pytest.raises(ValueError, match="blocker"):
-            partition_sum(alone, x)
+            partition_sums(alone, x)
         linked = Partition(flat(), [[0.0], [1.0]], [1.0, 1.0], [(), (0,)])
-        assert_bitwise(partition_sum(linked, x), np.array([1.0, 1.0]))
+        assert_bitwise(partition_sums(linked, x), np.array([1.0, 1.0]))
 
     def test_value_keeps_the_sign_of_a_zero(self):
         # A negative cutoff value times the complement of a blocker that is
@@ -286,8 +297,8 @@ class TestIncidenceEngine:
             return query(centers, half)
 
         monkeypatch.setattr(bumps, "box_pairs", counting_box_pairs)
-        first = partition_sum(partition, grid)
-        assert_bitwise(partition_sum(partition, grid), first)
+        first = partition_sums(partition, grid)
+        assert_bitwise(partition_sums(partition, grid), first)
         certify_partition(partition, cover, cover.oracle, 1, grid)
         assert queries == [len(partition)]
 
@@ -298,7 +309,7 @@ class TestIncidenceEngine:
 
         def readings():
             certs = certify_partition(partition, cover, cover.oracle, 2, grid)
-            return ([c.as_dict() for c in certs], partition_sum(partition, grid),
+            return ([c.as_dict() for c in certs], partition_sums(partition, grid),
                     function_values(partition, grid, owners))
 
         whole = readings()
@@ -359,7 +370,7 @@ class TestIncidenceEngine:
         assert fn_values(partition, 7, empty).shape == (0,)
         assert all(v.shape == (0,)
                    for v in fn_table(partition, 7, empty, (2, 1)).values())
-        assert partition_sum(partition, empty).shape == (0,)
+        assert partition_sums(partition, empty).shape == (0,)
         inc = Incidence(partition, empty, indices_below((1, 1)))
         assert len(inc.rows) == 0
         table = inc.partials()
@@ -369,7 +380,7 @@ class TestIncidenceEngine:
     def test_points_outside_every_support_give_zeros(self, square_setup):
         _, _, cover, partition = square_setup
         far = np.array([[3.0, 3.0], [-2.0, 0.3], [0.3, 5.0]])
-        assert_bitwise(partition_sum(partition, far), np.zeros(3))
+        assert_bitwise(partition_sums(partition, far), np.zeros(3))
         for k in range(len(partition)):
             assert_bitwise(fn_values(partition, k, far), np.zeros(3))
             for vals in fn_table(partition, k, far, (2, 2)).values():
@@ -381,7 +392,7 @@ class TestIncidenceEngine:
         with pytest.raises(ValueError, match="NaN"):
             function_values(partition, nan, [3])
         with pytest.raises(ValueError, match="NaN"):
-            partition_sum(partition, nan)
+            partition_sums(partition, nan)
 
     @pytest.mark.parametrize("alpha", [(0, 0), (2, 1)])
     def test_one_interval_search_per_profile_and_axis(
@@ -561,7 +572,7 @@ class TestPartition:
         part = build_partition(cover, order=4)
         assert fn_values(part, 0, np.array([[0.0]]))[0] == pytest.approx(1.0)
         grid = dom.sample_ring(1, 1e-3, cover.box)
-        assert partition_sum(part, grid) == pytest.approx(np.ones(len(grid)))
+        assert partition_sums(part, grid) == pytest.approx(np.ones(len(grid)))
 
     def test_two_ball_telescoping_identity(self):
         dom = expanding_boxes(1)
@@ -572,19 +583,19 @@ class TestPartition:
         xs = np.linspace(-0.6, 0.6, 241)[:, None]
         phi1 = oracles.cutoff(part, 0).value(xs)
         phi2 = oracles.cutoff(part, 1).value(xs)
-        total = partition_sum(part, xs)
+        total = partition_sums(part, xs)
         assert total == pytest.approx(1.0 - (1 - phi1) * (1 - phi2), abs=1e-14)
 
     def test_sum_to_one_on_ring(self, line_setup):
         dom, fam, cover, partition = line_setup
         grid = dom.sample_ring(1, 1e-3, cover.box)
-        sums = partition_sum(partition, grid)
+        sums = partition_sums(partition, grid)
         assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_sum_never_exceeds_one(self, line_setup):
         dom, fam, cover, partition = line_setup
         pts = np.linspace(-1.5, 1.5, 601)[:, None]
-        sums = partition_sum(partition, pts)
+        sums = partition_sums(partition, pts)
         assert sums.max() <= 1.0 + 1e-12
         assert sums.min() >= -1e-12
 

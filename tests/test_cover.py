@@ -12,8 +12,8 @@ from covercert import (Box, BoxRegion, Cover, DomainMembershipError,
                        union_cell_midpoints, verify_covering,
                        verify_disjoint_supports, with_extra_center,
                        without_center)
-from covercert.cover import (ball_overlaps, box_pairs, greedy_packing,
-                             separation_holds, sup_pairs)
+from covercert.cover import (_BLOCK_PAIRS, ball_overlaps, box_pairs,
+                             greedy_packing, separation_holds, sup_pairs)
 from covercert.domains import Lattice, lattice_axes, mesh_points
 from oracles import greedy_naive
 
@@ -421,6 +421,31 @@ def reach_lattices(draw):
 
 
 @st.composite
+def tied_centers(draw):
+    """Many centers tied on their first coordinate, each with its own
+    reach (zero among them), and points on the lattice of the step and on
+    the centers' faces, so that the first-axis windows of the sweep end
+    among the ties."""
+    d = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.1, 1 / 3, 0.125]))
+    k = draw(st.integers(1, 40))
+    firsts = st.lists(st.integers(-1, 1), min_size=k, max_size=k)
+    rests = st.lists(st.integers(-4, 4), min_size=k * (d - 1),
+                     max_size=k * (d - 1))
+    centers = np.column_stack([
+        np.array(draw(firsts), dtype=float),
+        np.array(draw(rests), dtype=float).reshape(k, d - 1)]) * step
+    reach = np.array(draw(st.lists(st.integers(0, 3), min_size=k,
+                                   max_size=k)), dtype=float) * step
+    q = draw(st.integers(0, 20))
+    ints = st.lists(st.integers(-6, 6), min_size=q * d, max_size=q * d)
+    pts = np.array(draw(ints), dtype=float).reshape(q, d) * step
+    faces = [centers + s * reach[:, None] * u for s in (1.0, -1.0)
+             for u in (np.eye(d)[0], np.ones(d))]
+    return _point_cover(centers), np.concatenate([pts, *faces]), reach
+
+
+@st.composite
 def dyadic_lattices(draw):
     """A lattice of 1/8 masked to an open box, with centers and reaches on
     the lattice or half a step off it, so that box faces often land exactly
@@ -571,6 +596,27 @@ class TestBatchQueries:
         cover, pts, reach = case
         _assert_pairs(cover, pts, reach)
 
+    @settings(max_examples=100, deadline=None)
+    @given(tied_centers())
+    def test_tied_centers_with_their_own_reaches(self, case):
+        cover, pts, reach = case
+        _assert_pairs(cover, pts, reach)
+
+    def test_one_window_over_the_block(self):
+        # 40,000 centers share one first coordinate: a point near it has
+        # more candidates than a block holds, and is a block of its own
+        rng = np.random.default_rng(3)
+        centers = np.zeros((40000, 2))
+        centers[:, 1] = rng.uniform(-1.0, 1.0, 40000)
+        centers = np.concatenate([centers, rng.uniform(-1.0, 1.0, (200, 2))])
+        assert len(centers) - 200 > _BLOCK_PAIRS
+        pts = np.concatenate([[[-0.9, 0.0], [0.0, 0.25], [0.01, -0.5],
+                               [0.9, 0.9], [0.03, 1.0]],
+                              rng.uniform(-1.0, 1.0, (60, 2))])
+        cover = _point_cover(centers)
+        for reach in (0.02, 1 / 30, np.full(len(centers), 0.05)):
+            _assert_pairs(cover, pts, reach, brute_force=False)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_points(self, d):
         cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
@@ -612,8 +658,8 @@ class TestBatchQueries:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_large_coordinates_tiny_reach(self, d):
-        # about 1e9 cells per axis: from d = 3 on the linear cell keys
-        # exceed int64 and are ranked among the centers' keys instead
+        # reaches a billionth of the spread of the centers, so the windows
+        # of the first-axis sweep are about as narrow as its widening
         rng = np.random.default_rng(d)
         centers = rng.uniform(-1e6, 1e6, (50, d))
         centers[:2] = [[-1e6] * d, [1e6] * d]
