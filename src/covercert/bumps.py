@@ -33,11 +33,11 @@ where multiplying in each function's complements on its own costs
 Theta(L^2); the products associate differently, so values agree with
 that order to rounding, not bitwise.
 
-Readers that need every pair (the partition sum, the partition
-certificates, the cutoff export) find them in one query: on a
-``Lattice`` (the check lattice and the export grid) each support box is
-one index interval per axis, and other point sets take a ``sup_pairs``
-query.  The first two read psi at every pair.  That is exact because a
+Readers that need every pair (the partition certificates and the cutoff
+export) read a ``Lattice`` (the check lattice or a sub-lattice of it,
+and the export grid), on which each support box is one index interval
+per axis; an array of points is read only one function per point.  The
+certificates read psi at every pair.  That is exact because a
 point in the closed supports of cutoffs m < k lies in both outer balls,
 so every earlier pair of a run is a blocker of the later one;
 ``Partition.check_runs`` checks this once per partition, when psi is
@@ -49,19 +49,21 @@ Readers that evaluate one function per point (``function_values``,
 pullback export) build each point's run from just that function's
 blockers and own cutoff, and form psi once, at its end.  Points pass
 through the engine in blocks of a bounded number of pairs (slabs of the
-first axis, on a lattice), which bounds its memory.
+first axis, for every pair of a lattice), which bounds its memory.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .cover import Cover, ball_overlaps, box_pairs, pairs_within, sup_pairs
+from .cover import Cover, ball_overlaps, box_pairs, pairs_within
 from .domains import Lattice, _ranges
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
@@ -165,8 +167,8 @@ class PartitionFn:
     blockers: tuple[int, ...]
 
     def __post_init__(self):
-        chain = [*self.blockers, self.index]
-        if any(a >= b for a, b in zip(chain, chain[1:])):
+        chain = (*self.blockers, self.index)
+        if not all(map(operator.lt, chain, chain[1:])):
             raise ValueError(f"blockers of function {self.index} must ascend "
                              f"strictly below it, got {chain[:-1]}")
 
@@ -187,12 +189,14 @@ class Partition:
         self.profile = profile
         self.centers = np.array(centers, dtype=float)
         self.scales = np.array(scales, dtype=float)
-        self.functions = [PartitionFn(k, tuple(int(m) for m in ms))
+        self.functions = [PartitionFn(k, tuple(ms))
                           for k, ms in enumerate(blockers)]
         size = len(self.functions)
+        count = [len(fn.blockers) + 1 for fn in self.functions]
+        cols = np.fromiter(itertools.chain.from_iterable(
+            (*fn.blockers, fn.index) for fn in self.functions), np.int64, sum(count))
         # each function's keys ascend below its own, so links come sorted
-        self.links = np.array([fn.index * size + m for fn in self.functions
-                               for m in (*fn.blockers, fn.index)], dtype=np.int64)
+        self.links = np.repeat(np.arange(size), count) * size + cols
         self.half = self.scales * profile.support_halfwidth
         self.powers = np.array([[s ** -b for b in range(profile.order)]
                                 for s in self.scales.tolist()])
@@ -219,18 +223,18 @@ class Partition:
         """The (point, cutoff) pairs with the point in the cutoff's closed
         support, as ``(rows, cols)`` in lexicographic order.
 
-        Without ``owners`` these are all such pairs: from the lattice's
-        per-axis intervals when ``pts`` is a ``Lattice`` (rows index its
-        points), else from one ``sup_pairs`` query.  With ``owners`` (the
-        function each point is read for) one ``pairs_within`` call tests
-        each point's slice of ``links``, that function's blockers and own
-        cutoff, and a point outside its own cutoff's support keeps no pairs.
+        Without ``owners`` these are all such pairs, from the per-axis
+        intervals of ``pts``, a ``Lattice`` (``TypeError`` otherwise).  With
+        ``owners`` (the function each point is read for) one
+        ``pairs_within`` call tests each point's slice of ``links``, that
+        function's blockers and own cutoff, and a point outside its own
+        cutoff's support keeps no pairs.
         """
         if owners is None:
-            if isinstance(pts, Lattice):
-                return pts.pairs(self.centers, self.half)
-            rows, cols, _ = sup_pairs(self.centers, pts, self.half)
-            return rows, cols
+            if not isinstance(pts, Lattice):
+                raise TypeError("all pairs are read from a Lattice; an "
+                                "array needs owners")
+            return pts.pairs(self.centers, self.half)
         # each point's slice of links ascends: pairs come out in order
         size = len(self)
         own = np.asarray(owners, dtype=np.int64)
@@ -276,8 +280,8 @@ class Partition:
 class Incidence:
     """The (point, cutoff) pairs of a point set, with each cutoff's partials.
 
-    The points are an array or a ``Lattice`` (held as its ``points``), and
-    the pairs (point ``rows``, cutoff ``fns``) are
+    The points are a ``Lattice`` (held as its ``points``) or, with
+    ``owners``, an array, and the pairs (point ``rows``, cutoff ``fns``) are
     ``partition.pairs(pts, owners)``.  A point's pairs by ascending cutoff
     are its run.  The pairs are held step-major (``_step_major``): step s
     holds the s-th pair of every point whose run is longer than s
@@ -469,10 +473,10 @@ def incidences(partition: Partition, pts, betas, owners=None):
     Blocks bound the engine's tables.  On a ``Lattice`` (all pairs) each
     block is a slab of first-axis cells whose support boxes hold at most
     about ``_BLOCK_PAIRS`` cells (``Lattice.slabs``), and its points are a
-    contiguous slice of the lattice's.  Otherwise each next block is sized
-    from the pairs per point of the last one to hold about ``_BLOCK_PAIRS``
-    pairs.  Every point's pairs, and so every value, are those of one
-    incidence of all the points.  There is always at least one block,
+    contiguous slice of the lattice's.  On an array (with ``owners``) each
+    next block is sized from the pairs per point of the last one to hold
+    about ``_BLOCK_PAIRS`` pairs.  Every point's pairs, and so every value,
+    are those of one incidence of all the points.  There is always at least one block,
     empty for no points.
     """
     if isinstance(pts, Lattice) and owners is None:
@@ -569,13 +573,11 @@ def _probe_values(partition: Partition, probes: np.ndarray) -> np.ndarray:
 
 
 def certify_partition(partition: Partition, cover: Cover, oracle,
-                      alpha_max: int, grid,
+                      alpha_max: int, grid: Lattice,
                       sum_tol: float = 1e-9, tol: float = 1e-9) -> list[Certificate]:
     """Sum-to-one, range, support, and derivative-bound certificates, on
-    the points of ``grid`` (an array, or a ``Lattice``, whose pairs come
-    from its per-axis intervals)."""
-    lattice = grid if isinstance(grid, Lattice) else None
-    grid = np.asarray(lattice.points if lattice else grid, dtype=float)
+    the points of the lattice ``grid``, whose pairs come from its per-axis
+    intervals."""
     fam = cover.family.name
     n = cover.level
     d = cover.dimension
@@ -590,14 +592,14 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     half = partition.half
     peaks = np.zeros((len(partition), len(alphas)))
     seen = np.zeros(len(partition), dtype=bool)
-    sums = np.zeros(len(grid))
+    sums = []
     below, top = 0.0, None
-    for block, inc in incidences(partition, lattice or grid, alphas):
+    for _, inc in incidences(partition, grid, alphas):
         tables = inc.partials()
         vals = tables[(0,) * d]
         # bincount adds each point's values in step order, i.e. function
-        # order
-        sums[block] = np.bincount(inc.rows, weights=vals, minlength=len(inc.pts))
+        # order; the blocks are consecutive
+        sums.append(np.bincount(inc.rows, weights=vals, minlength=len(inc.pts)))
         if len(vals):
             below = min(below, float(vals.min()))
             top = float(vals.max()) if top is None else max(top, float(vals.max()))
@@ -617,11 +619,12 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
             for j, alpha in enumerate(alphas):
                 peaks[fk, j] = np.maximum(peaks[fk, j], np.maximum.reduceat(
                     np.abs(tables[alpha][order]), starts))
+    sums = np.concatenate(sums)
     above = float(np.max(sums - 1.0))
     if top is not None:
         above = max(above, top - 1.0)
 
-    ring_mask = cover.domain.ring(n).contains(grid)
+    ring_mask = cover.domain.ring(n).contains(grid.points)
     worst_sum = float(np.abs(sums[ring_mask] - 1.0).max()) if ring_mask.any() else 0.0
     certs.append(Certificate(
         name=f"partition_sum[{fam},n={n}]",
@@ -629,7 +632,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
         verdict=PASS if worst_sum <= sum_tol else FAIL,
         measured=worst_sum, bound=sum_tol, slack=sum_tol - worst_sum,
         resolutions={"ring_points": int(ring_mask.sum()),
-                     "grid_points": int(len(grid))},
+                     "grid_points": int(len(sums))},
     ))
 
     range_ok = below >= -tol and above <= tol
@@ -696,7 +699,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
                    "weights": list(partition.weights),
                    "radius_direction": "sampled depth-3 radius in denominator "
                                        "(conservative)"},
-        resolutions={"grid_points": int(len(grid)), "alpha_max": alpha_max},
+        resolutions={"grid_points": int(len(sums)), "alpha_max": alpha_max},
         details=tight or {},
     ))
     return certs

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bumps import Partition, derivative_constant, partition_partials
 from .cover import Cover, box_pairs
-from .domains import Box, ExhaustionDomain, cell_lattice, mesh_points
+from .domains import Box, ExhaustionDomain, box_grids, cell_lattice
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
@@ -196,19 +196,13 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     d = cover.dimension
     m_tilde = (m + 1,) * d
     ks = list(range(len(partition)))
-    samples = []
-    for k in ks:
-        z = cover.centers[k]
-        rho = float(cover.rho[k])
-        samples.append(mesh_points([
-            np.linspace(z[i] - 0.45 * rho, z[i] + 0.45 * rho, points_per_ball)
-            for i in range(d)]))
     # One partition table of the partials |beta| <= m, which are all the
     # Leibniz sums of the orders |alpha| <= m read, for every ball's
     # sample points.
-    starts, ends = _ball_slices(samples)
-    pts = np.concatenate(samples)
-    tables = partition_partials(partition, pts, np.repeat(ks, ends - starts),
+    per_ball = points_per_ball ** d
+    pts = box_grids(cover.centers, 0.45 * cover.rho, points_per_ball)
+    starts = np.arange(len(ks)) * per_ball
+    tables = partition_partials(partition, pts, np.repeat(ks, per_ball),
                                 indices_up_to_order(d, m))
     lhs_values = []
     for f in fs:
@@ -312,15 +306,14 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
     worst_ratio = 0.0
     tight = None
     radii = oracle.values(j, cover.centers).tolist()
-    for k in range(cover.size):
-        z = cover.centers[k]
-        rho = float(cover.rho[k])
-        axes = [np.linspace(z[i] - 0.95 * rho, z[i] + 0.95 * rho,
-                            points_per_ball) for i in range(d)]
-        pts = mesh_points(axes)
+    # every ball's sample points, ball by ball, in one weight evaluation
+    pts = box_grids(cover.centers, 0.95 * cover.rho, points_per_ball)
+    lhs_values = np.maximum.reduceat(
+        family.nu_at(m, pts), np.arange(cover.size) * points_per_ball ** d)
+    at_centers = family.nu_at(target, cover.centers).tolist()
+    for k, lhs in enumerate(lhs_values.tolist()):
         r_j = radii[k]
-        rhs = D * r_j ** p_exp * float(family.nu_at(target, z[None, :])[0])
-        lhs = float(family.nu_at(m, pts).max())
+        rhs = D * r_j ** p_exp * at_centers[k]
         ratio = lhs / rhs
         if ratio > worst_ratio:
             worst_ratio = ratio

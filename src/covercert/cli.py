@@ -263,13 +263,6 @@ def make_test_function(name: str, dimension: int):
     return spline_bump(dimension)
 
 
-def _subsample(grid: np.ndarray, cap: int) -> np.ndarray:
-    if len(grid) <= cap:
-        return grid
-    stride = int(np.ceil(len(grid) / cap))
-    return grid[::stride]
-
-
 def run(config: RunConfig, out_dir: Path, strict: bool = False,
         echo=print) -> tuple[int, dict]:
     """Execute the configured suites and write report (and figure) files."""
@@ -291,22 +284,28 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
     if len(check.points) == 0:
         raise NoRingPointsError("the check lattice contains no ring points")
 
+    # point checks read the check lattice thinned to 2,500 points, and the
+    # partition engine reads it thinned to 12,000
+    if {"omega", "chain"} & set(config.suite):
+        sample, stride = check.thinned(2500)
+
     if "omega" in config.suite:
-        omega_grid = _subsample(check.points, 2500)
         for which in (weights.OMEGA1, weights.OMEGA2, weights.OMEGA3):
             if not family.claims_condition(which):
                 continue
-            cert = weights.check_omega(family, which, n, n, omega_grid,
+            cert = weights.check_omega(family, which, n, n, sample.points,
                                        offset_count=config.offset_count,
                                        tol=config.tolerance)
+            cert.resolutions["stride"] = stride
             certificates.append(cert)
             if which == weights.OMEGA1 and config.negative_control == "deflate_a1":
                 deflated = weights.check_omega(
-                    family, which, n, n, omega_grid,
+                    family, which, n, n, sample.points,
                     offset_count=config.offset_count, tol=config.tolerance,
                     claimed_bound=0.5 * (cert.measured or 1.0))
                 deflated.name += ":negative_control"
                 deflated.details["negative_control"] = "deflate_a1"
+                deflated.resolutions["stride"] = stride
                 certificates.append(deflated)
 
     if "psi" in config.suite and family.psi is not None:
@@ -350,12 +349,14 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
         partition = bumps.build_partition(built_cover, config.smoothness_order)
 
     if "partition" in config.suite:
-        # below the cap the engine reads the check lattice itself
-        grid = (check if len(check.points) <= 12000
-                else _subsample(check.points, 12000))
-        certificates.extend(bumps.certify_partition(
-            partition, built_cover, oracle, config.alpha_max, grid,
-            tol=config.tolerance))
+        grid, grid_stride = check.thinned(12000)
+        for cert in bumps.certify_partition(partition, built_cover, oracle,
+                                            config.alpha_max, grid,
+                                            tol=config.tolerance):
+            # the support certificate reads probes, not the sample
+            if cert.claim != "partition.support_in_ball":
+                cert.resolutions["stride"] = grid_stride
+            certificates.append(cert)
 
     if "chain" in config.suite:
         calc = IndexCalculus(family)
@@ -368,7 +369,9 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
               for fn_name in config.test_functions]
         if fs:
             members = [certify.membership_certificate(
-                f, family, n, m, _subsample(check.points, 2500)) for f in fs]
+                f, family, n, m, sample.points) for f in fs]
+            for cert in members:
+                cert.resolutions["stride"] = stride
             bounds = certify.verify_integral_bound(
                 fs, partition, built_cover, m, config.quadrature_resolution,
                 tol=config.tolerance)
@@ -434,11 +437,8 @@ def export_figures(config: RunConfig, built_cover, partition,
 
     # 9 points per axis across each core box, in lexicographic order, and
     # each partition function at their images in its outer ball
-    half = built_cover.core_halfwidths[:, None]
-    axes = np.linspace(built_cover.centers - half, built_cover.centers + half,
-                       9, axis=-1)
-    mesh = np.indices((9,) * d).reshape(d, -1)
-    zetas = axes[:, np.arange(d)[:, None], mesh].transpose(0, 2, 1).reshape(-1, d)
+    zetas = domains.box_grids(built_cover.centers,
+                              built_cover.core_halfwidths, 9)
     owners = np.repeat(np.arange(len(partition)), 9 ** d)
     values = bumps.function_values(
         partition, built_cover.rescale(zetas, owners), owners)

@@ -9,6 +9,7 @@ empty boundary is infinite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -33,6 +34,7 @@ __all__ = [
     "cell_lattice",
     "lattice_axes",
     "mesh_points",
+    "box_grids",
     "Lattice",
 ]
 
@@ -89,6 +91,17 @@ def mesh_points(axes) -> np.ndarray:
     """Tensor grid of the given per-axis coordinates, lexicographic, (N, d)."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def box_grids(centers: np.ndarray, half: np.ndarray, count: int) -> np.ndarray:
+    """Box by box, ``mesh_points`` of ``np.linspace(z - h, z + h, count)``
+    per axis of each box ``|x - z|_inf <= h`` (one row of ``centers`` and
+    ``half``), from one ``linspace`` call, (K * count^d, d)."""
+    d = centers.shape[1]
+    half = np.asarray(half, dtype=float)[:, None]
+    axes = np.linspace(centers - half, centers + half, count, axis=-1)
+    mesh = np.indices((count,) * d).reshape(d, -1)
+    return axes[:, np.arange(d)[:, None], mesh].transpose(0, 2, 1).reshape(-1, d)
 
 
 def lattice_axes(box: Box, resolution: float) -> list[np.ndarray]:
@@ -164,6 +177,26 @@ class Lattice:
         flat = mesh_points(axes)
         keep = np.ones(len(flat), bool) if region is None else region.contains(flat)
         return cls(tuple(axes), keep.reshape([len(a) for a in axes]), flat[keep])
+
+    def thinned(self, cap: int) -> tuple[Lattice, int]:
+        """The sub-lattice of every s-th index per axis, under this mask,
+        for the least stride s that leaves at most ``cap`` points, and s.
+        Its points are this lattice's own, in order (``NoRingPointsError``
+        if there are none)."""
+        if cap < 1:
+            raise ValueError("a sample cap must be at least 1")
+        # each cell's point index; a stride past every axis keeps one cell
+        rank = np.cumsum(self.inside).reshape(self.inside.shape) - 1
+        for stride in itertools.count(1):
+            step = (slice(None, None, stride),) * len(self.axes)
+            held = np.count_nonzero(self.inside[step])
+            if held == 0:
+                raise NoRingPointsError(f"the sub-lattice at stride {stride} holds "
+                                        "no point")
+            if held <= cap:
+                return Lattice(tuple(axis[::stride] for axis in self.axes),
+                               self.inside[step],
+                               self.points[rank[step][self.inside[step]]]), stride
 
     def boxes(self, centers: np.ndarray, reach: np.ndarray, strict=True):
         """Per axis (rows) and center (columns), the index interval ``first

@@ -967,7 +967,7 @@ def export_figures(config, built_cover, partition, out_dir):
         return
 
     xs = [f"x{i + 1}" for i in range(d)]
-    grid = built_cover.domain.sample_ring(
+    grid = built_cover.domain.ring_lattice(
         built_cover.level, max(config.check_resolution * 8,
                                config.candidate_resolution * 4),
         config.truncation)
@@ -981,7 +981,7 @@ def export_figures(config, built_cover, partition, out_dir):
         writer = csv.writer(handle)
         writer.writerow([*xs, "k", "value"])
         order = np.lexsort((rows, ks))
-        writer.writerows(zip(*grid[rows[order]].T.tolist(), ks[order].tolist(),
+        writer.writerows(zip(*grid.points[rows[order]].T.tolist(), ks[order].tolist(),
                              values[order].tolist()))
 
     maps = rescale_maps(built_cover)

@@ -22,6 +22,7 @@ from covercert import (Box, BoxRegion, IndexCalculus, MuSpec, RadiusOracle,
                        without_center)
 from covercert.bumps import function_values, partition_partials
 from covercert.cli import main as cli_main
+from covercert.domains import Lattice
 from covercert.cover import separation_holds
 from oracles import greedy_naive
 
@@ -121,9 +122,8 @@ def test_criterion_2_partition_certificates(covers, partitions):
         axes = [np.linspace(state["box"].lower[i] + 1e-6,
                             state["box"].upper[i] - 1e-6, per_axis)
                 for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([v.ravel() for v in mesh], axis=1)
-        assert len(grid) >= count
+        grid = Lattice.of(axes)
+        assert len(grid.points) >= count
         alpha_max = 3 if d == 1 else 2
         certs = certify_partition(partitions[name], state["cover"],
                                   state["cover"].oracle, alpha_max, grid)

@@ -15,6 +15,7 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        default_weights, expanding_boxes, neighbor_sets)
 from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
                              function_values, partition_partials)
+from covercert.domains import Lattice
 from covercert.multiindex import indices_below, indices_up_to_order
 from covercert.piecewise import PiecewisePoly
 
@@ -61,13 +62,13 @@ def fn_table(partition, k, pts, alpha):
                               indices_below(alpha))
 
 
-def partition_sums(partition, pts):
-    """Each point's partition sum from ``bumps.incidences``, its values
-    added by the ``bincount`` that ``certify_partition`` adds them with."""
-    pts = np.asarray(pts, dtype=float)
-    zero = (0,) * pts.shape[1]
-    sums = np.zeros(len(pts))
-    for block, inc in bumps.incidences(partition, pts, [zero]):
+def partition_sums(partition, lattice):
+    """Each lattice point's partition sum from ``bumps.incidences``, its
+    values added by the ``bincount`` that ``certify_partition`` adds them
+    with."""
+    zero = (0,) * len(lattice.axes)
+    sums = np.zeros(len(lattice.points))
+    for block, inc in bumps.incidences(partition, lattice, [zero]):
         sums[block] = np.bincount(inc.rows, weights=inc.partials()[zero],
                                   minlength=len(inc.pts))
     return sums
@@ -90,8 +91,8 @@ def assert_bitwise(actual, expected):
 
 @st.composite
 def partitions_and_points(draw):
-    """A partition with centers on a coarse lattice, and points inside,
-    outside and on the faces of its cutoffs' supports."""
+    """A partition with centers on a coarse lattice, and a lattice of
+    points inside, outside and on the faces of its cutoffs' supports."""
     d = draw(st.integers(1, 3))
     order = draw(st.integers(3, 6))
     count = draw(st.integers(1, 7))
@@ -129,12 +130,25 @@ def partitions_and_points(draw):
         pts.append(face)
         pts.append(center[None, :] + h)     # a corner
     alpha = tuple(draw(st.integers(0, min(2, order - 1))) for _ in range(d))
-    return partition, np.concatenate(pts), alpha
+    return partition, point_lattice(np.concatenate(pts)), alpha
 
 
-def assert_near_pair_run(partition, pts, alpha):
+def point_lattice(pts):
+    """The distinct points ``pts`` as a ``Lattice``: per axis their sorted
+    coordinates, masked to the cells that the points occupy."""
+    axes = [np.unique(at) for at in pts.T]
+    inside = np.zeros([len(axis) for axis in axes], dtype=bool)
+    inside[tuple(np.searchsorted(axis, at) for axis, at in zip(axes, pts.T))] = True
+    cells = np.nonzero(inside)      # in lexicographic order
+    return Lattice(tuple(axes), inside,
+                   np.stack([axis[i] for axis, i in zip(axes, cells)], axis=1))
+
+
+def assert_near_pair_run(partition, lattice, alpha):
     """Every function's partials, and the partition sum, within the derived
-    rounding bounds of the pair-run engine's values (``oracles``)."""
+    rounding bounds of the pair-run engine's values (``oracles``), at the
+    lattice's points."""
+    pts = lattice.points
     zero = (0,) * pts.shape[1]
     sums, old_sums, slack = (np.zeros(len(pts)) for _ in range(3))
     for k in range(len(partition)):
@@ -150,7 +164,7 @@ def assert_near_pair_run(partition, pts, alpha):
         slack += bound[zero]
     n = len(partition) * 2.0 ** -53
     slack += n / (1.0 - n) * (sums + old_sums)
-    assert (np.abs(partition_sums(partition, pts)
+    assert (np.abs(partition_sums(partition, lattice)
                    - oracles.pair_run_sum(partition, pts)) <= slack).all()
 
 
@@ -162,7 +176,8 @@ class TestIncidenceEngine:
     @settings(max_examples=40, deadline=None)
     @given(partitions_and_points())
     def test_wrappers_match_per_function_loops(self, case):
-        partition, pts, alpha = case
+        partition, lattice, alpha = case
+        pts = lattice.points
         zero = (0,) * len(alpha)
         for k in range(len(partition)):
             values = oracles.recurrence_table(partition, k, pts, zero)[zero]
@@ -172,15 +187,16 @@ class TestIncidenceEngine:
             assert list(table) == list(expected)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
-        assert_bitwise(partition_sums(partition, pts),
+        assert_bitwise(partition_sums(partition, lattice),
                        oracles.recurrence_sum(partition, pts))
-        assert_near_pair_run(partition, pts, alpha)
+        assert_near_pair_run(partition, lattice, alpha)
 
     @settings(max_examples=40, deadline=None)
     @given(partitions_and_points())
     def test_shared_incidence_matches_per_function_loops(self, case):
-        partition, pts, alpha = case
-        inc = Incidence(partition, pts, indices_below(alpha))
+        partition, lattice, alpha = case
+        pts = lattice.points
+        inc = Incidence(partition, lattice, indices_below(alpha))
         table = inc.partials()
         for k in range(len(partition)):
             cut = oracles.cutoff(partition, k)
@@ -206,11 +222,12 @@ class TestIncidenceEngine:
         dom, _, cover, partition = request.getfixturevalue(setup)
         box = Box(tuple(a - 0.1 for a in cover.box.lower),
                   tuple(b + 0.1 for b in cover.box.upper))
-        pts = dom.sample_ring(1, spacing, box)
+        lattice = dom.ring_lattice(1, spacing, box)
+        pts = lattice.points
         alpha = (2,) * cover.dimension
         zero = (0,) * cover.dimension
         assert max(len(fn.blockers) for fn in partition) >= 2
-        assert_bitwise(partition_sums(partition, pts),
+        assert_bitwise(partition_sums(partition, lattice),
                        oracles.recurrence_sum(partition, pts))
         for k in range(len(partition)):
             assert_bitwise(fn_values(partition, k, pts),
@@ -219,13 +236,13 @@ class TestIncidenceEngine:
             expected = oracles.recurrence_table(partition, k, pts, alpha)
             for beta in expected:
                 assert_bitwise(table[beta], expected[beta])
-        assert_near_pair_run(partition, pts, alpha)
+        assert_near_pair_run(partition, lattice, alpha)
 
     def test_one_step_per_earlier_pair_of_the_longest_run(
             self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
-        pts = dom.sample_ring(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
-        inc = Incidence(partition, pts, indices_below((2, 2)))
+        lattice = dom.ring_lattice(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
+        inc = Incidence(partition, lattice, indices_below((2, 2)))
         longest = int(np.bincount(inc.rows).max())
         assert len(partition) == 25 == max(len(fn.blockers) for fn in partition) + 1
         assert longest == 19
@@ -246,7 +263,7 @@ class TestIncidenceEngine:
 
     def test_all_pairs_readers_reject_a_missing_blocker(self, square_setup):
         dom, _, cover, partition = square_setup
-        grid = dom.sample_ring(1, 0.01, cover.box)
+        grid = dom.ring_lattice(1, 0.01, cover.box)
         centers, half = partition.centers, partition.half
         k, m = next((fn.index, m) for fn in partition for m in fn.blockers
                     if np.abs(centers[fn.index] - centers[m]).max()
@@ -259,13 +276,14 @@ class TestIncidenceEngine:
         with pytest.raises(ValueError, match="blocker"):
             certify_partition(bad, cover, cover.oracle, 1, grid)
         # a function read for its owner multiplies just its listed blockers
-        assert_bitwise(fn_values(bad, k, grid),
-                       oracles.recurrence_table(bad, k, grid, (0, 0))[(0, 0)])
+        assert_bitwise(fn_values(bad, k, grid.points),
+                       oracles.recurrence_table(bad, k, grid.points,
+                                                (0, 0))[(0, 0)])
 
     def test_supports_that_touch_count_as_meeting(self):
         # closed supports [-0.5, 0.5] and [0.5, 1.5] share the point 0.5,
         # where the first cutoff is -1 and the second 1
-        x = np.array([[0.5], [0.2]])
+        x = Lattice.of([np.array([0.2, 0.5])])
         alone = Partition(flat(), [[0.0], [1.0]], [1.0, 1.0], [(), ()])
         with pytest.raises(ValueError, match="blocker"):
             partition_sums(alone, x)
@@ -288,7 +306,7 @@ class TestIncidenceEngine:
         # centers
         dom, _, cover, _ = square_setup
         partition = build_partition(cover, order=5)
-        grid = dom.sample_ring(1, 0.02, cover.box)
+        grid = dom.ring_lattice(1, 0.02, cover.box)
         queries = []
         query = bumps.box_pairs
 
@@ -304,13 +322,13 @@ class TestIncidenceEngine:
 
     def test_blocks_do_not_change_values(self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
-        grid = dom.sample_ring(1, 0.004, cover.box)
-        owners = np.arange(len(grid)) % len(partition)
+        grid = dom.ring_lattice(1, 0.004, cover.box)
+        owners = np.arange(len(grid.points)) % len(partition)
 
         def readings():
             certs = certify_partition(partition, cover, cover.oracle, 2, grid)
             return ([c.as_dict() for c in certs], partition_sums(partition, grid),
-                    function_values(partition, grid, owners))
+                    function_values(partition, grid.points, owners))
 
         whole = readings()
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 16)
@@ -325,22 +343,22 @@ class TestIncidenceEngine:
                              ids=["d2", "d3"])
     def test_lattice_readings_equal_point_readings(self, request, monkeypatch,
                                                    setup, spacing):
-        # a lattice's pairs come from its per-axis intervals, slab by slab
+        # a lattice's pairs come from its per-axis intervals, slab by slab,
+        # and its certificates are those of per-function loops over its
+        # points
         dom, _, cover, partition = request.getfixturevalue(setup)
         d = cover.dimension
         lattice = dom.ring_lattice(1, spacing, Box(
             tuple(a - 0.1 for a in cover.box.lower),
             tuple(b + 0.1 for b in cover.box.upper)))
-        points = certify_partition(partition, cover, cover.oracle, 2,
-                                   lattice.points)
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 256)
         slabs = list(bumps.incidences(partition, lattice, [(0,) * d]))
         assert len(slabs) > 10
         assert [block.start for block, _ in slabs[1:]] == \
             [block.stop for block, _ in slabs[:-1]]
-        assert repr([c.as_dict() for c in certify_partition(
-            partition, cover, cover.oracle, 2, lattice)]) == \
-            repr([c.as_dict() for c in points])
+        assert_certificates_match_loops(
+            certify_partition(partition, cover, cover.oracle, 2, lattice),
+            partition, cover, lattice.points)
 
     def test_betas_must_be_down_closed(self, square_setup):
         _, _, _, partition = square_setup
@@ -355,9 +373,9 @@ class TestIncidenceEngine:
         # every beta keeps its gamma order, so a table over |beta| <= 2 is
         # bitwise the entries of the table over beta <= (2, 2)
         dom, _, cover, partition = square_setup
-        pts = dom.sample_ring(1, 0.004, cover.box)
-        down = Incidence(partition, pts, indices_up_to_order(2, 2))
-        box = Incidence(partition, pts, indices_below((2, 2)))
+        lattice = dom.ring_lattice(1, 0.004, cover.box)
+        down = Incidence(partition, lattice, indices_up_to_order(2, 2))
+        box = Incidence(partition, lattice, indices_below((2, 2)))
         assert len(down.betas) == 6 and len(box.betas) == 9
         assert len(down.rule.gamma) == 9 and len(box.rule.gamma) == 27
         box_table = box.partials()
@@ -370,8 +388,9 @@ class TestIncidenceEngine:
         assert fn_values(partition, 7, empty).shape == (0,)
         assert all(v.shape == (0,)
                    for v in fn_table(partition, 7, empty, (2, 1)).values())
-        assert partition_sums(partition, empty).shape == (0,)
-        inc = Incidence(partition, empty, indices_below((1, 1)))
+        lattice = Lattice.of([np.empty(0), np.empty(0)])
+        assert partition_sums(partition, lattice).shape == (0,)
+        inc = Incidence(partition, lattice, indices_below((1, 1)))
         assert len(inc.rows) == 0
         table = inc.partials()
         assert list(table) == indices_below((1, 1))
@@ -380,7 +399,8 @@ class TestIncidenceEngine:
     def test_points_outside_every_support_give_zeros(self, square_setup):
         _, _, cover, partition = square_setup
         far = np.array([[3.0, 3.0], [-2.0, 0.3], [0.3, 5.0]])
-        assert_bitwise(partition_sums(partition, far), np.zeros(3))
+        assert_bitwise(partition_sums(partition, Lattice.of(
+            [np.array([-2.0, 3.0]), np.array([-2.0, 5.0])])), np.zeros(4))
         for k in range(len(partition)):
             assert_bitwise(fn_values(partition, k, far), np.zeros(3))
             for vals in fn_table(partition, k, far, (2, 2)).values():
@@ -391,8 +411,19 @@ class TestIncidenceEngine:
         nan = np.array([[np.nan, 0.3]])
         with pytest.raises(ValueError, match="NaN"):
             function_values(partition, nan, [3])
-        with pytest.raises(ValueError, match="NaN"):
-            partition_sums(partition, nan)
+
+    def test_all_pairs_readers_take_only_a_lattice(self, square_setup):
+        # an array is read only for owners
+        dom, _, cover, partition = square_setup
+        pts = dom.ring_lattice(1, 0.02, cover.box).points
+        with pytest.raises(TypeError, match="Lattice"):
+            partition.pairs(pts)
+        with pytest.raises(TypeError, match="Lattice"):
+            Incidence(partition, pts, [(0, 0)])
+        with pytest.raises(TypeError, match="Lattice"):
+            next(bumps.incidences(partition, pts, [(0, 0)]))
+        with pytest.raises(TypeError, match="Lattice"):
+            certify_partition(partition, cover, cover.oracle, 1, pts)
 
     @pytest.mark.parametrize("alpha", [(0, 0), (2, 1)])
     def test_one_interval_search_per_profile_and_axis(
@@ -401,7 +432,8 @@ class TestIncidenceEngine:
         # every block makes one search per axis, over the distinct offsets
         # of its pairs (by bit pattern), which repeat on the lattice
         dom, _, cover, partition = square_setup
-        pts = dom.sample_ring(1, 0.01, Box((0.1, 0.1), (0.55, 0.55)))
+        lattice = dom.ring_lattice(1, 0.01, Box((0.1, 0.1), (0.55, 0.55)))
+        pts = lattice.points
         assert len(set(cover.rho.tolist())) == 5
         searches = []
         locate = piecewise._locate
@@ -412,11 +444,12 @@ class TestIncidenceEngine:
 
         monkeypatch.setattr(piecewise, "_locate", counting_locate)
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 1024)
-        for owners in (None, np.arange(len(pts)) % len(partition)):
+        for source, owners in ((lattice, None),
+                               (pts, np.arange(len(pts)) % len(partition))):
             blocks = searched = pairs = 0
             searches.clear()
-            for _, inc in bumps.incidences(partition, pts, indices_below(alpha),
-                                            owners):
+            for _, inc in bumps.incidences(partition, source,
+                                            indices_below(alpha), owners):
                 offsets = ((inc.pts[inc.rows] - partition.centers[inc.fns])
                            / partition.scales[inc.fns, None])
                 distinct = [len(set(axis.view(np.uint64).tolist()))
@@ -535,7 +568,7 @@ class TestCutoff:
             x[:len(profile.knots), 0] = cut.center[0] + rho * profile.knots
             top = (order - 1,) * 2
             inc = Incidence(Partition(profile, [cut.center], [rho], [()]), x,
-                            indices_below(top))
+                            indices_below(top), owners=np.zeros(len(x), int))
             for alpha in indices_below(top):
                 expected = oracles.per_radius_partial(cut, x, alpha)
                 assert_bitwise(cut.partial(x, alpha), expected)
@@ -571,8 +604,9 @@ class TestPartition:
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.05,), (0.05,)))
         part = build_partition(cover, order=4)
         assert fn_values(part, 0, np.array([[0.0]]))[0] == pytest.approx(1.0)
-        grid = dom.sample_ring(1, 1e-3, cover.box)
-        assert partition_sums(part, grid) == pytest.approx(np.ones(len(grid)))
+        grid = dom.ring_lattice(1, 1e-3, cover.box)
+        assert partition_sums(part, grid) == \
+            pytest.approx(np.ones(len(grid.points)))
 
     def test_two_ball_telescoping_identity(self):
         dom = expanding_boxes(1)
@@ -580,21 +614,21 @@ class TestPartition:
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((-0.2,), (0.2,)))
         assert cover.size == 2
         part = build_partition(cover, order=4)
-        xs = np.linspace(-0.6, 0.6, 241)[:, None]
-        phi1 = oracles.cutoff(part, 0).value(xs)
-        phi2 = oracles.cutoff(part, 1).value(xs)
+        xs = Lattice.of([np.linspace(-0.6, 0.6, 241)])
+        phi1 = oracles.cutoff(part, 0).value(xs.points)
+        phi2 = oracles.cutoff(part, 1).value(xs.points)
         total = partition_sums(part, xs)
         assert total == pytest.approx(1.0 - (1 - phi1) * (1 - phi2), abs=1e-14)
 
     def test_sum_to_one_on_ring(self, line_setup):
         dom, fam, cover, partition = line_setup
-        grid = dom.sample_ring(1, 1e-3, cover.box)
+        grid = dom.ring_lattice(1, 1e-3, cover.box)
         sums = partition_sums(partition, grid)
         assert np.abs(sums - 1.0).max() <= 1e-12
 
     def test_sum_never_exceeds_one(self, line_setup):
         dom, fam, cover, partition = line_setup
-        pts = np.linspace(-1.5, 1.5, 601)[:, None]
+        pts = Lattice.of([np.linspace(-1.5, 1.5, 601)])
         sums = partition_sums(partition, pts)
         assert sums.max() <= 1.0 + 1e-12
         assert sums.min() >= -1e-12
@@ -716,11 +750,36 @@ def wide_partition(partition):
                      [fn.blockers for fn in partition])
 
 
+def assert_certificates_match_loops(certs, partition, cover, grid):
+    """The sum, range and derivative certificates (``alpha_max`` 2) equal
+    one-function-at-a-time loops over the points ``grid``."""
+    certs = {c.claim: c for c in certs}
+    sums = oracles.recurrence_sum(partition, grid)
+    ring = cover.domain.ring(cover.level).contains(grid)
+    assert certs["partition.sum_to_one"].measured == \
+        float(np.abs(sums[ring] - 1.0).max())
+    below, excess = 0.0, []
+    for k in range(len(partition)):
+        inside = oracles.cutoff(partition, k).contains_support(grid)
+        vals = oracles.recurrence_table(partition, k, grid[inside],
+                                        (0,) * grid.shape[1])[(0,) * grid.shape[1]]
+        if len(vals):
+            below = min(below, float(vals.min()))
+            excess.append(float(vals.max() - 1.0))
+    above = max([float(np.max(sums - 1.0))] + excess)
+    assert certs["partition.range"].details == {"min_value": below,
+                                                "max_excess": above}
+    ratio, tight = oracles.derivative_pass(partition, cover, cover.oracle,
+                                           2, grid)
+    assert certs["partition.derivative_bound"].measured == ratio
+    assert certs["partition.derivative_bound"].details == tight
+
+
 class TestCertifyPartition:
     def test_full_certificates_pass(self, line_setup):
         dom, fam, cover, partition = line_setup
         oracle = cover.oracle
-        grid = dom.sample_ring(1, 2e-3, cover.box)
+        grid = dom.ring_lattice(1, 2e-3, cover.box)
         certs = certify_partition(partition, cover, oracle, alpha_max=3,
                                   grid=grid)
         by_claim = {c.claim: c for c in certs}
@@ -736,7 +795,8 @@ class TestCertifyPartition:
         k = tight["center"]
         lo = cover.centers[k] - partition.half[k]
         hi = cover.centers[k] + partition.half[k]
-        local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
+        pts = grid.points
+        local = pts[((pts >= lo) & (pts <= hi)).all(axis=1)]
         assert tight["alpha"] == [0]
         assert tight["measured"] == float(np.abs(fn_values(partition, k, local)).max())
         assert tight["measured"] == pytest.approx(1.0, abs=1e-12)
@@ -744,35 +804,17 @@ class TestCertifyPartition:
 
     def test_passes_match_per_function_loops(self, square_setup):
         dom, _, cover, partition = square_setup
-        grid = dom.sample_ring(1, 0.004, cover.box)
-        certs = {c.claim: c for c in
-                 certify_partition(partition, cover, cover.oracle, 2, grid)}
-        sums = oracles.recurrence_sum(partition, grid)
-        ring = dom.ring(1).contains(grid)
-        assert certs["partition.sum_to_one"].measured == \
-            float(np.abs(sums[ring] - 1.0).max())
-        below, excess = 0.0, []
-        for k in range(len(partition)):
-            inside = oracles.cutoff(partition, k).contains_support(grid)
-            vals = oracles.recurrence_table(partition, k, grid[inside],
-                                            (0, 0))[(0, 0)]
-            if len(vals):
-                below = min(below, float(vals.min()))
-                excess.append(float(vals.max() - 1.0))
-        above = max([float(np.max(sums - 1.0))] + excess)
-        assert certs["partition.range"].details == {"min_value": below,
-                                                    "max_excess": above}
-        ratio, tight = oracles.derivative_pass(partition, cover, cover.oracle,
-                                               2, grid)
-        assert certs["partition.derivative_bound"].measured == ratio
-        assert certs["partition.derivative_bound"].details == tight
+        grid = dom.ring_lattice(1, 0.004, cover.box)
+        assert_certificates_match_loops(
+            certify_partition(partition, cover, cover.oracle, 2, grid),
+            partition, cover, grid.points)
 
     def test_polys_past_the_claimed_support_fail_the_support_pass(
             self, square_setup):
         # the wide partition's claimed supports stay inside the balls, and
         # its polys reach past them
         dom, _, cover, partition = square_setup
-        grid = dom.sample_ring(1, 0.02, cover.box)
+        grid = dom.ring_lattice(1, 0.02, cover.box)
         claim = "partition.support_in_ball"
         bad = wide_partition(partition)
         assert (bad.half < cover.rho).all()

@@ -66,6 +66,24 @@ class TestExitCodes:
         assert "certificates passed" in out
         assert "FAIL" not in out
 
+    def test_empty_thinned_sample_exits_two(self, tmp_path, capsys):
+        # ring 1 holds one row of the check lattice, at an odd index of its
+        # second axis: over the 2,500-point cap, the omega sample takes
+        # every 2nd index per axis and misses the row
+        config = small_config(
+            domain={"kind": "shrinking_boxes", "lower": [0.0, 0.0],
+                    "upper": [20.0, 0.67]},
+            truncation={"lower": [0.0, 0.303], "upper": [10.0, 0.34]},
+            resolutions={"candidate": 0.003, "check": 0.003,
+                         "quadrature": 0.003},
+            suite=["omega"], figures=False)
+        path = write_config(tmp_path, config)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "stride 2" in err
+
     def test_order_error_exits_two(self, tmp_path, capsys):
         config = small_config(alpha_max=7)  # beyond smoothness budget 4
         path = write_config(tmp_path, config)

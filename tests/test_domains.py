@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
-                       ExhaustionDomain, constant_exhaustion, exhaustion_gap,
-                       expanding_boxes, full_space, shrinking_boxes)
-from covercert.domains import Lattice, _interval_within, lattice_axes
+                       ExhaustionDomain, NoRingPointsError, constant_exhaustion,
+                       exhaustion_gap, expanding_boxes, full_space,
+                       shrinking_boxes)
+from covercert.domains import Lattice, _interval_within, lattice_axes, mesh_points
 
 
 def unit_interval():
@@ -290,3 +292,62 @@ def test_interval_within_every_gap_of_a_lattice(step, strict):
     got = _interval_within(axis, z, r, strict)
     want = oracles.interval_within(axis, z, r, strict)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@st.composite
+def thinned_cases(draw):
+    """A lattice in d = 1..3 of random sorted axes, unmasked or under a
+    random mask, and a cap from 1 to one past its point count."""
+    d = draw(st.integers(1, 3))
+    shape = [draw(st.integers(1, (14, 10, 6)[d - 1])) for _ in range(d)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    axes = [np.sort(rng.uniform(-1.0, 1.0, n)) for n in shape]
+    if draw(st.booleans()):
+        inside = rng.random(shape) < draw(st.floats(0.1, 0.9))
+        lattice = Lattice(tuple(axes), inside,
+                          mesh_points(axes)[inside.ravel()])
+    else:
+        lattice = Lattice.of(axes)
+    cap = draw(st.integers(1, len(lattice.points) + 1))
+    return lattice, cap
+
+
+class TestThinnedLattice:
+    @settings(max_examples=200, deadline=None)
+    @given(thinned_cases())
+    def test_least_stride_under_the_cap(self, case):
+        lattice, cap = case
+        index = np.argwhere(lattice.inside)     # lexicographic, as the points
+
+        def kept(s):
+            return (index % s == 0).all(axis=1)
+
+        least = next(s for s in itertools.count(1) if kept(s).sum() <= cap)
+        if not kept(least).any():
+            with pytest.raises(NoRingPointsError):
+                lattice.thinned(cap)
+            return
+        sample, stride = lattice.thinned(cap)
+        assert stride == least
+        # the lattice's own points at every stride-th index, bitwise and in
+        # order, and the sub-lattice's axes and mask hold just them
+        assert sample.points.tobytes() == \
+            lattice.points[kept(stride)].tobytes()
+        for axis, own in zip(sample.axes, lattice.axes):
+            assert axis.tobytes() == own[::stride].tobytes()
+        assert sample.points.tobytes() == \
+            mesh_points(sample.axes)[sample.inside.ravel()].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 400), st.data())
+    def test_unmasked_line_is_a_flat_stride(self, n, data):
+        lattice = Lattice.of([np.linspace(0.0, 1.0, n)])
+        cap = data.draw(st.integers(1, n + 1))
+        sample, stride = lattice.thinned(cap)
+        assert stride == math.ceil(n / cap)
+        assert sample.points.tobytes() == \
+            lattice.points[::math.ceil(n / cap)].tobytes()
+
+    def test_a_cap_below_one_raises(self):
+        with pytest.raises(ValueError):
+            Lattice.of([np.arange(3.0)]).thinned(0)

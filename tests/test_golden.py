@@ -22,6 +22,19 @@ multiplicity certificate moved from a sample of at most 4000 check points
 to the whole check lattice: its ``overlap`` certificate's
 ``check_points`` grew from 2667 to 8001.  Its measured count, bound,
 slack and tightest point stayed the same, and so did every other digest.
+
+Every ``report.json`` digest was re-recorded when the samples of the
+check lattice above a cap (2,500 points for the omega and membership
+certificates, 12,000 for the partition's) became sub-lattices of every
+s-th index per axis, and each certificate read on a sample gained a
+``stride`` key in its ``resolutions``: the s of its sample, 1 where the
+whole check lattice is read.  The omega, membership, partition sum,
+range and derivative-bound certificates carry it; the support
+certificate reads probes and does not.  These four configs are 1-D and
+unmasked or below every cap, where the sub-lattice is the flat stride's
+sample or the whole lattice, so the ``stride`` keys are the only bytes
+that moved.  ``boundary_d2`` is d=2 and above the omega cap (stride 2,
+1,444 of 5,776 check points).
 """
 
 import contextlib
@@ -57,7 +70,7 @@ GOLDEN = {
         "stdout":
             "ab0a5b19bb3c7ce5972dba3fd876afb2bb19a59f63d2708238f6ff10a6ff4274",
         "report.json":
-            "1ff7d9e566be6f31835ba3baa946cf564b2422c98e3d02b91d03bf4ad523c37a",
+            "99f5efd4c9031e2b31924b7ac63bd9fec911bc5e9971ab9dca37c32c045aa437",
         "cover.csv":
             "8257db85055e4b68ddb4adf171035906f9208cee1745d0fd10a3cc860377c50e",
         "cutoffs.csv":
@@ -69,7 +82,7 @@ GOLDEN = {
         "stdout":
             "f811d990df890e82cc6f19839bafe6329ad5bd1b20f685244533c969154abf1a",
         "report.json":
-            "bbb292a05183e72561dad7e829ad79e16c139f47058e5984d7214da2e0128f0f",
+            "b12f70918324c20579bb394407bf7ad136ae5c64252ae42601862582d08b705f",
         "cover.csv":
             "e9c5bd4dfb539aeb51df43c7a2612922c86ab04ed8c2d7e7d9f266007accf0fe",
         "cutoffs.csv":
@@ -81,7 +94,7 @@ GOLDEN = {
         "stdout":
             "9de7a2ce50c25b285c96147ef7c4391fc1091afdd4774733ca7da91bb6ebf9d5",
         "report.json":
-            "326011ec94adde648d85cde0054b7b8ec10b6949b683a05f4da3c8813239a994",
+            "840bc57ba06b4f893ae1d4ddaf014d44d84d7f8922bf3f18c8d0428ad50661f4",
         "cover.csv":
             "492bfece185d23bba23588486000b2e79b81073fd603174189267223923c580f",
         "cutoffs.csv":
@@ -89,11 +102,23 @@ GOLDEN = {
         "pullback.csv":
             "68d8452ad2abf50f515f5a03564c04ac7cef619bd01a8dab3689a6577dc40760",
     },
+    "boundary_d2": {
+        "stdout":
+            "d1dd5cf17559dc850d7d6d43c62c2861364afe8cc862c5d4ad2e08c802b40101",
+        "report.json":
+            "20e2d3b934b2d1c432d3c2c2f31cf7134d40e16b3f1a75781ba4ab9352113d5c",
+        "cover.csv":
+            "8536abc542dc14a002631b6a34cba01d0d38536085e714c49f1200e1a048b169",
+        "cutoffs.csv":
+            "52c4603120e458d5d1ddea6ad0248e3f98e2ca91e0bcc09236cca005fe327a47",
+        "pullback.csv":
+            "a96c1739e008a4925cba1304f6334b86073a45bd0ca36c89c712c64c306efe60",
+    },
     "small_d2": {
         "stdout":
             "fffea37d29a5ba79179e77fdadbf2216c6b0a9ffb7b3da0b42e3c4ef444eddb2",
         "report.json":
-            "0c103085555fb1c1db5daf749a75dda0928e23cf65606b0d5a7fbd60208ea5c9",
+            "4f82613e254c9a7c090c0e1c213b1b5882da18f1045c859a8628872b5e433ced",
         "cover.csv":
             "c252ef5150cae1b96cb9c6fdbd53d0dfa38f6e201a5828bf5e0eebc0a3ef0bb1",
         "cutoffs.csv":

@@ -63,6 +63,36 @@ def test_center_pairs_come_from_the_sweep():
     assert found == []
 
 
+def _point_strides(tree):
+    """Line numbers of every subscript with a step (``x[::s]``, ``x[a:b:s]``)
+    on an expression that names points (``points``, ``pts`` or ``grid``)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript):
+            continue
+        parts = (node.slice.elts if isinstance(node.slice, ast.Tuple)
+                 else [node.slice])
+        stepped = any(isinstance(p, ast.Slice) and p.step is not None
+                      for p in parts)
+        named = ast.unparse(node.value)
+        if stepped and any(word in named for word in ("points", "pts", "grid")):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_flat_strides_over_points():
+    """A sample of a lattice's points is a sub-lattice of every s-th index
+    per axis (``Lattice.thinned``): a flat stride of a point list shears
+    the sample in d >= 2."""
+    assert _point_strides(ast.parse(
+        "a = grid[::stride]\nb = check.points[1::4]\nc = axis[::2]\n"
+        "d = pts[::-1, 0]")) == [1, 2, 4]
+    found = [f"{path.name}:{line}"
+             for path in SOURCES
+             for line in _point_strides(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_all_names_resolve():
     """Every name in a covercert module's ``__all__`` exists on it, so no
     export outlives the code it named."""
