@@ -57,7 +57,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -167,8 +166,8 @@ class PartitionFn:
     blockers: tuple[int, ...]
 
     def __post_init__(self):
-        chain = (*self.blockers, self.index)
-        if not all(map(operator.lt, chain, chain[1:])):
+        chain = [*self.blockers, self.index]
+        if any(a >= b for a, b in zip(chain, chain[1:])):
             raise ValueError(f"blockers of function {self.index} must ascend "
                              f"strictly below it, got {chain[:-1]}")
 
@@ -192,11 +191,10 @@ class Partition:
         self.functions = [PartitionFn(k, tuple(ms))
                           for k, ms in enumerate(blockers)]
         size = len(self.functions)
-        count = [len(fn.blockers) + 1 for fn in self.functions]
-        cols = np.fromiter(itertools.chain.from_iterable(
-            (*fn.blockers, fn.index) for fn in self.functions), np.int64, sum(count))
+        keys = [(*fn.blockers, fn.index) for fn in self.functions]
         # each function's keys ascend below its own, so links come sorted
-        self.links = np.repeat(np.arange(size), count) * size + cols
+        self.links = (np.repeat(np.arange(size), list(map(len, keys))) * size
+                      + np.fromiter(itertools.chain.from_iterable(keys), np.int64))
         self.half = self.scales * profile.support_halfwidth
         self.powers = np.array([[s ** -b for b in range(profile.order)]
                                 for s in self.scales.tolist()])
@@ -232,8 +230,7 @@ class Partition:
         """
         if owners is None:
             if not isinstance(pts, Lattice):
-                raise TypeError("all pairs are read from a Lattice; an "
-                                "array needs owners")
+                raise TypeError("all pairs are read from a Lattice; arrays need owners")
             return pts.pairs(self.centers, self.half)
         # each point's slice of links ascends: pairs come out in order
         size = len(self)
@@ -479,7 +476,9 @@ def incidences(partition: Partition, pts, betas, owners=None):
     are those of one incidence of all the points.  There is always at least one block,
     empty for no points.
     """
-    if isinstance(pts, Lattice) and owners is None:
+    if owners is None:
+        if not isinstance(pts, Lattice):
+            raise TypeError("all pairs are read from a Lattice; arrays need owners")
         for block, slab in pts.slabs(partition.centers, partition.half,
                                      _BLOCK_PAIRS):
             yield block, Incidence(partition, slab, betas)
@@ -490,8 +489,7 @@ def incidences(partition: Partition, pts, betas, owners=None):
     start, size = 0, 1024
     while True:
         block = slice(start, start + size)
-        inc = Incidence(partition, pts[block], betas,
-                        None if owners is None else owners[block])
+        inc = Incidence(partition, pts[block], betas, owners[block])
         yield block, inc
         start = block.stop
         if start >= len(pts):
@@ -573,11 +571,12 @@ def _probe_values(partition: Partition, probes: np.ndarray) -> np.ndarray:
 
 
 def certify_partition(partition: Partition, cover: Cover, oracle,
-                      alpha_max: int, grid: Lattice,
+                      alpha_max: int, grid: Lattice, stride: int = 1,
                       sum_tol: float = 1e-9, tol: float = 1e-9) -> list[Certificate]:
     """Sum-to-one, range, support, and derivative-bound certificates, on
     the points of the lattice ``grid``, whose pairs come from its per-axis
-    intervals."""
+    intervals.  The certificates that read ``grid`` record ``stride``, the
+    one ``Lattice.thinned`` sampled it at."""
     fam = cover.family.name
     n = cover.level
     d = cover.dimension
@@ -586,31 +585,24 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     # One table of the partials |alpha| <= alpha_max at every (grid point,
     # function) pair serves the sum, range and derivative passes; its
     # order-0 entry is the value.
-    # The derivative pass keeps each function's grid points in its support
-    # box (lo <= x <= hi) and takes max |partial| over them.
+    # The derivative pass takes max |partial| over each function's pairs,
+    # the grid points in its closed support.
     alphas = indices_up_to_order(d, alpha_max)
     half = partition.half
     peaks = np.zeros((len(partition), len(alphas)))
     seen = np.zeros(len(partition), dtype=bool)
-    sums = []
+    sums = np.zeros(len(grid.points))
     below, top = 0.0, None
-    for _, inc in incidences(partition, grid, alphas):
+    for block, inc in incidences(partition, grid, alphas):
         tables = inc.partials()
         vals = tables[(0,) * d]
         # bincount adds each point's values in step order, i.e. function
-        # order; the blocks are consecutive
-        sums.append(np.bincount(inc.rows, weights=vals, minlength=len(inc.pts)))
+        # order
+        sums[block] = np.bincount(inc.rows, weights=vals, minlength=len(inc.pts))
         if len(vals):
             below = min(below, float(vals.min()))
             top = float(vals.max()) if top is None else max(top, float(vals.max()))
-        ok = np.ones(len(inc.rows), dtype=bool)
-        reach = half[inc.fns]
-        for a in range(d):
-            at, center = inc.pts[inc.rows, a], cover.centers[inc.fns, a]
-            ok &= (at >= center - reach) & (at <= center + reach)
-        del at, center, reach
-        in_box = np.flatnonzero(ok)
-        order = in_box[np.argsort(inc.fns[in_box], kind="stable")]
+        order = np.argsort(inc.fns, kind="stable")
         fk = inc.fns[order]
         if len(fk):
             starts = np.flatnonzero(np.r_[True, fk[1:] != fk[:-1]])
@@ -619,7 +611,6 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
             for j, alpha in enumerate(alphas):
                 peaks[fk, j] = np.maximum(peaks[fk, j], np.maximum.reduceat(
                     np.abs(tables[alpha][order]), starts))
-    sums = np.concatenate(sums)
     above = float(np.max(sums - 1.0))
     if top is not None:
         above = max(above, top - 1.0)
@@ -632,7 +623,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
         verdict=PASS if worst_sum <= sum_tol else FAIL,
         measured=worst_sum, bound=sum_tol, slack=sum_tol - worst_sum,
         resolutions={"ring_points": int(ring_mask.sum()),
-                     "grid_points": int(len(sums))},
+                     "grid_points": int(len(sums)), "stride": stride},
     ))
 
     range_ok = below >= -tol and above <= tol
@@ -640,7 +631,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
         name=f"partition_range[{fam},n={n}]",
         claim="partition.range",
         verdict=PASS if range_ok else FAIL,
-        measured=max(-below, above), bound=tol,
+        measured=max(-below, above), bound=tol, resolutions={"stride": stride},
         details={"min_value": below, "max_excess": above},
     ))
 
@@ -699,7 +690,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
                    "weights": list(partition.weights),
                    "radius_direction": "sampled depth-3 radius in denominator "
                                        "(conservative)"},
-        resolutions={"grid_points": int(len(sums)), "alpha_max": alpha_max},
+        resolutions={"grid_points": sums.size, "alpha_max": alpha_max, "stride": stride},
         details=tight or {},
     ))
     return certs

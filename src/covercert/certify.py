@@ -180,13 +180,6 @@ def _midpoint_integral(values: np.ndarray, resolution: float,
 # -- chain certificates -------------------------------------------------------
 
 
-def _ball_slices(groups: list) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end of each group's rows in the concatenated points."""
-    sizes = [len(g) for g in groups]
-    ends = np.cumsum(sizes, dtype=np.int64)
-    return ends - sizes, ends
-
-
 def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
                           cover: Cover, m: int, quad_resolution: float,
                           points_per_ball: int):
@@ -221,16 +214,16 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     for res in (quad_resolution, quad_resolution / 2.0):
         mids = [cell_lattice(Box(tuple(z - rho), tuple(z + rho)), res).points
                 for z, rho in zip(cover.centers[ks], cover.rho[ks].tolist())]
-        starts, ends = _ball_slices(mids)
+        sizes = [len(g) for g in mids]
+        ends = np.cumsum(sizes)
         cells = np.concatenate(mids)
-        tables = partition_partials(partition, cells,
-                                    np.repeat(ks, ends - starts),
+        tables = partition_partials(partition, cells, np.repeat(ks, sizes),
                                     indices_below(m_tilde))
         for f, integrals_f in zip(fs, integrals):
             vals = np.abs(_leibniz(tables, lambda rest: f.partial(cells, rest),
                                    m_tilde))
             integrals_f.append([_midpoint_integral(vals[lo:hi], res, d)
-                                for lo, hi in zip(starts, ends)])
+                                for lo, hi in zip(ends - sizes, ends)])
     return ks, lhs_values, integrals
 
 
@@ -311,9 +304,8 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
     lhs_values = np.maximum.reduceat(
         family.nu_at(m, pts), np.arange(cover.size) * points_per_ball ** d)
     at_centers = family.nu_at(target, cover.centers).tolist()
-    for k, lhs in enumerate(lhs_values.tolist()):
-        r_j = radii[k]
-        rhs = D * r_j ** p_exp * at_centers[k]
+    for k, (lhs, r_j, nu) in enumerate(zip(lhs_values.tolist(), radii, at_centers)):
+        rhs = D * r_j ** p_exp * nu
         ratio = lhs / rhs
         if ratio > worst_ratio:
             worst_ratio = ratio

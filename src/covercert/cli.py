@@ -284,12 +284,9 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
     if len(check.points) == 0:
         raise NoRingPointsError("the check lattice contains no ring points")
 
-    # point checks read the check lattice thinned to 2,500 points, and the
-    # partition engine reads it thinned to 12,000
-    if {"omega", "chain"} & set(config.suite):
-        sample, stride = check.thinned(2500)
-
     if "omega" in config.suite:
+        # point checks read the check lattice thinned to 2,500 points
+        sample, stride = check.thinned(2500)
         for which in (weights.OMEGA1, weights.OMEGA2, weights.OMEGA3):
             if not family.claims_condition(which):
                 continue
@@ -350,13 +347,9 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
 
     if "partition" in config.suite:
         grid, grid_stride = check.thinned(12000)
-        for cert in bumps.certify_partition(partition, built_cover, oracle,
-                                            config.alpha_max, grid,
-                                            tol=config.tolerance):
-            # the support certificate reads probes, not the sample
-            if cert.claim != "partition.support_in_ball":
-                cert.resolutions["stride"] = grid_stride
-            certificates.append(cert)
+        certificates.extend(bumps.certify_partition(
+            partition, built_cover, oracle, config.alpha_max, grid,
+            stride=grid_stride, tol=config.tolerance))
 
     if "chain" in config.suite:
         calc = IndexCalculus(family)
@@ -368,10 +361,9 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
         fs = [make_test_function(fn_name, domain.dimension)
               for fn_name in config.test_functions]
         if fs:
+            sample, stride = check.thinned(2500)
             members = [certify.membership_certificate(
                 f, family, n, m, sample.points) for f in fs]
-            for cert in members:
-                cert.resolutions["stride"] = stride
             bounds = certify.verify_integral_bound(
                 fs, partition, built_cover, m, config.quadrature_resolution,
                 tol=config.tolerance)
@@ -381,9 +373,9 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
                 tol=config.tolerance)
             # per test function: membership, integral bound, domination and
             # the functional's bound
-            for i in range(len(fs)):
-                certificates += [members[i], bounds[i],
-                                 *dominations[2 * i:2 * i + 2]]
+            for i, member in enumerate(members):
+                member.resolutions["stride"] = stride
+                certificates += [member, bounds[i], *dominations[2 * i:2 * i + 2]]
 
     for cert in certificates:
         echo(cert.one_line())

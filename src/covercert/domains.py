@@ -9,7 +9,6 @@ empty boundary is infinite.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -94,9 +93,8 @@ def mesh_points(axes) -> np.ndarray:
 
 
 def box_grids(centers: np.ndarray, half: np.ndarray, count: int) -> np.ndarray:
-    """Box by box, ``mesh_points`` of ``np.linspace(z - h, z + h, count)``
-    per axis of each box ``|x - z|_inf <= h`` (one row of ``centers`` and
-    ``half``), from one ``linspace`` call, (K * count^d, d)."""
+    """Box by box (rows z of ``centers``, h of ``half``), the ``mesh_points``
+    of ``np.linspace(z - h, z + h, count)`` per axis, as (K * count^d, d)."""
     d = centers.shape[1]
     half = np.asarray(half, dtype=float)[:, None]
     axes = np.linspace(centers - half, centers + half, count, axis=-1)
@@ -180,23 +178,21 @@ class Lattice:
 
     def thinned(self, cap: int) -> tuple[Lattice, int]:
         """The sub-lattice of every s-th index per axis, under this mask,
-        for the least stride s that leaves at most ``cap`` points, and s.
-        Its points are this lattice's own, in order (``NoRingPointsError``
-        if there are none)."""
+        for the least stride s that leaves from 1 to ``cap`` points (they do
+        not nest, so a stride may leave none), and s; its points are this
+        lattice's own, in order.  ``NoRingPointsError`` if no stride fits."""
         if cap < 1:
             raise ValueError("a sample cap must be at least 1")
-        # each cell's point index; a stride past every axis keeps one cell
         rank = np.cumsum(self.inside).reshape(self.inside.shape) - 1
-        for stride in itertools.count(1):
+        # from the longest axis' length on, a stride keeps the first cell
+        for stride in range(1, max(self.inside.shape, default=0) + 1):
             step = (slice(None, None, stride),) * len(self.axes)
-            held = np.count_nonzero(self.inside[step])
-            if held == 0:
-                raise NoRingPointsError(f"the sub-lattice at stride {stride} holds "
-                                        "no point")
-            if held <= cap:
+            if 0 < np.count_nonzero(self.inside[step]) <= cap:
                 return Lattice(tuple(axis[::stride] for axis in self.axes),
                                self.inside[step],
                                self.points[rank[step][self.inside[step]]]), stride
+        raise NoRingPointsError(f"no stride leaves from 1 to {cap} points of "
+                                "the lattice")
 
     def boxes(self, centers: np.ndarray, reach: np.ndarray, strict=True):
         """Per axis (rows) and center (columns), the index interval ``first

@@ -813,9 +813,7 @@ def derivative_pass(partition, cover, oracle, alpha_max, grid):
     r3 = oracle.values(3, cover.centers)
     for k in range(len(partition)):
         half = cutoff(partition, k).support_halfwidth
-        lo = cover.centers[k] - half
-        hi = cover.centers[k] + half
-        local = grid[((grid >= lo) & (grid <= hi)).all(axis=1)]
+        local = grid[(np.abs(grid - cover.centers[k]) <= half).all(axis=1)]
         if len(local) == 0:
             continue
         tables = recurrence_table(partition, k, local,

@@ -66,23 +66,36 @@ class TestExitCodes:
         assert "certificates passed" in out
         assert "FAIL" not in out
 
-    def test_empty_thinned_sample_exits_two(self, tmp_path, capsys):
-        # ring 1 holds one row of the check lattice, at an odd index of its
-        # second axis: over the 2,500-point cap, the omega sample takes
-        # every 2nd index per axis and misses the row
-        config = small_config(
+    @staticmethod
+    def one_row_config(lower):
+        # ring 1 holds one row of the check lattice, 3,222 points, at index
+        # (0.336 - lower) / 0.003 of its second axis
+        return small_config(
             domain={"kind": "shrinking_boxes", "lower": [0.0, 0.0],
                     "upper": [20.0, 0.67]},
-            truncation={"lower": [0.0, 0.303], "upper": [10.0, 0.34]},
+            truncation={"lower": [0.0, lower], "upper": [10.0, 0.34]},
             resolutions={"candidate": 0.003, "check": 0.003,
                          "quadrature": 0.003},
             suite=["omega"], figures=False)
-        path = write_config(tmp_path, config)
+
+    def test_thinned_sample_passes_over_strides_that_miss(self, tmp_path):
+        # strides 2 to 10 miss the row at index 11; stride 11 keeps 293
+        path = write_config(tmp_path, self.one_row_config(0.303))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [(c["resolutions"]["stride"], c["resolutions"]["points"])
+                for c in report["certificates"]] == [(11, 293)] * 3
+
+    def test_empty_thinned_sample_exits_two(self, tmp_path, capsys):
+        # the row sits at index 1, which no stride but 1 keeps, and stride 1
+        # is over the 2,500-point cap
+        path = write_config(tmp_path, self.one_row_config(0.333))
         code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "stride 2" in err
+        assert "no stride" in err
 
     def test_order_error_exits_two(self, tmp_path, capsys):
         config = small_config(alpha_max=7)  # beyond smoothness budget 4
