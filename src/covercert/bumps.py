@@ -33,23 +33,20 @@ where multiplying in each function's complements on its own costs
 Theta(L^2); the products associate differently, so values agree with
 that order to rounding, not bitwise.
 
-Readers that need every pair (the partition certificates and the cutoff
-export) read a ``Lattice`` (the check lattice or a sub-lattice of it,
-and the export grid), on which each support box is one index interval
-per axis; an array of points is read only one function per point.  The
-certificates read psi at every pair.  That is exact because a
-point in the closed supports of cutoffs m < k lies in both outer balls,
-so every earlier pair of a run is a blocker of the later one;
-``Partition.check_runs`` checks this once per partition, when psi is
-first formed, from one ``box_pairs`` sweep of the support boxes, each
-widened by 1e-9 relative as the sweep widens its window.  The cutoff
-export reads only the cutoffs' own values.
-Readers that evaluate one function per point (``function_values``,
-``partition_partials`` and, through them, the rescaled functional and the
-pullback export) build each point's run from just that function's
-blockers and own cutoff, and form psi once, at its end.  Points pass
-through the engine in blocks of a bounded number of pairs (slabs of the
-first axis, for every pair of a lattice), which bounds its memory.
+Readers that need every pair (the partition certificates) read a
+``Lattice`` (the check lattice or a sub-lattice of it), on which each
+support box is one index interval per axis.  They read psi at every
+pair.  That is exact because a point in the closed supports of cutoffs
+m < k lies in both outer balls, so every earlier pair of a run is a
+blocker of the later one; ``Partition.check_runs`` checks this once per
+partition, when psi is first formed, from one ``box_pairs`` sweep of the
+support boxes, each widened by 1e-9 relative as the sweep widens its
+window.  Readers of one function per point (``partition_partials``: the
+integral bound, the functional and the pullback export) read a stack of
+tensor grids (``Grids``), one function per grid, where each of the
+function's links is one index interval per axis, and form psi once, at
+the end of each run.  Blocks of a bounded number of pairs (slabs of
+first-axis cells; runs of whole grids) bound the engine's memory.
 """
 
 from __future__ import annotations
@@ -62,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cover import Cover, ball_overlaps, box_pairs, pairs_within
-from .domains import Lattice, _ranges
+from .cover import Cover, ball_overlaps, box_pairs
+from .domains import Grids, Lattice, _ranges
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
 from .piecewise import PiecewisePoly, evaluate_shared, indicator
@@ -73,7 +70,7 @@ __all__ = [
     "default_weights", "BumpProfile", "build_profile",
     "PartitionFn", "Partition", "build_partition",
     "Incidence", "incidences", "partition_partials", "function_values",
-    "certify_partition",
+    "cutoff_values", "certify_partition",
     "derivative_constant", "DERIVATIVE_GROWTH_BASE",
 ]
 
@@ -223,27 +220,43 @@ class Partition:
 
         Without ``owners`` these are all such pairs, from the per-axis
         intervals of ``pts``, a ``Lattice`` (``TypeError`` otherwise).  With
-        ``owners`` (the function each point is read for) one
-        ``pairs_within`` call tests each point's slice of ``links``, that
-        function's blockers and own cutoff, and a point outside its own
-        cutoff's support keeps no pairs.
+        ``owners`` (the function each grid of the ``Grids`` stack ``pts`` is
+        read for) they are the pairs of each grid's points with that
+        function's blockers and own cutoff (:meth:`links_within`), and a
+        point outside its own cutoff's support keeps no pairs.
         """
         if owners is None:
             if not isinstance(pts, Lattice):
-                raise TypeError("all pairs are read from a Lattice; arrays need owners")
+                raise TypeError("all pairs are read from a Lattice; Grids "
+                                "need owners")
             return pts.pairs(self.centers, self.half)
-        # each point's slice of links ascends: pairs come out in order
+        if not isinstance(pts, Grids):
+            raise TypeError("owners read a stack of Grids")
+        grid, cols, first, stop = self.links_within(pts, owners)
+        rows, at = pts.pairs(grid, first, stop)
+        return rows, cols[at]
+
+    def links_within(self, grids: Grids, owners):
+        """Per link (m of ``links``, grid by grid, for the grid's owner k):
+        the grid, m, and per axis the index interval ``first <= t < stop``
+        of the grid inside cutoff m's closed support, cut to cutoff k's own
+        (the grid's last link), so the boxes hold the grid's pairs with no
+        point outside its owner's support.  A coordinate that is not finite
+        raises ``ValueError``."""
+        if not all(np.isfinite(axis).all() for axis in grids.axes):
+            raise ValueError("grid coordinates must be finite, not NaN or "
+                             "infinite")
         size = len(self)
         own = np.asarray(owners, dtype=np.int64)
         lo = np.searchsorted(self.links, own * size)
         count = np.searchsorted(self.links, (own + 1) * size) - lo
-        rows = np.repeat(np.arange(len(pts)), count)
-        rows, cols, _ = pairs_within(self.centers, pts, rows,
-                                     self.links[_ranges(lo, count)] % size,
-                                     self.half)
-        inside = np.zeros(len(pts), dtype=bool)
-        inside[rows[cols == own[rows]]] = True
-        return rows[inside[rows]], cols[inside[rows]]
+        grid = np.repeat(np.arange(len(own)), count)
+        cols = self.links[_ranges(lo, count)] % size
+        first, stop = grids.within(grid, self.centers[cols], self.half[cols])
+        last = np.repeat(np.cumsum(count) - 1, count)
+        first = np.maximum(first, first[:, last])
+        stop = np.maximum(first, np.minimum(stop, stop[:, last]))
+        return grid, cols, first, stop
 
     def check_runs(self):
         """Raise ``ValueError`` unless every earlier cutoff whose closed
@@ -277,14 +290,14 @@ class Partition:
 class Incidence:
     """The (point, cutoff) pairs of a point set, with each cutoff's partials.
 
-    The points are a ``Lattice`` (held as its ``points``) or, with
-    ``owners``, an array, and the pairs (point ``rows``, cutoff ``fns``) are
-    ``partition.pairs(pts, owners)``.  A point's pairs by ascending cutoff
-    are its run.  The pairs are held step-major (``_step_major``): step s
-    holds the s-th pair of every point whose run is longer than s
-    (``active[s]`` of them, from ``start[s]``), with the points ranked by
-    descending run length (``order``), so each step's points are a prefix
-    of the last step's.
+    The points are a ``Lattice`` or, with ``owners``, a ``Grids`` stack
+    (held as its ``points``), and the pairs (point ``rows``, cutoff
+    ``fns``) are ``partition.pairs(pts, owners)``.  A point's pairs by
+    ascending cutoff are its run.  The pairs are held step-major
+    (``_step_major``): step s holds the s-th pair of every point whose run
+    is longer than s (``active[s]`` of them, from ``start[s]``), with the
+    points ranked by descending run length (``order``), so each step's
+    points are a prefix of the last step's.
     The tables cover ``betas``, a down-closed set of multi-indices (with
     every beta, each gamma <= beta; ``ValueError`` otherwise), and the
     recurrence is exact on such a set.  Each pair's partials are formed
@@ -298,10 +311,8 @@ class Incidence:
     """
 
     def __init__(self, partition: Partition, pts, betas, owners=None):
-        lattice = pts if isinstance(pts, Lattice) else None
-        pts = np.asarray(pts.points if lattice else pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pairs = partition.pairs(pts, owners)
+        pts = pts.points
         profile = partition.profile
         self.pts, self.partition, self.owned = pts, partition, owners is not None
         self.rule = _product_rule(_down_set(betas, partition.centers.shape[1]))
@@ -311,7 +322,7 @@ class Incidence:
             raise SmoothnessOrderError(f"component of {tuple(top)} exceeds "
                                        f"per-axis budget {profile.order - 1}")
         self.order, self.active, self.start, self.rows, self.fns = _step_major(
-            *partition.pairs(lattice or pts, owners), len(pts))
+            *pairs, len(pts))
         rows, fns = self.rows, self.fns
 
         offsets = (pts[rows] - partition.centers[fns]) / partition.scales[fns, None]
@@ -467,56 +478,70 @@ def incidences(partition: Partition, pts, betas, owners=None):
     """``(block, Incidence)`` for consecutive blocks of the points, with
     tables over the down-closed set ``betas``.
 
-    Blocks bound the engine's tables.  On a ``Lattice`` (all pairs) each
+    Blocks bound the engine's tables, and each block's points are a
+    contiguous slice of ``pts.points``.  On a ``Lattice`` (all pairs) each
     block is a slab of first-axis cells whose support boxes hold at most
-    about ``_BLOCK_PAIRS`` cells (``Lattice.slabs``), and its points are a
-    contiguous slice of the lattice's.  On an array (with ``owners``) each
-    next block is sized from the pairs per point of the last one to hold
-    about ``_BLOCK_PAIRS`` pairs.  Every point's pairs, and so every value,
-    are those of one incidence of all the points.  There is always at least one block,
-    empty for no points.
+    about ``_BLOCK_PAIRS`` cells (``Lattice.slabs``).  On a ``Grids`` stack
+    (with ``owners``, one per grid) each block is a run of whole grids with
+    at most ``_BLOCK_PAIRS`` pairs, or one grid with more, cut into the
+    ``Lattice.slabs`` of its owner's links.  Every point's pairs, and so
+    every value, are those of one incidence of all the points.  There is
+    always at least one block, empty for no points.
     """
     if owners is None:
         if not isinstance(pts, Lattice):
-            raise TypeError("all pairs are read from a Lattice; arrays need owners")
+            raise TypeError("all pairs are read from a Lattice; Grids need "
+                            "owners")
         for block, slab in pts.slabs(partition.centers, partition.half,
                                      _BLOCK_PAIRS):
             yield block, Incidence(partition, slab, betas)
         return
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    start, size = 0, 1024
+    owners = np.asarray(owners, dtype=np.int64)
+    grid, cols, first, stop = partition.links_within(pts, owners)
+    pairs = np.bincount(grid, np.prod(stop - first, axis=0),
+                        minlength=len(owners))
+    total = np.r_[0, np.cumsum(pairs)]
+    ends = np.r_[0, np.cumsum(pts.sizes)].tolist()
+    lo = 0
     while True:
-        block = slice(start, start + size)
-        inc = Incidence(partition, pts[block], betas, owners[block])
-        yield block, inc
-        start = block.stop
-        if start >= len(pts):
+        hi = int(np.searchsorted(total, total[lo] + _BLOCK_PAIRS, "right")) - 1
+        hi = min(max(hi, lo + 1), len(owners))
+        if hi == lo + 1 and pairs[lo] > _BLOCK_PAIRS:
+            links = cols[grid == lo]
+            one = Lattice.of(pts.take(lo, hi).axes)
+            for block, slab in one.slabs(partition.centers[links],
+                                         partition.half[links], _BLOCK_PAIRS):
+                yield (slice(ends[lo] + block.start, ends[lo] + block.stop),
+                       Incidence(partition, Grids.of([slab.axes]), betas,
+                                 owners[lo:hi]))
+        else:
+            yield slice(ends[lo], ends[hi]), Incidence(
+                partition, pts.take(lo, hi), betas, owners[lo:hi])
+        lo = hi
+        if lo >= len(owners):
             return
-        per_point = max(len(inc.rows), 1) / len(inc.pts)
-        size = int(min(4 * size, max(64, _BLOCK_PAIRS / per_point)))
 
 
-def partition_partials(partition: Partition, pts, ks, betas) -> dict:
+def partition_partials(partition: Partition, grids: Grids, ks, betas) -> dict:
     """Partials ``betas`` (a down-closed set) of partition function
-    ``ks[i]`` at ``pts[i]``, for every i (see ``Incidence.partials``)."""
-    ks = np.asarray(ks, dtype=np.int64)
+    ``ks[k]`` at every point of grid k of the stack ``grids``, in the
+    order of ``grids.points`` (see ``Incidence.partials``)."""
     parts = [inc.partials()
-             for _, inc in incidences(partition, pts, betas, owners=ks)]
+             for _, inc in incidences(partition, grids, betas, owners=ks)]
     return {beta: np.concatenate([part[beta] for part in parts])
             for beta in parts[0]}
 
 
-def function_values(partition: Partition, pts, ks) -> np.ndarray:
-    """Value of partition function ``ks[i]`` at ``pts[i]``, for every i.
+def function_values(partition: Partition, grids: Grids, ks) -> np.ndarray:
+    """Value of partition function ``ks[k]`` at every point of grid k of
+    the stack ``grids``, in the order of ``grids.points``.
 
     A point outside the function's own closed support box has no pairs
-    there and reads zero without an evaluation (a NaN coordinate raises
-    ``ValueError``); the support certificate evaluates the cutoffs
-    themselves."""
-    zero = (0,) * np.shape(pts)[-1]
-    return partition_partials(partition, pts, ks, [zero])[zero]
+    there and reads zero without an evaluation (a coordinate that is not
+    finite raises ``ValueError``); the support certificate evaluates the
+    cutoffs themselves."""
+    zero = (0,) * len(grids.axes)
+    return partition_partials(partition, grids, ks, [zero])[zero]
 
 
 def build_partition(cover: Cover, order: int, weights=None) -> Partition:
@@ -557,16 +582,15 @@ def derivative_constant(alpha: tuple[int, ...], dimension: int,
             * (3.0 * c) ** total / float(np.prod(w[:total])))
 
 
-def _probe_values(partition: Partition, probes: np.ndarray) -> np.ndarray:
-    """Cutoff i's value at each of ``probes[i]``, for every i, with one
-    profile evaluation, bitwise a per-cutoff product of its axis factors."""
-    u = ((probes - partition.centers[:, None, :])
-         / partition.scales[:, None, None])
+def cutoff_values(partition: Partition, pts: np.ndarray, ks) -> np.ndarray:
+    """Cutoff ``ks[i]``'s value at ``pts[i]``, for every i, with one profile
+    evaluation, bitwise the engine's order-0 factor of each pair."""
+    u = (pts - partition.centers[ks]) / partition.scales[ks, None]
     phi = evaluate_shared(partition.profile.polys[:1],
                           u.ravel())[0].reshape(u.shape)
-    vals = phi[..., 0]
-    for i in range(1, u.shape[2]):
-        vals = vals * phi[..., i]
+    vals = phi[:, 0]
+    for i in range(1, u.shape[1]):
+        vals = vals * phi[:, i]
     return vals
 
 
@@ -646,7 +670,9 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
     rho = cover.rho[:, None, None]
     probes = np.concatenate([centers + rho * dirs, centers + 1.5 * rho * dirs],
                             axis=1)
-    vals = _probe_values(partition, probes)
+    vals = cutoff_values(partition, probes.reshape(-1, d),
+                         np.repeat(np.arange(len(partition)), probes.shape[1])
+                         ).reshape(probes.shape[:2])
     wide = ~(half < cover.rho)
     bad = np.flatnonzero(functools.reduce(np.logical_or, (vals != 0.0).T, wide))
     witness = None

@@ -26,7 +26,6 @@ h-partial is identically zero no longer skips that term, it adds zeros).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,8 @@ import numpy as np
 
 from .bumps import Partition, derivative_constant, partition_partials
 from .cover import Cover, box_pairs
-from .domains import Box, ExhaustionDomain, box_grids, cell_lattice
+from .domains import (Box, ExhaustionDomain, Grids, Lattice, cell_axes,
+                      cell_lattice)
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
@@ -88,8 +88,9 @@ def seminorm(f: TestFunction, family: WeightFamily, n: int, m: int,
             raise TruncationBoxError(
                 "weight overflow on the sample grid; shrink the truncation box")
         best = 0.0
-        for alpha in indices_up_to_order(f.dimension, m):
-            vals = np.abs(f.partial(grid, alpha)) * nu
+        partials = f.partials(grid, indices_up_to_order(f.dimension, m))
+        for vals in partials.values():
+            vals = np.abs(vals) * nu
             if not np.isfinite(vals).all():
                 raise TruncationBoxError(
                     "weighted derivative overflow on the sample grid")
@@ -97,16 +98,16 @@ def seminorm(f: TestFunction, family: WeightFamily, n: int, m: int,
     return best
 
 
-def _leibniz(table: dict, f_partial, alpha) -> np.ndarray:
+def _leibniz(table: dict, f_table: dict, alpha) -> np.ndarray:
     """Partial alpha of h*f from h's table of partials up to at least alpha
-    and ``f_partial(rest)``, the partial ``rest`` of f at the same points."""
+    and f's (``TestFunction.partials``) at the same points."""
     total = np.zeros(len(table[alpha]))
     for gamma in indices_below(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma))
         hvals = table[gamma]
         if not hvals.any():
             continue
-        total += multi_binom(alpha, gamma) * hvals * f_partial(rest)
+        total += multi_binom(alpha, gamma) * hvals * f_table[rest]
     return total
 
 
@@ -165,11 +166,15 @@ def ball_weight_constant(family: WeightFamily, calc: IndexCalculus, m: int,
 # -- quadrature over the union of outer balls --------------------------------
 
 
-def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> np.ndarray:
-    """Midpoints of lattice cells that intersect at least one outer ball:
-    those with ``|x - z_k|_inf < rho_k + resolution / 2`` for some k."""
+def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> Lattice:
+    """The lattice of cell midpoints masked to the cells that intersect at
+    least one outer ball: those with ``|x - z_k|_inf < rho_k + resolution /
+    2`` for some k."""
     cells = cell_lattice(box, resolution)
-    return cells.points[cells.count(cover.centers, cover.rho + resolution / 2) > 0]
+    keep = cells.count(cover.centers, cover.rho + resolution / 2) > 0
+    inside = cells.inside.copy()
+    inside[inside] = keep
+    return Lattice(cells.axes, inside, cells.points[keep])
 
 
 def _midpoint_integral(values: np.ndarray, resolution: float,
@@ -188,43 +193,41 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     (``integrals[i][r][b]``) of ``verify_integral_bound``."""
     d = cover.dimension
     m_tilde = (m + 1,) * d
-    ks = list(range(len(partition)))
+    ks = np.arange(len(partition))
     # One partition table of the partials |beta| <= m, which are all the
     # Leibniz sums of the orders |alpha| <= m read, for every ball's
-    # sample points.
-    per_ball = points_per_ball ** d
-    pts = box_grids(cover.centers, 0.45 * cover.rho, points_per_ball)
-    starts = np.arange(len(ks)) * per_ball
-    tables = partition_partials(partition, pts, np.repeat(ks, per_ball),
-                                indices_up_to_order(d, m))
+    # sample grid.
+    alphas = indices_up_to_order(d, m)
+    grids = Grids.linspace(cover.centers, 0.45 * cover.rho, points_per_ball)
+    starts = ks * points_per_ball ** d
+    tables = partition_partials(partition, grids, ks, alphas)
     lhs_values = []
     for f in fs:
-        f_partial = functools.cache(lambda rest: f.partial(pts, rest))
+        f_table = f.partials(grids.points, alphas)
         lhs = np.zeros(len(ks))
-        for alpha in indices_up_to_order(d, m):
+        for alpha in alphas:
             peaks = np.maximum.reduceat(
-                np.abs(_leibniz(tables, f_partial, alpha)), starts)
+                np.abs(_leibniz(tables, f_table, alpha)), starts)
             lhs = np.where(peaks > lhs, peaks, lhs)     # max(lhs, peak)
         lhs_values.append(lhs.tolist())
 
     # Midpoint sums over each outer ball at both resolutions, one partition
-    # table per resolution.  Each ball's sum runs over its contiguous slice,
-    # so its pairwise summation is that of the ball's own array.
+    # table per resolution over every ball's cell grid.  Each ball's sum
+    # runs over its contiguous slice, so its pairwise summation is that of
+    # the ball's own array.
     integrals = [[] for _ in fs]
     for res in (quad_resolution, quad_resolution / 2.0):
-        mids = [cell_lattice(Box(tuple(z - rho), tuple(z + rho)), res).points
-                for z, rho in zip(cover.centers[ks], cover.rho[ks].tolist())]
-        sizes = [len(g) for g in mids]
-        ends = np.cumsum(sizes)
-        cells = np.concatenate(mids)
-        tables = partition_partials(partition, cells, np.repeat(ks, sizes),
+        grids = Grids.of([cell_axes(Box(tuple(z - r), tuple(z + r)), res)
+                          for z, r in zip(cover.centers, cover.rho.tolist())])
+        ends = np.cumsum(grids.sizes)
+        tables = partition_partials(partition, grids, ks,
                                     indices_below(m_tilde))
         for f, integrals_f in zip(fs, integrals):
-            vals = np.abs(_leibniz(tables, lambda rest: f.partial(cells, rest),
+            vals = np.abs(_leibniz(tables, f.partials(grids.points, tables),
                                    m_tilde))
             integrals_f.append([_midpoint_integral(vals[lo:hi], res, d)
-                                for lo, hi in zip(ends - sizes, ends)])
-    return ks, lhs_values, integrals
+                                for lo, hi in zip(ends - grids.sizes, ends)])
+    return ks.tolist(), lhs_values, integrals
 
 
 def verify_integral_bound(fs: list[TestFunction], partition: Partition,
@@ -300,7 +303,8 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
     tight = None
     radii = oracle.values(j, cover.centers).tolist()
     # every ball's sample points, ball by ball, in one weight evaluation
-    pts = box_grids(cover.centers, 0.95 * cover.rho, points_per_ball)
+    pts = Grids.linspace(cover.centers, 0.95 * cover.rho,
+                         points_per_ball).points
     lhs_values = np.maximum.reduceat(
         family.nu_at(m, pts), np.arange(cover.size) * points_per_ball ** d)
     at_centers = family.nu_at(target, cover.centers).tolist()
@@ -373,10 +377,10 @@ class JFunctional:
     """Pointwise functional summing rescaled top-order partials of h_k f.
 
     At each point at most one summand is nonzero because the rescaled
-    supports are pairwise disjoint; evaluation locates the core boxes of
-    all points in one batch query on the cover.  The functional is taken
-    for every test function at once: the partition table and the weights
-    it is built from do not depend on f.
+    supports are pairwise disjoint; evaluation reads each core box's cells
+    of the lattice as one grid (``Cover.core_grids``).  The functional is
+    taken for every test function at once: the partition table and the
+    weights it is built from do not depend on f.
     """
 
     partition: Partition
@@ -391,29 +395,30 @@ class JFunctional:
     def m_tilde(self) -> tuple[int, ...]:
         return (self.m + 1,) * self.cover.dimension
 
-    def values(self, zetas, fs: list[TestFunction]) -> np.ndarray:
-        """Vectorized evaluation: each point is rescaled about the center
-        of its core box, and a point in no core box reads zero.
+    def values(self, lattice: Lattice, fs: list[TestFunction]) -> np.ndarray:
+        """Vectorized evaluation at the points of ``lattice``: each point is
+        rescaled about the center of its core box, and a point in no core
+        box reads zero.
 
         Returns one row per test function in ``fs``, one column per point.
         """
-        zetas = np.asarray(zetas, dtype=float)
-        if zetas.ndim == 1:
-            zetas = zetas[None, :]
-        out = np.zeros((len(fs), len(zetas)))
-        owners = self.cover.core_owners(zetas)
-        idxs = np.flatnonzero(owners >= 0)
-        if not len(idxs):
+        out = np.zeros((len(fs), len(lattice.points)))
+        grids, rows = self.cover.core_grids(lattice)
+        keep = np.flatnonzero(rows >= 0)
+        if not len(keep):
             return out
-        # one partition table and one Leibniz sum per f for the points of
-        # every core box, each rescaled about its own center
-        x = self.cover.rescale(zetas[idxs], owners[idxs])
-        tables = partition_partials(self.partition, x, owners[idxs],
+        # one partition table and one Leibniz sum per f for the cells of
+        # every core box, each box's grid rescaled about its own center
+        x = self.cover.rescale(grids)
+        tables = partition_partials(self.partition, x,
+                                    np.arange(len(self.partition)),
                                     indices_below(self.m_tilde))
-        nu = self.family.nu_at(self.nu_index, zetas[idxs])
+        tables = {beta: vals[keep] for beta, vals in tables.items()}
+        nu = self.family.nu_at(self.nu_index, grids.points[keep])
+        x = x.points[keep]
         for row, f in zip(out, fs):
-            row[idxs] = _leibniz(tables, lambda rest: f.partial(x, rest),
-                                 self.m_tilde) * nu
+            row[rows[keep]] = _leibniz(tables, f.partials(x, tables),
+                                       self.m_tilde) * nu
         return out
 
 
@@ -465,7 +470,7 @@ def domination_certificate(fs: list[TestFunction], family: WeightFamily,
     for res in (quad_resolution, quad_resolution / 2.0):
         mids = union_cell_midpoints(cover, quad_box, res)
         jvals_all = np.abs(func.values(mids, fs))
-        psi = family.psi_at(p, mids)
+        psi = family.psi_at(p, mids.points)
         for i, jvals in enumerate(jvals_all):
             sup_j[i] = max(sup_j[i], float(jvals.max()))
             integrals[i].append(_midpoint_integral(jvals * psi, res, d))

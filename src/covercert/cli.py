@@ -415,28 +415,25 @@ def export_figures(config: RunConfig, built_cover, partition,
         built_cover.level, max(config.check_resolution * 8,
                                config.candidate_resolution * 4),
         config.truncation)
-    # each cutoff's values at the grid points of its support, cutoff by cutoff
-    rows, ks, values = [], [], []
-    for block, inc in bumps.incidences(partition, grid, [(0,) * d]):
-        rows.append(inc.rows + block.start)
-        ks.append(inc.fns)
-        values.append(inc.factors[0])     # the order-0 row
-    rows, ks, values = (np.concatenate(a) for a in (rows, ks, values))
-    order = np.lexsort((rows, ks))          # by cutoff, then by grid point
+    # each cutoff's values at the grid points of its closed support box,
+    # cutoff by cutoff
+    rows, ks = grid.cells(*grid.boxes(partition.centers, partition.half,
+                                      strict=False))
+    rows, ks = rows[rows >= 0], ks[rows >= 0]
     _write_csv(out_dir / "cutoffs.csv",
                [*(f"x{i + 1}" for i in range(d)), "k", "value"],
-               [*grid.points[rows[order]].T, ks[order], values[order]])
+               [*grid.points[rows].T, ks,
+                bumps.cutoff_values(partition, grid.points[rows], ks)])
 
     # 9 points per axis across each core box, in lexicographic order, and
     # each partition function at their images in its outer ball
-    zetas = domains.box_grids(built_cover.centers,
-                              built_cover.core_halfwidths, 9)
-    owners = np.repeat(np.arange(len(partition)), 9 ** d)
-    values = bumps.function_values(
-        partition, built_cover.rescale(zetas, owners), owners)
+    zetas = domains.Grids.linspace(built_cover.centers,
+                                   built_cover.core_halfwidths, 9)
+    ks = np.arange(len(partition))
+    values = bumps.function_values(partition, built_cover.rescale(zetas), ks)
     _write_csv(out_dir / "pullback.csv",
                [*(f"zeta{i + 1}" for i in range(d)), "k", "value"],
-               [*zetas.T, owners, values])
+               [*zetas.points.T, np.repeat(ks, 9 ** d), values])
 
 
 # rows per block of a figure file: bounds the formatted strings held at once

@@ -8,11 +8,12 @@ the result.  Each accepted center blocks its later conflicts in one array
 pass.  Every question about pairs of centers (separation, neighbours,
 disjoint cores, the partition's blockers and its run check) goes through
 one sweep of box intervals on the first axis (``box_pairs``), each with
-its own half-widths and its own exact inequality; a sweep of each point
-against the centers' first coordinates (``sup_pairs``) answers which balls
-hold given points.
-Covering, multiplicity and the radius chain count the open balls per cell
-of a ``Lattice``.
+its own half-widths and its own exact inequality.  Which balls hold which
+points is read on a ``Lattice``, where each open ball is one index box:
+covering, multiplicity and the radius chain count the balls per cell, the
+chain's witnesses are the balls whose boxes hold a violating cell's
+index, and the core boxes own the cells of their boxes
+(``Cover.core_grids``).
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain, Lattice, _ranges
+from .domains import Box, ExhaustionDomain, Grids, Lattice, _ranges
 from .errors import NoRingPointsError, RefinementRequiredError
 from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
-__all__ = ["Cover", "box_pairs", "ball_overlaps", "sup_pairs", "pairs_within",
-           "greedy_packing", "build_cover", "verify_covering", "overlap_profile",
+__all__ = ["Cover", "box_pairs", "ball_overlaps", "greedy_packing",
+           "build_cover", "verify_covering", "overlap_profile",
            "neighbor_sets", "without_center", "with_extra_center"]
 
 
@@ -64,23 +65,32 @@ class Cover:
         """Half-widths of the core boxes used for the rescaling argument."""
         return self.r1 / 8.0
 
-    def core_owners(self, zetas) -> np.ndarray:
-        """Per point, the smallest k whose core box contains it, else -1."""
-        zetas = np.asarray(zetas, dtype=float).reshape(-1, self.dimension)
-        half = self.core_halfwidths
-        rows, cols, dist = sup_pairs(self.centers, zetas, float(half.max()))
-        hit = dist < half[cols]
-        owned, first = np.unique(rows[hit], return_index=True)
-        owners = np.full(len(zetas), -1)
-        owners[owned] = cols[hit][first]
-        return owners
+    def core_grids(self, lattice: Lattice) -> tuple[Grids, np.ndarray]:
+        """The cells of ``lattice`` in each open core box, as a stack of
+        grids (grid k: the index box of the cells with ``|x - z_k|_inf <
+        r1_k / 8``), and per grid point the lattice point it is, or -1
+        where it is outside the mask or an earlier core box holds it (the
+        core boxes are disjoint unless the cover is tampered with)."""
+        first, stop = lattice.boxes(self.centers, self.core_halfwidths)
+        rows, ks = lattice.cells(first, stop)
+        held = np.flatnonzero(rows >= 0)
+        least = np.full(len(lattice.points), self.size)
+        np.minimum.at(least, rows[held], ks[held])
+        rows[held[least[rows[held]] != ks[held]]] = -1
+        width = stop - first
+        grids = Grids(tuple(axis[_ranges(lo, n)] for axis, lo, n
+                            in zip(lattice.axes, first, width)), width.T.copy())
+        return grids, rows
 
-    def rescale(self, zetas, ks) -> np.ndarray:
-        """Each point ``zetas[i]`` expanded about center ``ks[i]`` by
-        ``lam = 8 rho / r1``, which maps its core box onto its outer ball."""
-        z = self.centers[ks]
-        lam = 8.0 * self.rho[ks] / self.r1[ks]
-        return z + lam[:, None] * (zetas - z)
+    def rescale(self, grids: Grids) -> Grids:
+        """Each grid k expanded about center k by ``lam = 8 rho / r1``,
+        which maps core box k onto outer ball k, one axis at a time."""
+        axes = []
+        for z, axis, size in zip(self.centers.T, grids.axes, grids.shape.T):
+            ks = np.repeat(np.arange(len(size)), size)
+            lam = 8.0 * self.rho[ks] / self.r1[ks]
+            axes.append(z[ks] + lam * (axis - z[ks]))
+        return Grids(tuple(axes), grids.shape)
 
 
 def box_pairs(centers: np.ndarray, half: np.ndarray):
@@ -91,10 +101,10 @@ def box_pairs(centers: np.ndarray, half: np.ndarray):
 
     A sweep on the first axis only preselects: with the boxes ordered by
     their lower ends, each box's partners are the later boxes whose lower
-    ends fall in its own interval, widened by 1e-9 relative as
-    ``sup_pairs`` widens its windows, and a pair is kept when ``dist`` is
-    within the sum of the two half-widths, widened alike.  Callers decide
-    with their own inequality on ``dist``.
+    ends fall in its own interval, widened by 1e-9 relative so that it
+    outweighs the rounding of the window ends, and a pair is kept when
+    ``dist`` is within the sum of the two half-widths, widened alike.
+    Callers decide with their own inequality on ``dist``.
     """
     size, d = centers.shape
     widen = 1e-9 * (float(np.abs(half).max()) + float(np.abs(centers).max()))
@@ -124,69 +134,6 @@ def ball_overlaps(cover: Cover) -> tuple[np.ndarray, np.ndarray]:
     return rows[hit], cols[hit]
 
 
-# the most candidate pairs sup_pairs holds at once, unless one point's
-# window alone holds more
-_BLOCK_PAIRS = 1 << 15
-
-
-def sup_pairs(centers: np.ndarray, pts, reach):
-    """Every pair (i, k) with ``|pts[i] - centers[k]|_inf <= reach``.
-
-    ``reach`` is one number, or an array of one reach per center.  Returns
-    ``(rows, cols, dist)`` in lexicographic (i, k) order, where ``dist`` is
-    the sup-norm distance of each pair.  Callers decide ball membership
-    with their own strict inequality on ``dist``.  A NaN coordinate raises
-    ``ValueError``; an infinite one is far from every center.
-
-    A sweep on the first axis only preselects: with the centers ordered by
-    their first coordinates, each point's candidates are the window of
-    centers within the widest reach on that axis, widened by 1e-9 relative
-    so that it outweighs the rounding of the window ends, and membership
-    is decided from the distances, which are exact.
-    """
-    d = centers.shape[1]
-    pts = np.asarray(pts, dtype=float).reshape(-1, d)
-    if np.isnan(pts).any():
-        raise ValueError("query points must not have NaN coordinates")
-    reach = np.asarray(reach, dtype=float)
-    widest = float(reach.max())
-    widest += 1e-9 * (widest + float(np.abs(centers).max()))
-    order = np.argsort(centers[:, 0])
-    col0 = centers[order, 0]
-    first = np.searchsorted(col0, pts[:, 0] - widest, side="left")
-    count = np.searchsorted(col0, pts[:, 0] + widest, side="right") - first
-    # blocks of consecutive points whose windows hold at most _BLOCK_PAIRS
-    # candidates, or one point
-    total = np.r_[0, np.cumsum(count)]
-    parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
-    lo = 0
-    while lo < len(pts):
-        hi = int(np.searchsorted(total, total[lo] + _BLOCK_PAIRS, side="right"))
-        hi = max(hi - 1, lo + 1)
-        rows = np.repeat(np.arange(lo, hi), count[lo:hi])
-        cols = order[_ranges(first[lo:hi], count[lo:hi])]
-        rows, cols, dist = pairs_within(centers, pts, rows, cols, reach)
-        lex = np.lexsort((cols, rows))
-        parts.append((rows[lex], cols[lex], dist[lex]))
-        lo = hi
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def pairs_within(centers, pts, rows, cols, reach):
-    """The candidate pairs (``rows``, ``cols``) with ``|pts[i] - centers[k]|_inf
-    <= reach`` (or ``reach[k]``), and their sup-norm distances (the
-    largest coordinate gap, taken one axis at a time).  A candidate point
-    with a NaN coordinate raises ``ValueError``."""
-    reach = np.asarray(reach, dtype=float)
-    dist = np.abs(pts[rows, 0] - centers[cols, 0])
-    for a in range(1, centers.shape[1]):
-        np.maximum(dist, np.abs(pts[rows, a] - centers[cols, a]), out=dist)
-    if np.isnan(dist).any():
-        raise ValueError("query points must not have NaN coordinates")
-    near = dist <= (reach[cols] if reach.ndim else reach)
-    return rows[near], cols[near], dist[near]
-
-
 def greedy_packing(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
     """Indices of the sequential greedy packing of ``candidates``.
 
@@ -198,7 +145,7 @@ def greedy_packing(candidates: np.ndarray, r1: np.ndarray) -> list[int]:
 
     When the first coordinates ascend, as in lexicographic order, the later
     conflicts of candidate j lie in the window of first coordinates up to
-    ``candidates[j, 0] + max(r1) / 2`` (widened as ``sup_pairs`` widens its
+    ``candidates[j, 0] + max(r1) / 2`` (widened as ``box_pairs`` widens its
     windows); otherwise every later candidate is tested.
     """
     n, d = candidates.shape
@@ -404,24 +351,25 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     if len(pts):
         worst = min(worst, float((rm - r1).min()), float((r1 - r2k).min()))
 
-    # the balls that hold each violating cell, cell by cell
+    # the balls that hold each violating cell: its lattice index is in
+    # their index boxes
     at = np.flatnonzero((rm < r1) | (r1 < r2k))
     if len(at) == 0 and not (r2 < r3).any():
         return [], worst, len(pts)
-    rows, cols, dist = sup_pairs(centers, pts[at], float(rho.max()))
-    rows, cols = rows[dist < rho[cols]], cols[dist < rho[cols]]
-    starts = np.searchsorted(rows, np.arange(len(at) + 1))
+    index = np.unravel_index(np.flatnonzero(lattice.inside)[held][at],
+                             lattice.inside.shape)
+    holds = functools.reduce(np.logical_and, [
+        (lo <= i[:, None]) & (i[:, None] < hi)
+        for i, lo, hi in zip(index, first, stop)])
     bad = []
-    for k in np.flatnonzero((r2 < r3)
-                            | (np.bincount(cols, minlength=cover.size) > 0)):
+    for k in np.flatnonzero((r2 < r3) | holds.any(axis=0)):
         if r2[k] < r3[k]:
             bad.append({"kind": "depth2_vs_depth3", "center": int(k),
                         "r2": float(r2[k]), "r3": float(r3[k])})
         # every ball m at each violating cell that k holds
-        own = rows[cols == k]
-        size = starts[own + 1] - starts[own]
-        m = cols[_ranges(starts[own], size)]
-        c = at[np.repeat(own, size)]
+        own = np.flatnonzero(holds[:, k])
+        c, m = np.nonzero(holds[own])
+        c = at[own[c]]
         hit = (m != k) & ((r_center[m] < r1[c]) | (r1[c] < r2[k]))
         c, m = c[hit], m[hit]
         for i in np.lexsort((c, m))[:_WITNESSES - len(bad)]:

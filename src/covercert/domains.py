@@ -30,11 +30,12 @@ __all__ = [
     "constant_exhaustion",
     "exhaustion_gap",
     "GapEstimate",
+    "cell_axes",
     "cell_lattice",
     "lattice_axes",
     "mesh_points",
-    "box_grids",
     "Lattice",
+    "Grids",
 ]
 
 INF = math.inf
@@ -92,16 +93,6 @@ def mesh_points(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def box_grids(centers: np.ndarray, half: np.ndarray, count: int) -> np.ndarray:
-    """Box by box (rows z of ``centers``, h of ``half``), the ``mesh_points``
-    of ``np.linspace(z - h, z + h, count)`` per axis, as (K * count^d, d)."""
-    d = centers.shape[1]
-    half = np.asarray(half, dtype=float)[:, None]
-    axes = np.linspace(centers - half, centers + half, count, axis=-1)
-    mesh = np.indices((count,) * d).reshape(d, -1)
-    return axes[:, np.arange(d)[:, None], mesh].transpose(0, 2, 1).reshape(-1, d)
-
-
 def lattice_axes(box: Box, resolution: float) -> list[np.ndarray]:
     """Per-axis lattice ``lower + i * resolution`` up to the upper face.
 
@@ -123,6 +114,21 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ``counts``."""
     return (np.repeat(starts - np.cumsum(counts) + counts, counts)
             + np.arange(counts.sum()))
+
+
+def _box_cells(shape, first: np.ndarray, stop: np.ndarray):
+    """Every cell of the boxes ``first <= t < stop`` (one row per axis, one
+    column per box) on grids of ``shape[a][j]`` cells on axis a for box j,
+    box by box and in C order within each: its flat index in its grid, and
+    its box.  Each box is enumerated one axis at a time: every cell of the
+    axes so far is followed by the box's interval on the next axis."""
+    boxes = np.arange(first.shape[1])
+    cell = np.zeros(len(boxes), dtype=np.int64)
+    for n, lo, hi in zip(shape, first, stop):
+        width = (hi - lo)[boxes]
+        cell = _ranges(cell * n[boxes] + lo[boxes], width)
+        boxes = np.repeat(boxes, width)
+    return cell, boxes
 
 
 def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
@@ -169,6 +175,9 @@ class Lattice:
     inside: np.ndarray
     points: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.points)
+
     @classmethod
     def of(cls, axes, region: Region | None = None) -> Lattice:
         """The lattice of ``axes``, masked to ``region`` if one is given."""
@@ -177,20 +186,27 @@ class Lattice:
         return cls(tuple(axes), keep.reshape([len(a) for a in axes]), flat[keep])
 
     def thinned(self, cap: int) -> tuple[Lattice, int]:
-        """The sub-lattice of every s-th index per axis, under this mask,
-        for the least stride s that leaves from 1 to ``cap`` points (they do
-        not nest, so a stride may leave none), and s; its points are this
-        lattice's own, in order.  ``NoRingPointsError`` if no stride fits."""
+        """The sub-lattice of every s-th index per axis from the first
+        occupied one, under this mask cropped to the bounding index box of
+        the cells inside, for the least stride s that leaves from 1 to
+        ``cap`` points (they do not nest, so a stride may leave none), and
+        s; its points are this lattice's own, in order.
+        ``NoRingPointsError`` if no stride fits."""
         if cap < 1:
             raise ValueError("a sample cap must be at least 1")
-        rank = np.cumsum(self.inside).reshape(self.inside.shape) - 1
+        held = np.nonzero(self.inside)
+        crop = tuple(slice(int(at.min()), int(at.max()) + 1) if len(at)
+                     else slice(0) for at in held)
+        inside = self.inside[crop]
+        rank = (np.cumsum(self.inside) - 1).reshape(self.inside.shape)[crop]
         # from the longest axis' length on, a stride keeps the first cell
-        for stride in range(1, max(self.inside.shape, default=0) + 1):
+        for stride in range(1, max(inside.shape, default=0) + 1):
             step = (slice(None, None, stride),) * len(self.axes)
-            if 0 < np.count_nonzero(self.inside[step]) <= cap:
-                return Lattice(tuple(axis[::stride] for axis in self.axes),
-                               self.inside[step],
-                               self.points[rank[step][self.inside[step]]]), stride
+            if 0 < np.count_nonzero(inside[step]) <= cap:
+                return Lattice(tuple(axis[cut][::stride]
+                                     for axis, cut in zip(self.axes, crop)),
+                               inside[step],
+                               self.points[rank[step][inside[step]]]), stride
         raise NoRingPointsError(f"no stride leaves from 1 to {cap} points of "
                                 "the lattice")
 
@@ -208,31 +224,31 @@ class Lattice:
     def pairs(self, centers: np.ndarray, reach: np.ndarray):
         """Every pair (i, k) with ``|points[i] - centers[k]|_inf <= reach[k]``,
         as ``(rows, cols)`` in lexicographic (i, k) order: the closed
-        sup-norm balls, decided on the float gaps of each axis, which are
-        the pairs ``cover.sup_pairs`` finds.
+        sup-norm balls, decided on the float gaps of each axis.
 
         Each ball's cells are one box of per-axis index intervals; the
         cells inside are mapped to their point indices and the pairs
         sorted once.
         """
-        first, stop = self.boxes(centers, reach, strict=False)
-        # each ball's box, one axis at a time: every cell of the axes so far
-        # is followed by the ball's interval on the next axis, in C order
-        cols = np.arange(len(first[0]))
-        cell = np.zeros(len(cols), dtype=np.int64)
-        for axis, lo, hi in zip(self.axes, first, stop):
-            width = (hi - lo)[cols]
-            cell = _ranges(cell * len(axis) + lo[cols], width)
-            cols = np.repeat(cols, width)
-        index = np.full(self.inside.size, -1, dtype=np.int64)
-        index[self.inside.ravel()] = np.arange(len(self.points))
-        rows = index[cell]
+        rows, cols = self.cells(*self.boxes(centers, reach, strict=False))
         held = rows >= 0
         rows, cols = rows[held], cols[held]
         # ball by ball, each ball's rows ascend: a stable sort by row keeps
         # every row's balls ascending too
         order = np.argsort(rows, kind="stable")
         return rows[order], cols[order]
+
+    def cells(self, first: np.ndarray, stop: np.ndarray):
+        """Every cell of the boxes ``first <= t < stop`` (as :meth:`boxes`
+        gives them), box by box and lexicographic within each, as ``(rows,
+        boxes)``: the point each cell is (-1 outside the mask), and its
+        box."""
+        count = first.shape[1]
+        cell, boxes = _box_cells([np.broadcast_to(len(axis), count)
+                                  for axis in self.axes], first, stop)
+        index = np.full(self.inside.size, -1, dtype=np.int64)
+        index[self.inside.ravel()] = np.arange(len(self.points))
+        return index[cell], boxes
 
     def slabs(self, centers: np.ndarray, reach: np.ndarray, budget: int):
         """``(block, slab)`` for consecutive slabs of first-axis cells: each
@@ -282,11 +298,109 @@ class Lattice:
         return diff[tuple(slice(-1) for _ in self.axes)][self.inside]
 
 
-def cell_lattice(box: Box, resolution: float) -> Lattice:
+def cell_axes(box: Box, resolution: float) -> list[np.ndarray]:
     """Midpoints of the cells of side ``resolution`` cornered at
     :func:`lattice_axes`, strictly below the upper face on every axis."""
     axes = [axis + resolution / 2.0 for axis in lattice_axes(box, resolution)]
-    return Lattice.of([axis[axis < hi] for axis, hi in zip(axes, box.upper)])
+    return [axis[axis < hi] for axis, hi in zip(axes, box.upper)]
+
+
+def cell_lattice(box: Box, resolution: float) -> Lattice:
+    """The lattice of :func:`cell_axes`."""
+    return Lattice.of(cell_axes(box, resolution))
+
+
+@dataclass(frozen=True, eq=False)
+class Grids:
+    """A stack of tensor grids, one per ball: ``axes[a]`` holds every
+    grid's sorted coordinates on axis a, grid after grid, and ``shape[k,
+    a]`` is how many of them grid k has.  ``points`` lists the grids'
+    points grid by grid, lexicographic within each, as the concatenated
+    ``mesh_points`` of the grids."""
+
+    axes: tuple[np.ndarray, ...]
+    shape: np.ndarray
+
+    @classmethod
+    def of(cls, grids) -> Grids:
+        """The stack of the grids given as lists of per-axis coordinates."""
+        grids = [[np.asarray(axis, dtype=float) for axis in grid]
+                 for grid in grids]
+        return cls(tuple(np.concatenate(axes) for axes in zip(*grids)),
+                   np.array([[len(axis) for axis in grid] for grid in grids],
+                            dtype=np.int64))
+
+    @classmethod
+    def linspace(cls, centers: np.ndarray, half, count: int) -> Grids:
+        """Box by box (rows z of ``centers``, h of ``half``), the grid of
+        ``np.linspace(z - h, z + h, count)`` per axis."""
+        half = np.asarray(half, dtype=float)[:, None]
+        axes = np.linspace(centers - half, centers + half, count, axis=-1)
+        return cls(tuple(axes[:, a].ravel() for a in range(centers.shape[1])),
+                   np.full(centers.shape, count, dtype=np.int64))
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """Per axis (rows) and grid (columns), where the grid's coordinates
+        start in ``axes``."""
+        return (np.cumsum(self.shape, axis=0) - self.shape).T
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of points of each grid."""
+        return np.prod(self.shape, axis=1)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        grid = np.arange(len(self.shape))
+        at = []
+        for axis, start, n in zip(self.axes, self.starts, self.shape.T):
+            n = n[grid]
+            at = [np.repeat(i, n) for i in at] + [_ranges(start[grid], n)]
+            grid = np.repeat(grid, n)
+        return np.stack([axis[i] for axis, i in zip(self.axes, at)], axis=1)
+
+    def take(self, lo: int, hi: int) -> Grids:
+        """The stack of grids lo..hi-1."""
+        ends = np.cumsum(self.shape, axis=0).T
+        return Grids(tuple(axis[start[lo]:end[hi - 1]] if hi > lo else axis[:0]
+                           for axis, start, end
+                           in zip(self.axes, self.starts, ends)),
+                     self.shape[lo:hi])
+
+    def within(self, grid: np.ndarray, centers: np.ndarray, reach: np.ndarray):
+        """Per axis (rows) and query (columns), the index interval ``first
+        <= t < stop`` of grid ``grid[q]``'s cells with ``|axis[t] -
+        centers[q]| <= reach[q]``, decided on the float gaps by the tests of
+        :func:`_interval_within`.  One ``searchsorted`` cannot search many
+        sorted segments at once, so each end is found by bisection within
+        its grid's own coordinates."""
+        ends = []
+        for axis, start, size, z in zip(self.axes, self.starts, self.shape.T,
+                                        centers.T):
+            start, size = start[grid], size[grid]
+            for test, bound in ((np.less, -reach), (np.less_equal, reach)):
+                # count the leading t with test(axis[t] - z, bound)
+                count = np.zeros(len(grid), dtype=np.int64)
+                step = 1 << int(size.max(initial=0)).bit_length()
+                while step > 1:
+                    step >>= 1
+                    at = np.flatnonzero(count + step <= size)
+                    at = at[test(axis[start[at] + count[at] + step - 1] - z[at],
+                                 bound[at])]
+                    count[at] += step
+                ends.append(count)
+        first = np.array(ends[::2])
+        return first, np.maximum(first, np.array(ends[1::2]))
+
+    def pairs(self, grid: np.ndarray, first: np.ndarray, stop: np.ndarray):
+        """Every point of the boxes ``first <= t < stop`` of grids ``grid``
+        (one column per box), as ``(rows, boxes)`` sorted by point, each
+        point's boxes in ascending order."""
+        cell, boxes = _box_cells(self.shape[grid].T, first, stop)
+        rows = (np.cumsum(self.sizes) - self.sizes)[grid[boxes]] + cell
+        order = np.argsort(rows, kind="stable")
+        return rows[order], boxes[order]
 
 
 class Region:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .bumps import BumpProfile, build_profile
 from .errors import SmoothnessOrderError
+from .piecewise import _horner, evaluate_shared
 
 __all__ = ["TestFunction", "gaussian", "coord_gaussian", "spline_bump",
            "shipped_suite"]
@@ -29,7 +29,8 @@ class _GaussFactor:
         self._polys = [np.asarray(poly_coeffs, dtype=float)]
         for _ in range(_MAX_ORDER):
             p = self._polys[-1]
-            dp = npoly.polyder(p) if len(p) > 1 else np.zeros(1)
+            # P' as numpy.polynomial's polyder forms it: j * c[j]
+            dp = p[1:] * np.arange(1, len(p)) if len(p) > 1 else np.zeros(1)
             shifted = np.concatenate([[0.0], -2.0 * p])
             size = max(len(dp), len(shifted))
             nxt = np.zeros(size)
@@ -37,19 +38,26 @@ class _GaussFactor:
             nxt[:len(shifted)] += shifted
             self._polys.append(nxt)
 
-    def __call__(self, t, order: int = 0):
-        if order >= len(self._polys):
+    def orders(self, t: np.ndarray, top: int) -> list[np.ndarray]:
+        """The derivatives of orders 0..top at the points ``t``, with one
+        ``exp``."""
+        if top >= len(self._polys):
             raise SmoothnessOrderError(f"factor derivatives cached up to {_MAX_ORDER}")
-        t = np.asarray(t, dtype=float)
-        return npoly.polyval(t, self._polys[order]) * np.exp(-t * t)
+        gauss = np.exp(-t * t)
+        return [_horner(p[None, :], t) * gauss for p in self._polys[:top + 1]]
 
 
 class _ProfileFactor:
     def __init__(self, profile: BumpProfile):
         self.profile = profile
 
-    def __call__(self, t, order: int = 0):
-        return self.profile.eval(t, order=order)
+    def orders(self, t: np.ndarray, top: int) -> list[np.ndarray]:
+        """The derivatives of orders 0..top at the points ``t``, with one
+        interval search."""
+        if top >= self.profile.order:
+            raise SmoothnessOrderError(f"derivative order {top} outside budget "
+                                       f"0..{self.profile.order - 1}")
+        return evaluate_shared(self.profile.polys[:top + 1], t)
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,27 @@ class TestFunction:
     def partial(self, x, alpha):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
-        pts = x[None, :] if scalar else x
-        out = np.ones(len(pts))
-        for i, (factor, a_i) in enumerate(zip(self.factors, alpha)):
-            out = out * factor(pts[:, i], order=int(a_i))
+        alpha = tuple(int(a) for a in alpha)
+        out = self.partials(x[None, :] if scalar else x, [alpha])[alpha]
         return float(out[0]) if scalar else out
+
+    def partials(self, x, alphas) -> dict:
+        """The partials ``alphas`` at the points ``x`` (N, d), as a dict by
+        alpha.  Each factor is evaluated once per axis for every order
+        asked, and each alpha multiplies its factors from ones in axis
+        order, so each value is bitwise ``partial``'s."""
+        pts = np.asarray(x, dtype=float)
+        alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+        tops = np.max(alphas, axis=0).tolist() if alphas else []
+        orders = [factor.orders(pts[:, i], top)
+                  for i, (factor, top) in enumerate(zip(self.factors, tops))]
+        out = {}
+        for alpha in alphas:
+            val = np.ones(len(pts))
+            for axis, a_i in zip(orders, alpha):
+                val = val * axis[a_i]
+            out[alpha] = val
+        return out
 
     def scaled(self, scale: float) -> "TestFunction":
         first = _ScaledFactor(self.factors[0], scale)
@@ -86,8 +110,8 @@ class _ScaledFactor:
         self.inner = inner
         self.scale = float(scale)
 
-    def __call__(self, t, order: int = 0):
-        return self.scale * self.inner(t, order=order)
+    def orders(self, t: np.ndarray, top: int) -> list[np.ndarray]:
+        return [self.scale * vals for vals in self.inner.orders(t, top)]
 
 
 def gaussian(dimension: int) -> TestFunction:

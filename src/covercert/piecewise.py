@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = ["PiecewisePoly", "evaluate_shared", "indicator"]
 
@@ -110,16 +109,16 @@ class PiecewisePoly:
 
     def mass(self) -> float:
         anti = self.antiderivative()
-        return float(npoly.polyval(self.knots[-1] - self.knots[-2],
-                                   anti.coeffs[-1]))
+        return float(_horner(anti.coeffs[-1:],
+                             self.knots[-1] - self.knots[-2])[0])
 
     def convolve_unit_box(self, width: float) -> "PiecewisePoly":
         if width <= 0:
             raise ValueError("box width must be positive")
         half = width / 2.0
         anti = self.antiderivative()
-        total = float(npoly.polyval(self.knots[-1] - self.knots[-2],
-                                    anti.coeffs[-1]))
+        total = float(_horner(anti.coeffs[-1:],
+                              self.knots[-1] - self.knots[-2])[0])
 
         # A candidate knot is kept when it lies more than the tolerance above
         # the last kept one.  Only a candidate within the tolerance of its
@@ -175,7 +174,7 @@ class PiecewisePoly:
                 for r in roots:
                     if abs(r.imag) < 1e-10 and 0.0 < r.real < w:
                         candidates.append(float(r.real))
-            vals = npoly.polyval(np.asarray(candidates), c)
+            vals = _horner(c[None, :], np.asarray(candidates))
             best = max(best, float(np.abs(vals).max()))
         return best
 

@@ -18,7 +18,8 @@ from scipy.spatial import cKDTree
 
 from covercert import bumps
 from covercert.bumps import build_profile, derivative_constant, partition_partials
-from covercert.domains import Box, cell_lattice, lattice_axes, mesh_points
+from covercert.domains import (Box, Grids, Lattice, cell_lattice, lattice_axes,
+                               mesh_points)
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
@@ -164,8 +165,10 @@ def pairs_near(cover, pts, reach):
 
 
 def pairs_near_kdtree(cover, pts, reach):
-    """``sup_pairs`` of the cover's centers from a KD-tree (scipy's cKDTree,
-    p=inf), for one reach or one per center."""
+    """``(rows, cols, dist)``: every (point, center) pair with
+    ``|pts[i] - centers[k]|_inf <= reach`` (or ``reach[k]``), in
+    lexicographic order, and its sup-norm distance, from a KD-tree (scipy's
+    cKDTree, p=inf)."""
     pts = np.asarray(pts, dtype=float).reshape(-1, cover.dimension)
     reach = np.asarray(reach, dtype=float)
     widest = float(reach.max())
@@ -245,6 +248,29 @@ def locate_core(cover, zeta):
         if np.abs(zeta - cover.centers[k]).max() < cover.r1[k] / 8.0:
             return k
     return None
+
+
+def core_owners(cover, zetas):
+    """Per point, the least k whose open core box holds it, else -1."""
+    return np.array([-1 if k is None else k
+                     for k in (locate_core(cover, z) for z in zetas)], dtype=int)
+
+
+def point_grids(pts):
+    """A stack of one-point grids, one per row of ``pts``."""
+    pts = np.asarray(pts, dtype=float)
+    return Grids(tuple(pts.T.copy()), np.ones(pts.shape, dtype=np.int64))
+
+
+def point_lattice(pts):
+    """The distinct points ``pts`` as a ``Lattice``: per axis their sorted
+    coordinates, masked to the cells that the points occupy."""
+    axes = [np.unique(at) for at in pts.T]
+    inside = np.zeros([len(axis) for axis in axes], dtype=bool)
+    inside[tuple(np.searchsorted(axis, at) for axis, at in zip(axes, pts.T))] = True
+    cells = np.nonzero(inside)      # in lexicographic order
+    return Lattice(tuple(axes), inside,
+                   np.stack([axis[i] for axis, i in zip(axes, cells)], axis=1))
 
 
 def neighbors(cover):
@@ -874,7 +900,7 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
     m_tilde = (m + 1,) * d
     ks = list(range(len(partition)))
     samples = ball_samples(cover, ks, points_per_ball)
-    tables = partition_partials(partition, np.concatenate(samples),
+    tables = partition_partials(partition, point_grids(np.concatenate(samples)),
                                 np.repeat(ks, [len(p) for p in samples]),
                                 indices_below((m,) * d))
     lhs_values = [[] for _ in fs]
@@ -894,7 +920,7 @@ def integral_bound_terms(fs, partition, cover, m, quad_resolution,
             rho = float(cover.rho[k])
             mids.append(cell_lattice(Box(tuple(z - rho), tuple(z + rho)), res).points)
         tables = _split_rows(
-            partition_partials(partition, np.concatenate(mids),
+            partition_partials(partition, point_grids(np.concatenate(mids)),
                                np.repeat(ks, [len(p) for p in mids]),
                                indices_below(m_tilde)),
             mids)
@@ -911,14 +937,14 @@ def functional_values(func, zetas, fs):
     Leibniz sum and one weight evaluation per (core box, test function)."""
     zetas = np.atleast_2d(np.asarray(zetas, dtype=float))
     out = np.zeros((len(fs), len(zetas)))
-    owners = func.cover.core_owners(zetas)
+    owners = core_owners(func.cover, zetas)
     ks = np.flatnonzero(np.bincount(owners + 1)[1:]).tolist()
     if not ks:
         return out
     groups = [np.flatnonzero(owners == k) for k in ks]
     maps = rescale_maps(func.cover)
     xs = [maps[k].forward(zetas[idxs]) for k, idxs in zip(ks, groups)]
-    tables = partition_partials(func.partition, np.concatenate(xs),
+    tables = partition_partials(func.partition, point_grids(np.concatenate(xs)),
                                 owners[np.concatenate(groups)],
                                 indices_below(func.m_tilde))
     for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
@@ -992,7 +1018,7 @@ def export_figures(config, built_cover, partition, out_dir):
         zetas.append(mesh_points(axes))
     probes = np.concatenate([maps[k].forward(pts) for k, pts in zip(ks, zetas)])
     owners = np.repeat(ks, [len(pts) for pts in zetas])
-    values = bumps.function_values(partition, probes, owners)
+    values = bumps.function_values(partition, point_grids(probes), owners)
     with (out_dir / "pullback.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*[f"zeta{i + 1}" for i in range(d)], "k", "value"])

@@ -24,7 +24,7 @@ from covercert.bumps import function_values, partition_partials
 from covercert.cli import main as cli_main
 from covercert.domains import Lattice
 from covercert.cover import separation_holds
-from oracles import greedy_naive
+from oracles import greedy_naive, point_grids
 
 
 def announce(criterion: int, ok: bool, detail: str):
@@ -150,10 +150,10 @@ def test_criterion_3_derivative_convergence_order(covers, partitions):
     hs = (1e-3, 1e-4, 1e-5)
 
     def value(x):
-        return function_values(partition, np.array([[x]]), [k])[0]
+        return function_values(partition, point_grids([[x]]), [k])[0]
 
     def slope_at(x):
-        return partition_partials(partition, np.array([[x]]), [k],
+        return partition_partials(partition, point_grids([[x]]), [k],
                                   [(0,), (1,)])[(1,)][0]
 
     rng = np.random.default_rng(2024)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import point_grids, point_lattice
 from covercert import bumps, piecewise
 from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        build_cover, build_partition, build_profile,
@@ -15,7 +16,7 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        default_weights, expanding_boxes, neighbor_sets)
 from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
                              function_values, partition_partials)
-from covercert.domains import Lattice
+from covercert.domains import Grids, Lattice
 from covercert.multiindex import indices_below, indices_up_to_order
 from covercert.piecewise import PiecewisePoly
 
@@ -51,15 +52,16 @@ def cube_setup():
 
 
 def fn_values(partition, k, pts):
-    """``function_values`` of function ``k`` at every point."""
-    return function_values(partition, pts, np.full(len(pts), k))
+    """``function_values`` of function ``k`` at every point, each point a
+    one-point grid."""
+    return function_values(partition, point_grids(pts), np.full(len(pts), k))
 
 
 def fn_table(partition, k, pts, alpha):
-    """``partition_partials`` of function ``k`` at every point, for every
-    beta <= alpha."""
-    return partition_partials(partition, pts, np.full(len(pts), k),
-                              indices_below(alpha))
+    """``partition_partials`` of function ``k`` at every point, each point a
+    one-point grid, for every beta <= alpha."""
+    return partition_partials(partition, point_grids(pts),
+                              np.full(len(pts), k), indices_below(alpha))
 
 
 def partition_sums(partition, lattice):
@@ -90,9 +92,9 @@ def assert_bitwise(actual, expected):
 
 
 @st.composite
-def partitions_and_points(draw):
-    """A partition with centers on a coarse lattice, and a lattice of
-    points inside, outside and on the faces of its cutoffs' supports."""
+def partitions(draw):
+    """A partition in d = 1..3 with centers on a coarse lattice, each
+    function blocked by every earlier cutoff whose ball meets its own."""
     d = draw(st.integers(1, 3))
     order = draw(st.integers(3, 6))
     count = draw(st.integers(1, 7))
@@ -118,8 +120,15 @@ def partitions_and_points(draw):
                 Partition(profile, centers[:k + 1], scales[:k + 1],
                           [*blockers, earlier[::-1]])
         blockers.append(earlier)
-    partition = Partition(profile, centers, scales, blockers)
+    return Partition(profile, centers, scales, blockers)
 
+
+@st.composite
+def partitions_and_points(draw):
+    """A partition with centers on a coarse lattice, and a lattice of
+    points inside, outside and on the faces of its cutoffs' supports."""
+    partition = draw(partitions())
+    d, order = partition.centers.shape[1], partition.order
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pts = [rng.uniform(-0.5, 1.5, size=(40, d))]
     for center, h in zip(partition.centers, partition.half):
@@ -131,17 +140,6 @@ def partitions_and_points(draw):
         pts.append(center[None, :] + h)     # a corner
     alpha = tuple(draw(st.integers(0, min(2, order - 1))) for _ in range(d))
     return partition, point_lattice(np.concatenate(pts)), alpha
-
-
-def point_lattice(pts):
-    """The distinct points ``pts`` as a ``Lattice``: per axis their sorted
-    coordinates, masked to the cells that the points occupy."""
-    axes = [np.unique(at) for at in pts.T]
-    inside = np.zeros([len(axis) for axis in axes], dtype=bool)
-    inside[tuple(np.searchsorted(axis, at) for axis, at in zip(axes, pts.T))] = True
-    cells = np.nonzero(inside)      # in lexicographic order
-    return Lattice(tuple(axes), inside,
-                   np.stack([axis[i] for axis, i in zip(axes, cells)], axis=1))
 
 
 def assert_near_pair_run(partition, lattice, alpha):
@@ -211,7 +209,7 @@ class TestIncidenceEngine:
                 assert_bitwise(table[beta][pairs], expected[beta][inc.rows[pairs]])
         owners = np.arange(len(pts)) % len(partition)
         zero = (0,) * len(alpha)
-        assert_bitwise(function_values(partition, pts, owners),
+        assert_bitwise(function_values(partition, point_grids(pts), owners),
                        [oracles.recurrence_table(partition, k, p, zero)[zero][0]
                         for k, p in zip(owners, pts)])
 
@@ -328,7 +326,8 @@ class TestIncidenceEngine:
         def readings():
             certs = certify_partition(partition, cover, cover.oracle, 2, grid)
             return ([c.as_dict() for c in certs], partition_sums(partition, grid),
-                    function_values(partition, grid.points, owners))
+                    function_values(partition, point_grids(grid.points),
+                                    owners))
 
         whole = readings()
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 16)
@@ -362,7 +361,7 @@ class TestIncidenceEngine:
 
     def test_betas_must_be_down_closed(self, square_setup):
         _, _, _, partition = square_setup
-        pts = np.array([[0.3, 0.3]])
+        pts = point_lattice(np.array([[0.3, 0.3]]))
         for betas in ([(1, 0)], [(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 3)], []):
             with pytest.raises(ValueError):
                 Incidence(partition, pts, betas)
@@ -409,7 +408,7 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         nan = np.array([[np.nan, 0.3]])
         with pytest.raises(ValueError, match="NaN"):
-            function_values(partition, nan, [3])
+            function_values(partition, point_grids(nan), [3])
 
     def test_all_pairs_readers_take_only_a_lattice(self, square_setup):
         # an array is read only for owners
@@ -442,7 +441,8 @@ class TestIncidenceEngine:
         monkeypatch.setattr(piecewise, "_locate", counting_locate)
         monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 1024)
         for source, owners in ((lattice, None),
-                               (pts, np.arange(len(pts)) % len(partition))):
+                               (point_grids(pts),
+                                np.arange(len(pts)) % len(partition))):
             blocks = searched = pairs = 0
             searches.clear()
             for _, inc in bumps.incidences(partition, source,
@@ -464,9 +464,121 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
             with pytest.raises(SmoothnessOrderError):
-                Incidence(partition, pts, indices_below((5, 0)))
+                Incidence(partition, point_grids(pts), indices_below((5, 0)),
+                          owners=np.full(len(pts), 3))
             with pytest.raises(SmoothnessOrderError):
                 fn_table(partition, 3, pts, (0, 5))
+
+
+@st.composite
+def partitions_and_grids(draw):
+    """A partition, and a stack of grids, each read for one function (the
+    same function for several grids, several functions sharing blockers):
+    per axis 0 to 5 coordinates among the faces of the owner's and its
+    blockers' supports, the centers and points inside, near and far from
+    the support, so that boxes are often empty or one point wide."""
+    partition = draw(partitions())
+    d, size = partition.centers.shape[1], len(partition)
+    centers, half = partition.centers, partition.half
+    owners, grids = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, size - 1))
+        links = [*partition[k].blockers, k]
+        axes = []
+        for a in range(d):
+            pool = sorted({v for m in links
+                           for v in (centers[m, a] - half[m], centers[m, a],
+                                     centers[m, a] + half[m])}
+                          | {centers[k, a] + t * half[k] / 4
+                             for t in range(-6, 7)}
+                          | {centers[k, a] + 3.0})
+            picks = draw(st.lists(st.sampled_from(pool), max_size=5,
+                                  unique=True))
+            axes.append(np.sort(np.array(picks, dtype=float)))
+        owners.append(k)
+        grids.append(axes)
+    alpha = tuple(draw(st.integers(0, min(2, partition.order - 1)))
+                  for _ in range(d))
+    return partition, Grids.of(grids), np.array(owners), alpha
+
+
+class TestGridReader:
+    """The owner-mode reader on a stack of grids against the point-by-point
+    oracles, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(partitions_and_grids())
+    def test_pairs_and_tables_equal_the_oracles(self, case):
+        partition, grids, owners, alpha = case
+        pts = grids.points
+        own = np.repeat(owners, grids.sizes)
+        cuts = [oracles.cutoff(partition, m) for m in range(len(partition))]
+        want = [(i, m) for i, (x, k) in enumerate(zip(pts, own.tolist()))
+                if cuts[k].contains_support(x)[0]
+                for m in (*partition[k].blockers, k)
+                if cuts[m].contains_support(x)[0]]
+        rows, cols = partition.pairs(grids, owners)
+        assert rows.dtype == cols.dtype == np.int64
+        assert list(zip(rows.tolist(), cols.tolist())) == want
+        table = partition_partials(partition, grids, owners,
+                                   indices_below(alpha))
+        ends = np.cumsum(grids.sizes)
+        for beta in indices_below(alpha):
+            expected = [oracles.recurrence_table(partition, k, pts[lo:hi],
+                                                 alpha)[beta]
+                        for k, lo, hi in zip(owners.tolist(),
+                                             (ends - grids.sizes).tolist(),
+                                             ends.tolist()) if hi > lo]
+            assert_bitwise(table[beta], np.concatenate(expected) if expected
+                           else np.zeros(0))
+        # and each point read alone, as a one-point grid
+        alone = partition_partials(partition, point_grids(pts), own,
+                                   indices_below(alpha))
+        for beta in table:
+            assert_bitwise(table[beta], alone[beta])
+
+    def test_large_grid_is_read_in_slabs(self, square_setup, monkeypatch):
+        # one core-box grid of 120^2 points among small ones: with a small
+        # budget it is cut into slabs of its first axis, and every value
+        # stays that of the whole reading
+        _, _, cover, partition = square_setup
+        half = np.full(cover.size, 0.02)
+        half[7] = cover.rho[7]
+        grids = Grids.of([[np.linspace(z - h, z + h, 120 if k == 7 else 5)
+                           for z in center]
+                          for k, (center, h) in enumerate(zip(cover.centers,
+                                                              half))])
+        owners = np.arange(cover.size)
+        whole = partition_partials(partition, grids, owners,
+                                   indices_below((1, 1)))
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 512)
+        blocks = list(bumps.incidences(partition, grids, [(0, 0)], owners))
+        assert len(blocks) > 20
+        starts = [block.start for block, _ in blocks]
+        assert starts == sorted(starts) and blocks[-1][0].stop == len(grids.points)
+        assert [block.start for block, _ in blocks[1:]] == \
+            [block.stop for block, _ in blocks[:-1]]
+        # a block over the budget is one first-axis row of the large grid
+        assert all(len(inc.rows) <= 512 or len(inc.pts) == 120
+                   for _, inc in blocks)
+        blocked = partition_partials(partition, grids, owners,
+                                     indices_below((1, 1)))
+        for beta in whole:
+            assert_bitwise(blocked[beta], whole[beta])
+
+    def test_a_grid_reads_only_its_owner(self, square_setup):
+        # a grid over several supports: points outside the owner's support
+        # read zero, points inside read the owner's function alone
+        _, _, cover, partition = square_setup
+        axes = [np.linspace(0.15, 0.5, 36)] * 2
+        k = 12
+        grids = Grids.of([axes])
+        values = function_values(partition, grids, [k])
+        pts = grids.points
+        assert_bitwise(values, oracles.recurrence_table(
+            partition, k, pts, (0, 0))[(0, 0)])
+        outside = ~oracles.cutoff(partition, k).contains_support(pts)
+        assert outside.any() and not values[outside].any()
 
 
 class TestProfile:
@@ -564,8 +676,9 @@ class TestCutoff:
             x = np.asarray(cut.center) + rng.uniform(-1.1 * h, 1.1 * h, (300, 2))
             x[:len(profile.knots), 0] = cut.center[0] + rho * profile.knots
             top = (order - 1,) * 2
-            inc = Incidence(Partition(profile, [cut.center], [rho], [()]), x,
-                            indices_below(top), owners=np.zeros(len(x), int))
+            inc = Incidence(Partition(profile, [cut.center], [rho], [()]),
+                            point_grids(x), indices_below(top),
+                            owners=np.zeros(len(x), int))
             for alpha in indices_below(top):
                 expected = oracles.per_radius_partial(cut, x, alpha)
                 assert_bitwise(cut.partial(x, alpha), expected)
@@ -830,7 +943,9 @@ class TestCertifyPartition:
                   + rng.uniform(-1.6, 1.6, (len(partition), 7, 2))
                   * cover.rho[:, None, None])
         for part in (partition, wide_partition(partition)):
-            got = bumps._probe_values(part, probes)
+            got = bumps.cutoff_values(
+                part, probes.reshape(-1, 2),
+                np.repeat(np.arange(len(part)), 7)).reshape(probes.shape[:2])
             assert (got != 0.0).any() and (got == 0.0).any()
             for k, (pts, vals) in enumerate(zip(probes, got)):
                 assert_bitwise(vals, oracles.cutoff(part, k).value(pts))

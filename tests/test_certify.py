@@ -16,7 +16,25 @@ import oracles
 from covercert import bumps
 from covercert.bumps import function_values, partition_partials
 from covercert.certify import _integral_bound_terms, _leibniz
+from covercert.domains import Grids, Lattice
 from covercert.multiindex import indices_below
+from oracles import point_grids, point_lattice
+
+
+def sum_of(*terms):
+    """A test function with partials ``sum(c * f.partial)`` over the pairs
+    (c, f) of ``terms``."""
+    class Sum:
+        name = "sum"
+        dimension = terms[0][1].dimension
+
+        def partial(self, x, alpha):
+            return sum(c * f.partial(x, alpha) for c, f in terms)
+
+        def partials(self, x, alphas):
+            return {alpha: self.partial(x, alpha) for alpha in alphas}
+
+    return Sum()
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +114,9 @@ class TestSeminorm:
                     return np.ones(len(pts))
                 return np.zeros(len(pts))
 
+            def partials(self, x, alphas):
+                return {alpha: self.partial(x, alpha) for alpha in alphas}
+
         assert seminorm(One(), fam, 1, 2, grid) == pytest.approx(1.0)
 
     def test_gaussian_golden_value(self, schwartz_setup, line):
@@ -116,14 +137,8 @@ class TestSeminorm:
         sf = seminorm(f, fam, 2, 1, grid)
         assert seminorm(f.scaled(3.5), fam, 2, 1, grid) == pytest.approx(3.5 * sf)
 
-        class Sum:
-            name = "sum"
-            dimension = 1
-
-            def partial(self, x, alpha):
-                return f.partial(x, alpha) + g.partial(x, alpha)
-
-        assert seminorm(Sum(), fam, 2, 1, grid) <= sf + seminorm(g, fam, 2, 1, grid) + 1e-12
+        assert seminorm(sum_of((1.0, f), (1.0, g)), fam, 2, 1, grid) \
+            <= sf + seminorm(g, fam, 2, 1, grid) + 1e-12
 
     def test_directed_in_both_indices(self, schwartz_setup, line):
         fam, cover, _, _ = schwartz_setup
@@ -153,28 +168,31 @@ class TestMembership:
 
 class TestRescaleMap:
     def test_equals_per_center_maps_bitwise(self, schwartz_setup, chain_setup):
-        # Cover.rescale maps all points in one array expression; the
-        # per-center affine maps are its reference
+        # Cover.rescale maps every grid's axes in one array expression per
+        # axis; the per-center affine maps of the grids' points are its
+        # reference
         rng = np.random.default_rng(11)
         for cover in (schwartz_setup[1], chain_setup[2]):
             maps = oracles.rescale_maps(cover)
             d = cover.dimension
-            ks = rng.integers(0, cover.size, 200)
-            zetas = cover.centers[ks] + rng.uniform(-1.0, 1.0, (200, d)) \
-                * cover.core_halfwidths[ks, None]
-            got = cover.rescale(zetas, ks)
-            want = np.array([maps[k].forward(z) for k, z in zip(ks, zetas)])
-            assert got.shape == zetas.shape
-            assert got.tobytes() == want.tobytes()
+            grids = Grids.of([[np.sort(z + rng.uniform(-h, h, rng.integers(0, 5)))
+                               for z in center]
+                              for center, h in zip(cover.centers,
+                                                   cover.core_halfwidths)])
+            got = cover.rescale(grids)
+            owner = np.repeat(np.arange(cover.size), grids.sizes)
+            want = np.array([maps[k].forward(z)
+                             for k, z in zip(owner, grids.points)]).reshape(-1, d)
+            assert got.points.shape == grids.points.shape
+            assert got.points.tobytes() == want.tobytes()
 
     def test_roundtrip_and_corners(self, schwartz_setup):
         _, cover, _, _ = schwartz_setup
         k = 3
         # the core box corner maps to the outer ball corner, and the
         # center stays put, exactly
-        corner = cover.centers[k] + cover.r1[k] / 8.0
-        image, center = cover.rescale(np.stack([corner, cover.centers[k]]),
-                                      [k, k])
+        grids = Grids.linspace(cover.centers, cover.core_halfwidths, 3)
+        _, center, image = cover.rescale(grids).points[3 * k:3 * k + 3]
         assert image == pytest.approx(cover.centers[k] + cover.rho[k], rel=1e-14)
         assert center.tobytes() == cover.centers[k].tobytes()
 
@@ -184,11 +202,12 @@ class TestMixedPartial:
         dom, fam, cover, partition, _ = constant_setup
         f = gaussian(1)
         x = cover.centers[4] + 0.18
-        table = partition_partials(partition, x[None, :], [4], indices_below((2,)))
-        exact = _leibniz(table, lambda rest: f.partial(x[None, :], rest), (2,))[0]
+        table = partition_partials(partition, point_grids(x[None, :]), [4],
+                                   indices_below((2,)))
+        exact = _leibniz(table, f.partials(x[None, :], table), (2,))[0]
 
         def hf(t):
-            h_t = function_values(partition, np.array([[t]]), [4])[0]
+            h_t = function_values(partition, point_grids([[t]]), [4])[0]
             return h_t * f.value(np.array([t]))
 
         h = 1e-4
@@ -268,8 +287,9 @@ class TestFunctional:
         # midpoint between adjacent centers is outside every core box
         zeta = 0.5 * (cover.centers[0] + cover.centers[1])
         inside = cover.centers[2] + 0.2 * cover.core_halfwidths[2]
-        outside_value, inside_value = func.values(np.stack([zeta, inside]),
-                                                  [gaussian(1)])[0]
+        # zeta lies left of the third center, so it is the first point
+        outside_value, inside_value = func.values(
+            Lattice.of([np.array([zeta[0], inside[0]])]), [gaussian(1)])[0]
         assert outside_value == 0.0
         assert inside_value != 0.0
 
@@ -279,16 +299,10 @@ class TestFunctional:
         g = coord_gaussian(1)
         func = build_functional(partition, cover, fam, calc, 1, 1)
 
-        class Comb:
-            name = "comb"
-            dimension = 1
-
-            def partial(self, x, alpha):
-                return 2.0 * f.partial(x, alpha) - 0.5 * g.partial(x, alpha)
-
         zetas = np.stack([cover.centers[1] + 0.01, cover.centers[5] - 0.02,
                           np.array([0.4])])
-        fa, fb, fc = func.values(zetas, [f, g, Comb()])
+        fa, fb, fc = func.values(point_lattice(zetas),
+                                 [f, g, sum_of((2.0, f), (-0.5, g))])
         assert fc == pytest.approx(2 * fa - 0.5 * fb, abs=1e-12)
 
     def test_at_most_one_active_term(self, schwartz_setup):
@@ -298,8 +312,8 @@ class TestFunctional:
         pts = rng.uniform(-4, 4, size=(200, 1))
         # per point, the summands whose rescaled support contains it
         active = np.zeros(len(pts), dtype=int)
-        for k in range(len(partition)):
-            x = cover.rescale(pts, np.full(len(pts), k))
+        for k, rescale in enumerate(oracles.rescale_maps(cover)):
+            x = rescale.forward(pts)
             offs = np.abs(x - cover.centers[k]).max(axis=1)
             active += offs <= partition.half[k]
         assert active.max() <= 1
@@ -313,16 +327,17 @@ class TestFunctional:
         f = gaussian(1)
         func = build_functional(partition, cover, fam, calc, 1, 1)
         zeta = cover.centers[0] + 0.3 * cover.core_halfwidths[0]
-        x = cover.rescale(zeta[None, :], [0])[0]
+        x = oracles.rescale_maps(cover)[0].forward(zeta)
 
         def hf(t):
-            h_t = function_values(partition, np.array([[t]]), [0])[0]
+            h_t = function_values(partition, point_grids([[t]]), [0])[0]
             return h_t * f.value(np.array([t]))
 
         h = 1e-4
         fd = (hf(x[0] + h) - 2 * hf(x[0]) + hf(x[0] - h)) / h ** 2
         nu = fam.nu_at(func.nu_index, zeta[None, :])[0]
-        assert func.values(zeta, [f])[0][0] == pytest.approx(fd * nu, rel=1e-5)
+        assert func.values(point_lattice(zeta[None, :]), [f])[0][0] == \
+            pytest.approx(fd * nu, rel=1e-5)
 
 
 class TestIntegralBound:
@@ -425,10 +440,11 @@ class TestBatchedChain:
         func = build_functional(partition, cover, fam, calc, 1, 1)
         d = cover.dimension
         rng = np.random.default_rng(5)
-        zetas = rng.uniform(-0.6, 0.6, size=(300, d))
+        zetas = Lattice.of([np.sort(rng.uniform(-0.6, 0.6, 300 if d == 1 else 18))
+                            for _ in range(d)])
         fs = shipped_suite(d)
         rows = func.values(zetas, fs)
-        assert rows.shape == (len(fs), len(zetas))
+        assert rows.shape == (len(fs), len(zetas.points))
         assert rows.any()
         for row, f in zip(rows, fs):
             assert row.tobytes() == func.values(zetas, [f])[0].tobytes()
@@ -483,7 +499,8 @@ class TestChainAgainstPerBallLoops:
         assert np.array(integrals).shape == (len(fs), 2, len(ks))
         assert np.array(integrals).tobytes() == np.array(expected[2]).tobytes()
         samples = oracles.ball_samples(cover, ks, 5)
-        tables = partition_partials(partition, np.concatenate(samples),
+        tables = partition_partials(partition,
+                                    point_grids(np.concatenate(samples)),
                                     np.repeat(ks, [len(s) for s in samples]),
                                     indices_below((1,) * d))
         groups = np.split(np.arange(sum(len(s) for s in samples)),
@@ -495,22 +512,28 @@ class TestChainAgainstPerBallLoops:
         d = cover.dimension
         func = build_functional(partition, cover, fam, calc, 1, 1)
         rng = np.random.default_rng(5)
-        zetas = rng.uniform(-0.6, 0.6, size=(300, d))
         # core 0 holds only its center, which maps to the plateau of the
         # first cutoff, where no blocker acts: every h-partial but the
         # value vanishes there
-        zetas = np.vstack([cover.centers[:1],
-                           zetas[cover.core_owners(zetas) != 0]])
+        z, h = cover.centers[0], cover.core_halfwidths[0]
+        axes = []
+        for a in range(d):
+            axis = rng.uniform(-0.6, 0.6, 300 if d == 1 else 18)
+            axes.append(np.sort(np.r_[axis[np.abs(axis - z[a]) >= h], z[a]]))
+        zetas = Lattice.of(axes)
         fs = shipped_suite(d)
         rows = func.values(zetas, fs)
         assert rows.any()
-        assert rows.tobytes() == oracles.functional_values(func, zetas, fs).tobytes()
-        owners = cover.core_owners(zetas)
+        assert rows.tobytes() == \
+            oracles.functional_values(func, zetas.points, fs).tobytes()
+        owners = oracles.core_owners(cover, zetas.points)
         ks = sorted(set(owners.tolist()) - {-1})
         sizes = [int((owners == k).sum()) for k in ks]
-        x = cover.rescale(np.concatenate([zetas[owners == k] for k in ks]),
-                          np.repeat(ks, sizes))
-        tables = partition_partials(partition, x, np.repeat(ks, sizes),
+        maps = oracles.rescale_maps(cover)
+        x = np.concatenate([maps[k].forward(zetas.points[owners == k])
+                            for k in ks])
+        tables = partition_partials(partition, point_grids(x),
+                                    np.repeat(ks, sizes),
                                     indices_below(func.m_tilde))
         groups = np.split(np.arange(len(x)), np.cumsum(sizes)[:-1])
         assert zero_somewhere_only(tables, groups, indices_below(func.m_tilde))
@@ -520,7 +543,7 @@ class TestUnionCells:
     def test_cells_stick_to_balls(self, constant_setup):
         _, _, cover, _, _ = constant_setup
         box = Box((-2.0,), (2.0,))
-        mids = union_cell_midpoints(cover, box, 0.01)
+        mids = union_cell_midpoints(cover, box, 0.01).points
         # every midpoint is within half a cell of some outer ball
         for mid in mids:
             dist = min(np.abs(mid - cover.centers[k]).max() - cover.rho[k]

@@ -78,24 +78,16 @@ class TestExitCodes:
                          "quadrature": 0.003},
             suite=["omega"], figures=False)
 
-    def test_thinned_sample_passes_over_strides_that_miss(self, tmp_path):
-        # strides 2 to 10 miss the row at index 11; stride 11 keeps 293
-        path = write_config(tmp_path, self.one_row_config(0.303))
+    @pytest.mark.parametrize("lower", [0.303, 0.333], ids=["index11", "index1"])
+    def test_one_row_ring_is_thinned_from_its_row(self, tmp_path, lower):
+        # the sample starts at the row, wherever it sits on the second axis,
+        # and stride 2 keeps every other one of its 3,222 points
+        path = write_config(tmp_path, self.one_row_config(lower))
         code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [(c["resolutions"]["stride"], c["resolutions"]["points"])
-                for c in report["certificates"]] == [(11, 293)] * 3
-
-    def test_empty_thinned_sample_exits_two(self, tmp_path, capsys):
-        # the row sits at index 1, which no stride but 1 keeps, and stride 1
-        # is over the 2,500-point cap
-        path = write_config(tmp_path, self.one_row_config(0.333))
-        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "no stride" in err
+                for c in report["certificates"]] == [(2, 1611)] * 3
 
     def test_order_error_exits_two(self, tmp_path, capsys):
         config = small_config(alpha_max=7)  # beyond smoothness budget 4

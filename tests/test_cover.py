@@ -12,10 +12,11 @@ from covercert import (Box, BoxRegion, Cover, DomainMembershipError,
                        union_cell_midpoints, verify_covering,
                        verify_disjoint_supports, with_extra_center,
                        without_center)
-from covercert.cover import (_BLOCK_PAIRS, ball_overlaps, box_pairs,
-                             greedy_packing, separation_holds, sup_pairs)
-from covercert.domains import Lattice, lattice_axes, mesh_points
-from oracles import greedy_naive
+from covercert.bumps import Partition, build_profile, function_values
+from covercert.cover import (ball_overlaps, box_pairs, greedy_packing,
+                             separation_holds)
+from covercert.domains import Grids, Lattice, lattice_axes, mesh_points
+from oracles import greedy_naive, point_grids, point_lattice
 
 
 def reference_greedy(candidates, r1):
@@ -332,8 +333,8 @@ class TestCoreBoxes:
         z0 = line_cover.centers[0]
         inside = z0 + 0.9 * line_cover.core_halfwidths[0]
         outside = z0 + 1.1 * line_cover.core_halfwidths[0]
-        assert line_cover.core_owners(np.stack([inside, outside])).tolist() \
-            == [0, -1]
+        lattice = Lattice.of([np.array([inside[0], outside[0]])])
+        assert _core_owners(line_cover, lattice).tolist() == [0, -1]
 
 
 # Dyadic centers, radii and query points: every distance and threshold is
@@ -373,7 +374,7 @@ def dyadic_covers(draw):
 
 
 def _point_cover(centers):
-    """A cover holding only centers: enough for ``sup_pairs``."""
+    """A cover holding only centers: enough for the pair oracles."""
     centers = np.asarray(centers, dtype=float)
     ones = np.ones(len(centers))
     return Cover(level=1, centers=centers, rho=ones, r1=ones, resolution=1.0,
@@ -381,25 +382,45 @@ def _point_cover(centers):
 
 
 def _assert_pairs(cover, pts, reach, brute_force=True):
-    """``sup_pairs`` of the centers equals the KD-tree oracle bitwise (values
-    and dtypes) and, optionally, the brute-force pair loop."""
-    found = sup_pairs(cover.centers, pts, reach)
-    for got, want in zip(found, oracles.pairs_near_kdtree(cover, pts, reach)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    """``Lattice.pairs`` of the centers on the lattice of the distinct
+    points equals the KD-tree oracle bitwise (values and dtypes) and,
+    optionally, the brute-force pair loop; ``reach`` is one number or one
+    per center."""
+    lattice = point_lattice(pts)
+    found = lattice.pairs(cover.centers, reach)
+    want = oracles.pairs_near_kdtree(cover, lattice.points, reach)
+    for got, expected in zip(found, want):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
     if brute_force:
-        rows, cols, dist = found
-        assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == \
-            oracles.pairs_near(cover, pts, reach)
+        rows, cols = found
+        assert list(zip(rows.tolist(), cols.tolist())) == \
+            [(i, k) for i, k, _ in oracles.pairs_near(cover, lattice.points,
+                                                     reach)]
 
 
 def _balls_containing(cover, pts, inner):
     """Per point, the centers whose outer (or inner, half-radius) ball holds
-    it: the ``sup_pairs`` pairs with ``dist`` strictly below the radius."""
-    radii = (0.5 if inner else 1.0) * cover.rho
-    rows, cols, dist = sup_pairs(cover.centers, pts, float(radii.max()))
-    hit = dist < radii[cols]
-    return [cols[hit & (rows == i)].tolist() for i in range(len(pts))]
+    it: the cells of the balls' open index boxes on the lattice of the
+    distinct points."""
+    lattice = point_lattice(pts)
+    rows, cols = lattice.cells(*lattice.boxes(
+        cover.centers, (0.5 if inner else 1.0) * cover.rho))
+    at = {x.tobytes(): i for i, x in enumerate(lattice.points)}
+    return [cols[rows == at[x.tobytes()]].tolist() for x in pts]
+
+
+def _core_owners(cover, lattice):
+    """Per lattice point, the core box whose grid ``Cover.core_grids``
+    reads it in, else -1; each point is read at most once, and each read
+    grid point is that lattice point, bitwise."""
+    grids, rows = cover.core_grids(lattice)
+    held = rows >= 0
+    assert np.bincount(rows[held], minlength=len(lattice.points)).max(initial=0) <= 1
+    assert grids.points[held].tobytes() == lattice.points[rows[held]].tobytes()
+    owners = np.full(len(lattice.points), -1)
+    owners[rows[held]] = np.repeat(np.arange(cover.size), grids.sizes)[held]
+    return owners
 
 
 @st.composite
@@ -487,8 +508,8 @@ class TestLatticeCount:
                             box=Box((0.35,) * 3, (0.65,) * 3))
         lattice = dom.ring_lattice(1, 0.01, cover.box)
         for reach in (cover.rho / 2.0, cover.rho):
-            rows, cols, dist = sup_pairs(cover.centers, lattice.points,
-                                         float(reach.max()))
+            rows, cols, dist = oracles.pairs_near_kdtree(cover, lattice.points,
+                                                         reach)
             want = np.bincount(rows[dist < reach[cols]],
                                minlength=len(lattice.points))
             assert lattice.count(cover.centers, reach).tobytes() == \
@@ -537,9 +558,10 @@ def ring_lattices(draw):
 class TestLatticePairs:
     @settings(max_examples=200, deadline=None)
     @given(ring_lattices())
-    def test_pairs_equal_sup_pairs(self, case):
+    def test_pairs_equal_the_kdtree_oracle(self, case):
         lattice, centers, reach = case
-        want = sup_pairs(centers, lattice.points, reach)[:2]
+        want = oracles.pairs_near_kdtree(_point_cover(centers), lattice.points,
+                                         reach)[:2]
         for got, expected in zip(lattice.pairs(centers, reach), want):
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
@@ -586,9 +608,9 @@ class TestBatchQueries:
         for inner in (False, True):
             assert _balls_containing(cover, pts, inner) == \
                 [oracles.balls_containing(cover, x, inner) for x in pts]
-        expected = [oracles.locate_core(cover, x) for x in pts]
-        assert cover.core_owners(pts).tolist() == \
-            [-1 if k is None else k for k in expected]
+        lattice = point_lattice(pts)
+        assert _core_owners(cover, lattice).tolist() == \
+            oracles.core_owners(cover, lattice.points).tolist()
 
     @settings(max_examples=120, deadline=None)
     @given(reach_lattices())
@@ -602,14 +624,12 @@ class TestBatchQueries:
         cover, pts, reach = case
         _assert_pairs(cover, pts, reach)
 
-    def test_one_window_over_the_block(self):
-        # 40,000 centers share one first coordinate: a point near it has
-        # more candidates than a block holds, and is a block of its own
+    def test_many_centers_on_one_first_coordinate(self):
+        # 40,000 centers share one first coordinate, with per-center reaches
         rng = np.random.default_rng(3)
         centers = np.zeros((40000, 2))
         centers[:, 1] = rng.uniform(-1.0, 1.0, 40000)
         centers = np.concatenate([centers, rng.uniform(-1.0, 1.0, (200, 2))])
-        assert len(centers) - 200 > _BLOCK_PAIRS
         pts = np.concatenate([[[-0.9, 0.0], [0.0, 0.25], [0.01, -0.5],
                                [0.9, 0.9], [0.03, 1.0]],
                               rng.uniform(-1.0, 1.0, (60, 2))])
@@ -620,8 +640,8 @@ class TestBatchQueries:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_points(self, d):
         cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
-        rows, cols, dist = sup_pairs(cover.centers, np.empty((0, d)), 0.5)
-        assert len(rows) == len(cols) == len(dist) == 0
+        rows, cols = point_lattice(np.empty((0, d))).pairs(cover.centers, 0.5)
+        assert len(rows) == len(cols) == 0
         _assert_pairs(cover, np.empty((0, d)), 0.5)
 
     @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -7.0)])
@@ -636,23 +656,39 @@ class TestBatchQueries:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_nan_coordinate_raises_and_infinite_is_far(self, d):
+        # the owner reader refuses a grid coordinate that is not finite; a
+        # lattice axis that reaches infinity is far from every center
         cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
+        partition = Partition(build_profile(1.0, 3), cover.centers,
+                              np.ones(3), [(), (), ()])
         pts = np.zeros((3, d))
         pts[1, -1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            sup_pairs(cover.centers, pts, 0.5)
+            function_values(partition, point_grids(pts), [0, 1, 2])
         pts[1, -1] = np.inf
         pts[2, 0] = -np.inf
-        rows, cols, dist = sup_pairs(cover.centers, pts, 1e300)
-        assert rows.tolist() == [0, 0, 0] and cols.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="infinite"):
+            function_values(partition, point_grids(pts), [0, 1, 2])
+        lattice = point_lattice(pts)
+        rows, cols = lattice.pairs(cover.centers, 1e300)
+        assert lattice.points[1].tolist() == [0.0] * d
+        assert rows.tolist() == [1, 1, 1] and cols.tolist() == [0, 1, 2]
+        assert list(zip(rows.tolist(), cols.tolist())) == \
+            [(i, k) for i, k, _ in oracles.pairs_near(cover, lattice.points,
+                                                     1e300)]
 
     def test_large_cover(self):
+        # 4,096 centers against a lattice of 150 x 140 random axis values
+        # masked to about 20,000 points
         rng = np.random.default_rng(5)
         centers = (np.indices((64, 64)).reshape(2, -1).T
                    + rng.uniform(-0.2, 0.2, (4096, 2))) / 32.0 - 1.0
         cover = _point_cover(centers)
-        pts = rng.uniform(-1.1, 1.1, (20000, 2))
-        for reach in (0.01, 1 / 30, 0.1):
+        axes = [np.sort(rng.uniform(-1.1, 1.1, n)) for n in (150, 140)]
+        lattice = Lattice.of(axes)
+        pts = lattice.points[rng.uniform(size=len(lattice.points)) < 0.95]
+        for reach in (0.01, 1 / 30, 0.1,
+                      rng.uniform(0.0, 0.1, len(centers))):
             _assert_pairs(cover, pts, reach, brute_force=False)
             _assert_pairs(cover, pts[:40], reach)
 
@@ -660,13 +696,16 @@ class TestBatchQueries:
     def test_large_coordinates_tiny_reach(self, d):
         # reaches a billionth of the spread of the centers, so the windows
         # of the first-axis sweep are about as narrow as its widening
+        # (fewer points in higher d: the lattice of the distinct points
+        # grows as their number per axis to the power d)
         rng = np.random.default_rng(d)
-        centers = rng.uniform(-1e6, 1e6, (50, d))
+        count, near_count = {2: (50, 300), 3: (20, 40), 4: (8, 8)}[d]
+        centers = rng.uniform(-1e6, 1e6, (count, d))
         centers[:2] = [[-1e6] * d, [1e6] * d]
         cover = _point_cover(centers)
         for reach in (1e-3, 1e-12):
-            near = centers[rng.integers(0, 50, 300)] \
-                + rng.uniform(-2.0, 2.0, (300, d)) * reach
+            near = centers[rng.integers(0, count, near_count)] \
+                + rng.uniform(-2.0, 2.0, (near_count, d)) * reach
             pts = np.concatenate([centers, near, -centers])
             _assert_pairs(cover, pts, reach)
 
@@ -735,7 +774,7 @@ class TestBatchQueries:
         res = 1 / 8
         mids = mesh_points(lattice_axes(cover.box, res)) + res / 2
         mids = mids[(mids < 1.0).all(axis=1)]
-        assert union_cell_midpoints(cover, cover.box, res).tolist() == \
+        assert union_cell_midpoints(cover, cover.box, res).points.tolist() == \
             [x.tolist() for x in oracles.near_union(cover, mids, res / 2)]
 
     @settings(max_examples=60, deadline=None)
@@ -772,6 +811,6 @@ class TestBatchQueries:
             assert _balls_containing(tampered, pts, inner=True) == \
                 [oracles.balls_containing(tampered, x, inner=True)
                  for x in pts]
-            expected = [oracles.locate_core(tampered, x) for x in pts]
-            assert tampered.core_owners(pts).tolist() == \
-                [-1 if k is None else k for k in expected]
+            lattice = Lattice.of([pts[:, 0]])
+            assert _core_owners(tampered, lattice).tolist() == \
+                oracles.core_owners(tampered, pts).tolist()

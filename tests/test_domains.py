@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import point_grids
 from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
                        ExhaustionDomain, NoRingPointsError, constant_exhaustion,
                        exhaustion_gap, expanding_boxes, full_space,
                        shrinking_boxes)
-from covercert.domains import Lattice, _interval_within, lattice_axes, mesh_points
+from covercert.domains import (Grids, Lattice, _interval_within, cell_lattice,
+                               lattice_axes, mesh_points)
 
 
 def unit_interval():
@@ -317,12 +319,16 @@ class TestThinnedLattice:
     def test_least_stride_under_the_cap(self, case):
         lattice, cap = case
         index = np.argwhere(lattice.inside)     # lexicographic, as the points
+        # the bounding index box of the cells inside
+        first = index.min(axis=0) if len(index) else np.zeros(index.shape[1], int)
+        last = index.max(axis=0) if len(index) else first - 1
 
         def kept(s):
-            return (index % s == 0).all(axis=1)
+            return ((index - first) % s == 0).all(axis=1)
 
-        # past the longest axis every stride keeps the first cell alone
-        fits = [s for s in range(1, max(lattice.inside.shape) + 1)
+        # past the longest axis of the box every stride keeps its first
+        # corner alone
+        fits = [s for s in range(1, max(last - first + 1, default=0) + 1)
                 if 0 < kept(s).sum() <= cap]
         if not fits:
             with pytest.raises(NoRingPointsError):
@@ -335,8 +341,8 @@ class TestThinnedLattice:
         # order, and the sub-lattice's axes and mask hold just them
         assert sample.points.tobytes() == \
             lattice.points[kept(stride)].tobytes()
-        for axis, own in zip(sample.axes, lattice.axes):
-            assert axis.tobytes() == own[::stride].tobytes()
+        for axis, own, lo, hi in zip(sample.axes, lattice.axes, first, last):
+            assert axis.tobytes() == own[lo:hi + 1:stride].tobytes()
         assert sample.points.tobytes() == \
             mesh_points(sample.axes)[sample.inside.ravel()].tobytes()
 
@@ -350,6 +356,83 @@ class TestThinnedLattice:
         assert sample.points.tobytes() == \
             lattice.points[::math.ceil(n / cap)].tobytes()
 
+    def test_a_row_off_the_first_index_is_thinned_from_it(self):
+        # one row of 3,222 cells at index 1 of the second axis: stride 2
+        # from that row keeps every other cell of it
+        axes = [np.arange(3222) * 0.003, np.arange(4) * 0.003]
+        inside = np.zeros((3222, 4), dtype=bool)
+        inside[:, 1] = True
+        lattice = Lattice(tuple(axes), inside, mesh_points(axes)[inside.ravel()])
+        sample, stride = lattice.thinned(2500)
+        assert stride == 2 and len(sample.points) == 1611
+        assert sample.points.tobytes() == lattice.points[::2].tobytes()
+
     def test_a_cap_below_one_raises(self):
         with pytest.raises(ValueError):
             Lattice.of([np.arange(3.0)]).thinned(0)
+
+
+@st.composite
+def ball_boxes(draw):
+    """Boxes about centers on a coarse lattice, with half-widths that are
+    multiples of a step or not, and a resolution that divides them or
+    not."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 6))
+    ints = st.lists(st.integers(-8, 8), min_size=k * d, max_size=k * d)
+    centers = np.array(draw(ints), dtype=float).reshape(k, d) / 8.0
+    rho = np.array(draw(st.lists(st.sampled_from([0.05, 0.1, 1 / 3, 0.125,
+                                                   0.37]),
+                                 min_size=k, max_size=k)), dtype=float)
+    res = draw(st.sampled_from([0.01, 0.0125, 0.03, 0.1]))
+    return centers, rho, res
+
+
+class TestGridStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(ball_boxes(), st.integers(1, 6))
+    def test_linspace_is_each_balls_mesh(self, case, count):
+        centers, rho, _ = case
+        grids = Grids.linspace(centers, rho, count)
+        want = [mesh_points([np.linspace(z - r, z + r, count) for z in center])
+                for center, r in zip(centers, rho.tolist())]
+        for k, pts in enumerate(want):
+            assert grids.take(k, k + 1).points.tobytes() == pts.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_within_is_the_interval_on_each_grid(self, data):
+        d = data.draw(st.integers(1, 3))
+        step = data.draw(st.sampled_from([0.1, 0.03, 0.125]))
+        # grids of 0 to 7 cells per axis on one lattice of the step, and
+        # queries on cells, half a cell off them, or not finite
+        shape = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 7), min_size=d, max_size=d),
+            min_size=1, max_size=5)))
+        grids = Grids.of([[0.13 + step * (data.draw(st.integers(-3, 3))
+                                          + np.arange(n)) for n in row]
+                          for row in shape])
+        q = data.draw(st.integers(1, 12))
+        grid = np.array(data.draw(st.lists(st.integers(0, len(shape) - 1),
+                                           min_size=q, max_size=q)))
+        coord = st.integers(-12, 24).map(lambda t: 0.13 + t * step / 2) \
+            | st.sampled_from([np.nan, np.inf, -np.inf])
+        z = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                        min_size=q, max_size=q)))
+        r = np.array(data.draw(st.lists(
+            st.integers(0, 8).map(lambda t: t * step / 2)
+            | st.sampled_from([0.0, np.inf, np.nan]), min_size=q, max_size=q)))
+        first, stop = grids.within(grid, z, r)
+        for a in range(d):
+            for j, g in enumerate(grid.tolist()):
+                start = grids.starts[a][g]
+                axis = grids.axes[a][start:start + grids.shape[g, a]]
+                lo, hi = _interval_within(axis, z[j:j + 1, a], r[j:j + 1])
+                assert (first[a, j], stop[a, j]) == (lo[0], max(lo[0], hi[0] + 1))
+
+    def test_one_point_grids_and_runs(self):
+        pts = np.array([[0.5, -1.0], [0.25, 2.0], [0.25, 2.0]])
+        grids = point_grids(pts)
+        assert grids.points.tobytes() == pts.tobytes()
+        assert grids.take(1, 3).points.tobytes() == pts[1:].tobytes()
+        assert grids.take(2, 2).points.shape == (0, 2)
