@@ -35,6 +35,11 @@ unmasked or below every cap, where the sub-lattice is the flat stride's
 sample or the whole lattice, so the ``stride`` keys are the only bytes
 that moved.  ``boundary_d2`` is d=2 and above the omega cap (stride 2,
 1,444 of 5,776 check points).
+
+``small_d3`` is ``small_d2`` in d=3, on a box small enough for a unit
+test; its partition reads fill incidence blocks up to the pair budget,
+so its digests hold the engine's 3-D grid stacks, slabs and both figure
+exports.  It is not shipped.
 """
 
 import contextlib
@@ -62,6 +67,17 @@ SMALL_D2 = {
     "suite": ["omega", "psi", "radii", "cover", "partition"],
     "figures": True,
 }
+
+# the same in d=3 on a smaller box: stacks of 3-D grids, and incidence
+# blocks up to the pair budget
+SMALL_D3 = dict(
+    SMALL_D2, name="small_d3",
+    domain={"kind": "bounded_box", "lower": [0.0] * 3, "upper": [1.0] * 3},
+    truncation={"lower": [0.25] * 3, "upper": [0.45] * 3},
+    resolutions={"candidate": 0.0125, "check": 0.0125, "quadrature": 0.0125})
+
+# configs that are not shipped, by name
+INLINE = {"small_d2": SMALL_D2, "small_d3": SMALL_D3}
 
 FILES = ("stdout", "report.json", "cover.csv", "cutoffs.csv", "pullback.csv")
 
@@ -126,14 +142,26 @@ GOLDEN = {
         "pullback.csv":
             "4d8d29d02937877171722182a8785996ec4c673a4307eb43c118c88248760761",
     },
+    "small_d3": {
+        "stdout":
+            "f9268dcf34b3623d562330de2c7cfbd4eedcb8493cf738551e8b5f070a3e8910",
+        "report.json":
+            "a5c13b062848b4a7f6d2694e495cf1db88ab67dc9fcbbfa064b093d80f6d4565",
+        "cover.csv":
+            "ba3492712c2ef8fb9b5887b760ae2dfe13859e1d0767e02464b221d47642a43a",
+        "cutoffs.csv":
+            "7714749d14e5ab60d923105dd21d4fb2910a69242952d541715c2d50c2e97d54",
+        "pullback.csv":
+            "ce111341b285952b48c5c0344c8dae1fd6b77b0f8da1e10dc9aa875f6ea969c3",
+    },
 }
 
 
 def run_digests(name: str, tmp_path) -> dict:
     out = tmp_path / name
-    if name == "small_d2":
-        config = tmp_path / "small_d2.json"
-        config.write_text(json.dumps(SMALL_D2))
+    if name in INLINE:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(INLINE[name]))
     else:
         config = shipped_config_path(f"{name}.json")
     stdout = io.StringIO()
