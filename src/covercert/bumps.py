@@ -33,20 +33,23 @@ where multiplying in each function's complements on its own costs
 Theta(L^2); the products associate differently, so values agree with
 that order to rounding, not bitwise.
 
-Readers that need every pair (the partition certificates) read a
-``Lattice`` (the check lattice or a sub-lattice of it), on which each
-support box is one index interval per axis.  They read psi at every
-pair.  That is exact because a point in the closed supports of cutoffs
-m < k lies in both outer balls, so every earlier pair of a run is a
-blocker of the later one; ``Partition.check_runs`` checks this once per
-partition, when psi is first formed, from one ``box_pairs`` sweep of the
-support boxes, each widened by 1e-9 relative as the sweep widens its
-window.  Readers of one function per point (``partition_partials``: the
-integral bound, the functional and the pullback export) read a stack of
-tensor grids (``Grids``), one function per grid, where each of the
-function's links is one index interval per axis, and form psi once, at
-the end of each run.  Blocks of a bounded number of pairs (slabs of
-first-axis cells; runs of whole grids) bound the engine's memory.
+Every reading is a ``Lattice`` (a stack of masked tensor grids) and its
+links, one index box per (grid, cutoff) (``Partition.links_within``),
+and its pairs are the cells of the boxes inside the mask.  Readers that
+need every pair (the partition certificates) read a one-grid lattice
+(the check lattice or a sub-lattice of it), linked to every cutoff.
+They read psi at every pair.  That is exact because a point in the
+closed supports of cutoffs m < k lies in both outer balls, so every
+earlier pair of a run is a blocker of the later one;
+``Partition.check_runs`` checks this once per partition, when psi is
+first formed, from one ``box_pairs`` sweep of the support boxes, each
+widened by 1e-9 relative as the sweep widens its window.  Readers of one
+function per point (``partition_partials``: the integral bound, the
+functional and the pullback export) read a stack of one grid per
+function, linked to its blockers and own cutoff, and form psi once, at
+the end of each run.  The boxes are searched once per reading and cut
+to slabs of the stack's first axis of a bounded number of box cells,
+which bounds the engine's memory.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cover import Cover, ball_overlaps, box_pairs
-from .domains import Grids, Lattice, _ranges
+from .domains import Lattice, _ranges
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
 from .piecewise import PiecewisePoly, evaluate_shared, indicator
@@ -214,45 +217,43 @@ class Partition:
     def __getitem__(self, k):
         return self.functions[k]
 
-    def pairs(self, pts, owners=None):
-        """The (point, cutoff) pairs with the point in the cutoff's closed
-        support, as ``(rows, cols)`` in lexicographic order.
-
-        Without ``owners`` these are all such pairs, from the per-axis
-        intervals of ``pts``, a ``Lattice`` (``TypeError`` otherwise).  With
-        ``owners`` (the function each grid of the ``Grids`` stack ``pts`` is
-        read for) they are the pairs of each grid's points with that
-        function's blockers and own cutoff (:meth:`links_within`), and a
-        point outside its own cutoff's support keeps no pairs.
-        """
-        if owners is None:
-            if not isinstance(pts, Lattice):
-                raise TypeError("all pairs are read from a Lattice; Grids "
-                                "need owners")
-            return pts.pairs(self.centers, self.half)
-        if not isinstance(pts, Grids):
-            raise TypeError("owners read a stack of Grids")
-        grid, cols, first, stop = self.links_within(pts, owners)
-        rows, at = pts.pairs(grid, first, stop)
+    def pairs(self, lattice: Lattice, owners=None):
+        """The (point, cutoff) pairs of a reading of ``lattice`` (see
+        :meth:`links_within`), as ``(rows, cols)`` in lexicographic order."""
+        grid, cols, first, stop = self.links_within(lattice, owners)
+        rows, at = lattice.pairs(first, stop, grid)
         return rows, cols[at]
 
-    def links_within(self, grids: Grids, owners):
-        """Per link (m of ``links``, grid by grid, for the grid's owner k):
-        the grid, m, and per axis the index interval ``first <= t < stop``
-        of the grid inside cutoff m's closed support, cut to cutoff k's own
-        (the grid's last link), so the boxes hold the grid's pairs with no
-        point outside its owner's support.  A coordinate that is not finite
-        raises ``ValueError``."""
-        if not all(np.isfinite(axis).all() for axis in grids.axes):
+    def links_within(self, lattice: Lattice, owners=None):
+        """The links of a reading of ``lattice``, as ``(grid, cols, first,
+        stop)``: per link, the grid it reads, its cutoff, and per axis the
+        index interval ``first <= t < stop`` of the grid inside the
+        cutoff's closed support.
+
+        Without ``owners`` the lattice's one grid links to every cutoff, so
+        its pairs are all the (point, cutoff) pairs with the point in the
+        cutoff's closed support.  With ``owners`` (the function each grid
+        is read for) grid g links to the blockers and own cutoff of
+        function ``owners[g]``, each cut to the own cutoff's box (the
+        grid's last link), so a point outside its owner's support keeps no
+        pairs.  ``TypeError`` for a point set that is not a ``Lattice``; a
+        coordinate that is not finite raises ``ValueError``."""
+        if not isinstance(lattice, Lattice):
+            raise TypeError("partition readings read a Lattice")
+        if not all(np.isfinite(axis).all() for axis in lattice.axes):
             raise ValueError("grid coordinates must be finite, not NaN or "
                              "infinite")
         size = len(self)
+        if owners is None:
+            return (np.zeros(size, dtype=np.int64), np.arange(size),
+                    *lattice.boxes(self.centers, self.half, strict=False))
         own = np.asarray(owners, dtype=np.int64)
         lo = np.searchsorted(self.links, own * size)
         count = np.searchsorted(self.links, (own + 1) * size) - lo
         grid = np.repeat(np.arange(len(own)), count)
         cols = self.links[_ranges(lo, count)] % size
-        first, stop = grids.within(grid, self.centers[cols], self.half[cols])
+        first, stop = lattice.boxes(self.centers[cols], self.half[cols],
+                                    strict=False, grid=grid)
         last = np.repeat(np.cumsum(count) - 1, count)
         first = np.maximum(first, first[:, last])
         stop = np.maximum(first, np.minimum(stop, stop[:, last]))
@@ -290,14 +291,14 @@ class Partition:
 class Incidence:
     """The (point, cutoff) pairs of a point set, with each cutoff's partials.
 
-    The points are a ``Lattice`` or, with ``owners``, a ``Grids`` stack
-    (held as its ``points``), and the pairs (point ``rows``, cutoff
-    ``fns``) are ``partition.pairs(pts, owners)``.  A point's pairs by
-    ascending cutoff are its run.  The pairs are held step-major
-    (``_step_major``): step s holds the s-th pair of every point whose run
-    is longer than s (``active[s]`` of them, from ``start[s]``), with the
-    points ranked by descending run length (``order``), so each step's
-    points are a prefix of the last step's.
+    The points ``pts`` are an array, and the pairs (point ``rows``, cutoff
+    ``fns``) come in lexicographic order, as ``Partition.pairs`` gives
+    them: all pairs, or, when ``owned``, the pairs of each point's owner's
+    links.  A point's pairs by ascending cutoff are its run.  The pairs
+    are held step-major (``_step_major``): step s holds the s-th pair of
+    every point whose run is longer than s (``active[s]`` of them, from
+    ``start[s]``), with the points ranked by descending run length
+    (``order``), so each step's points are a prefix of the last step's.
     The tables cover ``betas``, a down-closed set of multi-indices (with
     every beta, each gamma <= beta; ``ValueError`` otherwise), and the
     recurrence is exact on such a set.  Each pair's partials are formed
@@ -310,11 +311,10 @@ class Incidence:
     bitwise the cutoff's partial evaluated on its own.
     """
 
-    def __init__(self, partition: Partition, pts, betas, owners=None):
-        pairs = partition.pairs(pts, owners)
-        pts = pts.points
+    def __init__(self, partition: Partition, pts: np.ndarray, pairs, betas,
+                 owned: bool = False):
         profile = partition.profile
-        self.pts, self.partition, self.owned = pts, partition, owners is not None
+        self.pts, self.partition, self.owned = pts, partition, owned
         self.rule = _product_rule(_down_set(betas, partition.centers.shape[1]))
         self.betas = self.rule.betas
         top = np.max(self.betas, axis=0).tolist()
@@ -343,8 +343,8 @@ class Incidence:
         """Partials ``betas`` of the partition functions, as a dict from
         each beta to its values, by ascending beta.
 
-        Without ``owners`` there is one value per pair: function ``fns[p]``
-        at point ``rows[p]``.  With ``owners`` there is one per point: its
+        Without ``owned`` there is one value per pair: function ``fns[p]``
+        at point ``rows[p]``.  With ``owned`` there is one per point: its
         owner's function, zero outside the owner's support.
 
         Along a run, with P the running product of the complements of the
@@ -355,7 +355,7 @@ class Incidence:
         are shared: psi^beta = P^beta * phi_s + cross^beta and the next
         P^beta = P^beta * (1 - phi_s) - cross^beta.  The first pair of a run
         gives psi = phi and P = 1 - phi as they are.  Owner mode forms psi
-        only at each run's last pair, the owner's own.  Without ``owners``
+        only at each run's last pair, the owner's own.  Without ``owned``
         the partition is first checked with ``Partition.check_runs``.
         """
         if not self.owned:
@@ -474,74 +474,49 @@ def _product_rule(betas) -> _Rule:
                  levels)
 
 
-def incidences(partition: Partition, pts, betas, owners=None):
-    """``(block, Incidence)`` for consecutive blocks of the points, with
-    tables over the down-closed set ``betas``.
+def incidences(partition: Partition, lattice: Lattice, betas, owners=None):
+    """``(block, Incidence)`` for consecutive blocks of the points of
+    ``lattice``, with tables over the down-closed set ``betas``.
 
-    Blocks bound the engine's tables, and each block's points are a
-    contiguous slice of ``pts.points``.  On a ``Lattice`` (all pairs) each
-    block is a slab of first-axis cells whose support boxes hold at most
-    about ``_BLOCK_PAIRS`` cells (``Lattice.slabs``).  On a ``Grids`` stack
-    (with ``owners``, one per grid) each block is a run of whole grids with
-    at most ``_BLOCK_PAIRS`` pairs, or one grid with more, cut into the
-    ``Lattice.slabs`` of its owner's links.  Every point's pairs, and so
-    every value, are those of one incidence of all the points.  There is
-    always at least one block, empty for no points.
+    The pairs are those of ``Partition.pairs(lattice, owners)``.  The
+    links' boxes are searched once, and each block is one of their
+    ``Lattice.slabs`` of at most about ``_BLOCK_PAIRS`` box cells (a
+    contiguous slice of the points, with the boxes cut to it), which
+    bounds the engine's tables.  Every point's pairs, and so every value,
+    are those of one incidence of all the points.  There is always at
+    least one block, empty for no points.
     """
-    if owners is None:
-        if not isinstance(pts, Lattice):
-            raise TypeError("all pairs are read from a Lattice; Grids need "
-                            "owners")
-        for block, slab in pts.slabs(partition.centers, partition.half,
-                                     _BLOCK_PAIRS):
-            yield block, Incidence(partition, slab, betas)
-        return
-    owners = np.asarray(owners, dtype=np.int64)
-    grid, cols, first, stop = partition.links_within(pts, owners)
-    pairs = np.bincount(grid, np.prod(stop - first, axis=0),
-                        minlength=len(owners))
-    total = np.r_[0, np.cumsum(pairs)]
-    ends = np.r_[0, np.cumsum(pts.sizes)].tolist()
-    lo = 0
-    while True:
-        hi = int(np.searchsorted(total, total[lo] + _BLOCK_PAIRS, "right")) - 1
-        hi = min(max(hi, lo + 1), len(owners))
-        if hi == lo + 1 and pairs[lo] > _BLOCK_PAIRS:
-            links = cols[grid == lo]
-            one = Lattice.of(pts.take(lo, hi).axes)
-            for block, slab in one.slabs(partition.centers[links],
-                                         partition.half[links], _BLOCK_PAIRS):
-                yield (slice(ends[lo] + block.start, ends[lo] + block.stop),
-                       Incidence(partition, Grids.of([slab.axes]), betas,
-                                 owners[lo:hi]))
-        else:
-            yield slice(ends[lo], ends[hi]), Incidence(
-                partition, pts.take(lo, hi), betas, owners[lo:hi])
-        lo = hi
-        if lo >= len(owners):
-            return
+    grid, cols, first, stop = partition.links_within(lattice, owners)
+    for block, at, lo, hi in lattice.slabs(grid, first, stop, _BLOCK_PAIRS):
+        rows, boxes = lattice.pairs(lo, hi, grid[at])
+        inc = Incidence(partition, lattice.points[block],
+                        (rows - block.start, cols[at][boxes]), betas,
+                        owners is not None)
+        del rows, boxes     # not held while the block is read
+        yield block, inc
 
 
-def partition_partials(partition: Partition, grids: Grids, ks, betas) -> dict:
+def partition_partials(partition: Partition, lattice: Lattice, ks,
+                       betas) -> dict:
     """Partials ``betas`` (a down-closed set) of partition function
-    ``ks[k]`` at every point of grid k of the stack ``grids``, in the
-    order of ``grids.points`` (see ``Incidence.partials``)."""
+    ``ks[g]`` at every point of grid g of the stack ``lattice``, in the
+    order of ``lattice.points`` (see ``Incidence.partials``)."""
     parts = [inc.partials()
-             for _, inc in incidences(partition, grids, betas, owners=ks)]
+             for _, inc in incidences(partition, lattice, betas, owners=ks)]
     return {beta: np.concatenate([part[beta] for part in parts])
             for beta in parts[0]}
 
 
-def function_values(partition: Partition, grids: Grids, ks) -> np.ndarray:
-    """Value of partition function ``ks[k]`` at every point of grid k of
-    the stack ``grids``, in the order of ``grids.points``.
+def function_values(partition: Partition, lattice: Lattice, ks) -> np.ndarray:
+    """Value of partition function ``ks[g]`` at every point of grid g of
+    the stack ``lattice``, in the order of ``lattice.points``.
 
     A point outside the function's own closed support box has no pairs
     there and reads zero without an evaluation (a coordinate that is not
     finite raises ``ValueError``); the support certificate evaluates the
     cutoffs themselves."""
-    zero = (0,) * len(grids.axes)
-    return partition_partials(partition, grids, ks, [zero])[zero]
+    zero = (0,) * len(lattice.axes)
+    return partition_partials(partition, lattice, ks, [zero])[zero]
 
 
 def build_partition(cover: Cover, order: int, weights=None) -> Partition:

@@ -33,8 +33,7 @@ import numpy as np
 
 from .bumps import Partition, derivative_constant, partition_partials
 from .cover import Cover, box_pairs
-from .domains import (Box, ExhaustionDomain, Grids, Lattice, cell_axes,
-                      cell_lattice)
+from .domains import Box, ExhaustionDomain, Lattice, cell_axes, cell_lattice
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
@@ -98,16 +97,17 @@ def seminorm(f: TestFunction, family: WeightFamily, n: int, m: int,
     return best
 
 
-def _leibniz(table: dict, f_table: dict, alpha) -> np.ndarray:
+def _leibniz(table: dict, f_at, alpha) -> np.ndarray:
     """Partial alpha of h*f from h's table of partials up to at least alpha
-    and f's (``TestFunction.partials``) at the same points."""
+    and f's partials at the same points (``TestFunction.at``), each formed
+    when its term is added."""
     total = np.zeros(len(table[alpha]))
     for gamma in indices_below(alpha):
-        rest = tuple(a - g for a, g in zip(alpha, gamma))
         hvals = table[gamma]
         if not hvals.any():
             continue
-        total += multi_binom(alpha, gamma) * hvals * f_table[rest]
+        rest = tuple(a - g for a, g in zip(alpha, gamma))
+        total += multi_binom(alpha, gamma) * hvals * f_at(rest)
     return total
 
 
@@ -171,10 +171,8 @@ def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> Lattice:
     least one outer ball: those with ``|x - z_k|_inf < rho_k + resolution /
     2`` for some k."""
     cells = cell_lattice(box, resolution)
-    keep = cells.count(cover.centers, cover.rho + resolution / 2) > 0
-    inside = cells.inside.copy()
-    inside[inside] = keep
-    return Lattice(cells.axes, inside, cells.points[keep])
+    return Lattice(cells.axes, cells.shape,
+                   cells.count(cover.centers, cover.rho + resolution / 2) > 0)
 
 
 def _midpoint_integral(values: np.ndarray, resolution: float,
@@ -198,16 +196,16 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     # Leibniz sums of the orders |alpha| <= m read, for every ball's
     # sample grid.
     alphas = indices_up_to_order(d, m)
-    grids = Grids.linspace(cover.centers, 0.45 * cover.rho, points_per_ball)
+    grids = Lattice.linspace(cover.centers, 0.45 * cover.rho, points_per_ball)
     starts = ks * points_per_ball ** d
     tables = partition_partials(partition, grids, ks, alphas)
     lhs_values = []
     for f in fs:
-        f_table = f.partials(grids.points, alphas)
+        f_at = f.at(grids.points, (m,) * d)
         lhs = np.zeros(len(ks))
         for alpha in alphas:
             peaks = np.maximum.reduceat(
-                np.abs(_leibniz(tables, f_table, alpha)), starts)
+                np.abs(_leibniz(tables, f_at, alpha)), starts)
             lhs = np.where(peaks > lhs, peaks, lhs)     # max(lhs, peak)
         lhs_values.append(lhs.tolist())
 
@@ -217,13 +215,13 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     # the ball's own array.
     integrals = [[] for _ in fs]
     for res in (quad_resolution, quad_resolution / 2.0):
-        grids = Grids.of([cell_axes(Box(tuple(z - r), tuple(z + r)), res)
-                          for z, r in zip(cover.centers, cover.rho.tolist())])
+        grids = Lattice.stack([cell_axes(Box(tuple(z - r), tuple(z + r)), res)
+                               for z, r in zip(cover.centers, cover.rho.tolist())])
         ends = np.cumsum(grids.sizes)
         tables = partition_partials(partition, grids, ks,
                                     indices_below(m_tilde))
         for f, integrals_f in zip(fs, integrals):
-            vals = np.abs(_leibniz(tables, f.partials(grids.points, tables),
+            vals = np.abs(_leibniz(tables, f.at(grids.points, m_tilde),
                                    m_tilde))
             integrals_f.append([_midpoint_integral(vals[lo:hi], res, d)
                                 for lo, hi in zip(ends - grids.sizes, ends)])
@@ -303,8 +301,8 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
     tight = None
     radii = oracle.values(j, cover.centers).tolist()
     # every ball's sample points, ball by ball, in one weight evaluation
-    pts = Grids.linspace(cover.centers, 0.95 * cover.rho,
-                         points_per_ball).points
+    pts = Lattice.linspace(cover.centers, 0.95 * cover.rho,
+                           points_per_ball).points
     lhs_values = np.maximum.reduceat(
         family.nu_at(m, pts), np.arange(cover.size) * points_per_ball ** d)
     at_centers = family.nu_at(target, cover.centers).tolist()
@@ -403,22 +401,20 @@ class JFunctional:
         Returns one row per test function in ``fs``, one column per point.
         """
         out = np.zeros((len(fs), len(lattice.points)))
-        grids, rows = self.cover.core_grids(lattice)
-        keep = np.flatnonzero(rows >= 0)
-        if not len(keep):
+        cores, rows = self.cover.core_grids(lattice)
+        if not len(rows):
             return out
-        # one partition table and one Leibniz sum per f for the cells of
-        # every core box, each box's grid rescaled about its own center
-        x = self.cover.rescale(grids)
+        # one partition table and one Leibniz sum per f for the cells that
+        # the core boxes own, each box's grid rescaled about its own center
+        x = self.cover.rescale(cores)
         tables = partition_partials(self.partition, x,
                                     np.arange(len(self.partition)),
                                     indices_below(self.m_tilde))
-        tables = {beta: vals[keep] for beta, vals in tables.items()}
-        nu = self.family.nu_at(self.nu_index, grids.points[keep])
-        x = x.points[keep]
+        nu = self.family.nu_at(self.nu_index, cores.points)
+        x = x.points
         for row, f in zip(out, fs):
-            row[rows[keep]] = _leibniz(tables, f.partials(x, tables),
-                                       self.m_tilde) * nu
+            row[rows] = _leibniz(tables, f.at(x, self.m_tilde),
+                                 self.m_tilde) * nu
         return out
 
 

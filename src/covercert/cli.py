@@ -427,8 +427,8 @@ def export_figures(config: RunConfig, built_cover, partition,
 
     # 9 points per axis across each core box, in lexicographic order, and
     # each partition function at their images in its outer ball
-    zetas = domains.Grids.linspace(built_cover.centers,
-                                   built_cover.core_halfwidths, 9)
+    zetas = domains.Lattice.linspace(built_cover.centers,
+                                     built_cover.core_halfwidths, 9)
     ks = np.arange(len(partition))
     values = bumps.function_values(partition, built_cover.rescale(zetas), ks)
     _write_csv(out_dir / "pullback.csv",

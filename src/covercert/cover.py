@@ -12,8 +12,8 @@ its own half-widths and its own exact inequality.  Which balls hold which
 points is read on a ``Lattice``, where each open ball is one index box:
 covering, multiplicity and the radius chain count the balls per cell, the
 chain's witnesses are the balls whose boxes hold a violating cell's
-index, and the core boxes own the cells of their boxes
-(``Cover.core_grids``).
+index, and the core boxes own the cells of their boxes, as a masked
+stack of one grid per core box (``Cover.core_grids``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain, Grids, Lattice, _ranges
+from .domains import Box, ExhaustionDomain, Lattice, _ranges
 from .errors import NoRingPointsError, RefinementRequiredError
 from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
 from .report import FAIL, PASS, Certificate
@@ -65,12 +65,13 @@ class Cover:
         """Half-widths of the core boxes used for the rescaling argument."""
         return self.r1 / 8.0
 
-    def core_grids(self, lattice: Lattice) -> tuple[Grids, np.ndarray]:
-        """The cells of ``lattice`` in each open core box, as a stack of
-        grids (grid k: the index box of the cells with ``|x - z_k|_inf <
-        r1_k / 8``), and per grid point the lattice point it is, or -1
-        where it is outside the mask or an earlier core box holds it (the
-        core boxes are disjoint unless the cover is tampered with)."""
+    def core_grids(self, lattice: Lattice) -> tuple[Lattice, np.ndarray]:
+        """The cells of the one-grid ``lattice`` that each open core box
+        owns, as a masked stack (grid k: the index box of the cells with
+        ``|x - z_k|_inf < r1_k / 8``, inside where the cell is inside
+        ``lattice`` and no earlier core box holds it; the core boxes are
+        disjoint unless the cover is tampered with), and per point of the
+        stack the lattice point it is."""
         first, stop = lattice.boxes(self.centers, self.core_halfwidths)
         rows, ks = lattice.cells(first, stop)
         held = np.flatnonzero(rows >= 0)
@@ -78,19 +79,21 @@ class Cover:
         np.minimum.at(least, rows[held], ks[held])
         rows[held[least[rows[held]] != ks[held]]] = -1
         width = stop - first
-        grids = Grids(tuple(axis[_ranges(lo, n)] for axis, lo, n
-                            in zip(lattice.axes, first, width)), width.T.copy())
-        return grids, rows
+        cores = Lattice(tuple(axis[_ranges(lo, n)] for axis, lo, n
+                              in zip(lattice.axes, first, width)),
+                        width.T.copy(), rows >= 0)
+        return cores, rows[cores.inside]
 
-    def rescale(self, grids: Grids) -> Grids:
-        """Each grid k expanded about center k by ``lam = 8 rho / r1``,
-        which maps core box k onto outer ball k, one axis at a time."""
+    def rescale(self, grids: Lattice) -> Lattice:
+        """Each grid k of the stack expanded about center k by ``lam = 8
+        rho / r1``, which maps core box k onto outer ball k, one axis at a
+        time."""
         axes = []
         for z, axis, size in zip(self.centers.T, grids.axes, grids.shape.T):
             ks = np.repeat(np.arange(len(size)), size)
             lam = 8.0 * self.rho[ks] / self.r1[ks]
             axes.append(z[ks] + lam * (axis - z[ks]))
-        return Grids(tuple(axes), grids.shape)
+        return Lattice(tuple(axes), grids.shape, grids.inside)
 
 
 def box_pairs(centers: np.ndarray, half: np.ndarray):
@@ -337,14 +340,16 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
                cover.domain.ring_lattice(cover.level, orc.resolution, cover.box))
     first, stop = lattice.boxes(centers, rho)
     held = lattice.count_boxes(first, stop) >= 2
-    least = np.full(lattice.inside.shape, np.inf)
-    most = np.full(lattice.inside.shape, -np.inf)
+    shape = tuple(lattice.shape[0].tolist())
+    least = np.full(shape, np.inf)
+    most = np.full(shape, -np.inf)
     for lo, hi, r, r2_k in zip(first.T.tolist(), stop.T.tolist(),
                                r_center.tolist(), r2.tolist()):
         box = tuple(map(slice, lo, hi))
         np.minimum(least[box], r, out=least[box])
         np.maximum(most[box], r2_k, out=most[box])
-    rm, r2k = least[lattice.inside][held], most[lattice.inside][held]
+    rm, r2k = (least.ravel()[lattice.inside][held],
+               most.ravel()[lattice.inside][held])
     del least, most
     pts = lattice.points[held]
     r1 = orc.values(1, pts)
@@ -356,8 +361,7 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     at = np.flatnonzero((rm < r1) | (r1 < r2k))
     if len(at) == 0 and not (r2 < r3).any():
         return [], worst, len(pts)
-    index = np.unravel_index(np.flatnonzero(lattice.inside)[held][at],
-                             lattice.inside.shape)
+    index = np.unravel_index(np.flatnonzero(lattice.inside)[held][at], shape)
     holds = functools.reduce(np.logical_and, [
         (lo <= i[:, None]) & (i[:, None] < hi)
         for i, lo, hi in zip(index, first, stop)])

@@ -4,6 +4,11 @@ A domain is an open set together with an increasing family of nonempty
 sets (its "rings") whose union is the whole domain.  All distances here
 are taken in the sup norm, with the convention that the distance to an
 empty boundary is infinite.
+
+A ``Lattice`` is a stack of masked tensor grids: the check lattice of a
+ring is a stack of one grid, and the per-ball readers read one grid per
+ball.  A sup-norm ball is one index interval per axis of a grid, and
+one interval search finds them on every grid of a stack at once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "lattice_axes",
     "mesh_points",
     "Lattice",
-    "Grids",
 ]
 
 INF = math.inf
@@ -131,171 +135,257 @@ def _box_cells(shape, first: np.ndarray, stop: np.ndarray):
     return cell, boxes
 
 
-def _interval_within(axis: np.ndarray, z: np.ndarray, r: np.ndarray,
-                     strict: bool = False):
-    """Per point, the first and the last index t with ``|axis[t] - z| <= r``,
-    or ``< r`` when ``strict`` (first > last where there is none).
+def _interval_within(keys: np.ndarray, start: np.ndarray, size: np.ndarray,
+                     z: np.ndarray, r: np.ndarray, strict: bool = False):
+    """Per query j, the first and the last index t of its grid (the
+    ``size[j]`` entries of ``keys`` from ``start[j]``, counted from there)
+    with ``|axis[t] - z| <= r``, or ``< r`` when ``strict`` (first > last
+    where there is none).
 
-    Float subtraction is monotone, so ``axis[t] - z`` ascends with t, and
-    ``-r <= axis[t] - z <= r``, which is exactly ``|axis[t] - z| <= r``,
-    holds on one interval (and so do the strict inequalities).  Each end
-    starts where ``z -+ r`` sorts into the axis and steps until the test on
-    the gap flips; where ``z -+ r`` is NaN, the test at t = 0 decides all t.
+    ``keys`` is a stack of sorted axes as complex numbers: the start of
+    each coordinate's grid plus i times the coordinate.  numpy orders
+    complex numbers by real part, then imaginary part, so one
+    ``searchsorted`` finds each query in its own grid.  Float subtraction
+    is monotone, so ``axis[t] - z`` ascends with t, and ``-r <= axis[t] -
+    z <= r``, which is exactly ``|axis[t] - z| <= r``, holds on one
+    interval (and so do the strict inequalities).  Each end starts where
+    ``z -+ r`` sorts into the grid and steps until the test on the gap
+    flips; where ``z -+ r`` is NaN, the test at the grid's first index
+    decides all t.
     """
     tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
-    m, ends = len(axis), []
+    axis, stop, ends = keys.imag, start + size, []
+    query = np.empty(len(z), dtype=complex)
+    query.real = start          # set apart: 1j * inf is nan+infj
     for test, bound in zip(tests, (-r, r)):
-        # count the leading t with test(axis[t] - z, bound)
+        # the end of the leading t of the grid with test(axis[t] - z, bound)
         with np.errstate(invalid="ignore"):     # inf - inf
-            key = z + bound
-        count = np.searchsorted(axis, key)
+            query.imag = key = z + bound
+        end = np.minimum(np.searchsorted(keys, query), stop)
         nan = np.flatnonzero(np.isnan(key))
-        if len(nan) and m:
-            count[nan] = m * test(axis[0] - z[nan], bound[nan])
-        at = np.flatnonzero(count < m)
+        if len(nan):
+            nan = nan[size[nan] > 0]
+            end[nan] = start[nan] + size[nan] * test(axis[start[nan]] - z[nan],
+                                                     bound[nan])
+        at = np.flatnonzero(end < stop)
         while len(at):
-            at = at[test(axis[count[at]] - z[at], bound[at])]
-            count[at] += 1
-            at = at[count[at] < m]
-        at = np.flatnonzero(count > 0)
+            at = at[test(axis[end[at]] - z[at], bound[at])]
+            end[at] += 1
+            at = at[end[at] < stop[at]]
+        at = np.flatnonzero(end > start)
         while len(at):
-            at = at[~test(axis[count[at] - 1] - z[at], bound[at])]
-            count[at] -= 1
-            at = at[count[at] > 0]
-        ends.append(count)
+            at = at[~test(axis[end[at] - 1] - z[at], bound[at])]
+            end[at] -= 1
+            at = at[end[at] > start[at]]
+        ends.append(end - start)
     return ends[0], ends[1] - 1
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A tensor lattice of sorted axes, masked to the cells ``inside`` a
-    region; ``points`` and :meth:`count` list those in lexicographic order."""
+    """A stack of tensor grids, masked to the cells ``inside`` a region.
+
+    ``axes[a]`` holds every grid's sorted coordinates on axis a, grid after
+    grid, and ``shape[g, a]`` is how many of them grid g has.  ``inside``
+    flags every cell, grid by grid and in C order within each, and
+    ``points`` and :meth:`count` list the cells inside in that order.  The
+    check lattice is a stack of one grid; the per-ball readers read a
+    stack of one grid per ball.
+    """
 
     axes: tuple[np.ndarray, ...]
+    shape: np.ndarray
     inside: np.ndarray
-    points: np.ndarray
 
     def __len__(self) -> int:
         return len(self.points)
 
     @classmethod
+    def stack(cls, grids, inside=None) -> Lattice:
+        """The stack of the grids given as lists of per-axis coordinates,
+        masked to the flags ``inside`` (one per cell) if given."""
+        grids = [[np.asarray(axis, dtype=float) for axis in grid]
+                 for grid in grids]
+        shape = np.array([[len(axis) for axis in grid] for grid in grids],
+                         dtype=np.int64)
+        if inside is None:
+            inside = np.ones(int(np.prod(shape, axis=1).sum()), dtype=bool)
+        return cls(tuple(np.concatenate(axes) for axes in zip(*grids)), shape,
+                   np.ravel(inside))
+
+    @classmethod
     def of(cls, axes, region: Region | None = None) -> Lattice:
-        """The lattice of ``axes``, masked to ``region`` if one is given."""
-        flat = mesh_points(axes)
-        keep = np.ones(len(flat), bool) if region is None else region.contains(flat)
-        return cls(tuple(axes), keep.reshape([len(a) for a in axes]), flat[keep])
+        """The one-grid lattice of ``axes``, masked to ``region`` if one is
+        given."""
+        lattice = cls.stack([axes])
+        if region is None:
+            return lattice
+        return cls(lattice.axes, lattice.shape, region.contains(lattice.points))
+
+    @classmethod
+    def linspace(cls, centers: np.ndarray, half, count: int) -> Lattice:
+        """Box by box (rows z of ``centers``, h of ``half``), the grid of
+        ``np.linspace(z - h, z + h, count)`` per axis."""
+        half = np.asarray(half, dtype=float)[:, None]
+        axes = np.linspace(centers - half, centers + half, count, axis=-1)
+        return cls(tuple(axes[:, a].ravel() for a in range(centers.shape[1])),
+                   np.full(centers.shape, count, dtype=np.int64),
+                   np.ones(len(centers) * count ** centers.shape[1], dtype=bool))
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """Per axis (rows) and grid (columns), where the grid's coordinates
+        start in ``axes``."""
+        return (np.cumsum(self.shape, axis=0) - self.shape).T
+
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of cells of each grid."""
+        return np.prod(self.shape, axis=1)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        grid = np.arange(len(self.shape))
+        at = []
+        for start, n in zip(self.starts, self.shape.T):
+            n = n[grid]
+            at = [np.repeat(i, n) for i in at] + [_ranges(start[grid], n)]
+            grid = np.repeat(grid, n)
+        return np.stack([axis[i[self.inside]] for axis, i in zip(self.axes, at)],
+                        axis=1)
+
+    @functools.cached_property
+    def _rank(self) -> np.ndarray:
+        """Per cell, the point it is, or -1 outside the mask."""
+        rank = np.full(len(self.inside), -1, dtype=np.int64)
+        rank[self.inside] = np.arange(len(self.points))
+        return rank
+
+    @functools.cached_property
+    def _keys(self) -> list[np.ndarray]:
+        """Per axis, the keys of :func:`_interval_within`."""
+        keys = []
+        for axis, start, n in zip(self.axes, self.starts, self.shape.T):
+            key = np.empty(len(axis), dtype=complex)
+            key.real = np.repeat(start, n)
+            key.imag = axis
+            keys.append(key)
+        return keys
 
     def thinned(self, cap: int) -> tuple[Lattice, int]:
         """The sub-lattice of every s-th index per axis from the first
-        occupied one, under this mask cropped to the bounding index box of
-        the cells inside, for the least stride s that leaves from 1 to
-        ``cap`` points (they do not nest, so a stride may leave none), and
-        s; its points are this lattice's own, in order.
-        ``NoRingPointsError`` if no stride fits."""
+        occupied one, under the mask of this one-grid lattice cropped to
+        the bounding index box of the cells inside, for the least stride s
+        that leaves from 1 to ``cap`` points (they do not nest, so a stride
+        may leave none), and s; its points are this lattice's own, in
+        order.  ``NoRingPointsError`` if no stride fits."""
         if cap < 1:
             raise ValueError("a sample cap must be at least 1")
-        held = np.nonzero(self.inside)
+        inside = self.inside.reshape(self.shape[0])
+        held = np.nonzero(inside)
         crop = tuple(slice(int(at.min()), int(at.max()) + 1) if len(at)
                      else slice(0) for at in held)
-        inside = self.inside[crop]
-        rank = (np.cumsum(self.inside) - 1).reshape(self.inside.shape)[crop]
+        inside = inside[crop]
         # from the longest axis' length on, a stride keeps the first cell
         for stride in range(1, max(inside.shape, default=0) + 1):
             step = (slice(None, None, stride),) * len(self.axes)
             if 0 < np.count_nonzero(inside[step]) <= cap:
-                return Lattice(tuple(axis[cut][::stride]
-                                     for axis, cut in zip(self.axes, crop)),
-                               inside[step],
-                               self.points[rank[step][inside[step]]]), stride
+                return Lattice.stack([[axis[cut][::stride] for axis, cut
+                                       in zip(self.axes, crop)]],
+                                     inside[step]), stride
         raise NoRingPointsError(f"no stride leaves from 1 to {cap} points of "
                                 "the lattice")
 
-    def boxes(self, centers: np.ndarray, reach: np.ndarray, strict=True):
+    def boxes(self, centers: np.ndarray, reach: np.ndarray, strict=True,
+              grid=None):
         """Per axis (rows) and center (columns), the index interval ``first
-        <= t < stop`` (maybe empty) of the cells with ``|axis[t] - z_k| <
-        reach[k]`` (``<=`` unless ``strict``): the open (closed) sup-norm
-        balls, decided on the float gaps."""
+        <= t < stop`` (maybe empty) of the cells of grid ``grid[k]`` (grid 0
+        if not given) with ``|axis[t] - z_k| < reach[k]`` (``<=`` unless
+        ``strict``): the open (closed) sup-norm balls, decided on the float
+        gaps."""
+        centers = np.asarray(centers, dtype=float)
         reach = np.broadcast_to(np.asarray(reach, float), len(centers))
-        spans = [_interval_within(axis, z, reach, strict)
-                 for axis, z in zip(self.axes, np.asarray(centers, float).T)]
+        if grid is None:
+            grid = np.zeros(len(centers), dtype=np.int64)
+        spans = [_interval_within(keys, start[grid], n[grid], z, reach, strict)
+                 for keys, start, n, z
+                 in zip(self._keys, self.starts, self.shape.T, centers.T)]
         return (np.stack([f for f, _ in spans]),
                 np.stack([np.maximum(f, t + 1) for f, t in spans]))
 
-    def pairs(self, centers: np.ndarray, reach: np.ndarray):
-        """Every pair (i, k) with ``|points[i] - centers[k]|_inf <= reach[k]``,
-        as ``(rows, cols)`` in lexicographic (i, k) order: the closed
-        sup-norm balls, decided on the float gaps of each axis.
+    def cells(self, first: np.ndarray, stop: np.ndarray, grid=None):
+        """Every cell of the boxes ``first <= t < stop`` of grids ``grid``
+        (grid 0 if not given; as :meth:`boxes` gives them), box by box and
+        in C order within each, as ``(rows, boxes)``: the point each cell
+        is (-1 outside the mask), and its box."""
+        if grid is None:
+            grid = np.zeros(first.shape[1], dtype=np.int64)
+        cell, boxes = _box_cells(self.shape[grid].T, first, stop)
+        return self._rank[(np.cumsum(self.sizes) - self.sizes)[grid[boxes]]
+                          + cell], boxes
 
-        Each ball's cells are one box of per-axis index intervals; the
-        cells inside are mapped to their point indices and the pairs
-        sorted once.
-        """
-        rows, cols = self.cells(*self.boxes(centers, reach, strict=False))
+    def pairs(self, first: np.ndarray, stop: np.ndarray, grid=None):
+        """Every pair (i, j) of a point inside and a box that holds it, of
+        the boxes as :meth:`cells` reads them, as ``(rows, boxes)`` in
+        lexicographic (i, j) order."""
+        rows, boxes = self.cells(first, stop, grid)
         held = rows >= 0
-        rows, cols = rows[held], cols[held]
-        # ball by ball, each ball's rows ascend: a stable sort by row keeps
-        # every row's balls ascending too
+        rows, boxes = rows[held], boxes[held]
+        # box by box, each box's rows ascend: a stable sort by row keeps
+        # every row's boxes ascending too
         order = np.argsort(rows, kind="stable")
-        return rows[order], cols[order]
+        return rows[order], boxes[order]
 
-    def cells(self, first: np.ndarray, stop: np.ndarray):
-        """Every cell of the boxes ``first <= t < stop`` (as :meth:`boxes`
-        gives them), box by box and lexicographic within each, as ``(rows,
-        boxes)``: the point each cell is (-1 outside the mask), and its
-        box."""
-        count = first.shape[1]
-        cell, boxes = _box_cells([np.broadcast_to(len(axis), count)
-                                  for axis in self.axes], first, stop)
-        index = np.full(self.inside.size, -1, dtype=np.int64)
-        index[self.inside.ravel()] = np.arange(len(self.points))
-        return index[cell], boxes
-
-    def slabs(self, centers: np.ndarray, reach: np.ndarray, budget: int):
-        """``(block, slab)`` for consecutive slabs of first-axis cells: each
-        slab is the sub-lattice of those cells, and ``block`` the slice of
-        ``points`` it holds.  A slab is cut so that the boxes of the closed
-        balls ``|x - z_k|_inf <= reach[k]``, a bound on its pairs, hold at
-        most ``budget`` cells, or is one first-axis cell.  There is always at
-        least one slab."""
-        first, stop = self.boxes(centers, reach, strict=False)
-        size = stop - first
+    def slabs(self, grid: np.ndarray, first: np.ndarray, stop: np.ndarray,
+              budget: int):
+        """``(block, at, first, stop)`` for consecutive slabs of the stack's
+        first axis, grid after grid: ``block`` is the slice of ``points``
+        the slab holds, ``at`` the boxes (of grids ``grid``, as
+        :meth:`boxes` gives them) that meet it, and ``first`` and ``stop``
+        those boxes cut to it.  A slab holds at most ``budget`` box cells,
+        or is one first-axis cell.  There is always at least one slab."""
+        offset = self.starts[0][grid]
+        lo, hi = offset + first[0], offset + stop[0]
         cells = len(self.axes[0])
-        # the box cells and the points before each first-axis index
-        per_cell = np.zeros(cells + 1, dtype=np.int64)
-        volume = np.prod(size[1:], axis=0)
-        np.add.at(per_cell, first[0], volume)
-        np.add.at(per_cell, first[0] + size[0], -volume)
-        total = np.r_[0, np.cumsum(np.cumsum(per_cell[:-1]))]
-        held = np.r_[0, np.cumsum(np.count_nonzero(
-            self.inside, axis=tuple(range(1, len(self.axes)))))]
+        # the box cells, and the points, before each first-axis cell
+        volume = np.prod(stop[1:] - first[1:], axis=0)
+        total = np.zeros(cells + 1, dtype=np.int64)
+        np.add.at(total, lo, volume)
+        np.add.at(total, hi, -volume)
+        total = np.r_[0, np.cumsum(np.cumsum(total[:-1]))]
+        held = np.r_[0, np.cumsum(self.inside)][np.r_[0, np.cumsum(np.repeat(
+            np.prod(self.shape[:, 1:], axis=1), self.shape[:, 0]))]]
         start = 0
         while True:
-            stop = int(np.searchsorted(total, total[start] + budget, "right")) - 1
-            stop = min(max(stop, start + 1), cells)
-            block = slice(int(held[start]), int(held[stop]))
-            yield block, Lattice((self.axes[0][start:stop], *self.axes[1:]),
-                                 self.inside[start:stop], self.points[block])
-            start = stop
+            end = int(np.searchsorted(total, total[start] + budget, "right")) - 1
+            end = min(max(end, start + 1), cells)
+            at = np.flatnonzero((lo < end) & (hi > start))
+            cut_first, cut_stop = first[:, at], stop[:, at]
+            cut_first[0] = np.maximum(lo[at], start) - offset[at]
+            cut_stop[0] = np.minimum(hi[at], end) - offset[at]
+            yield slice(int(held[start]), int(held[end])), at, cut_first, cut_stop
+            start = end
             if start >= cells:
                 return
 
     def count(self, centers: np.ndarray, reach: np.ndarray) -> np.ndarray:
-        """Per cell inside, how many open balls ``|x - z_k|_inf < reach[k]``
-        hold it."""
+        """Per cell inside this one-grid lattice, how many open balls ``|x -
+        z_k|_inf < reach[k]`` hold it."""
         return self.count_boxes(*self.boxes(centers, reach))
 
     def count_boxes(self, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-        """Per cell inside, how many of the boxes ``first <= t < stop`` (as
-        :meth:`boxes` gives them) hold it: +-1 at each box's 2^d corners of
-        a difference array, then one cumulative sum per axis (Crow,
-        "Summed-area tables for texture mapping", SIGGRAPH 1984)."""
+        """Per cell inside this one-grid lattice, how many of the boxes
+        ``first <= t < stop`` (as :meth:`boxes` gives them) hold it: +-1 at
+        each box's 2^d corners of a difference array, then one cumulative
+        sum per axis (Crow, "Summed-area tables for texture mapping",
+        SIGGRAPH 1984)."""
         diff = np.zeros([len(axis) + 1 for axis in self.axes], dtype=np.intp)
         for corner in np.ndindex(*(2,) * len(self.axes)):
             at = tuple((stop if up else first)[a] for a, up in enumerate(corner))
             np.add.at(diff, at, (-1) ** sum(corner))
         for a in range(diff.ndim):
             np.cumsum(diff, axis=a, out=diff)
-        return diff[tuple(slice(-1) for _ in self.axes)][self.inside]
+        return diff[tuple(slice(-1) for _ in self.axes)].reshape(-1)[self.inside]
 
 
 def cell_axes(box: Box, resolution: float) -> list[np.ndarray]:
@@ -308,99 +398,6 @@ def cell_axes(box: Box, resolution: float) -> list[np.ndarray]:
 def cell_lattice(box: Box, resolution: float) -> Lattice:
     """The lattice of :func:`cell_axes`."""
     return Lattice.of(cell_axes(box, resolution))
-
-
-@dataclass(frozen=True, eq=False)
-class Grids:
-    """A stack of tensor grids, one per ball: ``axes[a]`` holds every
-    grid's sorted coordinates on axis a, grid after grid, and ``shape[k,
-    a]`` is how many of them grid k has.  ``points`` lists the grids'
-    points grid by grid, lexicographic within each, as the concatenated
-    ``mesh_points`` of the grids."""
-
-    axes: tuple[np.ndarray, ...]
-    shape: np.ndarray
-
-    @classmethod
-    def of(cls, grids) -> Grids:
-        """The stack of the grids given as lists of per-axis coordinates."""
-        grids = [[np.asarray(axis, dtype=float) for axis in grid]
-                 for grid in grids]
-        return cls(tuple(np.concatenate(axes) for axes in zip(*grids)),
-                   np.array([[len(axis) for axis in grid] for grid in grids],
-                            dtype=np.int64))
-
-    @classmethod
-    def linspace(cls, centers: np.ndarray, half, count: int) -> Grids:
-        """Box by box (rows z of ``centers``, h of ``half``), the grid of
-        ``np.linspace(z - h, z + h, count)`` per axis."""
-        half = np.asarray(half, dtype=float)[:, None]
-        axes = np.linspace(centers - half, centers + half, count, axis=-1)
-        return cls(tuple(axes[:, a].ravel() for a in range(centers.shape[1])),
-                   np.full(centers.shape, count, dtype=np.int64))
-
-    @functools.cached_property
-    def starts(self) -> np.ndarray:
-        """Per axis (rows) and grid (columns), where the grid's coordinates
-        start in ``axes``."""
-        return (np.cumsum(self.shape, axis=0) - self.shape).T
-
-    @functools.cached_property
-    def sizes(self) -> np.ndarray:
-        """The number of points of each grid."""
-        return np.prod(self.shape, axis=1)
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        grid = np.arange(len(self.shape))
-        at = []
-        for axis, start, n in zip(self.axes, self.starts, self.shape.T):
-            n = n[grid]
-            at = [np.repeat(i, n) for i in at] + [_ranges(start[grid], n)]
-            grid = np.repeat(grid, n)
-        return np.stack([axis[i] for axis, i in zip(self.axes, at)], axis=1)
-
-    def take(self, lo: int, hi: int) -> Grids:
-        """The stack of grids lo..hi-1."""
-        ends = np.cumsum(self.shape, axis=0).T
-        return Grids(tuple(axis[start[lo]:end[hi - 1]] if hi > lo else axis[:0]
-                           for axis, start, end
-                           in zip(self.axes, self.starts, ends)),
-                     self.shape[lo:hi])
-
-    def within(self, grid: np.ndarray, centers: np.ndarray, reach: np.ndarray):
-        """Per axis (rows) and query (columns), the index interval ``first
-        <= t < stop`` of grid ``grid[q]``'s cells with ``|axis[t] -
-        centers[q]| <= reach[q]``, decided on the float gaps by the tests of
-        :func:`_interval_within`.  One ``searchsorted`` cannot search many
-        sorted segments at once, so each end is found by bisection within
-        its grid's own coordinates."""
-        ends = []
-        for axis, start, size, z in zip(self.axes, self.starts, self.shape.T,
-                                        centers.T):
-            start, size = start[grid], size[grid]
-            for test, bound in ((np.less, -reach), (np.less_equal, reach)):
-                # count the leading t with test(axis[t] - z, bound)
-                count = np.zeros(len(grid), dtype=np.int64)
-                step = 1 << int(size.max(initial=0)).bit_length()
-                while step > 1:
-                    step >>= 1
-                    at = np.flatnonzero(count + step <= size)
-                    at = at[test(axis[start[at] + count[at] + step - 1] - z[at],
-                                 bound[at])]
-                    count[at] += step
-                ends.append(count)
-        first = np.array(ends[::2])
-        return first, np.maximum(first, np.array(ends[1::2]))
-
-    def pairs(self, grid: np.ndarray, first: np.ndarray, stop: np.ndarray):
-        """Every point of the boxes ``first <= t < stop`` of grids ``grid``
-        (one column per box), as ``(rows, boxes)`` sorted by point, each
-        point's boxes in ascending order."""
-        cell, boxes = _box_cells(self.shape[grid].T, first, stop)
-        rows = (np.cumsum(self.sizes) - self.sizes)[grid[boxes]] + cell
-        order = np.argsort(rows, kind="stable")
-        return rows[order], boxes[order]
 
 
 class Region:

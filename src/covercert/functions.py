@@ -81,23 +81,31 @@ class TestFunction:
         out = self.partials(x[None, :] if scalar else x, [alpha])[alpha]
         return float(out[0]) if scalar else out
 
-    def partials(self, x, alphas) -> dict:
-        """The partials ``alphas`` at the points ``x`` (N, d), as a dict by
-        alpha.  Each factor is evaluated once per axis for every order
-        asked, and each alpha multiplies its factors from ones in axis
-        order, so each value is bitwise ``partial``'s."""
+    def at(self, x, tops):
+        """The partials alpha <= ``tops`` at the points ``x`` (N, d), as a
+        function of alpha.  Each factor is evaluated here, once per axis
+        for every order up to ``tops``, and each partial, formed when it is
+        asked for, multiplies its factors from ones in axis order, so its
+        values are bitwise ``partial``'s."""
         pts = np.asarray(x, dtype=float)
-        alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
-        tops = np.max(alphas, axis=0).tolist() if alphas else []
-        orders = [factor.orders(pts[:, i], top)
+        orders = [factor.orders(pts[:, i], int(top))
                   for i, (factor, top) in enumerate(zip(self.factors, tops))]
-        out = {}
-        for alpha in alphas:
+
+        def partial(alpha) -> np.ndarray:
             val = np.ones(len(pts))
             for axis, a_i in zip(orders, alpha):
                 val = val * axis[a_i]
-            out[alpha] = val
-        return out
+            return val
+        return partial
+
+    def partials(self, x, alphas) -> dict:
+        """The partials ``alphas`` at the points ``x`` (N, d), as a dict by
+        alpha (see :meth:`at`)."""
+        alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
+        if not alphas:
+            return {}
+        partial = self.at(x, np.max(alphas, axis=0))
+        return {alpha: partial(alpha) for alpha in alphas}
 
     def scaled(self, scale: float) -> "TestFunction":
         first = _ScaledFactor(self.factors[0], scale)

@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain, _interval_within
+from .domains import Box, ExhaustionDomain
 from .errors import NoRingPointsError, RefinementRequiredError
 from .report import FAIL, NOT_CERTIFIED, PASS, Certificate
 from .weights import WeightFamily
@@ -164,8 +164,8 @@ class RadiusOracle:
         self._lattice = lattice = domain.ring_lattice(n, self.resolution, box)
         if len(lattice.points) == 0:
             raise NoRingPointsError("the truncation box contains no ring points")
-        self._axes, self._inside = lattice.axes, lattice.inside
-        self._shape = self._inside.shape
+        self._axes, self._shape = lattice.axes, tuple(lattice.shape[0].tolist())
+        self._inside = lattice.inside.reshape(self._shape)
 
         r0 = np.full(self._shape, np.inf)
         r0[self._inside] = family.radius(n, lattice.points)
@@ -255,10 +255,10 @@ class RadiusOracle:
         # own radius: per axis, one interval of the window, read as a box
         # minimum of the level
         lo, hi = [], []
-        for axis, m, c, at in zip(self._axes, self._shape, near.T, pts.T):
-            first, last = _interval_within(axis, at, r0)
+        for first, stop, m, c in zip(*self._lattice.boxes(pts, r0, strict=False),
+                                     self._shape, near.T):
             lo.append(np.clip(np.maximum(first, c - cells), 0, m).astype(np.intp))
-            hi.append(np.clip(np.minimum(last, c + cells), -1, m - 1)
+            hi.append(np.clip(np.minimum(stop - 1, c + cells), -1, m - 1)
                       .astype(np.intp))
         lo, hi = np.array(lo), np.array(hi)
         own = np.full(len(pts), np.inf)
@@ -298,10 +298,11 @@ class RadiusOracle:
             cells = np.flatnonzero(self._inside)
             r = self._levels[0].ravel()[cells]
             lo, hi = [], []
-            for axis, at in zip(self._axes, np.unravel_index(cells, self._shape)):
-                first, last = _interval_within(axis, axis[at], r)
+            for first, stop, at in zip(
+                    *self._lattice.boxes(self._lattice.points, r, strict=False),
+                    np.unravel_index(cells, self._shape)):
                 lo.append(np.maximum(first, at - self._cells))
-                hi.append(np.minimum(last, at + self._cells))
+                hi.append(np.minimum(stop - 1, at + self._cells))
             self._plan = (cells, *_plan_boxes(np.array(lo), np.array(hi),
                                               self._shape))
         return self._plan

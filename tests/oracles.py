@@ -18,8 +18,7 @@ from scipy.spatial import cKDTree
 
 from covercert import bumps
 from covercert.bumps import build_profile, derivative_constant, partition_partials
-from covercert.domains import (Box, Grids, Lattice, cell_lattice, lattice_axes,
-                               mesh_points)
+from covercert.domains import Box, Lattice, cell_lattice, lattice_axes, mesh_points
 from covercert.multiindex import indices_below, indices_up_to_order, multi_binom
 from covercert.piecewise import PiecewisePoly, indicator
 
@@ -259,7 +258,8 @@ def core_owners(cover, zetas):
 def point_grids(pts):
     """A stack of one-point grids, one per row of ``pts``."""
     pts = np.asarray(pts, dtype=float)
-    return Grids(tuple(pts.T.copy()), np.ones(pts.shape, dtype=np.int64))
+    return Lattice(tuple(pts.T.copy()), np.ones(pts.shape, dtype=np.int64),
+                   np.ones(len(pts), dtype=bool))
 
 
 def point_lattice(pts):
@@ -268,9 +268,7 @@ def point_lattice(pts):
     axes = [np.unique(at) for at in pts.T]
     inside = np.zeros([len(axis) for axis in axes], dtype=bool)
     inside[tuple(np.searchsorted(axis, at) for axis, at in zip(axes, pts.T))] = True
-    cells = np.nonzero(inside)      # in lexicographic order
-    return Lattice(tuple(axes), inside,
-                   np.stack([axis[i] for axis, i in zip(axes, cells)], axis=1))
+    return Lattice.stack([axes], inside)
 
 
 def neighbors(cover):

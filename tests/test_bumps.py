@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import point_grids, point_lattice
-from covercert import bumps, piecewise
+from covercert import bumps, domains, piecewise
 from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        build_cover, build_partition, build_profile,
                        certify_partition, constant_exhaustion,
@@ -16,7 +16,7 @@ from covercert import (Box, BoxRegion, SmoothnessOrderError, boundary_family,
                        default_weights, expanding_boxes, neighbor_sets)
 from covercert.bumps import (BumpProfile, Incidence, Partition, PartitionFn,
                              function_values, partition_partials)
-from covercert.domains import Grids, Lattice
+from covercert.domains import Lattice
 from covercert.multiindex import indices_below, indices_up_to_order
 from covercert.piecewise import PiecewisePoly
 
@@ -49,6 +49,12 @@ def cube_setup():
     cover = build_cover(fam, dom, 1, 0.01, box=Box((0.25,) * 3, (0.4,) * 3))
     partition = build_partition(cover, order=5)
     return dom, fam, cover, partition
+
+
+def incidence(partition, lattice, betas, owners=None):
+    """One ``Incidence`` of all the pairs of a reading of ``lattice``."""
+    pairs = partition.pairs(lattice, owners)
+    return Incidence(partition, lattice.points, pairs, betas, owners is not None)
 
 
 def fn_values(partition, k, pts):
@@ -194,7 +200,7 @@ class TestIncidenceEngine:
     def test_shared_incidence_matches_per_function_loops(self, case):
         partition, lattice, alpha = case
         pts = lattice.points
-        inc = Incidence(partition, lattice, indices_below(alpha))
+        inc = incidence(partition, lattice, indices_below(alpha))
         table = inc.partials()
         for k in range(len(partition)):
             cut = oracles.cutoff(partition, k)
@@ -240,7 +246,7 @@ class TestIncidenceEngine:
             self, square_setup, monkeypatch):
         dom, _, cover, partition = square_setup
         lattice = dom.ring_lattice(1, 0.004, Box((0.1, 0.1), (0.55, 0.55)))
-        inc = Incidence(partition, lattice, indices_below((2, 2)))
+        inc = incidence(partition, lattice, indices_below((2, 2)))
         longest = int(np.bincount(inc.rows).max())
         assert len(partition) == 25 == max(len(fn.blockers) for fn in partition) + 1
         assert longest == 19
@@ -364,17 +370,17 @@ class TestIncidenceEngine:
         pts = point_lattice(np.array([[0.3, 0.3]]))
         for betas in ([(1, 0)], [(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 3)], []):
             with pytest.raises(ValueError):
-                Incidence(partition, pts, betas)
+                incidence(partition, pts, betas)
         with pytest.raises(ValueError):
-            Incidence(partition, pts, [(0, 0, 0)])
+            incidence(partition, pts, [(0, 0, 0)])
 
     def test_down_set_tables_equal_box_tables(self, square_setup):
         # every beta keeps its gamma order, so a table over |beta| <= 2 is
         # bitwise the entries of the table over beta <= (2, 2)
         dom, _, cover, partition = square_setup
         lattice = dom.ring_lattice(1, 0.004, cover.box)
-        down = Incidence(partition, lattice, indices_up_to_order(2, 2))
-        box = Incidence(partition, lattice, indices_below((2, 2)))
+        down = incidence(partition, lattice, indices_up_to_order(2, 2))
+        box = incidence(partition, lattice, indices_below((2, 2)))
         assert len(down.betas) == 6 and len(box.betas) == 9
         assert len(down.rule.gamma) == 9 and len(box.rule.gamma) == 27
         box_table = box.partials()
@@ -389,7 +395,7 @@ class TestIncidenceEngine:
                    for v in fn_table(partition, 7, empty, (2, 1)).values())
         lattice = Lattice.of([np.empty(0), np.empty(0)])
         assert partition_sums(partition, lattice).shape == (0,)
-        inc = Incidence(partition, lattice, indices_below((1, 1)))
+        inc = incidence(partition, lattice, indices_below((1, 1)))
         assert len(inc.rows) == 0
         table = inc.partials()
         assert list(table) == indices_below((1, 1))
@@ -417,7 +423,7 @@ class TestIncidenceEngine:
         with pytest.raises(TypeError, match="Lattice"):
             partition.pairs(pts)
         with pytest.raises(TypeError, match="Lattice"):
-            Incidence(partition, pts, [(0, 0)])
+            incidence(partition, pts, [(0, 0)])
         with pytest.raises(TypeError, match="Lattice"):
             next(bumps.incidences(partition, pts, [(0, 0)]))
 
@@ -464,7 +470,7 @@ class TestIncidenceEngine:
         _, _, _, partition = square_setup
         for pts in (np.empty((0, 2)), np.array([[0.3, 0.3]])):
             with pytest.raises(SmoothnessOrderError):
-                Incidence(partition, point_grids(pts), indices_below((5, 0)),
+                incidence(partition, point_grids(pts), indices_below((5, 0)),
                           owners=np.full(len(pts), 3))
             with pytest.raises(SmoothnessOrderError):
                 fn_table(partition, 3, pts, (0, 5))
@@ -499,7 +505,7 @@ def partitions_and_grids(draw):
         grids.append(axes)
     alpha = tuple(draw(st.integers(0, min(2, partition.order - 1)))
                   for _ in range(d))
-    return partition, Grids.of(grids), np.array(owners), alpha
+    return partition, Lattice.stack(grids), np.array(owners), alpha
 
 
 class TestGridReader:
@@ -544,7 +550,7 @@ class TestGridReader:
         _, _, cover, partition = square_setup
         half = np.full(cover.size, 0.02)
         half[7] = cover.rho[7]
-        grids = Grids.of([[np.linspace(z - h, z + h, 120 if k == 7 else 5)
+        grids = Lattice.stack([[np.linspace(z - h, z + h, 120 if k == 7 else 5)
                            for z in center]
                           for k, (center, h) in enumerate(zip(cover.centers,
                                                               half))])
@@ -566,13 +572,39 @@ class TestGridReader:
         for beta in whole:
             assert_bitwise(blocked[beta], whole[beta])
 
+    def test_one_box_search_per_reading(self, square_setup, monkeypatch):
+        # a reading searches its links' boxes once, one interval search per
+        # axis, and cuts them to each block, however many blocks it reads
+        dom, _, cover, partition = square_setup
+        lattice = dom.ring_lattice(1, 0.004, cover.box)
+        grids = Lattice.linspace(cover.centers, cover.rho, 12)
+        owners = np.arange(cover.size)
+        cover.oracle.values(3, cover.centers)   # the oracle's own searches
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 256)
+        assert len(list(bumps.incidences(partition, grids, [(0, 0)],
+                                         owners))) > 5
+        assert len(list(bumps.incidences(partition, lattice, [(0, 0)]))) > 5
+        searches = []
+        search = domains._interval_within
+
+        def counting_search(*args, **kwargs):
+            searches.append(len(args[1]))     # the queries
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(domains, "_interval_within", counting_search)
+        partition_partials(partition, grids, owners, indices_below((1, 1)))
+        assert searches == [len(partition.links)] * 2
+        searches.clear()
+        certify_partition(partition, cover, cover.oracle, 2, lattice)
+        assert searches == [len(partition)] * 2
+
     def test_a_grid_reads_only_its_owner(self, square_setup):
         # a grid over several supports: points outside the owner's support
         # read zero, points inside read the owner's function alone
         _, _, cover, partition = square_setup
         axes = [np.linspace(0.15, 0.5, 36)] * 2
         k = 12
-        grids = Grids.of([axes])
+        grids = Lattice.stack([axes])
         values = function_values(partition, grids, [k])
         pts = grids.points
         assert_bitwise(values, oracles.recurrence_table(
@@ -676,7 +708,7 @@ class TestCutoff:
             x = np.asarray(cut.center) + rng.uniform(-1.1 * h, 1.1 * h, (300, 2))
             x[:len(profile.knots), 0] = cut.center[0] + rho * profile.knots
             top = (order - 1,) * 2
-            inc = Incidence(Partition(profile, [cut.center], [rho], [()]),
+            inc = incidence(Partition(profile, [cut.center], [rho], [()]),
                             point_grids(x), indices_below(top),
                             owners=np.zeros(len(x), int))
             for alpha in indices_below(top):

@@ -16,7 +16,7 @@ import oracles
 from covercert import bumps
 from covercert.bumps import function_values, partition_partials
 from covercert.certify import _integral_bound_terms, _leibniz
-from covercert.domains import Grids, Lattice
+from covercert.domains import Lattice
 from covercert.multiindex import indices_below
 from oracles import point_grids, point_lattice
 
@@ -33,6 +33,9 @@ def sum_of(*terms):
 
         def partials(self, x, alphas):
             return {alpha: self.partial(x, alpha) for alpha in alphas}
+
+        def at(self, x, tops):
+            return lambda alpha: self.partial(x, alpha)
 
     return Sum()
 
@@ -175,10 +178,11 @@ class TestRescaleMap:
         for cover in (schwartz_setup[1], chain_setup[2]):
             maps = oracles.rescale_maps(cover)
             d = cover.dimension
-            grids = Grids.of([[np.sort(z + rng.uniform(-h, h, rng.integers(0, 5)))
-                               for z in center]
-                              for center, h in zip(cover.centers,
-                                                   cover.core_halfwidths)])
+            grids = Lattice.stack([[np.sort(z + rng.uniform(-h, h,
+                                                            rng.integers(0, 5)))
+                                    for z in center]
+                                   for center, h in zip(cover.centers,
+                                                        cover.core_halfwidths)])
             got = cover.rescale(grids)
             owner = np.repeat(np.arange(cover.size), grids.sizes)
             want = np.array([maps[k].forward(z)
@@ -191,7 +195,7 @@ class TestRescaleMap:
         k = 3
         # the core box corner maps to the outer ball corner, and the
         # center stays put, exactly
-        grids = Grids.linspace(cover.centers, cover.core_halfwidths, 3)
+        grids = Lattice.linspace(cover.centers, cover.core_halfwidths, 3)
         _, center, image = cover.rescale(grids).points[3 * k:3 * k + 3]
         assert image == pytest.approx(cover.centers[k] + cover.rho[k], rel=1e-14)
         assert center.tobytes() == cover.centers[k].tobytes()
@@ -204,7 +208,7 @@ class TestMixedPartial:
         x = cover.centers[4] + 0.18
         table = partition_partials(partition, point_grids(x[None, :]), [4],
                                    indices_below((2,)))
-        exact = _leibniz(table, f.partials(x[None, :], table), (2,))[0]
+        exact = _leibniz(table, f.at(x[None, :], (2,)), (2,))[0]
 
         def hf(t):
             h_t = function_values(partition, point_grids([[t]]), [4])[0]

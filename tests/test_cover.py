@@ -15,7 +15,7 @@ from covercert import (Box, BoxRegion, Cover, DomainMembershipError,
 from covercert.bumps import Partition, build_profile, function_values
 from covercert.cover import (ball_overlaps, box_pairs, greedy_packing,
                              separation_holds)
-from covercert.domains import Grids, Lattice, lattice_axes, mesh_points
+from covercert.domains import Lattice, lattice_axes, mesh_points
 from oracles import greedy_naive, point_grids, point_lattice
 
 
@@ -381,13 +381,18 @@ def _point_cover(centers):
                  box=None, family=None, domain=None, oracle=None)
 
 
+def ball_pairs(lattice, centers, reach):
+    """``Lattice.pairs`` of the closed balls ``|x - z_k|_inf <= reach[k]``."""
+    return lattice.pairs(*lattice.boxes(centers, reach, strict=False))
+
+
 def _assert_pairs(cover, pts, reach, brute_force=True):
     """``Lattice.pairs`` of the centers on the lattice of the distinct
     points equals the KD-tree oracle bitwise (values and dtypes) and,
     optionally, the brute-force pair loop; ``reach`` is one number or one
     per center."""
     lattice = point_lattice(pts)
-    found = lattice.pairs(cover.centers, reach)
+    found = ball_pairs(lattice, cover.centers, reach)
     want = oracles.pairs_near_kdtree(cover, lattice.points, reach)
     for got, expected in zip(found, want):
         assert got.dtype == expected.dtype
@@ -412,14 +417,13 @@ def _balls_containing(cover, pts, inner):
 
 def _core_owners(cover, lattice):
     """Per lattice point, the core box whose grid ``Cover.core_grids``
-    reads it in, else -1; each point is read at most once, and each read
-    grid point is that lattice point, bitwise."""
-    grids, rows = cover.core_grids(lattice)
-    held = rows >= 0
-    assert np.bincount(rows[held], minlength=len(lattice.points)).max(initial=0) <= 1
-    assert grids.points[held].tobytes() == lattice.points[rows[held]].tobytes()
+    reads it in, else -1; each point is read at most once, and each point
+    of the stack is its lattice point, bitwise."""
+    cores, rows = cover.core_grids(lattice)
+    assert np.bincount(rows, minlength=len(lattice.points)).max(initial=0) <= 1
+    assert cores.points.tobytes() == lattice.points[rows].tobytes()
     owners = np.full(len(lattice.points), -1)
-    owners[rows[held]] = np.repeat(np.arange(cover.size), grids.sizes)[held]
+    owners[rows] = np.repeat(np.arange(cover.size), cores.sizes)[cores.inside]
     return owners
 
 
@@ -562,7 +566,7 @@ class TestLatticePairs:
         lattice, centers, reach = case
         want = oracles.pairs_near_kdtree(_point_cover(centers), lattice.points,
                                          reach)[:2]
-        for got, expected in zip(lattice.pairs(centers, reach), want):
+        for got, expected in zip(ball_pairs(lattice, centers, reach), want):
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
 
@@ -570,17 +574,21 @@ class TestLatticePairs:
     @given(ring_lattices(), st.integers(1, 60))
     def test_slabs_partition_the_pairs(self, case, budget):
         lattice, centers, reach = case
-        rows, cols = lattice.pairs(centers, reach)
-        parts, stop = [], 0
-        for block, slab in lattice.slabs(centers, reach, budget):
-            # consecutive slices of the points, each the slab's own points
-            assert block.start == stop
-            stop = block.stop
-            assert slab.points.tobytes() == lattice.points[block].tobytes()
-            slab_rows, slab_cols = slab.pairs(centers, reach)
-            assert len(slab.axes[0]) == 1 or len(slab_rows) <= budget
-            parts.append((slab_rows + block.start, slab_cols))
-        assert stop == len(lattice.points)
+        first, stop = lattice.boxes(centers, reach, strict=False)
+        grid = np.zeros(len(centers), dtype=np.int64)
+        rows, cols = lattice.pairs(first, stop)
+        parts, end = [], 0
+        for block, at, lo, hi in lattice.slabs(grid, first, stop, budget):
+            # consecutive slices of the points, and the boxes cut to each
+            # hold the pairs of its own points
+            assert block.start == end
+            end = block.stop
+            slab_rows, boxes = lattice.pairs(lo, hi, grid[at])
+            assert ((block.start <= slab_rows) & (slab_rows < end)).all()
+            assert len(np.unique(lattice.points[block, 0])) <= 1 or \
+                len(slab_rows) <= budget
+            parts.append((slab_rows, at[boxes]))
+        assert end == len(lattice.points)
         assert np.concatenate([r for r, _ in parts]).tolist() == rows.tolist()
         assert np.concatenate([c for _, c in parts]).tolist() == cols.tolist()
 
@@ -589,13 +597,15 @@ class TestLatticePairs:
         empty = dom.ring_lattice(1, 0.1, Box((2.0, 2.0), (3.0, 3.0)))
         centers = np.array([[2.5, 2.5]])
         assert len(empty.points) == 0
-        rows, cols = empty.pairs(centers, [10.0])
+        rows, cols = ball_pairs(empty, centers, [10.0])
         assert len(rows) == len(cols) == 0
         assert rows.dtype == cols.dtype == np.int64
-        assert [b for b, _ in empty.slabs(centers, [10.0], 4)] == \
+        boxes = empty.boxes(centers, [10.0], strict=False)
+        assert [b for b, *_ in empty.slabs(np.zeros(1, dtype=np.int64), *boxes,
+                                            4)] == \
             [slice(0, 0)] * len(empty.axes[0])
         full = dom.ring_lattice(1, 0.1, Box((-1.0, -1.0), (1.0, 1.0)))
-        assert len(full.pairs(centers, [0.0])[0]) == 0
+        assert len(ball_pairs(full, centers, [0.0])[0]) == 0
 
 
 class TestBatchQueries:
@@ -640,7 +650,8 @@ class TestBatchQueries:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_points(self, d):
         cover = _point_cover(np.arange(3.0 * d).reshape(3, d))
-        rows, cols = point_lattice(np.empty((0, d))).pairs(cover.centers, 0.5)
+        rows, cols = ball_pairs(point_lattice(np.empty((0, d))), cover.centers,
+                                0.5)
         assert len(rows) == len(cols) == 0
         _assert_pairs(cover, np.empty((0, d)), 0.5)
 
@@ -670,7 +681,7 @@ class TestBatchQueries:
         with pytest.raises(ValueError, match="infinite"):
             function_values(partition, point_grids(pts), [0, 1, 2])
         lattice = point_lattice(pts)
-        rows, cols = lattice.pairs(cover.centers, 1e300)
+        rows, cols = ball_pairs(lattice, cover.centers, 1e300)
         assert lattice.points[1].tolist() == [0.0] * d
         assert rows.tolist() == [1, 1, 1] and cols.tolist() == [0, 1, 2]
         assert list(zip(rows.tolist(), cols.tolist())) == \

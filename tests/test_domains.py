@@ -11,8 +11,7 @@ from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
                        ExhaustionDomain, NoRingPointsError, constant_exhaustion,
                        exhaustion_gap, expanding_boxes, full_space,
                        shrinking_boxes)
-from covercert.domains import (Grids, Lattice, _interval_within, cell_lattice,
-                               lattice_axes, mesh_points)
+from covercert.domains import Lattice, cell_lattice, lattice_axes, mesh_points
 
 
 def unit_interval():
@@ -268,17 +267,24 @@ def axis_queries(draw):
     return axis, np.array(z), np.array(r)
 
 
+def assert_interval(got, want):
+    """``Lattice.boxes``'s ``(first, stop)`` is the bisection's ``(first,
+    last)``, with an empty interval stopping at its first index."""
+    (first, stop), (lo, last) = got, want
+    assert first.dtype == lo.dtype and first.tobytes() == lo.tobytes()
+    assert stop.tobytes() == np.maximum(lo, last + 1).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(axis_queries(), st.booleans())
 def test_interval_within_equals_bisection(query, strict):
     axis, z, r = query
-    got = _interval_within(axis, z, r, strict)
-    want = oracles.interval_within(axis, z, r, strict)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    first, stop = Lattice.of([axis]).boxes(z[:, None], r, strict)
+    assert_interval((first[0], stop[0]),
+                    oracles.interval_within(axis, z, r, strict))
     # a NaN center or radius holds no index
     nan = np.isnan(z) | np.isnan(r)
-    assert (got[0][nan] == 0).all() and (got[1][nan] == -1).all()
+    assert (first[0][nan] == 0).all() and (stop[0][nan] == 0).all()
 
 
 @pytest.mark.parametrize("step", [0.1, 0.03, 0.0125])
@@ -290,9 +296,9 @@ def test_interval_within_every_gap_of_a_lattice(step, strict):
     axis = lattice_axes(Box((0.13,), (0.13 + step * 40.5,)), step)[0]
     z = np.repeat(axis, len(axis))
     r = np.abs(np.tile(axis, len(axis)) - z)
-    got = _interval_within(axis, z, r, strict)
-    want = oracles.interval_within(axis, z, r, strict)
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    first, stop = Lattice.of([axis]).boxes(z[:, None], r, strict)
+    assert_interval((first[0], stop[0]),
+                    oracles.interval_within(axis, z, r, strict))
 
 
 @st.composite
@@ -305,8 +311,7 @@ def thinned_cases(draw):
     axes = [np.sort(rng.uniform(-1.0, 1.0, n)) for n in shape]
     if draw(st.booleans()):
         inside = rng.random(shape) < draw(st.floats(0.1, 0.9))
-        lattice = Lattice(tuple(axes), inside,
-                          mesh_points(axes)[inside.ravel()])
+        lattice = Lattice.stack([axes], inside)
     else:
         lattice = Lattice.of(axes)
     cap = draw(st.integers(1, len(lattice.points) + 1))
@@ -318,7 +323,8 @@ class TestThinnedLattice:
     @given(thinned_cases())
     def test_least_stride_under_the_cap(self, case):
         lattice, cap = case
-        index = np.argwhere(lattice.inside)     # lexicographic, as the points
+        # lexicographic, as the points
+        index = np.argwhere(lattice.inside.reshape(lattice.shape[0]))
         # the bounding index box of the cells inside
         first = index.min(axis=0) if len(index) else np.zeros(index.shape[1], int)
         last = index.max(axis=0) if len(index) else first - 1
@@ -344,7 +350,7 @@ class TestThinnedLattice:
         for axis, own, lo, hi in zip(sample.axes, lattice.axes, first, last):
             assert axis.tobytes() == own[lo:hi + 1:stride].tobytes()
         assert sample.points.tobytes() == \
-            mesh_points(sample.axes)[sample.inside.ravel()].tobytes()
+            mesh_points(sample.axes)[sample.inside].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 400), st.data())
@@ -362,7 +368,7 @@ class TestThinnedLattice:
         axes = [np.arange(3222) * 0.003, np.arange(4) * 0.003]
         inside = np.zeros((3222, 4), dtype=bool)
         inside[:, 1] = True
-        lattice = Lattice(tuple(axes), inside, mesh_points(axes)[inside.ravel()])
+        lattice = Lattice.stack([axes], inside)
         sample, stride = lattice.thinned(2500)
         assert stride == 2 and len(sample.points) == 1611
         assert sample.points.tobytes() == lattice.points[::2].tobytes()
@@ -393,11 +399,13 @@ class TestGridStacks:
     @given(ball_boxes(), st.integers(1, 6))
     def test_linspace_is_each_balls_mesh(self, case, count):
         centers, rho, _ = case
-        grids = Grids.linspace(centers, rho, count)
+        grids = Lattice.linspace(centers, rho, count)
         want = [mesh_points([np.linspace(z - r, z + r, count) for z in center])
                 for center, r in zip(centers, rho.tolist())]
+        assert grids.sizes.tolist() == [len(pts) for pts in want]
         for k, pts in enumerate(want):
-            assert grids.take(k, k + 1).points.tobytes() == pts.tobytes()
+            assert grids.points[k * len(pts):(k + 1) * len(pts)].tobytes() == \
+                pts.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -409,7 +417,7 @@ class TestGridStacks:
         shape = np.array(data.draw(st.lists(
             st.lists(st.integers(0, 7), min_size=d, max_size=d),
             min_size=1, max_size=5)))
-        grids = Grids.of([[0.13 + step * (data.draw(st.integers(-3, 3))
+        grids = Lattice.stack([[0.13 + step * (data.draw(st.integers(-3, 3))
                                           + np.arange(n)) for n in row]
                           for row in shape])
         q = data.draw(st.integers(1, 12))
@@ -422,17 +430,18 @@ class TestGridStacks:
         r = np.array(data.draw(st.lists(
             st.integers(0, 8).map(lambda t: t * step / 2)
             | st.sampled_from([0.0, np.inf, np.nan]), min_size=q, max_size=q)))
-        first, stop = grids.within(grid, z, r)
+        first, stop = grids.boxes(z, r, strict=False, grid=grid)
         for a in range(d):
             for j, g in enumerate(grid.tolist()):
                 start = grids.starts[a][g]
                 axis = grids.axes[a][start:start + grids.shape[g, a]]
-                lo, hi = _interval_within(axis, z[j:j + 1, a], r[j:j + 1])
-                assert (first[a, j], stop[a, j]) == (lo[0], max(lo[0], hi[0] + 1))
+                assert_interval((first[a, j:j + 1], stop[a, j:j + 1]),
+                                oracles.interval_within(axis, z[j:j + 1, a],
+                                                        r[j:j + 1]))
 
     def test_one_point_grids_and_runs(self):
         pts = np.array([[0.5, -1.0], [0.25, 2.0], [0.25, 2.0]])
         grids = point_grids(pts)
         assert grids.points.tobytes() == pts.tobytes()
-        assert grids.take(1, 3).points.tobytes() == pts[1:].tobytes()
-        assert grids.take(2, 2).points.shape == (0, 2)
+        assert grids.sizes.tolist() == [1, 1, 1]
+        assert point_grids(pts[:0]).points.shape == (0, 2)
