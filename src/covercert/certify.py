@@ -171,8 +171,8 @@ def union_cell_midpoints(cover: Cover, box: Box, resolution: float) -> Lattice:
     least one outer ball: those with ``|x - z_k|_inf < rho_k + resolution /
     2`` for some k."""
     cells = cell_lattice(box, resolution)
-    return Lattice(cells.axes, cells.shape,
-                   cells.count(cover.centers, cover.rho + resolution / 2) > 0)
+    keep = cells.count(cover.centers, cover.rho + resolution / 2) > 0
+    return Lattice(cells.axes, cells.shape, keep, cells.points[keep])
 
 
 def _midpoint_integral(values: np.ndarray, resolution: float,

@@ -78,11 +78,11 @@ class Cover:
         least = np.full(len(lattice.points), self.size)
         np.minimum.at(least, rows[held], ks[held])
         rows[held[least[rows[held]] != ks[held]]] = -1
-        width = stop - first
-        cores = Lattice(tuple(axis[_ranges(lo, n)] for axis, lo, n
-                              in zip(lattice.axes, first, width)),
-                        width.T.copy(), rows >= 0)
-        return cores, rows[cores.inside]
+        width, inside = stop - first, rows >= 0
+        rows = rows[inside]
+        return Lattice(tuple(axis[_ranges(lo, n)] for axis, lo, n
+                             in zip(lattice.axes, first, width)),
+                       width.T.copy(), inside, lattice.points[rows]), rows
 
     def rescale(self, grids: Lattice) -> Lattice:
         """Each grid k of the stack expanded about center k by ``lam = 8

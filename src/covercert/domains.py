@@ -188,14 +188,26 @@ class Lattice:
     ``axes[a]`` holds every grid's sorted coordinates on axis a, grid after
     grid, and ``shape[g, a]`` is how many of them grid g has.  ``inside``
     flags every cell, grid by grid and in C order within each, and
-    ``points`` and :meth:`count` list the cells inside in that order.  The
-    check lattice is a stack of one grid; the per-ball readers read a
-    stack of one grid per ball.
+    ``points`` and :meth:`count` list the cells inside in that order
+    (formed from the axes unless given).  The check lattice is a stack of
+    one grid; the per-ball readers read a stack of one grid per ball.
     """
 
     axes: tuple[np.ndarray, ...]
     shape: np.ndarray
     inside: np.ndarray
+    points: np.ndarray = None
+
+    def __post_init__(self):
+        if self.points is None:
+            grid = np.arange(len(self.shape))
+            at = []
+            for start, n in zip(self.starts, self.shape.T):
+                n = n[grid]
+                at = [np.repeat(i, n) for i in at] + [_ranges(start[grid], n)]
+                grid = np.repeat(grid, n)
+            object.__setattr__(self, "points", np.stack(
+                [axis[i[self.inside]] for axis, i in zip(self.axes, at)], axis=1))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -217,10 +229,9 @@ class Lattice:
     def of(cls, axes, region: Region | None = None) -> Lattice:
         """The one-grid lattice of ``axes``, masked to ``region`` if one is
         given."""
-        lattice = cls.stack([axes])
-        if region is None:
-            return lattice
-        return cls(lattice.axes, lattice.shape, region.contains(lattice.points))
+        flat = mesh_points(axes)
+        keep = np.ones(len(flat), bool) if region is None else region.contains(flat)
+        return cls(tuple(axes), np.array([[len(a) for a in axes]]), keep, flat[keep])
 
     @classmethod
     def linspace(cls, centers: np.ndarray, half, count: int) -> Lattice:
@@ -242,17 +253,6 @@ class Lattice:
     def sizes(self) -> np.ndarray:
         """The number of cells of each grid."""
         return np.prod(self.shape, axis=1)
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        grid = np.arange(len(self.shape))
-        at = []
-        for start, n in zip(self.starts, self.shape.T):
-            n = n[grid]
-            at = [np.repeat(i, n) for i in at] + [_ranges(start[grid], n)]
-            grid = np.repeat(grid, n)
-        return np.stack([axis[i[self.inside]] for axis, i in zip(self.axes, at)],
-                        axis=1)
 
     @functools.cached_property
     def _rank(self) -> np.ndarray:
@@ -285,14 +285,17 @@ class Lattice:
         held = np.nonzero(inside)
         crop = tuple(slice(int(at.min()), int(at.max()) + 1) if len(at)
                      else slice(0) for at in held)
+        rank = (np.cumsum(inside) - 1).reshape(inside.shape)[crop]
         inside = inside[crop]
         # from the longest axis' length on, a stride keeps the first cell
         for stride in range(1, max(inside.shape, default=0) + 1):
             step = (slice(None, None, stride),) * len(self.axes)
             if 0 < np.count_nonzero(inside[step]) <= cap:
-                return Lattice.stack([[axis[cut][::stride] for axis, cut
-                                       in zip(self.axes, crop)]],
-                                     inside[step]), stride
+                return Lattice(tuple(axis[cut][::stride]
+                                     for axis, cut in zip(self.axes, crop)),
+                               np.array([inside[step].shape]),
+                               inside[step].ravel(),
+                               self.points[rank[step][inside[step]]]), stride
         raise NoRingPointsError(f"no stride leaves from 1 to {cap} points of "
                                 "the lattice")
 
@@ -321,8 +324,8 @@ class Lattice:
         if grid is None:
             grid = np.zeros(first.shape[1], dtype=np.int64)
         cell, boxes = _box_cells(self.shape[grid].T, first, stop)
-        return self._rank[(np.cumsum(self.sizes) - self.sizes)[grid[boxes]]
-                          + cell], boxes
+        cell += (np.cumsum(self.sizes) - self.sizes)[grid][boxes]
+        return self._rank[cell], boxes
 
     def pairs(self, first: np.ndarray, stop: np.ndarray, grid=None):
         """Every pair (i, j) of a point inside and a box that holds it, of
