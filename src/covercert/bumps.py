@@ -488,11 +488,12 @@ def incidences(partition: Partition, lattice: Lattice, betas, owners=None):
     """
     grid, cols, first, stop = partition.links_within(lattice, owners)
     for block, at, lo, hi in lattice.slabs(grid, first, stop, _BLOCK_PAIRS):
-        rows, boxes = lattice.pairs(lo, hi, grid[at])
+        rows, fns = lattice.pairs(lo, hi, grid[at])
         rows -= block.start
-        inc = Incidence(partition, lattice.points[block],
-                        (rows, cols[at][boxes]), betas, owners is not None)
-        del rows, boxes     # not held while the block is read
+        fns = cols[at][fns]
+        inc = Incidence(partition, lattice.points[block], (rows, fns), betas,
+                        owners is not None)
+        del rows, fns       # not held while the block is read
         yield block, inc
 
 

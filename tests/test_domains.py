@@ -11,7 +11,8 @@ from covercert import (Box, BoxRegion, DistanceRegion, DomainMembershipError,
                        ExhaustionDomain, NoRingPointsError, constant_exhaustion,
                        exhaustion_gap, expanding_boxes, full_space,
                        shrinking_boxes)
-from covercert.domains import Lattice, cell_lattice, lattice_axes, mesh_points
+from covercert.domains import (Lattice, _interval_within, cell_lattice,
+                               lattice_axes, mesh_points)
 
 
 def unit_interval():
@@ -267,24 +268,24 @@ def axis_queries(draw):
     return axis, np.array(z), np.array(r)
 
 
-def assert_interval(got, want):
-    """``Lattice.boxes``'s ``(first, stop)`` is the bisection's ``(first,
-    last)``, with an empty interval stopping at its first index."""
-    (first, stop), (lo, last) = got, want
-    assert first.dtype == lo.dtype and first.tobytes() == lo.tobytes()
-    assert stop.tobytes() == np.maximum(lo, last + 1).tobytes()
+def interval_within(axis, z, r, strict=False):
+    """``_interval_within`` on the one grid ``axis``."""
+    keys = Lattice.of([axis])._keys[0]
+    return _interval_within(keys, np.zeros(len(z), dtype=np.int64),
+                            np.full(len(z), len(axis)), z, r, strict)
 
 
 @settings(max_examples=300, deadline=None)
 @given(axis_queries(), st.booleans())
 def test_interval_within_equals_bisection(query, strict):
     axis, z, r = query
-    first, stop = Lattice.of([axis]).boxes(z[:, None], r, strict)
-    assert_interval((first[0], stop[0]),
-                    oracles.interval_within(axis, z, r, strict))
+    got = interval_within(axis, z, r, strict)
+    want = oracles.interval_within(axis, z, r, strict)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     # a NaN center or radius holds no index
     nan = np.isnan(z) | np.isnan(r)
-    assert (first[0][nan] == 0).all() and (stop[0][nan] == 0).all()
+    assert (got[0][nan] == 0).all() and (got[1][nan] == -1).all()
 
 
 @pytest.mark.parametrize("step", [0.1, 0.03, 0.0125])
@@ -296,9 +297,9 @@ def test_interval_within_every_gap_of_a_lattice(step, strict):
     axis = lattice_axes(Box((0.13,), (0.13 + step * 40.5,)), step)[0]
     z = np.repeat(axis, len(axis))
     r = np.abs(np.tile(axis, len(axis)) - z)
-    first, stop = Lattice.of([axis]).boxes(z[:, None], r, strict)
-    assert_interval((first[0], stop[0]),
-                    oracles.interval_within(axis, z, r, strict))
+    got = interval_within(axis, z, r, strict)
+    want = oracles.interval_within(axis, z, r, strict)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @st.composite
@@ -435,9 +436,8 @@ class TestGridStacks:
             for j, g in enumerate(grid.tolist()):
                 start = grids.starts[a][g]
                 axis = grids.axes[a][start:start + grids.shape[g, a]]
-                assert_interval((first[a, j:j + 1], stop[a, j:j + 1]),
-                                oracles.interval_within(axis, z[j:j + 1, a],
-                                                        r[j:j + 1]))
+                lo, hi = oracles.interval_within(axis, z[j:j + 1, a], r[j:j + 1])
+                assert (first[a, j], stop[a, j]) == (lo[0], max(lo[0], hi[0] + 1))
 
     def test_one_point_grids_and_runs(self):
         pts = np.array([[0.5, -1.0], [0.25, 2.0], [0.25, 2.0]])
