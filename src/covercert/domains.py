@@ -196,7 +196,7 @@ class Lattice:
     axes: tuple[np.ndarray, ...]
     shape: np.ndarray
     inside: np.ndarray
-    points: np.ndarray = None
+    points: np.ndarray | None = None
 
     def __post_init__(self):
         if self.points is None:
