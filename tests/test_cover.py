@@ -574,23 +574,30 @@ class TestLatticePairs:
     @given(ring_lattices(), st.integers(1, 60))
     def test_slabs_partition_the_pairs(self, case, budget):
         lattice, centers, reach = case
-        first, stop = lattice.boxes(centers, reach, strict=False)
-        grid = np.zeros(len(centers), dtype=np.int64)
-        rows, cols = lattice.pairs(first, stop)
-        parts, end = [], 0
-        for block, at, lo, hi in lattice.slabs(grid, first, stop, budget):
-            # consecutive slices of the points, and the boxes cut to each
-            # hold the pairs of its own points
-            assert block.start == end
-            end = block.stop
-            slab_rows, boxes = lattice.pairs(lo, hi, grid[at])
-            assert ((block.start <= slab_rows) & (slab_rows < end)).all()
-            assert len(np.unique(lattice.points[block, 0])) <= 1 or \
-                len(slab_rows) <= budget
-            parts.append((slab_rows, at[boxes]))
-        assert end == len(lattice.points)
-        assert np.concatenate([r for r, _ in parts]).tolist() == rows.tolist()
-        assert np.concatenate([c for _, c in parts]).tolist() == cols.tolist()
+        # the lattice, and a stack of two grids: the lattice under its mask
+        # and under the complement, every center searched on both
+        two = Lattice.stack([lattice.axes] * 2,
+                            np.r_[lattice.inside, ~lattice.inside])
+        for lattice, copies in ((lattice, 1), (two, 2)):
+            grid = np.repeat(np.arange(copies), len(centers))
+            first, stop = lattice.boxes(np.tile(centers, (copies, 1)),
+                                        np.tile(reach, copies), strict=False,
+                                        grid=grid)
+            rows, cols = lattice.pairs(first, stop, grid)
+            parts, end = [], 0
+            for block, at, lo, hi in lattice.slabs(grid, first, stop, budget):
+                # consecutive slices of the points, and the boxes cut to
+                # each hold the pairs of its own points
+                assert block.start == end
+                end = block.stop
+                slab_rows, boxes = lattice.pairs(lo, hi, grid[at])
+                assert ((block.start <= slab_rows) & (slab_rows < end)).all()
+                assert len(np.unique(lattice.points[block, 0])) <= 1 or \
+                    len(slab_rows) <= budget
+                parts.append((slab_rows, at[boxes]))
+            assert end == len(lattice.points)
+            assert np.concatenate([r for r, _ in parts]).tolist() == rows.tolist()
+            assert np.concatenate([c for _, c in parts]).tolist() == cols.tolist()
 
     def test_empty_mask_and_no_reach(self):
         dom = expanding_boxes(2)
