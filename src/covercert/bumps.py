@@ -230,9 +230,9 @@ class Partition:
         index interval ``first <= t < stop`` of the grid inside the
         cutoff's closed support.
 
-        Without ``owners`` the lattice's one grid links to every cutoff, so
-        its pairs are all the (point, cutoff) pairs with the point in the
-        cutoff's closed support.  With ``owners`` (the function each grid
+        Without ``owners`` every grid links to every cutoff, so the pairs
+        are all the (point, cutoff) pairs with the point in the cutoff's
+        closed support.  With ``owners`` (the function each grid
         is read for) grid g links to the blockers and own cutoff of
         function ``owners[g]``, each cut to the own cutoff's box (the
         grid's last link), so a point outside its owner's support keeps no
@@ -245,15 +245,18 @@ class Partition:
                              "infinite")
         size = len(self)
         if owners is None:
-            return (np.zeros(size, dtype=np.int64), np.arange(size),
-                    *lattice.boxes(self.centers, self.half, strict=False))
-        own = np.asarray(owners, dtype=np.int64)
-        lo = np.searchsorted(self.links, own * size)
-        count = np.searchsorted(self.links, (own + 1) * size) - lo
-        grid = np.repeat(np.arange(len(own)), count)
-        cols = self.links[_ranges(lo, count)] % size
+            grid = np.repeat(np.arange(len(lattice.shape)), size)
+            cols = np.tile(np.arange(size), len(lattice.shape))
+        else:
+            own = np.asarray(owners, dtype=np.int64)
+            lo = np.searchsorted(self.links, own * size)
+            count = np.searchsorted(self.links, (own + 1) * size) - lo
+            grid = np.repeat(np.arange(len(own)), count)
+            cols = self.links[_ranges(lo, count)] % size
         first, stop = lattice.boxes(self.centers[cols], self.half[cols],
                                     strict=False, grid=grid)
+        if owners is None:
+            return grid, cols, first, stop
         last = np.repeat(np.cumsum(count) - 1, count)
         first = np.maximum(first, first[:, last])
         stop = np.maximum(first, np.minimum(stop, stop[:, last]))
@@ -487,7 +490,7 @@ def incidences(partition: Partition, lattice: Lattice, betas, owners=None):
     least one block, empty for no points.
     """
     grid, cols, first, stop = partition.links_within(lattice, owners)
-    for block, at, lo, hi in lattice.slabs(grid, first, stop, _BLOCK_PAIRS):
+    for _, block, at, lo, hi in lattice.slabs(grid, first, stop, _BLOCK_PAIRS):
         rows, fns = lattice.pairs(lo, hi, grid[at])
         rows -= block.start
         fns = cols[at][fns]

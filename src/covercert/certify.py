@@ -87,9 +87,9 @@ def seminorm(f: TestFunction, family: WeightFamily, n: int, m: int,
             raise TruncationBoxError(
                 "weight overflow on the sample grid; shrink the truncation box")
         best = 0.0
-        partials = f.partials(grid, indices_up_to_order(f.dimension, m))
-        for vals in partials.values():
-            vals = np.abs(vals) * nu
+        partial = f.at(grid, (m,) * f.dimension)
+        for alpha in indices_up_to_order(f.dimension, m):
+            vals = np.abs(partial(alpha)) * nu
             if not np.isfinite(vals).all():
                 raise TruncationBoxError(
                     "weighted derivative overflow on the sample grid")

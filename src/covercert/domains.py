@@ -341,12 +341,13 @@ class Lattice:
 
     def slabs(self, grid: np.ndarray, first: np.ndarray, stop: np.ndarray,
               budget: int):
-        """``(block, at, first, stop)`` for consecutive slabs of the stack's
-        first axis, grid after grid: ``block`` is the slice of ``points``
-        the slab holds, ``at`` the boxes (of grids ``grid``, as
-        :meth:`boxes` gives them) that meet it, and ``first`` and ``stop``
-        those boxes cut to it.  A slab holds at most ``budget`` box cells,
-        or is one first-axis cell.  There is always at least one slab."""
+        """``(cells, block, at, first, stop)`` for consecutive slabs of the
+        stack's first axis, grid after grid: ``cells`` is the slice of
+        ``axes[0]`` the slab spans, ``block`` the slice of ``points`` it
+        holds, ``at`` the boxes (of grids ``grid``, as :meth:`boxes` gives
+        them) that meet it, and ``first`` and ``stop`` those boxes cut to
+        it.  A slab holds at most ``budget`` box cells, or is one
+        first-axis cell.  There is always at least one slab."""
         offset = self.starts[0][grid]
         lo, hi = offset + first[0], offset + stop[0]
         cells = len(self.axes[0])
@@ -366,7 +367,8 @@ class Lattice:
             cut_first, cut_stop = first[:, at], stop[:, at]
             cut_first[0] = np.maximum(lo[at], start) - offset[at]
             cut_stop[0] = np.minimum(hi[at], end) - offset[at]
-            yield slice(int(held[start]), int(held[end])), at, cut_first, cut_stop
+            yield (slice(start, end), slice(int(held[start]), int(held[end])),
+                   at, cut_first, cut_stop)
             start = end
             if start >= cells:
                 return

@@ -78,15 +78,14 @@ class TestFunction:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
         alpha = tuple(int(a) for a in alpha)
-        out = self.partials(x[None, :] if scalar else x, [alpha])[alpha]
+        out = self.at(x[None, :] if scalar else x, alpha)(alpha)
         return float(out[0]) if scalar else out
 
     def at(self, x, tops):
         """The partials alpha <= ``tops`` at the points ``x`` (N, d), as a
         function of alpha.  Each factor is evaluated here, once per axis
         for every order up to ``tops``, and each partial, formed when it is
-        asked for, multiplies its factors from ones in axis order, so its
-        values are bitwise ``partial``'s."""
+        asked for, multiplies its factors from ones in axis order."""
         pts = np.asarray(x, dtype=float)
         orders = [factor.orders(pts[:, i], int(top))
                   for i, (factor, top) in enumerate(zip(self.factors, tops))]
@@ -97,15 +96,6 @@ class TestFunction:
                 val = val * axis[a_i]
             return val
         return partial
-
-    def partials(self, x, alphas) -> dict:
-        """The partials ``alphas`` at the points ``x`` (N, d), as a dict by
-        alpha (see :meth:`at`)."""
-        alphas = [tuple(int(a) for a in alpha) for alpha in alphas]
-        if not alphas:
-            return {}
-        partial = self.at(x, np.max(alphas, axis=0))
-        return {alpha: partial(alpha) for alpha in alphas}
 
     def scaled(self, scale: float) -> "TestFunction":
         first = _ScaledFactor(self.factors[0], scale)

@@ -584,18 +584,33 @@ class TestLatticePairs:
                                         np.tile(reach, copies), strict=False,
                                         grid=grid)
             rows, cols = lattice.pairs(first, stop, grid)
+            # the points before each first-axis cell of the stack
+            held = np.r_[0, np.cumsum(np.concatenate([
+                inside.reshape(shape).sum(axis=tuple(range(1, len(shape))))
+                for inside, shape in zip(np.split(lattice.inside,
+                                                  np.cumsum(lattice.sizes)[:-1]),
+                                         lattice.shape)]))]
             parts, end = [], 0
-            for block, at, lo, hi in lattice.slabs(grid, first, stop, budget):
-                # consecutive slices of the points, and the boxes cut to
-                # each hold the pairs of its own points
-                assert block.start == end
-                end = block.stop
+            for cells, block, at, lo, hi in lattice.slabs(grid, first, stop,
+                                                          budget):
+                # consecutive slabs of the first axis, each with the points
+                # of its cells and at most budget cells of the boxes cut to
+                # it, unless it is one first-axis cell
+                assert cells.start == end < cells.stop
+                end = cells.stop
+                assert (block.start, block.stop) == \
+                    (held[cells.start], held[cells.stop])
+                offset = lattice.starts[0][grid[at]]
+                assert (cells.start <= offset + lo[0]).all()
+                assert (offset + hi[0] <= cells.stop).all()
+                assert cells.stop - cells.start == 1 or \
+                    np.prod(hi - lo, axis=0).sum() <= budget
+                # the boxes cut to the slab hold the pairs of its points
                 slab_rows, boxes = lattice.pairs(lo, hi, grid[at])
-                assert ((block.start <= slab_rows) & (slab_rows < end)).all()
-                assert len(np.unique(lattice.points[block, 0])) <= 1 or \
-                    len(slab_rows) <= budget
+                assert ((block.start <= slab_rows) &
+                        (slab_rows < block.stop)).all()
                 parts.append((slab_rows, at[boxes]))
-            assert end == len(lattice.points)
+            assert end == len(lattice.axes[0])
             assert np.concatenate([r for r, _ in parts]).tolist() == rows.tolist()
             assert np.concatenate([c for _, c in parts]).tolist() == cols.tolist()
 
@@ -608,8 +623,8 @@ class TestLatticePairs:
         assert len(rows) == len(cols) == 0
         assert rows.dtype == cols.dtype == np.int64
         boxes = empty.boxes(centers, [10.0], strict=False)
-        assert [b for b, *_ in empty.slabs(np.zeros(1, dtype=np.int64), *boxes,
-                                            4)] == \
+        assert [b for _, b, *_ in empty.slabs(np.zeros(1, dtype=np.int64),
+                                               *boxes, 4)] == \
             [slice(0, 0)] * len(empty.axes[0])
         full = dom.ring_lattice(1, 0.1, Box((-1.0, -1.0), (1.0, 1.0)))
         assert len(ball_pairs(full, centers, [0.0])[0]) == 0

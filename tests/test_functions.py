@@ -100,11 +100,10 @@ class TestPartials:
                             np.resize(knots, (len(knots), d))])
         alphas = indices_up_to_order(d, 4)
         for f in (gaussian(d), coord_gaussian(d), bump, gaussian(d).scaled(-2.5)):
-            table = f.partials(x, alphas)
-            assert list(table) == alphas
+            partial = f.at(x, (4,) * d)
             for alpha in alphas:
-                assert table[alpha].tobytes() == f.partial(x, alpha).tobytes()
-                assert table[alpha].tobytes() == \
+                assert partial(alpha).tobytes() == f.partial(x, alpha).tobytes()
+                assert partial(alpha).tobytes() == \
                     per_factor_partial(f, x, alpha).tobytes()
 
     def test_one_interval_search_per_spline_factor(self, monkeypatch):
@@ -117,11 +116,13 @@ class TestPartials:
 
         monkeypatch.setattr(piecewise, "_locate", counting_locate)
         x = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
-        spline_bump(2).partials(x, indices_up_to_order(2, 3))
+        partial = spline_bump(2).at(x, (3, 3))
+        for alpha in indices_up_to_order(2, 3):
+            partial(alpha)
         assert len(searches) == 2
 
     def test_orders_past_the_budget_raise(self):
         with pytest.raises(SmoothnessOrderError):
-            spline_bump(1).partials(np.zeros((1, 1)), [(8,)])
+            spline_bump(1).at(np.zeros((1, 1)), (8,))
         with pytest.raises(SmoothnessOrderError):
-            gaussian(1).partials(np.zeros((1, 1)), [(17,)])
+            gaussian(1).at(np.zeros((1, 1)), (17,))
