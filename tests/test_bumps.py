@@ -526,6 +526,11 @@ class TestGridReader:
         rows, cols = partition.pairs(grids, owners)
         assert rows.dtype == cols.dtype == np.int64
         assert list(zip(rows.tolist(), cols.tolist())) == want
+        # without owners every grid links to every cutoff
+        rows, cols = partition.pairs(grids)
+        assert list(zip(rows.tolist(), cols.tolist())) == \
+            [(i, m) for i, x in enumerate(pts) for m in range(len(partition))
+             if cuts[m].contains_support(x)[0]]
         table = partition_partials(partition, grids, owners,
                                    indices_below(alpha))
         ends = np.cumsum(grids.sizes)
@@ -542,18 +547,6 @@ class TestGridReader:
                                    indices_below(alpha))
         for beta in table:
             assert_bitwise(table[beta], alone[beta])
-
-    @settings(max_examples=40, deadline=None)
-    @given(partitions_and_grids())
-    def test_all_pairs_reading_reads_every_grid(self, case):
-        # without owners every grid of a stack links to every cutoff
-        partition, grids, _, _ = case
-        cuts = [oracles.cutoff(partition, m) for m in range(len(partition))]
-        want = [(i, m) for i, x in enumerate(grids.points)
-                for m in range(len(partition))
-                if cuts[m].contains_support(x)[0]]
-        rows, cols = partition.pairs(grids)
-        assert list(zip(rows.tolist(), cols.tolist())) == want
 
     def test_large_grid_is_read_in_slabs(self, square_setup, monkeypatch):
         # one core-box grid of 120^2 points among small ones: with a small
