@@ -573,9 +573,9 @@ def cutoff_values(partition: Partition, pts: np.ndarray, ks) -> np.ndarray:
     return vals
 
 
-def certify_partition(partition: Partition, cover: Cover, oracle,
-                      alpha_max: int, grid: Lattice, stride: int = 1,
-                      sum_tol: float = 1e-9, tol: float = 1e-9) -> list[Certificate]:
+def certify_partition(partition: Partition, cover: Cover, alpha_max: int,
+                      grid: Lattice, stride: int = 1, sum_tol: float = 1e-9,
+                      tol: float = 1e-9) -> list[Certificate]:
     """Sum-to-one, range, support, and derivative-bound certificates, on
     the points of the lattice ``grid``, whose pairs come from its per-axis
     intervals.  The certificates that read ``grid`` record ``stride``, the
@@ -670,7 +670,7 @@ def certify_partition(partition: Partition, cover: Cover, oracle,
 
     worst_ratio = 0.0
     tight = None
-    r3 = oracle.values(3, cover.centers)
+    r3 = cover.oracle.values(3, cover.centers)
     read = np.flatnonzero(seen).tolist()
     consts = [derivative_constant(alpha, d, partition.weights)
               for alpha in alphas] if read else []

@@ -11,17 +11,19 @@ All integrals are midpoint sums over the lattice cells meeting the union
 of outer balls, evaluated at two resolutions differing by 2x; a check
 passes only if it holds at both and the integral moved by at most 1%.
 
-The two chain certificates take a list of test functions and certify each
-of them.  Their sample points, quadrature points, partition tables and
-weight arrays depend on the cover, the partition, the order and the
-resolution but not on the test function, so they are built once and
-shared; only the Leibniz sums, the integrals, the seminorms and the
-verdicts are evaluated per function.  Each Leibniz sum runs once per test
-function over the points of all balls (or core boxes) together, and the
-per-ball maxima and midpoint sums are then read from each ball's
-contiguous slice, so every number is bitwise the one a per-ball
-evaluation gives (wherever the partials of f are finite: a ball whose
-h-partial is identically zero no longer skips that term, it adds zeros).
+Each certificate reads the family, domain, level and radius oracle from
+the cover it checks.  The two chain certificates take a list of test
+functions and certify each of them.  Their sample points, quadrature
+points, partition tables and weight arrays depend on the cover, the
+partition, the order and the resolution but not on the test function, so
+they are built once and shared; only the Leibniz sums, the integrals, the
+seminorms and the verdicts are evaluated per function.  Each Leibniz sum
+runs once per test function over the points of all balls (or core boxes)
+together, and the per-ball maxima and midpoint sums are then read from
+each ball's contiguous slice, so every number is bitwise the one a
+per-ball evaluation gives (wherever the partials of f are finite: a ball
+whose h-partial is identically zero no longer skips that term, it adds
+zeros).
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ import numpy as np
 
 from .bumps import Partition, derivative_constant, partition_partials
 from .cover import Cover, box_pairs
-from .domains import Box, ExhaustionDomain, Lattice, cell_axes, cell_lattice
+from .domains import Box, Lattice, cell_axes, cell_lattice
 from .errors import TruncationBoxError
 from .functions import TestFunction
 from .indexcalc import IndexCalculus
 from .multiindex import indices_below, indices_up_to_order, multi_binom
-from .radii import RadiusOracle
 from .report import FAIL, INCONCLUSIVE, PASS, Certificate
 from .weights import WeightFamily
 
@@ -283,10 +284,8 @@ def verify_integral_bound(fs: list[TestFunction], partition: Partition,
     return certs
 
 
-def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
-                             oracle: RadiusOracle, calc: IndexCalculus,
-                             m: int, j: int, p_exp: int,
-                             points_per_ball: int = 4,
+def verify_ball_weight_bound(cover: Cover, calc: IndexCalculus, m: int,
+                             j: int, p_exp: int, points_per_ball: int = 4,
                              tol: float = 1e-9) -> Certificate:
     """On each outer ball, the m-th weight is dominated by the composed
     constant times a radius power at the center times a higher weight there.
@@ -294,12 +293,12 @@ def verify_ball_weight_bound(family: WeightFamily, cover: Cover,
     The sampled radius is an upper bound of the true infimum and sits in
     the numerator here, so the check is flagged as potentially generous.
     """
-    d = cover.dimension
+    d, family = cover.dimension, cover.family
     D, target, factors = ball_weight_constant(family, calc, m, j, p_exp,
                                               ring=cover.level)
     worst_ratio = 0.0
     tight = None
-    radii = oracle.values(j, cover.centers).tolist()
+    radii = cover.oracle.values(j, cover.centers).tolist()
     # every ball's sample points, ball by ball, in one weight evaluation
     pts = Lattice.linspace(cover.centers, 0.95 * cover.rho,
                            points_per_ball).points
@@ -383,8 +382,6 @@ class JFunctional:
 
     partition: Partition
     cover: Cover
-    family: WeightFamily
-    level: int
     m: int
     p: int
     nu_index: int
@@ -410,7 +407,7 @@ class JFunctional:
         tables = partition_partials(self.partition, x,
                                     np.arange(len(self.partition)),
                                     indices_below(self.m_tilde))
-        nu = self.family.nu_at(self.nu_index, cores.points)
+        nu = self.cover.family.nu_at(self.nu_index, cores.points)
         x = x.points
         for row, f in zip(out, fs):
             row[rows] = _leibniz(tables, f.at(x, self.m_tilde),
@@ -418,31 +415,29 @@ class JFunctional:
         return out
 
 
-def build_functional(partition: Partition, cover: Cover,
-                     family: WeightFamily, calc: IndexCalculus,
-                     n: int, m: int) -> JFunctional:
-    p = calc.quad_weight_index(n, cover.dimension)
-    return JFunctional(partition=partition, cover=cover, family=family,
-                       level=n, m=m, p=p, nu_index=calc.apply(2, p))
+def build_functional(partition: Partition, cover: Cover, calc: IndexCalculus,
+                     m: int) -> JFunctional:
+    p = calc.quad_weight_index(cover.level, cover.dimension)
+    return JFunctional(partition=partition, cover=cover, m=m, p=p,
+                       nu_index=calc.apply(2, p))
 
 
-def domination_certificate(fs: list[TestFunction], family: WeightFamily,
-                           domain: ExhaustionDomain, n: int, m: int,
-                           cover: Cover, partition: Partition,
-                           oracle: RadiusOracle, calc: IndexCalculus,
+def domination_certificate(fs: list[TestFunction], m: int, cover: Cover,
+                           partition: Partition, calc: IndexCalculus,
                            check_grid: np.ndarray, quad_resolution: float,
                            tol: float = 1e-9) -> list[Certificate]:
     """End-to-end domination of the seminorm, plus the functional's bound.
 
     Per test function in ``fs``, two certificates in this order.  First:
-    the (n, m) seminorm is at most the assembled constant times the
-    weighted integral of the functional over the union of outer balls.
-    Second: the functional is uniformly bounded by the composed higher
-    seminorm of f.  Both are evaluated at two quadrature resolutions.
+    the (n, m) seminorm, n the cover's level, is at most the assembled
+    constant times the weighted integral of the functional over the union
+    of outer balls.  Second: the functional is uniformly bounded by the
+    composed higher seminorm of f.  Both are evaluated at two quadrature
+    resolutions.
     """
     if m < 1:
         raise ValueError("the domination chain is assembled for m >= 1")
-    d = cover.dimension
+    d, family, n = cover.dimension, cover.family, cover.level
 
     D, target, d_factors = ball_weight_constant(family, calc, n, 1, d,
                                                 ring=cover.level)
@@ -454,7 +449,7 @@ def domination_certificate(fs: list[TestFunction], family: WeightFamily,
                            f"index calculus ({calc.quad_weight_index(n, d)})")
     a2 = family.constant(2, p, cover.level + 1)
 
-    func = build_functional(partition, cover, family, calc, n, m)
+    func = build_functional(partition, cover, calc, m)
 
     expand = float(cover.rho.max())
     quad_box = Box(tuple(lo - expand for lo in cover.box.lower),
@@ -485,7 +480,7 @@ def domination_certificate(fs: list[TestFunction], family: WeightFamily,
         raise RuntimeError(
             f"functional bound index {q} disagrees with the index calculus "
             f"({calc.functional_bound_index(p, d, m)})")
-    sem_grid = domain.sample_ring(q + 1, quad_resolution * 4, quad_box)
+    sem_grid = cover.domain.sample_ring(q + 1, quad_resolution * 4, quad_box)
 
     certs = []
     for f, (coarse, fine), sup_f in zip(fs, integrals, sup_j):

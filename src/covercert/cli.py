@@ -175,7 +175,9 @@ class RunConfig:
                     problems.append(
                         f"m {m} exceeds the smoothness budget: need "
                         f"m + 1 <= {order - 1} (order error)")
-                dim = (dom or {}).get("dimension") or len(trunc.get("lower", ()))
+                lower = trunc.get("lower", ())
+                dim = (dom or {}).get("dimension") or (
+                    len(lower) if isinstance(lower, list) else None)
                 if isinstance(dim, int) and dim * (m + 1) > order:
                     problems.append(
                         f"chain needs smoothness_order >= d(m+1) = {dim * (m + 1)} "
@@ -338,9 +340,9 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
             details={} if ok else {"witness_pair": list(pair)},
         ))
         certificates.append(cover_mod.verify_covering(built_cover, check))
-        certificates.append(cover_mod.overlap_profile(built_cover, check, oracle))
-        certificates.append(cover_mod.neighbor_sets(built_cover, oracle))
-        certificates.append(cover_mod.chain_certificate(built_cover, oracle))
+        certificates.append(cover_mod.overlap_profile(built_cover, check))
+        certificates.append(cover_mod.neighbor_sets(built_cover))
+        certificates.append(cover_mod.chain_certificate(built_cover))
 
     if "partition" in config.suite or "chain" in config.suite:
         partition = bumps.build_partition(built_cover, config.smoothness_order)
@@ -348,7 +350,7 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
     if "partition" in config.suite:
         grid, grid_stride = check.thinned(12000)
         certificates.extend(bumps.certify_partition(
-            partition, built_cover, oracle, config.alpha_max, grid,
+            partition, built_cover, config.alpha_max, grid,
             stride=grid_stride, tol=config.tolerance))
 
     if "chain" in config.suite:
@@ -356,8 +358,8 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
         certificates.append(certify.verify_disjoint_supports(
             built_cover, partition))
         certificates.append(certify.verify_ball_weight_bound(
-            family, built_cover, oracle, calc, m=n, j=1,
-            p_exp=built_cover.dimension, tol=config.tolerance))
+            built_cover, calc, m=n, j=1, p_exp=built_cover.dimension,
+            tol=config.tolerance))
         fs = [make_test_function(fn_name, domain.dimension)
               for fn_name in config.test_functions]
         if fs:
@@ -368,9 +370,8 @@ def run(config: RunConfig, out_dir: Path, strict: bool = False,
                 fs, partition, built_cover, m, config.quadrature_resolution,
                 tol=config.tolerance)
             dominations = certify.domination_certificate(
-                fs, family, domain, n, m, built_cover, partition, oracle,
-                calc, check.points, config.quadrature_resolution,
-                tol=config.tolerance)
+                fs, m, built_cover, partition, calc, check.points,
+                config.quadrature_resolution, tol=config.tolerance)
             # per test function: membership, integral bound, domination and
             # the functional's bound
             for i, member in enumerate(members):

@@ -1,31 +1,35 @@
 """Maximal separated center packings and their covering certificates.
 
-Centers are selected greedily from a lattice in lexicographic order; a
-candidate is accepted when it keeps sup-norm distance at least half the
-depth-1 radius of both endpoints to every accepted center.  Maximality is
-relative to the candidate lattice and the lattice resolution is carried on
-the result.  Each accepted center blocks its later conflicts in one array
-pass.  Every question about pairs of centers (separation, neighbours,
-disjoint cores, the partition's blockers and its run check) goes through
-one sweep of box intervals on the first axis (``box_pairs``), each with
-its own half-widths and its own exact inequality.  Which balls hold which
-points is read on a ``Lattice``, where each open ball is one index box:
-covering, multiplicity and the radius chain count the balls per cell, the
-chain's witnesses are the balls whose boxes hold a violating cell's
-index, and the core boxes own the cells of their boxes, as a masked
-stack of one grid per core box (``Cover.core_grids``).
+Centers are selected greedily, in lexicographic order, from the radius
+oracle's ring lattice (``RadiusOracle.lattice``); a candidate is accepted
+when it keeps sup-norm distance at least half the depth-1 radius of both
+endpoints to every accepted center.  Maximality is relative to that
+lattice and its resolution is carried on the result.  The ``Cover`` holds
+the family, domain, level and oracle it was built from, and every
+certificate on it reads them there.  Each accepted center blocks its later
+conflicts in one array pass.  Every question about pairs of centers
+(separation, neighbours, disjoint cores, the partition's blockers and its
+run check) goes through one sweep of box intervals on the first axis
+(``box_pairs``), each with its own half-widths and its own exact
+inequality.  Which balls hold which points is read on a ``Lattice``, where
+each open ball is one index box: covering, multiplicity and the radius
+chain count the balls per cell, the chain spreads the balls' radii over
+the oracle's lattice with the oracle's box minima, the chain's witnesses
+are the balls whose boxes hold a violating cell's index, and the core
+boxes own the cells of their boxes, as a masked stack of one grid per core
+box (``Cover.core_grids``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .domains import Box, ExhaustionDomain, Lattice, _ranges
-from .errors import NoRingPointsError, RefinementRequiredError
-from .radii import CLOSED_FORM, GRID_ORACLE, RadiusOracle
+from .errors import RefinementRequiredError
+from .radii import GRID_ORACLE, RadiusOracle, _plan_boxes, _spread_least
 from .report import FAIL, PASS, Certificate
 from .weights import WeightFamily
 
@@ -48,9 +52,6 @@ class Cover:
     domain: ExhaustionDomain = field(repr=False)
     oracle: RadiusOracle = field(repr=False)
     tampered: str = ""
-    # the ring lattice the candidates came from, and its resolution
-    lattice: Lattice | None = field(default=None, repr=False)
-    lattice_resolution: float | None = None
 
     @property
     def size(self) -> int:
@@ -189,18 +190,9 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
     """
     oracle = oracle or RadiusOracle(family, domain, n, candidate_resolution,
                                     box=box)
-    if oracle.strategy == CLOSED_FORM:
-        box = domain.truncated_ring_box(n, box)
-        resolution = candidate_resolution
-        lattice = domain.ring_lattice(n, resolution, box)
-        candidates = lattice.points
-        if len(candidates) == 0:
-            raise NoRingPointsError("the candidate lattice contains no ring points")
-        r1 = np.full(len(candidates), oracle.value(1, candidates[0]))
-    else:
-        box, resolution, lattice = oracle.box, oracle.resolution, oracle._lattice
-        candidates = oracle.lattice_points()
-        r1 = oracle.lattice_values(1)
+    box = domain.truncated_ring_box(n, oracle.box)
+    candidates = oracle.lattice_points()
+    r1 = oracle.lattice_values(1)
 
     min_r1 = float(r1.min())
     if min_r1 <= 0.0:
@@ -215,8 +207,7 @@ def build_cover(family: WeightFamily, domain: ExhaustionDomain, n: int,
     rho = np.asarray(family.radius(n, centers), dtype=float)
     return Cover(level=n, centers=centers, rho=rho, r1=r1[chosen],
                  resolution=candidate_resolution, box=box,
-                 family=family, domain=domain, oracle=oracle,
-                 lattice=lattice, lattice_resolution=resolution)
+                 family=family, domain=domain, oracle=oracle)
 
 
 def verify_covering(cover: Cover, lattice: Lattice) -> Certificate:
@@ -256,20 +247,18 @@ def verify_covering(cover: Cover, lattice: Lattice) -> Certificate:
     )
 
 
-def overlap_profile(cover: Cover, lattice: Lattice,
-                    oracle: RadiusOracle | None = None) -> Certificate:
+def overlap_profile(cover: Cover, lattice: Lattice) -> Certificate:
     """Measured outer-ball multiplicity against the depth-2 radius bound.
 
     The bound uses the sampled depth-2 radius in the denominator, which can
     only tighten the claim relative to the true infimum.
     """
-    oracle = oracle or cover.oracle
     grid = cover.domain.require_in_ring(cover.level, lattice.points)
     d = cover.dimension
     counts = lattice.count(cover.centers, cover.rho)
     # Python float powers, once per distinct radius: numpy's vectorized
     # power need not round the same
-    radii, at = np.unique(oracle.values(2, grid), return_inverse=True)
+    radii, at = np.unique(cover.oracle.values(2, grid), return_inverse=True)
     bounds = np.array([(8.0 / r) ** d for r in radii.tolist()])[at]
     slacks = bounds - counts
     w = int(np.argmin(slacks))
@@ -289,16 +278,15 @@ def overlap_profile(cover: Cover, lattice: Lattice,
     )
 
 
-def neighbor_sets(cover: Cover, oracle: RadiusOracle | None = None) -> Certificate:
+def neighbor_sets(cover: Cover) -> Certificate:
     """Exact intersection neighborhoods and the depth-3 cardinality bound."""
-    oracle = oracle or cover.oracle
     d = cover.dimension
     rows, cols = ball_overlaps(cover)
     # each ball meets itself unless it is empty
     sizes = (np.bincount(rows, minlength=cover.size)
              + np.bincount(cols, minlength=cover.size) + (cover.rho > 0.0))
     bounds = np.array([(8.0 / r) ** d
-                       for r in oracle.values(3, cover.centers).tolist()])
+                       for r in cover.oracle.values(3, cover.centers).tolist()])
     slacks = bounds - sizes
     k = int(np.argmin(slacks))
     passed = slacks[k] >= 0.0
@@ -321,14 +309,14 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     """The first ``_WITNESSES`` violations of the radius chain in (k, m, x)
     order, the smallest margin, and the number of lattice cells checked.
 
-    The open outer balls are counted on the ring lattice of
-    ``orc.resolution`` over the cover's box (the cover's own candidate
-    lattice when that has the same resolution), and painted one slice per ball
-    for the least r(z_m) and the largest r2(z_k) at each cell.  Each ball
-    of a cell that two balls hold pairs with another one, so at such a cell
-    the chain holds for every pair exactly when ``min r(z_m) >= r1(x) >=
-    max r2(z_k)``.  Pairs are listed only at the cells where it fails, ball
-    by ball until enough are found.
+    The open outer balls are counted on the oracle's ring lattice, and
+    their index boxes are spread over it (``radii._spread_least``) for the
+    least r(z_m) and the largest r2(z_k) at each cell, the largest as the
+    negated least of the negated values.  Each ball of a cell that two
+    balls hold pairs with another one, so at such a cell the chain holds
+    for every pair exactly when ``min r(z_m) >= r1(x) >= max r2(z_k)``.
+    Pairs are listed only at the cells where it fails, ball by ball until
+    enough are found.
     """
     centers, rho = cover.centers, cover.rho
     r2 = orc.values(2, centers)
@@ -336,23 +324,19 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     r_center = np.asarray(cover.family.radius(cover.level, centers), dtype=float)
     worst = float((r2 - r3).min())
 
-    lattice = (cover.lattice if orc.resolution == cover.lattice_resolution else
-               cover.domain.ring_lattice(cover.level, orc.resolution, cover.box))
+    lattice = orc.lattice
     first, stop = lattice.boxes(centers, rho)
     held = lattice.count_boxes(first, stop) >= 2
     shape = tuple(lattice.shape[0].tolist())
-    least = np.full(shape, np.inf)
-    most = np.full(shape, -np.inf)
-    for lo, hi, r, r2_k in zip(first.T.tolist(), stop.T.tolist(),
-                               r_center.tolist(), r2.tolist()):
-        box = tuple(map(slice, lo, hi))
-        np.minimum(least[box], r, out=least[box])
-        np.maximum(most[box], r2_k, out=most[box])
-    rm, r2k = (least.ravel()[lattice.inside][held],
-               most.ravel()[lattice.inside][held])
-    del least, most
+    cells = np.flatnonzero(lattice.inside)[held]
+    rm = r2k = np.empty(0)
+    if len(cells):
+        full = np.flatnonzero((first < stop).all(axis=0))
+        plan = _plan_boxes(first[:, full], stop[:, full] - 1, shape)
+        rm = _spread_least(r_center[full], *plan, shape).ravel()[cells]
+        r2k = -_spread_least(-r2[full], *plan, shape).ravel()[cells]
     pts = lattice.points[held]
-    r1 = orc.values(1, pts)
+    r1 = orc.lattice_values(1)[held]
     if len(pts):
         worst = min(worst, float((rm - r1).min()), float((r1 - r2k).min()))
 
@@ -361,7 +345,7 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     at = np.flatnonzero((rm < r1) | (r1 < r2k))
     if len(at) == 0 and not (r2 < r3).any():
         return [], worst, len(pts)
-    index = np.unravel_index(np.flatnonzero(lattice.inside)[held][at], shape)
+    index = np.unravel_index(cells[at], shape)
     holds = functools.reduce(np.logical_and, [
         (lo <= i[:, None]) & (i[:, None] < hi)
         for i, lo, hi in zip(index, first, stop)])
@@ -385,17 +369,16 @@ def _chain_collect(cover: Cover, orc: RadiusOracle):
     return bad, worst, len(pts)
 
 
-def chain_certificate(cover: Cover, oracle: RadiusOracle | None = None) -> Certificate:
+def chain_certificate(cover: Cover) -> Certificate:
     """Radius chain on overlapping balls: for every ring lattice cell x in
     two balls B_m and B_k, r(z_m) >= depth1(x) >= depth2(z_k) >= depth3(z_k).
 
-    The lattice is the oracle's resolution over the cover's box: a grid
-    oracle's own cells, or a closed-form oracle's candidate lattice.
-    Sampled depth values are upper bounds of the true infima, so an apparent
-    violation may be a sampling artifact; the check refines the resolution
-    once and checks again before failing.
+    The lattice is the cover oracle's ring lattice.  Sampled depth values
+    are upper bounds of the true infima, so an apparent violation may be a
+    sampling artifact; a grid oracle refines the resolution once and checks
+    again before failing.
     """
-    oracle = oracle or cover.oracle
+    oracle = cover.oracle
     violations, worst, cells = _chain_collect(cover, oracle)
     refined = False
     if violations and oracle.strategy == GRID_ORACLE:
@@ -429,12 +412,9 @@ def separation_holds(cover: Cover) -> tuple[bool, tuple[int, int] | None]:
 
 def without_center(cover: Cover, k: int) -> Cover:
     """Negative control: drop one accepted center."""
-    keep = [i for i in range(cover.size) if i != k]
-    return Cover(level=cover.level, centers=cover.centers[keep],
-                 rho=cover.rho[keep], r1=cover.r1[keep],
-                 resolution=cover.resolution, box=cover.box,
-                 family=cover.family, domain=cover.domain,
-                 oracle=cover.oracle, tampered=f"dropped center {k}")
+    keep = np.arange(cover.size) != k
+    return replace(cover, centers=cover.centers[keep], rho=cover.rho[keep],
+                   r1=cover.r1[keep], tampered=f"dropped center {k}")
 
 
 def with_extra_center(cover: Cover, z) -> Cover:
@@ -443,7 +423,5 @@ def with_extra_center(cover: Cover, z) -> Cover:
     centers = np.vstack([cover.centers, z])
     rho = np.append(cover.rho, float(cover.family.radius(cover.level, z)[0]))
     r1 = np.append(cover.r1, cover.oracle.value(1, z[0]))
-    return Cover(level=cover.level, centers=centers, rho=rho, r1=r1,
-                 resolution=cover.resolution, box=cover.box,
-                 family=cover.family, domain=cover.domain,
-                 oracle=cover.oracle, tampered="injected center")
+    return replace(cover, centers=centers, rho=rho, r1=r1,
+                   tampered="injected center")

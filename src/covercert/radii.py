@@ -1,5 +1,10 @@
 """Iterated radius functions and their positivity certificates.
 
+A ``RadiusOracle`` answers for one family at one ring level, and owns the
+ring lattice of its resolution over the truncation box: a closed-form
+(constant) radius reads its constant at every lattice point and depth,
+and a grid oracle builds one level of that lattice per depth.
+
 The depth-k radius at a point is the infimum of the depth-(k-1) radius over
 all ring points within one radius step (of either endpoint).  On a lattice
 this infimum is replaced by a minimum over qualifying lattice points plus
@@ -58,7 +63,7 @@ import math
 
 import numpy as np
 
-from .domains import Box, ExhaustionDomain
+from .domains import Box, ExhaustionDomain, Lattice
 from .errors import NoRingPointsError, RefinementRequiredError
 from .report import FAIL, NOT_CERTIFIED, PASS, Certificate
 from .weights import WeightFamily
@@ -138,10 +143,14 @@ def _spread_least(values: np.ndarray, widths, corners, shape) -> np.ndarray:
 class RadiusOracle:
     """Evaluator for the iterated radii of one family at one ring level.
 
-    Constant radii take an exact closed-form path.  Otherwise values are
-    taken on a lattice of the given resolution over the truncation box, one
-    level per depth, built on first use; queries off the lattice take the
-    minimum over the qualifying cells of the level below.
+    The oracle owns the ring lattice of its resolution over the truncation
+    box (``lattice``): the cover takes its candidates from it and the
+    radius chain is checked on it.  Constant radii take an exact
+    closed-form path, which reads the constant at every point and depth
+    and builds the lattice only when it is asked for.  Otherwise values
+    are taken on the lattice, one level per depth, built on first use;
+    queries off the lattice take the minimum over the qualifying cells of
+    the level below.
     """
 
     def __init__(self, family: WeightFamily, domain: ExhaustionDomain,
@@ -158,12 +167,8 @@ class RadiusOracle:
             return
 
         self.strategy = GRID_ORACLE
-        box = domain.truncated_ring_box(n, box)
-        self.box = box
-
-        self._lattice = lattice = domain.ring_lattice(n, self.resolution, box)
-        if len(lattice.points) == 0:
-            raise NoRingPointsError("the truncation box contains no ring points")
+        self.box = domain.truncated_ring_box(n, box)
+        lattice = self.lattice
         self._axes, self._shape = lattice.axes, tuple(lattice.shape[0].tolist())
         self._inside = lattice.inside.reshape(self._shape)
 
@@ -182,18 +187,27 @@ class RadiusOracle:
 
     # -- lattice access -----------------------------------------------------
 
+    @functools.cached_property
+    def lattice(self) -> Lattice:
+        """The ring lattice of the oracle's resolution over the truncation
+        box clipped to the ring (built on first use by a closed-form
+        oracle)."""
+        lattice = self.domain.ring_lattice(
+            self.n, self.resolution,
+            self.domain.truncated_ring_box(self.n, self.box))
+        if len(lattice.points) == 0:
+            raise NoRingPointsError("the truncation box contains no ring points")
+        return lattice
+
     def lattice_points(self) -> np.ndarray:
         """Ring lattice points in lexicographic order."""
-        if self.strategy == CLOSED_FORM:
-            raise ValueError("closed-form oracle has no lattice; sample the ring")
-        return self._lattice.points
+        return self.lattice.points
 
     def lattice_values(self, k: int) -> np.ndarray:
         """Depth-k values matching :meth:`lattice_points` order."""
         if self.strategy == CLOSED_FORM:
-            raise ValueError("closed-form oracle has no lattice")
-        level = self._level(k)
-        return level[self._inside]
+            return np.full(len(self.lattice.points), float(self._constant))
+        return self._level(k)[self._inside]
 
     def min_value(self, k: int) -> float:
         if self.strategy == CLOSED_FORM:
@@ -255,7 +269,7 @@ class RadiusOracle:
         # own radius: per axis, one interval of the window, read as a box
         # minimum of the level
         lo, hi = [], []
-        for first, stop, m, c in zip(*self._lattice.boxes(pts, r0, strict=False),
+        for first, stop, m, c in zip(*self.lattice.boxes(pts, r0, strict=False),
                                      self._shape, near.T):
             lo.append(np.clip(np.maximum(first, c - cells), 0, m).astype(np.intp))
             hi.append(np.clip(np.minimum(stop - 1, c + cells), -1, m - 1)
@@ -299,7 +313,7 @@ class RadiusOracle:
             r = self._levels[0].ravel()[cells]
             lo, hi = [], []
             for first, stop, at in zip(
-                    *self._lattice.boxes(self._lattice.points, r, strict=False),
+                    *self.lattice.boxes(self.lattice.points, r, strict=False),
                     np.unravel_index(cells, self._shape)):
                 lo.append(np.maximum(first, at - self._cells))
                 hi.append(np.minimum(stop - 1, at + self._cells))

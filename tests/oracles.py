@@ -946,7 +946,7 @@ def functional_values(func, zetas, fs):
                                 owners[np.concatenate(groups)],
                                 indices_below(func.m_tilde))
     for idxs, x, table in zip(groups, xs, _split_rows(tables, xs)):
-        nu = func.family.nu_at(func.nu_index, zetas[idxs])
+        nu = func.cover.family.nu_at(func.nu_index, zetas[idxs])
         for row, f in zip(out, fs):
             terms = leibniz(table, lambda rest: f.partial(x, rest), func.m_tilde)
             row[idxs] = terms * nu

@@ -126,7 +126,7 @@ def test_criterion_2_partition_certificates(covers, partitions):
         assert len(grid.points) >= count
         alpha_max = 3 if d == 1 else 2
         certs = certify_partition(partitions[name], state["cover"],
-                                  state["cover"].oracle, alpha_max, grid)
+                                  alpha_max, grid)
         by_claim = {c.claim: c for c in certs}
         sum_cert = by_claim["partition.sum_to_one"]
         if sum_cert.verdict != "pass" or sum_cert.measured > 1e-9:
@@ -261,9 +261,8 @@ def test_criterion_6_inequality_chain():
         cover = build_cover(fam, dom, 1, candidate_res, box=box)
         partition = build_partition(cover, order=6)
         calc = IndexCalculus(fam)
-        oracle = cover.oracle
         grid = dom.sample_ring(1, 1e-3, box)
-        cert = verify_ball_weight_bound(fam, cover, oracle, calc, m=1, j=1,
+        cert = verify_ball_weight_bound(cover, calc, m=1, j=1,
                                         p_exp=cover.dimension)
         if cert.verdict != "pass":
             problems.append(f"{label}: ball weight bound {cert.verdict}")
@@ -272,8 +271,8 @@ def test_criterion_6_inequality_chain():
             problems.append(f"{label}: disjoint supports {cert.verdict}")
         fs = shipped_suite(dom.dimension)
         c5s = verify_integral_bound(fs, partition, cover, 1, quad_res)
-        c10s = domination_certificate(fs, fam, dom, 1, 1, cover, partition,
-                                      oracle, calc, grid, quad_res)
+        c10s = domination_certificate(fs, 1, cover, partition, calc, grid,
+                                      quad_res)
         for f, c5, c10, c11 in zip(fs, c5s, c10s[::2], c10s[1::2]):
             for tag, cert in (("integral", c5), ("domination", c10),
                               ("functional", c11)):

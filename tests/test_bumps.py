@@ -278,7 +278,7 @@ class TestIncidenceEngine:
         with pytest.raises(ValueError, match="blocker"):
             partition_sums(bad, grid)
         with pytest.raises(ValueError, match="blocker"):
-            certify_partition(bad, cover, cover.oracle, 1, grid)
+            certify_partition(bad, cover, 1, grid)
         # a function read for its owner multiplies just its listed blockers
         assert_bitwise(fn_values(bad, k, grid.points),
                        oracles.recurrence_table(bad, k, grid.points,
@@ -321,7 +321,7 @@ class TestIncidenceEngine:
         monkeypatch.setattr(bumps, "box_pairs", counting_box_pairs)
         first = partition_sums(partition, grid)
         assert_bitwise(partition_sums(partition, grid), first)
-        certify_partition(partition, cover, cover.oracle, 1, grid)
+        certify_partition(partition, cover, 1, grid)
         assert queries == [len(partition)]
 
     def test_blocks_do_not_change_values(self, square_setup, monkeypatch):
@@ -330,7 +330,7 @@ class TestIncidenceEngine:
         owners = np.arange(len(grid.points)) % len(partition)
 
         def readings():
-            certs = certify_partition(partition, cover, cover.oracle, 2, grid)
+            certs = certify_partition(partition, cover, 2, grid)
             return ([c.as_dict() for c in certs], partition_sums(partition, grid),
                     function_values(partition, point_grids(grid.points),
                                     owners))
@@ -362,7 +362,7 @@ class TestIncidenceEngine:
         assert [block.start for block, _ in slabs[1:]] == \
             [block.stop for block, _ in slabs[:-1]]
         assert_certificates_match_loops(
-            certify_partition(partition, cover, cover.oracle, 2, lattice),
+            certify_partition(partition, cover, 2, lattice),
             partition, cover, lattice.points)
 
     def test_betas_must_be_down_closed(self, square_setup):
@@ -600,7 +600,7 @@ class TestGridReader:
         partition_partials(partition, grids, owners, indices_below((1, 1)))
         assert searches == [len(partition.links)] * 2
         searches.clear()
-        certify_partition(partition, cover, cover.oracle, 2, lattice)
+        certify_partition(partition, cover, 2, lattice)
         assert searches == [len(partition)] * 2
 
     def test_a_grid_reads_only_its_owner(self, square_setup):
@@ -925,9 +925,8 @@ def assert_certificates_match_loops(certs, partition, cover, grid):
 class TestCertifyPartition:
     def test_full_certificates_pass(self, line_setup):
         dom, fam, cover, partition = line_setup
-        oracle = cover.oracle
         grid = dom.ring_lattice(1, 2e-3, cover.box)
-        certs = certify_partition(partition, cover, oracle, alpha_max=3,
+        certs = certify_partition(partition, cover, alpha_max=3,
                                   grid=grid)
         by_claim = {c.claim: c for c in certs}
         assert by_claim["partition.sum_to_one"].verdict == "pass"
@@ -937,7 +936,7 @@ class TestCertifyPartition:
         assert by_claim["partition.derivative_bound"].verdict == "pass"
         # order 0 alone measures the largest value on the support box; the
         # depth-3 radius 1/2 puts the bound at 2
-        tight = certify_partition(partition, cover, oracle, alpha_max=0,
+        tight = certify_partition(partition, cover, alpha_max=0,
                                   grid=grid)[-1].details
         k = tight["center"]
         lo = cover.centers[k] - partition.half[k]
@@ -953,7 +952,7 @@ class TestCertifyPartition:
         dom, _, cover, partition = square_setup
         grid = dom.ring_lattice(1, 0.004, cover.box)
         assert_certificates_match_loops(
-            certify_partition(partition, cover, cover.oracle, 2, grid),
+            certify_partition(partition, cover, 2, grid),
             partition, cover, grid.points)
 
     def test_polys_past_the_claimed_support_fail_the_support_pass(
@@ -968,7 +967,7 @@ class TestCertifyPartition:
         assert (cover.rho < bad.scales * partition.profile.support_halfwidth).all()
         for part, verdict in ((partition, "pass"), (bad, "fail")):
             certs = {c.claim: c for c in
-                     certify_partition(part, cover, cover.oracle, 1, grid)}
+                     certify_partition(part, cover, 1, grid)}
             assert certs[claim].verdict == verdict
         assert certs[claim].details["center"] == partition[0].index
         assert certs[claim].details["nonzero_outside"] > 0.0

@@ -242,16 +242,14 @@ class TestComposedConstants:
 class TestBallWeightBound:
     def test_constant_family_is_exact(self, constant_setup):
         _, fam, cover, _, calc = constant_setup
-        cert = verify_ball_weight_bound(fam, cover, cover.oracle, calc,
-                                        m=1, j=1, p_exp=1)
+        cert = verify_ball_weight_bound(cover, calc, m=1, j=1, p_exp=1)
         assert cert.verdict == "pass"
         # 1 <= 2 * (1/2)^1 * 1 with equality
         assert cert.measured == pytest.approx(1.0)
 
     def test_schwartz(self, schwartz_setup):
         fam, cover, _, calc = schwartz_setup
-        cert = verify_ball_weight_bound(fam, cover, cover.oracle, calc,
-                                        m=1, j=1, p_exp=1)
+        cert = verify_ball_weight_bound(cover, calc, m=1, j=1, p_exp=1)
         assert cert.verdict == "pass"
 
     def test_boundary_family(self):
@@ -259,8 +257,7 @@ class TestBallWeightBound:
         fam = boundary_family(dom)
         cover = build_cover(fam, dom, 1, 1e-3, box=Box((0.125,), (0.875,)))
         calc = IndexCalculus(fam)
-        cert = verify_ball_weight_bound(fam, cover, cover.oracle, calc,
-                                        m=1, j=1, p_exp=1)
+        cert = verify_ball_weight_bound(cover, calc, m=1, j=1, p_exp=1)
         assert cert.verdict == "pass"
         factors = cert.constants["factors"]
         # assembled from first-map constants 3^n and third-map constants 2
@@ -284,7 +281,7 @@ class TestDisjointSupports:
 class TestFunctional:
     def test_zero_outside_cores(self, constant_setup):
         dom, fam, cover, partition, calc = constant_setup
-        func = build_functional(partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, calc, 1)
         # midpoint between adjacent centers is outside every core box
         zeta = 0.5 * (cover.centers[0] + cover.centers[1])
         inside = cover.centers[2] + 0.2 * cover.core_halfwidths[2]
@@ -298,7 +295,7 @@ class TestFunctional:
         dom, fam, cover, partition, calc = constant_setup
         f = gaussian(1)
         g = coord_gaussian(1)
-        func = build_functional(partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, calc, 1)
 
         zetas = np.stack([cover.centers[1] + 0.01, cover.centers[5] - 0.02,
                           np.array([0.4])])
@@ -308,7 +305,7 @@ class TestFunctional:
 
     def test_at_most_one_active_term(self, schwartz_setup):
         fam, cover, partition, calc = schwartz_setup
-        func = build_functional(partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, calc, 1)
         rng = np.random.default_rng(3)
         pts = rng.uniform(-4, 4, size=(200, 1))
         # per point, the summands whose rescaled support contains it
@@ -326,7 +323,7 @@ class TestFunctional:
         partition = build_partition(cover, order=6)
         calc = IndexCalculus(fam)
         f = gaussian(1)
-        func = build_functional(partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, calc, 1)
         zeta = cover.centers[0] + 0.3 * cover.core_halfwidths[0]
         x = oracles.rescale_maps(cover)[0].forward(zeta)
 
@@ -369,9 +366,8 @@ class TestDomination:
         dom, fam, cover, partition, calc = constant_setup
         grid = dom.sample_ring(1, 2e-3, cover.box)
         zero = gaussian(1).scaled(0.0)
-        c10, c11 = domination_certificate([zero], fam, dom, 1, 1, cover,
-                                          partition, cover.oracle, calc, grid,
-                                          5e-4)
+        c10, c11 = domination_certificate([zero], 1, cover, partition, calc,
+                                          grid, 5e-4)
         assert c10.verdict == "pass" and c10.measured == 0.0
         assert c11.verdict == "pass"
 
@@ -380,11 +376,10 @@ class TestDomination:
         grid = dom.sample_ring(1, 2e-3, cover.box)
         f = gaussian(1)
         base10, base11 = domination_certificate(
-            [f], fam, dom, 1, 1, cover, partition, cover.oracle, calc, grid, 1e-3)
+            [f], 1, cover, partition, calc, grid, 1e-3)
         lam = 4.0
         scaled10, scaled11 = domination_certificate(
-            [f.scaled(lam)], fam, dom, 1, 1, cover, partition, cover.oracle,
-            calc, grid, 1e-3)
+            [f.scaled(lam)], 1, cover, partition, calc, grid, 1e-3)
         assert scaled10.measured == pytest.approx(lam * base10.measured, rel=1e-12)
         assert scaled10.bound == pytest.approx(lam * base10.bound, rel=1e-12)
         assert scaled11.measured == pytest.approx(lam * base11.measured, rel=1e-12)
@@ -394,8 +389,8 @@ class TestDomination:
         dom, fam, cover, partition, calc = constant_setup
         grid = dom.sample_ring(1, 2e-3, cover.box)
         with pytest.raises(ValueError):
-            domination_certificate([gaussian(1)], fam, dom, 1, 0, cover,
-                                   partition, cover.oracle, calc, grid, 1e-3)
+            domination_certificate([gaussian(1)], 0, cover, partition, calc,
+                                   grid, 1e-3)
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["d1", "d2"])
@@ -428,17 +423,16 @@ class TestBatchedChain:
     def test_domination_equals_per_function_calls(self, chain_setup):
         dom, fam, cover, partition, calc, grid, quad = chain_setup
         fs = shipped_suite(cover.dimension)
-        batched = domination_certificate(fs, fam, dom, 1, 1, cover, partition,
-                                         cover.oracle, calc, grid, quad)
+        batched = domination_certificate(fs, 1, cover, partition, calc, grid,
+                                         quad)
         single = [cert for f in fs
                   for cert in domination_certificate(
-                      [f], fam, dom, 1, 1, cover, partition, cover.oracle,
-                      calc, grid, quad)]
+                      [f], 1, cover, partition, calc, grid, quad)]
         assert [c.as_dict() for c in batched] == [c.as_dict() for c in single]
 
     def test_functional_rows_equal_single_rows(self, chain_setup):
         _, fam, cover, partition, calc, _, _ = chain_setup
-        func = build_functional(partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, calc, 1)
         d = cover.dimension
         rng = np.random.default_rng(5)
         zetas = Lattice.of([np.sort(rng.uniform(-0.6, 0.6, 300 if d == 1 else 18))
@@ -465,8 +459,7 @@ class TestBatchedChain:
         def chain_builds(fs):
             builds.clear()
             verify_integral_bound(fs, partition, cover, 1, quad)
-            domination_certificate(fs, fam, dom, 1, 1, cover, partition,
-                                   cover.oracle, calc, grid, quad)
+            domination_certificate(fs, 1, cover, partition, calc, grid, quad)
             return len(builds)
 
         fs = shipped_suite(cover.dimension)
@@ -511,7 +504,7 @@ class TestChainAgainstPerBallLoops:
     def test_functional_values(self, chain_setup):
         _, fam, cover, partition, calc, _, _ = chain_setup
         d = cover.dimension
-        func = build_functional(partition, cover, fam, calc, 1, 1)
+        func = build_functional(partition, cover, calc, 1)
         rng = np.random.default_rng(5)
         # core 0 holds only its center, which maps to the plateau of the
         # first cutoff, where no blocker acts: every h-partial but the

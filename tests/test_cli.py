@@ -165,6 +165,8 @@ class TestExitCodes:
          "family": {"kind": "constant"},
          "truncation": {"lower": [-1.0], "upper": [1.0]}},
         {"figures": "no"},
+        # the chain's order check falls back on the truncation's dimension
+        {"suite": ["chain"], "truncation": {"lower": 5, "upper": [0.875]}},
     ], ids=["alpha_max_string", "alpha_max_negative", "offset_count_string",
             "offset_count_even", "tolerance_string", "psi_string",
             "psi_negative", "full_space_without_dimension",
@@ -173,7 +175,7 @@ class TestExitCodes:
             "truncation_upper_infinite", "psi_box_upper_infinite",
             "n_bool", "m_bool", "smoothness_order_bool", "alpha_max_bool",
             "tolerance_bool", "check_bool", "quadrature_bool", "psi_bool",
-            "dimension_bool", "figures_string"])
+            "dimension_bool", "figures_string", "chain_lower_not_a_list"])
     def test_malformed_field_exits_two(self, tmp_path, capsys, overrides):
         config = {**_BOUNDARY_D1, **overrides}
         path = write_config(tmp_path, config)

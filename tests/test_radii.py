@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import oracles
 from covercert import cover as cover_mod
 from covercert import radii
-from covercert import (Box, BoxRegion, MuSpec, RadiusOracle,
-                       RefinementRequiredError, boundary_family, build_cover,
-                       chain_certificate, constant_exhaustion, full_space,
-                       make_exp_family, positivity_certificate,
+from covercert import (Box, BoxRegion, ExhaustionDomain, MuSpec,
+                       RadiusOracle, RefinementRequiredError, boundary_family,
+                       build_cover, chain_certificate, constant_exhaustion,
+                       full_space, make_exp_family, positivity_certificate,
                        schwartz_family)
 from covercert.cover import Cover, _chain_collect
 
@@ -37,11 +37,18 @@ def decaying_family():
 class TestClosedForm:
     def test_constant_radius_is_exact_at_every_depth(self):
         fam = schwartz_family(full_space(2))
-        oracle = RadiusOracle(fam, fam.domain, 1, 0.1,
-                              box=Box((-2.0, -2.0), (2.0, 2.0)))
+        box = Box((-2.0, -2.0), (2.0, 2.0))
+        oracle = RadiusOracle(fam, fam.domain, 1, 0.1, box=box)
         assert oracle.strategy == "closed_form_constant"
         for k in range(4):
             assert oracle.value(k, np.array([0.3, -1.1])) == 1.0
+        # its lattice is the ring lattice of its resolution, where every
+        # depth reads the constant
+        points = fam.domain.ring_lattice(1, 0.1, box).points
+        assert oracle.lattice_points().tobytes() == points.tobytes()
+        for k in range(4):
+            values = oracle.lattice_values(k)
+            assert values.shape == (len(points),) and (values == 1.0).all()
 
 
 class TestGridOracle:
@@ -418,6 +425,22 @@ class TestChainAgainstPairLoop:
             sampled_bad, sampled_worst = oracles.chain_collect(cover, orc)
             assert worst <= sampled_worst
             assert bad or not sampled_bad
+
+    def test_one_ring_lattice_per_oracle(self):
+        # a refined chain reads the ring lattice that each oracle built:
+        # the cover's oracle's and the finer one's
+        dom = constant_exhaustion(BoxRegion(Box((0.0,), (1.0,))), name="unit")
+        with mock.patch.object(
+                ExhaustionDomain, "ring_lattice", autospec=True,
+                side_effect=ExhaustionDomain.ring_lattice) as lattices, \
+                mock.patch.object(RadiusOracle, "__init__", autospec=True,
+                                  side_effect=RadiusOracle.__init__) as inits:
+            cover = build_cover(boundary_family(dom), dom, 1, 0.005,
+                                box=Box((0.05,), (0.95,)))
+            cert = chain_certificate(dataclasses.replace(
+                cover, rho=3.0 * cover.rho, tampered="rho tripled"))
+        assert cert.resolutions["refined"]
+        assert lattices.call_count == inits.call_count == 2
 
     def test_violation_order_with_both_kinds(self):
         class SwappedDepths(RadiusOracle):

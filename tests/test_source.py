@@ -2,11 +2,13 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "covercert"
+README = PACKAGE.parent.parent / "README.md"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -183,3 +185,16 @@ def test_tracer_hooks_read_the_built_partition(tmp_path):
     assert len(built) == 1
     assert [centers, max_blockers] == built[0]
     assert max_blockers > 0
+
+
+def test_readme_python_blocks_run(capsys):
+    """README's ``python`` blocks run as written, so a changed signature
+    cannot leave them stale."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    assert all(line.startswith("PASS ") for line in lines)
