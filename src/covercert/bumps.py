@@ -44,12 +44,19 @@ earlier pair of a run is a blocker of the later one;
 ``Partition.check_runs`` checks this once per partition, when psi is
 first formed, from one ``box_pairs`` sweep of the support boxes, each
 widened by 1e-9 relative as the sweep widens its window.  Readers of one
-function per point (``partition_partials``: the integral bound, the
-functional and the pullback export) read a stack of one grid per
-function, linked to its blockers and own cutoff, and form psi once, at
-the end of each run.  The boxes are searched once per reading and cut
-to slabs of the stack's first axis of a bounded number of box cells,
-which bounds the engine's memory.
+function per point (the integral bound, the functional and the pullback
+export) read a stack of one grid per function, linked to its blockers
+and own cutoff, and form psi once, at the end of each run.  The boxes
+are searched once per reading and cut to slabs of the stack's first axis
+of a bounded number of box cells (``incidences``), which bounds the
+engine's memory.  Every reader consumes the blocks one at a time and
+writes only its per-point results (a partition sum, a value, or its own
+sums of the tables) before the next block is built, so a reading holds
+one block's pairs and tables at once: each step of the recurrence writes
+psi over the factors it has read, and ``Incidence.partials`` releases
+the factor table.  ``partition_partials`` joins the blocks' tables into
+whole-reading ones, for tests and the pullback export's one value per
+point.
 """
 
 from __future__ import annotations
@@ -66,7 +73,8 @@ from .cover import Cover, ball_overlaps, box_pairs
 from .domains import Lattice, _ranges
 from .errors import SmoothnessOrderError
 from .multiindex import indices_below, indices_up_to_order, multi_binom, multi_factorial
-from .piecewise import PiecewisePoly, evaluate_shared, indicator
+from .piecewise import (PiecewisePoly, _distinct, _evaluate, evaluate_shared,
+                        indicator)
 from .report import FAIL, PASS, Certificate
 
 __all__ = [
@@ -298,20 +306,22 @@ class Incidence:
     ``fns``) come in lexicographic order, as ``Partition.pairs`` gives
     them: all pairs, or, when ``owned``, the pairs of each point's owner's
     links.  A point's pairs by ascending cutoff are its run.  The pairs
-    are held step-major (``_step_major``): step s holds the s-th pair of
-    every point whose run is longer than s (``active[s]`` of them, from
-    ``start[s]``), with the points ranked by descending run length
-    (``order``), so each step's points are a prefix of the last step's.
-    The tables cover ``betas``, a down-closed set of multi-indices (with
-    every beta, each gamma <= beta; ``ValueError`` otherwise), and the
-    recurrence is exact on such a set.  Each pair's partials are formed
-    from its offsets to the cutoff's center, divided by the cutoff's
-    scale: per axis, one shared-knot evaluation of the profile gives every
-    order up to the largest of the betas on that axis at every pair, each
-    order b is multiplied by the pair's ``powers`` entry, and each beta
+    are held step-major (``_step_major``, which reorders the two arrays it
+    is given in place): step s holds the s-th pair of every point whose
+    run is longer than s (``active[s]`` of them, from ``start[s]``), with
+    the points ranked by descending run length (``order``), so each step's
+    points are a prefix of the last step's.  The tables cover ``betas``, a
+    down-closed set of multi-indices (with every beta, each gamma <= beta;
+    ``ValueError`` otherwise), and the recurrence is exact on such a set.
+    Each pair's partials are formed from its offsets to the cutoff's
+    center, divided by the cutoff's scale: per axis, one shared-knot
+    evaluation of the profile at the distinct offsets gives every order up
+    to the largest of the betas on that axis, each order b is gathered to
+    the pairs and multiplied by the pair's ``powers`` entry, and each beta
     multiplies its axis factors from ones, in axis order, so each row of
     ``factors`` (one per entry of ``betas``, the order-0 row first) is
-    bitwise the cutoff's partial evaluated on its own.
+    bitwise the cutoff's partial evaluated on its own.  ``partials`` reads
+    the factors once and releases them.
     """
 
     def __init__(self, partition: Partition, pts: np.ndarray, pairs, betas,
@@ -324,23 +334,29 @@ class Incidence:
         if max(top) >= profile.order:
             raise SmoothnessOrderError(f"component of {tuple(top)} exceeds "
                                        f"per-axis budget {profile.order - 1}")
-        self.order, self.active, self.start, self.rows, self.fns = _step_major(
-            *pairs, len(pts))
-        rows, fns = self.rows, self.fns
-
-        offsets = (pts[rows] - partition.centers[fns]) / partition.scales[fns, None]
-        axes = [evaluate_shared(profile.polys[:a_i + 1], offsets[:, i])
-                for i, a_i in enumerate(top)]
-        del offsets
-        for orders in axes:
-            for b, vals in enumerate(orders):
-                vals *= partition.powers[fns, b]
-        self.factors = np.empty((len(self.betas), len(fns)))
-        for row, beta in zip(self.factors, self.betas):
-            val = np.ones(len(fns))
-            for orders, b_i in zip(axes, beta):
-                val = val * orders[b_i]
-            row[:] = val
+        self.rows, self.fns = rows, fns = pairs
+        self.order, self.active, self.start = _step_major(rows, fns, len(pts))
+        # per axis, the profile's orders at each distinct offset of the
+        # pairs, and where each pair's offset is among them
+        lookups = []
+        for i, a_i in enumerate(top):
+            offsets = ((pts[rows, i] - partition.centers[fns, i])
+                       / partition.scales[fns])
+            first, inverse = _distinct(offsets)
+            lookups.append((_evaluate(profile.polys[:a_i + 1],
+                                      offsets[first]), inverse))
+            del offsets, first
+        # each order is gathered to the pairs, scaled by their powers, and
+        # multiplied into every beta that reads it before the next is
+        # gathered
+        self.factors = np.ones((len(self.betas), len(fns)))
+        for i, (values, inverse) in enumerate(lookups):
+            for b, vals in enumerate(values):
+                order = vals[inverse]
+                order *= partition.powers[fns, b]
+                for row, beta in zip(self.factors, self.betas):
+                    if beta[i] == b:
+                        row *= order
 
     def partials(self) -> dict:
         """Partials ``betas`` of the partition functions, as a dict from
@@ -360,32 +376,39 @@ class Incidence:
         gives psi = phi and P = 1 - phi as they are.  Owner mode forms psi
         only at each run's last pair, the owner's own.  Without ``owned``
         the partition is first checked with ``Partition.check_runs``.
+
+        Each step writes psi over the factors it has read, so the tables
+        hold no second copy of them; the factor table is released, and the
+        tables are read once.
         """
         if not self.owned:
             self.partition.check_runs()
-        out = np.empty((len(self.betas),
-                        self.active[0] if self.owned else len(self.rows)))
+        factors, self.factors = self.factors, None
         prod = None
         for s in range(len(self.active) - 1):
             n, m, at = self.active[s], self.active[s + 1], self.start[s]
-            psi = out[:, m:n] if self.owned else out[:, at:at + n]
-            prod = self._step(prod, self.factors[:, at:at + n], psi, m)
+            prod = self._step(prod, factors[:, at:at + n],
+                              m if self.owned else 0, m)
+        out = factors
         if self.owned:
-            owned, out = out, np.zeros((len(self.betas), len(self.pts)))
-            out[:, self.order[:owned.shape[1]]] = owned
+            # each point's psi is at the last pair of its run
+            ends = np.zeros(self.active[0], dtype=np.int64)
+            for s in range(len(self.active) - 1):
+                n, m = self.active[s], self.active[s + 1]
+                ends[m:n] = self.start[s] + np.arange(m, n)
+            out = np.zeros((len(self.betas), len(self.pts)))
+            for row, values in zip(out, factors):
+                row[self.order[:len(ends)]] = values[ends]
         return dict(sorted(zip(self.betas, out), key=lambda item: item[0]))
 
-    def _step(self, prod, f, psi, m):
+    def _step(self, prod, f, lo, m):
         """One step of the recurrence at the pairs ``f``, one column per
-        active point: write psi at the last ``psi.shape[1]`` of them and
-        return the next running product, at the first ``m``."""
-        lo = f.shape[1] - psi.shape[1]
+        active point: return the next running product, at the first ``m``,
+        and then write psi over the factors from column ``lo`` on."""
         if prod is None:
-            psi[:] = f[:, lo:]
             prod = -f[:, :m]
             prod[0] = 1.0 - f[0, :m]
-            return prod
-        np.multiply(prod[:, lo:], f[0, lo:], out=psi)
+            return prod             # psi = phi: the factors as they are
         nxt = prod[:, :m] * (1.0 - f[0, :m])
         rule = self.rule
         if rule.levels:
@@ -397,20 +420,23 @@ class Incidence:
             for count in rule.levels[1:]:
                 cross[:count] += terms[at:at + count]
                 at += count
-            psi[1:] += cross[:, lo:]
             nxt[1:] -= cross[:, :m]
+        psi = f[:, lo:]             # phi is read before row 0 is written
+        np.multiply(prod[:, lo:], f[0, lo:].copy(), out=psi)
+        if rule.levels:
+            psi[1:] += cross[:, lo:]
         return nxt
 
 
 def _step_major(rows, cols, count):
     """Reorder lexicographic (point, cutoff) pairs of ``count`` points step
-    by step.
+    by step, in place.
 
     Step s holds the s-th pair of every point whose run is longer than s,
     with the points ranked by descending run length, so each step's points
     are a prefix of the last step's.  Returns the points by rank, the
-    number of points at each step (ending with 0), where each step starts,
-    and the reordered ``rows`` and ``cols``.
+    number of points at each step (ending with 0), and where each step
+    starts.
     """
     length = np.bincount(rows, minlength=count)
     order = np.argsort(-length, kind="stable")
@@ -418,10 +444,13 @@ def _step_major(rows, cols, count):
     rank[order] = np.arange(count)
     active = count - np.cumsum(np.bincount(length, minlength=1))
     start = np.r_[0, np.cumsum(active)]
-    step = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    pos = np.empty(len(rows), dtype=np.int64)
-    pos[start[step] + rank[rows]] = np.arange(len(rows))
-    return order, active, start, rows[pos], cols[pos]
+    # each pair goes to its step's start plus its point's rank
+    place = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    place = start[place]
+    place += rank[rows]
+    for pairs in (rows, cols):
+        pairs[place] = pairs.copy()
+    return order, active, start
 
 
 class _Rule(NamedTuple):
@@ -494,21 +523,28 @@ def incidences(partition: Partition, lattice: Lattice, betas, owners=None):
         rows, fns = lattice.pairs(lo, hi, grid[at])
         rows -= block.start
         fns = cols[at][fns]
-        inc = Incidence(partition, lattice.points[block], (rows, fns), betas,
-                        owners is not None)
-        del rows, fns       # not held while the block is read
-        yield block, inc
+        # the Incidence reorders these arrays in place and holds them
+        yield block, Incidence(partition, lattice.points[block], (rows, fns),
+                               betas, owners is not None)
+        del rows, fns       # not held while the next block is built
 
 
 def partition_partials(partition: Partition, lattice: Lattice, ks,
                        betas) -> dict:
     """Partials ``betas`` (a down-closed set) of partition function
     ``ks[g]`` at every point of grid g of the stack ``lattice``, in the
-    order of ``lattice.points`` (see ``Incidence.partials``)."""
-    parts = [inc.partials()
-             for _, inc in incidences(partition, lattice, betas, owners=ks)]
-    return {beta: np.concatenate([part[beta] for part in parts])
-            for beta in parts[0]}
+    order of ``lattice.points`` (see ``Incidence.partials``), each block's
+    tables written into the whole reading's as it is read."""
+    tables = None
+    for block, inc in incidences(partition, lattice, betas, owners=ks):
+        part = inc.partials()
+        del inc
+        if tables is None:
+            tables = {beta: np.empty(len(lattice.points)) for beta in part}
+        for beta, values in part.items():
+            tables[beta][block] = values
+        del part            # not held while the next block is built
+    return tables
 
 
 def function_values(partition: Partition, lattice: Lattice, ks) -> np.ndarray:
@@ -614,6 +650,7 @@ def certify_partition(partition: Partition, cover: Cover, alpha_max: int,
             for j, alpha in enumerate(alphas):
                 peaks[fk, j] = np.maximum(peaks[fk, j], np.maximum.reduceat(
                     np.abs(tables[alpha][order]), starts))
+        del inc, tables, vals, order, fk    # not held into the next block
     above = float(np.max(sums - 1.0))
     if top is not None:
         above = max(above, top - 1.0)

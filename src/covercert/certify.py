@@ -17,13 +17,17 @@ functions and certify each of them.  Their sample points, quadrature
 points, partition tables and weight arrays depend on the cover, the
 partition, the order and the resolution but not on the test function, so
 they are built once and shared; only the Leibniz sums, the integrals, the
-seminorms and the verdicts are evaluated per function.  Each Leibniz sum
-runs once per test function over the points of all balls (or core boxes)
-together, and the per-ball maxima and midpoint sums are then read from
-each ball's contiguous slice, so every number is bitwise the one a
-per-ball evaluation gives (wherever the partials of f are finite: a ball
-whose h-partial is identically zero no longer skips that term, it adds
-zeros).
+seminorms and the verdicts are evaluated per function.  Each reading of
+the partition over the points of all balls (or core boxes) streams the
+engine's blocks (``bumps.incidences``): per block, each test function's
+Leibniz sums are written into one value per point and test function (and
+alpha, for the samples), and the block's tables are released before the
+next block is read.  A reading thus holds one block's tables plus these
+per-point results, and the per-ball maxima and midpoint sums are then
+read from each ball's contiguous slice, so every number is bitwise the
+one a per-ball evaluation gives (wherever the partials of f are finite:
+a ball whose h-partial is identically zero no longer skips that term, it
+adds zeros).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import Partition, derivative_constant, partition_partials
+from .bumps import Partition, derivative_constant, incidences
 from .cover import Cover, box_pairs
 from .domains import Box, Lattice, cell_axes, cell_lattice
 from .errors import TruncationBoxError
@@ -110,6 +114,30 @@ def _leibniz(table: dict, f_at, alpha) -> np.ndarray:
         rest = tuple(a - g for a, g in zip(alpha, gamma))
         total += multi_binom(alpha, gamma) * hvals * f_at(rest)
     return total
+
+
+def _leibniz_blocks(partition: Partition, grids: Lattice, fs, alphas):
+    """The partials ``alphas`` of h*f for each test function f in ``fs``,
+    h partition function g on grid g of the stack ``grids``, read one
+    ``bumps.incidences`` block at a time: ``(block, i, j, values)``, the
+    partial ``alphas[j]`` of h*fs[i] at the points ``grids.points[block]``.
+
+    A block's partition table covers the betas below the alphas, and f's
+    partials the largest alpha order per axis; both are released before
+    the next block is read, so a reader holds one block's tables and its
+    own per-point results."""
+    betas = sorted({beta for alpha in alphas for beta in indices_below(alpha)})
+    tops = tuple(max(orders) for orders in zip(*alphas))
+    ks = np.arange(len(partition))
+    for block, inc in incidences(partition, grids, betas, owners=ks):
+        table = inc.partials()
+        del inc
+        for i, f in enumerate(fs):
+            f_at = f.at(grids.points[block], tops)
+            for j, alpha in enumerate(alphas):
+                yield block, i, j, _leibniz(table, f_at, alpha)
+            del f_at
+        del table           # not held while the next block is read
 
 
 # -- composed constants ------------------------------------------------------
@@ -191,42 +219,47 @@ def _integral_bound_terms(fs: list[TestFunction], partition: Partition,
     left sides (``lhs[i][b]``) and midpoint integrals at both resolutions
     (``integrals[i][r][b]``) of ``verify_integral_bound``."""
     d = cover.dimension
-    m_tilde = (m + 1,) * d
     ks = np.arange(len(partition))
-    # One partition table of the partials |beta| <= m, which are all the
-    # Leibniz sums of the orders |alpha| <= m read, for every ball's
-    # sample grid.
+    # |partial alpha (h_k f)| for the orders |alpha| <= m at every ball's
+    # sample points, per test function and alpha, read block by block
     alphas = indices_up_to_order(d, m)
     grids = Lattice.linspace(cover.centers, 0.45 * cover.rho, points_per_ball)
+    peaks = np.empty((len(fs), len(alphas), len(grids)))
+    for block, i, j, values in _leibniz_blocks(partition, grids, fs, alphas):
+        peaks[i, j, block] = np.abs(values)
     starts = ks * points_per_ball ** d
-    tables = partition_partials(partition, grids, ks, alphas)
     lhs_values = []
-    for f in fs:
-        f_at = f.at(grids.points, (m,) * d)
+    for per_alpha in peaks:
         lhs = np.zeros(len(ks))
-        for alpha in alphas:
-            peaks = np.maximum.reduceat(
-                np.abs(_leibniz(tables, f_at, alpha)), starts)
-            lhs = np.where(peaks > lhs, peaks, lhs)     # max(lhs, peak)
+        for values in per_alpha:
+            peak = np.maximum.reduceat(values, starts)
+            lhs = np.where(peak > lhs, peak, lhs)      # max(lhs, peak)
         lhs_values.append(lhs.tolist())
-
-    # Midpoint sums over each outer ball at both resolutions, one partition
-    # table per resolution over every ball's cell grid.  Each ball's sum
-    # runs over its contiguous slice, so its pairwise summation is that of
-    # the ball's own array.
-    integrals = [[] for _ in fs]
-    for res in (quad_resolution, quad_resolution / 2.0):
-        grids = Lattice.stack([cell_axes(Box(tuple(z - r), tuple(z + r)), res)
-                               for z, r in zip(cover.centers, cover.rho.tolist())])
-        ends = np.cumsum(grids.sizes)
-        tables = partition_partials(partition, grids, ks,
-                                    indices_below(m_tilde))
-        for f, integrals_f in zip(fs, integrals):
-            vals = np.abs(_leibniz(tables, f.at(grids.points, m_tilde),
-                                   m_tilde))
-            integrals_f.append([_midpoint_integral(vals[lo:hi], res, d)
-                                for lo, hi in zip(ends - grids.sizes, ends)])
+    del peaks
+    integrals = list(zip(*(_ball_integrals(fs, partition, cover, m, res)
+                           for res in (quad_resolution, quad_resolution / 2.0))))
     return ks.tolist(), lhs_values, integrals
+
+
+def _ball_integrals(fs: list[TestFunction], partition: Partition,
+                    cover: Cover, m: int, res: float) -> list[list[float]]:
+    """Per test function f and outer ball k, the midpoint sum at resolution
+    ``res`` of |partial (m+1,...,m+1) (h_k f)| over the ball's cells.
+
+    Every ball's cell grid is one grid of a stack, read block by block into
+    one value per cell and test function; each ball's sum then runs over
+    its contiguous slice, so its pairwise summation is that of the ball's
+    own array."""
+    d = cover.dimension
+    m_tilde = (m + 1,) * d
+    grids = Lattice.stack([cell_axes(Box(tuple(z - r), tuple(z + r)), res)
+                           for z, r in zip(cover.centers, cover.rho.tolist())])
+    values = np.empty((len(fs), len(grids)))
+    for block, i, _, vals in _leibniz_blocks(partition, grids, fs, [m_tilde]):
+        values[i, block] = np.abs(vals)
+    ends = np.cumsum(grids.sizes)
+    return [[_midpoint_integral(row[lo:hi], res, d)
+             for lo, hi in zip(ends - grids.sizes, ends)] for row in values]
 
 
 def verify_integral_bound(fs: list[TestFunction], partition: Partition,
@@ -401,17 +434,14 @@ class JFunctional:
         cores, rows = self.cover.core_grids(lattice)
         if not len(rows):
             return out
-        # one partition table and one Leibniz sum per f for the cells that
-        # the core boxes own, each box's grid rescaled about its own center
-        x = self.cover.rescale(cores)
-        tables = partition_partials(self.partition, x,
-                                    np.arange(len(self.partition)),
-                                    indices_below(self.m_tilde))
+        # one Leibniz sum per f and block for the cells that the core boxes
+        # own, each box's grid rescaled about its own center
         nu = self.cover.family.nu_at(self.nu_index, cores.points)
-        x = x.points
-        for row, f in zip(out, fs):
-            row[rows] = _leibniz(tables, f.at(x, self.m_tilde),
-                                 self.m_tilde) * nu
+        x = self.cover.rescale(cores)
+        del cores
+        for block, i, _, values in _leibniz_blocks(self.partition, x, fs,
+                                                   [self.m_tilde]):
+            out[i, rows[block]] = values * nu[block]
         return out
 
 

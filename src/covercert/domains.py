@@ -142,26 +142,31 @@ def _interval_within(keys: np.ndarray, start: np.ndarray, size: np.ndarray,
     with ``|axis[t] - z| <= r``, or ``< r`` when ``strict`` (first > last
     where there is none).
 
-    ``keys`` is a stack of sorted axes as complex numbers: the start of
-    each coordinate's grid plus i times the coordinate.  numpy orders
-    complex numbers by real part, then imaginary part, so one
-    ``searchsorted`` finds each query in its own grid.  Float subtraction
-    is monotone, so ``axis[t] - z`` ascends with t, and ``-r <= axis[t] -
-    z <= r``, which is exactly ``|axis[t] - z| <= r``, holds on one
-    interval (and so do the strict inequalities).  Each end starts where
-    ``z -+ r`` sorts into the grid and steps until the test on the gap
-    flips; where ``z -+ r`` is NaN, the test at the grid's first index
-    decides all t.
+    ``keys`` is one sorted axis, searched with float queries, or a stack
+    of sorted axes as complex numbers: the start of each coordinate's grid
+    plus i times the coordinate.  numpy orders complex numbers by real
+    part, then imaginary part, so one ``searchsorted`` finds each query in
+    its own grid.  Float subtraction is monotone, so ``axis[t] - z``
+    ascends with t, and ``-r <= axis[t] - z <= r``, which is exactly
+    ``|axis[t] - z| <= r``, holds on one interval (and so do the strict
+    inequalities).  Each end starts where ``z -+ r`` sorts into the grid
+    and steps until the test on the gap flips; where ``z -+ r`` is NaN,
+    the test at the grid's first index decides all t.
     """
     tests = (np.less_equal, np.less) if strict else (np.less, np.less_equal)
-    axis, stop, ends = keys.imag, start + size, []
-    query = np.empty(len(z), dtype=complex)
-    query.real = start          # set apart: 1j * inf is nan+infj
+    stacked = keys.dtype.kind == "c"
+    axis, stop, ends = keys.imag if stacked else keys, start + size, []
+    if stacked:
+        query = np.empty(len(z), dtype=complex)
+        query.real = start      # set apart: 1j * inf is nan+infj
     for test, bound in zip(tests, (-r, r)):
         # the end of the leading t of the grid with test(axis[t] - z, bound)
         with np.errstate(invalid="ignore"):     # inf - inf
-            query.imag = key = z + bound
-        end = np.minimum(np.searchsorted(keys, query), stop)
+            key = z + bound
+        if stacked:
+            query.imag = key
+        end = np.minimum(np.searchsorted(keys, query if stacked else key),
+                         stop)
         nan = np.flatnonzero(np.isnan(key))
         if len(nan):
             nan = nan[size[nan] > 0]
@@ -255,15 +260,22 @@ class Lattice:
         return np.prod(self.shape, axis=1)
 
     @functools.cached_property
-    def _rank(self) -> np.ndarray:
-        """Per cell, the point it is, or -1 outside the mask."""
+    def _rank(self) -> np.ndarray | None:
+        """Per cell, the point it is, or -1 outside the mask; None when
+        every cell is inside, as each cell is then its own point."""
+        if self.inside.all():
+            return None
         rank = np.full(len(self.inside), -1, dtype=np.int64)
         rank[self.inside] = np.arange(len(self.points))
         return rank
 
-    @functools.cached_property
+    @property
     def _keys(self) -> list[np.ndarray]:
-        """Per axis, the keys of :func:`_interval_within`."""
+        """Per axis, the keys of :func:`_interval_within`: a one-grid
+        lattice's own axes, or a stack's complex keys, built for each
+        search (a stack is searched once per reading) and not kept."""
+        if len(self.shape) == 1:
+            return list(self.axes)
         keys = []
         for axis, start, n in zip(self.axes, self.starts, self.shape.T):
             key = np.empty(len(axis), dtype=complex)
@@ -325,19 +337,21 @@ class Lattice:
             grid = np.zeros(first.shape[1], dtype=np.int64)
         cell, boxes = _box_cells(self.shape[grid].T, first, stop)
         cell += (np.cumsum(self.sizes) - self.sizes)[grid][boxes]
-        return self._rank[cell], boxes
+        return (cell if self._rank is None else self._rank[cell]), boxes
 
     def pairs(self, first: np.ndarray, stop: np.ndarray, grid=None):
         """Every pair (i, j) of a point inside and a box that holds it, of
         the boxes as :meth:`cells` reads them, as ``(rows, boxes)`` in
         lexicographic (i, j) order."""
         rows, boxes = self.cells(first, stop, grid)
-        held = rows >= 0
-        rows, boxes = rows[held], boxes[held]
+        if self._rank is not None:
+            held = rows >= 0
+            rows, boxes = rows[held], boxes[held]
         # box by box, each box's rows ascend: a stable sort by row keeps
         # every row's boxes ascending too
         order = np.argsort(rows, kind="stable")
-        return rows[order], boxes[order]
+        rows = rows[order]
+        return rows, boxes[order]
 
     def slabs(self, grid: np.ndarray, first: np.ndarray, stop: np.ndarray,
               budget: int):
@@ -347,29 +361,56 @@ class Lattice:
         holds, ``at`` the boxes (of grids ``grid``, as :meth:`boxes` gives
         them) that meet it, and ``first`` and ``stop`` those boxes cut to
         it.  A slab holds at most ``budget`` box cells, or is one
-        first-axis cell.  There is always at least one slab."""
+        first-axis cell.  There is always at least one slab.
+
+        Nothing is held per first-axis cell: the box cells before
+        first-axis cell c are a piecewise linear function of c that bends
+        only at the boxes' ends, so each slab's end is found among the
+        bends, and each slab's points are counted from its cells."""
         offset = self.starts[0][grid]
         lo, hi = offset + first[0], offset + stop[0]
         cells = len(self.axes[0])
-        # the box cells, and the points, before each first-axis cell
+        # piece i starts at first-axis cell bend[i], with slope[i] box cells
+        # per first-axis cell and before[i] box cells before it (a repeated
+        # bend starts empty pieces, which no search ends in)
         volume = np.prod(stop[1:] - first[1:], axis=0)
-        total = np.zeros(cells + 1, dtype=np.int64)
-        np.add.at(total, lo, volume)
-        np.add.at(total, hi, -volume)
-        total = np.r_[0, np.cumsum(np.cumsum(total[:-1]))]
-        held = np.r_[0, np.cumsum(self.inside)][np.r_[0, np.cumsum(np.repeat(
-            np.prod(self.shape[:, 1:], axis=1), self.shape[:, 0]))]]
-        start = 0
+        bend = np.sort(np.r_[0, lo, hi, cells])
+        slope = np.zeros(len(bend), dtype=np.int64)
+        np.add.at(slope, np.searchsorted(bend, lo), volume)
+        np.add.at(slope, np.searchsorted(bend, hi), -volume)
+        slope = np.cumsum(slope)
+        before = np.r_[0, np.cumsum(slope[:-1] * np.diff(bend))]
+        # where each grid's cells and first-axis cells end, and the cells
+        # of each of its first-axis cells
+        ends = np.cumsum(self.sizes)
+        ends0 = np.cumsum(self.shape[:, 0])
+        width = np.prod(self.shape[:, 1:], axis=1)
+
+        def flat(c: int) -> int:
+            """The cell where first-axis cell c starts."""
+            g = int(np.searchsorted(ends0, c, "right"))
+            if g == len(ends0):
+                return len(self.inside)
+            return int(ends[g] - (ends0[g] - c) * width[g])
+
+        start = point = 0
         while True:
-            end = int(np.searchsorted(total, total[start] + budget, "right")) - 1
+            i = int(np.searchsorted(bend, start, "right")) - 1
+            target = before[i] + slope[i] * (start - bend[i]) + budget
+            # the last first-axis cell with at most target box cells before
+            i = int(np.searchsorted(before, target, "right")) - 1
+            end = (cells if i == len(bend) - 1 else
+                   int(bend[i] + (target - before[i]) // slope[i]))
             end = min(max(end, start + 1), cells)
             at = np.flatnonzero((lo < end) & (hi > start))
             cut_first, cut_stop = first[:, at], stop[:, at]
             cut_first[0] = np.maximum(lo[at], start) - offset[at]
             cut_stop[0] = np.minimum(hi[at], end) - offset[at]
-            yield (slice(start, end), slice(int(held[start]), int(held[end])),
-                   at, cut_first, cut_stop)
-            start = end
+            held = point + int(np.count_nonzero(
+                self.inside[flat(start):flat(end)]))
+            yield (slice(start, end), slice(point, held), at, cut_first,
+                   cut_stop)
+            start, point = end, held
             if start >= cells:
                 return
 

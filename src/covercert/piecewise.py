@@ -123,7 +123,9 @@ class PiecewisePoly:
         # A candidate knot is kept when it lies more than the tolerance above
         # the last kept one.  Only a candidate within the tolerance of its
         # predecessor can be dropped, so only those need the ordered scan.
-        # sorted distinct candidates (np.unique would import numpy.ma)
+        # sorted distinct candidates (np.unique without return_index,
+        # return_inverse or return_counts reads np.ma.is_masked, which
+        # imports numpy.ma on first use; numpy 2.4)
         raw = np.sort(np.concatenate([self.knots - half, self.knots + half]))
         raw = raw[np.r_[True, raw[1:] != raw[:-1]]]
         thresh = _MERGE_TOL * np.maximum(1.0, np.abs(raw))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from covercert import (Box, BoxRegion, IndexCalculus, IndexCapError,
                        verify_ball_weight_bound, verify_disjoint_supports,
                        verify_integral_bound, with_extra_center)
 import oracles
-from covercert import bumps
+from covercert import bumps, certify, cli
 from covercert.bumps import function_values, partition_partials
 from covercert.certify import _integral_bound_terms, _leibniz
-from covercert.domains import Lattice
+from covercert.domains import Lattice, cell_axes
 from covercert.multiindex import indices_below
 from oracles import point_grids, point_lattice
 
@@ -545,3 +547,142 @@ class TestUnionCells:
             assert dist < 0.005 + 1e-12
         # the union reaches out to the last ball edge but not to the box edge
         assert mids.min() > -1.6 and mids.max() < 1.6
+
+
+# the chain suite, with figures, on a d=1 Schwartz cover (9 balls) and a
+# d=2 boundary cover (25 balls)
+CHAIN_D1 = {
+    "name": "chain_d1",
+    "domain": {"kind": "full_space", "dimension": 1},
+    "family": {"kind": "schwartz"},
+    "n": 1, "m": 1,
+    "truncation": {"lower": [-2.05], "upper": [2.05]},
+    "psi_box": {"lower": [-300.0], "upper": [300.0]},
+    "resolutions": {"candidate": 0.004, "check": 0.004, "quadrature": 0.008,
+                    "psi": 0.05},
+    "smoothness_order": 6, "alpha_max": 3, "offset_count": 9,
+    "tolerance": 1e-9,
+    "suite": ["chain"],
+    "test_functions": ["gaussian", "coord_gaussian", "spline_bump"],
+    "figures": True,
+}
+CHAIN_D2 = {
+    "name": "chain_d2",
+    "domain": {"kind": "bounded_box", "lower": [0.0, 0.0],
+               "upper": [1.0, 1.0]},
+    "family": {"kind": "boundary"},
+    "n": 1, "m": 1,
+    "truncation": {"lower": [0.2, 0.2], "upper": [0.45, 0.45]},
+    "resolutions": {"candidate": 0.02, "check": 0.02, "quadrature": 0.02},
+    "smoothness_order": 6, "alpha_max": 2, "offset_count": 5,
+    "tolerance": 1e-9,
+    "suite": ["chain"],
+    "test_functions": ["gaussian", "coord_gaussian", "spline_bump"],
+    "figures": True,
+}
+
+
+@pytest.fixture(scope="module")
+def square_chain():
+    """A boundary-weight cover of 25 balls on the unit square and its
+    partition."""
+    dom = constant_exhaustion(BoxRegion(Box((0.0, 0.0), (1.0, 1.0))))
+    fam = boundary_family(dom)
+    cover = build_cover(fam, dom, 1, 0.01, box=Box((0.2, 0.2), (0.45, 0.45)))
+    return cover, build_partition(cover, order=6)
+
+
+class TestBlockBudget:
+    """The chain's readers stream the engine's blocks: what they hold at
+    once is one block's tables and their own per-point results."""
+
+    @pytest.mark.parametrize("config", [CHAIN_D1, CHAIN_D2],
+                             ids=["d1", "d2"])
+    def test_chain_readers_do_not_depend_on_the_budget(
+            self, config, tmp_path, monkeypatch):
+        # at a budget of 64 box cells every ball's grid is read in several
+        # blocks, and the stitched per-ball sums and maxima, the chain's
+        # certificates and the figure files stay bitwise those of the
+        # default budget
+        terms, spans = [], []
+        bound_terms = certify._integral_bound_terms
+        slabs = Lattice.slabs
+
+        def recording_terms(*args):
+            terms.append(bound_terms(*args))
+            return terms[-1]
+
+        def recording_slabs(self, *args):
+            for slab in slabs(self, *args):
+                spans.append((self, slab[1]))
+                yield slab
+
+        monkeypatch.setattr(certify, "_integral_bound_terms", recording_terms)
+        monkeypatch.setattr(Lattice, "slabs", recording_slabs)
+
+        def run(name):
+            terms.clear()
+            spans.clear()
+            out = tmp_path / name
+            code, report = cli.run(cli.RunConfig.from_dict(config), out,
+                                   echo=lambda *args: None)
+            report.pop("generated_at")
+            files = {path.name: path.read_bytes()
+                     for path in sorted(out.glob("*.csv"))}
+            return code, report, files, terms[0]
+
+        whole = run("whole")
+        assert sorted(whole[2]) == ["cover.csv", "cutoffs.csv", "pullback.csv"]
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", 64)
+        blocked = run("blocked")
+        # some grid of a stack meets several blocks
+        assert any(sum(block.start < hi and block.stop > lo
+                       for other, block in spans if other is lattice) > 1
+                   for lattice, _ in spans if len(lattice.shape) > 1
+                   for lo, hi in zip(np.cumsum(lattice.sizes) - lattice.sizes,
+                                     np.cumsum(lattice.sizes)))
+        assert blocked[:3] == whole[:3]
+        (ks, lhs, integrals), expected = blocked[3], whole[3]
+        assert ks == expected[0]
+        assert np.array(lhs).tobytes() == np.array(expected[1]).tobytes()
+        assert np.array(integrals).tobytes() == \
+            np.array(expected[2]).tobytes()
+
+    def test_working_set_grows_only_by_the_readers_outputs(
+            self, square_chain, monkeypatch):
+        # as the fine midpoint stack grows from 2x to 8x the budget, the
+        # traced peak of verify_integral_bound may grow by what building
+        # that stack takes and by one float per point and test function,
+        # but not by partition tables over the whole stack
+        cover, partition = square_chain
+        fs = shipped_suite(2)
+        budget = 1024
+        monkeypatch.setattr(bumps, "_BLOCK_PAIRS", budget)
+        area = float((4.0 * cover.rho ** 2).sum())
+
+        def fine_stack(quad):
+            return Lattice.stack([cell_axes(Box(tuple(z - r), tuple(z + r)),
+                                            quad / 2.0)
+                                  for z, r in zip(cover.centers,
+                                                  cover.rho.tolist())])
+
+        def traced_peak(read):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                read()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peaks, allowed = [], []
+        for times in (2, 8):
+            quad = 2.0 * np.sqrt(area / (times * budget))
+            points = len(fine_stack(quad))
+            assert times * budget * 0.9 < points < times * budget * 1.1
+            verify_integral_bound(fs, partition, cover, 1, quad)
+            peaks.append(traced_peak(lambda: verify_integral_bound(
+                fs, partition, cover, 1, quad)))
+            allowed.append(traced_peak(lambda: fine_stack(quad))
+                           + 8 * len(fs) * points)
+        assert peaks[1] - peaks[0] <= allowed[1] - allowed[0]

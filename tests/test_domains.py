@@ -268,18 +268,26 @@ def axis_queries(draw):
     return axis, np.array(z), np.array(r)
 
 
-def interval_within(axis, z, r, strict=False):
-    """``_interval_within`` on the one grid ``axis``."""
-    keys = Lattice.of([axis])._keys[0]
-    return _interval_within(keys, np.zeros(len(z), dtype=np.int64),
-                            np.full(len(z), len(axis)), z, r, strict)
+def interval_within(axis, z, r, strict=False, stacked=False):
+    """``_interval_within`` on the one grid ``axis``: a one-grid lattice's
+    float axis, or (``stacked``) the complex keys of a stack that holds
+    ``axis`` as its second grid."""
+    if stacked:
+        lattice = Lattice.stack([[np.array([-1.0, 0.5, 7.0])], [axis]])
+    else:
+        lattice = Lattice.of([axis])
+    keys = lattice._keys[0]
+    assert keys.dtype == (complex if stacked else float)
+    start = np.full(len(z), lattice.starts[0][-1])
+    return _interval_within(keys, start, np.full(len(z), len(axis)), z, r,
+                            strict)
 
 
 @settings(max_examples=300, deadline=None)
-@given(axis_queries(), st.booleans())
-def test_interval_within_equals_bisection(query, strict):
+@given(axis_queries(), st.booleans(), st.booleans())
+def test_interval_within_equals_bisection(query, strict, stacked):
     axis, z, r = query
-    got = interval_within(axis, z, r, strict)
+    got = interval_within(axis, z, r, strict, stacked)
     want = oracles.interval_within(axis, z, r, strict)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
